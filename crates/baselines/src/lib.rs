@@ -12,11 +12,6 @@
 //! * [`lsm`] — a miniature **LSM storage engine** (WAL with group commit on
 //!   the simulated SSD, memtable, block-structured SSTs, size-tiered
 //!   compaction): the "Boki (RocksDB)" storage baseline of Figures 5–7.
-//! * [`chain`] — **chain replication** [125]: the data-layer topology of
-//!   Corfu/FuzzyLog, used as a latency comparison point (§3.2 notes chain
-//!   replication increases append latency versus FlexLog's direct
-//!   client-to-all-replicas broadcast).
 
-pub mod chain;
 pub mod lsm;
 pub mod paxos;

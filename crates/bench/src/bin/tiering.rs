@@ -79,7 +79,6 @@ fn tiered_server(archive_records: usize) -> (StorageServer, Arc<SimObjectStore>)
         pm_latency: LatencyModel::pm_bypass(),
         cache_capacity: 1 << 20,
         pm_watermark: usize::MAX >> 1, // never spill: the archiver moves the data
-        spill_batch: 64,
         clock: ClockMode::Virtual,
         obs: Default::default(),
         tier: Some(tier),
@@ -132,7 +131,6 @@ fn ssd_reads(records: usize, reads: usize) -> Vec<u64> {
         pm_latency: LatencyModel::pm_bypass(),
         cache_capacity: 4 << 10, // no DRAM shortcuts
         pm_watermark: 64 << 10,
-        spill_batch: 256,
         clock: ClockMode::Virtual,
         obs: Default::default(),
         tier: None,

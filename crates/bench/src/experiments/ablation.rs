@@ -119,7 +119,6 @@ pub fn cache_size(quick: bool) -> Vec<(usize, f64, f64)> {
                 pm_latency: LatencyModel::pm_bypass(),
                 cache_capacity: cache_bytes.max(1), // 0 → effectively none
                 pm_watermark: 200 << 20,
-                spill_batch: 64,
                 clock: ClockMode::Virtual,
                 obs: Default::default(),
                 tier: None,

@@ -36,7 +36,6 @@ fn flexlog_server() -> Arc<StorageServer> {
         pm_latency: LatencyModel::pm_bypass(),
         cache_capacity: 64 << 20,
         pm_watermark: 200 << 20, // stay on PM like the paper's 800 GB DIMMs
-        spill_batch: 64,
         clock: ClockMode::Virtual,
         obs: Default::default(),
         tier: None,

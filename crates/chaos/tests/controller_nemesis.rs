@@ -16,7 +16,7 @@ use flexlog_chaos::{
 use flexlog_core::{ClusterSpec, FlexLogCluster};
 use flexlog_ctrl::{ControlPlane, CtrlError, CtrlPhase};
 use flexlog_ordering::RoleId;
-use flexlog_replication::{ClusterMsg, DataMsg};
+use flexlog_replication::{AppendMsg, ClusterMsg, DataMsg};
 use flexlog_simnet::NodeId;
 use flexlog_types::{ColorId, Payload, ShardId, Token};
 
@@ -58,7 +58,7 @@ fn probe_append(cluster: &FlexLogCluster) -> Result<(), String> {
     for &r in &shard.replicas {
         let _ = ep.send(
             r,
-            DataMsg::Append {
+            AppendMsg::Append {
                 color: RED,
                 token,
                 payloads: vec![Payload::from(&b"post-recovery-probe"[..])],
@@ -73,10 +73,10 @@ fn probe_append(cluster: &FlexLogCluster) -> Result<(), String> {
             .checked_duration_since(Instant::now())
             .ok_or("probe append timed out (color left frozen?)")?;
         match ep.recv_timeout(left) {
-            Ok((_, ClusterMsg::Data(DataMsg::AppendAck { token: t, .. }))) if t == token => {
+            Ok((_, ClusterMsg::Data(DataMsg::Append(AppendMsg::AppendAck { token: t, .. })))) if t == token => {
                 return Ok(());
             }
-            Ok((_, ClusterMsg::Data(DataMsg::Rejected { token: t, reason }))) if t == token => {
+            Ok((_, ClusterMsg::Data(DataMsg::Append(AppendMsg::Rejected { token: t, reason })))) if t == token => {
                 return Err(format!("probe append nacked with {reason:?}"));
             }
             Ok(_) => {}

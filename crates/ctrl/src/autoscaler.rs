@@ -87,15 +87,11 @@ impl<'a> Autoscaler<'a> {
         // the entire history in them, and without this priming the first
         // tick would read that history as one observation window's worth
         // of appends and fire a spurious scale-out.
-        let mut last_sns = HashMap::new();
         let snap = plane.cluster().obs().snapshot();
-        for (name, &total) in &snap.counters {
-            let Some(id) = name.strip_prefix("seq.color_sns.") else {
-                continue;
-            };
-            let Ok(id) = id.parse::<u32>() else { continue };
-            last_sns.insert(ColorId(id), total);
-        }
+        let last_sns = snap
+            .counters_by_id("seq.color_sns.")
+            .map(|(id, total)| (ColorId(id), total))
+            .collect();
         Autoscaler {
             plane,
             config,
@@ -137,11 +133,7 @@ impl<'a> Autoscaler<'a> {
         }
         self.last_tick = Some(now);
         let mut rates: HashMap<ColorId, f64> = HashMap::new();
-        for (name, &total) in &snap.counters {
-            let Some(id) = name.strip_prefix("seq.color_sns.") else {
-                continue;
-            };
-            let Ok(id) = id.parse::<u32>() else { continue };
+        for (id, total) in snap.counters_by_id("seq.color_sns.") {
             let color = ColorId(id);
             let prev = self.last_sns.insert(color, total).unwrap_or(0);
             rates.insert(

@@ -11,7 +11,7 @@
 //! * **Runtime color create / destroy** — [`ControlPlane::create_color`]
 //!   and [`ControlPlane::destroy_color`]. Creation is a metadata operation
 //!   (registry + topology); destruction fences every hosting replica with
-//!   `DropColor` before the mappings are forgotten, so a client holding a
+//!   a `Drop` command before the mappings are forgotten, so a client holding a
 //!   stale route gets a terminal `Dropped` nack instead of silence.
 //! * **Shard scale-out with color migration** —
 //!   [`ControlPlane::add_shard`] plus [`ControlPlane::migrate_color`]:

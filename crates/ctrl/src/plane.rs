@@ -15,11 +15,18 @@ use std::time::{Duration, Instant};
 use flexlog_core::{ColorError, FlexLogCluster};
 use flexlog_obs::{Counter, Stage, CTRL_TOKEN};
 use flexlog_ordering::{OrderMsg, RoleId};
-use flexlog_replication::{ClusterMsg, DataMsg, ShardInfo, SubCursor};
+use flexlog_replication::{
+    ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, ShardInfo, SubCursor, SyncMsg, TokenRecord,
+};
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
-use flexlog_types::{ColorId, Epoch, Payload, SeqNum, ShardId, Token};
+use flexlog_storage::FetchSelect;
+use flexlog_types::{ColorId, Epoch, SeqNum, ShardId};
 
 use crate::wal::{CtrlPhase, IntentWal, OpKind};
+
+/// What a replica answered a [`SyncMsg::Fetch`] with: its trim head, the
+/// selected records and its subscription cursors for the color.
+type Fetched = (Option<SeqNum>, Vec<TokenRecord>, Vec<SubCursor>);
 
 /// Errors from control-plane operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -261,7 +268,7 @@ impl<'a> ControlPlane<'a> {
     /// a short bound: a replica that misses the hello still fences on the
     /// first real command it sees from this generation.
     fn hello(&mut self) {
-        let nodes: Vec<NodeId> = self
+        let mut nodes: Vec<NodeId> = self
             .cluster
             .data()
             .topology
@@ -269,28 +276,8 @@ impl<'a> ControlPlane<'a> {
             .iter()
             .flat_map(|s| s.replicas.clone())
             .collect();
-        if nodes.is_empty() {
-            return;
-        }
-        let gen = self.generation;
-        let req = self.next_req();
-        for &n in &nodes {
-            let _ = self.ep.send(n, DataMsg::ControllerHello { gen, req }.into());
-        }
-        let mut pending: HashSet<NodeId> = nodes.into_iter().collect();
         let deadline = Instant::now() + self.timeout.min(Duration::from_millis(250));
-        while !pending.is_empty() {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            match self.ep.recv_timeout(left) {
-                Ok((from, ClusterMsg::Data(DataMsg::CtrlAck { req: r }))) if r == req => {
-                    pending.remove(&from);
-                }
-                Ok(_) => {}
-                Err(RecvError::Timeout) | Err(RecvError::Disconnected) => break,
-            }
-        }
+        let _ = self.ctrl_round_until(&mut nodes, CtrlCmd::Hello, deadline, "hello");
     }
 
     // ----- recovery scan ---------------------------------------------------
@@ -384,10 +371,9 @@ impl<'a> ControlPlane<'a> {
             .topology
             .shard(dest)
             .ok_or(CtrlError::UnknownShard(dest))?;
-        let gen = self.generation;
         self.ctrl_round(
             &dest_info.replicas,
-            |req| DataMsg::AdoptColor { color, gen, req },
+            CtrlCmd::Adopt(color),
             "recover-adopt",
         )?;
         self.cluster
@@ -402,7 +388,7 @@ impl<'a> ControlPlane<'a> {
         if !src_nodes.is_empty() {
             self.ctrl_round(
                 &src_nodes,
-                |req| DataMsg::CutoverColor { color, gen, req },
+                CtrlCmd::Cutover(color),
                 "recover-cutover",
             )?;
         }
@@ -431,10 +417,9 @@ impl<'a> ControlPlane<'a> {
             .collect();
         self.abort_unfreeze(&src_nodes, color);
         if let Some(dest_info) = self.cluster.data().topology.shard(dest) {
-            let gen = self.generation;
             self.ctrl_round(
                 &dest_info.replicas,
-                |req| DataMsg::DiscardColor { color, gen, req },
+                CtrlCmd::Discard(color),
                 "recover-discard",
             )?;
         }
@@ -511,8 +496,7 @@ impl<'a> ControlPlane<'a> {
         self.cluster.colors().remove_color(color)?;
         let nodes: Vec<NodeId> = shards.iter().flat_map(|s| s.replicas.clone()).collect();
         if !nodes.is_empty() {
-            let gen = self.generation;
-            self.ctrl_round(&nodes, |req| DataMsg::DropColor { color, gen, req }, "drop")?;
+            self.ctrl_round(&nodes, CtrlCmd::Drop(color), "drop")?;
         }
         self.cluster
             .data()
@@ -607,10 +591,9 @@ impl<'a> ControlPlane<'a> {
         // (clients hold and retry); already-staged batches keep draining.
         // A failed round may still have frozen a subset of the replicas —
         // the abort must unfreeze them or the color hangs forever.
-        let gen = self.generation;
         if let Err(e) = self.ctrl_round(
             &src_nodes,
-            |req| DataMsg::FreezeColor { color, gen, req },
+            CtrlCmd::Freeze(color),
             "freeze",
         ) {
             return Err(self.fail_op(op, e, Some((&src_nodes, color))));
@@ -655,10 +638,9 @@ impl<'a> ControlPlane<'a> {
             .into_iter()
             .flat_map(|s| s.replicas)
             .collect();
-        let gen = self.generation;
         self.ctrl_round(
             &nodes,
-            |req| DataMsg::ArchiveColor { color, keep_tail, max_records, demote, gen, req },
+            CtrlCmd::Archive { color, keep_tail, max_records, demote },
             "archive",
         )
     }
@@ -682,36 +664,28 @@ impl<'a> ControlPlane<'a> {
             let deadline = (Instant::now() + self.timeout).min(budget);
             let mut shipped = 0usize;
             for shard in sources {
+                let mut mark = marks.get(&shard.id).copied().unwrap_or(SeqNum::ZERO);
                 // First chunk ranks the shard's replicas and picks the
-                // export source; later chunks reuse it (re-ranking per
-                // chunk would crawl through probe timeouts whenever a
-                // replica is down).
-                let above = marks.get(&shard.id).copied();
-                let (src, head, records, _) =
-                    self.export_span(shard, color, above, chunk as u64, deadline)?;
-                let mut got = records.len();
-                shipped += got;
-                let mut mark = *marks.entry(shard.id).or_insert(SeqNum::ZERO);
-                // Records arrive in SN order; the head bounds the span
-                // from below even when nothing is live (trimmed prefix).
-                if let Some(&(_, sn, _)) = records.last() {
-                    mark = mark.max(sn);
-                }
-                if let Some(h) = head {
-                    mark = mark.max(h);
-                }
-                // Catch-up rounds never hand cursors over — the source
-                // keeps pushing until the final freeze-window sliver.
-                self.import_span(&dest.replicas, color, head, records, true, Vec::new(), deadline)?;
-                while got == chunk {
-                    let (head, records, _) =
-                        self.export_from(src, color, Some(mark), chunk as u64, deadline)?;
-                    got = records.len();
+                // source; later chunks reuse it (re-ranking per chunk
+                // would crawl through probe timeouts whenever a replica is
+                // down).
+                let (src, (mut head, mut records, _)) =
+                    self.fetch_from_best(shard, color, mark, chunk as u64, deadline)?;
+                loop {
+                    let got = records.len();
                     shipped += got;
-                    if let Some(&(_, sn, _)) = records.last() {
-                        mark = mark.max(sn);
-                    }
+                    // Records arrive in SN order; the head bounds the span
+                    // from below even when nothing is live (trimmed prefix).
+                    let last = records.last().map_or(mark, |&(_, sn, _)| sn);
+                    mark = mark.max(last).max(head.unwrap_or(SeqNum::ZERO));
+                    // Catch-up rounds never hand cursors over — the source
+                    // keeps pushing until the final freeze-window sliver.
                     self.import_span(&dest.replicas, color, head, records, true, Vec::new(), deadline)?;
+                    if got < chunk {
+                        break;
+                    }
+                    let select = FetchSelect::Above { sn: mark, limit: chunk as u64 };
+                    (head, records, _) = self.fetch(src, color, select, deadline, "copy")?;
                 }
                 marks.insert(shard.id, mark);
             }
@@ -773,9 +747,9 @@ impl<'a> ControlPlane<'a> {
         // O(span). It imports hot (PM + cache): these are the records a
         // client is most likely to re-read right after cutover.
         for shard in sources {
-            let above = marks.get(&shard.id).copied();
-            let (src, head, records, cursors) =
-                self.export_span(shard, color, above, u64::MAX, deadline)?;
+            let above = marks.get(&shard.id).copied().unwrap_or(SeqNum::ZERO);
+            let (src, (head, records, cursors)) =
+                self.fetch_from_best(shard, color, above, u64::MAX, deadline)?;
             self.final_sliver_records.add(records.len() as u64);
             // The final hot sliver carries the source's subscription
             // cursors: the destination's delegate replica adopts them and
@@ -796,10 +770,9 @@ impl<'a> ControlPlane<'a> {
 
         // Phase 5: adopt. Destination replicas clear any stale fencing
         // marks from an earlier residency and start serving the color.
-        let gen = self.generation;
         self.ctrl_round(
             &dest.replicas,
-            |req| DataMsg::AdoptColor { color, gen, req },
+            CtrlCmd::Adopt(color),
             "adopt",
         )?;
         self.wal_phase(op, CtrlPhase::Adopted)?;
@@ -813,7 +786,7 @@ impl<'a> ControlPlane<'a> {
             .set_color_shards(color, vec![dest.id]);
         self.ctrl_round(
             src_nodes,
-            |req| DataMsg::CutoverColor { color, gen, req },
+            CtrlCmd::Cutover(color),
             "cutover",
         )?;
         self.wal_phase(op, CtrlPhase::CutOver)?;
@@ -904,6 +877,37 @@ impl<'a> ControlPlane<'a> {
 
     // ----- fenced primitives --------------------------------------------
 
+    /// The one reply loop of the controller: feeds every message arriving
+    /// from a node in `pending` to `on_reply` and strikes the node off once
+    /// it has produced the reply the round awaits (`Ok(true)`). Ends when
+    /// `pending` is empty, `on_reply` fails the round, or `deadline`
+    /// passes (`Timeout(phase)`, with `pending` naming the nodes that never
+    /// answered). Request ids are matched by `on_reply`, which owns the
+    /// reply's shape.
+    fn await_replies(
+        &mut self,
+        pending: &mut Vec<NodeId>,
+        deadline: Instant,
+        phase: &'static str,
+        mut on_reply: impl FnMut(NodeId, ClusterMsg) -> Result<bool, CtrlError>,
+    ) -> Result<(), CtrlError> {
+        while !pending.is_empty() {
+            let left = deadline
+                .checked_duration_since(Instant::now())
+                .ok_or(CtrlError::Timeout(phase))?;
+            match self.ep.recv_timeout(left) {
+                Ok((node, msg)) => {
+                    if pending.contains(&node) && on_reply(node, msg)? {
+                        pending.retain(|&n| n != node);
+                    }
+                }
+                Err(RecvError::Timeout) => return Err(CtrlError::Timeout(phase)),
+                Err(RecvError::Disconnected) => return Err(CtrlError::Disconnected),
+            }
+        }
+        Ok(())
+    }
+
     /// Bumps `role`'s epoch and returns the new value. The sequencer
     /// drops its per-color counters (they restart within the new epoch)
     /// and replicates the bump to its backups before replying.
@@ -918,59 +922,76 @@ impl<'a> ControlPlane<'a> {
             .ep
             .send(leader, ClusterMsg::Order(OrderMsg::BumpEpoch { role, gen }));
         let deadline = Instant::now() + self.timeout;
-        loop {
-            let left = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or(CtrlError::Timeout("epoch bump"))?;
-            match self.ep.recv_timeout(left) {
-                Ok((_, ClusterMsg::Order(OrderMsg::EpochIs { role: r, epoch }))) if r == role => {
-                    self.epoch_bumps.add(1);
-                    return Ok(epoch);
-                }
-                Ok((_, ClusterMsg::Order(OrderMsg::BumpFenced { role: r, .. }))) if r == role => {
-                    return Err(CtrlError::Fenced);
-                }
-                Ok(_) => {}
-                Err(RecvError::Timeout) => return Err(CtrlError::Timeout("epoch bump")),
-                Err(RecvError::Disconnected) => return Err(CtrlError::Disconnected),
+        let mut bumped = None;
+        self.await_replies(&mut vec![leader], deadline, "epoch bump", |_, m| match m {
+            ClusterMsg::Order(OrderMsg::EpochIs { role: r, epoch }) if r == role => {
+                bumped = Some(epoch);
+                Ok(true)
             }
-        }
+            ClusterMsg::Order(OrderMsg::BumpFenced { role: r, .. }) if r == role => {
+                Err(CtrlError::Fenced)
+            }
+            _ => Ok(false),
+        })?;
+        self.epoch_bumps.add(1);
+        Ok(bumped.expect("await_replies returned Ok only after the reply"))
     }
 
-    /// Sends one control message to every node and waits for all acks.
+    /// Sends `cmd` under this controller's generation to every node and
+    /// waits for all acks within the per-phase timeout.
     fn ctrl_round(
         &mut self,
         nodes: &[NodeId],
-        msg_of: impl Fn(u64) -> DataMsg,
+        cmd: CtrlCmd,
         phase: &'static str,
     ) -> Result<(), CtrlError> {
-        let req = self.next_req();
-        let msg = msg_of(req);
-        for &n in nodes {
-            let _ = self.ep.send(n, msg.clone().into());
-        }
-        let mut pending: HashSet<NodeId> = nodes.iter().copied().collect();
         let deadline = Instant::now() + self.timeout;
-        while !pending.is_empty() {
-            let left = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or(CtrlError::Timeout(phase))?;
-            match self.ep.recv_timeout(left) {
-                Ok((from, ClusterMsg::Data(DataMsg::CtrlAck { req: r }))) if r == req => {
-                    pending.remove(&from);
-                }
-                Ok((_, ClusterMsg::Data(DataMsg::CtrlNack { req: r, .. }))) if r == req => {
-                    // A replica has seen a higher controller generation:
-                    // we are a zombie. Stop immediately — the successor
-                    // owns every in-flight operation.
-                    return Err(CtrlError::Fenced);
-                }
-                Ok(_) => {}
-                Err(RecvError::Timeout) => return Err(CtrlError::Timeout(phase)),
-                Err(RecvError::Disconnected) => return Err(CtrlError::Disconnected),
+        self.ctrl_round_until(&mut nodes.to_vec(), cmd, deadline, phase)
+    }
+
+    /// One fenced round against an explicit deadline: sends `cmd` to every
+    /// node in `pending`, which is left naming the nodes that never acked.
+    fn ctrl_round_until(
+        &mut self,
+        pending: &mut Vec<NodeId>,
+        cmd: CtrlCmd,
+        deadline: Instant,
+        phase: &'static str,
+    ) -> Result<(), CtrlError> {
+        let (gen, req) = (self.generation, self.next_req());
+        let _ = self.ep.broadcast(pending, CtrlMsg::Cmd { gen, req, cmd }.into());
+        self.await_replies(pending, deadline, phase, |_, m| match m {
+            ClusterMsg::Data(DataMsg::Ctrl(CtrlMsg::Ack { req: r, .. })) if r == req => Ok(true),
+            // A replica has seen a higher controller generation: we are a
+            // zombie. Stop immediately — the successor owns every
+            // in-flight operation.
+            ClusterMsg::Data(DataMsg::Ctrl(CtrlMsg::Nack { req: r, .. })) if r == req => {
+                Err(CtrlError::Fenced)
             }
-        }
-        Ok(())
+            _ => Ok(false),
+        })
+    }
+
+    /// Sends one unfenced sync-plane query to `node` and returns what
+    /// `reply_of` extracts from its answer (which must echo `req`).
+    fn query<T>(
+        &mut self,
+        node: NodeId,
+        msg_of: impl FnOnce(u64) -> SyncMsg,
+        deadline: Instant,
+        phase: &'static str,
+        reply_of: impl Fn(u64, SyncMsg) -> Option<T>,
+    ) -> Result<T, CtrlError> {
+        let req = self.next_req();
+        let _ = self.ep.send(node, msg_of(req).into());
+        let mut reply = None;
+        self.await_replies(&mut vec![node], deadline, phase, |_, m| {
+            if let ClusterMsg::Data(DataMsg::Sync(m)) = m {
+                reply = reply_of(req, m);
+            }
+            Ok(reply.is_some())
+        })?;
+        Ok(reply.expect("await_replies returned Ok only after the reply"))
     }
 
     /// One replica's view of a color: (staged batches, head, tail, count).
@@ -980,51 +1001,57 @@ impl<'a> ControlPlane<'a> {
         color: ColorId,
         deadline: Instant,
     ) -> Result<(u64, Option<SeqNum>, Option<SeqNum>, u64), CtrlError> {
-        let req = self.next_req();
-        let _ = self.ep.send(node, DataMsg::ColorStatus { color, req }.into());
-        loop {
-            let left = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or(CtrlError::Timeout("drain"))?;
-            match self.ep.recv_timeout(left) {
-                Ok((
-                    from,
-                    ClusterMsg::Data(DataMsg::CtrlColorInfo {
-                        req: r,
-                        staged,
-                        head,
-                        tail,
-                        count,
-                    }),
-                )) if r == req && from == node => return Ok((staged, head, tail, count)),
-                Ok(_) => {}
-                Err(RecvError::Timeout) => return Err(CtrlError::Timeout("drain")),
-                Err(RecvError::Disconnected) => return Err(CtrlError::Disconnected),
-            }
-        }
+        self.query(
+            node,
+            |req| SyncMsg::ColorStatus { color, req },
+            deadline,
+            "drain",
+            |req, m| match m {
+                SyncMsg::ColorInfo { req: r, staged, head, tail, count } if r == req => {
+                    Some((staged, head, tail, count))
+                }
+                _ => None,
+            },
+        )
     }
 
-    /// Exports the committed span of `color` (strictly above `above`, if
-    /// given; at most `limit` records) from the most complete live replica
-    /// of `shard`. Returns the replica used, so chunked catch-up and
+    /// One [`SyncMsg::Fetch`] against a specific replica.
+    fn fetch(
+        &mut self,
+        node: NodeId,
+        color: ColorId,
+        select: FetchSelect,
+        deadline: Instant,
+        phase: &'static str,
+    ) -> Result<Fetched, CtrlError> {
+        self.query(
+            node,
+            |req| SyncMsg::Fetch { req, color, select },
+            deadline,
+            phase,
+            |req, m| match m {
+                SyncMsg::Records { req: r, color: c, head, records, cursors }
+                    if r == req && c == color =>
+                {
+                    Some((head, records, cursors))
+                }
+                _ => None,
+            },
+        )
+    }
+
+    /// Fetches the committed span of `color` strictly above `above` (at
+    /// most `limit` records) from the most complete live replica of
+    /// `shard`. Returns the replica used, so chunked catch-up and
     /// follow-up digest checks ask the same node.
-    #[allow(clippy::type_complexity)]
-    fn export_span(
+    fn fetch_from_best(
         &mut self,
         shard: &ShardInfo,
         color: ColorId,
-        above: Option<SeqNum>,
+        above: SeqNum,
         limit: u64,
         deadline: Instant,
-    ) -> Result<
-        (
-            NodeId,
-            Option<SeqNum>,
-            Vec<(Token, SeqNum, Payload)>,
-            Vec<SubCursor>,
-        ),
-        CtrlError,
-    > {
+    ) -> Result<(NodeId, Fetched), CtrlError> {
         // Rank replicas by committed-record count so a lagging or freshly
         // recovered replica is not the one we copy from.
         let mut ranked: Vec<(u64, NodeId)> = Vec::new();
@@ -1040,8 +1067,9 @@ impl<'a> ControlPlane<'a> {
         }
         ranked.sort();
         while let Some((_, node)) = ranked.pop() {
-            match self.export_from(node, color, above, limit, deadline) {
-                Ok((head, records, cursors)) => return Ok((node, head, records, cursors)),
+            let select = FetchSelect::Above { sn: above, limit };
+            match self.fetch(node, color, select, deadline, "copy") {
+                Ok(fetched) => return Ok((node, fetched)),
                 Err(CtrlError::Timeout(_)) if !ranked.is_empty() => {
                     // Try the next-best replica inside the same deadline.
                 }
@@ -1051,67 +1079,25 @@ impl<'a> ControlPlane<'a> {
         Err(CtrlError::Timeout("copy"))
     }
 
-    /// One export request against a specific replica.
-    #[allow(clippy::type_complexity)]
-    fn export_from(
-        &mut self,
-        node: NodeId,
-        color: ColorId,
-        above: Option<SeqNum>,
-        limit: u64,
-        deadline: Instant,
-    ) -> Result<(Option<SeqNum>, Vec<(Token, SeqNum, Payload)>, Vec<SubCursor>), CtrlError> {
-        let req = self.next_req();
-        let _ = self
-            .ep
-            .send(node, DataMsg::ExportSpan { color, req, above, limit }.into());
-        loop {
-            let left = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or(CtrlError::Timeout("copy"))?;
-            match self.ep.recv_timeout(left) {
-                Ok((
-                    from,
-                    ClusterMsg::Data(DataMsg::SpanRecords {
-                        req: r,
-                        color: c,
-                        head,
-                        records,
-                        cursors,
-                    }),
-                )) if r == req && c == color && from == node => {
-                    return Ok((head, records, cursors))
-                }
-                Ok(_) => {}
-                Err(RecvError::Timeout) => return Err(CtrlError::Timeout("copy")),
-                Err(RecvError::Disconnected) => return Err(CtrlError::Disconnected),
-            }
-        }
-    }
-
-    /// The SN digest (head + committed SNs above it) of `color` at `node`.
+    /// The committed SNs of `color` above its head at `node`.
     fn span_digest(
         &mut self,
         node: NodeId,
         color: ColorId,
         deadline: Instant,
-    ) -> Result<(Option<SeqNum>, Vec<SeqNum>), CtrlError> {
-        let req = self.next_req();
-        let _ = self.ep.send(node, DataMsg::SpanDigest { color, req }.into());
-        loop {
-            let left = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or(CtrlError::Timeout("digest"))?;
-            match self.ep.recv_timeout(left) {
-                Ok((
-                    from,
-                    ClusterMsg::Data(DataMsg::SpanDigestResp { req: r, color: c, head, sns }),
-                )) if r == req && c == color && from == node => return Ok((head, sns)),
-                Ok(_) => {}
-                Err(RecvError::Timeout) => return Err(CtrlError::Timeout("digest")),
-                Err(RecvError::Disconnected) => return Err(CtrlError::Disconnected),
-            }
-        }
+    ) -> Result<Vec<SeqNum>, CtrlError> {
+        self.query(
+            node,
+            |req| SyncMsg::SpanDigest { color, req },
+            deadline,
+            "digest",
+            |req, m| match m {
+                SyncMsg::SpanDigestResp { req: r, color: c, sns, .. } if r == req && c == color => {
+                    Some(sns)
+                }
+                _ => None,
+            },
+        )
     }
 
     /// Freeze-window completeness check: every committed SN on the chosen
@@ -1126,45 +1112,27 @@ impl<'a> ControlPlane<'a> {
         color: ColorId,
         deadline: Instant,
     ) -> Result<(), CtrlError> {
-        let (_, src_sns) = self.span_digest(src, color, deadline)?;
+        let src_sns = self.span_digest(src, color, deadline)?;
         // Every destination replica acked the same imports, so any one of
         // them testifies for all.
-        let (_, dest_sns) = self.span_digest(dest[0], color, deadline)?;
-        let have: HashSet<SeqNum> = dest_sns.into_iter().collect();
+        let have: HashSet<SeqNum> = self.span_digest(dest[0], color, deadline)?.into_iter().collect();
         let missing: Vec<SeqNum> =
             src_sns.into_iter().filter(|sn| !have.contains(sn)).collect();
         if missing.is_empty() {
             return Ok(());
         }
-        let req = self.next_req();
-        let _ = self
-            .ep
-            .send(src, DataMsg::FetchRecords { color, req, sns: missing }.into());
-        let records = loop {
-            let left = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or(CtrlError::Timeout("digest"))?;
-            match self.ep.recv_timeout(left) {
-                Ok((
-                    from,
-                    ClusterMsg::Data(DataMsg::SpanRecords { req: r, color: c, records, .. }),
-                )) if r == req && c == color && from == src => break records,
-                Ok(_) => {}
-                Err(RecvError::Timeout) => return Err(CtrlError::Timeout("digest")),
-                Err(RecvError::Disconnected) => return Err(CtrlError::Disconnected),
-            }
-        };
+        let (_, records, _) =
+            self.fetch(src, color, FetchSelect::Exact(missing), deadline, "digest")?;
         self.final_sliver_records.add(records.len() as u64);
         self.import_span(dest, color, None, records, false, Vec::new(), deadline)
     }
 
     /// Abort path: restore availability on the source shards. Retried
     /// with acks — the freeze marks are volatile but the replicas are
-    /// alive, so a single dropped `UnfreezeColor` (the old fire-and-forget
-    /// send) would leave the color frozen forever and every client append
-    /// timing out. A node that never acks is dropped after the attempts
-    /// are exhausted: a replica crashed mid-abort loses its freeze mark on
-    /// restart anyway.
+    /// alive, so a single dropped `Unfreeze` would leave the color frozen
+    /// forever and every client append timing out. A node that never acks
+    /// is dropped after the attempts are exhausted: a replica crashed
+    /// mid-abort loses its freeze mark on restart anyway.
     fn abort_unfreeze(&mut self, src_nodes: &[NodeId], color: ColorId) {
         // A dead controller must not touch the cluster: its successor's
         // recovery scan owns the unfreeze now.
@@ -1172,46 +1140,25 @@ impl<'a> ControlPlane<'a> {
             return;
         }
         self.migration_aborts.add(1);
-        let gen = self.generation;
-        let mut pending: HashSet<NodeId> = src_nodes.iter().copied().collect();
+        let mut pending = src_nodes.to_vec();
         let attempt_window = (self.timeout / 4).max(Duration::from_millis(25));
         for attempt in 0..8 {
-            if pending.is_empty() {
-                return;
-            }
             if attempt > 0 {
                 // Observable retry pressure: how many unfreeze sends went
                 // out beyond the first attempt (ctrl.unfreeze_retries).
                 self.unfreeze_retries.add(pending.len() as u64);
             }
-            let req = self.next_req();
-            for &n in &pending {
-                let _ = self
-                    .ep
-                    .send(n, DataMsg::UnfreezeColor { color, gen, req }.into());
-            }
             let deadline = Instant::now() + attempt_window;
-            while let Some(left) = deadline.checked_duration_since(Instant::now()) {
-                match self.ep.recv_timeout(left) {
-                    Ok((from, ClusterMsg::Data(DataMsg::CtrlAck { req: r }))) if r == req => {
-                        pending.remove(&from);
-                        if pending.is_empty() {
-                            return;
-                        }
-                    }
-                    Ok((_, ClusterMsg::Data(DataMsg::CtrlNack { req: r, .. }))) if r == req => {
-                        // Fenced: the successor controller unfreezes.
-                        return;
-                    }
-                    Ok(_) => {}
-                    Err(RecvError::Timeout) => break,
-                    Err(RecvError::Disconnected) => return,
-                }
+            match self.ctrl_round_until(&mut pending, CtrlCmd::Unfreeze(color), deadline, "unfreeze") {
+                Err(CtrlError::Timeout(_)) => {} // resend to the stragglers
+                // Everyone acked — or we are fenced (the successor
+                // controller unfreezes) or disconnected.
+                Ok(()) | Err(_) => return,
             }
         }
     }
 
-    /// Installs an exported span on every destination replica. `cold`
+    /// Installs fetched records on every destination replica. `cold`
     /// routes the records straight to the destination's SSD tier (bulk
     /// catch-up history must not evict its PM/cache working set).
     #[allow(clippy::too_many_arguments)]
@@ -1220,45 +1167,12 @@ impl<'a> ControlPlane<'a> {
         replicas: &[NodeId],
         color: ColorId,
         head: Option<SeqNum>,
-        records: Vec<(Token, SeqNum, Payload)>,
+        records: Vec<TokenRecord>,
         cold: bool,
         cursors: Vec<SubCursor>,
         deadline: Instant,
     ) -> Result<(), CtrlError> {
-        let req = self.next_req();
-        let gen = self.generation;
-        for &n in replicas {
-            let _ = self.ep.send(
-                n,
-                DataMsg::ImportSpan {
-                    color,
-                    gen,
-                    req,
-                    head,
-                    records: records.clone(),
-                    cold,
-                    cursors: cursors.clone(),
-                }
-                .into(),
-            );
-        }
-        let mut pending: HashSet<NodeId> = replicas.iter().copied().collect();
-        while !pending.is_empty() {
-            let left = deadline
-                .checked_duration_since(Instant::now())
-                .ok_or(CtrlError::Timeout("import"))?;
-            match self.ep.recv_timeout(left) {
-                Ok((from, ClusterMsg::Data(DataMsg::ImportAck { req: r, .. }))) if r == req => {
-                    pending.remove(&from);
-                }
-                Ok((_, ClusterMsg::Data(DataMsg::CtrlNack { req: r, .. }))) if r == req => {
-                    return Err(CtrlError::Fenced);
-                }
-                Ok(_) => {}
-                Err(RecvError::Timeout) => return Err(CtrlError::Timeout("import")),
-                Err(RecvError::Disconnected) => return Err(CtrlError::Disconnected),
-            }
-        }
-        Ok(())
+        let cmd = CtrlCmd::Import { color, head, records, cold, cursors };
+        self.ctrl_round_until(&mut replicas.to_vec(), cmd, deadline, "import")
     }
 }

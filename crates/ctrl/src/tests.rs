@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use flexlog_core::{ClusterSpec, FlexLogCluster};
 use flexlog_ordering::RoleId;
-use flexlog_replication::{ClusterMsg, DataMsg, RejectReason};
+use flexlog_replication::{AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, RejectReason};
 use flexlog_simnet::NodeId;
 use flexlog_types::{ColorId, Payload, SeqNum, Token};
 
@@ -19,22 +19,16 @@ fn fast_spec() -> ClusterSpec {
     }
 }
 
-/// Sends `msg_of(req)` to every node from a throwaway control endpoint and
-/// waits for every `CtrlAck` — test-side freeze/unfreeze injection. `tag`
-/// must be unique per call (endpoint ids cannot be re-registered).
-fn ctrl_blast(
-    cluster: &FlexLogCluster,
-    tag: u64,
-    nodes: &[NodeId],
-    msg_of: impl Fn(u64) -> DataMsg,
-) {
+/// Sends `cmd` under generation `gen` to every node from a throwaway
+/// control endpoint and waits for every ack — test-side freeze/unfreeze
+/// injection. `tag` must be unique per call (endpoint ids cannot be
+/// re-registered).
+fn ctrl_blast(cluster: &FlexLogCluster, tag: u64, nodes: &[NodeId], gen: u64, cmd: CtrlCmd) {
     let ep = cluster
         .network()
         .register(NodeId::named(0, (u64::MAX >> 4) - 16 - tag));
     let req = (0xE5u64 << 56) | tag;
-    for &n in nodes {
-        let _ = ep.send(n, msg_of(req).into());
-    }
+    let _ = ep.broadcast(nodes, CtrlMsg::Cmd { gen, req, cmd }.into());
     let mut pending: HashSet<NodeId> = nodes.iter().copied().collect();
     let deadline = Instant::now() + Duration::from_secs(5);
     while !pending.is_empty() {
@@ -42,7 +36,7 @@ fn ctrl_blast(
             .checked_duration_since(Instant::now())
             .expect("ctrl blast timed out");
         match ep.recv_timeout(left) {
-            Ok((from, ClusterMsg::Data(DataMsg::CtrlAck { req: r }))) if r == req => {
+            Ok((from, ClusterMsg::Data(DataMsg::Ctrl(CtrlMsg::Ack { req: r, .. })))) if r == req => {
                 pending.remove(&from);
             }
             Ok(_) => {}
@@ -70,7 +64,7 @@ fn probe_append(
     for &n in nodes {
         let _ = ep.send(
             n,
-            DataMsg::Append {
+            AppendMsg::Append {
                 color,
                 token,
                 payloads: vec![Payload::from(body)],
@@ -85,10 +79,10 @@ fn probe_append(
             .checked_duration_since(Instant::now())
             .expect("probe append timed out");
         match ep.recv_timeout(left) {
-            Ok((_, ClusterMsg::Data(DataMsg::AppendAck { token: t, last_sn }))) if t == token => {
+            Ok((_, ClusterMsg::Data(DataMsg::Append(AppendMsg::AppendAck { token: t, last_sn })))) if t == token => {
                 return Ok(last_sn);
             }
-            Ok((_, ClusterMsg::Data(DataMsg::Rejected { token: t, reason }))) if t == token => {
+            Ok((_, ClusterMsg::Data(DataMsg::Append(AppendMsg::Rejected { token: t, reason })))) if t == token => {
                 return Err(reason);
             }
             Ok(_) => {}
@@ -399,7 +393,7 @@ fn autoscaler_observes_heat_and_scales_out() {
 /// Satellite regression: an aborted migration must retry the unfreeze
 /// until every reachable source replica acks. Here one source replica is
 /// frozen out-of-band and then isolated: the migration's own freeze round
-/// cannot complete (the victim never acks) and every `UnfreezeColor` sent
+/// cannot complete (the victim never acks) and every `Unfreeze` sent
 /// while the victim is cut off is lost. The old fire-and-forget abort —
 /// which on a failed *freeze* round sent nothing at all — left the color
 /// frozen forever; the retried abort thaws the partially-frozen replicas
@@ -425,7 +419,7 @@ fn aborted_migration_retries_unfreeze_until_acked() {
 
     // Freeze the victim out-of-band, then cut it off.
     let gen = cluster.ctrl_generation();
-    ctrl_blast(&cluster, 1, &[victim], |req| DataMsg::FreezeColor { color: red, gen, req });
+    ctrl_blast(&cluster, 1, &[victim], gen, CtrlCmd::Freeze(red));
     cluster.network().isolate(victim);
 
     let result = std::thread::scope(|s| {
@@ -474,16 +468,12 @@ fn freeze_outlasting_client_deadline_does_not_time_out_appends() {
     let gen = cluster.ctrl_generation();
 
     // Serial append under a freeze 2.4x longer than the deadline.
-    ctrl_blast(&cluster, 2, &replicas, |req| DataMsg::FreezeColor { color: red, gen, req });
+    ctrl_blast(&cluster, 2, &replicas, gen, CtrlCmd::Freeze(red));
     let held = Instant::now();
     let sn = std::thread::scope(|s| {
         s.spawn(|| {
             std::thread::sleep(Duration::from_millis(600));
-            ctrl_blast(&cluster, 3, &replicas, |req| DataMsg::UnfreezeColor {
-                color: red,
-                gen,
-                req,
-            });
+            ctrl_blast(&cluster, 3, &replicas, gen, CtrlCmd::Unfreeze(red));
         });
         h.append(b"held-serial", red)
     })
@@ -495,15 +485,11 @@ fn freeze_outlasting_client_deadline_does_not_time_out_appends() {
     assert!(h.read(sn, red).unwrap().is_some());
 
     // Pipelined append + flush under a second long freeze.
-    ctrl_blast(&cluster, 4, &replicas, |req| DataMsg::FreezeColor { color: red, gen, req });
+    ctrl_blast(&cluster, 4, &replicas, gen, CtrlCmd::Freeze(red));
     let done = std::thread::scope(|s| {
         s.spawn(|| {
             std::thread::sleep(Duration::from_millis(600));
-            ctrl_blast(&cluster, 5, &replicas, |req| DataMsg::UnfreezeColor {
-                color: red,
-                gen,
-                req,
-            });
+            ctrl_blast(&cluster, 5, &replicas, gen, CtrlCmd::Unfreeze(red));
         });
         h.append_pipelined(&[flexlog_types::Payload::from(&b"held-pipelined"[..])], red)
             .unwrap();
@@ -595,7 +581,7 @@ fn controller_crash_at_every_phase_rolls_forward_or_back() {
 
 /// Tentpole: zombie fencing end to end. Once a successor controller has
 /// announced itself, the predecessor's rounds die with `Fenced`, its raw
-/// commands bounce off every replica with `CtrlNack`, and — the part that
+/// commands — every `CtrlCmd` there is — bounce off the replica with `Nack`, and — the part that
 /// matters — they provably have NO effect: an append probed straight at
 /// the nacking replica commits instead of seeing `Frozen`/`ColorMoved`.
 #[test]
@@ -630,13 +616,23 @@ fn zombie_controller_commands_are_nacked_end_to_end() {
         .network()
         .register(NodeId::named(0, (u64::MAX >> 4) - 8_192));
     let stale = zombie.generation();
-    for (req, msg) in [
-        (0xA1u64, DataMsg::FreezeColor { color: red, gen: stale, req: 0xA1 }),
-        (0xA2u64, DataMsg::CutoverColor { color: red, gen: stale, req: 0xA2 }),
-    ] {
-        let _ = ep.send(src.replicas[0], msg.into());
+    let head = h.subscribe(red).unwrap().last().map(|r| r.sn);
+    let cmds = [
+        CtrlCmd::Hello,
+        CtrlCmd::Freeze(red),
+        CtrlCmd::Unfreeze(red),
+        CtrlCmd::Adopt(red),
+        CtrlCmd::Cutover(red),
+        CtrlCmd::Drop(red),
+        CtrlCmd::Discard(red),
+        CtrlCmd::Archive { color: red, keep_tail: 0, max_records: u64::MAX, demote: true },
+        // Would hide every committed record behind an installed head.
+        CtrlCmd::Import { color: red, head, records: Vec::new(), cold: false, cursors: Vec::new() },
+    ];
+    for (req, cmd) in (0xA1u64..).zip(cmds) {
+        let _ = ep.send(src.replicas[0], CtrlMsg::Cmd { gen: stale, req, cmd }.into());
         match ep.recv_timeout(Duration::from_secs(5)) {
-            Ok((_, ClusterMsg::Data(DataMsg::CtrlNack { req: r, gen }))) => {
+            Ok((_, ClusterMsg::Data(DataMsg::Ctrl(CtrlMsg::Nack { req: r, gen })))) => {
                 assert_eq!(r, req);
                 assert_eq!(gen, successor.generation(), "nack must name the floor");
             }
@@ -676,7 +672,7 @@ fn frozen_source_replica_restart_reasserts_freeze() {
     }
     let src = cluster.data().topology.shards_of(red)[0].clone();
     let gen = cluster.ctrl_generation();
-    ctrl_blast(&cluster, 6, &src.replicas, |req| DataMsg::FreezeColor { color: red, gen, req });
+    ctrl_blast(&cluster, 6, &src.replicas, gen, CtrlCmd::Freeze(red));
 
     // Power-fail one frozen replica and bring it back.
     let victim = src.replicas[1];
@@ -693,7 +689,7 @@ fn frozen_source_replica_restart_reasserts_freeze() {
     );
 
     // Thaw everywhere; the color serves again end to end.
-    ctrl_blast(&cluster, 7, &src.replicas, |req| DataMsg::UnfreezeColor { color: red, gen, req });
+    ctrl_blast(&cluster, 7, &src.replicas, gen, CtrlCmd::Unfreeze(red));
     let sn = h.append(b"thawed", red).unwrap();
     assert!(h.read(sn, red).unwrap().is_some());
     cluster.shutdown();
@@ -725,7 +721,7 @@ fn replica_crashed_mid_abort_does_not_leave_color_frozen() {
     // Freeze every source out-of-band (a completed freeze round), then
     // power-fail one frozen replica before the migration's own round.
     let gen = cluster.ctrl_generation();
-    ctrl_blast(&cluster, 8, &src.replicas, |req| DataMsg::FreezeColor { color: red, gen, req });
+    ctrl_blast(&cluster, 8, &src.replicas, gen, CtrlCmd::Freeze(red));
     let net = cluster.network();
     cluster.data().crash_replica(net, victim);
 

@@ -3,7 +3,7 @@
 //! [`ControlPlane`].
 //!
 //! This replaces hand-tuning the storage layer's spill heuristics
-//! (`pm_watermark` / `spill_batch`) per workload: the operator writes
+//! (`pm_watermark`) per workload: the operator writes
 //! *what* should move (span age, PM pressure, access recency thresholds)
 //! and the engine compiles each tick's observations into move plans the
 //! archiver executes on every hosting replica.
@@ -80,20 +80,14 @@ impl<'a> TieringEngine<'a> {
         // Prime the counter baselines NOW (same hysteresis guard as the
         // autoscaler): inherited counters carry the whole deployment
         // history, which must not read as first-tick activity deltas.
-        let mut last_sns = HashMap::new();
-        let mut last_reads = HashMap::new();
         let snap = plane.cluster().obs().snapshot();
-        for (name, &total) in &snap.counters {
-            if let Some(id) = name.strip_prefix("seq.color_sns.") {
-                if let Ok(id) = id.parse::<u32>() {
-                    last_sns.insert(ColorId(id), total);
-                }
-            } else if let Some(id) = name.strip_prefix("storage.color_reads.") {
-                if let Ok(id) = id.parse::<u32>() {
-                    last_reads.insert(ColorId(id), total);
-                }
-            }
-        }
+        let by_color = |prefix| {
+            snap.counters_by_id(prefix)
+                .map(|(id, total)| (ColorId(id), total))
+                .collect::<HashMap<_, _>>()
+        };
+        let last_sns = by_color("seq.color_sns.");
+        let last_reads = by_color("storage.color_reads.");
         TieringEngine {
             plane,
             config,
@@ -198,22 +192,17 @@ impl<'a> TieringEngine<'a> {
     /// or read counts advanced since the previous look.
     fn refresh_stamps(&mut self, now: Instant) {
         let snap = self.plane.cluster().obs().snapshot();
-        for (name, &total) in &snap.counters {
-            if let Some(id) = name.strip_prefix("seq.color_sns.") {
-                let Ok(id) = id.parse::<u32>() else { continue };
-                let color = ColorId(id);
-                let prev = self.last_sns.insert(color, total);
-                if prev.is_none_or(|p| total > p) {
-                    self.appended_at.insert(color, now);
-                    self.active_at.insert(color, now);
-                }
-            } else if let Some(id) = name.strip_prefix("storage.color_reads.") {
-                let Ok(id) = id.parse::<u32>() else { continue };
-                let color = ColorId(id);
-                let prev = self.last_reads.insert(color, total);
-                if prev.is_none_or(|p| total > p) {
-                    self.active_at.insert(color, now);
-                }
+        for (id, total) in snap.counters_by_id("seq.color_sns.") {
+            let color = ColorId(id);
+            if self.last_sns.insert(color, total).is_none_or(|p| total > p) {
+                self.appended_at.insert(color, now);
+                self.active_at.insert(color, now);
+            }
+        }
+        for (id, total) in snap.counters_by_id("storage.color_reads.") {
+            let color = ColorId(id);
+            if self.last_reads.insert(color, total).is_none_or(|p| total > p) {
+                self.active_at.insert(color, now);
             }
         }
     }

@@ -10,6 +10,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Bound;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -384,6 +385,19 @@ impl Snapshot {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
+    /// The family of counters registered as `<prefix><id>` — one per color,
+    /// say, under `seq.color_sns.` — as `(id, value)` pairs in name order.
+    /// Names under the prefix whose suffix is not a decimal id are skipped.
+    pub fn counters_by_id<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = (u32, u64)> + 'a {
+        self.counters
+            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+            .map_while(move |(name, &value)| Some((name.strip_prefix(prefix)?, value)))
+            .filter_map(|(id, value)| Some((id.parse().ok()?, value)))
+    }
+
     pub fn gauge(&self, name: &str) -> i64 {
         self.gauges.get(name).copied().unwrap_or(0)
     }
@@ -528,6 +542,23 @@ mod tests {
         assert_eq!(h.count, 2);
         assert_eq!(h.max, 20);
         assert_eq!(snap.counter("never-registered"), 0);
+    }
+
+    #[test]
+    fn counters_by_id_lists_one_family() {
+        let r = Registry::new();
+        r.counter("seq.color_sns.7").add(70);
+        r.counter("seq.color_sns.12").add(120);
+        r.counter("seq.color_sns.total").add(1); // not an id: skipped
+        r.counter("seq.color_snsX").add(1); // a different name altogether
+        r.counter("seq.batches").add(1);
+        r.counter("storage.color_reads.7").add(3);
+        let snap = r.snapshot();
+        let sns: Vec<(u32, u64)> = snap.counters_by_id("seq.color_sns.").collect();
+        assert_eq!(sns, vec![(12, 120), (7, 70)], "name order, ids parsed");
+        let reads: Vec<(u32, u64)> = snap.counters_by_id("storage.color_reads.").collect();
+        assert_eq!(reads, vec![(7, 3)]);
+        assert_eq!(snap.counters_by_id("nope.").count(), 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use flexlog_obs::{Histogram, ObsHandle, Stage};
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
 use flexlog_types::{ColorId, CommittedRecord, FunctionId, Payload, SeqNum, ShardId, Token};
 
-use crate::msg::{ClusterMsg, DataMsg, RejectReason};
+use crate::msg::{AppendMsg, ClusterMsg, DataMsg, ReadMsg, RejectReason, SubMsg};
 use crate::replica::encode_multi_set;
 use crate::TopologyView;
 
@@ -65,7 +65,7 @@ pub struct ClientConfig {
     /// target and re-registers from its acked cursor. Should be a few
     /// multiples of the servers' heartbeat interval.
     pub sub_silence: Duration,
-    /// Push-subscription ack cadence: an [`DataMsg::SubAck`] goes out when
+    /// Push-subscription ack cadence: an [`SubMsg::SubAck`] goes out when
     /// this much time passed since the last one (or the record budget
     /// below is hit). Lazy acks keep the server-side fill window open for
     /// late hole fills.
@@ -328,7 +328,7 @@ impl FlexLogClient {
         replicas: &[NodeId],
         payloads: &[Payload],
     ) -> Result<SeqNum, ClientError> {
-        let msg: ClusterMsg = DataMsg::Append {
+        let msg: ClusterMsg = AppendMsg::Append {
             color,
             token,
             payloads: payloads.to_vec(), // refcount bumps, not byte copies
@@ -336,123 +336,82 @@ impl FlexLogClient {
         }
         .into();
         let started = Instant::now();
-        let mut deadline = started + self.config.deadline;
+        let op_budget = self.config.deadline;
+        let mut deadline = started + op_budget;
         let mut backoff = Backoff::from_config(&self.config);
         let mut silent_rounds: u32 = 0;
         let mut acked: HashSet<NodeId> = HashSet::new();
-        let mut first_send = true;
         // A migration cutover may re-home the color mid-op; the replica set
         // is then re-resolved from the topology (the token keeps the retry
         // idempotent across the move).
         let mut shard = shard;
         let mut replicas: Vec<NodeId> = replicas.to_vec();
-        #[allow(unused_assignments)]
-        let mut last_sn: Option<SeqNum> = None;
+        let mut stage = Stage::ClientSend;
         loop {
-            let stage = if first_send {
-                Stage::ClientSend
-            } else {
-                Stage::ClientRetransmit
-            };
-            first_send = false;
             self.config.obs.trace_event(token, stage, self.ep.id().0, 0);
-            let _ = self.ep.broadcast(&replicas, msg.clone());
-            let retry_at = Instant::now() + backoff.next_wait(&mut self.rng);
-            loop {
-                let now = Instant::now();
-                if now >= retry_at {
-                    break;
-                }
-                match self.ep.recv_timeout(retry_at - now) {
-                    Ok((from, ClusterMsg::Data(DataMsg::AppendAck { token: t, last_sn: sn })))
-                        if t == token =>
-                    {
-                        // Only the shard's own replicas count towards
-                        // completion — a stray ack from a node outside the
-                        // replica set (misrouted or stale topology) must
-                        // not let the append return before all true
-                        // replicas committed.
-                        if !replicas.contains(&from) {
-                            continue;
-                        }
+            stage = Stage::ClientRetransmit;
+            let mut frozen = false;
+            let outcome = self.round(&replicas, msg.clone(), &mut backoff, |from, m| match m {
+                DataMsg::Append(AppendMsg::AppendAck { token: t, last_sn }) if t == token => {
+                    // Only the shard's own replicas count towards
+                    // completion — a stray ack from a node outside the
+                    // replica set (misrouted or stale topology) must not
+                    // let the append return before all true replicas
+                    // committed.
+                    if replicas.contains(&from) {
                         acked.insert(from);
-                        last_sn = Some(sn);
-                        // Complete when *every* replica has committed
-                        // (Algorithm 1, line 8) — the basis of linearizable
-                        // local reads.
-                        if acked.len() == replicas.len() {
-                            self.append_hist.record_ns(started.elapsed());
-                            self.config
-                                .obs
-                                .trace_event(token, Stage::ClientAck, self.ep.id().0, 0);
-                            return Ok(last_sn.expect("at least one ack"));
-                        }
                     }
-                    Ok((from, ClusterMsg::Data(DataMsg::AppendAck { token: t, last_sn: sn }))) => {
-                        // An ack for a *pipelined* append arriving while a
-                        // serial op runs: credit it so the pipelined op
-                        // completes without waiting for a retransmit.
-                        self.note_stray_ack(from, t, sn);
-                    }
-                    Ok((from, ClusterMsg::Data(DataMsg::Rejected { token: t, reason })))
-                        if t == token =>
-                    {
-                        // Any nack proves the shard is alive — don't let a
-                        // fence trip the unreachable fail-fast.
-                        silent_rounds = 0;
-                        match reason {
-                            RejectReason::Frozen => {
-                                // Migration in progress: the pre-cutover
-                                // shard still answers. Re-base the
-                                // deadline — time spent frozen is the
-                                // migration's fault, not the shard being
-                                // slow, and must not surface as Timeout
-                                // once the freeze lifts (same rule as
-                                // `flush()` re-basing queued ops). Reset
-                                // the backoff too: freeze windows are
-                                // millisecond-scale by design, and an
-                                // exponentially grown retransmit gap would
-                                // both stretch the cutover stall and
-                                // outlive the re-based deadline.
-                                deadline =
-                                    deadline.max(Instant::now() + self.config.deadline);
-                                backoff = Backoff::from_config(&self.config);
-                                let _ = from;
-                            }
-                            RejectReason::ColorMoved => {
-                                // Cutover happened: re-resolve the shard and
-                                // retransmit there. The token makes the
-                                // retry idempotent even if some old replica
-                                // already committed.
-                                if let Some(s) =
-                                    self.topology.random_shard_of(color, &mut self.rng)
-                                {
-                                    if s.id != shard {
-                                        shard = s.id;
-                                        replicas = s.replicas;
-                                        acked.clear();
-                                    }
-                                }
-                                break; // resend to the (possibly new) shard
-                            }
-                            RejectReason::Dropped => {
-                                return Err(ClientError::UnknownColor(color));
-                            }
-                        }
-                    }
-                    Ok((from, ClusterMsg::Data(DataMsg::Rejected { token: t, reason }))) => {
-                        self.note_reject(from, t, reason);
-                    }
-                    Ok((from, ClusterMsg::Data(DataMsg::SubPushBatch { sub, color, records }))) => {
-                        self.note_push(from, sub, color, records);
-                    }
-                    Ok((from, ClusterMsg::Data(DataMsg::SubRedirect { sub, color, reason }))) => {
-                        self.note_redirect(from, sub, color, reason);
-                    }
-                    Ok(_) => {} // stale message from a previous op
-                    Err(RecvError::Timeout) => break,
-                    Err(RecvError::Disconnected) => return Err(ClientError::Disconnected),
+                    // Complete when *every* replica has committed
+                    // (Algorithm 1, line 8) — the basis of linearizable
+                    // local reads.
+                    Ok((acked.len() == replicas.len()).then_some(Ok(last_sn)))
                 }
+                DataMsg::Append(AppendMsg::Rejected { token: t, reason }) if t == token => {
+                    // Any nack proves the shard is alive — don't let a
+                    // fence trip the unreachable fail-fast.
+                    silent_rounds = 0;
+                    if reason != RejectReason::Frozen {
+                        return Ok(Some(Err(reason)));
+                    }
+                    // Migration in progress: the pre-cutover shard still
+                    // answers. Re-base the deadline — time spent frozen is
+                    // the migration's fault, not the shard being slow, and
+                    // must not surface as Timeout once the freeze lifts
+                    // (same rule as `flush()` re-basing queued ops).
+                    deadline = deadline.max(Instant::now() + op_budget);
+                    frozen = true;
+                    Ok(None)
+                }
+                m => Err(m),
+            })?;
+            match outcome {
+                Some(Ok(last_sn)) => {
+                    self.append_hist.record_ns(started.elapsed());
+                    self.config
+                        .obs
+                        .trace_event(token, Stage::ClientAck, self.ep.id().0, 0);
+                    return Ok(last_sn);
+                }
+                Some(Err(RejectReason::Dropped)) => return Err(ClientError::UnknownColor(color)),
+                Some(Err(_moved)) => {
+                    // Cutover happened: re-resolve the shard and retransmit
+                    // there at once. The token makes the retry idempotent
+                    // even if some old replica already committed.
+                    if let Some(s) = self.topology.random_shard_of(color, &mut self.rng) {
+                        if s.id != shard {
+                            shard = s.id;
+                            replicas = s.replicas;
+                            acked.clear();
+                        }
+                    }
+                }
+                None => {}
+            }
+            if frozen {
+                // Freeze windows are millisecond-scale by design, and an
+                // exponentially grown retransmit gap would both stretch the
+                // cutover stall and outlive the re-based deadline.
+                backoff = Backoff::from_config(&self.config);
             }
             if acked.is_empty() {
                 // Not a single replica has ever acked: the whole shard looks
@@ -467,6 +426,94 @@ impl FlexLogClient {
             if Instant::now() >= deadline {
                 return Err(ClientError::Timeout);
             }
+        }
+    }
+
+    // ----- request/response rounds ----------------------------------------
+
+    /// One scatter-gather round, the only blocking reply loop of the
+    /// client: broadcasts `msg` to `targets`, then feeds arriving data
+    /// messages to `on_reply` until it completes the round (`Ok(Some)`) or
+    /// the next backoff interval elapses (`Ok(None)` — the caller
+    /// retransmits; every operation is idempotent). `on_reply` hands back
+    /// (`Err`) whatever is not the reply it awaits, and that goes to
+    /// [`FlexLogClient::note_stray`].
+    fn round<T>(
+        &mut self,
+        targets: &[NodeId],
+        msg: ClusterMsg,
+        backoff: &mut Backoff,
+        mut on_reply: impl FnMut(NodeId, DataMsg) -> Result<Option<T>, DataMsg>,
+    ) -> Result<Option<T>, ClientError> {
+        let _ = self.ep.broadcast(targets, msg);
+        let retry_at = Instant::now() + backoff.next_wait(&mut self.rng);
+        loop {
+            let left = retry_at.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Ok(None);
+            }
+            match self.ep.recv_timeout(left) {
+                Ok((from, ClusterMsg::Data(m))) => match on_reply(from, m) {
+                    Ok(Some(done)) => return Ok(Some(done)),
+                    Ok(None) => {}
+                    Err(stray) => self.note_stray(from, stray.into()),
+                },
+                Ok((_, ClusterMsg::Order(_))) => {}
+                Err(RecvError::Timeout) => return Ok(None),
+                Err(RecvError::Disconnected) => return Err(ClientError::Disconnected),
+            }
+        }
+    }
+
+    /// Repeats `attempt_round(self, attempt, backoff)` — one
+    /// [`FlexLogClient::round`] against freshly resolved targets — with
+    /// capped exponential backoff until a round completes or the
+    /// per-operation deadline passes.
+    fn retry_rounds<T>(
+        &mut self,
+        mut attempt_round: impl FnMut(&mut Self, u32, &mut Backoff) -> Result<Option<T>, ClientError>,
+    ) -> Result<T, ClientError> {
+        let deadline = Instant::now() + self.config.deadline;
+        let mut backoff = Backoff::from_config(&self.config);
+        let mut attempt = 0u32;
+        loop {
+            if let Some(done) = attempt_round(self, attempt, &mut backoff)? {
+                return Ok(done);
+            }
+            if Instant::now() >= deadline {
+                return Err(ClientError::Timeout);
+            }
+            attempt += 1;
+        }
+    }
+
+    /// The one place a message that is not the awaited reply is handled,
+    /// whichever loop received it: acks and nacks of pipelined appends are
+    /// credited, pushes and redirects of standing subscriptions routed.
+    /// Everything else is a stale reply to an earlier round of a blocking
+    /// operation (or server-bound traffic a client never acts on).
+    fn note_stray(&mut self, from: NodeId, msg: ClusterMsg) {
+        match msg {
+            ClusterMsg::Data(DataMsg::Append(m)) => match m {
+                AppendMsg::AppendAck { token, last_sn } => {
+                    self.note_stray_ack(from, token, last_sn)
+                }
+                AppendMsg::Rejected { token, reason } => self.note_reject(from, token, reason),
+                AppendMsg::MultiAck { .. }
+                | AppendMsg::Append { .. }
+                | AppendMsg::MultiEnd { .. } => {}
+            },
+            ClusterMsg::Data(DataMsg::Sub(m)) => match m {
+                SubMsg::SubPushBatch { sub, records, .. } => self.note_push(from, sub, records),
+                SubMsg::SubRedirect { sub, color, reason } => {
+                    self.note_redirect(from, sub, color, reason)
+                }
+                SubMsg::SubscribeFrom { .. } | SubMsg::SubAck { .. } | SubMsg::SubCancel { .. } => {}
+            },
+            ClusterMsg::Data(
+                DataMsg::Read(_) | DataMsg::Sync(_) | DataMsg::Ctrl(_) | DataMsg::Shutdown,
+            )
+            | ClusterMsg::Order(_) => {}
         }
     }
 
@@ -496,7 +543,7 @@ impl FlexLogClient {
             .random_shard_of(color, &mut self.rng)
             .ok_or(ClientError::UnknownColor(color))?;
         let token = self.next_token();
-        let msg: ClusterMsg = DataMsg::Append {
+        let msg: ClusterMsg = AppendMsg::Append {
             color,
             token,
             payloads: payloads.to_vec(),
@@ -595,21 +642,7 @@ impl FlexLogClient {
             match self.ep.recv_batch(wait, 256, &mut burst) {
                 Ok(_) => {
                     for (from, msg) in burst.drain(..) {
-                        match msg {
-                            ClusterMsg::Data(DataMsg::AppendAck { token, last_sn }) => {
-                                self.note_stray_ack(from, token, last_sn);
-                            }
-                            ClusterMsg::Data(DataMsg::Rejected { token, reason }) => {
-                                self.note_reject(from, token, reason);
-                            }
-                            ClusterMsg::Data(DataMsg::SubPushBatch { sub, color, records }) => {
-                                self.note_push(from, sub, color, records);
-                            }
-                            ClusterMsg::Data(DataMsg::SubRedirect { sub, color, reason }) => {
-                                self.note_redirect(from, sub, color, reason);
-                            }
-                            _ => {} // stale response of some earlier blocking op
-                        }
+                        self.note_stray(from, msg);
                     }
                     // Keep draining whatever already queued, without waiting.
                     wait = Duration::ZERO;
@@ -655,7 +688,7 @@ impl FlexLogClient {
         Ok(())
     }
 
-    /// Credits an [`DataMsg::AppendAck`] against the matching pipelined
+    /// Credits an [`AppendMsg::AppendAck`] against the matching pipelined
     /// append, completing it when every replica has acked.
     fn note_stray_ack(&mut self, from: NodeId, token: Token, last_sn: SeqNum) {
         let Some(op) = self.inflight.get_mut(&token) else {
@@ -677,7 +710,7 @@ impl FlexLogClient {
         }
     }
 
-    /// Applies a [`DataMsg::Rejected`] nack to the matching pipelined
+    /// Applies an [`AppendMsg::Rejected`] nack to the matching pipelined
     /// append (reconfiguration fencing: retry, re-route, or fail).
     fn note_reject(&mut self, from: NodeId, token: Token, reason: RejectReason) {
         let Some(op) = self.inflight.get_mut(&token) else {
@@ -724,74 +757,46 @@ impl FlexLogClient {
         }
     }
 
+    /// One read target of every shard of `color` (§6.1 read protocol),
+    /// re-resolved every round: a crashed read replica or a mid-op cutover
+    /// changes the target set. The first attempt prefers read replicas; a
+    /// silent round falls back to the write quorum, which is always correct.
+    fn read_targets(&mut self, color: ColorId, attempt: u32) -> Result<Vec<NodeId>, ClientError> {
+        let shards = self.topology.shards_of(color);
+        if shards.is_empty() {
+            return Err(ClientError::UnknownColor(color));
+        }
+        Ok(shards
+            .iter()
+            .map(|s| {
+                if attempt == 0 {
+                    s.random_read_target(&mut self.rng)
+                } else {
+                    use rand::Rng;
+                    s.replicas[self.rng.gen_range(0..s.replicas.len())]
+                }
+            })
+            .collect())
+    }
+
     /// Reads the record with sequence number `sn` from the `color` log
     /// (Table 2 `Read(SN, c)`); `None` means no record holds that SN.
     pub fn read(&mut self, color: ColorId, sn: SeqNum) -> Result<Option<Payload>, ClientError> {
-        if !self.topology.knows_color(color) {
-            return Err(ClientError::UnknownColor(color));
-        }
-        let deadline = Instant::now() + self.config.deadline;
-        let mut backoff = Backoff::from_config(&self.config);
-        let mut attempt = 0u32;
-        loop {
-            // Re-resolved every round: a crashed read replica or a mid-op
-            // cutover changes the target set.
-            let shards = self.topology.shards_of(color);
-            if shards.is_empty() {
-                return Err(ClientError::UnknownColor(color));
-            }
-            let req = self.next_req();
-            // One node of every shard (§6.1 read protocol). The first
-            // attempt prefers read replicas; a silent round falls back to
-            // the write quorum, which is always correct.
-            let targets: Vec<NodeId> = shards
-                .iter()
-                .map(|s| {
-                    if attempt == 0 {
-                        s.random_read_target(&mut self.rng)
-                    } else {
-                        use rand::Rng;
-                        s.replicas[self.rng.gen_range(0..s.replicas.len())]
-                    }
-                })
-                .collect();
-            attempt += 1;
-            for &t in &targets {
-                let _ = self
-                    .ep
-                    .send(t, DataMsg::Read { color, sn, req }.into());
-            }
+        self.retry_rounds(|c, attempt, backoff| {
+            let targets = c.read_targets(color, attempt)?;
+            let req = c.next_req();
             let mut answers = 0usize;
-            let retry_at = Instant::now() + backoff.next_wait(&mut self.rng);
-            while Instant::now() < retry_at {
-                match self.ep.recv_timeout(retry_at.saturating_duration_since(Instant::now())) {
-                    Ok((_, ClusterMsg::Data(DataMsg::ReadResp { req: r, value })))
-                        if r == req =>
-                    {
-                        if let Some(v) = value {
-                            // Only one shard stores any given record.
-                            return Ok(Some(v));
-                        }
-                        answers += 1;
-                        if answers == targets.len() {
-                            return Ok(None); // all shards answered ⊥
-                        }
-                    }
-                    Ok((from, ClusterMsg::Data(DataMsg::SubPushBatch { sub, color, records }))) => {
-                        self.note_push(from, sub, color, records);
-                    }
-                    Ok((from, ClusterMsg::Data(DataMsg::SubRedirect { sub, color, reason }))) => {
-                        self.note_redirect(from, sub, color, reason);
-                    }
-                    Ok(_) => {}
-                    Err(RecvError::Timeout) => break,
-                    Err(RecvError::Disconnected) => return Err(ClientError::Disconnected),
+            c.round(&targets, ReadMsg::Read { color, sn, req }.into(), backoff, |_, m| match m {
+                DataMsg::Read(ReadMsg::ReadResp { req: r, value }) if r == req => {
+                    answers += 1;
+                    // Only one shard stores any given record; ⊥ needs
+                    // every shard's word.
+                    let decided = value.is_some() || answers == targets.len();
+                    Ok(decided.then_some(value))
                 }
-            }
-            if Instant::now() >= deadline {
-                return Err(ClientError::Timeout);
-            }
-        }
+                m => Err(m),
+            })
+        })
     }
 
     /// Returns all records of the `color` log with SN > `from`, merged
@@ -802,68 +807,28 @@ impl FlexLogClient {
         color: ColorId,
         from: SeqNum,
     ) -> Result<Vec<CommittedRecord>, ClientError> {
-        if !self.topology.knows_color(color) {
-            return Err(ClientError::UnknownColor(color));
-        }
-        let deadline = Instant::now() + self.config.deadline;
-        let mut backoff = Backoff::from_config(&self.config);
-        let mut attempt = 0u32;
-        loop {
-            let shards = self.topology.shards_of(color);
-            if shards.is_empty() {
-                return Err(ClientError::UnknownColor(color));
-            }
-            let req = self.next_req();
-            let targets: Vec<NodeId> = shards
-                .iter()
-                .map(|s| {
-                    if attempt == 0 {
-                        s.random_read_target(&mut self.rng)
-                    } else {
-                        use rand::Rng;
-                        s.replicas[self.rng.gen_range(0..s.replicas.len())]
-                    }
-                })
-                .collect();
-            attempt += 1;
-            for &t in &targets {
-                let _ = self
-                    .ep
-                    .send(t, DataMsg::Subscribe { color, from, req }.into());
-            }
-            let mut slices: Vec<Vec<CommittedRecord>> = Vec::new();
-            let retry_at = Instant::now() + backoff.next_wait(&mut self.rng);
-            while Instant::now() < retry_at {
-                match self.ep.recv_timeout(retry_at.saturating_duration_since(Instant::now())) {
-                    Ok((_, ClusterMsg::Data(DataMsg::SubscribeResp { req: r, records })))
-                        if r == req =>
-                    {
-                        slices.push(records);
-                        if slices.len() == targets.len() {
-                            // Reconstruct the colored log by sorting on SN
-                            // (§6.2 subscribe protocol).
-                            let mut all: Vec<CommittedRecord> =
-                                slices.into_iter().flatten().collect();
-                            all.sort_by_key(|r| r.sn);
-                            all.dedup_by_key(|r| r.sn);
-                            return Ok(all);
+        self.retry_rounds(|c, attempt, backoff| {
+            let targets = c.read_targets(color, attempt)?;
+            let req = c.next_req();
+            let (mut slices, mut all) = (0usize, Vec::new());
+            c.round(&targets, ReadMsg::Subscribe { color, from, req }.into(), backoff, |_, m| {
+                match m {
+                    DataMsg::Read(ReadMsg::SubscribeResp { req: r, records }) if r == req => {
+                        slices += 1;
+                        all.extend(records);
+                        if slices < targets.len() {
+                            return Ok(None);
                         }
+                        // Reconstruct the colored log by sorting on SN
+                        // (§6.2 subscribe protocol).
+                        all.sort_by_key(|r| r.sn);
+                        all.dedup_by_key(|r| r.sn);
+                        Ok(Some(std::mem::take(&mut all)))
                     }
-                    Ok((from, ClusterMsg::Data(DataMsg::SubPushBatch { sub, color, records }))) => {
-                        self.note_push(from, sub, color, records);
-                    }
-                    Ok((from, ClusterMsg::Data(DataMsg::SubRedirect { sub, color, reason }))) => {
-                        self.note_redirect(from, sub, color, reason);
-                    }
-                    Ok(_) => {}
-                    Err(RecvError::Timeout) => break,
-                    Err(RecvError::Disconnected) => return Err(ClientError::Disconnected),
+                    m => Err(m),
                 }
-            }
-            if Instant::now() >= deadline {
-                return Err(ClientError::Timeout);
-            }
-        }
+            })
+        })
     }
 
     /// `Subscribe(c)`: the full current contents of the colored log.
@@ -903,7 +868,7 @@ impl FlexLogClient {
             let target = shard.random_read_target(&mut self.rng);
             let _ = self.ep.send(
                 target,
-                DataMsg::SubscribeFrom {
+                SubMsg::SubscribeFrom {
                     color,
                     from,
                     sub: wire,
@@ -973,21 +938,7 @@ impl FlexLogClient {
             match self.ep.recv_batch(deadline - now, 256, &mut burst) {
                 Ok(_) => {
                     for (from, msg) in burst.drain(..) {
-                        match msg {
-                            ClusterMsg::Data(DataMsg::SubPushBatch { sub, color, records }) => {
-                                self.note_push(from, sub, color, records);
-                            }
-                            ClusterMsg::Data(DataMsg::SubRedirect { sub, color, reason }) => {
-                                self.note_redirect(from, sub, color, reason);
-                            }
-                            ClusterMsg::Data(DataMsg::AppendAck { token, last_sn }) => {
-                                self.note_stray_ack(from, token, last_sn);
-                            }
-                            ClusterMsg::Data(DataMsg::Rejected { token, reason }) => {
-                                self.note_reject(from, token, reason);
-                            }
-                            _ => {}
-                        }
+                        self.note_stray(from, msg);
                     }
                 }
                 Err(RecvError::Timeout) => return Ok(Vec::new()),
@@ -1010,7 +961,7 @@ impl FlexLogClient {
             if cancel {
                 let _ = self
                     .ep
-                    .send(stream.target, DataMsg::SubCancel { sub: wire }.into());
+                    .send(stream.target, SubMsg::SubCancel { sub: wire }.into());
             }
         }
     }
@@ -1052,7 +1003,7 @@ impl FlexLogClient {
         for (wire, target, from) in attach {
             let _ = self.ep.send(
                 target,
-                DataMsg::SubscribeFrom {
+                SubMsg::SubscribeFrom {
                     color,
                     from,
                     sub: wire,
@@ -1067,16 +1018,10 @@ impl FlexLogClient {
     /// floor and the delivered window, queue the fresh records, lazily ack.
     /// The sender becomes the stream's server of record — that is how a
     /// migration destination that adopted the cursor takes over.
-    fn note_push(
-        &mut self,
-        from: NodeId,
-        wire: u64,
-        _color: ColorId,
-        records: Vec<CommittedRecord>,
-    ) {
+    fn note_push(&mut self, from: NodeId, wire: u64, records: Vec<CommittedRecord>) {
         let Some(&key) = self.sub_index.get(&wire) else {
             // Unknown stream (unsubscribed, or state lost): stop the flow.
-            let _ = self.ep.send(from, DataMsg::SubCancel { sub: wire }.into());
+            let _ = self.ep.send(from, SubMsg::SubCancel { sub: wire }.into());
             return;
         };
         let Some(state) = self.subscriptions.get_mut(&key) else {
@@ -1108,7 +1053,7 @@ impl FlexLogClient {
                 stream.last_ack = Instant::now();
                 let _ = self
                     .ep
-                    .send(stream.target, DataMsg::SubAck { sub: wire, upto }.into());
+                    .send(stream.target, SubMsg::SubAck { sub: wire, upto }.into());
             }
         }
     }
@@ -1161,7 +1106,7 @@ impl FlexLogClient {
         let sent_ack = stream.sent_ack;
         let _ = self.ep.send(
             target,
-            DataMsg::SubscribeFrom {
+            SubMsg::SubscribeFrom {
                 color,
                 from: sent_ack,
                 sub: wire,
@@ -1178,52 +1123,29 @@ impl FlexLogClient {
         color: ColorId,
         up_to: SeqNum,
     ) -> Result<(Option<SeqNum>, Option<SeqNum>), ClientError> {
-        let shards = self.topology.shards_of(color);
-        if shards.is_empty() {
-            return Err(ClientError::UnknownColor(color));
-        }
-        let deadline = Instant::now() + self.config.deadline;
-        let mut backoff = Backoff::from_config(&self.config);
-        let all_replicas: Vec<NodeId> = shards
+        let all_replicas: Vec<NodeId> = self
+            .topology
+            .shards_of(color)
             .iter()
             .flat_map(|s| s.replicas.iter().copied())
             .collect();
-        loop {
-            let req = self.next_req();
-            for &t in &all_replicas {
-                let _ = self
-                    .ep
-                    .send(t, DataMsg::Trim { color, up_to, req }.into());
-            }
+        if all_replicas.is_empty() {
+            return Err(ClientError::UnknownColor(color));
+        }
+        self.retry_rounds(|c, _, backoff| {
+            let req = c.next_req();
             let mut acked: HashSet<NodeId> = HashSet::new();
             let mut span = (None, None);
-            let retry_at = Instant::now() + backoff.next_wait(&mut self.rng);
-            while Instant::now() < retry_at {
-                match self.ep.recv_timeout(retry_at.saturating_duration_since(Instant::now())) {
-                    Ok((from, ClusterMsg::Data(DataMsg::TrimAck { req: r, head, tail })))
-                        if r == req =>
-                    {
-                        acked.insert(from);
-                        merge_span(&mut span, head, tail);
-                        if acked.len() == all_replicas.len() {
-                            return Ok(span);
-                        }
-                    }
-                    Ok((from, ClusterMsg::Data(DataMsg::SubPushBatch { sub, color, records }))) => {
-                        self.note_push(from, sub, color, records);
-                    }
-                    Ok((from, ClusterMsg::Data(DataMsg::SubRedirect { sub, color, reason }))) => {
-                        self.note_redirect(from, sub, color, reason);
-                    }
-                    Ok(_) => {}
-                    Err(RecvError::Timeout) => break,
-                    Err(RecvError::Disconnected) => return Err(ClientError::Disconnected),
+            let msg = ReadMsg::Trim { color, up_to, req }.into();
+            c.round(&all_replicas, msg, backoff, |from, m| match m {
+                DataMsg::Read(ReadMsg::TrimAck { req: r, head, tail }) if r == req => {
+                    acked.insert(from);
+                    merge_span(&mut span, head, tail);
+                    Ok((acked.len() == all_replicas.len()).then_some(span))
                 }
-            }
-            if Instant::now() >= deadline {
-                return Err(ClientError::Timeout);
-            }
-        }
+                m => Err(m),
+            })
+        })
     }
 
     /// Atomically appends multiple record sets to multiple colors
@@ -1253,40 +1175,15 @@ impl FlexLogClient {
         }
         // Phase 2: broadcast the end marker; any single ack completes the
         // operation (Algorithm 2, lines 5–6) — the replicas drive the rest.
-        let deadline = Instant::now() + self.config.deadline;
-        let mut backoff = Backoff::from_config(&self.config);
-        loop {
-            let req = self.next_req();
-            let _ = self.ep.broadcast(
-                &broker.replicas,
-                DataMsg::MultiEnd {
-                    fid: self.config.fid,
-                    req,
-                    reply_to: self.ep.id(),
-                }
-                .into(),
-            );
-            let retry_at = Instant::now() + backoff.next_wait(&mut self.rng);
-            while Instant::now() < retry_at {
-                match self.ep.recv_timeout(retry_at.saturating_duration_since(Instant::now())) {
-                    Ok((_, ClusterMsg::Data(DataMsg::MultiAck { req: r }))) if r == req => {
-                        return Ok(());
-                    }
-                    Ok((from, ClusterMsg::Data(DataMsg::SubPushBatch { sub, color, records }))) => {
-                        self.note_push(from, sub, color, records);
-                    }
-                    Ok((from, ClusterMsg::Data(DataMsg::SubRedirect { sub, color, reason }))) => {
-                        self.note_redirect(from, sub, color, reason);
-                    }
-                    Ok(_) => {}
-                    Err(RecvError::Timeout) => break,
-                    Err(RecvError::Disconnected) => return Err(ClientError::Disconnected),
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(ClientError::Timeout);
-            }
-        }
+        let (fid, reply_to) = (self.config.fid, self.ep.id());
+        self.retry_rounds(|c, _, backoff| {
+            let req = c.next_req();
+            let msg = AppendMsg::MultiEnd { fid, req, reply_to }.into();
+            c.round(&broker.replicas, msg, backoff, |_, m| match m {
+                DataMsg::Append(AppendMsg::MultiAck { req: r }) if r == req => Ok(Some(())),
+                m => Err(m),
+            })
+        })
     }
 
     /// The topology view (for `AddColor` flows owned by the core crate).

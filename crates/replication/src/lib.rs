@@ -34,7 +34,10 @@ mod subs;
 mod topology;
 
 pub use client::{ClientConfig, ClientError, FlexLogClient, Subscription};
-pub use msg::{ClusterMsg, DataMsg, RejectReason, SubCursor};
+pub use msg::{
+    AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, ReadMsg, RejectReason, SubCursor, SubMsg,
+    SyncMsg, TokenRecord,
+};
 pub use read_replica::{ReadReplicaConfig, ReadReplicaNode};
 pub use replica::{ReplicaConfig, ReplicaNode};
 pub use service::{DataLayerHandle, DataLayerService, DataLayerSpec};

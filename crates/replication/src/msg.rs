@@ -2,11 +2,30 @@
 
 use flexlog_ordering::{OrderMsg, OrderWire};
 use flexlog_simnet::NodeId;
+use flexlog_storage::FetchSelect;
 use flexlog_types::{ColorId, CommittedRecord, Epoch, FunctionId, Payload, SeqNum, Token};
 
-/// Messages of the data layer (client ↔ replica and replica ↔ replica).
+/// A committed record with the append token it was staged under — the unit
+/// every state transfer ships, so idempotence survives the copy.
+pub type TokenRecord = (Token, SeqNum, Payload);
+
+/// Messages of the data layer, split by plane: a node matches exhaustively
+/// over the planes it speaks and drops the rest as one unit.
 #[derive(Clone, Debug, PartialEq)]
 pub enum DataMsg {
+    Append(AppendMsg),
+    Read(ReadMsg),
+    Sub(SubMsg),
+    Sync(SyncMsg),
+    Ctrl(CtrlMsg),
+    /// Orderly shutdown (test harness).
+    Shutdown,
+}
+
+/// Append plane (Algorithms 1–2): client ↔ write-quorum replica, and
+/// replica ↔ replica when a replica replays a multi-color set as a client.
+#[derive(Clone, Debug, PartialEq)]
+pub enum AppendMsg {
     /// Client → every replica of one shard: append `payloads` to `color`
     /// under `token` (Algorithm 1, line 7). Acks go to `reply_to`.
     /// Payloads are zero-copy [`Payload`]s: a shard-wide broadcast clones
@@ -20,7 +39,23 @@ pub enum DataMsg {
     /// Replica → client: the batch identified by `token` is committed, its
     /// last record holds `last_sn` (Algorithm 1, line 24).
     AppendAck { token: Token, last_sn: SeqNum },
+    /// Replica → client: this replica refuses the append; the reason tells
+    /// the client whether to back off (`Frozen`), re-resolve the shard
+    /// (`ColorMoved`), or fail (`Dropped`).
+    Rejected { token: Token, reason: RejectReason },
+    /// Client → all replicas of the special-color shard: end of a
+    /// multi-color append (Algorithm 2, line 5).
+    MultiEnd { fid: FunctionId, req: u64, reply_to: NodeId },
+    /// Replica → client: every set of the multi-color append is committed
+    /// in its target color (Algorithm 2, line 18).
+    MultiAck { req: u64 },
+}
 
+/// Read plane (§6.1–6.2): what any read target — quorum or read-only
+/// replica — serves about one colored log: point reads, one-shot scans and
+/// trims.
+#[derive(Clone, Debug, PartialEq)]
+pub enum ReadMsg {
     /// Client → one replica per shard of the color: read `sn`.
     Read { color: ColorId, sn: SeqNum, req: u64 },
     /// Replica → client: the record, or ⊥ if this shard does not hold it.
@@ -28,7 +63,6 @@ pub enum DataMsg {
         req: u64,
         value: Option<Payload>,
     },
-
     /// Client → one replica per shard: all records of `color` above `from`.
     Subscribe { color: ColorId, from: SeqNum, req: u64 },
     /// Replica → client: this shard's slice of the colored log.
@@ -36,11 +70,25 @@ pub enum DataMsg {
         req: u64,
         records: Vec<CommittedRecord>,
     },
+    /// Client → all replicas of all shards of the color: delete ≤ `up_to`.
+    Trim { color: ColorId, up_to: SeqNum, req: u64 },
+    /// Replica → replica: I applied this trim (second round of §6.2).
+    TrimPeerAck { color: ColorId, up_to: SeqNum, req: u64 },
+    /// Replica → client: trim complete here; the color now spans
+    /// `[head, tail]` (third round of §6.2).
+    TrimAck {
+        req: u64,
+        head: Option<SeqNum>,
+        tail: Option<SeqNum>,
+    },
+}
 
-    // ----- push subscriptions (subscription groups) -----
+/// Subscription plane: standing push subscriptions (subscription groups).
+#[derive(Clone, Debug, PartialEq)]
+pub enum SubMsg {
     /// Client → one replica of one shard: register a standing tail cursor
     /// for `color` at `from`. The replica answers immediately with a
-    /// (possibly empty) [`DataMsg::SubPushBatch`] and from then on pushes
+    /// (possibly empty) [`SubMsg::SubPushBatch`] and from then on pushes
     /// committed spans as they land. Registration is idempotent per `sub`:
     /// re-registering moves the cursor to `from`.
     SubscribeFrom {
@@ -70,26 +118,14 @@ pub enum DataMsg {
         color: ColorId,
         reason: RejectReason,
     },
+}
 
-    /// Client → all replicas of all shards of the color: delete ≤ `up_to`.
-    Trim { color: ColorId, up_to: SeqNum, req: u64 },
-    /// Replica → replica: I applied this trim (second round of §6.2).
-    TrimPeerAck { color: ColorId, up_to: SeqNum, req: u64 },
-    /// Replica → client: trim complete here; the color now spans
-    /// `[head, tail]` (third round of §6.2).
-    TrimAck {
-        req: u64,
-        head: Option<SeqNum>,
-        tail: Option<SeqNum>,
-    },
-
-    /// Client → all replicas of the special-color shard: end of a
-    /// multi-color append (Algorithm 2, line 5).
-    MultiEnd { fid: FunctionId, req: u64, reply_to: NodeId },
-    /// Replica → client: every set of the multi-color append is committed
-    /// in its target color (Algorithm 2, line 18).
-    MultiAck { req: u64 },
-
+/// Sync plane: state exchange between nodes that hold (or are acquiring) a
+/// copy of a color — the §6.3 sync-phase between shard peers, the read
+/// replica's follow loop, and the control plane's migration copy. Nothing
+/// here mutates the serving replica, so nothing is generation-fenced.
+#[derive(Clone, Debug, PartialEq)]
+pub enum SyncMsg {
     /// Recovering replica → shard peers: begin a sync-phase round (§6.3).
     SyncRequest { round: u64 },
     /// Replica → all shard peers: my state for this round — known sequencer
@@ -109,94 +145,125 @@ pub enum DataMsg {
         /// Colors destroyed.
         dropped: Vec<ColorId>,
     },
-    /// Replica → most-up-to-date peer: send me `color` records above `from`.
-    SyncFetch { round: u64, color: ColorId, from: SeqNum },
-    /// Reply to [`DataMsg::SyncFetch`]: the records, with their tokens so
-    /// idempotence survives recovery.
-    SyncRecords {
-        round: u64,
-        color: ColorId,
-        records: Vec<(Token, SeqNum, Payload)>,
-        done: bool,
-    },
     /// Replica → all shard peers: I am synchronized for this round (the
     /// all-to-all barrier of §6.3).
     SyncDone { round: u64 },
-
-    // ----- reconfiguration control (color migration, §elasticity) -----
-    /// Control plane → source replicas: stop admitting NEW appends of
-    /// `color`. Already-staged records keep flowing (their OReq resends and
-    /// OResp commits proceed), which is what drains the staged set; fresh
-    /// appends are nacked with [`DataMsg::Rejected`] and the client retries
-    /// until cutover re-routes it.
-    /// Carries the controller generation `gen`: a replica that has seen a
-    /// higher generation nacks with [`DataMsg::CtrlNack`] (zombie fencing).
-    FreezeColor { color: ColorId, gen: u64, req: u64 },
-    /// Control plane → source replicas: migration aborted, admit again.
-    UnfreezeColor { color: ColorId, gen: u64, req: u64 },
-    /// Control plane → storage replicas: run one tiering round for
-    /// `color` — archive its cold prefix (all but the newest `keep_tail`
-    /// records, at most `max_records`) to the object store, or, when
-    /// `demote` is set, move records from PM down to the SSD instead.
-    /// Each replica archives its own storage (idempotent: segments are
-    /// deterministic, re-uploads are byte-identical). Replies
-    /// [`DataMsg::CtrlAck`]. Gen-fenced like the other control verbs.
-    ArchiveColor {
+    /// Anyone → one replica: ship me `color`'s committed records picked by
+    /// `select`, with their tokens. The one record-fetch protocol: §6.3
+    /// sync and the read replica follow a cursor with `Above` (`req` is
+    /// their round), migration catch-up chunks with `Above` + `limit`, and
+    /// the freeze-window digest diff names its SNs with `Exact`. The scan
+    /// is trim-aware (never starts below the head) and runs inside the
+    /// replica's event loop, which is why bulk copies chunk.
+    Fetch {
+        req: u64,
         color: ColorId,
-        keep_tail: u64,
-        max_records: u64,
-        demote: bool,
-        gen: u64,
-        req: u64,
+        select: FetchSelect,
     },
-    /// Control plane → one replica: report `color`'s local state (drain
-    /// polling and span-export bounds).
-    ColorStatus { color: ColorId, req: u64 },
-    /// Reply to [`DataMsg::ColorStatus`].
-    CtrlColorInfo {
+    /// Reply to [`SyncMsg::Fetch`], in SN order.
+    Records {
         req: u64,
-        /// Tokens staged here but not yet committed (any color — staging is
-        /// not per color, but a zero means nothing can still commit).
+        color: ColorId,
+        /// The serving replica's trim head, so a destination hides the
+        /// trimmed prefix too.
+        head: Option<SeqNum>,
+        records: Vec<TokenRecord>,
+        /// Subscription cursors registered on the serving replica for this
+        /// color: like freeze marks, they ride the migration so the
+        /// destination resumes pushing where the source stopped.
+        cursors: Vec<SubCursor>,
+    },
+    /// Anyone → one replica: report `color`'s local state (drain polling,
+    /// export-source ranking, the read replica's trim/late-fill probe).
+    ColorStatus { color: ColorId, req: u64 },
+    /// Reply to [`SyncMsg::ColorStatus`].
+    ColorInfo {
+        req: u64,
+        /// Batches of the color staged here but not yet committed.
         staged: u64,
         head: Option<SeqNum>,
         tail: Option<SeqNum>,
         /// Committed records of the color on this replica.
         count: u64,
     },
-    /// Control plane → one source replica: ship `color`'s committed span
-    /// (trim-aware: only records above the head, with their tokens).
-    /// `above` narrows the export to records strictly above that SN — the
-    /// catch-up watermark of an incremental migration round; `None` means
-    /// the full span above the head. `limit` caps the records shipped per
-    /// request (the scan runs inside the replica's event loop and blocks
-    /// appends for its duration, so bulk exports chunk); `u64::MAX` means
-    /// unbounded.
-    ExportSpan {
-        color: ColorId,
-        req: u64,
-        above: Option<SeqNum>,
-        limit: u64,
-    },
-    /// Reply to [`DataMsg::ExportSpan`].
-    SpanRecords {
+    /// Control plane → one replica: list the SNs of `color`'s committed
+    /// records above the head. Used inside the freeze window to verify the
+    /// destination holds a superset of the source — the catch-up watermark
+    /// can step over a commit-order hole that fills later, so counts alone
+    /// cannot prove completeness.
+    SpanDigest { color: ColorId, req: u64 },
+    /// Reply to [`SyncMsg::SpanDigest`].
+    SpanDigestResp {
         req: u64,
         color: ColorId,
         head: Option<SeqNum>,
-        records: Vec<(Token, SeqNum, Payload)>,
-        /// Subscription cursors registered on the exporting replica for
-        /// this color: like freeze marks, they ride the migration so the
-        /// destination resumes pushing where the source stopped.
-        cursors: Vec<SubCursor>,
+        sns: Vec<SeqNum>,
     },
-    /// Control plane → destination replicas: install an exported span
-    /// (idempotent per (color, sn); tokens feed the idempotence map so
-    /// post-cutover client retries of pre-migration appends re-ack).
-    ImportSpan {
+}
+
+/// Control plane (reconfiguration, §elasticity): one generation-fenced
+/// envelope, one reply.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CtrlMsg {
+    /// Controller → replica: obey `cmd` if `gen` is not superseded. A
+    /// replica that has seen a higher generation answers
+    /// [`CtrlMsg::Nack`] and does nothing (zombie fencing); otherwise it
+    /// raises its floor to `gen`, applies the command and answers
+    /// [`CtrlMsg::Ack`].
+    Cmd { gen: u64, req: u64, cmd: CtrlCmd },
+    /// Replica → controller: command applied. `imported` counts the records
+    /// an [`CtrlCmd::Import`] newly installed (0 for every other command).
+    Ack { req: u64, imported: u64 },
+    /// Replica → controller: command refused — the sender's generation is
+    /// stale (`gen` is the highest this replica has seen).
+    Nack { req: u64, gen: u64 },
+}
+
+/// What a [`CtrlMsg::Cmd`] asks a replica to do. Every command is
+/// idempotent: the controller retries rounds until all replicas ack.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CtrlCmd {
+    /// Generation announcement of a new controller: raise the fencing
+    /// floor, nothing else.
+    Hello,
+    /// Stop admitting NEW appends of the color. Already-staged records
+    /// keep flowing (their OReq resends and OResp commits proceed), which
+    /// is what drains the staged set; fresh appends are nacked with
+    /// [`AppendMsg::Rejected`] and the client retries until cutover
+    /// re-routes it.
+    Freeze(ColorId),
+    /// Migration aborted: admit appends again.
+    Unfreeze(ColorId),
+    /// Begin serving the color (clears any frozen/moved/dropped marks from
+    /// an earlier residency).
+    Adopt(ColorId),
+    /// The color now lives elsewhere: nack its appends with `ColorMoved`
+    /// so clients re-resolve the shard.
+    Cutover(ColorId),
+    /// The color was destroyed.
+    Drop(ColorId),
+    /// Discard every committed record of the color (roll-back of a
+    /// partially imported migration). The trim head is kept — heads only
+    /// ever advance.
+    Discard(ColorId),
+    /// Run one tiering round: archive the color's cold prefix (all but the
+    /// newest `keep_tail` records, at most `max_records`) to the object
+    /// store, or, when `demote` is set, move records from PM down to the
+    /// SSD instead. Each replica archives its own storage (segments are
+    /// deterministic, re-uploads are byte-identical).
+    Archive {
         color: ColorId,
-        gen: u64,
-        req: u64,
+        keep_tail: u64,
+        max_records: u64,
+        demote: bool,
+    },
+    /// Install fetched records on a migration destination (idempotent per
+    /// (color, sn); tokens feed the idempotence map so post-cutover client
+    /// retries of pre-migration appends re-ack).
+    Import {
+        color: ColorId,
         head: Option<SeqNum>,
-        records: Vec<(Token, SeqNum, Payload)>,
+        records: Vec<TokenRecord>,
         /// Cold imports land directly on the SSD tier: bulk catch-up
         /// history must not evict the destination's PM headroom (the hot
         /// append path runs there) nor pollute its DRAM cache. The final
@@ -208,56 +275,6 @@ pub enum DataMsg {
         /// resumes pushing from each subscriber's acked SN.
         cursors: Vec<SubCursor>,
     },
-    /// Reply to [`DataMsg::ImportSpan`]: `imported` new records installed.
-    ImportAck { req: u64, imported: u64 },
-    /// Control plane → one replica: list the SNs of `color`'s committed
-    /// records above the head. Used inside the freeze window to verify the
-    /// destination holds a superset of the source — the catch-up watermark
-    /// can step over a commit-order hole that fills later, so counts alone
-    /// cannot prove completeness.
-    SpanDigest { color: ColorId, req: u64 },
-    /// Reply to [`DataMsg::SpanDigest`].
-    SpanDigestResp {
-        req: u64,
-        color: ColorId,
-        head: Option<SeqNum>,
-        sns: Vec<SeqNum>,
-    },
-    /// Control plane → one source replica: ship exactly these records of
-    /// `color` (the digest diff). Answered with [`DataMsg::SpanRecords`].
-    FetchRecords {
-        color: ColorId,
-        req: u64,
-        sns: Vec<SeqNum>,
-    },
-    /// Control plane → destination replicas: begin serving `color` (clears
-    /// any frozen/moved/dropped marks from an earlier residency).
-    AdoptColor { color: ColorId, gen: u64, req: u64 },
-    /// Control plane → source replicas: the color now lives elsewhere;
-    /// nack its appends with `ColorMoved` so clients re-resolve the shard.
-    CutoverColor { color: ColorId, gen: u64, req: u64 },
-    /// Control plane → replicas: the color was destroyed.
-    DropColor { color: ColorId, gen: u64, req: u64 },
-    /// Control plane → destination replicas: discard every committed
-    /// record of `color` (roll-back of a partially imported migration).
-    /// The trim head is kept — heads only ever advance.
-    DiscardColor { color: ColorId, gen: u64, req: u64 },
-    /// New controller → all replicas: generation announcement. Replicas
-    /// raise their fencing floor and ack; commands from lower generations
-    /// are nacked from this point on.
-    ControllerHello { gen: u64, req: u64 },
-    /// Generic ack for the fire-and-forget control messages above.
-    CtrlAck { req: u64 },
-    /// Replica → controller: command refused — sender's generation is
-    /// stale (`gen` is the highest this replica has seen).
-    CtrlNack { req: u64, gen: u64 },
-    /// Replica → client: this replica refuses the append; the reason tells
-    /// the client whether to back off (`Frozen`), re-resolve the shard
-    /// (`ColorMoved`), or fail (`Dropped`).
-    Rejected { token: Token, reason: RejectReason },
-
-    /// Orderly shutdown (test harness).
-    Shutdown,
 }
 
 /// A subscription cursor in flight between replicas (migration handoff):
@@ -305,6 +322,38 @@ impl OrderWire for ClusterMsg {
 impl From<DataMsg> for ClusterMsg {
     fn from(m: DataMsg) -> Self {
         ClusterMsg::Data(m)
+    }
+}
+
+// `PlaneMsg::X { .. }.into()` builds the wire message directly.
+
+impl From<AppendMsg> for ClusterMsg {
+    fn from(m: AppendMsg) -> Self {
+        ClusterMsg::Data(DataMsg::Append(m))
+    }
+}
+
+impl From<ReadMsg> for ClusterMsg {
+    fn from(m: ReadMsg) -> Self {
+        ClusterMsg::Data(DataMsg::Read(m))
+    }
+}
+
+impl From<SubMsg> for ClusterMsg {
+    fn from(m: SubMsg) -> Self {
+        ClusterMsg::Data(DataMsg::Sub(m))
+    }
+}
+
+impl From<SyncMsg> for ClusterMsg {
+    fn from(m: SyncMsg) -> Self {
+        ClusterMsg::Data(DataMsg::Sync(m))
+    }
+}
+
+impl From<CtrlMsg> for ClusterMsg {
+    fn from(m: CtrlMsg) -> Self {
+        ClusterMsg::Data(DataMsg::Ctrl(m))
     }
 }
 

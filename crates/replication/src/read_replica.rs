@@ -3,8 +3,8 @@
 //!
 //! A read replica attaches to one shard and **follows** its quorum
 //! replicas through the §6.3 sync machinery: it periodically issues
-//! [`DataMsg::SyncFetch`] for every color resident on the shard (from its
-//! own tail) and imports the [`DataMsg::SyncRecords`] replies — the exact
+//! [`SyncMsg::Fetch`] for every color resident on the shard (above its
+//! own tail) and imports the [`SyncMsg::Records`] replies — the exact
 //! protocol a recovering quorum replica uses to catch up, run as a
 //! steady-state pull loop. It serves:
 //!
@@ -29,10 +29,11 @@ use std::time::{Duration, Instant};
 use flexlog_obs::Counter;
 use flexlog_pm::virtual_time;
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
-use flexlog_storage::{StorageConfig, StorageServer};
-use flexlog_types::{ColorId, SeqNum, ShardId};
+use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
+use flexlog_types::{ColorId, SeqNum, ShardId, Token};
 
-use crate::msg::{ClusterMsg, DataMsg, RejectReason};
+use crate::msg::{ClusterMsg, DataMsg, ReadMsg, RejectReason, SubMsg, SyncMsg};
+use crate::replica::HeldReads;
 use crate::subs::{RecentTokens, SubTable};
 use crate::TopologyView;
 
@@ -75,14 +76,6 @@ impl Default for ReadReplicaConfig {
     }
 }
 
-struct HeldRead {
-    from: NodeId,
-    req: u64,
-    color: ColorId,
-    sn: SeqNum,
-    deadline: Instant,
-}
-
 /// A one-shot pull (`Subscribe`) parked behind a sync round: serving it
 /// straight from local storage could miss records the quorum already
 /// committed (worst case: a just-restarted replica still refilling).
@@ -105,7 +98,7 @@ pub struct ReadReplicaNode {
     storage: Arc<StorageServer>,
     subs: SubTable,
     recent_tokens: RecentTokens,
-    held_reads: Vec<HeldRead>,
+    held_reads: HeldReads,
     held_scans: Vec<HeldScan>,
     /// Monotonic fetch round / request id source.
     round: u64,
@@ -154,7 +147,7 @@ impl ReadReplicaNode {
             storage,
             subs,
             recent_tokens: RecentTokens::new(),
-            held_reads: Vec::new(),
+            held_reads: HeldReads::default(),
             held_scans: Vec::new(),
             round: 0,
             inflight: HashMap::new(),
@@ -204,8 +197,14 @@ impl ReadReplicaNode {
             for (from, msg) in burst.drain(..) {
                 match msg {
                     ClusterMsg::Data(DataMsg::Shutdown) => return,
-                    ClusterMsg::Data(m) => self.handle_data(&ep, from, m),
-                    ClusterMsg::Order(_) => {} // never part of ordering
+                    ClusterMsg::Data(DataMsg::Read(m)) => self.handle_read_plane(&ep, from, m),
+                    ClusterMsg::Data(DataMsg::Sub(m)) => self.handle_sub_plane(&ep, m),
+                    ClusterMsg::Data(DataMsg::Sync(m)) => self.handle_sync_plane(&ep, m),
+                    // Never part of the write quorum, the ordering layer or
+                    // a reconfiguration: those planes are not spoken here
+                    // (cutovers and drops are observed through the topology).
+                    ClusterMsg::Data(DataMsg::Append(_) | DataMsg::Ctrl(_))
+                    | ClusterMsg::Order(_) => {}
                 }
             }
             self.tick(&ep);
@@ -218,30 +217,17 @@ impl ReadReplicaNode {
         }
     }
 
-    fn handle_data(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: DataMsg) {
+    fn handle_read_plane(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: ReadMsg) {
         match msg {
-            DataMsg::Read { color, sn, req } => {
-                if let Some(value) = self.storage.get(color, sn) {
-                    let _ = ep.send(from, DataMsg::ReadResp { req, value: Some(value) }.into());
-                    return;
-                }
-                let max_seen = self.storage.tail(color).unwrap_or(SeqNum::ZERO);
-                if sn > max_seen {
-                    // Possibly not replicated here yet: hold and fetch
-                    // eagerly (read-through) instead of answering a stale ⊥.
-                    self.held_reads.push(HeldRead {
-                        from,
-                        req,
-                        color,
-                        sn,
-                        deadline: Instant::now() + self.config.read_hold,
-                    });
+            ReadMsg::Read { color, sn, req } => {
+                let hold = self.config.read_hold;
+                if self.held_reads.read(ep, &self.storage, from, color, sn, req, hold) {
+                    // Possibly not replicated here yet: fetch eagerly
+                    // (read-through) instead of answering a stale ⊥.
                     self.fetch_color(ep, color);
-                } else {
-                    let _ = ep.send(from, DataMsg::ReadResp { req, value: None }.into());
                 }
             }
-            DataMsg::Subscribe { color, from: from_sn, req } => {
+            ReadMsg::Subscribe { color, from: from_sn, req } => {
                 // Park the scan behind a sync round so the reply is as
                 // fresh as the quorum at request time; the hold deadline
                 // degrades to a best-effort local scan if the quorum is
@@ -256,14 +242,27 @@ impl ReadReplicaNode {
                 });
                 self.fetch_color(ep, color);
             }
-            DataMsg::SubscribeFrom { color, from: from_sn, sub, reply_to } => {
+            ReadMsg::Trim { color, up_to, req } => {
+                // Quorum replicas run the two-round trim protocol; a read
+                // replica just applies and acks (it holds no authority).
+                let _ = self.storage.trim(color, up_to);
+                let (head, tail) = (self.storage.head(color), self.storage.tail(color));
+                let _ = ep.send(from, ReadMsg::TrimAck { req, head, tail }.into());
+            }
+            // The quorum's second trim round, and client-bound replies.
+            ReadMsg::TrimPeerAck { .. }
+            | ReadMsg::ReadResp { .. }
+            | ReadMsg::SubscribeResp { .. }
+            | ReadMsg::TrimAck { .. } => {}
+        }
+    }
+
+    fn handle_sub_plane(&mut self, ep: &Endpoint<ClusterMsg>, msg: SubMsg) {
+        match msg {
+            SubMsg::SubscribeFrom { color, from: from_sn, sub, reply_to } => {
                 if !self.topology.colors_on(self.config.shard).contains(&color) {
-                    let reason = if self.topology.knows_color(color) {
-                        RejectReason::ColorMoved
-                    } else {
-                        RejectReason::Dropped
-                    };
-                    let _ = ep.send(reply_to, DataMsg::SubRedirect { sub, color, reason }.into());
+                    let reason = self.departed(color);
+                    let _ = ep.send(reply_to, SubMsg::SubRedirect { sub, color, reason }.into());
                     return;
                 }
                 self.subs.register(
@@ -279,20 +278,35 @@ impl ReadReplicaNode {
                 // Pull the color promptly so the backlog starts flowing.
                 self.fetch_color(ep, color);
             }
-            DataMsg::SubAck { sub, upto } => self.subs.ack(sub, upto),
-            DataMsg::SubCancel { sub } => self.subs.cancel(sub),
-            DataMsg::SyncRecords { round, color, records, done } => {
-                let mut fresh: Vec<(SeqNum, flexlog_types::Token)> = Vec::new();
+            SubMsg::SubAck { sub, upto } => self.subs.ack(sub, upto),
+            SubMsg::SubCancel { sub } => self.subs.cancel(sub),
+            // Subscriber-bound.
+            SubMsg::SubPushBatch { .. } | SubMsg::SubRedirect { .. } => {}
+        }
+    }
+
+    /// Why a color not resident on this shard left it: `ColorMoved` when
+    /// it lives elsewhere, `Dropped` when it is gone.
+    fn departed(&self, color: ColorId) -> RejectReason {
+        if self.topology.knows_color(color) {
+            RejectReason::ColorMoved
+        } else {
+            RejectReason::Dropped
+        }
+    }
+
+    fn handle_sync_plane(&mut self, ep: &Endpoint<ClusterMsg>, msg: SyncMsg) {
+        match msg {
+            SyncMsg::Records { req: round, color, records, .. } => {
+                let mut fresh: Vec<(SeqNum, Token)> = Vec::new();
                 for (token, sn, payload) in records {
                     if self.storage.import(color, sn, token, &payload).unwrap_or(false) {
                         self.recent_tokens.insert(color, sn, token);
                         fresh.push((sn, token));
                     }
                 }
-                if done {
-                    self.inflight.remove(&color);
-                    self.release_held_scans(ep, color, round);
-                }
+                self.inflight.remove(&color);
+                self.release_held_scans(ep, color, round);
                 if !fresh.is_empty() {
                     self.imported.add(fresh.len() as u64);
                     if let Some(c) = &self.busy_ns {
@@ -304,10 +318,10 @@ impl ReadReplicaNode {
                         self.subs.push_fill(ep, &self.storage, color, sn, token);
                     }
                     self.subs.pump(ep, &self.storage, &self.recent_tokens, None);
-                    self.release_held_reads(ep);
+                    self.held_reads.release(ep, &self.storage);
                 }
             }
-            DataMsg::CtrlColorInfo { req, head, tail, count, .. } => {
+            SyncMsg::ColorInfo { req, head, tail, count, .. } => {
                 // Reply to a head/count probe: adopt the trim head, and if
                 // the quorum holds more records under the same tail a hole
                 // filled late upstream — refetch the retained span.
@@ -320,40 +334,37 @@ impl ReadReplicaNode {
                 if tail == self.storage.tail(color)
                     && count > self.storage.record_count(color) as u64
                 {
-                    let from = self.storage.head(color).unwrap_or(SeqNum::ZERO);
-                    self.round += 1;
-                    let src = self.next_source();
-                    if let Some(src) = src {
-                        self.sync_fetches.inc();
-                        let _ = ep.send(
-                            src,
-                            DataMsg::SyncFetch { round: self.round, color, from }.into(),
-                        );
-                    }
+                    let above = self.storage.head(color).unwrap_or(SeqNum::ZERO);
+                    self.send_fetch(ep, color, above);
                 }
             }
-            DataMsg::Trim { color, up_to, req } => {
-                // Quorum replicas run the two-round trim protocol; a read
-                // replica just applies and acks (it holds no authority).
-                let _ = self.storage.trim(color, up_to);
-                let (head, tail) = (self.storage.head(color), self.storage.tail(color));
-                let _ = ep.send(from, DataMsg::TrimAck { req, head, tail }.into());
-            }
-            DataMsg::Shutdown => unreachable!("handled by the run loop"),
-            _ => {
-                // Everything else belongs to the write quorum or the
-                // control plane; a read replica ignores strays.
-            }
+            // The quorum's own sync-phase and the probes/fetches a read
+            // replica only ever issues, never serves.
+            SyncMsg::SyncRequest { .. }
+            | SyncMsg::SyncState { .. }
+            | SyncMsg::SyncDone { .. }
+            | SyncMsg::Fetch { .. }
+            | SyncMsg::ColorStatus { .. }
+            | SyncMsg::SpanDigest { .. }
+            | SyncMsg::SpanDigestResp { .. } => {}
         }
     }
 
-    fn next_source(&mut self) -> Option<NodeId> {
-        if self.config.quorum.is_empty() {
-            return None;
-        }
-        let src = self.config.quorum[self.rr % self.config.quorum.len()];
+    /// Sends one fetch for `color`'s records above `above` to the next
+    /// quorum source; returns the round it is numbered with and the source.
+    fn send_fetch(
+        &mut self,
+        ep: &Endpoint<ClusterMsg>,
+        color: ColorId,
+        above: SeqNum,
+    ) -> Option<(u64, NodeId)> {
+        let src = *self.config.quorum.get(self.rr % self.config.quorum.len().max(1))?;
         self.rr += 1;
-        Some(src)
+        self.round += 1;
+        self.sync_fetches.inc();
+        let select = FetchSelect::Above { sn: above, limit: u64::MAX };
+        let _ = ep.send(src, SyncMsg::Fetch { req: self.round, color, select }.into());
+        Some((self.round, src))
     }
 
     /// Issues a sync fetch for one color unless one is already pending
@@ -365,18 +376,14 @@ impl ReadReplicaNode {
                 return; // reply still expected
             }
         }
-        let from = self.storage.tail(color).unwrap_or(SeqNum::ZERO);
-        self.round += 1;
-        let round = self.round;
-        let Some(src) = self.next_source() else { return };
-        self.sync_fetches.inc();
+        let tail = self.storage.tail(color).unwrap_or(SeqNum::ZERO);
+        let Some((round, src)) = self.send_fetch(ep, color, tail) else { return };
         self.inflight.insert(color, (round, now));
-        let _ = ep.send(src, DataMsg::SyncFetch { round, color, from }.into());
         // Every 32nd fetch of a color doubles as a head/count probe so the
         // replica adopts trims and notices late hole fills upstream.
         if round.is_multiple_of(32) {
             self.probes.insert(round, color);
-            let _ = ep.send(src, DataMsg::ColorStatus { color, req: round }.into());
+            let _ = ep.send(src, SyncMsg::ColorStatus { color, req: round }.into());
         }
     }
 
@@ -392,7 +399,7 @@ impl ReadReplicaNode {
                 // with a silent hole); the client retries elsewhere.
                 if let Ok(records) = storage.scan(s.color, s.from_sn) {
                     let _ =
-                        ep.send(s.from, DataMsg::SubscribeResp { req: s.req, records }.into());
+                        ep.send(s.from, ReadMsg::SubscribeResp { req: s.req, records }.into());
                 }
             } else {
                 still.push(s);
@@ -401,33 +408,9 @@ impl ReadReplicaNode {
         self.held_scans = still;
     }
 
-    fn release_held_reads(&mut self, ep: &Endpoint<ClusterMsg>) {
-        let storage = &self.storage;
-        let mut still_held = Vec::new();
-        for h in self.held_reads.drain(..) {
-            if let Some(value) = storage.get(h.color, h.sn) {
-                let _ = ep.send(h.from, DataMsg::ReadResp { req: h.req, value: Some(value) }.into());
-            } else if storage.tail(h.color).unwrap_or(SeqNum::ZERO) >= h.sn {
-                let _ = ep.send(h.from, DataMsg::ReadResp { req: h.req, value: None }.into());
-            } else {
-                still_held.push(h);
-            }
-        }
-        self.held_reads = still_held;
-    }
-
     fn tick(&mut self, ep: &Endpoint<ClusterMsg>) {
         let now = Instant::now();
-        // Expire held reads.
-        let mut still = Vec::new();
-        for h in self.held_reads.drain(..) {
-            if now >= h.deadline {
-                let _ = ep.send(h.from, DataMsg::ReadResp { req: h.req, value: None }.into());
-            } else {
-                still.push(h);
-            }
-        }
-        self.held_reads = still;
+        self.held_reads.expire(ep, now);
 
         // Expired scans degrade to a best-effort local answer (quorum
         // unreachable): stale beats unavailable for a follower.
@@ -438,7 +421,7 @@ impl ReadReplicaNode {
                 // archive cannot serve the prefix, stay silent instead.
                 if let Ok(records) = self.storage.scan(s.color, s.from_sn) {
                     let _ =
-                        ep.send(s.from, DataMsg::SubscribeResp { req: s.req, records }.into());
+                        ep.send(s.from, ReadMsg::SubscribeResp { req: s.req, records }.into());
                 }
             } else {
                 still_scans.push(s);
@@ -451,12 +434,7 @@ impl ReadReplicaNode {
         let resident = self.topology.colors_on(self.config.shard);
         for color in self.subs.colors() {
             if !resident.contains(&color) {
-                let reason = if self.topology.knows_color(color) {
-                    RejectReason::ColorMoved
-                } else {
-                    RejectReason::Dropped
-                };
-                self.subs.redirect_color(ep, color, reason);
+                self.subs.redirect_color(ep, color, self.departed(color));
             }
         }
 

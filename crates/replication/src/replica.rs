@@ -28,10 +28,12 @@ use flexlog_obs::{Counter, Histogram, Stage, CTRL_TOKEN, SYNC_TOKEN};
 use flexlog_pm::virtual_time;
 use flexlog_ordering::{Directory, OrderMsg, RoleId, RouteTable};
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
-use flexlog_storage::{StorageConfig, StorageServer};
+use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
 use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, ShardId, Token};
 
-use crate::msg::{ClusterMsg, DataMsg, RejectReason};
+use crate::msg::{
+    AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, ReadMsg, RejectReason, SubMsg, SyncMsg,
+};
 use crate::subs::{RecentTokens, SubTable};
 use crate::TopologyView;
 
@@ -124,11 +126,75 @@ struct HeldRead {
     deadline: Instant,
 }
 
+/// Reads parked above the local tail (the hole rule, §6.3 "Safety",
+/// problem 2): the SN may belong to an in-flight append, so the answer
+/// waits — for the record, for a larger SN proving a hole, or for the hold
+/// deadline (⊥). Shared by quorum and read-only replicas.
+#[derive(Default)]
+pub(crate) struct HeldReads(Vec<HeldRead>);
+
+impl HeldReads {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Answers a read from local storage, or parks it for at most `hold`
+    /// when `sn` is above everything seen here. Returns whether it parked.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn read(
+        &mut self,
+        ep: &Endpoint<ClusterMsg>,
+        storage: &StorageServer,
+        from: NodeId,
+        color: ColorId,
+        sn: SeqNum,
+        req: u64,
+        hold: Duration,
+    ) -> bool {
+        let value = storage.get(color, sn);
+        let parked = value.is_none() && sn > storage.tail(color).unwrap_or(SeqNum::ZERO);
+        if parked {
+            let deadline = Instant::now() + hold;
+            self.0.push(HeldRead { from, req, color, sn, deadline });
+        } else {
+            // The record, or ⊥ at once: a hole, trimmed, or not on this shard.
+            let _ = ep.send(from, ReadMsg::ReadResp { req, value }.into());
+        }
+        parked
+    }
+
+    /// Re-examines the parked reads after new records landed.
+    pub(crate) fn release(&mut self, ep: &Endpoint<ClusterMsg>, storage: &StorageServer) {
+        self.0.retain(|h| {
+            let value = storage.get(h.color, h.sn);
+            // A bigger SN arrived: the requested SN is a hole here.
+            let decided =
+                value.is_some() || storage.tail(h.color).unwrap_or(SeqNum::ZERO) >= h.sn;
+            if decided {
+                let _ = ep.send(h.from, ReadMsg::ReadResp { req: h.req, value }.into());
+            }
+            !decided
+        });
+    }
+
+    /// Answers ⊥ to every parked read whose hold window ran out.
+    pub(crate) fn expire(&mut self, ep: &Endpoint<ClusterMsg>, now: Instant) {
+        self.0.retain(|h| {
+            let expired = now >= h.deadline;
+            if expired {
+                let _ = ep.send(h.from, ReadMsg::ReadResp { req: h.req, value: None }.into());
+            }
+            !expired
+        });
+    }
+}
+
+/// One trim round (§6.2) as seen from this replica, keyed by request id.
+#[derive(Default)]
 struct TrimPending {
-    color: ColorId,
-    up_to: SeqNum,
-    caller: NodeId,
-    req: u64,
+    /// Our own `Trim` — its color and caller — once it has arrived; peers'
+    /// acks may overtake it.
+    local: Option<(ColorId, NodeId)>,
     peer_acks: HashSet<NodeId>,
 }
 
@@ -180,12 +246,12 @@ pub struct ReplicaNode {
     /// pass makes busy replicas pay O(staged) per burst for a path that
     /// only matters on sequencer fail-over. Rate-limited instead.
     last_oreq_scan: Instant,
-    held_reads: Vec<HeldRead>,
+    held_reads: HeldReads,
     trims: HashMap<u64, TrimPending>,
     multi: Vec<MultiPending>,
     processed_multi: HashSet<Token>,
-    /// Appends/OResps deferred while syncing.
-    deferred: VecDeque<(NodeId, Deferred)>,
+    /// Appends, registrations and OResps deferred while syncing.
+    deferred: VecDeque<(NodeId, ClusterMsg)>,
     round_counter: u64,
     /// Highest sync round seen (restart rounds must exceed it).
     last_round: u64,
@@ -216,11 +282,6 @@ pub struct ReplicaNode {
     staged_colors: HashMap<Token, ColorId>,
     /// Recently committed (color, sn) → token, for `SubPush` tracing.
     recent_tokens: RecentTokens,
-}
-
-enum Deferred {
-    Data(DataMsg),
-    Order(OrderMsg),
 }
 
 impl ReplicaNode {
@@ -261,7 +322,7 @@ impl ReplicaNode {
             pending_oresp: HashMap::new(),
             oreq_sent: HashMap::new(),
             last_oreq_scan: Instant::now(),
-            held_reads: Vec::new(),
+            held_reads: HeldReads::default(),
             trims: HashMap::new(),
             multi: Vec::new(),
             processed_multi: HashSet::new(),
@@ -280,18 +341,6 @@ impl ReplicaNode {
             staged_colors: HashMap::new(),
             recent_tokens: RecentTokens::new(),
         }
-    }
-
-    /// Zombie fence: raises the generation floor, or — for a command from
-    /// a generation we have already seen superseded — nacks and reports
-    /// `true` so the caller drops the command on the floor.
-    fn ctrl_stale(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, gen: u64, req: u64) -> bool {
-        if gen < self.ctrl_gen {
-            let _ = ep.send(from, DataMsg::CtrlNack { req, gen: self.ctrl_gen }.into());
-            return true;
-        }
-        self.ctrl_gen = gen;
-        false
     }
 
     /// Shared storage handle (benchmarks read tier stats through it).
@@ -341,7 +390,7 @@ impl ReplicaNode {
             // tail) forces the short tick: each pump ships one capped
             // chunk, and the next chunk must not wait a full idle period.
             let tick = if self.held_reads.is_empty()
-                && matches!(self.mode, Mode::Operational)
+                && !self.syncing()
                 && (self.subs.is_empty() || self.subs.all_caught_up(&self.storage))
             {
                 self.config.oreq_resend / 8
@@ -361,14 +410,13 @@ impl ReplicaNode {
             let mut iter = burst.drain(..).peekable();
             while let Some((from, msg)) = iter.next() {
                 match msg {
-                    ClusterMsg::Data(DataMsg::Shutdown) => return,
                     ClusterMsg::Data(m) => {
                         if !self.handle_data(&ep, from, m) {
                             return;
                         }
                     }
                     ClusterMsg::Order(OrderMsg::OResp { token, last_sn })
-                        if !matches!(self.mode, Mode::Syncing(_)) =>
+                        if !self.syncing() =>
                     {
                         // Coalesce the whole consecutive OResp run into one
                         // batched commit.
@@ -377,7 +425,7 @@ impl ReplicaNode {
                         self.apply_oresp_batch(&ep, &resps);
                     }
                     ClusterMsg::Order(OrderMsg::ORespBatch { mut resps })
-                        if !matches!(self.mode, Mode::Syncing(_)) =>
+                        if !self.syncing() =>
                     {
                         coalesce_oresps(&mut iter, &mut resps);
                         self.apply_oresp_batch(&ep, &resps);
@@ -401,60 +449,92 @@ impl ReplicaNode {
 
     // ----- normal-path handlers ------------------------------------------
 
-    /// Returns false on shutdown.
+    fn syncing(&self) -> bool {
+        matches!(self.mode, Mode::Syncing(_))
+    }
+
+    /// Dispatches by plane. Returns false on shutdown.
     fn handle_data(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: DataMsg) -> bool {
         match msg {
-            DataMsg::Append {
-                color,
-                token,
-                payloads,
-                reply_to,
-            } => {
-                if matches!(self.mode, Mode::Syncing(_)) {
-                    // Appends pause during the sync-phase.
-                    self.deferred.push_back((
-                        from,
-                        Deferred::Data(DataMsg::Append {
-                            color,
-                            token,
-                            payloads,
-                            reply_to,
-                        }),
-                    ));
-                    return true;
-                }
+            DataMsg::Append(m) => self.handle_append_plane(ep, from, m),
+            DataMsg::Read(m) => self.handle_read_plane(ep, from, m),
+            DataMsg::Sub(m) => self.handle_sub_plane(ep, from, m),
+            DataMsg::Sync(m) => self.handle_sync_plane(ep, from, m),
+            DataMsg::Ctrl(m) => self.handle_ctrl_plane(ep, from, m),
+            DataMsg::Shutdown => return false,
+        }
+        true
+    }
+
+    fn handle_append_plane(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: AppendMsg) {
+        match msg {
+            // Appends pause during the sync-phase.
+            m @ AppendMsg::Append { .. } if self.syncing() => {
+                self.deferred.push_back((from, m.into()));
+            }
+            AppendMsg::Append { color, token, payloads, reply_to } => {
                 self.handle_append(ep, color, token, payloads, reply_to);
             }
-            DataMsg::Read { color, sn, req } => {
-                self.handle_read(ep, from, color, sn, req);
+            // We are a client here: a multi-color sub-append got acked.
+            AppendMsg::AppendAck { token, .. } => self.note_multi_ack(ep, from, token),
+            AppendMsg::MultiEnd { fid, req, reply_to } => {
+                self.handle_multi_end(ep, fid, req, reply_to);
             }
-            DataMsg::Subscribe { color, from: from_sn, req } => {
+            // Client-bound. A replica sees `Rejected` only for a fenced
+            // multi-color sub-append it drives, and does not re-route those.
+            AppendMsg::Rejected { .. } | AppendMsg::MultiAck { .. } => {}
+        }
+    }
+
+    fn handle_read_plane(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: ReadMsg) {
+        match msg {
+            ReadMsg::Read { color, sn, req } => {
+                let hold = self.config.read_hold;
+                self.held_reads.read(ep, &self.storage, from, color, sn, req, hold);
+            }
+            ReadMsg::Subscribe { color, from: from_sn, req } => {
                 // Archive read-through can fail while the object store is
                 // down; withholding the reply makes the client retry (or
                 // time out) instead of replaying a log with a silent hole
                 // where the archived prefix belongs.
                 if let Ok(records) = self.storage.scan(color, from_sn) {
-                    let _ = ep.send(from, DataMsg::SubscribeResp { req, records }.into());
+                    let _ = ep.send(from, ReadMsg::SubscribeResp { req, records }.into());
                 }
             }
-            DataMsg::SubscribeFrom { color, from: from_sn, sub, reply_to } => {
-                if matches!(self.mode, Mode::Syncing(_)) {
-                    // The log may be mid-fetch; register once it is whole.
-                    self.deferred.push_back((
-                        from,
-                        Deferred::Data(DataMsg::SubscribeFrom { color, from: from_sn, sub, reply_to }),
-                    ));
-                    return true;
-                }
+            ReadMsg::Trim { color, up_to, req } => {
+                let _ = self.storage.trim(color, up_to);
+                // Second round: tell every peer we applied it; collect
+                // theirs before answering the caller (§6.2).
+                let _ = ep.broadcast(
+                    &self.config.peers,
+                    ReadMsg::TrimPeerAck { color, up_to, req }.into(),
+                );
+                self.trims.entry(req).or_default().local = Some((color, from));
+                self.maybe_finish_trim(ep, req);
+            }
+            ReadMsg::TrimPeerAck { req, .. } => {
+                // Register the ack even if our own Trim has not arrived yet.
+                self.trims.entry(req).or_default().peer_acks.insert(from);
+                self.maybe_finish_trim(ep, req);
+            }
+            // Client-bound replies.
+            ReadMsg::ReadResp { .. } | ReadMsg::SubscribeResp { .. } | ReadMsg::TrimAck { .. } => {}
+        }
+    }
+
+    fn handle_sub_plane(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: SubMsg) {
+        match msg {
+            // The log may be mid-fetch; register once it is whole.
+            m @ SubMsg::SubscribeFrom { .. } if self.syncing() => {
+                self.deferred.push_back((from, m.into()));
+            }
+            SubMsg::SubscribeFrom { color, from: from_sn, sub, reply_to } => {
                 match self.fence_reason(color) {
                     Some(reason @ (RejectReason::ColorMoved | RejectReason::Dropped)) => {
-                        let _ = ep.send(
-                            reply_to,
-                            DataMsg::SubRedirect { sub, color, reason }.into(),
-                        );
+                        let _ = ep.send(reply_to, SubMsg::SubRedirect { sub, color, reason }.into());
                     }
                     // Frozen colors still serve reads and subscriptions.
-                    _ => {
+                    Some(RejectReason::Frozen) | None => {
                         let barrier = self.sub_barrier();
                         self.subs.register(
                             ep,
@@ -469,232 +549,179 @@ impl ReplicaNode {
                     }
                 }
             }
-            DataMsg::SubAck { sub, upto } => self.subs.ack(sub, upto),
-            DataMsg::SubCancel { sub } => self.subs.cancel(sub),
-            DataMsg::Trim { color, up_to, req } => {
-                let _ = self.storage.trim(color, up_to);
-                // Second round: tell every peer we applied it; collect
-                // theirs before answering the caller (§6.2).
-                let _ = ep.broadcast(
-                    &self.config.peers,
-                    DataMsg::TrimPeerAck { color, up_to, req }.into(),
-                );
-                let entry = self.trims.entry(req).or_insert_with(|| TrimPending {
-                    color,
-                    up_to,
-                    caller: from,
-                    req,
-                    peer_acks: HashSet::new(),
-                });
-                entry.caller = from;
-                self.maybe_finish_trim(ep, req);
-            }
-            DataMsg::TrimPeerAck { req, .. } => {
-                // Register the ack even if our own Trim has not arrived yet.
-                let peer_count = self.config.peers.len();
-                let entry = self.trims.entry(req).or_insert_with(|| TrimPending {
-                    color: ColorId::MASTER,
-                    up_to: SeqNum::ZERO,
-                    caller: from, // placeholder until our Trim arrives
-                    req,
-                    peer_acks: HashSet::new(),
-                });
-                entry.peer_acks.insert(from);
-                let _ = peer_count;
-                self.maybe_finish_trim(ep, req);
-            }
-            DataMsg::AppendAck { token, last_sn } => {
-                // We are a client here: a multi-color sub-append got acked.
-                self.note_multi_ack(ep, from, token, last_sn);
-            }
-            DataMsg::MultiEnd { fid, req, reply_to } => {
-                self.handle_multi_end(ep, fid, req, reply_to);
-            }
-            DataMsg::SyncRequest { round } => {
-                self.join_sync(ep, round, None);
-            }
-            DataMsg::SyncState { round, epoch, tails, ctrl_gen, frozen, moved, dropped } => {
-                if epoch > self.known_epoch {
-                    self.known_epoch = epoch;
-                }
+            SubMsg::SubAck { sub, upto } => self.subs.ack(sub, upto),
+            SubMsg::SubCancel { sub } => self.subs.cancel(sub),
+            // Subscriber-bound.
+            SubMsg::SubPushBatch { .. } | SubMsg::SubRedirect { .. } => {}
+        }
+    }
+
+    fn handle_sync_plane(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: SyncMsg) {
+        match msg {
+            SyncMsg::SyncRequest { round } => self.join_sync(ep, round, None),
+            SyncMsg::SyncState { round, epoch, tails, ctrl_gen, frozen, moved, dropped } => {
+                self.known_epoch = self.known_epoch.max(epoch);
                 self.merge_ctrl_marks(ctrl_gen, &frozen, &moved, &dropped);
-                if let Mode::Syncing(ref mut s) = self.mode {
-                    if s.round == round {
-                        s.states.insert(from, tails);
-                        self.advance_sync(ep);
-                    } else if round > s.round {
-                        self.join_sync(ep, round, None);
-                        if let Mode::Syncing(ref mut s) = self.mode {
-                            s.states.insert(from, tails);
-                        }
-                        self.advance_sync(ep);
-                    }
-                } else {
-                    // A peer entered sync; join it.
-                    self.join_sync(ep, round, None);
-                    if let Mode::Syncing(ref mut s) = self.mode {
-                        s.states.insert(from, tails);
+                // A peer entered a round we are not in yet (or we are
+                // operational): join it. No-op for our own or a stale round.
+                self.join_sync(ep, round, None);
+                if let Some(s) = self.sync_round(round) {
+                    s.states.insert(from, tails);
+                    self.advance_sync(ep);
+                }
+            }
+            SyncMsg::Fetch { req, color, mut select } => {
+                // Serve regardless of our own mode: the requester decided
+                // we are the source. Trim-aware: an `Above` scan never
+                // starts below the head, and the head itself ships so a
+                // destination hides the trimmed prefix.
+                let head = self.storage.head(color);
+                if let FetchSelect::Above { sn, .. } = &mut select {
+                    *sn = (*sn).max(head.unwrap_or(SeqNum::ZERO));
+                }
+                let records = self.storage.fetch(color, &select);
+                let cursors = self.subs.export_cursors(color);
+                let _ = ep.send(
+                    from,
+                    SyncMsg::Records { req, color, head, records, cursors }.into(),
+                );
+            }
+            SyncMsg::Records { req, color, records, .. } => {
+                if let Some(s) = self.sync_round(req) {
+                    s.fetching.remove(&color);
+                    s.fetched.insert(color);
+                    for (token, sn, payload) in records {
+                        let _ = self.storage.import(color, sn, token, &payload);
                     }
                     self.advance_sync(ep);
                 }
             }
-            DataMsg::SyncFetch { round, color, from: from_sn } => {
-                // Serve regardless of our own mode: the requester decided we
-                // are the most up-to-date for this color.
-                let records = self.storage.scan_with_tokens(color, from_sn);
-                let _ = ep.send(
-                    from,
-                    DataMsg::SyncRecords {
-                        round,
-                        color,
-                        records,
-                        done: true,
-                    }
-                    .into(),
-                );
-            }
-            DataMsg::SyncRecords { round, color, records, done } => {
-                if let Mode::Syncing(ref mut s) = self.mode {
-                    if s.round == round {
-                        for (token, sn, payload) in records {
-                            let _ = self.storage.import(color, sn, token, &payload);
-                        }
-                        if done {
-                            s.fetching.remove(&color);
-                            s.fetched.insert(color);
-                        }
-                        self.advance_sync(ep);
-                    }
+            SyncMsg::SyncDone { round } => {
+                if let Some(s) = self.sync_round(round) {
+                    s.done.insert(from);
+                    self.maybe_finish_sync(ep);
                 }
             }
-            DataMsg::SyncDone { round } => {
-                if let Mode::Syncing(ref mut s) = self.mode {
-                    if s.round == round {
-                        s.done.insert(from);
-                        self.maybe_finish_sync(ep);
-                    }
-                }
-            }
-            // ----- reconfiguration control plane --------------------------
-            DataMsg::FreezeColor { color, gen, req } => {
-                if self.ctrl_stale(ep, from, gen, req) {
-                    return true;
-                }
-                self.frozen.insert(color);
-                self.config.storage.obs.trace_event(
-                    CTRL_TOKEN,
-                    Stage::MigrateFreeze,
-                    ep.id().0,
-                    color.0 as u64,
-                );
-                let _ = ep.send(from, DataMsg::CtrlAck { req }.into());
-            }
-            DataMsg::UnfreezeColor { color, gen, req } => {
-                if self.ctrl_stale(ep, from, gen, req) {
-                    return true;
-                }
-                self.frozen.remove(&color);
-                let _ = ep.send(from, DataMsg::CtrlAck { req }.into());
-            }
-            DataMsg::ArchiveColor { color, keep_tail, max_records, demote, gen, req } => {
-                if self.ctrl_stale(ep, from, gen, req) {
-                    return true;
-                }
-                // A color mid-migration is off limits: its span is being
-                // exported or discarded and the tiering tick will retry
-                // after cutover. Ack without acting so the round completes.
-                if !self.frozen.contains(&color) && !self.moved.contains(&color) {
-                    if demote {
-                        let _ = self.storage.demote_color(color, max_records);
-                    } else if self
-                        .storage
-                        .archive_prefix(color, keep_tail, max_records)
-                        .unwrap_or(0)
-                        > 0
-                    {
-                        self.config.storage.obs.trace_event(
-                            CTRL_TOKEN,
-                            Stage::Archive,
-                            ep.id().0,
-                            color.0 as u64,
-                        );
-                    }
-                }
-                let _ = ep.send(from, DataMsg::CtrlAck { req }.into());
-            }
-            DataMsg::ColorStatus { color, req } => {
+            SyncMsg::ColorStatus { color, req } => {
                 let staged = self
                     .storage
                     .staged_tokens()
                     .into_iter()
                     .filter(|&(_, c, _)| c == color)
                     .count() as u64;
-                let _ = ep.send(
-                    from,
-                    DataMsg::CtrlColorInfo {
-                        req,
-                        staged,
-                        head: self.storage.head(color),
-                        tail: self.storage.tail(color),
-                        count: self.storage.record_count(color) as u64,
-                    }
-                    .into(),
-                );
+                let (head, tail) = (self.storage.head(color), self.storage.tail(color));
+                let count = self.storage.record_count(color) as u64;
+                let _ = ep.send(from, SyncMsg::ColorInfo { req, staged, head, tail, count }.into());
             }
-            DataMsg::ExportSpan { color, req, above, limit } => {
-                // Trim-aware: scan starts above the head, and the head
-                // itself ships so the destination hides the trimmed prefix.
-                // Catch-up rounds narrow the scan further (above the
-                // control plane's last-shipped watermark) and cap it, so
-                // concurrent appends interleave between chunks instead of
-                // stalling behind one full-span scan.
-                let head = self.storage.head(color);
-                let from_sn = head.unwrap_or(SeqNum::ZERO).max(above.unwrap_or(SeqNum::ZERO));
-                let cap = usize::try_from(limit).unwrap_or(usize::MAX);
-                let records = self.storage.scan_with_tokens_capped(color, from_sn, cap);
-                let cursors = self.subs.export_cursors(color);
-                let _ = ep.send(
-                    from,
-                    DataMsg::SpanRecords { req, color, head, records, cursors }.into(),
-                );
-            }
-            DataMsg::SpanDigest { color, req } => {
+            SyncMsg::SpanDigest { color, req } => {
                 let head = self.storage.head(color);
                 let sns = self.storage.committed_sns(color, head.unwrap_or(SeqNum::ZERO));
-                let _ = ep.send(from, DataMsg::SpanDigestResp { req, color, head, sns }.into());
+                let _ = ep.send(from, SyncMsg::SpanDigestResp { req, color, head, sns }.into());
             }
-            DataMsg::FetchRecords { color, req, sns } => {
-                let head = self.storage.head(color);
-                let records = self.storage.fetch_with_tokens(color, &sns);
-                let cursors = self.subs.export_cursors(color);
-                let _ = ep.send(
-                    from,
-                    DataMsg::SpanRecords { req, color, head, records, cursors }.into(),
-                );
+            // Probe replies: bound for the controller or a read replica.
+            SyncMsg::ColorInfo { .. } | SyncMsg::SpanDigestResp { .. } => {}
+        }
+    }
+
+    /// The sync round in progress, if it is `round`.
+    fn sync_round(&mut self, round: u64) -> Option<&mut SyncRound> {
+        match &mut self.mode {
+            Mode::Syncing(s) if s.round == round => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The one gen-fenced entry point of the control plane: a command from
+    /// a generation we have already seen superseded is nacked and dropped
+    /// on the floor (zombie fencing); anything else raises the floor, is
+    /// applied, and is acked.
+    fn handle_ctrl_plane(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: CtrlMsg) {
+        match msg {
+            CtrlMsg::Cmd { gen, req, .. } if gen < self.ctrl_gen => {
+                let _ = ep.send(from, CtrlMsg::Nack { req, gen: self.ctrl_gen }.into());
             }
-            DataMsg::ImportSpan { color, gen, req, head, records, cold, cursors } => {
-                if self.ctrl_stale(ep, from, gen, req) {
-                    return true;
+            CtrlMsg::Cmd { gen, req, cmd } => {
+                self.ctrl_gen = gen;
+                let imported = self.apply_ctrl(ep, cmd);
+                let _ = ep.send(from, CtrlMsg::Ack { req, imported }.into());
+            }
+            // Controller-bound replies.
+            CtrlMsg::Ack { .. } | CtrlMsg::Nack { .. } => {}
+        }
+    }
+
+    /// Applies one (already fence-checked) control command; returns the
+    /// records an `Import` newly installed, 0 for everything else.
+    fn apply_ctrl(&mut self, ep: &Endpoint<ClusterMsg>, cmd: CtrlCmd) -> u64 {
+        let obs = &self.config.storage.obs;
+        let trace = |stage: Stage, color: ColorId| {
+            obs.trace_event(CTRL_TOKEN, stage, ep.id().0, color.0 as u64);
+        };
+        match cmd {
+            CtrlCmd::Hello => {}
+            CtrlCmd::Freeze(color) => {
+                self.frozen.insert(color);
+                trace(Stage::MigrateFreeze, color);
+            }
+            CtrlCmd::Unfreeze(color) => {
+                self.frozen.remove(&color);
+            }
+            CtrlCmd::Adopt(color) => {
+                self.frozen.remove(&color);
+                self.moved.remove(&color);
+                self.dropped.remove(&color);
+            }
+            CtrlCmd::Cutover(color) => {
+                self.frozen.remove(&color);
+                self.moved.insert(color);
+                // Never strand a subscriber on the old shard: its cursor
+                // already rode the final import to the destination; the
+                // redirect tells it to re-resolve the topology too.
+                self.subs.redirect_color(ep, color, RejectReason::ColorMoved);
+                trace(Stage::MigrateCutover, color);
+            }
+            CtrlCmd::Drop(color) => {
+                self.frozen.remove(&color);
+                self.dropped.insert(color);
+                // Terminal for subscribers: the color will never commit
+                // another record anywhere.
+                self.subs.redirect_color(ep, color, RejectReason::Dropped);
+            }
+            CtrlCmd::Discard(color) => {
+                // Roll-back of a partial import: wipe the color's committed
+                // records (idempotent — a repeat discard finds nothing).
+                let _ = self.storage.discard_color(color);
+                self.frozen.remove(&color);
+                // Cursors adopted from an aborted migration go back through
+                // topology re-resolution (the source was unfrozen).
+                self.subs.redirect_color(ep, color, RejectReason::ColorMoved);
+            }
+            // A color mid-migration is off limits: its span is being
+            // exported or discarded and the tiering tick will retry after
+            // cutover. Ack without acting so the round completes.
+            CtrlCmd::Archive { color, .. }
+                if self.frozen.contains(&color) || self.moved.contains(&color) => {}
+            CtrlCmd::Archive { color, max_records, demote: true, .. } => {
+                let _ = self.storage.demote_color(color, max_records);
+            }
+            CtrlCmd::Archive { color, keep_tail, max_records, demote: false } => {
+                if self.storage.archive_prefix(color, keep_tail, max_records).unwrap_or(0) > 0 {
+                    trace(Stage::Archive, color);
                 }
-                let mut imported = 0u64;
-                if cold {
-                    imported = self.storage.import_cold(color, &records).unwrap_or(0);
+            }
+            CtrlCmd::Import { color, head, records, cold, cursors } => {
+                let imported = if cold {
+                    self.storage.import_cold(color, &records).unwrap_or(0)
                 } else {
-                    for (token, sn, payload) in records {
-                        if self.storage.import(color, sn, token, &payload).unwrap_or(false) {
-                            imported += 1;
-                        }
-                    }
-                }
+                    let fresh = |(token, sn, payload): &(Token, SeqNum, Payload)| {
+                        self.storage.import(color, *sn, *token, payload).unwrap_or(false)
+                    };
+                    records.iter().filter(|r| fresh(r)).count() as u64
+                };
                 if let Some(h) = head {
                     let _ = self.storage.install_head(color, h);
                 }
-                self.config.storage.obs.trace_event(
-                    CTRL_TOKEN,
-                    Stage::MigrateCopy,
-                    ep.id().0,
-                    color.0 as u64,
-                );
+                trace(Stage::MigrateCopy, color);
                 // Subscription cursors ride the final hot sliver. Only the
                 // shard's delegate adopts them — every destination replica
                 // receives the import, and N replicas each pushing to the
@@ -703,97 +730,20 @@ impl ReplicaNode {
                     self.subs
                         .adopt_cursors(ep, &self.storage, &self.recent_tokens, color, &cursors);
                 }
-                let _ = ep.send(from, DataMsg::ImportAck { req, imported }.into());
+                return imported;
             }
-            DataMsg::AdoptColor { color, gen, req } => {
-                if self.ctrl_stale(ep, from, gen, req) {
-                    return true;
-                }
-                self.frozen.remove(&color);
-                self.moved.remove(&color);
-                self.dropped.remove(&color);
-                let _ = ep.send(from, DataMsg::CtrlAck { req }.into());
-            }
-            DataMsg::CutoverColor { color, gen, req } => {
-                if self.ctrl_stale(ep, from, gen, req) {
-                    return true;
-                }
-                self.frozen.remove(&color);
-                self.moved.insert(color);
-                // Never strand a subscriber on the old shard: its cursor
-                // already rode the final ImportSpan to the destination;
-                // the redirect tells it to re-resolve the topology too.
-                self.subs.redirect_color(ep, color, RejectReason::ColorMoved);
-                self.config.storage.obs.trace_event(
-                    CTRL_TOKEN,
-                    Stage::MigrateCutover,
-                    ep.id().0,
-                    color.0 as u64,
-                );
-                let _ = ep.send(from, DataMsg::CtrlAck { req }.into());
-            }
-            DataMsg::DropColor { color, gen, req } => {
-                if self.ctrl_stale(ep, from, gen, req) {
-                    return true;
-                }
-                self.frozen.remove(&color);
-                self.dropped.insert(color);
-                // Terminal for subscribers: the color will never commit
-                // another record anywhere.
-                self.subs.redirect_color(ep, color, RejectReason::Dropped);
-                let _ = ep.send(from, DataMsg::CtrlAck { req }.into());
-            }
-            DataMsg::DiscardColor { color, gen, req } => {
-                if self.ctrl_stale(ep, from, gen, req) {
-                    return true;
-                }
-                // Roll-back of a partial import: wipe the color's committed
-                // records (idempotent — a repeat discard finds nothing).
-                let _ = self.storage.discard_color(color);
-                self.frozen.remove(&color);
-                // Cursors adopted from an aborted migration go back through
-                // topology re-resolution (the source was unfrozen).
-                self.subs.redirect_color(ep, color, RejectReason::ColorMoved);
-                let _ = ep.send(from, DataMsg::CtrlAck { req }.into());
-            }
-            DataMsg::ControllerHello { gen, req } => {
-                if self.ctrl_stale(ep, from, gen, req) {
-                    return true;
-                }
-                let _ = ep.send(from, DataMsg::CtrlAck { req }.into());
-            }
-            DataMsg::ReadResp { .. } | DataMsg::SubscribeResp { .. } | DataMsg::TrimAck { .. }
-            | DataMsg::MultiAck { .. } | DataMsg::CtrlAck { .. } | DataMsg::CtrlColorInfo { .. }
-            | DataMsg::SpanRecords { .. } | DataMsg::ImportAck { .. }
-            | DataMsg::SpanDigestResp { .. } | DataMsg::Rejected { .. }
-            | DataMsg::CtrlNack { .. } | DataMsg::SubPushBatch { .. }
-            | DataMsg::SubRedirect { .. } => {
-                // Client-side messages; a replica can ignore strays.
-            }
-            DataMsg::Shutdown => return false,
         }
-        true
+        0
     }
 
     fn handle_order(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: OrderMsg) {
         match msg {
-            OrderMsg::OResp { token, last_sn } => {
-                if matches!(self.mode, Mode::Syncing(_)) {
-                    // Sequencer messages pause during the sync-phase.
-                    self.deferred
-                        .push_back((from, Deferred::Order(OrderMsg::OResp { token, last_sn })));
-                    return;
-                }
-                self.apply_oresp(ep, token, last_sn);
+            // Sequencer messages pause during the sync-phase.
+            m @ (OrderMsg::OResp { .. } | OrderMsg::ORespBatch { .. }) if self.syncing() => {
+                self.deferred.push_back((from, ClusterMsg::Order(m)));
             }
-            OrderMsg::ORespBatch { resps } => {
-                if matches!(self.mode, Mode::Syncing(_)) {
-                    self.deferred
-                        .push_back((from, Deferred::Order(OrderMsg::ORespBatch { resps })));
-                    return;
-                }
-                self.apply_oresp_batch(ep, &resps);
-            }
+            OrderMsg::OResp { token, last_sn } => self.apply_oresp(ep, token, last_sn),
+            OrderMsg::ORespBatch { resps } => self.apply_oresp_batch(ep, &resps),
             OrderMsg::InitSequencer { role, epoch } => {
                 if role != self.config.leaf_role {
                     return;
@@ -828,7 +778,7 @@ impl ReplicaNode {
             // reconfiguration fence — a late retransmit of a pre-migration
             // append still deserves its ack (post-cutover, the imported
             // token map answers the same way at the destination).
-            let _ = ep.send(reply_to, DataMsg::AppendAck { token, last_sn: sn }.into());
+            let _ = ep.send(reply_to, AppendMsg::AppendAck { token, last_sn: sn }.into());
             return;
         }
         if let Some(reason) = self.fence_reason(color) {
@@ -839,7 +789,7 @@ impl ReplicaNode {
                 self.reply_tos.entry(token).or_default().insert(reply_to);
                 return;
             }
-            let _ = ep.send(reply_to, DataMsg::Rejected { token, reason }.into());
+            let _ = ep.send(reply_to, AppendMsg::Rejected { token, reason }.into());
             return;
         }
         self.reply_tos.entry(token).or_default().insert(reply_to);
@@ -966,11 +916,11 @@ impl ReplicaNode {
         for (token, last_sn) in committed {
             if let Some(reply_tos) = self.reply_tos.remove(&token) {
                 for r in reply_tos {
-                    let _ = ep.send(r, DataMsg::AppendAck { token, last_sn }.into());
+                    let _ = ep.send(r, AppendMsg::AppendAck { token, last_sn }.into());
                 }
             }
         }
-        self.release_held_reads(ep);
+        self.held_reads.release(ep, &self.storage);
         if !self.subs.is_empty() {
             // A commit below some subscriber's push frontier is a hole that
             // just filled (its OResp outlived the barrier window): deliver
@@ -1009,63 +959,15 @@ impl ReplicaNode {
             .pump(ep, &self.storage, &self.recent_tokens, barrier);
     }
 
-    fn handle_read(
-        &mut self,
-        ep: &Endpoint<ClusterMsg>,
-        from: NodeId,
-        color: ColorId,
-        sn: SeqNum,
-        req: u64,
-    ) {
-        if let Some(value) = self.storage.get(color, sn) {
-            let _ = ep.send(from, DataMsg::ReadResp { req, value: Some(value) }.into());
-            return;
-        }
-        let max_seen = self.storage.tail(color).unwrap_or(SeqNum::ZERO);
-        if sn > max_seen {
-            // Possibly an in-flight append: hold the read for a bounded time
-            // instead of answering ⊥ (§6.3 "Safety", problem 2).
-            self.held_reads.push(HeldRead {
-                from,
-                req,
-                color,
-                sn,
-                deadline: Instant::now() + self.config.read_hold,
-            });
-        } else {
-            // A hole (or trimmed/not on this shard): answer ⊥ immediately.
-            let _ = ep.send(from, DataMsg::ReadResp { req, value: None }.into());
-        }
-    }
-
-    fn release_held_reads(&mut self, ep: &Endpoint<ClusterMsg>) {
-        let storage = &self.storage;
-        let mut still_held = Vec::new();
-        for h in self.held_reads.drain(..) {
-            if let Some(value) = storage.get(h.color, h.sn) {
-                let _ = ep.send(h.from, DataMsg::ReadResp { req: h.req, value: Some(value) }.into());
-            } else if storage.tail(h.color).unwrap_or(SeqNum::ZERO) >= h.sn {
-                // A bigger SN arrived: the requested SN is a hole here.
-                let _ = ep.send(h.from, DataMsg::ReadResp { req: h.req, value: None }.into());
-            } else {
-                still_held.push(h);
-            }
-        }
-        self.held_reads = still_held;
-    }
-
+    /// Answers the caller once our own `Trim` has arrived and every peer
+    /// has acked (third round of §6.2).
     fn maybe_finish_trim(&mut self, ep: &Endpoint<ClusterMsg>, req: u64) {
-        let finished = {
-            let Some(t) = self.trims.get(&req) else { return };
-            // Our own Trim must have arrived (caller known ≠ placeholder is
-            // encoded by up_to > ZERO or empty-peers case) and all peers
-            // must have acked.
-            t.up_to > SeqNum::ZERO && t.peer_acks.len() >= self.config.peers.len()
-        };
-        if finished {
-            let t = self.trims.remove(&req).expect("checked above");
-            let (head, tail) = (self.storage.head(t.color), self.storage.tail(t.color));
-            let _ = ep.send(t.caller, DataMsg::TrimAck { req: t.req, head, tail }.into());
+        let Some(t) = self.trims.get(&req) else { return };
+        let Some((color, caller)) = t.local else { return };
+        if t.peer_acks.len() >= self.config.peers.len() {
+            self.trims.remove(&req);
+            let (head, tail) = (self.storage.head(color), self.storage.tail(color));
+            let _ = ep.send(caller, ReadMsg::TrimAck { req, head, tail }.into());
         }
     }
 
@@ -1082,7 +984,7 @@ impl ReplicaNode {
         // special color (Algorithm 2, line 12).
         let sets: Vec<(Token, Payload)> = self
             .storage
-            .scan_with_tokens(ColorId::MASTER, SeqNum::ZERO)
+            .fetch(ColorId::MASTER, &FetchSelect::Above { sn: SeqNum::ZERO, limit: u64::MAX })
             .into_iter()
             .filter(|(token, _, payload)| {
                 token.fid() == fid
@@ -1111,7 +1013,7 @@ impl ReplicaNode {
             };
             let _ = ep.broadcast(
                 &shard.replicas,
-                DataMsg::Append {
+                AppendMsg::Append {
                     color: target_color,
                     token: sub_token,
                     payloads,
@@ -1124,19 +1026,13 @@ impl ReplicaNode {
                 .insert(sub_token, shard.replicas.iter().copied().collect());
         }
         if pending.waiting.is_empty() {
-            let _ = ep.send(reply_to, DataMsg::MultiAck { req }.into());
+            let _ = ep.send(reply_to, AppendMsg::MultiAck { req }.into());
         } else {
             self.multi.push(pending);
         }
     }
 
-    fn note_multi_ack(
-        &mut self,
-        ep: &Endpoint<ClusterMsg>,
-        from: NodeId,
-        token: Token,
-        _sn: SeqNum,
-    ) {
+    fn note_multi_ack(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, token: Token) {
         let mut finished = Vec::new();
         for (i, m) in self.multi.iter_mut().enumerate() {
             if let Some(waiting) = m.waiting.get_mut(&token) {
@@ -1152,7 +1048,7 @@ impl ReplicaNode {
         }
         for i in finished.into_iter().rev() {
             let m = self.multi.remove(i);
-            let _ = ep.send(m.reply_to, DataMsg::MultiAck { req: m.req }.into());
+            let _ = ep.send(m.reply_to, AppendMsg::MultiAck { req: m.req }.into());
         }
     }
 
@@ -1173,7 +1069,7 @@ impl ReplicaNode {
             Mode::Syncing(s) => s.round.max(self.new_round(ep)),
             Mode::Operational => self.new_round(ep),
         };
-        let _ = ep.broadcast(&self.config.peers, DataMsg::SyncRequest { round }.into());
+        let _ = ep.broadcast(&self.config.peers, SyncMsg::SyncRequest { round }.into());
         self.join_sync(ep, round, init);
     }
 
@@ -1206,7 +1102,7 @@ impl ReplicaNode {
         }));
         let _ = ep.broadcast(
             &self.config.peers,
-            DataMsg::SyncState {
+            SyncMsg::SyncState {
                 round,
                 epoch: self.known_epoch,
                 tails: self.my_tails(),
@@ -1258,56 +1154,36 @@ impl ReplicaNode {
 
     /// Once states from the whole shard are in, fetch what we miss.
     fn advance_sync(&mut self, ep: &Endpoint<ClusterMsg>) {
-        let (fetches, ready) = {
-            let Mode::Syncing(ref mut s) = self.mode else { return };
-            if s.self_done {
-                return;
-            }
-            if s.states.len() < self.config.peers.len() + 1 {
-                return; // waiting for more states
-            }
-            if !s.fetching.is_empty() {
-                return; // fetches already in flight
-            }
-            // For every color: find the most up-to-date holder.
-            let my = s.states.get(&ep.id()).cloned().unwrap_or_default();
-            let my_map: HashMap<ColorId, (SeqNum, u64)> =
-                my.into_iter().map(|(c, t, n)| (c, (t, n))).collect();
-            let mut fetches: Vec<(NodeId, ColorId, SeqNum)> = Vec::new();
-            let mut best: HashMap<ColorId, (SeqNum, u64, NodeId)> = HashMap::new();
-            for (&node, tails) in s.states.iter() {
-                for &(color, tail, count) in tails {
-                    let e = best.entry(color).or_insert((tail, count, node));
-                    if (tail, count) > (e.0, e.1) {
-                        *e = (tail, count, node);
-                    }
+        let Mode::Syncing(ref mut s) = self.mode else { return };
+        if s.self_done
+            || s.states.len() < self.config.peers.len() + 1 // waiting for more states
+            || !s.fetching.is_empty() // fetches already in flight
+        {
+            return;
+        }
+        // For every color: find the most up-to-date holder.
+        let mut best: HashMap<ColorId, (SeqNum, u64, NodeId)> = HashMap::new();
+        for (&node, tails) in s.states.iter() {
+            for &(color, tail, count) in tails {
+                let e = best.entry(color).or_insert((tail, count, node));
+                if (tail, count) > (e.0, e.1) {
+                    *e = (tail, count, node);
                 }
             }
-            for (color, (tail, _count, holder)) in best {
-                if holder == ep.id() || s.fetched.contains(&color) {
-                    continue;
-                }
-                let (my_tail, _my_count) = my_map
-                    .get(&color)
-                    .copied()
-                    .unwrap_or((SeqNum::ZERO, 0));
-                if tail > my_tail {
-                    // Fetch everything above our tail from the holder.
-                    fetches.push((holder, color, my_tail));
-                    s.fetching.insert(color);
-                }
+        }
+        for (color, (tail, _count, holder)) in best {
+            if holder == ep.id() || s.fetched.contains(&color) {
+                continue;
             }
-            let round = s.round;
-            for &(holder, color, from) in &fetches {
-                let _ = ep.send(
-                    holder,
-                    DataMsg::SyncFetch { round, color, from }.into(),
-                );
+            let my_tail = self.storage.tail(color).unwrap_or(SeqNum::ZERO);
+            if tail > my_tail {
+                // Fetch everything above our tail from the holder.
+                s.fetching.insert(color);
+                let select = FetchSelect::Above { sn: my_tail, limit: u64::MAX };
+                let _ = ep.send(holder, SyncMsg::Fetch { req: s.round, color, select }.into());
             }
-            (fetches.len(), s.fetching.is_empty())
-        };
-        let _ = fetches;
-        if ready {
+        }
+        if s.fetching.is_empty() {
             self.finish_fetch(ep);
         }
     }
@@ -1321,7 +1197,7 @@ impl ReplicaNode {
             s.self_done = true;
             s.round
         };
-        let _ = ep.broadcast(&self.config.peers, DataMsg::SyncDone { round }.into());
+        let _ = ep.broadcast(&self.config.peers, SyncMsg::SyncDone { round }.into());
         self.maybe_finish_sync(ep);
     }
 
@@ -1358,16 +1234,16 @@ impl ReplicaNode {
         // Re-issue order requests for staged-but-uncommitted tokens.
         self.reissue_staged_oreqs(ep);
         // Drain deferred appends/OResps in arrival order.
-        let deferred: Vec<(NodeId, Deferred)> = self.deferred.drain(..).collect();
-        for (from, d) in deferred {
-            match d {
-                Deferred::Data(m) => {
+        let deferred: Vec<(NodeId, ClusterMsg)> = self.deferred.drain(..).collect();
+        for (from, m) in deferred {
+            match m {
+                ClusterMsg::Data(m) => {
                     let _ = self.handle_data(ep, from, m);
                 }
-                Deferred::Order(m) => self.handle_order(ep, from, m),
+                ClusterMsg::Order(m) => self.handle_order(ep, from, m),
             }
         }
-        self.release_held_reads(ep);
+        self.held_reads.release(ep, &self.storage);
         // Sync may have installed records (possibly below push frontiers —
         // those were never pushed from here and re-attachment covers them);
         // push whatever the frontier can now advance over.
@@ -1384,17 +1260,8 @@ impl ReplicaNode {
     // ----- periodic work ---------------------------------------------------
 
     fn tick(&mut self, ep: &Endpoint<ClusterMsg>) {
-        // Expire held reads.
         let now = Instant::now();
-        let mut still = Vec::new();
-        for h in self.held_reads.drain(..) {
-            if now >= h.deadline {
-                let _ = ep.send(h.from, DataMsg::ReadResp { req: h.req, value: None }.into());
-            } else {
-                still.push(h);
-            }
-        }
-        self.held_reads = still;
+        self.held_reads.expire(ep, now);
 
         match &self.mode {
             Mode::Operational => {

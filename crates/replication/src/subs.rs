@@ -1,8 +1,8 @@
 //! Server-side subscription groups: standing per-color tail cursors.
 //!
-//! A subscriber registers once ([`DataMsg::SubscribeFrom`]) and the serving
+//! A subscriber registers once ([`SubMsg::SubscribeFrom`]) and the serving
 //! replica — quorum or read-only — pushes committed spans to it in batched
-//! [`DataMsg::SubPushBatch`] messages as they land, instead of the
+//! [`SubMsg::SubPushBatch`] messages as they land, instead of the
 //! subscriber polling. The table is shared by [`crate::ReplicaNode`] and
 //! [`crate::ReadReplicaNode`]:
 //!
@@ -21,7 +21,7 @@
 //!   is safe, losing it is not.
 //! * **Liveness.** An idle subscription gets an empty heartbeat batch;
 //!   subscribers re-attach elsewhere when heartbeats stop (crash) or a
-//!   [`DataMsg::SubRedirect`] arrives (cutover / drop).
+//!   [`SubMsg::SubRedirect`] arrives (cutover / drop).
 
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
@@ -31,7 +31,7 @@ use flexlog_simnet::{Endpoint, NodeId};
 use flexlog_storage::StorageServer;
 use flexlog_types::{ColorId, CommittedRecord, SeqNum, Token};
 
-use crate::msg::{ClusterMsg, DataMsg, RejectReason, SubCursor};
+use crate::msg::{ClusterMsg, RejectReason, SubCursor, SubMsg};
 
 /// Cap on records per push pump per color: bounds the time one pump steals
 /// from the serving replica's event loop. A subscriber further behind
@@ -158,7 +158,7 @@ impl SubTable {
                 s.last_sent = Instant::now();
                 let _ = ep.send(
                     target,
-                    DataMsg::SubPushBatch {
+                    SubMsg::SubPushBatch {
                         sub,
                         color,
                         records: Vec::new(),
@@ -245,7 +245,7 @@ impl SubTable {
                 self.redirects.inc();
                 let _ = ep.send(
                     s.target,
-                    DataMsg::SubRedirect {
+                    SubMsg::SubRedirect {
                         sub: id,
                         color,
                         reason,
@@ -296,7 +296,7 @@ impl SubTable {
         for (target, sub, color) in beats {
             let _ = ep.send(
                 target,
-                DataMsg::SubPushBatch {
+                SubMsg::SubPushBatch {
                     sub,
                     color,
                     records: Vec::new(),
@@ -380,7 +380,7 @@ impl SubTable {
             pushed = true;
             let _ = ep.send(
                 s.target,
-                DataMsg::SubPushBatch {
+                SubMsg::SubPushBatch {
                     sub: id,
                     color,
                     records: slice,
@@ -437,7 +437,7 @@ impl SubTable {
                 .record(token, Stage::SubPush, ep.id().0, color.0 as u64);
             let _ = ep.send(
                 s.target,
-                DataMsg::SubPushBatch {
+                SubMsg::SubPushBatch {
                     sub: id,
                     color,
                     records: vec![record.clone()],

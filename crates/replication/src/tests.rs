@@ -202,6 +202,29 @@ fn trim_erases_prefix_across_shards() {
 }
 
 #[test]
+fn noop_trim_at_zero_completes_on_a_replicated_shard() {
+    // A trim at SN 0 deletes nothing, but it is a legal request and the
+    // three-round protocol must still answer it: a replica has to tell
+    // "my own Trim has not arrived yet" from "it arrived and cut at 0".
+    let mut c = cluster(1, 3, 0);
+    let mut cl = c.client();
+    let sns: Vec<SeqNum> = (0..4u32)
+        .map(|i| cl.append(RED, &[p(format!("t{i}"))]).unwrap())
+        .collect();
+    let started = std::time::Instant::now();
+    let (_, tail) = cl.trim(RED, SeqNum::ZERO).unwrap();
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "a no-op trim must not burn the client deadline: {:?}",
+        started.elapsed()
+    );
+    assert_eq!(tail, sns.last().copied());
+    let log: Vec<SeqNum> = cl.subscribe(RED).unwrap().iter().map(|r| r.sn).collect();
+    assert_eq!(log, sns, "nothing was trimmed");
+    c.shutdown();
+}
+
+#[test]
 fn multi_append_commits_to_all_colors() {
     let mut c = cluster(2, 2, 0);
     let mut cl = c.client();
@@ -418,7 +441,7 @@ fn held_read_released_by_inflight_append() {
     // max-seen must be *held* (not answered ⊥) while the append carrying
     // that SN is still in flight, and answered with the record once it
     // commits.
-    use crate::msg::DataMsg;
+    use crate::msg::{DataMsg, ReadMsg};
     use flexlog_simnet::NodeId;
 
     let mut c = cluster(1, 3, 0);
@@ -431,7 +454,7 @@ fn held_read_released_by_inflight_append() {
     probe
         .send(
             replica,
-            DataMsg::Read {
+            ReadMsg::Read {
                 color: RED,
                 sn: SeqNum::new(sn1.epoch(), sn1.counter() + 1),
                 req: 4242,
@@ -448,7 +471,7 @@ fn held_read_released_by_inflight_append() {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         match probe.recv_timeout(Duration::from_millis(200)) {
-            Ok((_, ClusterMsg::Data(DataMsg::ReadResp { req: 4242, value }))) => {
+            Ok((_, ClusterMsg::Data(DataMsg::Read(ReadMsg::ReadResp { req: 4242, value })))) => {
                 assert_eq!(
                     value.as_deref(),
                     Some(b"second".as_slice()),
@@ -469,7 +492,7 @@ fn held_read_released_by_inflight_append() {
 fn held_read_times_out_to_bottom() {
     // The same hold expires to ⊥ when no append arrives — the paper's
     // bounded hold (the client then retries elsewhere).
-    use crate::msg::DataMsg;
+    use crate::msg::{DataMsg, ReadMsg};
     use flexlog_simnet::NodeId;
 
     let mut c = cluster(1, 3, 0);
@@ -481,7 +504,7 @@ fn held_read_times_out_to_bottom() {
     probe
         .send(
             replica,
-            DataMsg::Read {
+            ReadMsg::Read {
                 color: RED,
                 sn: SeqNum::new(sn1.epoch(), sn1.counter() + 5),
                 req: 4343,
@@ -492,7 +515,7 @@ fn held_read_times_out_to_bottom() {
     let started = std::time::Instant::now();
     let (_, msg) = probe.recv_timeout(Duration::from_secs(5)).unwrap();
     match msg {
-        ClusterMsg::Data(DataMsg::ReadResp { req: 4343, value }) => {
+        ClusterMsg::Data(DataMsg::Read(ReadMsg::ReadResp { req: 4343, value })) => {
             assert_eq!(value, None, "expired hold answers ⊥");
             // It must actually have been held for (about) the window.
             assert!(

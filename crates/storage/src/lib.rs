@@ -24,4 +24,4 @@ mod cache;
 mod server;
 
 pub use cache::{CacheStats, LruCache};
-pub use server::{StorageConfig, StorageServer, StorageStats, TierConfig, TierHit};
+pub use server::{FetchSelect, StorageConfig, StorageServer, StorageStats, TierConfig, TierHit};

@@ -100,6 +100,19 @@ fn ssd_block_id(color: ColorId, sn: SeqNum) -> u128 {
     ((color.0 as u128) << 64) | sn.0 as u128
 }
 
+/// Records moved per watermark spill round.
+const SPILL_BATCH: usize = 64;
+
+/// Which committed records of a color [`StorageServer::fetch`] returns.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FetchSelect {
+    /// Records strictly above `sn`, oldest first, at most `limit`
+    /// (`u64::MAX` = unbounded) — the caller resumes above the last one.
+    Above { sn: SeqNum, limit: u64 },
+    /// Exactly these SNs; ones not held here are skipped.
+    Exact(Vec<SeqNum>),
+}
+
 /// Which tier served a read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TierHit {
@@ -143,8 +156,6 @@ pub struct StorageConfig {
     pub cache_capacity: usize,
     /// Live PM bytes beyond which the oldest records spill to SSD.
     pub pm_watermark: usize,
-    /// Number of records moved per spill round.
-    pub spill_batch: usize,
     /// Latency accounting mode for all devices of this server.
     pub clock: ClockMode,
     /// Observability surface: the cluster shares one handle across all
@@ -163,7 +174,6 @@ impl Default for StorageConfig {
             pm_latency: LatencyModel::pm_bypass(),
             cache_capacity: 1 << 20,
             pm_watermark: 4 << 20,
-            spill_batch: 64,
             clock: ClockMode::Off,
             obs: ObsHandle::default(),
             tier: None,
@@ -178,7 +188,6 @@ impl StorageConfig {
             pm_capacity: 256 << 10,
             cache_capacity: 4 << 10,
             pm_watermark: 32 << 10,
-            spill_batch: 8,
             ..Default::default()
         }
     }
@@ -939,47 +948,53 @@ impl StorageServer {
         Ok(out)
     }
 
-    /// Like [`StorageServer::scan`] but including each record's append
-    /// token — used by the sync-phase (§6.3) so idempotence survives
-    /// recovery, and by the multi-color append protocol to find a
-    /// function's staged sets.
-    pub fn scan_with_tokens(&self, color: ColorId, from: SeqNum) -> Vec<(Token, SeqNum, Payload)> {
-        self.scan_with_tokens_capped(color, from, usize::MAX)
-    }
-
-    /// Like [`StorageServer::scan_with_tokens`] but returns at most `cap`
-    /// records (in SN order, so the caller can resume above the last one).
-    /// Bounds the work done per call: a full-span scan runs inside the
-    /// replica's single-threaded event loop and blocks appends for its
-    /// duration, so migration catch-up exports ship the span in chunks.
-    pub fn scan_with_tokens_capped(
-        &self,
-        color: ColorId,
-        from: SeqNum,
-        cap: usize,
-    ) -> Vec<(Token, SeqNum, Payload)> {
-        let sns: Vec<(SeqNum, bool)> = {
+    /// The committed records of `color` picked by `select`, in SN order,
+    /// each with its append token — the one token-carrying reader behind
+    /// every state transfer (§6.3 sync, read-replica follow, migration
+    /// copy) and the multi-color append's search for a function's staged
+    /// sets. Reads PM/SSD directly: bulk copies must not churn the DRAM
+    /// cache. An `Above` scan runs inside the replica's single-threaded
+    /// event loop and blocks appends for its duration, hence the `limit`.
+    pub fn fetch(&self, color: ColorId, select: &FetchSelect) -> Vec<(Token, SeqNum, Payload)> {
+        let placed: Vec<(SeqNum, bool)> = {
             let stripe = self.stripe_of(color).lock();
-            match stripe.committed.get(&color) {
-                Some(m) => m
-                    .range((std::ops::Bound::Excluded(from), std::ops::Bound::Unbounded))
-                    .take(cap)
+            let Some(m) = stripe.committed.get(&color) else {
+                return Vec::new();
+            };
+            match select {
+                FetchSelect::Above { sn, limit } => m
+                    .range((std::ops::Bound::Excluded(*sn), std::ops::Bound::Unbounded))
+                    .take(usize::try_from(*limit).unwrap_or(usize::MAX))
                     .map(|(&sn, &on_ssd)| (sn, on_ssd))
                     .collect(),
-                None => return Vec::new(),
+                FetchSelect::Exact(sns) => sns
+                    .iter()
+                    .filter_map(|sn| m.get(sn).map(|&on_ssd| (*sn, on_ssd)))
+                    .collect(),
             }
         };
-        sns.into_iter()
+        placed
+            .into_iter()
             .filter_map(|(sn, on_ssd)| {
-                let raw = if on_ssd {
-                    self.ssd.read_block(ssd_block_id(color, sn)).ok()
-                } else {
-                    self.pool.get(committed_key(color, sn))
-                }?;
+                let raw = self.raw_record(color, sn, on_ssd)?;
                 let token = Token(u64::from_le_bytes(raw[..8].try_into().unwrap()));
                 Some((token, sn, Payload::from(raw[8..].to_vec())))
             })
             .collect()
+    }
+
+    /// The stored bytes (token ‖ payload) of a committed record. Probes the
+    /// tier the index named first but falls back to the other: a
+    /// concurrent spill may move the record between the index lookup and
+    /// this read.
+    fn raw_record(&self, color: ColorId, sn: SeqNum, on_ssd: bool) -> Option<Vec<u8>> {
+        let pm = || self.pool.get(committed_key(color, sn));
+        let ssd = || self.ssd.read_block(ssd_block_id(color, sn)).ok();
+        if on_ssd {
+            ssd().or_else(pm)
+        } else {
+            pm().or_else(ssd)
+        }
     }
 
     /// Directly installs a committed record fetched from a peer during the
@@ -1092,38 +1107,6 @@ impl StorageServer {
                 .collect(),
             None => Vec::new(),
         }
-    }
-
-    /// Reads exactly the requested records of `color`, with tokens —
-    /// the digest-diff fetch of a migration's freeze window. SNs not held
-    /// here are silently skipped (the caller diffs against our digest, so
-    /// a miss means a concurrent trim).
-    pub fn fetch_with_tokens(
-        &self,
-        color: ColorId,
-        sns: &[SeqNum],
-    ) -> Vec<(Token, SeqNum, Payload)> {
-        let placed: Vec<(SeqNum, bool)> = {
-            let stripe = self.stripe_of(color).lock();
-            let Some(m) = stripe.committed.get(&color) else {
-                return Vec::new();
-            };
-            sns.iter()
-                .filter_map(|sn| m.get(sn).map(|&on_ssd| (*sn, on_ssd)))
-                .collect()
-        };
-        placed
-            .into_iter()
-            .filter_map(|(sn, on_ssd)| {
-                let raw = if on_ssd {
-                    self.ssd.read_block(ssd_block_id(color, sn)).ok()
-                } else {
-                    self.pool.get(committed_key(color, sn))
-                }?;
-                let token = Token(u64::from_le_bytes(raw[..8].try_into().unwrap()));
-                Some((token, sn, Payload::from(raw[8..].to_vec())))
-            })
-            .collect()
     }
 
     /// Trims every record of `color` with `sn <= up_to` and durably
@@ -1308,19 +1291,7 @@ impl StorageServer {
         for group in candidates.chunks(tier.segment_records.max(1)) {
             let mut records = Vec::with_capacity(group.len());
             for &(sn, on_ssd) in group {
-                // Probe the expected tier first but fall back to the other:
-                // a concurrent spill may move the record mid-round.
-                let raw = if on_ssd {
-                    self.ssd
-                        .read_block(ssd_block_id(color, sn))
-                        .ok()
-                        .or_else(|| self.pool.get(committed_key(color, sn)))
-                } else {
-                    self.pool
-                        .get(committed_key(color, sn))
-                        .or_else(|| self.ssd.read_block(ssd_block_id(color, sn)).ok())
-                };
-                let Some(raw) = raw else { continue };
+                let Some(raw) = self.raw_record(color, sn, on_ssd) else { continue };
                 records.push(CommittedRecord {
                     sn,
                     payload: Payload::from(raw[8..].to_vec()),
@@ -1587,30 +1558,29 @@ impl StorageServer {
 
     /// Spills the oldest committed PM-resident records to SSD when live PM
     /// bytes exceed the watermark ("a contiguous portion from the start of
-    /// the log is flushed to SSD and removed from PM", §5.2).
+    /// the log is flushed to SSD and removed from PM", §5.2). The safety
+    /// back-stop under the tiering policy's `demote` action: it walks the
+    /// colors and demotes their oldest PM-resident records, a batch at a
+    /// time.
     fn maybe_spill(&self) -> Result<(), StorageError> {
         if self.pm_live_bytes.load(Ordering::Relaxed) <= self.config.pm_watermark {
             return Ok(());
         }
         let _gate = self.spill_gate.lock();
-        loop {
-            if self.pm_live_bytes.load(Ordering::Relaxed) <= self.config.pm_watermark {
-                return Ok(());
-            }
-            // Oldest PM-resident records, per color from the start. One
-            // stripe lock at a time (never two).
-            let mut victims: Vec<(ColorId, SeqNum)> = Vec::with_capacity(self.config.spill_batch);
-            'outer: for stripe in self.stripes.iter() {
-                let stripe = stripe.lock();
-                for (&color, m) in stripe.committed.iter() {
-                    for (&sn, &on_ssd) in m.iter() {
-                        if !on_ssd {
-                            victims.push((color, sn));
-                            if victims.len() >= self.config.spill_batch {
-                                break 'outer;
-                            }
-                        }
-                    }
+        while self.pm_live_bytes.load(Ordering::Relaxed) > self.config.pm_watermark {
+            // One stripe lock at a time (never two).
+            let colors: Vec<ColorId> = self
+                .stripes
+                .iter()
+                .flat_map(|stripe| stripe.lock().committed.keys().copied().collect::<Vec<_>>())
+                .collect();
+            // One batch may span colors: a pass over an all-spilled color
+            // costs O(its records), so it must not end the round empty.
+            let mut victims = Vec::with_capacity(SPILL_BATCH);
+            for color in colors {
+                victims.extend(self.oldest_pm_resident(color, SPILL_BATCH - victims.len()));
+                if victims.len() == SPILL_BATCH {
+                    break;
                 }
             }
             if victims.is_empty() {
@@ -1618,6 +1588,20 @@ impl StorageServer {
             }
             self.spill_victims(&victims)?;
         }
+        Ok(())
+    }
+
+    /// The placement victim selector: up to `max` of `color`'s oldest
+    /// PM-resident records.
+    fn oldest_pm_resident(&self, color: ColorId, max: usize) -> Vec<(ColorId, SeqNum)> {
+        let stripe = self.stripe_of(color).lock();
+        stripe.committed.get(&color).map_or_else(Vec::new, |m| {
+            m.iter()
+                .filter(|&(_, &on_ssd)| !on_ssd)
+                .take(max)
+                .map(|(&sn, _)| (color, sn))
+                .collect()
+        })
     }
 
     /// The SSD-copy → fsync → PM-delete two-step moving the given
@@ -1664,18 +1648,8 @@ impl StorageServer {
     /// many records moved.
     pub fn demote_color(&self, color: ColorId, max_records: u64) -> Result<u64, StorageError> {
         let _gate = self.spill_gate.lock();
-        let victims: Vec<(ColorId, SeqNum)> = {
-            let stripe = self.stripe_of(color).lock();
-            match stripe.committed.get(&color) {
-                Some(m) => m
-                    .iter()
-                    .filter(|&(_, &on_ssd)| !on_ssd)
-                    .take(max_records.min(usize::MAX as u64) as usize)
-                    .map(|(&sn, _)| (color, sn))
-                    .collect(),
-                None => Vec::new(),
-            }
-        };
+        let victims =
+            self.oldest_pm_resident(color, usize::try_from(max_records).unwrap_or(usize::MAX));
         if victims.is_empty() {
             return Ok(0);
         }

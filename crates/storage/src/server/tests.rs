@@ -503,14 +503,42 @@ fn commit_records_storage_commit_trace_events() {
 }
 
 #[test]
-fn scan_with_tokens_returns_tokens() {
-    let s = server();
-    s.stage(tok(7), RED, &[pl(b"a"), pl(b"b")]).unwrap();
-    s.commit(tok(7), sn(2)).unwrap();
-    let recs = s.scan_with_tokens(RED, SeqNum::ZERO);
-    assert_eq!(recs.len(), 2);
-    assert_eq!(recs[0], (tok(7), sn(1), pl(b"a")));
-    assert_eq!(recs[1], (tok(7), sn(2), pl(b"b")));
+fn fetch_selects_agree_across_tiers() {
+    // Two-record batches of 1 KiB on a server that spills: the span ends up
+    // partly on SSD, partly in PM, and every select must read both.
+    let s = StorageServer::new(StorageConfig::tiny());
+    let mut want = Vec::new();
+    for i in 1..=50u32 {
+        let batch = [pl(vec![i as u8; 1024]), pl(vec![!(i as u8); 1024])];
+        s.stage(tok(i), RED, &batch).unwrap();
+        s.commit(tok(i), sn(2 * i)).unwrap();
+        let [a, b] = batch;
+        want.push((tok(i), sn(2 * i - 1), a));
+        want.push((tok(i), sn(2 * i), b));
+    }
+    let on_ssd = s.ssd_resident(RED);
+    assert!(0 < on_ssd && on_ssd < want.len(), "span must straddle PM and SSD: {on_ssd}");
+
+    let all = s.fetch(RED, &FetchSelect::Above { sn: SeqNum::ZERO, limit: u64::MAX });
+    assert_eq!(all, want, "tokens, SNs and payloads in SN order");
+
+    let mut chunked = Vec::new();
+    let mut cursor = SeqNum::ZERO;
+    loop {
+        let chunk = s.fetch(RED, &FetchSelect::Above { sn: cursor, limit: 7 });
+        let Some(last) = chunk.last() else { break };
+        assert!(chunk.len() <= 7);
+        cursor = last.1;
+        chunked.extend(chunk);
+    }
+    assert_eq!(chunked, want, "resuming above the last SN tiles the span");
+
+    let mut sns: Vec<SeqNum> = want.iter().map(|r| r.1).collect();
+    assert_eq!(s.fetch(RED, &FetchSelect::Exact(sns.clone())), want);
+    // SNs not held here are skipped, not errors.
+    sns.push(sn(1000));
+    assert_eq!(s.fetch(RED, &FetchSelect::Exact(sns)), want);
+    assert!(s.fetch(GREEN, &FetchSelect::Above { sn: SeqNum::ZERO, limit: 1 }).is_empty());
 }
 
 #[test]

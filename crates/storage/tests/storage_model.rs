@@ -40,7 +40,6 @@ fn tiny() -> StorageConfig {
         pm_capacity: 512 << 10,
         cache_capacity: 2 << 10,
         pm_watermark: 24 << 10,
-        spill_batch: 4,
         ..Default::default()
     }
 }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI gate: release build, full test suite, two bounded nemesis smoke runs
+# CI gate: release build (workspace + the out-of-workspace benchmark crate,
+# build only), full test suite, two bounded nemesis smoke runs
 # (fixed seed, ~5 s of injected faults under load — once on the instant
 # network, once over delayed links with 4 delay-scheduler shards), bench
 # smokes (datapath + elasticity, --quick, JSON shape + scaling-ratio
@@ -12,6 +13,12 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release"
 cargo build --release
+
+# The benchmark crate lives outside the workspace (its own lock file and
+# target dir), so nothing above compiles it: build it here so a public-API
+# rename under crates/ that breaks it fails CI, not the next benchmark run.
+echo "==> benchmark crate builds against the workspace crates"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q

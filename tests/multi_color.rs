@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use flexlog::core::{ClusterSpec, ColorId, FlexLogCluster};
-use flexlog::replication::{ClientConfig, DataMsg, FlexLogClient};
+use flexlog::replication::{AppendMsg, ClientConfig, FlexLogClient};
 use flexlog::simnet::NodeId;
 use flexlog::types::{FunctionId, ShardId};
 
@@ -115,7 +115,7 @@ fn duplicate_end_markers_do_not_double_commit() {
         for &r in &broker {
             ep.send(
                 r,
-                DataMsg::MultiEnd {
+                AppendMsg::MultiEnd {
                     fid: h.fid(),
                     req: (888 << 32) | req,
                     reply_to: ep.id(),

@@ -23,7 +23,6 @@ fn tiny_storage_cluster() -> FlexLogCluster {
             pm_capacity: 1 << 20,
             cache_capacity: 8 << 10,
             pm_watermark: 128 << 10,
-            spill_batch: 16,
             clock: ClockMode::Off,
             ..Default::default()
         },
