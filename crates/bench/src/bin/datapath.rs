@@ -230,27 +230,19 @@ fn run_mode(shards: usize, per_client: usize, window: usize) -> ModeResult {
         assert!(got.is_some(), "committed record missing at {sn:?}");
     }
 
-    // Aggregate storage stats across every replica.
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
-    let mut bytes_appended = 0u64;
-    let mut bytes_read = 0u64;
-    for node in cluster.data().all_replicas() {
-        if let Some(s) = cluster.data().storage_of(node) {
-            cache_hits += s.stats.cache_hits.load(Ordering::Relaxed);
-            cache_misses += s.stats.cache_misses.load(Ordering::Relaxed);
-            bytes_appended += s.stats.bytes_appended.load(Ordering::Relaxed);
-            bytes_read += s.stats.bytes_read.load(Ordering::Relaxed);
-        }
-    }
+    // Storage counters (summed over every replica) and per-stage latency
+    // percentiles, both from the shared metrics registry.
+    let snap = cluster.obs().snapshot();
+    let cache_hits = snap.counter("storage.cache_hits");
+    let cache_misses = snap.counter("storage.cache_misses");
+    let bytes_appended = snap.counter("storage.bytes_appended");
+    let bytes_read = snap.counter("storage.bytes_read");
     let cache_hit_rate = if cache_hits + cache_misses > 0 {
         cache_hits as f64 / (cache_hits + cache_misses) as f64
     } else {
         0.0
     };
 
-    // Per-stage latency percentiles from the shared metrics registry.
-    let snap = cluster.obs().snapshot();
     let breakdown = StageBreakdown {
         stages: STAGE_HISTOGRAMS
             .iter()

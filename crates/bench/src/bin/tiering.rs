@@ -33,7 +33,7 @@ use flexlog_ctrl::{ControlPlane, TieringConfig, TieringEngine};
 use flexlog_pm::{virtual_time, ClockMode, DeviceClock, LatencyModel};
 use flexlog_storage::{StorageConfig, StorageServer, TierConfig};
 use flexlog_tier::{SimObjectStore, StoreLatencyModel, TieringPolicy};
-use flexlog_types::{ColorId as Color, Epoch, FunctionId, Payload, SeqNum, ShardId, Token};
+use flexlog_types::{ColorId as Color, Epoch, FunctionId, Payload, SeqNum, Token};
 
 const COLD: Color = ColorId(1);
 const HOT: Color = ColorId(2);
@@ -225,11 +225,7 @@ fn hot_appends(with_archiver: bool, hot_appends: usize, prefill: usize) -> (f64,
         hot_appends as f64 / secs.max(1e-9)
     });
 
-    let mut archived = 0u64;
-    for node in c.data().shard_replicas(ShardId(0)) {
-        let storage = c.data().storage_of(node).unwrap();
-        archived += storage.stats.archived_records.load(Ordering::Relaxed);
-    }
+    let archived = c.obs().snapshot().counter("storage.archived_records");
     c.shutdown();
     (ops_per_s, archived)
 }

@@ -153,8 +153,9 @@ pub fn cache_size(quick: bool) -> Vec<(usize, f64, f64)> {
             }
             let ns = virtual_time::take().max(1);
             let tput = ops as f64 / (ns as f64 / 1e9);
-            let hits = server.stats.cache_hits.load(Ordering::Relaxed) as f64;
-            let reads = server.stats.reads.load(Ordering::Relaxed) as f64;
+            let snap = server.obs().snapshot();
+            let hits = snap.counter("storage.cache_hits") as f64;
+            let reads = snap.counter("storage.reads") as f64;
             (cache_bytes, tput, 100.0 * hits / reads.max(1.0))
         })
         .collect()

@@ -18,14 +18,6 @@ use std::hash::Hash;
 use flexlog_obs::Counter;
 use flexlog_types::Payload;
 
-/// Hit/miss counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-}
-
 /// A strict-LRU cache bounded by total value bytes.
 pub struct LruCache<K> {
     capacity_bytes: usize,
@@ -35,29 +27,23 @@ pub struct LruCache<K> {
     /// lru stamp → key (oldest first)
     order: BTreeMap<u64, K>,
     next_stamp: u64,
-    stats: CacheStats,
-    /// Optional registry-backed mirror of `stats.evictions`, so eviction
-    /// pressure shows up on the cluster metrics surface.
-    evictions: Option<Counter>,
+    /// Counts evictions, so eviction pressure shows up on the cluster
+    /// metrics surface (hits and misses are counted by the owning server).
+    evictions: Counter,
 }
 
 impl<K: Eq + Hash + Clone> LruCache<K> {
-    /// Creates a cache bounded to `capacity_bytes` of values.
-    pub fn new(capacity_bytes: usize) -> Self {
+    /// Creates a cache bounded to `capacity_bytes` of values, counting its
+    /// evictions into `evictions`.
+    pub fn new(capacity_bytes: usize, evictions: Counter) -> Self {
         LruCache {
             capacity_bytes,
             used_bytes: 0,
             map: HashMap::new(),
             order: BTreeMap::new(),
             next_stamp: 0,
-            stats: CacheStats::default(),
-            evictions: None,
+            evictions,
         }
-    }
-
-    /// Mirrors eviction counts into a registry counter.
-    pub fn set_eviction_counter(&mut self, counter: Counter) {
-        self.evictions = Some(counter);
     }
 
     /// Inserts (or refreshes) `key`, evicting LRU entries as needed. Values
@@ -77,10 +63,7 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
             let old_key = self.order.remove(&stamp).expect("stamp present");
             if let Some((old_val, _)) = self.map.remove(&old_key) {
                 self.used_bytes -= old_val.len();
-                self.stats.evictions += 1;
-                if let Some(c) = &self.evictions {
-                    c.inc();
-                }
+                self.evictions.inc();
             }
         }
         let stamp = self.bump();
@@ -93,19 +76,11 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
     /// clone of the cached buffer — no byte copy.
     pub fn get(&mut self, key: &K) -> Option<Payload> {
         let stamp = self.bump();
-        match self.map.get_mut(key) {
-            Some((value, old_stamp)) => {
-                self.order.remove(old_stamp);
-                self.order.insert(stamp, key.clone());
-                *old_stamp = stamp;
-                self.stats.hits += 1;
-                Some(value.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let (value, old_stamp) = self.map.get_mut(key)?;
+        self.order.remove(old_stamp);
+        self.order.insert(stamp, key.clone());
+        *old_stamp = stamp;
+        Some(value.clone())
     }
 
     /// Removes `key` if present.
@@ -138,11 +113,6 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
         self.used_bytes
     }
 
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
     fn bump(&mut self) -> u64 {
         let s = self.next_stamp;
         self.next_stamp += 1;
@@ -154,18 +124,22 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
 mod tests {
     use super::*;
 
+    fn cache<K: Eq + Hash + Clone>(capacity_bytes: usize) -> LruCache<K> {
+        LruCache::new(capacity_bytes, Counter::default())
+    }
+
     #[test]
     fn put_get_roundtrip() {
-        let mut c = LruCache::new(1024);
+        let mut c = cache(1024);
         c.put("a", b"alpha".to_vec());
         assert_eq!(c.get(&"a").unwrap(), b"alpha");
         assert_eq!(c.get(&"b"), None);
-        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
+        assert_eq!(c.evictions.get(), 0);
     }
 
     #[test]
     fn hit_shares_the_cached_buffer() {
-        let mut c = LruCache::new(1024);
+        let mut c = cache(1024);
         c.put(1, Payload::from(vec![9u8; 16]));
         let a = c.get(&1).unwrap();
         let b = c.get(&1).unwrap();
@@ -177,7 +151,7 @@ mod tests {
 
     #[test]
     fn evicts_least_recently_used() {
-        let mut c = LruCache::new(10);
+        let mut c = cache(10);
         c.put(1, vec![0; 4]);
         c.put(2, vec![0; 4]);
         // Touch 1 so 2 becomes LRU.
@@ -186,12 +160,12 @@ mod tests {
         assert!(c.get(&1).is_some());
         assert!(c.get(&2).is_none());
         assert!(c.get(&3).is_some());
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(c.evictions.get(), 1);
     }
 
     #[test]
     fn eviction_respects_byte_budget() {
-        let mut c = LruCache::new(100);
+        let mut c = cache(100);
         for i in 0..20u32 {
             c.put(i, vec![0; 30]);
         }
@@ -201,7 +175,7 @@ mod tests {
 
     #[test]
     fn oversized_value_is_not_cached() {
-        let mut c = LruCache::new(10);
+        let mut c = cache(10);
         c.put(1, vec![0; 5]);
         c.put(2, vec![0; 100]);
         assert!(c.get(&2).is_none());
@@ -210,7 +184,7 @@ mod tests {
 
     #[test]
     fn overwrite_updates_bytes() {
-        let mut c = LruCache::new(100);
+        let mut c = cache(100);
         c.put(1, vec![0; 50]);
         c.put(1, vec![0; 20]);
         assert_eq!(c.used_bytes(), 20);
@@ -219,7 +193,7 @@ mod tests {
 
     #[test]
     fn remove_and_clear() {
-        let mut c = LruCache::new(100);
+        let mut c = cache(100);
         c.put(1, vec![0; 10]);
         c.put(2, vec![0; 10]);
         c.remove(&1);
@@ -232,7 +206,7 @@ mod tests {
 
     #[test]
     fn lru_order_many_operations() {
-        let mut c = LruCache::new(5 * 8);
+        let mut c = cache(5 * 8);
         for i in 0..5u32 {
             c.put(i, vec![0; 8]);
         }

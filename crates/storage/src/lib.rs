@@ -21,7 +21,9 @@
 //! cache → PM → SSD → archive, so trimmed history stays readable.
 
 mod cache;
+mod codec;
+mod color_log;
 mod server;
 
-pub use cache::{CacheStats, LruCache};
-pub use server::{FetchSelect, StorageConfig, StorageServer, StorageStats, TierConfig, TierHit};
+pub use cache::LruCache;
+pub use server::{FetchSelect, StorageConfig, StorageServer, TierConfig, TierHit};

@@ -17,7 +17,7 @@
 //! * when live PM bytes exceed the configured watermark, the oldest
 //!   committed prefix is spilled to the SSD tier (fsync before the PM
 //!   delete, so a crash can duplicate a record across tiers but never lose
-//!   it);
+//!   it; recovery finishes the interrupted move);
 //! * with a [`TierConfig`] attached, [`StorageServer::trim`] becomes
 //!   **archive-then-drop**: the to-be-trimmed span is sealed into immutable
 //!   checksummed segments and uploaded to the shared object store *before*
@@ -32,13 +32,18 @@
 //!   tiering policy (see `flexlog-tier`) compiles into per-color
 //!   archive/demote moves executed here.
 //!
+//! The per-color bookkeeping lives in `color_log.rs` and the device layout
+//! (keys, block ids, value formats) in `codec.rs`; this file moves the
+//! bytes.
+//!
 //! # Locking
 //!
 //! The server is sharded for concurrency — there is no global mutex:
 //!
-//! * the SN index and trim heads live in [`STRIPES`] **color stripes**
-//!   (`color.0 % STRIPES`), so appends/reads/trims on different colors never
-//!   contend;
+//! * each color's committed log — SN index, trim head, PM/SSD boundary —
+//!   is one `ColorLog` (see `color_log.rs`), and the logs live in
+//!   [`STRIPES`] **color stripes** (`color.0 % STRIPES`), so
+//!   appends/reads/trims on different colors never contend;
 //! * the DRAM cache is striped by a `(color, sn)` hash — a single hot color
 //!   still spreads over all cache stripes and can use the whole DRAM budget;
 //! * the token maps (staged + committed idempotence) are a separate small
@@ -57,48 +62,31 @@
 //! pool has its own internal lock below all of these.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use flexlog_obs::{Counter, Histogram, ObsHandle, Stage};
 use flexlog_pm::{ClockMode, DeviceClock, LatencyModel, PmDevice, PmDeviceConfig, PmPool, PoolError, SsdDevice};
-use flexlog_tier::{fetch_segment, Manifest, ObjectStore, Segment};
+use flexlog_tier::{fetch_segment, Manifest, ObjectStore, Segment, SegmentMeta};
 use flexlog_types::{ColorId, CommittedRecord, Payload, SeqNum, Token};
 
-use crate::{CacheStats, LruCache};
+use crate::codec;
+use crate::color_log::{above, ColorLog, Placement};
+use crate::LruCache;
 
 /// DRAM access cost charged on a cache hit, in nanoseconds.
 const DRAM_NS: u64 = 80;
 
-/// Number of color stripes (index/heads) and cache stripes. A small power
-/// of two: enough to de-contend a many-color workload without fragmenting
-/// the DRAM budget across too many LRU instances.
+/// Number of color stripes (logs) and cache stripes. A small power of two:
+/// enough to de-contend a many-color workload without fragmenting the DRAM
+/// budget across too many LRU instances.
 pub const STRIPES: usize = 8;
-
-const TAG_COMMITTED: u128 = 1 << 120;
-const TAG_STAGED: u128 = 2 << 120;
-const TAG_HEAD: u128 = 3 << 120;
-
-fn committed_key(color: ColorId, sn: SeqNum) -> u128 {
-    TAG_COMMITTED | ((color.0 as u128) << 64) | sn.0 as u128
-}
-
-fn staged_key(token: Token) -> u128 {
-    TAG_STAGED | token.0 as u128
-}
-
-fn head_key(color: ColorId) -> u128 {
-    TAG_HEAD | color.0 as u128
-}
-
-fn ssd_block_id(color: ColorId, sn: SeqNum) -> u128 {
-    ((color.0 as u128) << 64) | sn.0 as u128
-}
 
 /// Records moved per watermark spill round.
 const SPILL_BATCH: usize = 64;
@@ -193,10 +181,10 @@ impl StorageConfig {
     }
 }
 
-/// Operation counters. Fields are registry-backed [`Counter`]s (same
-/// `load` / `fetch_add` surface as the `AtomicU64`s they replaced): each
+/// Operation counters. Fields are registry-backed [`Counter`]s: each
 /// server increments its own private atomics, and the shared registry
-/// aggregates across servers under the `storage.*` names.
+/// aggregates across servers under the `storage.*` names — which is where
+/// readers outside this crate take them from.
 #[derive(Debug, Default)]
 pub struct StorageStats {
     pub stages: Counter,
@@ -246,18 +234,6 @@ impl StorageStats {
             archive_failures: obs.counter("storage.archive_failures"),
         }
     }
-
-    /// Cache hit rate over all reads that probed the cache. 0.0 (not NaN)
-    /// when no read has happened yet.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let hits = self.cache_hits.load(Ordering::Relaxed);
-        let misses = self.cache_misses.load(Ordering::Relaxed);
-        if hits + misses == 0 {
-            0.0
-        } else {
-            hits as f64 / (hits + misses) as f64
-        }
-    }
 }
 
 /// Errors from storage operations.
@@ -292,23 +268,8 @@ impl From<PoolError> for StorageError {
     }
 }
 
-struct StagedBatch {
-    color: ColorId,
-    payloads: Vec<Payload>,
-}
-
-/// One color stripe: SN index and trim heads of the colors mapping here.
-#[derive(Default)]
-struct Stripe {
-    /// Per color: committed SNs resident in PM or SSD (true = on SSD).
-    committed: HashMap<ColorId, BTreeMap<SeqNum, bool>>,
-    /// Highest trimmed SN per color (inclusive).
-    heads: HashMap<ColorId, SeqNum>,
-    /// Per-color read counters (`storage.color_reads.<id>` in the registry):
-    /// the access-recency signal the tiering policy's `idle_ms` condition
-    /// observes.
-    reads: HashMap<ColorId, Counter>,
-}
+/// One color stripe: the logs of the colors mapping here.
+type Stripe = HashMap<ColorId, ColorLog>;
 
 /// Token maps: small, hot at stage/commit boundaries only.
 #[derive(Default)]
@@ -324,6 +285,17 @@ struct TokenIndex {
     committed_tokens: HashMap<Token, (ColorId, SeqNum)>,
 }
 
+impl TokenIndex {
+    /// Notes that `token`'s batch holds `sn`. Records of a batch arrive one
+    /// by one (recovery scan, peer imports); the map keeps the *last* SN.
+    fn note_committed(&mut self, token: Token, color: ColorId, sn: SeqNum) {
+        let e = self.committed_tokens.entry(token).or_insert((color, sn));
+        if sn > e.1 {
+            *e = (color, sn);
+        }
+    }
+}
+
 /// One DRAM-cache stripe: an LRU over `(color, SN)` keys.
 type CacheStripe = Mutex<LruCache<(ColorId, SeqNum)>>;
 
@@ -336,20 +308,21 @@ type CacheStripe = Mutex<LruCache<(ColorId, SeqNum)>>;
 /// taken to its limit — no admission at all).
 #[derive(Default)]
 struct ArchiveState {
-    manifests: HashMap<ColorId, Manifest>,
+    manifests: HashMap<ColorId, Arc<Manifest>>,
     buffer: HashMap<ColorId, Segment>,
 }
 
 /// Result of one archive round (see `StorageServer::archive_records`).
-enum ArchiveOutcome {
-    /// Every candidate record is covered by a durably acked segment;
-    /// carries the count newly uploaded this round.
-    Complete(u64),
-    /// The round stopped early on a store failure. `durable` is the
-    /// highest SN covered by durably acked segments — the only prefix a
-    /// trim may drop — or `None` when even the manifest was unreadable
-    /// (boundary unknown, drop nothing).
-    Partial { archived: u64, durable: Option<SeqNum> },
+struct ArchiveRound {
+    /// Records newly uploaded this round.
+    archived: u64,
+    /// The highest SN covered by durably acked segments — the only prefix
+    /// a trim may drop after an incomplete round — or `None` when nothing
+    /// is archived or even the manifest was unreadable (drop nothing).
+    durable: Option<SeqNum>,
+    /// Every candidate record is covered; `false` when the round stopped
+    /// early on a store failure.
+    complete: bool,
 }
 
 /// See module docs.
@@ -359,7 +332,8 @@ pub struct StorageServer {
     caches: Box<[CacheStripe]>,
     stripes: Box<[Mutex<Stripe>]>,
     tokens: Mutex<TokenIndex>,
-    /// Approximate live payload bytes resident in PM.
+    /// Bytes of staged and committed values resident in PM; every change
+    /// goes through [`StorageServer::adjust_live`].
     pm_live_bytes: AtomicUsize,
     /// Serializes spill rounds (the SSD-copy/PM-delete two-step must not
     /// interleave with itself); stripe/cache locks are taken inside.
@@ -375,6 +349,9 @@ pub struct StorageServer {
     archive: Mutex<ArchiveState>,
     clock: DeviceClock,
     config: StorageConfig,
+    /// Public only for `bench/src/experiments/fig11.rs`, which models the
+    /// busiest *single* replica of a multi-shard cluster — narrower than
+    /// the registry's cluster-wide `storage.*` sums every other reader uses.
     pub stats: StorageStats,
     /// Raw `NodeId` bits of the replica owning this server (0 until the
     /// replica attaches itself); stamps `StorageCommit` trace events.
@@ -383,36 +360,85 @@ pub struct StorageServer {
     commit_hist: Histogram,
 }
 
-fn cache_stripe_of(color: ColorId, sn: SeqNum) -> usize {
-    let mut h = DefaultHasher::new();
-    (color.0, sn.0).hash(&mut h);
-    (h.finish() as usize) % STRIPES
-}
-
 impl StorageServer {
-    fn stripe_of(&self, color: ColorId) -> &Mutex<Stripe> {
-        &self.stripes[color.0 as usize % STRIPES]
+    fn stripe(&self, color: ColorId) -> MutexGuard<'_, Stripe> {
+        self.stripes[color.0 as usize % STRIPES].lock()
+    }
+
+    /// Runs `f` on `color`'s log under its stripe lock; `None` when the
+    /// color has no log here.
+    fn log<R>(&self, color: ColorId, f: impl FnOnce(&ColorLog) -> R) -> Option<R> {
+        self.stripe(color).get(&color).map(f)
+    }
+
+    /// Like [`StorageServer::log`] for updates: the log is created on
+    /// first use.
+    fn log_mut<R>(&self, color: ColorId, f: impl FnOnce(&mut ColorLog) -> R) -> R {
+        f(self.stripe(color).entry(color).or_default())
+    }
+
+    /// The one index walk: `color`'s records inside `range`, oldest first,
+    /// at most `max`, each with its placement.
+    fn placed(
+        &self,
+        color: ColorId,
+        range: impl RangeBounds<SeqNum>,
+        max: usize,
+    ) -> Vec<(SeqNum, Placement)> {
+        self.log(color, |log| log.range(range).take(max).collect())
+            .unwrap_or_default()
     }
 
     fn cache_of(&self, color: ColorId, sn: SeqNum) -> &CacheStripe {
-        &self.caches[cache_stripe_of(color, sn)]
+        let mut h = DefaultHasher::new();
+        (color.0, sn.0).hash(&mut h);
+        &self.caches[(h.finish() as usize) % STRIPES]
     }
 
-    fn empty_shards(config: &StorageConfig) -> (Box<[CacheStripe]>, Box<[Mutex<Stripe>]>) {
-        let per_stripe = config.cache_capacity / STRIPES;
+    /// The one signed adjustment of `pm_live_bytes`. Saturating: a drifted
+    /// counter must not wrap into a permanent spill.
+    fn adjust_live(&self, delta: isize) {
+        let _ = self
+            .pm_live_bytes
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_add_signed(delta))
+            });
+    }
+
+    /// Builds a server over opened devices and the state found on them.
+    fn assemble(
+        pool: PmPool,
+        ssd: Arc<SsdDevice>,
+        config: StorageConfig,
+        logs: HashMap<ColorId, ColorLog>,
+        tokens: TokenIndex,
+        pm_live_bytes: usize,
+    ) -> Self {
+        let evictions = config.obs.counter("storage.cache_evictions");
         let caches = (0..STRIPES)
-            .map(|_| {
-                let mut cache = LruCache::new(per_stripe);
-                cache.set_eviction_counter(config.obs.counter("storage.cache_evictions"));
-                Mutex::new(cache)
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        let stripes = (0..STRIPES)
-            .map(|_| Mutex::new(Stripe::default()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        (caches, stripes)
+            .map(|_| Mutex::new(LruCache::new(config.cache_capacity / STRIPES, evictions.clone())))
+            .collect();
+        let server = StorageServer {
+            pool,
+            ssd,
+            caches,
+            stripes: (0..STRIPES).map(|_| Mutex::default()).collect(),
+            tokens: Mutex::new(tokens),
+            pm_live_bytes: AtomicUsize::new(pm_live_bytes),
+            spill_gate: Mutex::new(()),
+            archive_gate: Mutex::new(()),
+            // Manifests (re)load lazily from the store on first archive probe.
+            archive: Mutex::new(ArchiveState::default()),
+            clock: DeviceClock::new(config.clock),
+            stats: StorageStats::registered(&config.obs),
+            node: AtomicU64::new(0),
+            commit_hist: config.obs.histogram("storage.commit_ns"),
+            config,
+        };
+        for (color, log) in logs {
+            server.stripe(color).insert(color, log);
+        }
+        server
     }
 
     /// Creates a fresh server on new devices.
@@ -424,103 +450,67 @@ impl StorageServer {
             clock,
         }));
         let ssd = Arc::new(SsdDevice::new(clock));
-        let (caches, stripes) = Self::empty_shards(&config);
-        let stats = StorageStats::registered(&config.obs);
-        let commit_hist = config.obs.histogram("storage.commit_ns");
-        StorageServer {
-            pool: PmPool::create(pm),
-            ssd,
-            caches,
-            stripes,
-            tokens: Mutex::new(TokenIndex::default()),
-            pm_live_bytes: AtomicUsize::new(0),
-            spill_gate: Mutex::new(()),
-            archive_gate: Mutex::new(()),
-            archive: Mutex::new(ArchiveState::default()),
-            clock,
-            config,
-            stats,
-            node: AtomicU64::new(0),
-            commit_hist,
-        }
+        Self::assemble(PmPool::create(pm), ssd, config, HashMap::new(), TokenIndex::default(), 0)
     }
 
     /// Recovers a server from crashed devices: replays the PM pool, rebuilds
     /// all in-memory indexes, and re-discovers SSD-resident records. The
     /// DRAM cache starts cold.
     pub fn recover(pm: Arc<PmDevice>, ssd: Arc<SsdDevice>, config: StorageConfig) -> Self {
-        let clock = DeviceClock::new(config.clock);
         let pool = PmPool::open(pm);
-        let mut committed: HashMap<ColorId, BTreeMap<SeqNum, bool>> = HashMap::new();
+        let mut logs: HashMap<ColorId, ColorLog> = HashMap::new();
         let mut tokens = TokenIndex::default();
-        let mut heads: HashMap<ColorId, SeqNum> = HashMap::new();
         let mut pm_live_bytes = 0usize;
         for key in pool.keys() {
-            let tag = key & (0xFF << 120);
-            if tag == TAG_COMMITTED {
-                let color = ColorId((key >> 64) as u32);
-                let sn = SeqNum(key as u64);
-                let value = pool.get(key).expect("indexed key readable");
-                pm_live_bytes += value.len();
-                let token = Token(u64::from_le_bytes(value[..8].try_into().unwrap()));
-                committed.entry(color).or_default().insert(sn, false);
-                // The token maps to the *last* SN of its batch; keep max.
-                let e = tokens.committed_tokens.entry(token).or_insert((color, sn));
-                if sn > e.1 {
-                    *e = (color, sn);
+            let value = pool.get(key).expect("indexed key readable");
+            match key & codec::TAG_MASK {
+                codec::TAG_COMMITTED => {
+                    let (color, sn) = codec::color_sn_of(key);
+                    pm_live_bytes += value.len();
+                    logs.entry(color).or_default().insert(sn, Placement::Pm);
+                    tokens.note_committed(codec::record_token(&value), color, sn);
                 }
-            } else if tag == TAG_STAGED {
-                let token = Token(key as u64);
-                let value = pool.get(key).expect("indexed key readable");
-                pm_live_bytes += value.len();
-                let color = ColorId(u32::from_le_bytes(value[..4].try_into().unwrap()));
-                tokens.staged.insert(token, color);
-            } else if tag == TAG_HEAD {
-                let color = ColorId(key as u32);
-                let value = pool.get(key).expect("indexed key readable");
-                heads.insert(
-                    color,
-                    SeqNum(u64::from_le_bytes(value[..8].try_into().unwrap())),
-                );
+                codec::TAG_STAGED => {
+                    pm_live_bytes += value.len();
+                    tokens
+                        .staged
+                        .insert(codec::staged_token_of(key), codec::decode_staged(&value).color);
+                }
+                codec::TAG_HEAD => logs
+                    .entry(codec::head_color_of(key))
+                    .or_default()
+                    .advance_head(codec::decode_head(&value)),
+                _ => {}
             }
         }
-        // SSD-resident records.
+        // SSD-resident records. A crash between a spill's SSD fsync and its
+        // PM delete leaves a record in both tiers: finish the move, so each
+        // record has one placement and the PM copy is not leaked. A block at
+        // or below the head (a crash between a trim's PM commit and its SSD
+        // fsync brings those back) is indexed like any record an installed
+        // head hides: reads refuse it and the next trim frees it.
+        let mut tx = pool.begin();
+        let mut moved: Vec<(ColorId, SeqNum, usize)> = Vec::new();
         for block in ssd.block_ids() {
-            let color = ColorId((block >> 64) as u32);
-            let sn = SeqNum(block as u64);
-            if heads.get(&color).is_some_and(|&h| sn <= h) {
-                continue; // trimmed while on SSD; lazily ignored
+            let (color, sn) = codec::color_sn_of(block);
+            let log = logs.entry(color).or_default();
+            if log.placement(sn) == Some(Placement::Pm) {
+                let key = codec::committed_key(color, sn);
+                moved.push((color, sn, pool.get(key).map_or(0, |v| v.len())));
+                tx.delete(key);
+            } else {
+                log.insert(sn, Placement::Ssd);
             }
-            committed.entry(color).or_default().insert(sn, true);
         }
-        let (caches, stripes) = Self::empty_shards(&config);
-        let stats = StorageStats::registered(&config.obs);
-        let commit_hist = config.obs.histogram("storage.commit_ns");
-        let server = StorageServer {
-            pool,
-            ssd,
-            caches,
-            stripes,
-            tokens: Mutex::new(tokens),
-            pm_live_bytes: AtomicUsize::new(pm_live_bytes),
-            spill_gate: Mutex::new(()),
-            archive_gate: Mutex::new(()),
-            // Manifests reload lazily from the store on first archive probe;
-            // recovery needs no extra work here.
-            archive: Mutex::new(ArchiveState::default()),
-            clock,
-            config,
-            stats,
-            node: AtomicU64::new(0),
-            commit_hist,
-        };
-        for (color, map) in committed {
-            server.stripe_of(color).lock().committed.insert(color, map);
+        // If PM cannot take the deletes the records just stay PM-resident;
+        // the next spill rewrites their blocks.
+        if tx.commit().is_ok() {
+            for (color, sn, len) in moved {
+                logs.get_mut(&color).expect("indexed above").mark_spilled(sn);
+                pm_live_bytes -= len;
+            }
         }
-        for (color, head) in heads {
-            server.stripe_of(color).lock().heads.insert(color, head);
-        }
-        server
+        Self::assemble(pool, ssd, config, logs, tokens, pm_live_bytes)
     }
 
     /// Durably stages an append batch under its token (Alg 1 line 17).
@@ -541,16 +531,12 @@ impl StorageServer {
                 return Ok(false);
             }
         }
-        let value = encode_staged(color, payloads);
-        let vlen = value.len();
-        self.pool.put(staged_key(token), &value)?;
+        let value = codec::encode_staged(color, payloads);
+        self.pool.put(codec::staged_key(token), &value)?;
         self.tokens.lock().staged.insert(token, color);
-        self.pm_live_bytes.fetch_add(vlen, Ordering::Relaxed);
-        self.stats.stages.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_appended.fetch_add(
-            payloads.iter().map(|p| p.len() as u64).sum(),
-            Ordering::Relaxed,
-        );
+        self.adjust_live(value.len() as isize);
+        self.stats.stages.inc();
+        self.stats.bytes_appended.add(payloads.iter().map(|p| p.len() as u64).sum());
         Ok(true)
     }
 
@@ -604,26 +590,24 @@ impl StorageServer {
         for &(_, token, sn_last) in &valid {
             let staged = self
                 .pool
-                .get(staged_key(token))
+                .get(codec::staged_key(token))
                 .expect("staged index implies staged record");
-            let batch = decode_staged(&staged);
+            let batch = codec::decode_staged(&staged);
             let n = batch.payloads.len() as u32;
             debug_assert!(n > 0, "staged batches are non-empty");
             debug_assert!(
                 sn_last.counter() + 1 >= n,
                 "SN range must not underflow the epoch counter"
             );
-            tx.delete(staged_key(token));
+            tx.delete(codec::staged_key(token));
             live_delta -= staged.len() as isize;
             let mut sns = Vec::with_capacity(batch.payloads.len());
-            for (i, payload) in batch.payloads.iter().enumerate() {
+            for (i, payload) in batch.payloads.into_iter().enumerate() {
                 let sn = SeqNum::new(sn_last.epoch(), sn_last.counter() - (n - 1 - i as u32));
-                let mut value = Vec::with_capacity(8 + payload.len());
-                value.extend_from_slice(&token.0.to_le_bytes());
-                value.extend_from_slice(payload);
+                let value = codec::encode_record(token, &payload);
                 live_delta += value.len() as isize;
-                tx.put(committed_key(batch.color, sn), &value);
-                sns.push((sn, payload.clone()));
+                tx.put(codec::committed_key(batch.color, sn), &value);
+                sns.push((sn, payload));
             }
             committed.push((token, batch.color, sn_last, sns));
         }
@@ -637,7 +621,7 @@ impl StorageServer {
             return results;
         }
 
-        // Publish: token maps, per-color SN indexes, cache fills.
+        // Publish: token maps, per-color logs, cache fills.
         {
             let mut idx = self.tokens.lock();
             for (token, color, sn_last, _) in &committed {
@@ -647,13 +631,11 @@ impl StorageServer {
             }
         }
         for (_, color, _, sns) in &committed {
-            let mut stripe = self.stripe_of(*color).lock();
-            let per_color = stripe.committed.entry(*color).or_default();
-            for (sn, _) in sns {
-                per_color.insert(*sn, false);
-            }
-        }
-        for (_, color, _, sns) in &committed {
+            self.log_mut(*color, |log| {
+                for (sn, _) in sns {
+                    log.insert(*sn, Placement::Pm);
+                }
+            });
             for (sn, payload) in sns {
                 // Zero-copy fill: the cache shares the staged batch's buffer.
                 self.cache_of(*color, *sn)
@@ -661,11 +643,8 @@ impl StorageServer {
                     .put((*color, *sn), payload.clone());
             }
         }
-        let new_live = (self.pm_live_bytes.load(Ordering::Relaxed) as isize + live_delta).max(0);
-        self.pm_live_bytes.store(new_live as usize, Ordering::Relaxed);
-        self.stats
-            .commits
-            .fetch_add(committed.len() as u64, Ordering::Relaxed);
+        self.adjust_live(live_delta);
+        self.stats.commits.add(committed.len() as u64);
         self.commit_hist.record_ns(commit_start.elapsed());
         let node = self.node.load(Ordering::Relaxed);
         let span_batch: Vec<_> = committed
@@ -690,191 +669,146 @@ impl StorageServer {
 
     /// Like [`StorageServer::get`] but also reports which tier hit.
     pub fn get_traced(&self, color: ColorId, sn: SeqNum) -> Option<(Payload, TierHit)> {
-        self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        let archived_candidate = {
-            let mut stripe = self.stripe_of(color).lock();
-            let obs = &self.config.obs;
-            stripe
-                .reads
-                .entry(color)
-                .or_insert_with(|| obs.counter(&format!("storage.color_reads.{}", color.0)))
-                .fetch_add(1, Ordering::Relaxed);
-            if stripe.heads.get(&color).is_some_and(|&h| sn <= h) {
+        self.stats.reads.inc();
+        let served = |payload: Payload, hits: &Counter, hit: TierHit| {
+            hits.inc();
+            self.stats.bytes_read.add(payload.len() as u64);
+            Some((payload, hit))
+        };
+        let register = || self.config.obs.counter(&format!("storage.color_reads.{}", color.0));
+        let live_at = {
+            let mut stripe = self.stripe(color);
+            let log = stripe.get_mut(&color)?;
+            log.count_read(register);
+            if log.trimmed(sn) {
                 // At or below the trim head: only the archive may serve it
                 // (the head filters live reads even when the bytes still
                 // sit in PM — the `install_head` migration contract).
-                self.config.tier.as_ref()?;
-                true
-            } else if stripe.committed.get(&color).is_some_and(|m| m.contains_key(&sn)) {
-                false // live in PM or SSD
+                None
             } else {
-                return None;
+                Some(log.placement(sn)?)
             }
         };
-        if archived_candidate {
+        let Some(at) = live_at else {
             let payload = self.archive_get(color, sn)?;
-            self.stats.archive_hits.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .bytes_read
-                .fetch_add(payload.len() as u64, Ordering::Relaxed);
-            return Some((payload, TierHit::Archive));
-        }
+            return served(payload, &self.stats.archive_hits, TierHit::Archive);
+        };
         // Tier 1: DRAM cache (a hit returns the shared buffer, no copy).
         if let Some(v) = self.cache_of(color, sn).lock().get(&(color, sn)) {
             self.clock.consume(DRAM_NS);
-            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.stats.bytes_read.fetch_add(v.len() as u64, Ordering::Relaxed);
-            return Some((v, TierHit::Cache));
+            return served(v, &self.stats.cache_hits, TierHit::Cache);
         }
-        self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-        // Tier 2: PM.
-        if let Some(v) = self.pool.get(committed_key(color, sn)) {
-            let payload = Payload::from(v[8..].to_vec());
-            self.cache_of(color, sn).lock().put((color, sn), payload.clone());
-            self.stats.pm_hits.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .bytes_read
-                .fetch_add(payload.len() as u64, Ordering::Relaxed);
-            return Some((payload, TierHit::Pm));
+        self.stats.cache_misses.inc();
+        // Tiers 2 and 3: PM, SSD.
+        let (raw, at) = self.raw_record(color, sn, at)?;
+        let (_, payload) = codec::decode_record(&raw);
+        self.cache_of(color, sn).lock().put((color, sn), payload.clone());
+        match at {
+            Placement::Pm => served(payload, &self.stats.pm_hits, TierHit::Pm),
+            Placement::Ssd => served(payload, &self.stats.ssd_hits, TierHit::Ssd),
         }
-        // Tier 3: SSD.
-        if let Ok(v) = self.ssd.read_block(ssd_block_id(color, sn)) {
-            let payload = Payload::from(v[8..].to_vec());
-            self.cache_of(color, sn).lock().put((color, sn), payload.clone());
-            self.stats.ssd_hits.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .bytes_read
-                .fetch_add(payload.len() as u64, Ordering::Relaxed);
-            return Some((payload, TierHit::Ssd));
-        }
-        None
     }
 
     /// Tier 4: the archive read-through. Serves `(color, sn)` from the
-    /// buffered segment if it covers the SN, else fetches the covering
-    /// segment from the object store into the buffer. Never touches the
-    /// DRAM cache stripes. Returns `None` on a genuine hole (the SN was
-    /// never archived) and on store failure (counted).
+    /// segment covering it. Never touches the DRAM cache stripes. Returns
+    /// `None` without a cold tier, on a genuine hole (the SN was never
+    /// archived) and on store failure (counted).
     fn archive_get(&self, color: ColorId, sn: SeqNum) -> Option<Payload> {
         let tier = self.config.tier.as_ref()?;
-        {
-            let archive = self.archive.lock();
-            if let Some(seg) = archive.buffer.get(&color) {
-                if seg.base <= sn && sn <= seg.last {
-                    // Covered by the buffered segment: either it has the
-                    // record or the SN is a hole — no point refetching.
-                    return match seg.records.binary_search_by_key(&sn, |r| r.sn) {
-                        Ok(i) => Some(seg.records[i].payload.clone()),
-                        Err(_) => None,
-                    };
-                }
-            }
-        }
         let manifest = self.archive_manifest(tier, color)?;
         let meta = manifest.segment_for(sn)?;
-        match fetch_segment(tier.store.as_ref(), color, meta) {
-            Ok(Some(seg)) => {
-                self.stats.archive_fetches.fetch_add(1, Ordering::Relaxed);
-                let hit = match seg.records.binary_search_by_key(&sn, |r| r.sn) {
-                    Ok(i) => Some(seg.records[i].payload.clone()),
-                    Err(_) => None,
-                };
-                self.archive.lock().buffer.insert(color, seg);
-                hit
-            }
-            Ok(None) => None,
-            Err(_) => {
-                self.stats.archive_failures.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        self.with_segment(tier, color, meta, |seg| {
+            let i = seg.records.binary_search_by_key(&sn, |r| r.sn).ok()?;
+            Some(seg.records[i].payload.clone())
+        })
+        .ok()?
+    }
+
+    /// Runs `f` on the archived segment `meta` of `color`: the buffered
+    /// copy when the buffer holds this segment, else fetched from the
+    /// object store (counted) into the buffer first.
+    fn with_segment<R>(
+        &self,
+        tier: &TierConfig,
+        color: ColorId,
+        meta: &SegmentMeta,
+        f: impl FnOnce(&Segment) -> R,
+    ) -> Result<R, StorageError> {
+        let mut archive = self.archive.lock();
+        let buffered = archive
+            .buffer
+            .get(&color)
+            .is_some_and(|seg| seg.base == meta.base && seg.last == meta.last);
+        if !buffered {
+            // Fetch without the lock: the store models a remote service.
+            drop(archive);
+            let Ok(Some(seg)) = fetch_segment(tier.store.as_ref(), color, meta) else {
+                self.stats.archive_failures.inc();
+                return Err(StorageError::ArchiveUnavailable);
+            };
+            self.stats.archive_fetches.inc();
+            archive = self.archive.lock();
+            archive.buffer.insert(color, seg);
         }
+        Ok(f(&archive.buffer[&color]))
     }
 
     /// Returns this color's manifest, loading it from the store on first
     /// use. Each replica archives and trims its own storage under the
     /// `archive_gate`, so its cached manifest always covers its own trim
     /// head — no staleness re-check is needed on a miss.
-    fn archive_manifest(&self, tier: &TierConfig, color: ColorId) -> Option<Manifest> {
-        if let Some(m) = self.archive.lock().manifests.get(&color) {
-            return Some(m.clone());
+    fn archive_manifest(&self, tier: &TierConfig, color: ColorId) -> Option<Arc<Manifest>> {
+        let cached = self.archive.lock().manifests.get(&color).cloned();
+        if cached.is_some() {
+            return cached;
         }
-        match Manifest::load(tier.store.as_ref(), color) {
-            Ok(m) => {
-                self.archive.lock().manifests.insert(color, m.clone());
-                Some(m)
-            }
-            Err(_) => {
-                self.stats.archive_failures.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let Ok(manifest) = Manifest::load(tier.store.as_ref(), color) else {
+            self.stats.archive_failures.inc();
+            return None;
+        };
+        let manifest = Arc::new(manifest);
+        self.archive.lock().manifests.insert(color, Arc::clone(&manifest));
+        Some(manifest)
     }
 
-    /// Archived records of `color` with `sn > from`, oldest first, at most
-    /// `cap`. Streams through the archive buffer (never the DRAM cache).
-    /// Errors when the store cannot serve a needed segment or manifest —
-    /// the caller must fail the whole scan rather than serve a log with a
-    /// hole where the archived prefix belongs.
+    /// Archived records of `color` with `from < sn <= head`, oldest first,
+    /// at most `cap`. Streams through the archive buffer (never the DRAM
+    /// cache). Errors when the store cannot serve a needed segment or
+    /// manifest — the caller must fail the whole scan rather than serve a
+    /// log with a hole where the archived prefix belongs.
     fn archived_scan(
         &self,
+        tier: &TierConfig,
         color: ColorId,
         from: SeqNum,
+        head: SeqNum,
         cap: usize,
     ) -> Result<Vec<CommittedRecord>, StorageError> {
-        let Some(tier) = self.config.tier.as_ref() else {
-            return Ok(Vec::new());
-        };
         let Some(manifest) = self.archive_manifest(tier, color) else {
             return Err(StorageError::ArchiveUnavailable);
         };
-        let mut out = Vec::new();
-        for meta in manifest.segments.iter().filter(|m| m.last > from) {
+        let mut out: Vec<CommittedRecord> = Vec::new();
+        for meta in manifest.segments.iter().filter(|m| m.last > from && m.base <= head) {
             if out.len() >= cap {
                 break;
             }
-            let buffered = {
-                let archive = self.archive.lock();
-                archive
-                    .buffer
-                    .get(&color)
-                    .filter(|seg| seg.base == meta.base && seg.last == meta.last)
-                    .cloned()
-            };
-            let seg = match buffered {
-                Some(seg) => seg,
-                None => match fetch_segment(tier.store.as_ref(), color, meta) {
-                    Ok(Some(seg)) => {
-                        self.stats.archive_fetches.fetch_add(1, Ordering::Relaxed);
-                        self.archive.lock().buffer.insert(color, seg.clone());
-                        seg
-                    }
-                    Ok(None) | Err(_) => {
-                        self.stats.archive_failures.fetch_add(1, Ordering::Relaxed);
-                        return Err(StorageError::ArchiveUnavailable);
-                    }
-                },
-            };
-            for rec in seg.records.iter().filter(|r| r.sn > from) {
-                if out.len() >= cap {
-                    break;
-                }
-                self.stats.archive_hits.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .bytes_read
-                    .fetch_add(rec.payload.len() as u64, Ordering::Relaxed);
-                out.push(rec.clone());
-            }
+            self.with_segment(tier, color, meta, |seg| {
+                let wanted = seg.records.iter().filter(|r| r.sn > from && r.sn <= head);
+                out.extend(wanted.take(cap - out.len()).cloned());
+            })?;
         }
+        self.stats.archive_hits.add(out.len() as u64);
+        self.stats.bytes_read.add(out.iter().map(|r| r.payload.len() as u64).sum());
         Ok(out)
     }
 
     /// All committed records of `color` with `sn > from`, in SN order
     /// (serves Subscribe and recovery syncs). With a cold tier configured
-    /// this includes archived history below the trim head, merged in front
-    /// of the live span — replay-from-genesis sees every record. Errors
-    /// with [`StorageError::ArchiveUnavailable`] when the scan needs the
-    /// archive and the object store cannot serve it: a partial log would
-    /// silently drop acked records from a subscriber's replay.
+    /// this includes archived history below the trim head, in front of the
+    /// live span — replay-from-genesis sees every record. Errors with
+    /// [`StorageError::ArchiveUnavailable`] when the scan needs the archive
+    /// and the object store cannot serve it: a partial log would silently
+    /// drop acked records from a subscriber's replay.
     pub fn scan(
         &self,
         color: ColorId,
@@ -894,57 +828,19 @@ impl StorageServer {
         from: SeqNum,
         cap: usize,
     ) -> Result<Vec<CommittedRecord>, StorageError> {
-        let (sns, head): (Vec<SeqNum>, Option<SeqNum>) = {
-            let stripe = self.stripe_of(color).lock();
-            let head = stripe.heads.get(&color).copied();
-            let sns = match stripe.committed.get(&color) {
-                Some(m) => m
-                    .range((
-                        std::ops::Bound::Excluded(from),
-                        std::ops::Bound::Unbounded,
-                    ))
-                    .take(cap)
-                    .map(|(&sn, _)| sn)
-                    .collect(),
-                None => Vec::new(),
-            };
-            (sns, head)
+        // The trim head splits the scan the way it splits `get`: at or
+        // below it only the archive serves, above it only the live tiers —
+        // so the two runs never overlap and simply concatenate.
+        let head = self.head(color).unwrap_or(SeqNum::ZERO);
+        let mut out = match &self.config.tier {
+            Some(tier) if from < head => self.archived_scan(tier, color, from, head, cap)?,
+            _ => Vec::new(),
         };
-        let live: Vec<CommittedRecord> = sns
-            .into_iter()
-            .filter_map(|sn| {
-                self.get(color, sn)
-                    .map(|payload| CommittedRecord { sn, payload })
-            })
-            .collect();
-        // The archive only holds records at or below the trim head, so a
-        // scan starting at or above it is served entirely by the live span.
-        if self.config.tier.is_none() || head.is_none_or(|h| from >= h) {
-            return Ok(live);
-        }
-        let archived = self.archived_scan(color, from, cap)?;
-        if archived.is_empty() {
-            return Ok(live);
-        }
-        // Merge the two SN-sorted runs. An SN present in both (archived
-        // before the trim dropped it) yields one record; the bytes are
-        // identical by construction, live wins arbitrarily.
-        let mut out = Vec::new();
-        let mut a = archived.into_iter().peekable();
-        let mut l = live.into_iter().peekable();
-        while out.len() < cap {
-            match (a.peek(), l.peek()) {
-                (Some(x), Some(y)) if x.sn < y.sn => out.push(a.next().unwrap()),
-                (Some(x), Some(y)) if x.sn > y.sn => out.push(l.next().unwrap()),
-                (Some(_), Some(_)) => {
-                    a.next();
-                    out.push(l.next().unwrap());
-                }
-                (Some(_), None) => out.push(a.next().unwrap()),
-                (None, Some(_)) => out.push(l.next().unwrap()),
-                (None, None) => break,
-            }
-        }
+        let live = self.placed(color, above(from.max(head)), cap - out.len());
+        out.extend(live.into_iter().filter_map(|(sn, _)| {
+            self.get(color, sn)
+                .map(|payload| CommittedRecord { sn, payload })
+        }));
         Ok(out)
     }
 
@@ -956,45 +852,102 @@ impl StorageServer {
     /// cache. An `Above` scan runs inside the replica's single-threaded
     /// event loop and blocks appends for its duration, hence the `limit`.
     pub fn fetch(&self, color: ColorId, select: &FetchSelect) -> Vec<(Token, SeqNum, Payload)> {
-        let placed: Vec<(SeqNum, bool)> = {
-            let stripe = self.stripe_of(color).lock();
-            let Some(m) = stripe.committed.get(&color) else {
-                return Vec::new();
-            };
-            match select {
-                FetchSelect::Above { sn, limit } => m
-                    .range((std::ops::Bound::Excluded(*sn), std::ops::Bound::Unbounded))
-                    .take(usize::try_from(*limit).unwrap_or(usize::MAX))
-                    .map(|(&sn, &on_ssd)| (sn, on_ssd))
-                    .collect(),
-                FetchSelect::Exact(sns) => sns
-                    .iter()
-                    .filter_map(|sn| m.get(sn).map(|&on_ssd| (*sn, on_ssd)))
-                    .collect(),
+        let placed = match select {
+            FetchSelect::Above { sn, limit } => {
+                self.placed(color, above(*sn), usize::try_from(*limit).unwrap_or(usize::MAX))
             }
+            FetchSelect::Exact(sns) => self
+                .log(color, |log| {
+                    sns.iter()
+                        .filter_map(|&sn| Some((sn, log.placement(sn)?)))
+                        .collect()
+                })
+                .unwrap_or_default(),
         };
         placed
             .into_iter()
-            .filter_map(|(sn, on_ssd)| {
-                let raw = self.raw_record(color, sn, on_ssd)?;
-                let token = Token(u64::from_le_bytes(raw[..8].try_into().unwrap()));
-                Some((token, sn, Payload::from(raw[8..].to_vec())))
+            .filter_map(|(sn, at)| {
+                let (token, payload) = codec::decode_record(&self.raw_record(color, sn, at)?.0);
+                Some((token, sn, payload))
             })
             .collect()
     }
 
-    /// The stored bytes (token ‖ payload) of a committed record. Probes the
-    /// tier the index named first but falls back to the other: a
-    /// concurrent spill may move the record between the index lookup and
-    /// this read.
-    fn raw_record(&self, color: ColorId, sn: SeqNum, on_ssd: bool) -> Option<Vec<u8>> {
-        let pm = || self.pool.get(committed_key(color, sn));
-        let ssd = || self.ssd.read_block(ssd_block_id(color, sn)).ok();
-        if on_ssd {
-            ssd().or_else(pm)
-        } else {
-            pm().or_else(ssd)
+    /// The stored bytes of a committed record and the tier that served
+    /// them. Probes the tier the index named first but falls back to the
+    /// other: a concurrent spill may move the record between the index
+    /// lookup and this read.
+    fn raw_record(
+        &self,
+        color: ColorId,
+        sn: SeqNum,
+        at: Placement,
+    ) -> Option<(Vec<u8>, Placement)> {
+        let pm = || Some((self.pool.get(codec::committed_key(color, sn))?, Placement::Pm));
+        let ssd = || {
+            let raw = self.ssd.read_block(codec::ssd_block_id(color, sn)).ok()?;
+            Some((raw, Placement::Ssd))
+        };
+        match at {
+            Placement::Pm => pm().or_else(ssd),
+            Placement::Ssd => ssd().or_else(pm),
         }
+    }
+
+    /// Installs committed records fetched from a peer on the tier `at`,
+    /// bypassing the staging path: drops the ones already trimmed or held
+    /// here, writes the rest durably, then indexes them and notes their
+    /// tokens. Returns how many were newly installed.
+    fn install(
+        &self,
+        color: ColorId,
+        records: &[(Token, SeqNum, Payload)],
+        at: Placement,
+    ) -> Result<u64, StorageError> {
+        let fresh: Vec<&(Token, SeqNum, Payload)> = {
+            let stripe = self.stripe(color);
+            let log = stripe.get(&color);
+            records
+                .iter()
+                .filter(|(_, sn, _)| log.is_none_or(|log| log.admits(*sn)))
+                .collect()
+        };
+        if fresh.is_empty() {
+            return Ok(0);
+        }
+        let values: Vec<(SeqNum, Vec<u8>)> = fresh
+            .iter()
+            .map(|(token, sn, payload)| (*sn, codec::encode_record(*token, payload)))
+            .collect();
+        match at {
+            Placement::Pm => {
+                let mut tx = self.pool.begin();
+                for (sn, value) in &values {
+                    tx.put(codec::committed_key(color, *sn), value);
+                }
+                tx.commit()?;
+                self.adjust_live(values.iter().map(|(_, v)| v.len() as isize).sum());
+                for (_, sn, payload) in &fresh {
+                    self.cache_of(color, *sn).lock().put((color, *sn), payload.clone());
+                }
+            }
+            Placement::Ssd => {
+                for (sn, value) in &values {
+                    self.ssd.write_block(codec::ssd_block_id(color, *sn), value);
+                }
+                self.ssd.fsync();
+            }
+        }
+        self.log_mut(color, |log| {
+            for (_, sn, _) in &fresh {
+                log.insert(*sn, at);
+            }
+        });
+        let mut idx = self.tokens.lock();
+        for (token, sn, _) in &fresh {
+            idx.note_committed(*token, color, *sn);
+        }
+        Ok(fresh.len() as u64)
     }
 
     /// Directly installs a committed record fetched from a peer during the
@@ -1007,36 +960,11 @@ impl StorageServer {
         token: Token,
         payload: &Payload,
     ) -> Result<bool, StorageError> {
-        {
-            let stripe = self.stripe_of(color).lock();
-            if stripe.heads.get(&color).is_some_and(|&h| sn <= h) {
-                return Ok(false); // already trimmed here
-            }
-            if stripe.committed.get(&color).is_some_and(|m| m.contains_key(&sn)) {
-                return Ok(false);
-            }
+        let installed = self.install(color, &[(token, sn, payload.clone())], Placement::Pm)?;
+        if installed > 0 {
+            self.maybe_spill()?;
         }
-        let mut value = Vec::with_capacity(8 + payload.len());
-        value.extend_from_slice(&token.0.to_le_bytes());
-        value.extend_from_slice(payload);
-        self.pool.put(committed_key(color, sn), &value)?;
-        self.stripe_of(color)
-            .lock()
-            .committed
-            .entry(color)
-            .or_default()
-            .insert(sn, false);
-        {
-            let mut idx = self.tokens.lock();
-            let e = idx.committed_tokens.entry(token).or_insert((color, sn));
-            if sn > e.1 {
-                *e = (color, sn);
-            }
-        }
-        self.pm_live_bytes.fetch_add(value.len(), Ordering::Relaxed);
-        self.cache_of(color, sn).lock().put((color, sn), payload.clone());
-        self.maybe_spill()?;
-        Ok(true)
+        Ok(installed > 0)
     }
 
     /// Bulk-installs migration catch-up records directly on the SSD tier.
@@ -1052,45 +980,7 @@ impl StorageServer {
         color: ColorId,
         records: &[(Token, SeqNum, Payload)],
     ) -> Result<u64, StorageError> {
-        let fresh: Vec<&(Token, SeqNum, Payload)> = {
-            let stripe = self.stripe_of(color).lock();
-            let head = stripe.heads.get(&color).copied();
-            let committed = stripe.committed.get(&color);
-            records
-                .iter()
-                .filter(|(_, sn, _)| {
-                    head.is_none_or(|h| *sn > h)
-                        && !committed.is_some_and(|m| m.contains_key(sn))
-                })
-                .collect()
-        };
-        if fresh.is_empty() {
-            return Ok(0);
-        }
-        for (token, sn, payload) in &fresh {
-            let mut value = Vec::with_capacity(8 + payload.len());
-            value.extend_from_slice(&token.0.to_le_bytes());
-            value.extend_from_slice(payload);
-            self.ssd.write_block(ssd_block_id(color, *sn), &value);
-        }
-        self.ssd.fsync();
-        {
-            let mut stripe = self.stripe_of(color).lock();
-            let m = stripe.committed.entry(color).or_default();
-            for (_, sn, _) in &fresh {
-                m.insert(*sn, true);
-            }
-        }
-        {
-            let mut idx = self.tokens.lock();
-            for (token, sn, _) in &fresh {
-                let e = idx.committed_tokens.entry(*token).or_insert((color, *sn));
-                if *sn > e.1 {
-                    *e = (color, *sn);
-                }
-            }
-        }
-        Ok(fresh.len() as u64)
+        self.install(color, records, Placement::Ssd)
     }
 
     /// The SNs of every committed record of `color` above `from`, cheapest
@@ -1099,14 +989,8 @@ impl StorageServer {
     /// commit-order hole that fills later, so the control plane diffs
     /// source and destination SN sets instead of trusting counts.
     pub fn committed_sns(&self, color: ColorId, from: SeqNum) -> Vec<SeqNum> {
-        let stripe = self.stripe_of(color).lock();
-        match stripe.committed.get(&color) {
-            Some(m) => m
-                .range((std::ops::Bound::Excluded(from), std::ops::Bound::Unbounded))
-                .map(|(&sn, _)| sn)
-                .collect(),
-            None => Vec::new(),
-        }
+        let placed = self.placed(color, above(from), usize::MAX);
+        placed.into_iter().map(|(sn, _)| sn).collect()
     }
 
     /// Trims every record of `color` with `sn <= up_to` and durably
@@ -1126,106 +1010,102 @@ impl StorageServer {
         color: ColorId,
         up_to: SeqNum,
     ) -> Result<(Option<SeqNum>, Option<SeqNum>), StorageError> {
+        // A color never appended to (no committed records, no prior trim)
+        // has nothing to trim: do NOT fabricate a head for it, or the
+        // stripe gains a phantom color that shows up in every walk of
+        // per-color state forever after.
+        if self
+            .log(color, |log| log.len() == 0 && log.head().is_none())
+            .unwrap_or(true)
         {
-            // A color never appended to (no committed records, no prior
-            // trim) has nothing to trim: do NOT fabricate a head entry, or
-            // the stripe map gains a phantom color that shows up in scans
-            // of per-color state forever after.
-            let stripe = self.stripe_of(color).lock();
-            let no_records = stripe.committed.get(&color).is_none_or(|m| m.is_empty());
-            if no_records && !stripe.heads.contains_key(&color) {
-                return Ok((None, None));
-            }
+            return Ok((None, None));
         }
         let Some(tier) = self.config.tier.clone() else {
             return self.drop_prefix(color, up_to);
         };
         let _gate = self.archive_gate.lock();
-        match self.archive_records(&tier, color, Some(up_to), 0, u64::MAX) {
-            ArchiveOutcome::Complete(_) => self.drop_prefix(color, up_to),
-            ArchiveOutcome::Partial { durable: Some(boundary), .. } => {
-                // The store stopped acking mid-round: drop only the prefix
-                // it durably holds. The head therefore lands below `up_to`;
-                // the protocol reply reflects that and a later trim retries
-                // the rest.
-                if boundary == SeqNum::ZERO {
-                    Ok((self.head(color), self.tail(color)))
-                } else {
-                    self.drop_prefix(color, boundary.min(up_to))
-                }
-            }
-            ArchiveOutcome::Partial { durable: None, .. } => {
-                // Even the manifest was unreadable — the durable boundary
-                // is unknown, so nothing may be dropped.
-                Ok((self.head(color), self.tail(color)))
-            }
+        let round = self.archive_records(&tier, color, Some(up_to), 0, u64::MAX);
+        // When the store stopped acking mid-round, drop only the prefix it
+        // durably holds (nothing, if that is unknown). The head then lands
+        // below `up_to`; the protocol reply reflects that and a later trim
+        // retries the rest.
+        let cut = if round.complete {
+            Some(up_to)
+        } else {
+            round.durable.map(|boundary| boundary.min(up_to))
+        };
+        match cut {
+            Some(cut) => self.drop_prefix(color, cut),
+            None => Ok((self.head(color), self.tail(color))),
         }
     }
 
     /// Deletes every record of `color` with `sn <= up_to` and durably
     /// advances the head — the tier-less trim, and the drop half of
-    /// archive-then-drop. Also prunes the token-idempotence map of
-    /// entries whose whole batch is now behind the head, so the map's size
-    /// tracks the live log rather than its entire history.
+    /// archive-then-drop.
     fn drop_prefix(
         &self,
         color: ColorId,
         up_to: SeqNum,
     ) -> Result<(Option<SeqNum>, Option<SeqNum>), StorageError> {
-        let victims: Vec<(SeqNum, bool)> = {
-            let stripe = self.stripe_of(color).lock();
-            match stripe.committed.get(&color) {
-                Some(m) => m
-                    .range(..=up_to)
-                    .map(|(&sn, &on_ssd)| (sn, on_ssd))
-                    .collect(),
-                None => Vec::new(),
-            }
-        };
+        let victims = self.placed(color, ..=up_to, usize::MAX);
+        self.remove(color, &victims, Some(up_to))
+    }
+
+    /// Deletes `victims` of `color` from whichever tier holds them and,
+    /// with `new_head`, durably advances the trim head in the same PM
+    /// transaction. Returns the `[head, tail]` left behind.
+    ///
+    /// Also prunes the token-idempotence map. After a trim, a token whose
+    /// batch ended at or below the head can never be re-acked with a live
+    /// SN again — a late duplicate of it would target trimmed records,
+    /// which `stage` re-admits harmlessly and `get` filters via the head —
+    /// and without the prune the map grows with every append ever made.
+    /// After a discard (`new_head == None`) no token of the color may
+    /// re-ack as committed: the append never happened as far as the log is
+    /// concerned, and the client's retry must go through the real shard.
+    fn remove(
+        &self,
+        color: ColorId,
+        victims: &[(SeqNum, Placement)],
+        new_head: Option<SeqNum>,
+    ) -> Result<(Option<SeqNum>, Option<SeqNum>), StorageError> {
+        // Heads only ever advance, durably too.
+        let new_head = new_head.map(|h| h.max(self.head(color).unwrap_or(SeqNum::ZERO)));
         let mut tx = self.pool.begin();
         let mut freed = 0usize;
-        for &(sn, on_ssd) in &victims {
-            if on_ssd {
-                self.ssd.delete_block(ssd_block_id(color, sn));
-            } else {
-                if let Some(v) = self.pool.get(committed_key(color, sn)) {
-                    freed += v.len();
+        for &(sn, at) in victims {
+            match at {
+                Placement::Ssd => self.ssd.delete_block(codec::ssd_block_id(color, sn)),
+                Placement::Pm => {
+                    let key = codec::committed_key(color, sn);
+                    freed += self.pool.get(key).map_or(0, |v| v.len());
+                    tx.delete(key);
                 }
-                tx.delete(committed_key(color, sn));
             }
         }
-        tx.put(head_key(color), &up_to.0.to_le_bytes());
+        if let Some(head) = new_head {
+            tx.put(codec::head_key(color), &codec::encode_head(head));
+        }
         tx.commit()?;
         self.ssd.fsync();
-        for &(sn, _) in &victims {
+        for &(sn, _) in victims {
             self.cache_of(color, sn).lock().remove(&(color, sn));
         }
-        let (head, tail) = {
-            let mut stripe = self.stripe_of(color).lock();
-            if let Some(m) = stripe.committed.get_mut(&color) {
-                for &(sn, _) in &victims {
-                    m.remove(&sn);
-                }
+        let (head, tail) = self.log_mut(color, |log| {
+            for &(sn, _) in victims {
+                log.remove(sn);
             }
-            let prev = stripe.heads.get(&color).copied().unwrap_or(SeqNum::ZERO);
-            let new_head = up_to.max(prev);
-            stripe.heads.insert(color, new_head);
-            let head = stripe.heads.get(&color).copied();
-            let tail = stripe.committed.get(&color).and_then(|m| m.keys().last().copied());
-            (head, tail)
-        };
-        // Prune the idempotence map: a token whose batch ended at or below
-        // the new head can never be re-acked with a live SN again — a late
-        // duplicate of it would target trimmed records, which `stage`
-        // re-admits harmlessly and `get` filters via the head. Without this
-        // the map grows with every append ever made (unbounded memory).
-        if let Some(new_head) = head {
-            let mut idx = self.tokens.lock();
-            idx.committed_tokens
-                .retain(|_, &mut (c, sn)| c != color || sn > new_head);
-        }
-        self.pm_live_bytes
-            .fetch_sub(freed.min(self.pm_live_bytes.load(Ordering::Relaxed)), Ordering::Relaxed);
+            if let Some(head) = new_head {
+                log.advance_head(head);
+            }
+            (log.head(), log.tail())
+        });
+        self.tokens
+            .lock()
+            .committed_tokens
+            .retain(|_, &mut (c, sn)| c != color || new_head.is_some_and(|h| sn > h));
+        self.adjust_live(-(freed as isize));
         Ok((head, tail))
     }
 
@@ -1245,84 +1125,61 @@ impl StorageServer {
         limit: Option<SeqNum>,
         keep_tail: u64,
         max_records: u64,
-    ) -> ArchiveOutcome {
-        let cached = self.archive.lock().manifests.get(&color).cloned();
-        let mut manifest = match cached {
-            Some(m) => m,
-            None => match Manifest::load(tier.store.as_ref(), color) {
-                Ok(m) => m,
-                Err(_) => {
-                    self.stats.archive_failures.fetch_add(1, Ordering::Relaxed);
-                    return ArchiveOutcome::Partial { archived: 0, durable: None };
-                }
-            },
+    ) -> ArchiveRound {
+        let Some(mut manifest) = self.archive_manifest(tier, color) else {
+            return ArchiveRound { archived: 0, durable: None, complete: false };
         };
         let boundary = manifest.archived_up_to().unwrap_or(SeqNum::ZERO);
         // A policy round may already have archived past this trim's cut:
         // everything at or below `limit` is durable in the store, so the
         // round has nothing to seal (and the range below would invert).
         if limit.is_some_and(|l| l <= boundary) {
-            self.archive.lock().manifests.insert(color, manifest);
-            return ArchiveOutcome::Complete(0);
+            return ArchiveRound { archived: 0, durable: manifest.archived_up_to(), complete: true };
         }
-        let mut candidates: Vec<(SeqNum, bool)> = {
-            let stripe = self.stripe_of(color).lock();
-            match stripe.committed.get(&color) {
-                Some(m) => {
-                    let upper = match limit {
-                        Some(l) => std::ops::Bound::Included(l),
-                        None => std::ops::Bound::Unbounded,
-                    };
-                    m.range((std::ops::Bound::Excluded(boundary), upper))
-                        .map(|(&sn, &on_ssd)| (sn, on_ssd))
-                        .collect()
-                }
-                None => Vec::new(),
-            }
-        };
+        let upper = limit.map_or(Bound::Unbounded, Bound::Included);
+        let mut candidates = self.placed(color, (Bound::Excluded(boundary), upper), usize::MAX);
         if limit.is_none() {
             let keep = keep_tail.min(candidates.len() as u64) as usize;
             candidates.truncate(candidates.len() - keep);
-            if candidates.len() as u64 > max_records {
-                candidates.truncate(max_records as usize);
-            }
+            candidates.truncate(usize::try_from(max_records).unwrap_or(usize::MAX));
         }
         let mut archived = 0u64;
+        let mut complete = true;
         for group in candidates.chunks(tier.segment_records.max(1)) {
-            let mut records = Vec::with_capacity(group.len());
-            for &(sn, on_ssd) in group {
-                let Some(raw) = self.raw_record(color, sn, on_ssd) else { continue };
-                records.push(CommittedRecord {
-                    sn,
-                    payload: Payload::from(raw[8..].to_vec()),
-                });
-            }
+            let records: Vec<CommittedRecord> = group
+                .iter()
+                .filter_map(|&(sn, at)| {
+                    let (raw, _) = self.raw_record(color, sn, at)?;
+                    Some(CommittedRecord { sn, payload: codec::decode_record(&raw).1 })
+                })
+                .collect();
             if records.is_empty() {
                 continue;
             }
             let seg = Segment::seal(color, records);
             if tier.store.put(&seg.key(), &seg.encode()).is_err() {
-                self.stats.archive_failures.fetch_add(1, Ordering::Relaxed);
-                let durable = manifest.archived_up_to();
-                self.archive.lock().manifests.insert(color, manifest);
-                return ArchiveOutcome::Partial { archived, durable };
+                self.stats.archive_failures.inc();
+                complete = false;
+                break;
             }
             let n = seg.records.len() as u64;
-            self.stats.archived_segments.fetch_add(1, Ordering::Relaxed);
-            self.stats.archived_records.fetch_add(n, Ordering::Relaxed);
+            self.stats.archived_segments.inc();
+            self.stats.archived_records.add(n);
             archived += n;
-            manifest.push(seg.meta());
+            // (copies the cached manifest on the round's first segment)
+            Arc::make_mut(&mut manifest).push(seg.meta());
         }
+        let durable = manifest.archived_up_to();
         if archived > 0 {
             // The manifest object is a fast path only — on failure the next
             // load rebuilds it from the listing, which the segment puts
             // above already made authoritative.
-            if manifest.store(tier.store.as_ref(), color).is_err() {
-                self.stats.archive_failures.fetch_add(1, Ordering::Relaxed);
+            if complete && manifest.store(tier.store.as_ref(), color).is_err() {
+                self.stats.archive_failures.inc();
             }
+            self.archive.lock().manifests.insert(color, manifest);
         }
-        self.archive.lock().manifests.insert(color, manifest);
-        ArchiveOutcome::Complete(archived)
+        ArchiveRound { archived, durable, complete }
     }
 
     /// Policy actuator: archives the cold prefix of `color` (all but the
@@ -1339,27 +1196,15 @@ impl StorageServer {
             return Ok(0);
         };
         let _gate = self.archive_gate.lock();
-        let (archived, durable) =
-            match self.archive_records(&tier, color, None, keep_tail, max_records) {
-                ArchiveOutcome::Complete(n) => {
-                    let durable = self
-                        .archive
-                        .lock()
-                        .manifests
-                        .get(&color)
-                        .and_then(|m| m.archived_up_to());
-                    (n, durable)
-                }
-                ArchiveOutcome::Partial { archived, durable } => (archived, durable),
-            };
-        if let Some(boundary) = durable {
+        let round = self.archive_records(&tier, color, None, keep_tail, max_records);
+        if let Some(boundary) = round.durable {
             // Skip the PM transaction when the head already covers the
             // boundary (steady-state policy ticks with nothing new).
             if self.head(color).is_none_or(|h| h < boundary) {
                 self.drop_prefix(color, boundary)?;
             }
         }
-        Ok(archived)
+        Ok(round.archived)
     }
 
     /// Deletes every committed record of `color` across all tiers — the
@@ -1369,78 +1214,36 @@ impl StorageServer {
     /// and an orphaned head is harmless). Idempotent: a repeat discard
     /// finds nothing and returns 0. Returns the record count removed.
     pub fn discard_color(&self, color: ColorId) -> Result<u64, StorageError> {
-        let victims: Vec<(SeqNum, bool)> = {
-            let stripe = self.stripe_of(color).lock();
-            match stripe.committed.get(&color) {
-                Some(m) => m.iter().map(|(&sn, &on_ssd)| (sn, on_ssd)).collect(),
-                None => Vec::new(),
-            }
-        };
-        if victims.is_empty() {
-            return Ok(0);
+        let victims = self.placed(color, .., usize::MAX);
+        if !victims.is_empty() {
+            self.remove(color, &victims, None)?;
         }
-        let mut tx = self.pool.begin();
-        let mut freed = 0usize;
-        for &(sn, on_ssd) in &victims {
-            if on_ssd {
-                self.ssd.delete_block(ssd_block_id(color, sn));
-            } else {
-                if let Some(v) = self.pool.get(committed_key(color, sn)) {
-                    freed += v.len();
-                }
-                tx.delete(committed_key(color, sn));
-            }
-        }
-        tx.commit()?;
-        self.ssd.fsync();
-        for &(sn, _) in &victims {
-            self.cache_of(color, sn).lock().remove(&(color, sn));
-        }
-        self.stripe_of(color).lock().committed.remove(&color);
-        // The discarded records' tokens must not re-ack as committed: the
-        // append never happened as far as the log is concerned, and the
-        // client's retry must go through the real (source) shard.
-        self.tokens
-            .lock()
-            .committed_tokens
-            .retain(|_, &mut (c, _)| c != color);
-        self.pm_live_bytes
-            .fetch_sub(freed.min(self.pm_live_bytes.load(Ordering::Relaxed)), Ordering::Relaxed);
         Ok(victims.len() as u64)
     }
 
     /// Highest committed SN of `color` on this replica.
     pub fn tail(&self, color: ColorId) -> Option<SeqNum> {
-        self.stripe_of(color)
-            .lock()
-            .committed
-            .get(&color)
-            .and_then(|m| m.keys().last().copied())
+        self.log(color, ColorLog::tail).flatten()
     }
 
     /// Highest trimmed SN of `color` (inclusive), if any trim happened.
     pub fn head(&self, color: ColorId) -> Option<SeqNum> {
-        self.stripe_of(color).lock().heads.get(&color).copied()
+        self.log(color, ColorLog::head).flatten()
     }
 
     /// Durably installs a trim head without deleting anything (migration
     /// span transfer: the destination must not serve records the source
     /// had already trimmed). Never moves an existing head backwards.
     pub fn install_head(&self, color: ColorId, head: SeqNum) -> Result<(), StorageError> {
-        {
-            let stripe = self.stripe_of(color).lock();
-            if stripe.heads.get(&color).is_some_and(|&h| head <= h) {
-                return Ok(());
-            }
+        if self.head(color).is_some_and(|h| head <= h) {
+            return Ok(());
         }
-        let mut tx = self.pool.begin();
-        tx.put(head_key(color), &head.0.to_le_bytes());
-        tx.commit()?;
-        self.stripe_of(color).lock().heads.insert(color, head);
+        self.pool.put(codec::head_key(color), &codec::encode_head(head))?;
+        self.log_mut(color, |log| log.advance_head(head));
         Ok(())
     }
 
-    /// Bytes of committed payload currently resident in PM (the
+    /// Bytes of staged and committed values currently resident in PM (the
     /// autoscaler's per-shard memory-pressure signal).
     pub fn pm_live_bytes(&self) -> usize {
         self.pm_live_bytes.load(Ordering::Relaxed)
@@ -1451,32 +1254,20 @@ impl StorageServer {
     pub fn max_committed_sn(&self) -> Option<SeqNum> {
         self.stripes
             .iter()
-            .flat_map(|s| {
-                s.lock()
-                    .committed
-                    .values()
-                    .filter_map(|m| m.keys().last().copied())
-                    .collect::<Vec<_>>()
-            })
+            .filter_map(|s| s.lock().values().filter_map(ColorLog::tail).max())
             .max()
     }
 
     /// Tokens staged but not yet committed (re-issued as OReqs after
     /// recovery, §6.3) together with their color and batch size.
     pub fn staged_tokens(&self) -> Vec<(Token, ColorId, usize)> {
-        let staged: Vec<(Token, ColorId)> = {
-            let idx = self.tokens.lock();
-            idx.staged.iter().map(|(&t, &c)| (t, c)).collect()
-        };
+        let staged: Vec<(Token, ColorId)> =
+            self.tokens.lock().staged.iter().map(|(&t, &c)| (t, c)).collect();
         staged
             .into_iter()
             .map(|(t, c)| {
-                let batch = self
-                    .pool
-                    .get(staged_key(t))
-                    .map(|v| decode_staged(&v).payloads.len())
-                    .unwrap_or(0);
-                (t, c, batch)
+                let staged = self.pool.get(codec::staged_key(t));
+                (t, c, staged.map_or(0, |v| codec::decode_staged(&v).payloads.len()))
             })
             .collect()
     }
@@ -1500,20 +1291,12 @@ impl StorageServer {
 
     /// Number of committed records of `color` on this replica.
     pub fn record_count(&self, color: ColorId) -> usize {
-        self.stripe_of(color)
-            .lock()
-            .committed
-            .get(&color)
-            .map_or(0, |m| m.len())
+        self.log(color, ColorLog::len).unwrap_or(0)
     }
 
     /// Number of committed records currently resident on the SSD tier.
     pub fn ssd_resident(&self, color: ColorId) -> usize {
-        self.stripe_of(color)
-            .lock()
-            .committed
-            .get(&color)
-            .map_or(0, |m| m.values().filter(|&&s| s).count())
+        self.log(color, ColorLog::ssd_resident).unwrap_or(0)
     }
 
     /// Drops every DRAM-cache entry (tier tests force cold reads with it).
@@ -1521,18 +1304,6 @@ impl StorageServer {
         for c in self.caches.iter() {
             c.lock().clear();
         }
-    }
-
-    /// Aggregated DRAM-cache counters across all cache stripes.
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for c in self.caches.iter() {
-            let s = c.lock().stats();
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions += s.evictions;
-        }
-        total
     }
 
     /// The underlying devices (crash injection).
@@ -1563,24 +1334,21 @@ impl StorageServer {
     /// colors and demotes their oldest PM-resident records, a batch at a
     /// time.
     fn maybe_spill(&self) -> Result<(), StorageError> {
-        if self.pm_live_bytes.load(Ordering::Relaxed) <= self.config.pm_watermark {
+        if self.pm_live_bytes() <= self.config.pm_watermark {
             return Ok(());
         }
         let _gate = self.spill_gate.lock();
-        while self.pm_live_bytes.load(Ordering::Relaxed) > self.config.pm_watermark {
-            // One stripe lock at a time (never two).
-            let colors: Vec<ColorId> = self
-                .stripes
-                .iter()
-                .flat_map(|stripe| stripe.lock().committed.keys().copied().collect::<Vec<_>>())
-                .collect();
-            // One batch may span colors: a pass over an all-spilled color
-            // costs O(its records), so it must not end the round empty.
+        while self.pm_live_bytes() > self.config.pm_watermark {
+            // One batch may span colors, so a color with nothing left in PM
+            // does not end the round empty. One stripe lock at a time.
             let mut victims = Vec::with_capacity(SPILL_BATCH);
-            for color in colors {
-                victims.extend(self.oldest_pm_resident(color, SPILL_BATCH - victims.len()));
-                if victims.len() == SPILL_BATCH {
-                    break;
+            'fill: for stripe in self.stripes.iter() {
+                for (&color, log) in stripe.lock().iter() {
+                    let room = SPILL_BATCH - victims.len();
+                    if room == 0 {
+                        break 'fill;
+                    }
+                    victims.extend(log.oldest_pm(room).map(|sn| (color, sn)));
                 }
             }
             if victims.is_empty() {
@@ -1591,53 +1359,32 @@ impl StorageServer {
         Ok(())
     }
 
-    /// The placement victim selector: up to `max` of `color`'s oldest
-    /// PM-resident records.
-    fn oldest_pm_resident(&self, color: ColorId, max: usize) -> Vec<(ColorId, SeqNum)> {
-        let stripe = self.stripe_of(color).lock();
-        stripe.committed.get(&color).map_or_else(Vec::new, |m| {
-            m.iter()
-                .filter(|&(_, &on_ssd)| !on_ssd)
-                .take(max)
-                .map(|(&sn, _)| (color, sn))
-                .collect()
-        })
-    }
-
     /// The SSD-copy → fsync → PM-delete two-step moving the given
     /// PM-resident records down a tier. Callers hold the spill gate.
     fn spill_victims(&self, victims: &[(ColorId, SeqNum)]) -> Result<(), StorageError> {
         // 1. Copy to SSD and fsync...
-        for &(color, sn) in victims {
-            if let Some(v) = self.pool.get(committed_key(color, sn)) {
-                self.ssd.write_block(ssd_block_id(color, sn), &v);
-            }
-        }
-        self.ssd.fsync();
-        // 2. ...only then remove from PM (crash between the two steps
-        // duplicates records across tiers; never loses them).
         let mut freed = 0usize;
         let mut tx = self.pool.begin();
         for &(color, sn) in victims {
-            if let Some(v) = self.pool.get(committed_key(color, sn)) {
+            let key = codec::committed_key(color, sn);
+            if let Some(v) = self.pool.get(key) {
+                self.ssd.write_block(codec::ssd_block_id(color, sn), &v);
                 freed += v.len();
             }
-            tx.delete(committed_key(color, sn));
+            tx.delete(key);
         }
+        self.ssd.fsync();
+        // 2. ...only then remove from PM (a crash between the two steps
+        // duplicates records across tiers, which `recover` resolves; it
+        // never loses them).
         tx.commit()?;
         for &(color, sn) in victims {
-            let mut stripe = self.stripe_of(color).lock();
-            if let Some(m) = stripe.committed.get_mut(&color) {
-                if let Some(slot) = m.get_mut(&sn) {
-                    *slot = true;
-                }
+            if let Some(log) = self.stripe(color).get_mut(&color) {
+                log.mark_spilled(sn);
             }
         }
-        self.pm_live_bytes
-            .fetch_sub(freed.min(self.pm_live_bytes.load(Ordering::Relaxed)), Ordering::Relaxed);
-        self.stats
-            .spilled_records
-            .fetch_add(victims.len() as u64, Ordering::Relaxed);
+        self.adjust_live(-(freed as isize));
+        self.stats.spilled_records.add(victims.len() as u64);
         Ok(())
     }
 
@@ -1648,40 +1395,15 @@ impl StorageServer {
     /// many records moved.
     pub fn demote_color(&self, color: ColorId, max_records: u64) -> Result<u64, StorageError> {
         let _gate = self.spill_gate.lock();
-        let victims =
-            self.oldest_pm_resident(color, usize::try_from(max_records).unwrap_or(usize::MAX));
-        if victims.is_empty() {
-            return Ok(0);
+        let max = usize::try_from(max_records).unwrap_or(usize::MAX);
+        let victims: Vec<(ColorId, SeqNum)> = self
+            .log(color, |log| log.oldest_pm(max).map(|sn| (color, sn)).collect())
+            .unwrap_or_default();
+        if !victims.is_empty() {
+            self.spill_victims(&victims)?;
         }
-        self.spill_victims(&victims)?;
         Ok(victims.len() as u64)
     }
-}
-
-fn encode_staged(color: ColorId, payloads: &[Payload]) -> Vec<u8> {
-    let total: usize = payloads.iter().map(|p| p.len() + 4).sum();
-    let mut v = Vec::with_capacity(8 + total);
-    v.extend_from_slice(&color.0.to_le_bytes());
-    v.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
-    for p in payloads {
-        v.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        v.extend_from_slice(p);
-    }
-    v
-}
-
-fn decode_staged(v: &[u8]) -> StagedBatch {
-    let color = ColorId(u32::from_le_bytes(v[0..4].try_into().unwrap()));
-    let count = u32::from_le_bytes(v[4..8].try_into().unwrap()) as usize;
-    let mut payloads = Vec::with_capacity(count);
-    let mut off = 8;
-    for _ in 0..count {
-        let len = u32::from_le_bytes(v[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        payloads.push(Payload::from(v[off..off + len].to_vec()));
-        off += len;
-    }
-    StagedBatch { color, payloads }
 }
 
 #[cfg(test)]

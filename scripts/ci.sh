@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # CI gate: release build (workspace + the out-of-workspace benchmark crate,
-# build only), full test suite, two bounded nemesis smoke runs
-# (fixed seed, ~5 s of injected faults under load — once on the instant
-# network, once over delayed links with 4 delay-scheduler shards), bench
-# smokes (datapath + elasticity, --quick, JSON shape + scaling-ratio
-# checks), one migration-crash and one controller-crash nemesis scenario,
-# and a zero-warning clippy pass over the whole workspace.
+# build only), a code-line report (scripts/loc.sh, no gate), full test
+# suite, two bounded nemesis smoke runs (fixed seed, ~5 s of injected
+# faults under load — once on the instant network, once over delayed links
+# with 4 delay-scheduler shards), bench smokes (datapath + elasticity,
+# --quick, JSON shape + scaling-ratio checks), one migration-crash and one
+# controller-crash nemesis scenario, and a zero-warning clippy pass over the
+# whole workspace.
 #
 # Replay a failing smoke run with: FLEXLOG_CHAOS_SEED=<seed> scripts/ci.sh
 set -euo pipefail
@@ -19,6 +20,9 @@ cargo build --release
 # rename under crates/ that breaks it fails CI, not the next benchmark run.
 echo "==> benchmark crate builds against the workspace crates"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
+echo "==> code lines per crate (report only, ROADMAP aim 2)"
+scripts/loc.sh
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q

@@ -132,12 +132,11 @@ fn replay_from_genesis_after_full_archive_and_trim() {
     // Every replica dropped its local copy; the span is durable in the
     // store (the first replica to run the round uploads, peers adopt the
     // shared manifest — so the counter only sums across the shard).
-    let mut archived = 0u64;
     for node in c.data().shard_replicas(ShardId(0)) {
         let storage = c.data().storage_of(node).unwrap();
         assert_eq!(storage.record_count(RED), 0, "trim must drop the span");
-        archived += storage.stats.archived_records.load(Ordering::Relaxed);
     }
+    let archived = c.obs().snapshot().counter("storage.archived_records");
     assert!(archived >= 120, "whole span must be archived: {archived}");
     assert!(store.stats().puts.load(Ordering::Relaxed) > 0);
 
@@ -177,15 +176,10 @@ fn archive_replay_leaves_the_hot_cache_alone() {
             h.read(*sn, GREEN).unwrap().unwrap();
         }
     }
+    // Registry counters sum over the replicas of the (single) shard.
     let counters = |c: &FlexLogCluster| {
-        let mut hits = 0u64;
-        let mut misses = 0u64;
-        for node in c.data().shard_replicas(ShardId(0)) {
-            let s = c.data().storage_of(node).unwrap();
-            hits += s.stats.cache_hits.load(Ordering::Relaxed);
-            misses += s.stats.cache_misses.load(Ordering::Relaxed);
-        }
-        (hits, misses)
+        let snap = c.obs().snapshot();
+        (snap.counter("storage.cache_hits"), snap.counter("storage.cache_misses"))
     };
     let (h0, m0) = counters(&c);
 
@@ -219,14 +213,7 @@ fn cache_serves_hot_records() {
     for _ in 0..30 {
         h.read(sn, RED).unwrap().unwrap();
     }
-    let mut cache_hits = 0u64;
-    for node in c.data().shard_replicas(ShardId(0)) {
-        let storage = c.data().storage_of(node).unwrap();
-        cache_hits += storage
-            .stats
-            .cache_hits
-            .load(std::sync::atomic::Ordering::Relaxed);
-    }
+    let cache_hits = c.obs().snapshot().counter("storage.cache_hits");
     assert!(cache_hits > 0, "hot reads must hit the DRAM cache");
     c.shutdown();
 }
