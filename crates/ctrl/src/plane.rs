@@ -1030,7 +1030,7 @@ impl<'a> ControlPlane<'a> {
             deadline,
             phase,
             |req, m| match m {
-                SyncMsg::Records { req: r, color: c, head, records, cursors }
+                SyncMsg::Records { req: r, color: c, head, records, cursors, .. }
                     if r == req && c == color =>
                 {
                     Some((head, records, cursors))

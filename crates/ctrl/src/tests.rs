@@ -4,7 +4,7 @@ use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use flexlog_core::{ClusterSpec, FlexLogCluster};
+use flexlog_core::{ClientError, ClusterSpec, FlexLog, FlexLogCluster};
 use flexlog_ordering::RoleId;
 use flexlog_replication::{AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, RejectReason};
 use flexlog_simnet::NodeId;
@@ -107,7 +107,7 @@ fn runtime_color_create_and_destroy() {
     // deadline timeout.
     let err = h.append(b"dead", red).unwrap_err();
     assert!(
-        matches!(err, flexlog_core::ClientError::UnknownColor(c) if c == red),
+        matches!(err, ClientError::UnknownColor(c) if c == red),
         "append to a destroyed color must be terminal, got {err:?}"
     );
     // Destroying again is an error, not a panic.
@@ -454,7 +454,8 @@ fn aborted_migration_retries_unfreeze_until_acked() {
 /// its deadline on every nack (the same rule `flush()` applies at entry),
 /// so a freeze that outlasts the client's configured deadline delays the
 /// append instead of surfacing a spurious Timeout once the color thaws.
-/// Exercises both the serial and the pipelined paths.
+/// One body for both shapes of the one append op: awaited at once, and
+/// pipelined then flushed.
 #[test]
 fn freeze_outlasting_client_deadline_does_not_time_out_appends() {
     let mut spec = fast_spec();
@@ -467,36 +468,35 @@ fn freeze_outlasting_client_deadline_does_not_time_out_appends() {
     let replicas = cluster.data().topology.shards_of(red)[0].replicas.clone();
     let gen = cluster.ctrl_generation();
 
-    // Serial append under a freeze 2.4x longer than the deadline.
-    ctrl_blast(&cluster, 2, &replicas, gen, CtrlCmd::Freeze(red));
-    let held = Instant::now();
-    let sn = std::thread::scope(|s| {
-        s.spawn(|| {
-            std::thread::sleep(Duration::from_millis(600));
-            ctrl_blast(&cluster, 3, &replicas, gen, CtrlCmd::Unfreeze(red));
-        });
-        h.append(b"held-serial", red)
-    })
-    .expect("append across a long freeze must succeed, not Timeout");
-    assert!(
-        held.elapsed() >= Duration::from_millis(500),
-        "append returned before the freeze lifted"
-    );
-    assert!(h.read(sn, red).unwrap().is_some());
-
-    // Pipelined append + flush under a second long freeze.
-    ctrl_blast(&cluster, 4, &replicas, gen, CtrlCmd::Freeze(red));
-    let done = std::thread::scope(|s| {
-        s.spawn(|| {
-            std::thread::sleep(Duration::from_millis(600));
-            ctrl_blast(&cluster, 5, &replicas, gen, CtrlCmd::Unfreeze(red));
-        });
-        h.append_pipelined(&[flexlog_types::Payload::from(&b"held-pipelined"[..])], red)
-            .unwrap();
-        h.flush_appends()
-    })
-    .expect("flush across a long freeze must succeed, not Timeout");
-    assert_eq!(done.len(), 1);
+    type HeldAppend = fn(&mut FlexLog, ColorId) -> Result<SeqNum, ClientError>;
+    let shapes: [(&str, HeldAppend); 2] = [
+        ("serial", |h, color| h.append(b"held", color)),
+        ("pipelined", |h, color| {
+            h.append_pipelined(&[Payload::from(&b"held"[..])], color)?;
+            let done = h.flush_appends()?;
+            assert_eq!(done.len(), 1);
+            Ok(done[0].1)
+        }),
+    ];
+    for (i, (shape, held_append)) in shapes.into_iter().enumerate() {
+        // A freeze 2.4x longer than the deadline.
+        let tag = 2 + 2 * i as u64;
+        ctrl_blast(&cluster, tag, &replicas, gen, CtrlCmd::Freeze(red));
+        let held = Instant::now();
+        let sn = std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(600));
+                ctrl_blast(&cluster, tag + 1, &replicas, gen, CtrlCmd::Unfreeze(red));
+            });
+            held_append(&mut h, red)
+        })
+        .unwrap_or_else(|e| panic!("{shape} append across a long freeze must succeed, got {e}"));
+        assert!(
+            held.elapsed() >= Duration::from_millis(500),
+            "{shape} append returned before the freeze lifted"
+        );
+        assert!(h.read(sn, red).unwrap().is_some());
+    }
     cluster.shutdown();
 }
 

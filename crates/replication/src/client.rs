@@ -8,17 +8,18 @@
 //! operations are idempotent (token/request ids), so timeouts simply
 //! retransmit.
 //!
-//! Two append shapes exist:
+//! There is one append operation — an [`InflightAppend`] tracked by token
+//! and driven by one pump (retransmit, fence handling, fail-fast, deadline)
+//! — and two ways to wait for it:
 //!
-//! * [`FlexLogClient::append`] — one in flight, blocks until the batch's SN
-//!   returns (the classic Algorithm 1 interaction);
-//! * [`FlexLogClient::append_pipelined`] + [`FlexLogClient::flush`] — a
-//!   bounded window of appends in flight at once, acks tracked out of
-//!   order per token. The token protocol already makes every append
-//!   idempotent and self-identifying, so pipelining needs no new wire
-//!   messages — only client-side bookkeeping. Payloads travel as
-//!   refcounted [`Payload`]s: retransmits and shard-wide broadcasts never
-//!   copy record bytes.
+//! * [`FlexLogClient::append`] starts one and pumps until *it* completes
+//!   (the classic Algorithm 1 interaction: a window of one);
+//! * [`FlexLogClient::append_pipelined`] + [`FlexLogClient::flush`] keep a
+//!   bounded window of them in flight, acks tracked out of order per
+//!   token. The token protocol already makes every append idempotent and
+//!   self-identifying, so pipelining needs no new wire messages — only
+//!   client-side bookkeeping. Payloads travel as refcounted [`Payload`]s:
+//!   retransmits and shard-wide broadcasts never copy record bytes.
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -33,7 +34,29 @@ use flexlog_types::{ColorId, CommittedRecord, FunctionId, Payload, SeqNum, Shard
 
 use crate::msg::{AppendMsg, ClusterMsg, DataMsg, ReadMsg, RejectReason, SubMsg};
 use crate::replica::encode_multi_set;
-use crate::TopologyView;
+use crate::{ShardInfo, TopologyView};
+
+/// Jitter fraction applied to every backoff interval: the actual wait is
+/// uniform in `[interval, interval * (1 + jitter)]`. Desynchronizes
+/// retransmit storms from many clients hammering a recovering shard.
+const RETRY_JITTER: f64 = 0.25;
+/// Retransmission rounds of an append with **zero** acks from the target
+/// shard before the op fails fast with [`ClientError::ShardUnreachable`].
+/// Partial acks never trip this — a shard mid-recovery keeps the op
+/// blocking until the deadline (the §4 CAP choice).
+const UNREACHABLE_AFTER: u32 = 8;
+/// Push-subscription liveness: after this long without any batch or
+/// heartbeat from a stream's server, the client re-resolves a read target
+/// and re-registers from its acked cursor. A few multiples of the servers'
+/// heartbeat interval.
+const SUB_SILENCE: Duration = Duration::from_millis(600);
+/// Push-subscription ack cadence: an [`SubMsg::SubAck`] goes out when this
+/// much time passed since the last one (or the record budget below is
+/// hit). Lazy acks keep the server-side fill window open for late hole
+/// fills.
+const SUB_ACK_INTERVAL: Duration = Duration::from_millis(50);
+/// Records delivered since the last ack that force one immediately.
+const SUB_ACK_EVERY: usize = 64;
 
 /// Client configuration.
 #[derive(Clone, Debug)]
@@ -45,33 +68,12 @@ pub struct ClientConfig {
     pub retry: Duration,
     /// Cap of the exponential retransmit backoff.
     pub max_retry: Duration,
-    /// Jitter fraction applied to every backoff interval: the actual wait is
-    /// uniform in `[interval, interval * (1 + jitter)]`. Desynchronizes
-    /// retransmit storms from many clients hammering a recovering shard.
-    pub jitter: f64,
-    /// Retransmission rounds of an append with **zero** acks from the target
-    /// shard before the op fails fast with [`ClientError::ShardUnreachable`].
-    /// Partial acks never trip this — a shard mid-recovery keeps the op
-    /// blocking until `deadline` (the §4 CAP choice).
-    pub unreachable_after: u32,
     /// Overall per-operation deadline.
     pub deadline: Duration,
     /// Maximum appends in flight at once through
-    /// [`FlexLogClient::append_pipelined`]; the serial
-    /// [`FlexLogClient::append`] ignores it.
+    /// [`FlexLogClient::append_pipelined`]; the blocking
+    /// [`FlexLogClient::append`] rides on top of it.
     pub pipeline_window: usize,
-    /// Push-subscription liveness: after this long without any batch or
-    /// heartbeat from a stream's server, the client re-resolves a read
-    /// target and re-registers from its acked cursor. Should be a few
-    /// multiples of the servers' heartbeat interval.
-    pub sub_silence: Duration,
-    /// Push-subscription ack cadence: an [`SubMsg::SubAck`] goes out when
-    /// this much time passed since the last one (or the record budget
-    /// below is hit). Lazy acks keep the server-side fill window open for
-    /// late hole fills.
-    pub sub_ack_interval: Duration,
-    /// Records delivered since the last ack that force one immediately.
-    pub sub_ack_every: usize,
     /// Observability surface: append latency histograms plus the
     /// `ClientSend`/`ClientRetransmit`/`ClientAck` trace stages.
     pub obs: ObsHandle,
@@ -83,13 +85,8 @@ impl Default for ClientConfig {
             fid: FunctionId(1),
             retry: Duration::from_millis(100),
             max_retry: Duration::from_secs(2),
-            jitter: 0.25,
-            unreachable_after: 8,
             deadline: Duration::from_secs(30),
             pipeline_window: 32,
-            sub_silence: Duration::from_millis(600),
-            sub_ack_interval: Duration::from_millis(50),
-            sub_ack_every: 64,
             obs: ObsHandle::default(),
         }
     }
@@ -149,7 +146,7 @@ impl Backoff {
     }
 
     fn from_config(config: &ClientConfig) -> Self {
-        Backoff::new(config.retry, config.max_retry, config.jitter)
+        Backoff::new(config.retry, config.max_retry, RETRY_JITTER)
     }
 
     /// The next wait interval: current backoff plus jitter, then doubles the
@@ -222,7 +219,7 @@ struct SubState {
     dead: Option<ClientError>,
 }
 
-/// One append in flight through the pipelined path.
+/// One append in flight: the only append state machine of the client.
 struct InflightAppend {
     color: ColorId,
     shard: ShardId,
@@ -231,7 +228,6 @@ struct InflightAppend {
     /// retransmit clones pointers, not bytes).
     msg: ClusterMsg,
     acked: HashSet<NodeId>,
-    last_sn: Option<SeqNum>,
     backoff: Backoff,
     retry_at: Instant,
     silent_rounds: u32,
@@ -248,16 +244,19 @@ pub struct FlexLogClient {
     token_counter: u32,
     req_counter: u64,
     rng: StdRng,
-    /// Pipelined appends awaiting their full replica ack set, by token.
+    /// Appends awaiting their full replica ack set, by token.
     inflight: HashMap<Token, InflightAppend>,
-    /// Pipelined appends that completed but were not yet handed out.
+    /// Appends that completed but were not yet handed out.
     completed: Vec<(Token, SeqNum)>,
+    /// Appends that failed, each with its own error: a blocking `append`
+    /// takes its own token's, the rest surface one per call from the next
+    /// `append_pipelined` / `flush`.
+    failed: Vec<(Token, ClientError)>,
+    /// The pump's receive buffer, kept across passes.
+    burst: Vec<(NodeId, ClusterMsg)>,
     /// End-to-end append latency, serial and pipelined alike
     /// (`client.append_ns`).
     append_hist: Histogram,
-    /// Terminal failure (e.g. a `Dropped` reject) discovered while pumping
-    /// pipelined appends; surfaced on the next pump.
-    pending_error: Option<ClientError>,
     /// Push subscriptions by handle.
     subscriptions: HashMap<u64, SubState>,
     /// Stream wire id → owning subscription handle.
@@ -278,8 +277,9 @@ impl FlexLogClient {
             rng: StdRng::seed_from_u64(seed),
             inflight: HashMap::new(),
             completed: Vec::new(),
+            failed: Vec::new(),
+            burst: Vec::new(),
             append_hist,
-            pending_error: None,
             subscriptions: HashMap::new(),
             sub_index: HashMap::new(),
             sub_counter: 0,
@@ -308,26 +308,25 @@ impl FlexLogClient {
     }
 
     /// Appends `payloads` to the log of color `color`; returns the SN of the
-    /// last record (Table 2 `Append(r[], c)`).
+    /// last record (Table 2 `Append(r[], c)`). Blocks until every replica of
+    /// the shard acked — a pipelined append awaited at once; appends already
+    /// in the pipeline keep progressing meanwhile, and a failure of one of
+    /// them is not this call's (it surfaces from the next
+    /// [`FlexLogClient::append_pipelined`] / [`FlexLogClient::flush`]).
     pub fn append(&mut self, color: ColorId, payloads: &[Payload]) -> Result<SeqNum, ClientError> {
         let shard = self
             .topology
             .random_shard_of(color, &mut self.rng)
             .ok_or(ClientError::UnknownColor(color))?;
-        let token = self.next_token();
-        self.append_to_shard(color, token, shard.id, &shard.replicas, payloads)
+        let token = self.start_append(color, shard, payloads);
+        self.await_append(token)
     }
 
-    /// The append protocol against a fixed replica set (used by
-    /// multi-append, which must keep all sets on one shard).
-    fn append_to_shard(
-        &mut self,
-        color: ColorId,
-        token: Token,
-        shard: ShardId,
-        replicas: &[NodeId],
-        payloads: &[Payload],
-    ) -> Result<SeqNum, ClientError> {
+    /// Puts one append in flight against `shard` (multi-append must keep
+    /// all its sets on one shard; everyone else picks a random one).
+    fn start_append(&mut self, color: ColorId, shard: ShardInfo, payloads: &[Payload]) -> Token {
+        let started = Instant::now();
+        let token = self.next_token();
         let msg: ClusterMsg = AppendMsg::Append {
             color,
             token,
@@ -335,98 +334,66 @@ impl FlexLogClient {
             reply_to: self.ep.id(),
         }
         .into();
-        let started = Instant::now();
-        let op_budget = self.config.deadline;
-        let mut deadline = started + op_budget;
+        self.config
+            .obs
+            .trace_event(token, Stage::ClientSend, self.ep.id().0, 0);
+        let _ = self.ep.broadcast(&shard.replicas, msg.clone());
         let mut backoff = Backoff::from_config(&self.config);
-        let mut silent_rounds: u32 = 0;
-        let mut acked: HashSet<NodeId> = HashSet::new();
-        // A migration cutover may re-home the color mid-op; the replica set
-        // is then re-resolved from the topology (the token keeps the retry
-        // idempotent across the move).
-        let mut shard = shard;
-        let mut replicas: Vec<NodeId> = replicas.to_vec();
-        let mut stage = Stage::ClientSend;
-        loop {
-            self.config.obs.trace_event(token, stage, self.ep.id().0, 0);
-            stage = Stage::ClientRetransmit;
-            let mut frozen = false;
-            let outcome = self.round(&replicas, msg.clone(), &mut backoff, |from, m| match m {
-                DataMsg::Append(AppendMsg::AppendAck { token: t, last_sn }) if t == token => {
-                    // Only the shard's own replicas count towards
-                    // completion — a stray ack from a node outside the
-                    // replica set (misrouted or stale topology) must not
-                    // let the append return before all true replicas
-                    // committed.
-                    if replicas.contains(&from) {
-                        acked.insert(from);
-                    }
-                    // Complete when *every* replica has committed
-                    // (Algorithm 1, line 8) — the basis of linearizable
-                    // local reads.
-                    Ok((acked.len() == replicas.len()).then_some(Ok(last_sn)))
-                }
-                DataMsg::Append(AppendMsg::Rejected { token: t, reason }) if t == token => {
-                    // Any nack proves the shard is alive — don't let a
-                    // fence trip the unreachable fail-fast.
-                    silent_rounds = 0;
-                    if reason != RejectReason::Frozen {
-                        return Ok(Some(Err(reason)));
-                    }
-                    // Migration in progress: the pre-cutover shard still
-                    // answers. Re-base the deadline — time spent frozen is
-                    // the migration's fault, not the shard being slow, and
-                    // must not surface as Timeout once the freeze lifts
-                    // (same rule as `flush()` re-basing queued ops).
-                    deadline = deadline.max(Instant::now() + op_budget);
-                    frozen = true;
-                    Ok(None)
-                }
-                m => Err(m),
-            })?;
-            match outcome {
-                Some(Ok(last_sn)) => {
-                    self.append_hist.record_ns(started.elapsed());
-                    self.config
-                        .obs
-                        .trace_event(token, Stage::ClientAck, self.ep.id().0, 0);
-                    return Ok(last_sn);
-                }
-                Some(Err(RejectReason::Dropped)) => return Err(ClientError::UnknownColor(color)),
-                Some(Err(_moved)) => {
-                    // Cutover happened: re-resolve the shard and retransmit
-                    // there at once. The token makes the retry idempotent
-                    // even if some old replica already committed.
-                    if let Some(s) = self.topology.random_shard_of(color, &mut self.rng) {
-                        if s.id != shard {
-                            shard = s.id;
-                            replicas = s.replicas;
-                            acked.clear();
-                        }
-                    }
-                }
-                None => {}
-            }
-            if frozen {
-                // Freeze windows are millisecond-scale by design, and an
-                // exponentially grown retransmit gap would both stretch the
-                // cutover stall and outlive the re-based deadline.
-                backoff = Backoff::from_config(&self.config);
-            }
-            if acked.is_empty() {
-                // Not a single replica has ever acked: the whole shard looks
-                // crashed or partitioned away. Fail fast instead of burning
-                // the full deadline (recovery of a *partially* acked append
-                // still waits — that path is expected to complete).
-                silent_rounds += 1;
-                if silent_rounds >= self.config.unreachable_after {
-                    return Err(ClientError::ShardUnreachable(shard));
-                }
-            }
-            if Instant::now() >= deadline {
-                return Err(ClientError::Timeout);
-            }
+        let retry_at = started + backoff.next_wait(&mut self.rng);
+        self.inflight.insert(
+            token,
+            InflightAppend {
+                color,
+                shard: shard.id,
+                replicas: shard.replicas,
+                msg,
+                acked: HashSet::new(),
+                backoff,
+                retry_at,
+                silent_rounds: 0,
+                deadline: started + self.config.deadline,
+                started,
+            },
+        );
+        token
+    }
+
+    /// Pumps until the append `token` is out of flight and returns its —
+    /// and only its — outcome.
+    fn await_append(&mut self, token: Token) -> Result<SeqNum, ClientError> {
+        while self.inflight.contains_key(&token) {
+            self.pump_inflight()?;
         }
+        if let Some(i) = self.failed.iter().position(|&(t, _)| t == token) {
+            return Err(self.failed.remove(i).1);
+        }
+        let i = self.completed.iter().rposition(|&(t, _)| t == token);
+        Ok(self.completed.remove(i.expect("an append leaves flight completed or failed")).1)
+    }
+
+    /// Takes an append out of flight with its outcome.
+    fn finish_append(&mut self, token: Token, outcome: Result<SeqNum, ClientError>) {
+        let Some(op) = self.inflight.remove(&token) else {
+            return;
+        };
+        match outcome {
+            Ok(sn) => {
+                self.append_hist.record_ns(op.started.elapsed());
+                self.config
+                    .obs
+                    .trace_event(token, Stage::ClientAck, self.ep.id().0, 0);
+                self.completed.push((token, sn));
+            }
+            Err(e) => self.failed.push((token, e)),
+        }
+    }
+
+    /// Reports the oldest failure of a pipelined append not yet reported.
+    fn take_failure(&mut self) -> Result<(), ClientError> {
+        if self.failed.is_empty() {
+            return Ok(());
+        }
+        Err(self.failed.remove(0).1)
     }
 
     // ----- request/response rounds ----------------------------------------
@@ -488,16 +455,14 @@ impl FlexLogClient {
     }
 
     /// The one place a message that is not the awaited reply is handled,
-    /// whichever loop received it: acks and nacks of pipelined appends are
+    /// whichever loop received it: acks and nacks of appends in flight are
     /// credited, pushes and redirects of standing subscriptions routed.
     /// Everything else is a stale reply to an earlier round of a blocking
     /// operation (or server-bound traffic a client never acts on).
     fn note_stray(&mut self, from: NodeId, msg: ClusterMsg) {
         match msg {
             ClusterMsg::Data(DataMsg::Append(m)) => match m {
-                AppendMsg::AppendAck { token, last_sn } => {
-                    self.note_stray_ack(from, token, last_sn)
-                }
+                AppendMsg::AppendAck { token, last_sn } => self.note_ack(from, token, last_sn),
                 AppendMsg::Rejected { token, reason } => self.note_reject(from, token, reason),
                 AppendMsg::MultiAck { .. }
                 | AppendMsg::Append { .. }
@@ -535,45 +500,18 @@ impl FlexLogClient {
         payloads: &[Payload],
     ) -> Result<Token, ClientError> {
         let window = self.config.pipeline_window.max(1);
-        while self.inflight.len() >= window {
+        loop {
+            self.take_failure()?;
+            if self.inflight.len() < window {
+                break;
+            }
             self.pump_inflight()?;
         }
         let shard = self
             .topology
             .random_shard_of(color, &mut self.rng)
             .ok_or(ClientError::UnknownColor(color))?;
-        let token = self.next_token();
-        let msg: ClusterMsg = AppendMsg::Append {
-            color,
-            token,
-            payloads: payloads.to_vec(),
-            reply_to: self.ep.id(),
-        }
-        .into();
-        self.config
-            .obs
-            .trace_event(token, Stage::ClientSend, self.ep.id().0, 0);
-        let _ = self.ep.broadcast(&shard.replicas, msg.clone());
-        let started = Instant::now();
-        let mut backoff = Backoff::from_config(&self.config);
-        let retry_at = started + backoff.next_wait(&mut self.rng);
-        self.inflight.insert(
-            token,
-            InflightAppend {
-                color,
-                shard: shard.id,
-                replicas: shard.replicas.clone(),
-                msg,
-                acked: HashSet::new(),
-                last_sn: None,
-                backoff,
-                retry_at,
-                silent_rounds: 0,
-                deadline: started + self.config.deadline,
-                started,
-            },
-        );
-        Ok(token)
+        Ok(self.start_append(color, shard, payloads))
     }
 
     /// Drives every in-flight pipelined append to completion and returns
@@ -593,10 +531,13 @@ impl FlexLogClient {
         for op in self.inflight.values_mut() {
             op.deadline = op.deadline.max(flush_deadline);
         }
-        while !self.inflight.is_empty() {
+        loop {
+            self.take_failure()?;
+            if self.inflight.is_empty() {
+                return Ok(std::mem::take(&mut self.completed));
+            }
             self.pump_inflight()?;
         }
-        Ok(std::mem::take(&mut self.completed))
     }
 
     /// Number of pipelined appends currently in flight.
@@ -618,27 +559,22 @@ impl FlexLogClient {
         std::mem::take(&mut self.completed)
     }
 
-    /// One bounded scheduling step of the pipelined appends: wait for acks
+    /// One bounded scheduling step of the appends in flight: wait for acks
     /// until the earliest retransmit is due, credit arrivals, then
-    /// retransmit/expire whatever is overdue.
+    /// retransmit/expire whatever is overdue. Fails only with the endpoint;
+    /// an op's own failure goes through [`FlexLogClient::finish_append`].
     fn pump_inflight(&mut self) -> Result<(), ClientError> {
-        debug_assert!(!self.inflight.is_empty());
-        if let Some(e) = self.pending_error.take() {
-            return Err(e);
-        }
-        let now = Instant::now();
         let next_due = self
             .inflight
             .values()
             .map(|op| op.retry_at)
             .min()
-            .expect("non-empty inflight");
-        let mut wait = next_due.saturating_duration_since(now);
+            .expect("pumped with appends in flight");
+        let mut wait = next_due.saturating_duration_since(Instant::now());
         // Acks arrive in bursts (a replica's batched commit acks every token
         // of the burst back to back): drain each burst under one inbox lock.
-        let mut burst: Vec<(NodeId, ClusterMsg)> = Vec::new();
+        let mut burst = std::mem::take(&mut self.burst);
         loop {
-            burst.clear();
             match self.ep.recv_batch(wait, 256, &mut burst) {
                 Ok(_) => {
                     for (from, msg) in burst.drain(..) {
@@ -654,9 +590,7 @@ impl FlexLogClient {
                 break;
             }
         }
-        if let Some(e) = self.pending_error.take() {
-            return Err(e);
-        }
+        self.burst = burst;
         // Retransmit overdue ops; fail the expired ones.
         let now = Instant::now();
         let overdue: Vec<Token> = self
@@ -668,16 +602,20 @@ impl FlexLogClient {
         for token in overdue {
             let op = self.inflight.get_mut(&token).expect("collected above");
             if op.acked.is_empty() {
+                // Not a single replica has ever acked: the whole shard looks
+                // crashed or partitioned away. Fail fast instead of burning
+                // the full deadline (recovery of a *partially* acked append
+                // still waits — that path is expected to complete).
                 op.silent_rounds += 1;
-                if op.silent_rounds >= self.config.unreachable_after {
-                    let shard = op.shard;
-                    self.inflight.remove(&token);
-                    return Err(ClientError::ShardUnreachable(shard));
+                if op.silent_rounds >= UNREACHABLE_AFTER {
+                    let unreachable = ClientError::ShardUnreachable(op.shard);
+                    self.finish_append(token, Err(unreachable));
+                    continue;
                 }
             }
             if now >= op.deadline {
-                self.inflight.remove(&token);
-                return Err(ClientError::Timeout);
+                self.finish_append(token, Err(ClientError::Timeout));
+                continue;
             }
             self.config
                 .obs
@@ -688,30 +626,28 @@ impl FlexLogClient {
         Ok(())
     }
 
-    /// Credits an [`AppendMsg::AppendAck`] against the matching pipelined
-    /// append, completing it when every replica has acked.
-    fn note_stray_ack(&mut self, from: NodeId, token: Token, last_sn: SeqNum) {
+    /// Credits an [`AppendMsg::AppendAck`] against the matching append,
+    /// completing it when *every* replica has committed (Algorithm 1,
+    /// line 8) — the basis of linearizable local reads.
+    fn note_ack(&mut self, from: NodeId, token: Token, last_sn: SeqNum) {
         let Some(op) = self.inflight.get_mut(&token) else {
             return; // duplicate ack of an already-completed op
         };
+        // Only the shard's own replicas count towards completion — a stray
+        // ack from a node outside the replica set (misrouted or stale
+        // topology) must not let the append return before all true
+        // replicas committed.
         if !op.replicas.contains(&from) {
-            return; // see append_to_shard: outsiders must not complete an op
+            return;
         }
         op.acked.insert(from);
-        op.last_sn = Some(last_sn);
         if op.acked.len() == op.replicas.len() {
-            let sn = op.last_sn.expect("at least one ack");
-            let op = self.inflight.remove(&token).expect("present above");
-            self.append_hist.record_ns(op.started.elapsed());
-            self.config
-                .obs
-                .trace_event(token, Stage::ClientAck, self.ep.id().0, 0);
-            self.completed.push((token, sn));
+            self.finish_append(token, Ok(last_sn));
         }
     }
 
-    /// Applies an [`AppendMsg::Rejected`] nack to the matching pipelined
-    /// append (reconfiguration fencing: retry, re-route, or fail).
+    /// Applies an [`AppendMsg::Rejected`] nack to the matching append
+    /// (reconfiguration fencing: retry, re-route, or fail).
     fn note_reject(&mut self, from: NodeId, token: Token, reason: RejectReason) {
         let Some(op) = self.inflight.get_mut(&token) else {
             return;
@@ -736,23 +672,21 @@ impl FlexLogClient {
                 op.backoff = Backoff::from_config(&self.config);
             }
             RejectReason::ColorMoved => {
-                let color = op.color;
-                let old_shard = op.shard;
-                if let Some(s) = self.topology.random_shard_of(color, &mut self.rng) {
-                    if s.id != old_shard {
+                // Cutover happened: re-resolve the shard and retransmit
+                // there on the next pump. The token makes the retry
+                // idempotent even if some old replica already committed.
+                if let Some(s) = self.topology.random_shard_of(op.color, &mut self.rng) {
+                    if s.id != op.shard {
                         op.shard = s.id;
                         op.replicas = s.replicas;
                         op.acked.clear();
-                        op.last_sn = None;
                     }
                 }
-                // Retransmit (to the possibly new shard) on the next pump.
                 op.retry_at = Instant::now();
             }
             RejectReason::Dropped => {
-                let color = op.color;
-                self.inflight.remove(&token);
-                self.pending_error = Some(ClientError::UnknownColor(color));
+                let gone = ClientError::UnknownColor(op.color);
+                self.finish_append(token, Err(gone));
             }
         }
     }
@@ -861,44 +795,36 @@ impl FlexLogClient {
         }
         self.sub_counter += 1;
         let key = self.sub_counter;
-        let mut streams = HashMap::new();
         let now = Instant::now();
-        for shard in shards {
-            let wire = self.next_req();
-            let target = shard.random_read_target(&mut self.rng);
-            let _ = self.ep.send(
-                target,
-                SubMsg::SubscribeFrom {
-                    color,
-                    from,
-                    sub: wire,
-                    reply_to: self.ep.id(),
-                }
-                .into(),
-            );
-            streams.insert(
-                wire,
-                SubStream {
+        let streams: Vec<(u64, SubStream)> = shards
+            .iter()
+            .map(|shard| {
+                let stream = SubStream {
                     shard: shard.id,
-                    target,
+                    target: shard.replicas[0], // until `attach_stream` picks one
                     sent_ack: from,
                     delivered: BTreeSet::new(),
                     unacked: 0,
                     last_ack: now,
                     last_heard: now,
-                },
-            );
-            self.sub_index.insert(wire, key);
-        }
+                };
+                (self.next_req(), stream)
+            })
+            .collect();
+        let wires: Vec<u64> = streams.iter().map(|&(wire, _)| wire).collect();
         self.subscriptions.insert(
             key,
             SubState {
                 color,
-                streams,
+                streams: streams.into_iter().collect(),
                 ready: Vec::new(),
                 dead: None,
             },
         );
+        for wire in wires {
+            self.sub_index.insert(wire, key);
+            self.attach_stream(key, wire);
+        }
         Ok(Subscription(key))
     }
 
@@ -966,51 +892,58 @@ impl FlexLogClient {
         }
     }
 
-    /// Re-registers every stream of `key` whose server went silent past
-    /// [`ClientConfig::sub_silence`] (crashed, partitioned, or the original
-    /// registration was lost): resolve a fresh read target for the color
-    /// and resume from the acked cursor. Re-pushed records dedup.
-    fn reattach_silent_streams(&mut self, key: u64) {
+    /// (Re-)registers stream `wire` of subscription `key` from its acked
+    /// cursor — the one way a stream gets a server, at open, after silence
+    /// and after a redirect. The stream keeps its shard while that still
+    /// serves the color; otherwise it takes the first shard of the color no
+    /// sibling stream covers. Re-pushed records dedup.
+    fn attach_stream(&mut self, key: u64, wire: u64) {
         let Some(state) = self.subscriptions.get_mut(&key) else {
             return;
         };
-        let color = state.color;
-        let now = Instant::now();
-        let mut attach: Vec<(u64, NodeId, SeqNum)> = Vec::new();
-        for (&wire, stream) in state.streams.iter_mut() {
-            if now.saturating_duration_since(stream.last_heard) < self.config.sub_silence {
-                continue;
-            }
-            let shard_info = self
-                .topology
-                .shard(stream.shard)
-                .filter(|s| {
-                    self.topology
-                        .shards_of(color)
-                        .iter()
-                        .any(|cs| cs.id == s.id)
-                })
-                .or_else(|| self.topology.random_shard_of(color, &mut self.rng));
-            let Some(info) = shard_info else {
-                state.dead = Some(ClientError::UnknownColor(color));
-                return;
-            };
-            stream.shard = info.id;
-            stream.target = info.random_read_target(&mut self.rng);
-            stream.last_heard = now; // back off one silence window
-            attach.push((wire, stream.target, stream.sent_ack));
-        }
-        for (wire, target, from) in attach {
-            let _ = self.ep.send(
-                target,
-                SubMsg::SubscribeFrom {
-                    color,
-                    from,
-                    sub: wire,
-                    reply_to: self.ep.id(),
-                }
-                .into(),
-            );
+        let Some(own) = state.streams.get(&wire).map(|s| s.shard) else {
+            return;
+        };
+        let shards = self.topology.shards_of(state.color);
+        let covered =
+            |id: ShardId| state.streams.iter().any(|(&w, s)| w != wire && s.shard == id);
+        let Some(info) = shards
+            .iter()
+            .find(|s| s.id == own)
+            .or_else(|| shards.iter().find(|s| !covered(s.id)))
+            .or(shards.first())
+        else {
+            state.dead = Some(ClientError::UnknownColor(state.color));
+            return;
+        };
+        let stream = state.streams.get_mut(&wire).expect("looked up above");
+        stream.shard = info.id;
+        stream.target = info.random_read_target(&mut self.rng);
+        stream.last_heard = Instant::now(); // backs off one silence window
+        let register = SubMsg::SubscribeFrom {
+            color: state.color,
+            from: stream.sent_ack,
+            sub: wire,
+            reply_to: self.ep.id(),
+        };
+        let _ = self.ep.send(stream.target, register.into());
+    }
+
+    /// Re-attaches every stream of `key` whose server went silent past
+    /// [`SUB_SILENCE`] (crashed, partitioned, or the original registration
+    /// was lost).
+    fn reattach_silent_streams(&mut self, key: u64) {
+        let Some(state) = self.subscriptions.get(&key) else {
+            return;
+        };
+        let silent: Vec<u64> = state
+            .streams
+            .iter()
+            .filter(|(_, stream)| stream.last_heard.elapsed() >= SUB_SILENCE)
+            .map(|(&wire, _)| wire)
+            .collect();
+        for wire in silent {
+            self.attach_stream(key, wire);
         }
     }
 
@@ -1042,9 +975,8 @@ impl FlexLogClient {
         // Lazy ack: the acked cursor is what survives crash re-attach and
         // migration handoff; trailing it slightly keeps the server-side
         // late-fill window open.
-        let due = stream.unacked >= self.config.sub_ack_every
-            || (stream.unacked > 0
-                && stream.last_ack.elapsed() >= self.config.sub_ack_interval);
+        let due = stream.unacked >= SUB_ACK_EVERY
+            || (stream.unacked > 0 && stream.last_ack.elapsed() >= SUB_ACK_INTERVAL);
         if due {
             if let Some(&upto) = stream.delivered.iter().next_back() {
                 stream.sent_ack = upto;
@@ -1073,47 +1005,12 @@ impl FlexLogClient {
             state.dead = Some(ClientError::UnknownColor(color));
             return;
         }
-        let Some(stream) = state.streams.get_mut(&wire) else {
-            return;
-        };
-        if stream.target != from {
+        if state.streams.get(&wire).is_none_or(|stream| stream.target != from) {
             // The cursor handoff already re-homed this stream; the old
             // server's redirect is stale.
             return;
         }
-        let covered: HashSet<ShardId> = state
-            .streams
-            .iter()
-            .filter(|(&w, _)| w != wire)
-            .map(|(_, s)| s.shard)
-            .collect();
-        let shards = self.topology.shards_of(color);
-        let Some(info) = shards
-            .iter()
-            .find(|s| !covered.contains(&s.id))
-            .or(shards.first())
-        else {
-            state.dead = Some(ClientError::UnknownColor(color));
-            return;
-        };
-        let Some(stream) = state.streams.get_mut(&wire) else {
-            return;
-        };
-        stream.shard = info.id;
-        stream.target = info.random_read_target(&mut self.rng);
-        stream.last_heard = Instant::now();
-        let target = stream.target;
-        let sent_ack = stream.sent_ack;
-        let _ = self.ep.send(
-            target,
-            SubMsg::SubscribeFrom {
-                color,
-                from: sent_ack,
-                sub: wire,
-                reply_to: self.ep.id(),
-            }
-            .into(),
-        );
+        self.attach_stream(key, wire);
     }
 
     /// Deletes all records of `color` with SN ≤ `up_to`; returns the
@@ -1169,9 +1066,9 @@ impl FlexLogClient {
         // (Algorithm 2, lines 3–4). These are ordinary appends carrying the
         // target color inside the payload.
         for (color, payloads) in sets {
-            let token = self.next_token();
             let staged = Payload::from(encode_multi_set(*color, payloads));
-            self.append_to_shard(ColorId::MASTER, token, broker.id, &broker.replicas, &[staged])?;
+            let token = self.start_append(ColorId::MASTER, broker.clone(), &[staged]);
+            self.await_append(token)?;
         }
         // Phase 2: broadcast the end marker; any single ack completes the
         // operation (Algorithm 2, lines 5–6) — the replicas drive the rest.

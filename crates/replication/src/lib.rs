@@ -30,6 +30,7 @@ mod msg;
 mod read_replica;
 mod replica;
 mod service;
+mod serving;
 mod subs;
 mod topology;
 

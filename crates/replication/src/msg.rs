@@ -167,14 +167,19 @@ pub enum SyncMsg {
         /// The serving replica's trim head, so a destination hides the
         /// trimmed prefix too.
         head: Option<SeqNum>,
+        /// Live committed records of the color on the serving replica, read
+        /// in the same event-loop pass as `records`. A follower that holds
+        /// everything above its cursor yet fewer records than this missed a
+        /// hole that filled late upstream.
+        count: u64,
         records: Vec<TokenRecord>,
         /// Subscription cursors registered on the serving replica for this
         /// color: like freeze marks, they ride the migration so the
         /// destination resumes pushing where the source stopped.
         cursors: Vec<SubCursor>,
     },
-    /// Anyone → one replica: report `color`'s local state (drain polling,
-    /// export-source ranking, the read replica's trim/late-fill probe).
+    /// Control plane → one replica: report `color`'s local state (drain
+    /// polling, export-source ranking).
     ColorStatus { color: ColorId, req: u64 },
     /// Reply to [`SyncMsg::ColorStatus`].
     ColorInfo {

@@ -6,15 +6,19 @@
 //! [`SyncMsg::Fetch`] for every color resident on the shard (above its
 //! own tail) and imports the [`SyncMsg::Records`] replies — the exact
 //! protocol a recovering quorum replica uses to catch up, run as a
-//! steady-state pull loop. It serves:
+//! steady-state pull loop. Every reply also carries the source's trim head
+//! (adopted at once — client trims go to the quorum only) and its live
+//! record count (a count above ours after the import means a hole filled
+//! late upstream: the retained span is refetched from that source). It
+//! serves, through the shared [`Serving`] half:
 //!
 //! * `Read` — with the same bounded hold rule as a quorum replica, plus a
 //!   **read-through**: a read above the local tail triggers an immediate
 //!   sync fetch, so the answer is ⊥ only if the record is still absent
 //!   upstream after the hold window (the freshness guarantee: staleness is
 //!   bounded by one sync round-trip, not by the pull cadence).
-//! * `Subscribe` (one-shot pull) and `SubscribeFrom` (standing push
-//!   subscriptions via the shared [`SubTable`]).
+//! * `Subscribe` (one-shot pull, parked behind a sync round) and
+//!   `SubscribeFrom` (standing push subscriptions).
 //!
 //! It never sees appends, order requests, or OResps; the write quorum
 //! stays exactly the paper's write-all set. Reconfiguration is observed
@@ -27,21 +31,18 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flexlog_obs::Counter;
-use flexlog_pm::virtual_time;
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
 use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
 use flexlog_types::{ColorId, SeqNum, ShardId, Token};
 
 use crate::msg::{ClusterMsg, DataMsg, ReadMsg, RejectReason, SubMsg, SyncMsg};
-use crate::replica::HeldReads;
-use crate::subs::{RecentTokens, SubTable};
+use crate::serving::Serving;
 use crate::TopologyView;
 
-/// Modelled per-message handling cost (ns); same calibration as
-/// [`crate::ReplicaNode`].
-const HANDLE_MSG_NS: u64 = 500;
-/// Modelled per-imported-record cost (ns).
-const HANDLE_PER_RECORD_NS: u64 = 800;
+/// Sync-pull cadence while readers or subscribers are active.
+const SYNC_INTERVAL: Duration = Duration::from_millis(1);
+/// Sync-pull cadence when idle.
+const IDLE_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Configuration of one read-only replica.
 #[derive(Clone)]
@@ -54,12 +55,6 @@ pub struct ReadReplicaConfig {
     /// Bounded hold for reads above the local tail (mirrors the quorum
     /// replicas' hole rule).
     pub read_hold: Duration,
-    /// Sync-pull cadence while readers or subscribers are active.
-    pub sync_interval: Duration,
-    /// Sync-pull cadence when idle.
-    pub idle_interval: Duration,
-    /// Liveness heartbeat interval for idle push subscriptions.
-    pub sub_heartbeat: Duration,
 }
 
 impl Default for ReadReplicaConfig {
@@ -69,9 +64,6 @@ impl Default for ReadReplicaConfig {
             quorum: Vec::new(),
             storage: StorageConfig::default(),
             read_hold: Duration::from_millis(20),
-            sync_interval: Duration::from_millis(1),
-            idle_interval: Duration::from_millis(10),
-            sub_heartbeat: Duration::from_millis(150),
         }
     }
 }
@@ -95,22 +87,18 @@ struct HeldScan {
 pub struct ReadReplicaNode {
     config: ReadReplicaConfig,
     topology: TopologyView,
-    storage: Arc<StorageServer>,
-    subs: SubTable,
-    recent_tokens: RecentTokens,
-    held_reads: HeldReads,
+    /// Storage, push subscriptions, held reads and the busy-time counter.
+    serving: Serving,
     held_scans: Vec<HeldScan>,
     /// Monotonic fetch round / request id source.
     round: u64,
-    /// Per-color fetch in flight (round, sent-at) — avoids duplicate
-    /// fetches while a reply is pending.
-    inflight: HashMap<ColorId, (u64, Instant)>,
-    /// Outstanding head/count probes: req → color.
-    probes: HashMap<u64, ColorId>,
+    /// Per-color fetch in flight — (round, sent-at, whether it asks for the
+    /// whole retained span) — avoids duplicate fetches while a reply is
+    /// pending.
+    inflight: HashMap<ColorId, (u64, Instant, bool)>,
     /// Round-robin index over the quorum sources.
     rr: usize,
     last_sync: Instant,
-    busy_ns: Option<Counter>,
     sync_fetches: Counter,
     imported: Counter,
 }
@@ -118,7 +106,7 @@ pub struct ReadReplicaNode {
 impl ReadReplicaNode {
     pub fn new(config: ReadReplicaConfig, topology: TopologyView) -> Self {
         let storage = Arc::new(StorageServer::new(config.storage.clone()));
-        Self::with_storage(config, topology, storage)
+        Self::recovered(config, topology, storage)
     }
 
     /// A read replica recovering its storage from crashed devices. No sync
@@ -129,32 +117,18 @@ impl ReadReplicaNode {
         topology: TopologyView,
         storage: Arc<StorageServer>,
     ) -> Self {
-        Self::with_storage(config, topology, storage)
-    }
-
-    fn with_storage(
-        config: ReadReplicaConfig,
-        topology: TopologyView,
-        storage: Arc<StorageServer>,
-    ) -> Self {
         let obs = &config.storage.obs;
-        let subs = SubTable::new(obs, config.sub_heartbeat);
         let sync_fetches = obs.counter("rreplica.sync_fetches");
         let imported = obs.counter("rreplica.imported_records");
         ReadReplicaNode {
+            serving: Serving::new(storage, config.read_hold),
             config,
             topology,
-            storage,
-            subs,
-            recent_tokens: RecentTokens::new(),
-            held_reads: HeldReads::default(),
             held_scans: Vec::new(),
             round: 0,
             inflight: HashMap::new(),
-            probes: HashMap::new(),
             rr: 0,
             last_sync: Instant::now(),
-            busy_ns: None,
             sync_fetches,
             imported,
         }
@@ -162,33 +136,27 @@ impl ReadReplicaNode {
 
     /// Shared storage handle (benchmarks read tier stats through it).
     pub fn storage(&self) -> Arc<StorageServer> {
-        Arc::clone(&self.storage)
+        Arc::clone(&self.serving.storage)
     }
 
-    fn active(&self) -> bool {
-        !self.subs.is_empty() || !self.held_reads.is_empty() || !self.held_scans.is_empty()
+    /// The pull (and loop tick) cadence: fast while anyone is waiting on
+    /// this follower's freshness — a subscriber, a parked read or scan.
+    fn cadence(&self) -> Duration {
+        if self.serving.subs.is_empty() && self.serving.idle() && self.held_scans.is_empty() {
+            IDLE_INTERVAL
+        } else {
+            SYNC_INTERVAL
+        }
     }
 
     /// Runs the read-replica loop until shutdown or crash.
     pub fn run(mut self, ep: Endpoint<ClusterMsg>) {
         const MAX_DRAIN: usize = 128;
-        self.storage.set_node(ep.id().0);
-        self.busy_ns = Some(
-            self.config
-                .storage
-                .obs
-                .counter(&format!("node.busy_ns.rreplica.{}", ep.id().index())),
-        );
-        virtual_time::take();
+        self.serving.enter(&ep, "rreplica");
         let mut burst: Vec<(NodeId, ClusterMsg)> = Vec::new();
         loop {
-            let tick = if self.active() {
-                self.config.sync_interval.max(Duration::from_millis(1))
-            } else {
-                self.config.idle_interval.max(Duration::from_millis(1))
-            };
             burst.clear();
-            match ep.recv_batch(tick, MAX_DRAIN, &mut burst) {
+            match ep.recv_batch(self.cadence(), MAX_DRAIN, &mut burst) {
                 Ok(_) => {}
                 Err(RecvError::Timeout) => {}
                 Err(RecvError::Disconnected) => return,
@@ -199,7 +167,7 @@ impl ReadReplicaNode {
                     ClusterMsg::Data(DataMsg::Shutdown) => return,
                     ClusterMsg::Data(DataMsg::Read(m)) => self.handle_read_plane(&ep, from, m),
                     ClusterMsg::Data(DataMsg::Sub(m)) => self.handle_sub_plane(&ep, m),
-                    ClusterMsg::Data(DataMsg::Sync(m)) => self.handle_sync_plane(&ep, m),
+                    ClusterMsg::Data(DataMsg::Sync(m)) => self.handle_sync_plane(&ep, from, m),
                     // Never part of the write quorum, the ordering layer or
                     // a reconfiguration: those planes are not spoken here
                     // (cutovers and drops are observed through the topology).
@@ -208,20 +176,14 @@ impl ReadReplicaNode {
                 }
             }
             self.tick(&ep);
-            let dev_ns = virtual_time::take();
-            if n_msgs > 0 || dev_ns > 0 {
-                if let Some(c) = &self.busy_ns {
-                    c.add(HANDLE_MSG_NS * n_msgs + dev_ns);
-                }
-            }
+            self.serving.charge_pass(n_msgs);
         }
     }
 
     fn handle_read_plane(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: ReadMsg) {
         match msg {
             ReadMsg::Read { color, sn, req } => {
-                let hold = self.config.read_hold;
-                if self.held_reads.read(ep, &self.storage, from, color, sn, req, hold) {
+                if self.serving.read(ep, from, color, sn, req) {
                     // Possibly not replicated here yet: fetch eagerly
                     // (read-through) instead of answering a stale ⊥.
                     self.fetch_color(ep, color);
@@ -242,15 +204,11 @@ impl ReadReplicaNode {
                 });
                 self.fetch_color(ep, color);
             }
-            ReadMsg::Trim { color, up_to, req } => {
-                // Quorum replicas run the two-round trim protocol; a read
-                // replica just applies and acks (it holds no authority).
-                let _ = self.storage.trim(color, up_to);
-                let (head, tail) = (self.storage.head(color), self.storage.tail(color));
-                let _ = ep.send(from, ReadMsg::TrimAck { req, head, tail }.into());
-            }
-            // The quorum's second trim round, and client-bound replies.
-            ReadMsg::TrimPeerAck { .. }
+            // The quorum's trim rounds (clients trim the quorum only; the
+            // head reaches a follower with its next fetch), and client-bound
+            // replies.
+            ReadMsg::Trim { .. }
+            | ReadMsg::TrimPeerAck { .. }
             | ReadMsg::ReadResp { .. }
             | ReadMsg::SubscribeResp { .. }
             | ReadMsg::TrimAck { .. } => {}
@@ -258,200 +216,140 @@ impl ReadReplicaNode {
     }
 
     fn handle_sub_plane(&mut self, ep: &Endpoint<ClusterMsg>, msg: SubMsg) {
-        match msg {
-            SubMsg::SubscribeFrom { color, from: from_sn, sub, reply_to } => {
-                if !self.topology.colors_on(self.config.shard).contains(&color) {
-                    let reason = self.departed(color);
-                    let _ = ep.send(reply_to, SubMsg::SubRedirect { sub, color, reason }.into());
-                    return;
-                }
-                self.subs.register(
-                    ep,
-                    &self.storage,
-                    &self.recent_tokens,
-                    sub,
-                    color,
-                    from_sn,
-                    reply_to,
-                    None,
-                );
+        let mut gone = None;
+        if let SubMsg::SubscribeFrom { color, .. } = msg {
+            gone = self.departed(&self.topology.colors_on(self.config.shard), color);
+            if gone.is_none() {
                 // Pull the color promptly so the backlog starts flowing.
                 self.fetch_color(ep, color);
             }
-            SubMsg::SubAck { sub, upto } => self.subs.ack(sub, upto),
-            SubMsg::SubCancel { sub } => self.subs.cancel(sub),
-            // Subscriber-bound.
-            SubMsg::SubPushBatch { .. } | SubMsg::SubRedirect { .. } => {}
         }
+        self.serving.sub_plane(ep, msg, gone, None);
     }
 
-    /// Why a color not resident on this shard left it: `ColorMoved` when
-    /// it lives elsewhere, `Dropped` when it is gone.
-    fn departed(&self, color: ColorId) -> RejectReason {
-        if self.topology.knows_color(color) {
-            RejectReason::ColorMoved
+    /// Why `color` is not served here, `None` while it is `resident` on
+    /// this shard: `ColorMoved` when it lives elsewhere, `Dropped` when it
+    /// is gone.
+    fn departed(&self, resident: &[ColorId], color: ColorId) -> Option<RejectReason> {
+        if resident.contains(&color) {
+            None
+        } else if self.topology.knows_color(color) {
+            Some(RejectReason::ColorMoved)
         } else {
-            RejectReason::Dropped
+            Some(RejectReason::Dropped)
         }
     }
 
-    fn handle_sync_plane(&mut self, ep: &Endpoint<ClusterMsg>, msg: SyncMsg) {
-        match msg {
-            SyncMsg::Records { req: round, color, records, .. } => {
-                let mut fresh: Vec<(SeqNum, Token)> = Vec::new();
-                for (token, sn, payload) in records {
-                    if self.storage.import(color, sn, token, &payload).unwrap_or(false) {
-                        self.recent_tokens.insert(color, sn, token);
-                        fresh.push((sn, token));
-                    }
-                }
-                self.inflight.remove(&color);
-                self.release_held_scans(ep, color, round);
-                if !fresh.is_empty() {
-                    self.imported.add(fresh.len() as u64);
-                    if let Some(c) = &self.busy_ns {
-                        c.add(HANDLE_PER_RECORD_NS * fresh.len() as u64);
-                    }
-                    // Late fills (below a push frontier) go out of band;
-                    // everything else rides the in-order pump.
-                    for &(sn, token) in &fresh {
-                        self.subs.push_fill(ep, &self.storage, color, sn, token);
-                    }
-                    self.subs.pump(ep, &self.storage, &self.recent_tokens, None);
-                    self.held_reads.release(ep, &self.storage);
-                }
+    /// Of the sync plane a follower hears only the replies to its own
+    /// fetches; the quorum's sync-phase and the controller's queries are
+    /// not spoken here.
+    fn handle_sync_plane(&mut self, ep: &Endpoint<ClusterMsg>, src: NodeId, msg: SyncMsg) {
+        let SyncMsg::Records { req: round, color, head, count, records, .. } = msg else {
+            return;
+        };
+        // The source's trim head rides every reply: hide the trimmed
+        // prefix here too.
+        if let Some(h) = head {
+            let _ = self.serving.storage.install_head(color, h);
+        }
+        let mut fresh: Vec<(ColorId, SeqNum, Token)> = Vec::new();
+        for (token, sn, payload) in records {
+            if self.serving.storage.import(color, sn, token, &payload).unwrap_or(false) {
+                fresh.push((color, sn, token));
             }
-            SyncMsg::ColorInfo { req, head, tail, count, .. } => {
-                // Reply to a head/count probe: adopt the trim head, and if
-                // the quorum holds more records under the same tail a hole
-                // filled late upstream — refetch the retained span.
-                let Some(color) = self.probes.remove(&req) else {
-                    return;
-                };
-                if let Some(h) = head {
-                    let _ = self.storage.install_head(color, h);
-                }
-                if tail == self.storage.tail(color)
-                    && count > self.storage.record_count(color) as u64
-                {
-                    let above = self.storage.head(color).unwrap_or(SeqNum::ZERO);
-                    self.send_fetch(ep, color, above);
-                }
-            }
-            // The quorum's own sync-phase and the probes/fetches a read
-            // replica only ever issues, never serves.
-            SyncMsg::SyncRequest { .. }
-            | SyncMsg::SyncState { .. }
-            | SyncMsg::SyncDone { .. }
-            | SyncMsg::Fetch { .. }
-            | SyncMsg::ColorStatus { .. }
-            | SyncMsg::SpanDigest { .. }
-            | SyncMsg::SpanDigestResp { .. } => {}
+        }
+        let full = matches!(self.inflight.remove(&color), Some((r, _, true)) if r == round);
+        // Local storage now reflects the quorum as of the fetch.
+        self.answer_scans(ep, |s| s.color == color && round >= s.min_round);
+        if !fresh.is_empty() {
+            self.imported.add(fresh.len() as u64);
+            self.serving.charge_records(fresh.len());
+            self.serving.landed(ep, &fresh, None);
+        }
+        // We now hold everything the source has above our cursor. If it
+        // still holds more records than we do, a hole below the cursor
+        // filled late upstream: refetch the retained span from that source.
+        // Counts compare only under one head, and the reply to such a
+        // refetch never asks again, whatever else made the counts differ.
+        let storage = &self.serving.storage;
+        if !full && head == storage.head(color) && count > storage.record_count(color) as u64 {
+            self.send_fetch(ep, src, color, head.unwrap_or(SeqNum::ZERO), true);
         }
     }
 
-    /// Sends one fetch for `color`'s records above `above` to the next
-    /// quorum source; returns the round it is numbered with and the source.
+    /// Sends one fetch for `color`'s records above `above` to `src`; `full`
+    /// marks a refetch of the whole retained span.
     fn send_fetch(
         &mut self,
         ep: &Endpoint<ClusterMsg>,
+        src: NodeId,
         color: ColorId,
         above: SeqNum,
-    ) -> Option<(u64, NodeId)> {
-        let src = *self.config.quorum.get(self.rr % self.config.quorum.len().max(1))?;
-        self.rr += 1;
+        full: bool,
+    ) {
         self.round += 1;
         self.sync_fetches.inc();
         let select = FetchSelect::Above { sn: above, limit: u64::MAX };
         let _ = ep.send(src, SyncMsg::Fetch { req: self.round, color, select }.into());
-        Some((self.round, src))
+        self.inflight.insert(color, (self.round, Instant::now(), full));
     }
 
-    /// Issues a sync fetch for one color unless one is already pending
-    /// (younger than a redelivery window).
+    /// Issues a sync fetch above the local tail to the next quorum source,
+    /// unless one is already pending (younger than a redelivery window).
     fn fetch_color(&mut self, ep: &Endpoint<ClusterMsg>, color: ColorId) {
-        let now = Instant::now();
-        if let Some(&(_, at)) = self.inflight.get(&color) {
-            if now.saturating_duration_since(at) < self.config.read_hold {
-                return; // reply still expected
-            }
+        if self
+            .inflight
+            .get(&color)
+            .is_some_and(|&(_, at, _)| at.elapsed() < self.config.read_hold)
+        {
+            return; // reply still expected
         }
-        let tail = self.storage.tail(color).unwrap_or(SeqNum::ZERO);
-        let Some((round, src)) = self.send_fetch(ep, color, tail) else { return };
-        self.inflight.insert(color, (round, now));
-        // Every 32nd fetch of a color doubles as a head/count probe so the
-        // replica adopts trims and notices late hole fills upstream.
-        if round.is_multiple_of(32) {
-            self.probes.insert(round, color);
-            let _ = ep.send(src, SyncMsg::ColorStatus { color, req: round }.into());
-        }
+        let Some(&src) = self.config.quorum.get(self.rr % self.config.quorum.len().max(1)) else {
+            return;
+        };
+        self.rr += 1;
+        let tail = self.serving.storage.tail(color).unwrap_or(SeqNum::ZERO);
+        self.send_fetch(ep, src, color, tail, false);
     }
 
-    /// Serves every parked `Subscribe` of `color` waiting on a round that
-    /// `round` satisfies — local storage now reflects the quorum as of the
-    /// fetch.
-    fn release_held_scans(&mut self, ep: &Endpoint<ClusterMsg>, color: ColorId, round: u64) {
-        let storage = &self.storage;
-        let mut still = Vec::new();
-        for s in self.held_scans.drain(..) {
-            if s.color == color && round >= s.min_round {
-                // An unreachable archive withholds the reply (never a log
-                // with a silent hole); the client retries elsewhere.
-                if let Ok(records) = storage.scan(s.color, s.from_sn) {
-                    let _ =
-                        ep.send(s.from, ReadMsg::SubscribeResp { req: s.req, records }.into());
-                }
-            } else {
-                still.push(s);
+    /// Answers every parked `Subscribe` that `ready` selects from local
+    /// storage. An unreachable archive withholds the reply (never a log
+    /// with a silent hole); the client retries elsewhere.
+    fn answer_scans(&mut self, ep: &Endpoint<ClusterMsg>, ready: impl Fn(&HeldScan) -> bool) {
+        let serving = &self.serving;
+        self.held_scans.retain(|s| {
+            let answer = ready(s);
+            if answer {
+                serving.scan(ep, s.from, s.color, s.from_sn, s.req);
             }
-        }
-        self.held_scans = still;
+            !answer
+        });
     }
 
     fn tick(&mut self, ep: &Endpoint<ClusterMsg>) {
         let now = Instant::now();
-        self.held_reads.expire(ep, now);
-
         // Expired scans degrade to a best-effort local answer (quorum
         // unreachable): stale beats unavailable for a follower.
-        let mut still_scans = Vec::new();
-        for s in self.held_scans.drain(..) {
-            if now >= s.deadline {
-                // Stale beats unavailable, but a hole beats neither: if the
-                // archive cannot serve the prefix, stay silent instead.
-                if let Ok(records) = self.storage.scan(s.color, s.from_sn) {
-                    let _ =
-                        ep.send(s.from, ReadMsg::SubscribeResp { req: s.req, records }.into());
-                }
-            } else {
-                still_scans.push(s);
-            }
-        }
-        self.held_scans = still_scans;
+        self.answer_scans(ep, |s| now >= s.deadline);
 
         // Redirect subscriptions of colors that left this shard (cutover
         // or drop observed through the shared topology).
         let resident = self.topology.colors_on(self.config.shard);
-        for color in self.subs.colors() {
-            if !resident.contains(&color) {
-                self.subs.redirect_color(ep, color, self.departed(color));
+        for color in self.serving.subs.colors() {
+            if let Some(reason) = self.departed(&resident, color) {
+                self.serving.subs.redirect_color(ep, color, reason);
             }
         }
 
         // The steady-state pull loop.
-        let cadence = if self.active() {
-            self.config.sync_interval
-        } else {
-            self.config.idle_interval
-        };
-        if now.saturating_duration_since(self.last_sync) >= cadence {
+        if now.saturating_duration_since(self.last_sync) >= self.cadence() {
             self.last_sync = now;
             for color in resident {
                 self.fetch_color(ep, color);
             }
         }
 
-        // Catch-up continuation + heartbeats.
-        self.subs.pump(ep, &self.storage, &self.recent_tokens, None);
+        // Held-read expiry, catch-up continuation + heartbeats.
+        self.serving.tick(ep, now, None);
     }
 }

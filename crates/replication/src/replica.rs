@@ -24,8 +24,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use flexlog_obs::{Counter, Histogram, Stage, CTRL_TOKEN, SYNC_TOKEN};
-use flexlog_pm::virtual_time;
+use flexlog_obs::{Histogram, Stage, CTRL_TOKEN, SYNC_TOKEN};
 use flexlog_ordering::{Directory, OrderMsg, RoleId, RouteTable};
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
 use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
@@ -34,23 +33,11 @@ use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, ShardId, Token}
 use crate::msg::{
     AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, ReadMsg, RejectReason, SubMsg, SyncMsg,
 };
-use crate::subs::{RecentTokens, SubTable};
+use crate::serving::Serving;
 use crate::TopologyView;
 
 /// Magic prefix of a multi-color-append set staged in the special color.
 pub(crate) const MULTI_MAGIC: &[u8; 4] = b"MCA1";
-
-/// Modelled per-message handling cost (ns) on the paper's testbed — same
-/// calibration as the sequencer's constants (a Go gRPC server spends
-/// ~0.5–1.5 µs of CPU per message). Together with the storage device's
-/// virtual clock this feeds the per-node `node.busy_ns.*` capacity
-/// counters: on this single-CPU host, wall time cannot express multi-node
-/// parallelism, so scaling experiments divide work by the **busiest node's
-/// modelled busy time** instead (see the substitution table in DESIGN.md).
-const HANDLE_MSG_NS: u64 = 500;
-/// Modelled per-record commit cost (ns) beyond the raw device time
-/// (index bookkeeping, ack fan-out — the paper's per-record server CPU).
-const HANDLE_PER_RECORD_NS: u64 = 800;
 
 /// Folds every consecutive OResp / ORespBatch at the head of `iter` into
 /// `resps`, preserving arrival order, so one [`StorageServer::commit_many`]
@@ -97,9 +84,6 @@ pub struct ReplicaConfig {
     /// Per-color OReq routing overrides (leaf-sequencer splits re-home
     /// colors away from `leaf_role` without moving the shard).
     pub routes: RouteTable,
-    /// Liveness heartbeat interval for idle push subscriptions (an empty
-    /// `SubPushBatch`; subscribers re-attach elsewhere when these stop).
-    pub sub_heartbeat: Duration,
 }
 
 impl Default for ReplicaConfig {
@@ -113,79 +97,7 @@ impl Default for ReplicaConfig {
             oreq_resend: Duration::from_millis(200),
             sync_timeout: Duration::from_millis(500),
             routes: RouteTable::new(),
-            sub_heartbeat: Duration::from_millis(150),
         }
-    }
-}
-
-struct HeldRead {
-    from: NodeId,
-    req: u64,
-    color: ColorId,
-    sn: SeqNum,
-    deadline: Instant,
-}
-
-/// Reads parked above the local tail (the hole rule, §6.3 "Safety",
-/// problem 2): the SN may belong to an in-flight append, so the answer
-/// waits — for the record, for a larger SN proving a hole, or for the hold
-/// deadline (⊥). Shared by quorum and read-only replicas.
-#[derive(Default)]
-pub(crate) struct HeldReads(Vec<HeldRead>);
-
-impl HeldReads {
-    pub(crate) fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Answers a read from local storage, or parks it for at most `hold`
-    /// when `sn` is above everything seen here. Returns whether it parked.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn read(
-        &mut self,
-        ep: &Endpoint<ClusterMsg>,
-        storage: &StorageServer,
-        from: NodeId,
-        color: ColorId,
-        sn: SeqNum,
-        req: u64,
-        hold: Duration,
-    ) -> bool {
-        let value = storage.get(color, sn);
-        let parked = value.is_none() && sn > storage.tail(color).unwrap_or(SeqNum::ZERO);
-        if parked {
-            let deadline = Instant::now() + hold;
-            self.0.push(HeldRead { from, req, color, sn, deadline });
-        } else {
-            // The record, or ⊥ at once: a hole, trimmed, or not on this shard.
-            let _ = ep.send(from, ReadMsg::ReadResp { req, value }.into());
-        }
-        parked
-    }
-
-    /// Re-examines the parked reads after new records landed.
-    pub(crate) fn release(&mut self, ep: &Endpoint<ClusterMsg>, storage: &StorageServer) {
-        self.0.retain(|h| {
-            let value = storage.get(h.color, h.sn);
-            // A bigger SN arrived: the requested SN is a hole here.
-            let decided =
-                value.is_some() || storage.tail(h.color).unwrap_or(SeqNum::ZERO) >= h.sn;
-            if decided {
-                let _ = ep.send(h.from, ReadMsg::ReadResp { req: h.req, value }.into());
-            }
-            !decided
-        });
-    }
-
-    /// Answers ⊥ to every parked read whose hold window ran out.
-    pub(crate) fn expire(&mut self, ep: &Endpoint<ClusterMsg>, now: Instant) {
-        self.0.retain(|h| {
-            let expired = now >= h.deadline;
-            if expired {
-                let _ = ep.send(h.from, ReadMsg::ReadResp { req: h.req, value: None }.into());
-            }
-            !expired
-        });
     }
 }
 
@@ -230,7 +142,8 @@ pub struct ReplicaNode {
     config: ReplicaConfig,
     directory: Directory,
     topology: TopologyView,
-    storage: Arc<StorageServer>,
+    /// Storage, push subscriptions, held reads and the busy-time counter.
+    serving: Serving,
     known_epoch: Epoch,
     mode: Mode,
     /// Clients (and peer replicas acting as clients) awaiting acks per token.
@@ -246,7 +159,6 @@ pub struct ReplicaNode {
     /// pass makes busy replicas pay O(staged) per burst for a path that
     /// only matters on sequencer fail-over. Rate-limited instead.
     last_oreq_scan: Instant,
-    held_reads: HeldReads,
     trims: HashMap<u64, TrimPending>,
     multi: Vec<MultiPending>,
     processed_multi: HashSet<Token>,
@@ -260,9 +172,6 @@ pub struct ReplicaNode {
     start_with_sync: bool,
     /// Wall time of one batched OResp commit (`replica.commit_batch_ns`).
     commit_hist: Histogram,
-    /// Per-node modelled busy time (`node.busy_ns.replica.<idx>`);
-    /// registered on loop entry when the node id is known.
-    busy_ns: Option<Counter>,
     /// Colors fenced for migration: new appends are nacked `Frozen` while
     /// already-staged records drain through their OResp commits.
     frozen: HashSet<ColorId>,
@@ -274,14 +183,10 @@ pub struct ReplicaNode {
     /// Highest controller generation seen — the zombie fence. Mutating
     /// ctrl messages carrying a lower generation are nacked.
     ctrl_gen: u64,
-    /// Standing push subscriptions served by this replica.
-    subs: SubTable,
     /// Staged token → color (so a commit knows which color's subscribers
     /// to push to); rebuilt from the storage staged set on the throttled
     /// resend scan, kept incrementally in between.
     staged_colors: HashMap<Token, ColorId>,
-    /// Recently committed (color, sn) → token, for `SubPush` tracing.
-    recent_tokens: RecentTokens,
 }
 
 impl ReplicaNode {
@@ -310,19 +215,18 @@ impl ReplicaNode {
         start_with_sync: bool,
     ) -> Self {
         let commit_hist = config.storage.obs.histogram("replica.commit_batch_ns");
-        let subs = SubTable::new(&config.storage.obs, config.sub_heartbeat);
+        let serving = Serving::new(storage, config.read_hold);
         ReplicaNode {
             config,
             directory,
             topology,
-            storage,
+            serving,
             known_epoch: Epoch(1),
             mode: Mode::Operational,
             reply_tos: HashMap::new(),
             pending_oresp: HashMap::new(),
             oreq_sent: HashMap::new(),
             last_oreq_scan: Instant::now(),
-            held_reads: HeldReads::default(),
             trims: HashMap::new(),
             multi: Vec::new(),
             processed_multi: HashSet::new(),
@@ -332,20 +236,17 @@ impl ReplicaNode {
             rng: StdRng::seed_from_u64(0xF1E7),
             start_with_sync,
             commit_hist,
-            busy_ns: None,
             frozen: HashSet::new(),
             moved: HashSet::new(),
             dropped: HashSet::new(),
             ctrl_gen: 0,
-            subs,
             staged_colors: HashMap::new(),
-            recent_tokens: RecentTokens::new(),
         }
     }
 
     /// Shared storage handle (benchmarks read tier stats through it).
     pub fn storage(&self) -> Arc<StorageServer> {
-        Arc::clone(&self.storage)
+        Arc::clone(&self.serving.storage)
     }
 
     /// Runs the replica loop until shutdown or crash.
@@ -361,19 +262,7 @@ impl ReplicaNode {
         /// Upper bound of one opportunistic drain (keeps ticks timely).
         const MAX_DRAIN: usize = 128;
 
-        // Storage commits run inside this replica's process: stamp its
-        // trace events with our node id.
-        self.storage.set_node(ep.id().0);
-        self.busy_ns = Some(
-            self.config
-                .storage
-                .obs
-                .counter(&format!("node.busy_ns.replica.{}", ep.id().index())),
-        );
-        // Drop any virtual device time a previous occupant of this thread
-        // accumulated, so the per-node capacity counter starts clean.
-        virtual_time::take();
-
+        self.serving.enter(&ep, "replica");
         if self.start_with_sync && !self.config.peers.is_empty() {
             self.begin_sync(&ep, None);
         } else if self.start_with_sync {
@@ -383,16 +272,11 @@ impl ReplicaNode {
         }
         let mut burst: Vec<(NodeId, ClusterMsg)> = Vec::new();
         loop {
-            // Adaptive idle tick: with no held reads and no sync in flight
-            // nothing in `tick()` is deadline-sensitive below the resend
-            // scan granularity, so sleep longer and cut idle wakeups. A
-            // subscriber still catching up (its push frontier trails the
-            // tail) forces the short tick: each pump ships one capped
-            // chunk, and the next chunk must not wait a full idle period.
-            let tick = if self.held_reads.is_empty()
-                && !self.syncing()
-                && (self.subs.is_empty() || self.subs.all_caught_up(&self.storage))
-            {
+            // Adaptive idle tick: with no held reads, no subscriber
+            // catching up and no sync in flight nothing in `tick()` is
+            // deadline-sensitive below the resend scan granularity, so
+            // sleep longer and cut idle wakeups.
+            let tick = if self.serving.idle() && !self.syncing() {
                 self.config.oreq_resend / 8
             } else {
                 self.config
@@ -434,16 +318,7 @@ impl ReplicaNode {
                 }
             }
             self.tick(&ep);
-            // Charge this pass to the per-node capacity counter: a modelled
-            // per-message handling cost plus whatever virtual device time
-            // storage commits accrued (per-record costs are added where the
-            // records are counted, in `apply_oresp_batch`).
-            let dev_ns = virtual_time::take();
-            if n_msgs > 0 || dev_ns > 0 {
-                if let Some(c) = &self.busy_ns {
-                    c.add(HANDLE_MSG_NS * n_msgs + dev_ns);
-                }
-            }
+            self.serving.charge_pass(n_msgs);
         }
     }
 
@@ -489,20 +364,13 @@ impl ReplicaNode {
     fn handle_read_plane(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: ReadMsg) {
         match msg {
             ReadMsg::Read { color, sn, req } => {
-                let hold = self.config.read_hold;
-                self.held_reads.read(ep, &self.storage, from, color, sn, req, hold);
+                self.serving.read(ep, from, color, sn, req);
             }
             ReadMsg::Subscribe { color, from: from_sn, req } => {
-                // Archive read-through can fail while the object store is
-                // down; withholding the reply makes the client retry (or
-                // time out) instead of replaying a log with a silent hole
-                // where the archived prefix belongs.
-                if let Ok(records) = self.storage.scan(color, from_sn) {
-                    let _ = ep.send(from, ReadMsg::SubscribeResp { req, records }.into());
-                }
+                self.serving.scan(ep, from, color, from_sn, req);
             }
             ReadMsg::Trim { color, up_to, req } => {
-                let _ = self.storage.trim(color, up_to);
+                let _ = self.serving.storage.trim(color, up_to);
                 // Second round: tell every peer we applied it; collect
                 // theirs before answering the caller (§6.2).
                 let _ = ep.broadcast(
@@ -523,37 +391,16 @@ impl ReplicaNode {
     }
 
     fn handle_sub_plane(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: SubMsg) {
-        match msg {
-            // The log may be mid-fetch; register once it is whole.
-            m @ SubMsg::SubscribeFrom { .. } if self.syncing() => {
-                self.deferred.push_back((from, m.into()));
+        let mut gone = None;
+        if let SubMsg::SubscribeFrom { color, .. } = msg {
+            if self.syncing() {
+                // The log may be mid-fetch; register once it is whole.
+                return self.deferred.push_back((from, msg.into()));
             }
-            SubMsg::SubscribeFrom { color, from: from_sn, sub, reply_to } => {
-                match self.fence_reason(color) {
-                    Some(reason @ (RejectReason::ColorMoved | RejectReason::Dropped)) => {
-                        let _ = ep.send(reply_to, SubMsg::SubRedirect { sub, color, reason }.into());
-                    }
-                    // Frozen colors still serve reads and subscriptions.
-                    Some(RejectReason::Frozen) | None => {
-                        let barrier = self.sub_barrier();
-                        self.subs.register(
-                            ep,
-                            &self.storage,
-                            &self.recent_tokens,
-                            sub,
-                            color,
-                            from_sn,
-                            reply_to,
-                            barrier,
-                        );
-                    }
-                }
-            }
-            SubMsg::SubAck { sub, upto } => self.subs.ack(sub, upto),
-            SubMsg::SubCancel { sub } => self.subs.cancel(sub),
-            // Subscriber-bound.
-            SubMsg::SubPushBatch { .. } | SubMsg::SubRedirect { .. } => {}
+            // Frozen colors still serve reads and subscriptions.
+            gone = self.fence_reason(color).filter(|&r| r != RejectReason::Frozen);
         }
+        self.serving.sub_plane(ep, msg, gone, self.sub_barrier());
     }
 
     fn handle_sync_plane(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: SyncMsg) {
@@ -575,15 +422,16 @@ impl ReplicaNode {
                 // we are the source. Trim-aware: an `Above` scan never
                 // starts below the head, and the head itself ships so a
                 // destination hides the trimmed prefix.
-                let head = self.storage.head(color);
+                let head = self.serving.storage.head(color);
                 if let FetchSelect::Above { sn, .. } = &mut select {
                     *sn = (*sn).max(head.unwrap_or(SeqNum::ZERO));
                 }
-                let records = self.storage.fetch(color, &select);
-                let cursors = self.subs.export_cursors(color);
+                let records = self.serving.storage.fetch(color, &select);
+                let count = self.serving.storage.record_count(color) as u64;
+                let cursors = self.serving.subs.export_cursors(color);
                 let _ = ep.send(
                     from,
-                    SyncMsg::Records { req, color, head, records, cursors }.into(),
+                    SyncMsg::Records { req, color, head, count, records, cursors }.into(),
                 );
             }
             SyncMsg::Records { req, color, records, .. } => {
@@ -591,7 +439,7 @@ impl ReplicaNode {
                     s.fetching.remove(&color);
                     s.fetched.insert(color);
                     for (token, sn, payload) in records {
-                        let _ = self.storage.import(color, sn, token, &payload);
+                        let _ = self.serving.storage.import(color, sn, token, &payload);
                     }
                     self.advance_sync(ep);
                 }
@@ -603,19 +451,20 @@ impl ReplicaNode {
                 }
             }
             SyncMsg::ColorStatus { color, req } => {
-                let staged = self
-                    .storage
+                let storage = &self.serving.storage;
+                let staged = storage
                     .staged_tokens()
                     .into_iter()
                     .filter(|&(_, c, _)| c == color)
                     .count() as u64;
-                let (head, tail) = (self.storage.head(color), self.storage.tail(color));
-                let count = self.storage.record_count(color) as u64;
+                let (head, tail) = (storage.head(color), storage.tail(color));
+                let count = storage.record_count(color) as u64;
                 let _ = ep.send(from, SyncMsg::ColorInfo { req, staged, head, tail, count }.into());
             }
             SyncMsg::SpanDigest { color, req } => {
-                let head = self.storage.head(color);
-                let sns = self.storage.committed_sns(color, head.unwrap_or(SeqNum::ZERO));
+                let head = self.serving.storage.head(color);
+                let above = head.unwrap_or(SeqNum::ZERO);
+                let sns = self.serving.storage.committed_sns(color, above);
                 let _ = ep.send(from, SyncMsg::SpanDigestResp { req, color, head, sns }.into());
             }
             // Probe replies: bound for the controller or a read replica.
@@ -677,7 +526,7 @@ impl ReplicaNode {
                 // Never strand a subscriber on the old shard: its cursor
                 // already rode the final import to the destination; the
                 // redirect tells it to re-resolve the topology too.
-                self.subs.redirect_color(ep, color, RejectReason::ColorMoved);
+                self.serving.subs.redirect_color(ep, color, RejectReason::ColorMoved);
                 trace(Stage::MigrateCutover, color);
             }
             CtrlCmd::Drop(color) => {
@@ -685,16 +534,16 @@ impl ReplicaNode {
                 self.dropped.insert(color);
                 // Terminal for subscribers: the color will never commit
                 // another record anywhere.
-                self.subs.redirect_color(ep, color, RejectReason::Dropped);
+                self.serving.subs.redirect_color(ep, color, RejectReason::Dropped);
             }
             CtrlCmd::Discard(color) => {
                 // Roll-back of a partial import: wipe the color's committed
                 // records (idempotent — a repeat discard finds nothing).
-                let _ = self.storage.discard_color(color);
+                let _ = self.serving.storage.discard_color(color);
                 self.frozen.remove(&color);
                 // Cursors adopted from an aborted migration go back through
                 // topology re-resolution (the source was unfrozen).
-                self.subs.redirect_color(ep, color, RejectReason::ColorMoved);
+                self.serving.subs.redirect_color(ep, color, RejectReason::ColorMoved);
             }
             // A color mid-migration is off limits: its span is being
             // exported or discarded and the tiering tick will retry after
@@ -702,24 +551,25 @@ impl ReplicaNode {
             CtrlCmd::Archive { color, .. }
                 if self.frozen.contains(&color) || self.moved.contains(&color) => {}
             CtrlCmd::Archive { color, max_records, demote: true, .. } => {
-                let _ = self.storage.demote_color(color, max_records);
+                let _ = self.serving.storage.demote_color(color, max_records);
             }
             CtrlCmd::Archive { color, keep_tail, max_records, demote: false } => {
-                if self.storage.archive_prefix(color, keep_tail, max_records).unwrap_or(0) > 0 {
+                let archived = self.serving.storage.archive_prefix(color, keep_tail, max_records);
+                if archived.unwrap_or(0) > 0 {
                     trace(Stage::Archive, color);
                 }
             }
             CtrlCmd::Import { color, head, records, cold, cursors } => {
                 let imported = if cold {
-                    self.storage.import_cold(color, &records).unwrap_or(0)
+                    self.serving.storage.import_cold(color, &records).unwrap_or(0)
                 } else {
                     let fresh = |(token, sn, payload): &(Token, SeqNum, Payload)| {
-                        self.storage.import(color, *sn, *token, payload).unwrap_or(false)
+                        self.serving.storage.import(color, *sn, *token, payload).unwrap_or(false)
                     };
                     records.iter().filter(|r| fresh(r)).count() as u64
                 };
                 if let Some(h) = head {
-                    let _ = self.storage.install_head(color, h);
+                    let _ = self.serving.storage.install_head(color, h);
                 }
                 trace(Stage::MigrateCopy, color);
                 // Subscription cursors ride the final hot sliver. Only the
@@ -727,8 +577,7 @@ impl ReplicaNode {
                 // receives the import, and N replicas each pushing to the
                 // same subscriber would multiply every record by N.
                 if !cursors.is_empty() && self.is_oreq_delegate(ep) {
-                    self.subs
-                        .adopt_cursors(ep, &self.storage, &self.recent_tokens, color, &cursors);
+                    self.serving.subs.adopt_cursors(ep, color, &cursors);
                 }
                 return imported;
             }
@@ -772,7 +621,7 @@ impl ReplicaNode {
         payloads: Vec<Payload>,
         reply_to: NodeId,
     ) {
-        if let Some(sn) = self.storage.committed_sn(token) {
+        if let Some(sn) = self.serving.storage.committed_sn(token) {
             // Duplicate of a completed append: re-ack (client retry or the
             // multi-color replay path). This must run BEFORE any
             // reconfiguration fence — a late retransmit of a pre-migration
@@ -782,7 +631,7 @@ impl ReplicaNode {
             return;
         }
         if let Some(reason) = self.fence_reason(color) {
-            if reason == RejectReason::Frozen && self.storage.is_staged(token) {
+            if reason == RejectReason::Frozen && self.serving.storage.is_staged(token) {
                 // The batch is already in the pre-freeze pipeline: its
                 // OResp is still coming (freeze does not stop the drain),
                 // so register the ack target and stay silent.
@@ -792,9 +641,8 @@ impl ReplicaNode {
             let _ = ep.send(reply_to, AppendMsg::Rejected { token, reason }.into());
             return;
         }
-        self.reply_tos.entry(token).or_default().insert(reply_to);
         let n = payloads.len() as u32;
-        let newly = match self.storage.stage(token, color, &payloads) {
+        let newly = match self.serving.storage.stage(token, color, &payloads) {
             Ok(newly) => newly,
             Err(e) => {
                 // Storage full: drop; the client will time out. (The paper
@@ -803,6 +651,7 @@ impl ReplicaNode {
                 return;
             }
         };
+        self.reply_tos.entry(token).or_default().insert(reply_to);
         self.staged_colors.insert(token, color);
         if newly {
             self.config
@@ -881,10 +730,8 @@ impl ReplicaNode {
     /// path.
     fn apply_oresp_batch(&mut self, ep: &Endpoint<ClusterMsg>, resps: &[(Token, SeqNum)]) {
         let batch_start = Instant::now();
-        if let Some(c) = &self.busy_ns {
-            c.add(HANDLE_PER_RECORD_NS * resps.len() as u64);
-        }
-        let results = self.storage.commit_many(resps);
+        self.serving.charge_records(resps.len());
+        let results = self.serving.storage.commit_many(resps);
         let mut committed: Vec<(Token, SeqNum)> = Vec::new();
         let mut spans: Vec<(Token, Stage, u64, u64)> = Vec::new();
         let mut fills: Vec<(ColorId, SeqNum, Token)> = Vec::new();
@@ -895,7 +742,6 @@ impl ReplicaNode {
                     spans.push((token, Stage::ReplicaCommit, ep.id().0, 0));
                     committed.push((token, last_sn));
                     if let Some(color) = self.staged_colors.remove(&token) {
-                        self.recent_tokens.insert(color, last_sn, token);
                         fills.push((color, last_sn, token));
                     }
                 }
@@ -920,16 +766,9 @@ impl ReplicaNode {
                 }
             }
         }
-        self.held_reads.release(ep, &self.storage);
-        if !self.subs.is_empty() {
-            // A commit below some subscriber's push frontier is a hole that
-            // just filled (its OResp outlived the barrier window): deliver
-            // it out of band, then pump the in-order frontier forward.
-            for (color, sn, token) in fills {
-                self.subs.push_fill(ep, &self.storage, color, sn, token);
-            }
-            self.pump_subs(ep);
-        }
+        // A commit below some subscriber's push frontier is a hole that
+        // just filled (its OResp outlived the barrier window).
+        self.serving.landed(ep, &fills, self.sub_barrier());
     }
 
     /// The lowest SN of a commit this replica knows is still in flight (an
@@ -938,7 +777,12 @@ impl ReplicaNode {
     /// record is not skipped past. Entries older than the window stop
     /// blocking pushes (the append may never arrive — client crash or
     /// partition) and are delivered by `push_fill` if they do commit.
+    /// During the sync-phase nothing may be pushed at all.
     fn sub_barrier(&self) -> Option<SeqNum> {
+        if self.syncing() {
+            // The log may be mid-fetch: push nothing until it is whole.
+            return Some(SeqNum::ZERO);
+        }
         if self.pending_oresp.is_empty() {
             return None;
         }
@@ -950,15 +794,6 @@ impl ReplicaNode {
             .min()
     }
 
-    fn pump_subs(&mut self, ep: &Endpoint<ClusterMsg>) {
-        if self.subs.is_empty() {
-            return;
-        }
-        let barrier = self.sub_barrier();
-        self.subs
-            .pump(ep, &self.storage, &self.recent_tokens, barrier);
-    }
-
     /// Answers the caller once our own `Trim` has arrived and every peer
     /// has acked (third round of §6.2).
     fn maybe_finish_trim(&mut self, ep: &Endpoint<ClusterMsg>, req: u64) {
@@ -966,7 +801,8 @@ impl ReplicaNode {
         let Some((color, caller)) = t.local else { return };
         if t.peer_acks.len() >= self.config.peers.len() {
             self.trims.remove(&req);
-            let (head, tail) = (self.storage.head(color), self.storage.tail(color));
+            let storage = &self.serving.storage;
+            let (head, tail) = (storage.head(color), storage.tail(color));
             let _ = ep.send(caller, ReadMsg::TrimAck { req, head, tail }.into());
         }
     }
@@ -983,6 +819,7 @@ impl ReplicaNode {
         // read_records(FID): this function's multi-append sets staged in the
         // special color (Algorithm 2, line 12).
         let sets: Vec<(Token, Payload)> = self
+            .serving
             .storage
             .fetch(ColorId::MASTER, &FetchSelect::Above { sn: SeqNum::ZERO, limit: u64::MAX })
             .into_iter()
@@ -1146,8 +983,8 @@ impl ReplicaNode {
             .colors()
             .into_iter()
             .filter_map(|c| {
-                let tail = self.storage.tail(c)?;
-                Some((c, tail, self.storage.record_count(c) as u64))
+                let tail = self.serving.storage.tail(c)?;
+                Some((c, tail, self.serving.storage.record_count(c) as u64))
             })
             .collect()
     }
@@ -1175,7 +1012,7 @@ impl ReplicaNode {
             if holder == ep.id() || s.fetched.contains(&color) {
                 continue;
             }
-            let my_tail = self.storage.tail(color).unwrap_or(SeqNum::ZERO);
+            let my_tail = self.serving.storage.tail(color).unwrap_or(SeqNum::ZERO);
             if tail > my_tail {
                 // Fetch everything above our tail from the holder.
                 s.fetching.insert(color);
@@ -1243,15 +1080,14 @@ impl ReplicaNode {
                 ClusterMsg::Order(m) => self.handle_order(ep, from, m),
             }
         }
-        self.held_reads.release(ep, &self.storage);
         // Sync may have installed records (possibly below push frontiers —
         // those were never pushed from here and re-attachment covers them);
         // push whatever the frontier can now advance over.
-        self.pump_subs(ep);
+        self.serving.landed(ep, &[], self.sub_barrier());
     }
 
     fn reissue_staged_oreqs(&mut self, ep: &Endpoint<ClusterMsg>) {
-        for (token, color, n) in self.storage.staged_tokens() {
+        for (token, color, n) in self.serving.storage.staged_tokens() {
             self.staged_colors.insert(token, color);
             self.send_oreq(ep, color, token, n as u32);
         }
@@ -1261,7 +1097,7 @@ impl ReplicaNode {
 
     fn tick(&mut self, ep: &Endpoint<ClusterMsg>) {
         let now = Instant::now();
-        self.held_reads.expire(ep, now);
+        self.serving.tick(ep, now, self.sub_barrier());
 
         match &self.mode {
             Mode::Operational => {
@@ -1275,7 +1111,7 @@ impl ReplicaNode {
                     >= self.config.oreq_resend / 4
                 {
                     self.last_oreq_scan = now;
-                    let staged = self.storage.staged_tokens();
+                    let staged = self.serving.storage.staged_tokens();
                     // The staged set is authoritative for token → color:
                     // resync the incremental map to it (drops entries whose
                     // records were discarded, repopulates after recovery).
@@ -1292,10 +1128,6 @@ impl ReplicaNode {
                         self.send_oreq(ep, color, token, n as u32);
                     }
                 }
-                // Keep pushes flowing between commits: catch-up chunks for
-                // subscribers behind the tail, heartbeats for idle ones,
-                // and barrier lifts (a pending OResp aged out).
-                self.pump_subs(ep);
             }
             Mode::Syncing(s) => {
                 if now - s.started > self.config.sync_timeout {
@@ -1356,6 +1188,23 @@ mod unit_tests {
         let (color, dec) = decode_multi_set(&enc).unwrap();
         assert_eq!(color, ColorId(7));
         assert_eq!(dec, payloads);
+    }
+
+    #[test]
+    fn failed_stage_registers_no_ack_target() {
+        let net: flexlog_simnet::Network<ClusterMsg> = flexlog_simnet::Network::instant();
+        let ep = net.register(NodeId::named(NodeId::CLASS_REPLICA, 0));
+        let storage = StorageConfig { pm_capacity: 64 << 10, ..StorageConfig::default() };
+        let config = ReplicaConfig { storage, ..ReplicaConfig::default() };
+        let mut node = ReplicaNode::new(config, Directory::new(), TopologyView::new());
+        let client = NodeId::named(NodeId::CLASS_CLIENT, 1);
+        let (small, big) = (Token::new(FunctionId(1), 1), Token::new(FunctionId(1), 2));
+        node.handle_append(&ep, ColorId(1), small, vec![Payload::from(vec![0u8; 16])], client);
+        assert!(node.reply_tos.contains_key(&small));
+        // Larger than the whole PM pool: the stage fails, and nothing may
+        // remember the client for a batch that will never commit here.
+        node.handle_append(&ep, ColorId(1), big, vec![Payload::from(vec![0u8; 1 << 20])], client);
+        assert!(!node.reply_tos.contains_key(&big));
     }
 
     #[test]

@@ -8,7 +8,6 @@ use std::thread::JoinHandle;
 use parking_lot::Mutex;
 
 use flexlog_ordering::{Directory, RoleId};
-use flexlog_pm::{PmDevice, SsdDevice};
 use flexlog_simnet::{Network, NodeId};
 use flexlog_storage::{StorageConfig, StorageServer};
 use flexlog_types::{ColorId, ShardId};
@@ -62,24 +61,31 @@ impl DataLayerSpec {
     }
 }
 
-struct ReplicaSlot {
-    config: ReplicaConfig,
-    devices: (Arc<PmDevice>, Arc<SsdDevice>),
+/// What a restart needs of one spawned node: its configuration and its
+/// current storage (whose devices outlive a crash).
+struct Slot<C> {
+    config: C,
     storage: Arc<StorageServer>,
 }
 
-struct ReadReplicaSlot {
-    config: ReadReplicaConfig,
-    devices: (Arc<PmDevice>, Arc<SsdDevice>),
-    storage: Arc<StorageServer>,
+impl<C> Slot<C> {
+    /// Power-cycles the node's devices (their volatile state is lost) and
+    /// recovers storage from the media.
+    fn power_cycle(&mut self) -> Arc<StorageServer> {
+        let (pm, ssd) = self.storage.devices();
+        pm.crash();
+        ssd.crash();
+        self.storage = Arc::new(StorageServer::recover(pm, ssd, self.storage.config().clone()));
+        Arc::clone(&self.storage)
+    }
 }
 
 /// Running data layer.
 pub struct DataLayerHandle {
     pub topology: TopologyView,
     threads: Mutex<Vec<JoinHandle<()>>>,
-    slots: Mutex<HashMap<NodeId, ReplicaSlot>>,
-    read_slots: Mutex<HashMap<NodeId, ReadReplicaSlot>>,
+    slots: Mutex<HashMap<NodeId, Slot<ReplicaConfig>>>,
+    read_slots: Mutex<HashMap<NodeId, Slot<ReadReplicaConfig>>>,
     control: flexlog_simnet::Endpoint<ClusterMsg>,
     /// Per-replica template for shards added at runtime (scale-out).
     template: ReplicaConfig,
@@ -96,75 +102,33 @@ impl DataLayerService {
         directory: &Directory,
         spec: &DataLayerSpec,
     ) -> DataLayerHandle {
-        let topology = TopologyView::new();
-        let mut threads = Vec::new();
-        let mut slots = HashMap::new();
-
-        // First pass: decide node ids and register shards.
-        let mut shard_nodes: HashMap<ShardId, Vec<NodeId>> = HashMap::new();
+        let handle = DataLayerHandle {
+            topology: TopologyView::new(),
+            threads: Mutex::new(Vec::new()),
+            slots: Mutex::new(HashMap::new()),
+            read_slots: Mutex::new(HashMap::new()),
+            control: net.register(NodeId::named(0, (u64::MAX >> 4) - 1)),
+            template: spec.replica.clone(),
+        };
+        // Register every shard and color before the first replica runs.
         let mut next = 0u64;
         for shard in &spec.shards {
-            let nodes: Vec<NodeId> = (0..shard.replicas)
-                .map(|_| {
-                    let id = NodeId::named(NodeId::CLASS_REPLICA, next);
-                    next += 1;
-                    id
-                })
-                .collect();
-            topology.add_shard(ShardInfo {
+            handle.topology.add_shard(ShardInfo {
                 id: shard.id,
-                replicas: nodes.clone(),
+                replicas: (next..next + shard.replicas as u64)
+                    .map(|i| NodeId::named(NodeId::CLASS_REPLICA, i))
+                    .collect(),
                 leaf: shard.leaf_role,
                 read_replicas: Vec::new(),
             });
-            shard_nodes.insert(shard.id, nodes);
+            next += shard.replicas as u64;
         }
         for (color, shards) in &spec.colors {
-            topology.set_color_shards(*color, shards.clone());
+            handle.topology.set_color_shards(*color, shards.clone());
         }
-
-        // Second pass: spawn replicas.
-        for shard in &spec.shards {
-            let nodes = shard_nodes[&shard.id].clone();
-            for &node in &nodes {
-                let peers: Vec<NodeId> = nodes.iter().copied().filter(|&p| p != node).collect();
-                let config = ReplicaConfig {
-                    shard: shard.id,
-                    peers,
-                    leaf_role: shard.leaf_role,
-                    ..spec.replica.clone()
-                };
-                let replica = ReplicaNode::new(config.clone(), directory.clone(), topology.clone());
-                let storage = replica.storage();
-                let devices = storage.devices();
-                slots.insert(
-                    node,
-                    ReplicaSlot {
-                        config,
-                        devices,
-                        storage,
-                    },
-                );
-                let ep = net.register(node);
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("{node}"))
-                        .spawn(move || replica.run(ep))
-                        .expect("spawn replica"),
-                );
-            }
+        for info in handle.topology.all_shards() {
+            handle.spawn_shard(net, directory, &mut handle.slots.lock(), &info);
         }
-
-        let control = net.register(NodeId::named(0, (u64::MAX >> 4) - 1));
-        let handle = DataLayerHandle {
-            topology,
-            threads: Mutex::new(threads),
-            slots: Mutex::new(slots),
-            read_slots: Mutex::new(HashMap::new()),
-            control,
-            template: spec.replica.clone(),
-        };
-        // Third pass: attach read-only replicas.
         for shard in &spec.shards {
             for _ in 0..spec.read_replicas_per_shard {
                 handle.add_read_replica(net, shard.id);
@@ -207,6 +171,60 @@ impl DataLayerHandle {
         self.slots.lock().get(&node).map(|s| Arc::clone(&s.storage))
     }
 
+    /// Runs a node's loop on its own named thread, joined by `shutdown`.
+    fn spawn_thread(&self, name: String, run: impl FnOnce() + Send + 'static) {
+        let thread = std::thread::Builder::new().name(name).spawn(run);
+        self.threads.lock().push(thread.expect("spawn node thread"));
+    }
+
+    /// The one way a quorum replica starts: fresh with `config`, or — with
+    /// `None` — power-cycled from its slot, in which case it runs the
+    /// sync-phase before serving (§6.3). The caller holds the `slots` lock
+    /// (a scale-out allocates its node ids under it).
+    fn spawn_replica(
+        &self,
+        net: &Network<ClusterMsg>,
+        directory: &Directory,
+        slots: &mut HashMap<NodeId, Slot<ReplicaConfig>>,
+        node: NodeId,
+        fresh: Option<ReplicaConfig>,
+    ) {
+        let (directory, topology) = (directory.clone(), self.topology.clone());
+        let name = if fresh.is_some() { format!("{node}") } else { format!("{node}-r") };
+        let replica = match fresh {
+            Some(config) => {
+                let replica = ReplicaNode::new(config.clone(), directory, topology);
+                slots.insert(node, Slot { config, storage: replica.storage() });
+                replica
+            }
+            None => {
+                let slot = slots.get_mut(&node).expect("unknown replica");
+                ReplicaNode::recovered(slot.config.clone(), directory, topology, slot.power_cycle())
+            }
+        };
+        let ep = net.register(node);
+        self.spawn_thread(name, move || replica.run(ep));
+    }
+
+    /// Spawns every replica of a shard the topology already lists.
+    fn spawn_shard(
+        &self,
+        net: &Network<ClusterMsg>,
+        directory: &Directory,
+        slots: &mut HashMap<NodeId, Slot<ReplicaConfig>>,
+        info: &ShardInfo,
+    ) {
+        for &node in &info.replicas {
+            let config = ReplicaConfig {
+                shard: info.id,
+                peers: info.replicas.iter().copied().filter(|&p| p != node).collect(),
+                leaf_role: info.leaf,
+                ..self.template.clone()
+            };
+            self.spawn_replica(net, directory, slots, node, Some(config));
+        }
+    }
+
     /// Crashes a replica process. Its devices retain their durable state.
     pub fn crash_replica(&self, net: &Network<ClusterMsg>, node: NodeId) {
         net.crash(node);
@@ -216,29 +234,7 @@ impl DataLayerHandle {
     /// (power-fail semantics), storage recovers from the media, and the
     /// replica runs the sync-phase before serving (§6.3).
     pub fn restart_replica(&self, net: &Network<ClusterMsg>, directory: &Directory, node: NodeId) {
-        let (config, storage) = {
-            let mut slots = self.slots.lock();
-            let slot = slots.get_mut(&node).expect("unknown replica");
-            let (pm, ssd) = slot.devices.clone();
-            pm.crash();
-            ssd.crash();
-            let storage = Arc::new(StorageServer::recover(
-                pm,
-                ssd,
-                slot.config.storage.clone(),
-            ));
-            slot.storage = Arc::clone(&storage);
-            (slot.config.clone(), storage)
-        };
-        let replica =
-            ReplicaNode::recovered(config, directory.clone(), self.topology.clone(), storage);
-        let ep = net.register(node);
-        self.threads.lock().push(
-            std::thread::Builder::new()
-                .name(format!("{node}-r"))
-                .spawn(move || replica.run(ep))
-                .expect("respawn replica"),
-        );
+        self.spawn_replica(net, directory, &mut self.slots.lock(), node, None);
     }
 
     /// Default storage configuration helper for specs.
@@ -257,106 +253,67 @@ impl DataLayerHandle {
         r: usize,
     ) -> ShardInfo {
         let mut slots = self.slots.lock();
-        let shard_id = ShardId(
-            self.topology
-                .all_shards()
-                .iter()
-                .map(|s| s.id.0 + 1)
-                .max()
-                .unwrap_or(0),
-        );
-        let mut next = slots
-            .keys()
-            .filter(|n| n.class() == NodeId::CLASS_REPLICA)
-            .map(|n| n.index() + 1)
-            .max()
-            .unwrap_or(0);
-        let nodes: Vec<NodeId> = (0..r)
-            .map(|_| {
-                let id = NodeId::named(NodeId::CLASS_REPLICA, next);
-                next += 1;
-                id
-            })
-            .collect();
+        let shards = self.topology.all_shards();
+        let next = slots.keys().map(|n| n.index() + 1).max().unwrap_or(0);
         let info = ShardInfo {
-            id: shard_id,
-            replicas: nodes.clone(),
+            id: ShardId(shards.iter().map(|s| s.id.0 + 1).max().unwrap_or(0)),
+            replicas: (next..next + r as u64)
+                .map(|i| NodeId::named(NodeId::CLASS_REPLICA, i))
+                .collect(),
             leaf: leaf_role,
             read_replicas: Vec::new(),
         };
         self.topology.add_shard(info.clone());
-        let mut threads = self.threads.lock();
-        for &node in &nodes {
-            let peers: Vec<NodeId> = nodes.iter().copied().filter(|&p| p != node).collect();
-            let config = ReplicaConfig {
-                shard: shard_id,
-                peers,
-                leaf_role,
-                ..self.template.clone()
-            };
-            let replica = ReplicaNode::new(config.clone(), directory.clone(), self.topology.clone());
-            let storage = replica.storage();
-            let devices = storage.devices();
-            slots.insert(
-                node,
-                ReplicaSlot {
-                    config,
-                    devices,
-                    storage,
-                },
-            );
-            let ep = net.register(node);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("{node}"))
-                    .spawn(move || replica.run(ep))
-                    .expect("spawn replica"),
-            );
-        }
+        self.spawn_shard(net, directory, &mut slots, &info);
         info
     }
 
-    /// Attaches one new read-only replica to `shard` and spawns it. The
-    /// topology registers it as a read target, so client read traffic
-    /// shifts onto it from the next resolution.
+    /// The one way a read replica starts: fresh with `config`, or — with
+    /// `None` — power-cycled from its slot (the steady-state sync pull
+    /// refills the rest; a follower needs no quorum barrier). Either way
+    /// the topology registers it as a read target, so client read traffic
+    /// shifts onto it from the next resolution. The caller holds the
+    /// `read_slots` lock (a new replica's id is allocated under it).
+    fn spawn_read_replica(
+        &self,
+        net: &Network<ClusterMsg>,
+        slots: &mut HashMap<NodeId, Slot<ReadReplicaConfig>>,
+        node: NodeId,
+        fresh: Option<ReadReplicaConfig>,
+    ) {
+        let topology = self.topology.clone();
+        let name = if fresh.is_some() { format!("{node}") } else { format!("{node}-r") };
+        let rr = match fresh {
+            Some(config) => {
+                let rr = ReadReplicaNode::new(config.clone(), topology);
+                slots.insert(node, Slot { config, storage: rr.storage() });
+                rr
+            }
+            None => {
+                let slot = slots.get_mut(&node).expect("unknown read replica");
+                ReadReplicaNode::recovered(slot.config.clone(), topology, slot.power_cycle())
+            }
+        };
+        let shard = slots[&node].config.shard;
+        let ep = net.register(node);
+        self.spawn_thread(name, move || rr.run(ep));
+        self.topology.add_read_replica(shard, node);
+    }
+
+    /// Attaches one new read-only replica to `shard` and spawns it.
     pub fn add_read_replica(&self, net: &Network<ClusterMsg>, shard: ShardId) -> NodeId {
         let quorum = self.shard_replicas(shard);
         assert!(!quorum.is_empty(), "unknown shard {shard:?}");
-        let mut read_slots = self.read_slots.lock();
-        let next = read_slots
-            .keys()
-            .map(|n| n.index() + 1)
-            .max()
-            .unwrap_or(0);
+        let mut slots = self.read_slots.lock();
+        let next = slots.keys().map(|n| n.index() + 1).max().unwrap_or(0);
         let node = NodeId::named(NodeId::CLASS_READ_REPLICA, next);
         let config = ReadReplicaConfig {
             shard,
             quorum,
             storage: self.template.storage.clone(),
             read_hold: self.template.read_hold,
-            sub_heartbeat: self.template.sub_heartbeat,
-            ..ReadReplicaConfig::default()
         };
-        let rr = ReadReplicaNode::new(config.clone(), self.topology.clone());
-        let storage = rr.storage();
-        let devices = storage.devices();
-        read_slots.insert(
-            node,
-            ReadReplicaSlot {
-                config,
-                devices,
-                storage,
-            },
-        );
-        drop(read_slots);
-        let ep = net.register(node);
-        self.threads.lock().push(
-            std::thread::Builder::new()
-                .name(format!("{node}"))
-                .spawn(move || rr.run(ep))
-                .expect("spawn read replica"),
-        );
-        self.topology.add_read_replica(shard, node);
+        self.spawn_read_replica(net, &mut slots, node, Some(config));
         node
     }
 
@@ -389,43 +346,15 @@ impl DataLayerHandle {
     /// recovers from media, and the steady-state sync pull refills the
     /// rest — no quorum barrier is needed for a follower.
     pub fn restart_read_replica(&self, net: &Network<ClusterMsg>, node: NodeId) {
-        let (config, storage) = {
-            let mut slots = self.read_slots.lock();
-            let slot = slots.get_mut(&node).expect("unknown read replica");
-            let (pm, ssd) = slot.devices.clone();
-            pm.crash();
-            ssd.crash();
-            let storage = Arc::new(StorageServer::recover(
-                pm,
-                ssd,
-                slot.config.storage.clone(),
-            ));
-            slot.storage = Arc::clone(&storage);
-            (slot.config.clone(), storage)
-        };
-        let rr = ReadReplicaNode::recovered(config.clone(), self.topology.clone(), storage);
-        let ep = net.register(node);
-        self.threads.lock().push(
-            std::thread::Builder::new()
-                .name(format!("{node}-r"))
-                .spawn(move || rr.run(ep))
-                .expect("respawn read replica"),
-        );
-        self.topology.add_read_replica(config.shard, node);
+        self.spawn_read_replica(net, &mut self.read_slots.lock(), node, None);
     }
 
     /// Sends shutdown to every replica and joins the threads.
     pub fn shutdown(self) {
-        let slots = self.slots.lock();
-        for &node in slots.keys() {
+        let replicas: Vec<NodeId> = self.slots.lock().keys().copied().collect();
+        for node in replicas.into_iter().chain(self.read_replicas()) {
             let _ = self.control.send(node, DataMsg::Shutdown.into());
         }
-        drop(slots);
-        let read_slots = self.read_slots.lock();
-        for &node in read_slots.keys() {
-            let _ = self.control.send(node, DataMsg::Shutdown.into());
-        }
-        drop(read_slots);
         let threads: Vec<JoinHandle<()>> = std::mem::take(&mut *self.threads.lock());
         for t in threads {
             let _ = t.join();

@@ -3,8 +3,8 @@
 //! A subscriber registers once ([`SubMsg::SubscribeFrom`]) and the serving
 //! replica — quorum or read-only — pushes committed spans to it in batched
 //! [`SubMsg::SubPushBatch`] messages as they land, instead of the
-//! subscriber polling. The table is shared by [`crate::ReplicaNode`] and
-//! [`crate::ReadReplicaNode`]:
+//! subscriber polling. The table is the subscription half of
+//! [`crate::serving::Serving`], which both node kinds hold:
 //!
 //! * **One scan, N subscribers.** Each pump scans a color once from the
 //!   *lowest* cursor (bounded by [`SUB_PUSH_MAX`]) and slices the result
@@ -19,14 +19,16 @@
 //!   what the subscriber confirmed. Only `acked` travels in a migration
 //!   handoff ([`crate::msg::SubCursor`]) — re-pushing the in-flight window
 //!   is safe, losing it is not.
-//! * **Liveness.** An idle subscription gets an empty heartbeat batch;
-//!   subscribers re-attach elsewhere when heartbeats stop (crash) or a
-//!   [`SubMsg::SubRedirect`] arrives (cutover / drop).
+//! * **Liveness.** An idle subscription gets an empty heartbeat batch
+//!   every [`SUB_HEARTBEAT`]; subscribers re-attach elsewhere when
+//!   heartbeats stop (crash) or a [`SubMsg::SubRedirect`] arrives (cutover
+//!   / drop).
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use flexlog_obs::{Counter, Histogram, ObsHandle, Stage, SUB_TOKEN};
+use flexlog_obs::{Counter, Histogram, Stage, SUB_TOKEN};
 use flexlog_simnet::{Endpoint, NodeId};
 use flexlog_storage::StorageServer;
 use flexlog_types::{ColorId, CommittedRecord, SeqNum, Token};
@@ -37,6 +39,10 @@ use crate::msg::{ClusterMsg, RejectReason, SubCursor, SubMsg};
 /// from the serving replica's event loop. A subscriber further behind
 /// catches up across consecutive pumps.
 pub(crate) const SUB_PUSH_MAX: usize = 512;
+
+/// Liveness heartbeat interval for idle push subscriptions (an empty
+/// `SubPushBatch`). The client's silence window is a few multiples of it.
+const SUB_HEARTBEAT: Duration = Duration::from_millis(150);
 
 /// How many committed (color, sn) → token pairs a server remembers for
 /// per-record `SubPush` tracing. Older pushes fall back to one batch-level
@@ -54,20 +60,14 @@ struct Sub {
 }
 
 /// Bounded (color, sn) → token memory for trace attribution of pushes.
-pub(crate) struct RecentTokens {
+#[derive(Default)]
+struct RecentTokens {
     map: HashMap<(ColorId, SeqNum), Token>,
     order: VecDeque<(ColorId, SeqNum)>,
 }
 
 impl RecentTokens {
-    pub(crate) fn new() -> Self {
-        RecentTokens {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-        }
-    }
-
-    pub(crate) fn insert(&mut self, color: ColorId, sn: SeqNum, token: Token) {
+    fn insert(&mut self, color: ColorId, sn: SeqNum, token: Token) {
         if self.map.insert((color, sn), token).is_none() {
             self.order.push_back((color, sn));
             while self.order.len() > RECENT_TOKEN_WINDOW {
@@ -86,10 +86,11 @@ impl RecentTokens {
 /// The subscription table of one serving replica. All methods run inside
 /// the owner's single-threaded event loop.
 pub(crate) struct SubTable {
+    storage: Arc<StorageServer>,
     subs: HashMap<u64, Sub>,
     by_color: HashMap<ColorId, Vec<u64>>,
-    heartbeat: Duration,
-    obs: ObsHandle,
+    /// Recently landed (color, sn) → token, for `SubPush` tracing.
+    tokens: RecentTokens,
     push_batches: Counter,
     push_records: Counter,
     registered: Counter,
@@ -98,17 +99,18 @@ pub(crate) struct SubTable {
 }
 
 impl SubTable {
-    pub(crate) fn new(obs: &ObsHandle, heartbeat: Duration) -> Self {
+    pub(crate) fn new(storage: Arc<StorageServer>) -> Self {
+        let obs = &storage.config().obs;
         SubTable {
             subs: HashMap::new(),
             by_color: HashMap::new(),
-            heartbeat,
+            tokens: RecentTokens::default(),
             push_batches: obs.counter("sub.push_batches"),
             push_records: obs.counter("sub.push_records"),
             registered: obs.counter("sub.registered"),
             redirects: obs.counter("sub.redirects"),
             push_hist: obs.histogram("sub.push_ns"),
-            obs: obs.clone(),
+            storage,
         }
     }
 
@@ -124,12 +126,9 @@ impl SubTable {
     /// Registers (or re-registers — idempotent per `sub`, the cursor moves
     /// to `from`) and immediately answers with a first batch so the
     /// subscriber learns the registration took even on an idle color.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn register(
         &mut self,
         ep: &Endpoint<ClusterMsg>,
-        storage: &StorageServer,
-        tokens: &RecentTokens,
         sub: u64,
         color: ColorId,
         from: SeqNum,
@@ -145,16 +144,16 @@ impl SubTable {
                 cursor: from,
                 acked: from,
                 // Force an immediate (possibly empty) first batch below.
-                last_sent: Instant::now() - self.heartbeat,
+                last_sent: Instant::now() - SUB_HEARTBEAT,
             },
         );
         self.by_color.entry(color).or_default().push(sub);
         self.registered.inc();
-        self.pump_color(ep, storage, tokens, color, barrier);
+        self.pump_color(ep, color, barrier);
         // Idle color (or everything below the barrier): confirm with an
         // empty batch so the client can tell registration from loss.
         if let Some(s) = self.subs.get_mut(&sub) {
-            if s.last_sent + self.heartbeat <= Instant::now() {
+            if s.last_sent + SUB_HEARTBEAT <= Instant::now() {
                 s.last_sent = Instant::now();
                 let _ = ep.send(
                     target,
@@ -176,13 +175,11 @@ impl SubTable {
     pub(crate) fn adopt_cursors(
         &mut self,
         ep: &Endpoint<ClusterMsg>,
-        storage: &StorageServer,
-        tokens: &RecentTokens,
         color: ColorId,
         cursors: &[SubCursor],
     ) {
         for c in cursors {
-            self.register(ep, storage, tokens, c.sub, color, c.acked, c.target, None);
+            self.register(ep, c.sub, color, c.acked, c.target, None);
         }
     }
 
@@ -258,9 +255,9 @@ impl SubTable {
 
     /// Whether every subscriber has been pushed everything committed —
     /// when false the owner should tick fast to keep catch-up moving.
-    pub(crate) fn all_caught_up(&self, storage: &StorageServer) -> bool {
+    pub(crate) fn all_caught_up(&self) -> bool {
         self.by_color.iter().all(|(&color, ids)| {
-            let tail = storage.tail(color).unwrap_or(SeqNum::ZERO);
+            let tail = self.storage.tail(color).unwrap_or(SeqNum::ZERO);
             ids.iter()
                 .all(|id| self.subs.get(id).is_none_or(|s| s.cursor >= tail))
         })
@@ -270,25 +267,19 @@ impl SubTable {
     /// SN of a commit the owner knows is still in flight (pending OResp):
     /// nothing at or above it is pushed, so the late record cannot be
     /// skipped past.
-    pub(crate) fn pump(
-        &mut self,
-        ep: &Endpoint<ClusterMsg>,
-        storage: &StorageServer,
-        tokens: &RecentTokens,
-        barrier: Option<SeqNum>,
-    ) {
+    pub(crate) fn pump(&mut self, ep: &Endpoint<ClusterMsg>, barrier: Option<SeqNum>) {
         if self.subs.is_empty() {
             return;
         }
         let colors: Vec<ColorId> = self.by_color.keys().copied().collect();
         for color in colors {
-            self.pump_color(ep, storage, tokens, color, barrier);
+            self.pump_color(ep, color, barrier);
         }
         // Liveness heartbeats for idle subscriptions.
         let now = Instant::now();
         let mut beats: Vec<(NodeId, u64, ColorId)> = Vec::new();
         for (&id, s) in self.subs.iter_mut() {
-            if now.saturating_duration_since(s.last_sent) >= self.heartbeat {
+            if now.saturating_duration_since(s.last_sent) >= SUB_HEARTBEAT {
                 s.last_sent = now;
                 beats.push((s.target, id, s.color));
             }
@@ -306,18 +297,11 @@ impl SubTable {
         }
     }
 
-    fn pump_color(
-        &mut self,
-        ep: &Endpoint<ClusterMsg>,
-        storage: &StorageServer,
-        tokens: &RecentTokens,
-        color: ColorId,
-        barrier: Option<SeqNum>,
-    ) {
+    fn pump_color(&mut self, ep: &Endpoint<ClusterMsg>, color: ColorId, barrier: Option<SeqNum>) {
         let Some(ids) = self.by_color.get(&color) else {
             return;
         };
-        let Some(tail) = storage.tail(color) else {
+        let Some(tail) = self.storage.tail(color) else {
             return;
         };
         let min_cursor = ids
@@ -329,11 +313,14 @@ impl SubTable {
         let Some(min_cursor) = min_cursor else {
             return;
         };
+        if barrier.is_some_and(|b| b <= min_cursor) {
+            return; // everything still owed sits behind the barrier
+        }
         let start = Instant::now();
         // A failed archive read-through skips this pump round entirely —
         // pushing the live suffix would skip the stream's cursor past the
         // archived records it still owes. The next round retries.
-        let Ok(mut records) = storage.scan_capped(color, min_cursor, SUB_PUSH_MAX) else {
+        let Ok(mut records) = self.storage.scan_capped(color, min_cursor, SUB_PUSH_MAX) else {
             return;
         };
         if let Some(b) = barrier {
@@ -362,7 +349,7 @@ impl SubTable {
             let mut traced = 0usize;
             spans.clear();
             for r in &slice {
-                if let Some(t) = tokens.get(color, r.sn) {
+                if let Some(t) = self.tokens.get(color, r.sn) {
                     spans.push((t, Stage::SubPush, ep.id().0, color.0 as u64));
                     traced += 1;
                 }
@@ -376,7 +363,7 @@ impl SubTable {
             // Stamp before the batch leaves: once the subscriber holds the
             // records their traces must already be whole (the same rule the
             // commit path applies to acks).
-            self.obs.tracer().record_many(&spans);
+            self.storage.config().obs.tracer().record_many(&spans);
             pushed = true;
             let _ = ep.send(
                 s.target,
@@ -393,19 +380,20 @@ impl SubTable {
         }
     }
 
-    /// Delivers one late-filling record (a commit below some push
-    /// frontier, e.g. an OResp that outran its append past the barrier
-    /// window, or a recovery import): pushed out of band to every
-    /// subscriber whose frontier already moved past it. Rare; subscribers
-    /// reorder/dedup.
+    /// Notes one record that just landed here (commit or import) for push
+    /// tracing, and delivers it as a late fill if it landed below some push
+    /// frontier (e.g. an OResp that outran its append past the barrier
+    /// window, or a hole the quorum filled after the follower moved on):
+    /// pushed out of band to every subscriber whose frontier already moved
+    /// past it. Rare; subscribers reorder/dedup.
     pub(crate) fn push_fill(
         &mut self,
         ep: &Endpoint<ClusterMsg>,
-        storage: &StorageServer,
         color: ColorId,
         sn: SeqNum,
         token: Token,
     ) {
+        self.tokens.insert(color, sn, token);
         let Some(ids) = self.by_color.get(&color) else {
             return;
         };
@@ -421,7 +409,7 @@ impl SubTable {
         if targets.is_empty() {
             return;
         }
-        let Some(payload) = storage.get(color, sn) else {
+        let Some(payload) = self.storage.get(color, sn) else {
             return;
         };
         let record = CommittedRecord { sn, payload };
@@ -432,9 +420,8 @@ impl SubTable {
             s.last_sent = Instant::now();
             self.push_batches.inc();
             self.push_records.inc();
-            self.obs
-                .tracer()
-                .record(token, Stage::SubPush, ep.id().0, color.0 as u64);
+            let tracer = self.storage.config().obs.tracer();
+            tracer.record(token, Stage::SubPush, ep.id().0, color.0 as u64);
             let _ = ep.send(
                 s.target,
                 SubMsg::SubPushBatch {

@@ -1,15 +1,19 @@
 //! End-to-end tests of the data layer running against a real ordering
 //! layer on the simulated network.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use flexlog_ordering::{Directory, OrderingHandle, OrderingService, RoleId, TreeSpec};
 use flexlog_simnet::{Network, NodeId};
 use flexlog_storage::StorageConfig;
-use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, ShardId};
+use flexlog_storage::FetchSelect;
+use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, ShardId, Token};
 
-use crate::msg::ClusterMsg;
-use crate::{ClientConfig, ClientError, DataLayerHandle, DataLayerService, DataLayerSpec, FlexLogClient, ReplicaConfig};
+use crate::msg::{ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, SubMsg, SyncMsg, TokenRecord};
+use crate::{
+    ClientConfig, ClientError, DataLayerHandle, DataLayerService, DataLayerSpec, FlexLogClient,
+    ReadReplicaConfig, ReadReplicaNode, ReplicaConfig, ShardInfo, TopologyView,
+};
 
 /// Shorthand: build a [`Payload`] from anything byte-like.
 fn p(bytes: impl Into<Payload>) -> Payload {
@@ -86,6 +90,22 @@ impl Cluster {
                 ..Default::default()
             },
         )
+    }
+
+    /// Sends `cmd` to every replica from a throwaway controller endpoint
+    /// and waits for all acks. `tag` must be unique per call.
+    fn ctrl_all(&self, tag: u64, cmd: CtrlCmd) {
+        let ep = self.net.register(NodeId::named(0, 7000 + tag));
+        let mut pending = self.data.all_replicas();
+        let _ = ep.broadcast(&pending, CtrlMsg::Cmd { gen: 1, req: tag, cmd }.into());
+        while !pending.is_empty() {
+            match ep.recv_timeout(Duration::from_secs(5)).expect("ctrl ack") {
+                (from, ClusterMsg::Data(DataMsg::Ctrl(CtrlMsg::Ack { req, .. }))) if req == tag => {
+                    pending.retain(|&n| n != from);
+                }
+                _ => {}
+            }
+        }
     }
 
     fn shutdown(self) {
@@ -618,6 +638,49 @@ fn pipelined_and_serial_appends_interleave() {
         };
         assert_eq!(cl.read(color, sn).unwrap().unwrap(), bytes);
     }
+
+    // The same with a FULL window in flight: the blocking append is one
+    // more op of the same machine, returns its own SN, and leaves every
+    // window op collectable — its own completion is not among them.
+    cl.set_pipeline_window(4);
+    let window: Vec<Token> = (0..4u8)
+        .map(|i| cl.append_pipelined(RED, &[p(vec![i])]).unwrap())
+        .collect();
+    assert_eq!(cl.pending_appends(), 4, "nothing pumps between issues");
+    let serial_sn = cl.append(GREEN, &[p(b"serial-2")]).unwrap();
+    assert_eq!(cl.read(GREEN, serial_sn).unwrap().unwrap(), b"serial-2");
+    let mut done = cl.take_completed();
+    done.extend(cl.flush().unwrap());
+    let mut tokens: Vec<Token> = done.iter().map(|&(t, _)| t).collect();
+    tokens.sort_unstable();
+    assert_eq!(tokens, window, "exactly the window ops, each once");
+    for (i, token) in window.iter().enumerate() {
+        let sn = done.iter().find(|(t, _)| t == token).unwrap().1;
+        assert_eq!(cl.read(RED, sn).unwrap().unwrap(), vec![i as u8]);
+    }
+    c.shutdown();
+}
+
+/// A failure belongs to the op it happened to: a pipelined append whose
+/// color is destroyed under it fails on `flush()`, not in the blocking
+/// append of a live color that happened to be pumping when the nack came.
+#[test]
+fn destroyed_color_fails_its_own_pipelined_op_only() {
+    let mut c = cluster(1, 3, 0);
+    let mut cl = c.client();
+    // Frozen first, so the pipelined op stays in flight (nacked, retried)
+    // until the color is dropped under it.
+    c.ctrl_all(1, CtrlCmd::Freeze(GREEN));
+    cl.append_pipelined(GREEN, &[p(b"doomed")]).unwrap();
+    c.ctrl_all(2, CtrlCmd::Drop(GREEN));
+    // Past the op's retransmit time: the blocking append's pump resends it
+    // and collects the `Dropped` nacks while waiting for its own acks.
+    std::thread::sleep(Duration::from_millis(150));
+    let sn = cl.append(RED, &[p(b"alive")]).expect("the live color's append is unaffected");
+    assert_eq!(cl.read(RED, sn).unwrap().unwrap(), b"alive");
+    assert_eq!(cl.flush().unwrap_err(), ClientError::UnknownColor(GREEN));
+    assert_eq!(cl.pending_appends(), 0);
+    assert_eq!(cl.flush().unwrap(), vec![], "the failure is reported once");
     c.shutdown();
 }
 
@@ -667,4 +730,90 @@ fn flush_rebases_deadline_from_flush_entry() {
     assert_eq!(cl.read(RED, sn).unwrap().unwrap(), b"stalled");
     assert_eq!(cl.pending_appends(), 0);
     c.shutdown();
+}
+
+// ----- read replica against a scripted source ---------------------------------
+
+/// A hole that fills upstream *below* the follower's cursor reaches it
+/// through `Records.count`: the incremental fetch comes back empty but the
+/// source holds more records than the follower, so the follower refetches
+/// `Above head` from that source, imports the late record and pushes it to
+/// its subscriber as a fill. The only message it ever sends its source is
+/// `Fetch`.
+#[test]
+fn late_fill_reaches_the_follower_through_records_count() {
+    let net: Network<ClusterMsg> = Network::instant();
+    let source = net.register(NodeId::named(NodeId::CLASS_REPLICA, 0));
+    let subscriber = net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
+    let follower = NodeId::named(NodeId::CLASS_READ_REPLICA, 0);
+    let topology = TopologyView::new();
+    topology.add_shard(ShardInfo {
+        id: ShardId(0),
+        replicas: vec![source.id()],
+        leaf: RoleId(0),
+        read_replicas: vec![follower],
+    });
+    topology.set_color_shards(RED, vec![ShardId(0)]);
+    let config = ReadReplicaConfig { quorum: vec![source.id()], ..Default::default() };
+    let node = ReadReplicaNode::new(config, topology);
+    let storage = node.storage();
+    let ep = net.register(follower);
+    let thread = std::thread::spawn(move || node.run(ep));
+
+    let sn = |c: u32| SeqNum::new(Epoch(1), c);
+    let rec = |c: u32| -> TokenRecord { (Token::new(FunctionId(9), c), sn(c), p(vec![c as u8])) };
+    // The source trimmed at 4 and holds {5, 7}; 6 is a hole that fills once
+    // the subscriber has been pushed past it.
+    let head = Some(sn(4));
+    let mut held = vec![rec(5), rec(7)];
+    let register = SubMsg::SubscribeFrom {
+        color: RED,
+        from: SeqNum::ZERO,
+        sub: 1,
+        reply_to: subscriber.id(),
+    };
+    subscriber.send(follower, register.into()).unwrap();
+
+    let mut fetched_above: Vec<SeqNum> = Vec::new();
+    let mut pushed: Vec<SeqNum> = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while pushed != [sn(5), sn(7), sn(6)] {
+        assert!(Instant::now() < deadline, "pushed {pushed:?} after fetches {fetched_above:?}");
+        while let Ok((from, msg)) = source.try_recv() {
+            match msg.into_data() {
+                Some(DataMsg::Sync(SyncMsg::Fetch {
+                    req,
+                    color,
+                    select: FetchSelect::Above { sn: above, .. },
+                })) => {
+                    fetched_above.push(above);
+                    let records = held.iter().filter(|r| r.1 > above).cloned().collect();
+                    let count = held.len() as u64;
+                    let reply = SyncMsg::Records { req, color, head, count, records, cursors: vec![] };
+                    source.send(from, reply.into()).unwrap();
+                }
+                other => panic!("a follower only ever sends `Fetch` to its source: {other:?}"),
+            }
+        }
+        if let Ok((_, msg)) = subscriber.recv_timeout(Duration::from_millis(2)) {
+            if let Some(DataMsg::Sub(SubMsg::SubPushBatch { records, .. })) = msg.into_data() {
+                pushed.extend(records.iter().map(|r| r.sn));
+            }
+        }
+        if pushed.len() == 2 && held.len() == 2 {
+            held.insert(1, rec(6));
+        }
+    }
+    // The incremental fetch above the tail came back empty; the refetch
+    // that found the fill asked `Above head`.
+    let incremental = fetched_above.iter().position(|&a| a == sn(7)).expect("followed the tail");
+    assert!(
+        fetched_above[incremental..].contains(&sn(4)),
+        "no refetch above the head after the tail fetch: {fetched_above:?}"
+    );
+    assert_eq!(storage.get(RED, sn(6)).unwrap(), vec![6u8]);
+    assert_eq!(storage.head(RED), head, "the head rides every reply");
+
+    source.send(follower, DataMsg::Shutdown.into()).unwrap();
+    thread.join().unwrap();
 }

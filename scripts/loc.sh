@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Code-line report for ROADMAP aim 2 ("the line count goes down"): non-blank,
-# non-comment lines per crate `src/` (tests.rs submodules and `tests/`
-# directories excluded) and for the files the ROADMAP names. Report only —
-# nothing here gates; run it on the parent and on the change and compare.
+# Code-line report for ROADMAP aim 2 ("the line count and the concept count
+# go down"): non-blank, non-comment lines per crate `src/` (tests.rs
+# submodules and `tests/` directories excluded) and for the files the
+# ROADMAP names, then the settable values per crate — `pub` fields of
+# `pub struct *Config` / `*Spec` items. Report only — nothing here gates;
+# run it on the parent and on the change and compare.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,20 +13,39 @@ count() {
     if [ "$#" -eq 0 ]; then echo 0; else cat "$@" | grep -cvE '^\s*(//|$)' || true; fi
 }
 
-total=0
-printf '%-28s %8s\n' "crate src/" "code"
-for dir in crates/*/src src; do
-    [ -d "$dir" ] || continue
-    mapfile -t files < <(find "$dir" -name '*.rs' ! -name 'tests.rs' ! -path '*/tests/*' | sort)
-    n=$(count "${files[@]}")
-    total=$((total + n))
-    printf '%-28s %8d\n' "$dir" "$n"
-done
-printf '%-28s %8d\n' "total" "$total"
+# `pub` fields between `pub struct <Name>Config|Spec {` and its closing brace.
+settable() {
+    if [ "$#" -eq 0 ]; then echo 0; return; fi
+    awk '/^pub struct [A-Za-z]*(Config|Spec)( |<|\{)/ { inside = 1; next }
+         inside && /^}/ { inside = 0 }
+         inside && /^    pub [a-z_]+:/ { n++ }
+         END { print n + 0 }' "$@"
+}
+
+# Prints `$3 <files>` for each crate's non-test sources, and the total.
+per_crate() {
+    local total=0 n dir files
+    printf '%-28s %8s\n' "$1" "$2"
+    for dir in crates/*/src src; do
+        [ -d "$dir" ] || continue
+        mapfile -t files < <(find "$dir" -name '*.rs' ! -name 'tests.rs' ! -path '*/tests/*' | sort)
+        n=$("$3" "${files[@]}")
+        total=$((total + n))
+        printf '%-28s %8d\n' "$dir" "$n"
+    done
+    printf '%-28s %8d\n' "total" "$total"
+}
+
+per_crate "crate src/" "code" count
 
 echo
 printf '%-44s %8s\n' "ROADMAP-named file" "code"
 for f in crates/replication/src/replica.rs crates/replication/src/client.rs \
+         crates/replication/src/read_replica.rs crates/replication/src/subs.rs \
+         crates/replication/src/service.rs \
          crates/storage/src/server.rs crates/ctrl/src/plane.rs; do
     if [ -f "$f" ]; then printf '%-44s %8d\n' "$f" "$(count "$f")"; fi
 done
+
+echo
+per_crate "settable values" "fields" settable

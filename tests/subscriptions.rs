@@ -176,6 +176,46 @@ fn read_replica_serves_reads_and_pushes() {
     c.shutdown();
 }
 
+/// Client trims go to the quorum only, so a follower learns a trim head
+/// from its fetch replies — on every color it follows, not just the ones
+/// whose fetches happen to line up with a node-wide probe counter.
+#[test]
+fn read_replica_adopts_trim_on_every_followed_color() {
+    let spec = ClusterSpec {
+        read_replicas_per_shard: 1,
+        ..ClusterSpec::single_shard()
+    };
+    let c = FlexLogCluster::start(spec);
+    let colors = [ColorId(1), ColorId(2), ColorId(3)];
+    let mut h = c.handle();
+    let mut cuts = Vec::new();
+    for color in colors {
+        c.add_color(color).unwrap();
+        let sns: Vec<SeqNum> = (0..30)
+            .map(|i| h.append(format!("t{i}").as_bytes(), color).unwrap())
+            .collect();
+        h.trim(sns[9], color).unwrap();
+        cuts.push((color, sns[9]));
+    }
+
+    let rr = c.data().read_replicas()[0];
+    let storage = c.data().read_storage_of(rr).unwrap();
+    let t0 = std::time::Instant::now();
+    while cuts.iter().any(|&(color, cut)| storage.head(color) != Some(cut)) {
+        assert!(
+            t0.elapsed() < Duration::from_secs(2),
+            "read replica never adopted a trim head: {:?}",
+            cuts.iter().map(|&(color, _)| (color, storage.head(color))).collect::<Vec<_>>()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // Reads are routed to the read replica first: a trimmed SN is gone there.
+    for (color, cut) in cuts {
+        assert_eq!(h.read(cut, color).unwrap(), None, "trimmed SN of {color:?} still readable");
+    }
+    c.shutdown();
+}
+
 #[test]
 fn read_replica_survives_crash_and_subscribers_reattach() {
     let spec = ClusterSpec {
