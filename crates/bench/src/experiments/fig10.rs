@@ -19,7 +19,7 @@ const RECORD_BYTES: usize = 128;
 
 /// Builds a log with `n` records, crashes it, and measures open + replay.
 fn measure(n: usize) -> Duration {
-    // Size the device for the records (double-half pool layout).
+    // Size the device for the records, with room to spare.
     let capacity = ((n + 16) * (RECORD_BYTES + 64) * 2 + (1 << 20)).next_power_of_two();
     let dev = Arc::new(PmDevice::new(PmDeviceConfig {
         capacity,

@@ -26,11 +26,16 @@ static TABLE: [u32; 256] = make_table();
 
 /// Computes the CRC-32 of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = !0u32;
+    !crc32_update(!0, data)
+}
+
+/// Feeds `data` into a running CRC-32 register (start from `!0`, invert at
+/// the end) — for checksums over several slices.
+pub(crate) fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
     for &b in data {
         c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    !c
+    c
 }
 
 #[cfg(test)]

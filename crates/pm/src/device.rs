@@ -5,11 +5,16 @@
 //!
 //! * [`PmDevice::write`] stores into a **volatile overlay** (the "CPU cache")
 //!   — visible to subsequent reads, but *not* yet durable;
-//! * [`PmDevice::persist`] (= `CLWB` + `SFENCE` in PMDK terms) copies a range
-//!   of the overlay onto the media, making it durable;
+//! * [`PmDevice::persist`] (= `CLWB` + `SFENCE` in PMDK terms) makes a range
+//!   of the overlay durable;
 //! * [`PmDevice::crash`] simulates a power failure: the overlay is discarded
 //!   and only persisted bytes survive. [`PmDevice::crash_torn`] additionally
 //!   models torn flushes at the 8-byte power-fail-atomicity granularity.
+//!
+//! The device keeps **one** image — the state the CPU sees — plus the
+//! pre-image of every unpersisted range, which is all a crash needs to take
+//! the image back to what the media held. A writer that persists right
+//! after it writes (the pool does) keeps that side table empty.
 //!
 //! Every operation charges its modelled latency (see [`LatencyModel`]) via
 //! the device's [`DeviceClock`].
@@ -69,12 +74,29 @@ impl fmt::Display for DeviceError {
 impl std::error::Error for DeviceError {}
 
 struct Inner {
-    /// Durable state (what survives a crash).
-    media: Box<[u8]>,
-    /// Current state as seen by the CPU: media + unflushed writes.
+    /// Current state as seen by the CPU: durable bytes + unflushed writes.
     working: Box<[u8]>,
-    /// Unflushed ranges (start → end), kept merged and non-overlapping.
-    dirty: BTreeMap<usize, usize>,
+    /// Unflushed ranges, kept merged and non-overlapping: start → the bytes
+    /// the media holds there (what a crash restores).
+    dirty: BTreeMap<usize, Vec<u8>>,
+    /// Test hook: device operations left before the power fails
+    /// (see [`PmDevice::fail_after`]).
+    power_budget: Option<u64>,
+}
+
+impl Inner {
+    /// Counts one write/persist against the power budget; false once the
+    /// power has failed, when the operation must leave no trace.
+    fn powered(&mut self) -> bool {
+        match &mut self.power_budget {
+            None => true,
+            Some(0) => false,
+            Some(left) => {
+                *left -= 1;
+                true
+            }
+        }
+    }
 }
 
 /// Counters exposed for tests and benchmarks.
@@ -100,9 +122,9 @@ impl PmDevice {
     pub fn new(config: PmDeviceConfig) -> Self {
         PmDevice {
             inner: Mutex::new(Inner {
-                media: vec![0u8; config.capacity].into_boxed_slice(),
                 working: vec![0u8; config.capacity].into_boxed_slice(),
                 dirty: BTreeMap::new(),
+                power_budget: None,
             }),
             latency: config.latency,
             clock: config.clock,
@@ -136,8 +158,12 @@ impl PmDevice {
         self.check(offset, data.len())?;
         self.clock.consume(self.latency.write_ns(data.len()));
         let mut inner = self.inner.lock();
-        inner.working[offset..offset + data.len()].copy_from_slice(data);
-        mark_dirty(&mut inner.dirty, offset, offset + data.len());
+        if !inner.powered() {
+            return Ok(());
+        }
+        let Inner { working, dirty, .. } = &mut *inner;
+        mark_dirty(dirty, working, offset, offset + data.len());
+        working[offset..offset + data.len()].copy_from_slice(data);
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_written
@@ -163,9 +189,10 @@ impl PmDevice {
         self.check(offset, len)?;
         self.clock.consume(150 + (len as u64) / 32);
         let mut inner = self.inner.lock();
-        let Inner { media, working, dirty } = &mut *inner;
-        media[offset..offset + len].copy_from_slice(&working[offset..offset + len]);
-        clear_dirty(dirty, offset, offset + len);
+        if !inner.powered() {
+            return Ok(());
+        }
+        clear_dirty(&mut inner.dirty, offset, offset + len);
         self.stats.persists.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -173,26 +200,44 @@ impl PmDevice {
     /// Persists everything outstanding.
     pub fn persist_all(&self) {
         let mut inner = self.inner.lock();
-        let Inner { media, working, dirty } = &mut *inner;
-        for (&start, &end) in dirty.iter() {
-            media[start..end].copy_from_slice(&working[start..end]);
+        if !inner.powered() {
+            return;
         }
-        dirty.clear();
+        inner.dirty.clear();
         self.stats.persists.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total bytes currently dirty (unpersisted).
     pub fn dirty_bytes(&self) -> usize {
-        self.inner.lock().dirty.iter().map(|(s, e)| e - s).sum()
+        self.inner.lock().dirty.values().map(Vec::len).sum()
+    }
+
+    /// Test hook: the power fails after `ops` more writes/persists — every
+    /// later one is dropped without a trace (and without an error: the
+    /// caller runs on obliviously, as code does until the lights go out),
+    /// until [`PmDevice::crash`] or [`PmDevice::crash_torn`] settles what
+    /// survived and switches the power back on. Crash-point sweeps use it
+    /// to stop a pool *inside* an operation.
+    #[doc(hidden)]
+    pub fn fail_after(&self, ops: u64) {
+        self.inner.lock().power_budget = Some(ops);
+    }
+
+    /// Test hook: true once a [`PmDevice::fail_after`] budget has run out.
+    #[doc(hidden)]
+    pub fn power_failed(&self) -> bool {
+        self.inner.lock().power_budget == Some(0)
     }
 
     /// Power failure: all unpersisted writes are lost; the working state is
     /// reset to the media contents.
     pub fn crash(&self) {
         let mut inner = self.inner.lock();
-        let Inner { media, working, dirty } = &mut *inner;
-        working.copy_from_slice(media);
-        dirty.clear();
+        let Inner { working, dirty, power_budget } = &mut *inner;
+        for (start, pre) in std::mem::take(dirty) {
+            working[start..start + pre.len()].copy_from_slice(&pre);
+        }
+        *power_budget = None;
     }
 
     /// Power failure with torn flushes: each dirty 8-byte unit independently
@@ -201,21 +246,22 @@ impl PmDevice {
     /// crash-consistency tests to attack the recovery paths.
     pub fn crash_torn<R: Rng>(&self, rng: &mut R) {
         let mut inner = self.inner.lock();
-        let Inner { media, working, dirty } = &mut *inner;
-        for (&start, &end) in dirty.iter() {
+        let Inner { working, dirty, power_budget } = &mut *inner;
+        for (start, pre) in std::mem::take(dirty) {
+            let end = start + pre.len();
             let mut unit = start - start % ATOMIC_UNIT;
             while unit < end {
                 let lo = unit.max(start);
                 let hi = (unit + ATOMIC_UNIT).min(end);
-                if rng.gen_bool(0.5) {
-                    // This unit made it to the media before power was lost.
-                    media[lo..hi].copy_from_slice(&working[lo..hi]);
+                // Heads: this unit made it to the media before power was
+                // lost. Tails: the media still holds its pre-image.
+                if !rng.gen_bool(0.5) {
+                    working[lo..hi].copy_from_slice(&pre[lo - start..hi - start]);
                 }
                 unit += ATOMIC_UNIT;
             }
         }
-        working.copy_from_slice(media);
-        dirty.clear();
+        *power_budget = None;
     }
 
     /// Reads directly from the media, bypassing the overlay — what a fresh
@@ -223,7 +269,14 @@ impl PmDevice {
     pub fn read_media(&self, offset: usize, len: usize) -> Result<Vec<u8>, DeviceError> {
         self.check(offset, len)?;
         let inner = self.inner.lock();
-        Ok(inner.media[offset..offset + len].to_vec())
+        let end = offset + len;
+        let mut out = inner.working[offset..end].to_vec();
+        for (&start, pre) in overlapping(&inner.dirty, offset, end) {
+            let lo = start.max(offset);
+            let hi = (start + pre.len()).min(end);
+            out[lo - offset..hi - offset].copy_from_slice(&pre[lo - start..hi - start]);
+        }
+        Ok(out)
     }
 
     /// The device's latency model (used by benchmarks to report modelled
@@ -233,41 +286,62 @@ impl PmDevice {
     }
 }
 
-/// Inserts `[start, end)` into the merged dirty-range map.
-fn mark_dirty(dirty: &mut BTreeMap<usize, usize>, mut start: usize, mut end: usize) {
-    // Absorb any range that overlaps or is adjacent.
-    loop {
-        let overlapping: Vec<usize> = dirty
-            .range(..=end)
-            .filter(|(_, &e)| e >= start)
-            .map(|(&s, _)| s)
-            .collect();
-        if overlapping.is_empty() {
-            break;
-        }
-        for s in overlapping {
-            let e = dirty.remove(&s).expect("range present");
-            start = start.min(s);
-            end = end.max(e);
-        }
+/// The dirty ranges intersecting `[start, end)`, ascending. Ranges never
+/// overlap, so at most one of them begins before `start`.
+fn overlapping(
+    dirty: &BTreeMap<usize, Vec<u8>>,
+    start: usize,
+    end: usize,
+) -> impl Iterator<Item = (&usize, &Vec<u8>)> {
+    let straddling = dirty
+        .range(..start)
+        .next_back()
+        .filter(|(&s, pre)| s + pre.len() > start);
+    straddling.into_iter().chain(dirty.range(start..end))
+}
+
+/// Records `[start, end)` of `working` as about to be overwritten: its
+/// current bytes become the range's pre-image, except where an earlier
+/// unflushed write already holds an older one. Overlapping and adjacent
+/// ranges merge (a torn crash flips one coin per 8-byte unit per range).
+fn mark_dirty(dirty: &mut BTreeMap<usize, Vec<u8>>, working: &[u8], mut start: usize, mut end: usize) {
+    let absorbed: Vec<usize> = dirty
+        .range(..=end)
+        .rev()
+        .take_while(|(&s, pre)| s + pre.len() >= start)
+        .map(|(&s, _)| s)
+        .collect();
+    if absorbed.is_empty() {
+        dirty.insert(start, working[start..end].to_vec());
+        return;
     }
-    dirty.insert(start, end);
+    let olds: Vec<(usize, Vec<u8>)> = absorbed
+        .into_iter()
+        .map(|s| (s, dirty.remove(&s).expect("range present")))
+        .collect();
+    for (s, pre) in &olds {
+        start = start.min(*s);
+        end = end.max(s + pre.len());
+    }
+    let mut merged = working[start..end].to_vec();
+    for (s, pre) in olds {
+        merged[s - start..s - start + pre.len()].copy_from_slice(&pre);
+    }
+    dirty.insert(start, merged);
 }
 
 /// Removes `[start, end)` from the dirty map, splitting ranges as needed.
-fn clear_dirty(dirty: &mut BTreeMap<usize, usize>, start: usize, end: usize) {
-    let affected: Vec<(usize, usize)> = dirty
-        .range(..end)
-        .filter(|(_, &e)| e > start)
-        .map(|(&s, &e)| (s, e))
-        .collect();
-    for (s, e) in affected {
-        dirty.remove(&s);
-        if s < start {
-            dirty.insert(s, start);
+fn clear_dirty(dirty: &mut BTreeMap<usize, Vec<u8>>, start: usize, end: usize) {
+    loop {
+        let next = overlapping(dirty, start, end).next().map(|(&s, _)| s);
+        let Some(s) = next else { break };
+        let mut pre = dirty.remove(&s).expect("range present");
+        if s + pre.len() > end {
+            dirty.insert(end, pre.split_off(end - s));
         }
-        if e > end {
-            dirty.insert(end, e);
+        if s < start {
+            pre.truncate(start - s);
+            dirty.insert(s, pre);
         }
     }
 }
@@ -341,23 +415,58 @@ mod tests {
 
     #[test]
     fn dirty_ranges_merge() {
+        let working = [0u8; 64];
         let mut dirty = BTreeMap::new();
-        mark_dirty(&mut dirty, 0, 10);
-        mark_dirty(&mut dirty, 10, 20); // adjacent
-        mark_dirty(&mut dirty, 5, 15); // overlapping
+        mark_dirty(&mut dirty, &working, 0, 10);
+        mark_dirty(&mut dirty, &working, 10, 20); // adjacent
+        mark_dirty(&mut dirty, &working, 5, 15); // overlapping
         assert_eq!(dirty.len(), 1);
-        assert_eq!(dirty.get(&0), Some(&20));
-        mark_dirty(&mut dirty, 30, 40);
+        assert_eq!(dirty.get(&0).map(Vec::len), Some(20));
+        mark_dirty(&mut dirty, &working, 30, 40);
         assert_eq!(dirty.len(), 2);
     }
 
     #[test]
     fn clear_dirty_splits_ranges() {
+        let working: Vec<u8> = (0..100).collect();
         let mut dirty = BTreeMap::new();
-        mark_dirty(&mut dirty, 0, 100);
+        mark_dirty(&mut dirty, &working, 0, 100);
         clear_dirty(&mut dirty, 40, 60);
-        assert_eq!(dirty.get(&0), Some(&40));
-        assert_eq!(dirty.get(&60), Some(&100));
+        assert_eq!(dirty.get(&0), Some(&working[..40].to_vec()));
+        assert_eq!(dirty.get(&60), Some(&working[60..].to_vec()));
+    }
+
+    #[test]
+    fn overwriting_an_unflushed_write_keeps_the_oldest_pre_image() {
+        let dev = PmDevice::for_testing();
+        dev.write(0, &[1u8; 16]).unwrap();
+        dev.persist(0, 16).unwrap();
+        dev.write(4, &[2u8; 8]).unwrap();
+        dev.write(0, &[3u8; 8]).unwrap(); // overlaps the unflushed [4, 12)
+        assert_eq!(dev.read(0, 16).unwrap(), [&[3u8; 8][..], &[2u8; 4], &[1u8; 4]].concat());
+        assert_eq!(dev.read_media(0, 16).unwrap(), vec![1u8; 16]);
+        dev.persist(0, 6).unwrap(); // a partial flush splits the pre-image
+        assert_eq!(dev.read_media(0, 16).unwrap(), [&[3u8; 6][..], &[1u8; 10]].concat());
+        dev.crash();
+        assert_eq!(dev.read(0, 16).unwrap(), [&[3u8; 6][..], &[1u8; 10]].concat());
+        assert_eq!(dev.dirty_bytes(), 0);
+    }
+
+    #[test]
+    fn power_budget_drops_later_operations() {
+        let dev = PmDevice::for_testing();
+        dev.fail_after(3);
+        dev.write(0, b"kept").unwrap();
+        dev.persist(0, 4).unwrap();
+        dev.write(8, b"torn").unwrap(); // last operation before the failure
+        assert!(dev.power_failed());
+        dev.persist(8, 4).unwrap(); // dropped
+        dev.write(16, b"lost").unwrap(); // dropped
+        dev.crash();
+        assert!(!dev.power_failed());
+        assert_eq!(dev.read(0, 4).unwrap(), b"kept");
+        assert_eq!(dev.read(8, 4).unwrap(), vec![0u8; 4]);
+        assert_eq!(dev.read(16, 4).unwrap(), vec![0u8; 4]);
     }
 
     #[test]

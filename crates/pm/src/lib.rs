@@ -36,5 +36,5 @@ pub use crc::crc32;
 pub use device::{DeviceError, PmDevice, PmDeviceConfig};
 pub use latency::LatencyModel;
 pub use log::{LogEntry, PmLog, PmLogConfig, PmLogError};
-pub use pool::{PmPool, PoolError, Tx};
+pub use pool::{PmPool, PoolError, PoolStats, Tx};
 pub use ssd::{SsdDevice, SsdError};

@@ -14,34 +14,95 @@
 //!   replaying exactly the transactions whose commit record survived;
 //!   half-written transactions are discarded (rollback), guaranteeing
 //!   atomicity + durability across power failures;
-//! * space is reclaimed by **crash-safe compaction**: the device is split in
-//!   two halves plus an 8-byte superblock selecting the active half.
-//!   Compaction rewrites the live set into the *inactive* half and then
-//!   atomically flips the superblock (8 bytes = the PM power-fail atomicity
-//!   unit), so a crash at any point leaves one fully valid half.
+//! * space is reclaimed **in place and in log order** — a record is written
+//!   once and, in the common case, never moved.
 //!
-//! Compaction is **incremental**: once the active half passes a fill
-//! threshold, each commit also copies a bounded batch of live records into
-//! the inactive half and mirrors its own operations there, so the copy
-//! rides along with foreground commits instead of stopping the world. When
-//! the pass has copied every key it flips the superblock. Crash safety is
-//! unchanged — the inactive half is garbage until the flip persists, and
-//! every transaction is durable in the active half first. The synchronous
-//! full rewrite remains as the fallback for a half that fills before a
-//! pass completes (and for the explicit [`PmPool::compact`] API).
+//! # Layout
+//!
+//! ```text
+//! [ head LSN : 8 ][ segment 0 ][ segment 1 ] … [ segment SEGMENTS-1 ]
+//! segment = [ LSN : 8 ][ check : 8 ][ record ]* [ zero header | end ]
+//! record  = [ crc : 4 ][ len : 4 ][ txid : 8 ][ kind : 1 ][ key : 16 ][ payload ]
+//! ```
+//!
+//! The redo log is the chain of segments whose header carries a log
+//! sequence number (LSN) at or above the superblock's *head*, in LSN order;
+//! every other segment is free. A record never straddles segments but a
+//! transaction may run on into the next one. A record's CRC also covers
+//! its segment's LSN, so what an earlier tenancy left behind in a reused
+//! segment can never pass for a record of this one; a zero header (or the
+//! segment's end) closes what a segment holds.
+//!
+//! # Reclamation
+//!
+//! Each segment counts the index entries pointing into it. The **oldest**
+//! segment is freed the moment that count is zero — staged batches die at
+//! commit and committed records at spill, roughly in the order they were
+//! written, so this is the common case and costs one 8-byte superblock
+//! write. Only when free segments run short are the few still-live puts of
+//! the oldest segment re-appended at the tail, a bounded number per
+//! foreground commit, before the head moves past it. Freed segments are
+//! reused lowest-offset first: the log keeps to the low end of the device
+//! as long as it fits there, and the rest of a simulated device is never
+//! touched (never resident).
+//!
+//! **Invariant: segments leave the log strictly in LSN order.** That is
+//! what makes it safe to drop a tombstone with its segment and never copy
+//! one forward: every put a delete shadows was written before it, so by
+//! the time the delete's segment is the oldest, those puts are already
+//! gone and nothing is left for recovery to resurrect. A live put copied
+//! forward lands behind every record written so far, so replay order still
+//! agrees with commit order.
+//!
+//! # Recovery
+//!
+//! [`PmPool::open`] reads the head, collects the segments whose header
+//! checks out with an LSN at or above it, sorts them by LSN and replays the
+//! consecutive run starting at the head, each segment up to its first
+//! record that fails its checksum. A writer moves on to a new segment only
+//! after everything behind it is durable, so whatever follows a bad record
+//! is part of a transaction that never committed. The log ends just past
+//! its last commit record: appends resume there, and segments that were
+//! linked in beyond it are unlinked again, so a rolled-back transaction
+//! costs no space. Its records may still lie past the tail, intact; they
+//! can never be taken for new ones because their txid is never issued
+//! again, and a writer always leaves a zero header where it stops.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::crc::crc32_update;
 use crate::{crc32, DeviceError, PmDevice};
 
 /// Bytes of a record header: crc(4) + len(4) + txid(8) + kind(1) + key(16).
 const REC_HDR: usize = 33;
-/// Superblock: a single 8-byte word holding the active half (0 or 1).
+/// Superblock: a single 8-byte word (the PM power-fail atomicity unit)
+/// holding the LSN of the oldest segment still in the log.
 const SUPERBLOCK: usize = 8;
+/// Segment header: LSN(8) + check word(8).
+const SEG_HDR: usize = 16;
+/// Segments per pool: enough that the reserve and the two partly filled
+/// end segments cost under 5 % of the space. A device too small to give
+/// that many `MIN_SEGMENT` bytes each gets fewer — a segment that holds
+/// only a record or two spends more on each reclamation transaction's
+/// commit record than it gets back. The largest storable value is one
+/// segment less the two headers.
+const SEGMENTS: usize = 64;
+const MIN_SEGMENT: usize = 1024;
+/// Free segments a foreground commit may not take: the room reclamation
+/// needs to copy the oldest segment's survivors when nothing else is free.
+const CLEANER_RESERVE: usize = 1;
+/// Commits start copying the oldest segment forward when fewer segments
+/// than this are free — early enough that one never has to wait for it.
+const RECLAIM_LOW_WATER: usize = CLEANER_RESERVE + 2;
+/// Live records copied forward per foreground commit, and the most bytes
+/// of the old segment read to get at them (one record is always allowed).
+const RECLAIM_STEP: usize = 64;
+const RECLAIM_SPAN: usize = 64 << 10;
 const KIND_PUT: u8 = 1;
 const KIND_DELETE: u8 = 2;
 const KIND_COMMIT: u8 = 3;
@@ -49,7 +110,8 @@ const KIND_COMMIT: u8 = 3;
 /// Errors from pool operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PoolError {
-    /// The live set does not fit even after compaction.
+    /// The transaction does not fit even after reclaiming everything dead
+    /// (or holds a value larger than a segment).
     PoolFull,
     /// Underlying device error.
     Device(DeviceError),
@@ -72,176 +134,223 @@ impl From<DeviceError> for PoolError {
     }
 }
 
+/// What the redo log cost so far; monotonic.
+#[derive(Debug, Default)]
+pub struct PoolStats {
+    /// Record bytes appended to the log, reclamation copies included.
+    pub log_bytes: AtomicU64,
+    /// Live records re-appended at the tail to free their segment.
+    pub reclaim_copied_records: AtomicU64,
+    /// Segments returned to the free list.
+    pub segments_freed: AtomicU64,
+}
+
+/// Where a key's live put record sits: (device offset of the record, payload
+/// len). The record's own offset, not the payload's — an empty payload at
+/// the very end of a segment starts where the next segment does.
+type Loc = (usize, usize);
+
+/// One segment slot of the device.
+#[derive(Clone, Copy, Default)]
+struct Seg {
+    /// LSN of the current tenancy; 0 = free.
+    lsn: u64,
+    /// Index entries pointing into this segment.
+    live: usize,
+    /// Record bytes it held when the writer moved on.
+    used: usize,
+}
+
 struct PoolState {
-    /// key → (payload offset, payload len) in the device.
-    index: HashMap<u128, (usize, usize)>,
-    /// Active half (0 or 1).
-    active: u8,
-    /// Next append offset (absolute device offset inside the active half).
+    index: HashMap<u128, Loc>,
+    /// Every segment slot, by position on the device.
+    segs: Vec<Seg>,
+    /// The slots making up the log, oldest first; the last is being filled.
+    log: VecDeque<usize>,
+    /// Next append offset (absolute device offset inside the last segment).
     tail: usize,
+    next_lsn: u64,
     next_txid: u64,
-    /// Incremental compaction pass in flight, if any.
-    compacting: Option<CompactPass>,
+    /// Live puts of the oldest segment still to copy forward, as (record
+    /// offset, record len, key), highest offset first; valid while
+    /// `victims_of` is that segment's LSN.
+    victims: Vec<(usize, usize, u128)>,
+    victims_of: u64,
+    /// Reused buffers: reclamation's transaction, and where the records of
+    /// the transaction being appended landed.
+    scratch: Vec<u8>,
+    placed: Vec<usize>,
 }
 
-/// State of an in-flight incremental compaction pass. The inactive half is
-/// being filled with (a) bounded batches of live records copied per commit
-/// and (b) a mirror of every commit that lands while the pass runs. Until
-/// the superblock flips, nothing here matters for durability — a crash
-/// recovers the active half as if the pass never existed.
-struct CompactPass {
-    /// The half being built (the inactive one when the pass started).
-    target: u8,
-    /// Keys live when the pass started; copied in order.
-    snapshot: Vec<u128>,
-    /// Next snapshot position to copy.
-    cursor: usize,
-    /// Keys written or deleted *during* the pass: the mirror already holds
-    /// their latest state, so the copy skips them (a stale snapshot value
-    /// must not land at a later log position than the mirrored one).
-    handled: HashSet<u128>,
-    /// Append tail in the target half.
-    tail: usize,
-    /// The index as it will read after the flip (offsets in the target half).
-    index: HashMap<u128, (usize, usize)>,
-}
+impl PoolState {
+    fn tail_slot(&self) -> usize {
+        *self.log.back().expect("the log always holds its tail segment")
+    }
 
-/// Fill fraction of the active half that starts an incremental pass
-/// (numerator/denominator of the half size).
-const COMPACT_START_NUM: usize = 3;
-const COMPACT_START_DEN: usize = 4;
-/// Minimum live records copied per commit during a pass.
-const COMPACT_STEP_MIN: usize = 64;
+    fn tail_lsn(&self) -> u64 {
+        self.segs[self.tail_slot()].lsn
+    }
+
+    fn free(&self) -> usize {
+        self.segs.len() - self.log.len()
+    }
+}
 
 /// See module docs.
 pub struct PmPool {
     device: Arc<PmDevice>,
+    /// Bytes per segment, header included; a multiple of 8, so segment
+    /// headers stay aligned to the atomicity unit.
+    seg_size: usize,
     state: Mutex<PoolState>,
-}
-
-enum StagedOp {
-    Put(u128, Vec<u8>),
-    Delete(u128),
+    pub stats: PoolStats,
 }
 
 /// An open transaction. Dropping without [`Tx::commit`] is a rollback.
 pub struct Tx<'a> {
     pool: &'a PmPool,
-    ops: Vec<StagedOp>,
-    /// Staged view for read-your-writes: key → Some(value) | None(deleted).
-    staged: HashMap<u128, Option<Vec<u8>>>,
+    /// The staged operations, already laid out as log records back to back
+    /// (crc and txid are filled in at commit).
+    buf: Vec<u8>,
+    /// A staged value was too long for any record: the commit must fail.
+    oversize: bool,
 }
 
 impl PmPool {
-    fn half_bounds(&self, half: u8) -> (usize, usize) {
-        let half_size = (self.device.capacity() - SUPERBLOCK) / 2;
-        let start = SUPERBLOCK + half as usize * half_size;
-        (start, start + half_size)
+    fn unopened(device: Arc<PmDevice>, next_lsn: u64) -> Self {
+        let space = device.capacity().saturating_sub(SUPERBLOCK);
+        let segments = (space / MIN_SEGMENT).min(SEGMENTS);
+        assert!(
+            segments > RECLAIM_LOW_WATER,
+            "device too small for a pool: {} bytes",
+            device.capacity()
+        );
+        let seg_size = (space / segments) & !7;
+        PmPool {
+            device,
+            seg_size,
+            state: Mutex::new(PoolState {
+                index: HashMap::new(),
+                segs: vec![Seg::default(); segments],
+                log: VecDeque::with_capacity(segments),
+                tail: 0,
+                next_lsn,
+                next_txid: 1,
+                victims: Vec::new(),
+                victims_of: 0,
+                scratch: Vec::new(),
+                placed: Vec::new(),
+            }),
+            stats: PoolStats::default(),
+        }
+    }
+
+    fn seg_start(&self, slot: usize) -> usize {
+        SUPERBLOCK + slot * self.seg_size
+    }
+
+    fn slot_of(&self, offset: usize) -> usize {
+        (offset - SUPERBLOCK) / self.seg_size
+    }
+
+    /// End of the segment being filled.
+    fn tail_end(&self, st: &PoolState) -> usize {
+        self.seg_start(st.tail_slot()) + self.seg_size
     }
 
     /// Creates a fresh pool on `device` (assumes the device is zeroed).
     pub fn create(device: Arc<PmDevice>) -> Self {
-        device
-            .write(0, &0u64.to_le_bytes())
-            .expect("device holds at least a superblock");
-        device.persist(0, SUPERBLOCK).expect("superblock persist");
-        let pool = PmPool {
-            device,
-            state: Mutex::new(PoolState {
-                index: HashMap::new(),
-                active: 0,
-                tail: 0,
-                next_txid: 1,
-                compacting: None,
-            }),
-        };
-        pool.state.lock().tail = pool.half_bounds(0).0;
+        let pool = Self::unopened(device, 1);
+        pool.write_durably(0, &1u64.to_le_bytes()).expect("superblock in bounds");
+        pool.open_segment(&mut pool.state.lock()).expect("a fresh pool has free segments");
         pool
     }
 
     /// Opens a pool from whatever the device's *media* holds, replaying the
-    /// redo log of the active half: only transactions with a durable commit
-    /// record apply.
+    /// redo log from the persisted head: only transactions with a durable
+    /// commit record apply.
     pub fn open(device: Arc<PmDevice>) -> Self {
-        let sb = device.read_media(0, SUPERBLOCK).expect("superblock read");
-        let active = (u64::from_le_bytes(sb.try_into().unwrap()) & 1) as u8;
-        let pool = PmPool {
-            device,
-            state: Mutex::new(PoolState {
-                index: HashMap::new(),
-                active,
-                tail: 0,
-                next_txid: 1,
-                compacting: None,
-            }),
-        };
-        let (start, end) = pool.half_bounds(active);
+        let word = device.read_media(0, SUPERBLOCK).expect("superblock in bounds");
+        let head = u64::from_le_bytes(word.try_into().expect("8 bytes")).max(1);
+        let pool = Self::unopened(device, head);
+        let mut st = pool.state.lock();
 
-        let mut index: HashMap<u128, (usize, usize)> = HashMap::new();
-        let mut pending: HashMap<u64, Vec<(u8, u128, usize, usize)>> = HashMap::new();
-        let mut offset = start;
+        // The log: headers that check out, LSN at or above the head, and
+        // consecutive from it (anything past a gap was never linked in).
+        let mut chain: Vec<(u64, usize)> = (0..st.segs.len())
+            .filter_map(|slot| {
+                let hdr = pool.device.read_media(pool.seg_start(slot), SEG_HDR).ok()?;
+                let lsn = parse_seg_header(&hdr).filter(|&lsn| lsn >= head)?;
+                Some((lsn, slot))
+            })
+            .collect();
+        chain.sort_unstable();
+        chain.retain(|&(lsn, _)| {
+            let linked = lsn == st.next_lsn;
+            st.next_lsn += linked as u64;
+            linked
+        });
+
+        let mut pending: HashMap<u64, Vec<(u128, Option<Loc>)>> = HashMap::new();
         let mut max_txid = 0u64;
-        while offset + REC_HDR <= end {
-            let hdr = pool
-                .device
-                .read_media(offset, REC_HDR)
-                .expect("header read within half");
-            let crc = u32::from_le_bytes(hdr[0..4].try_into().unwrap());
-            let len = u32::from_le_bytes(hdr[4..8].try_into().unwrap()) as usize;
-            let txid = u64::from_le_bytes(hdr[8..16].try_into().unwrap());
-            let kind = hdr[16];
-            let key = u128::from_le_bytes(hdr[17..33].try_into().unwrap());
-            if crc == 0 && len == 0 && txid == 0 {
-                break; // end of log
-            }
-            if offset + REC_HDR + len > end {
-                break; // truncated tail
-            }
-            let payload = pool
-                .device
-                .read_media(offset + REC_HDR, len)
-                .expect("payload within half");
-            let mut check = Vec::with_capacity(REC_HDR - 4 + len);
-            check.extend_from_slice(&hdr[4..]);
-            check.extend_from_slice(&payload);
-            if crc32(&check) != crc {
-                break; // torn record: end of valid prefix
-            }
-            max_txid = max_txid.max(txid);
-            match kind {
-                KIND_COMMIT => {
-                    if let Some(ops) = pending.remove(&txid) {
-                        for (k, key, poff, plen) in ops {
-                            match k {
-                                KIND_PUT => {
-                                    index.insert(key, (poff, plen));
-                                }
-                                KIND_DELETE => {
-                                    index.remove(&key);
-                                }
-                                _ => {}
-                            }
-                        }
+        // The log ends just past its last commit record: (segments kept,
+        // device offset). What follows never committed.
+        let mut end_of_log = None;
+        for (lsn, slot) in chain {
+            let start = pool.seg_start(slot);
+            let seg = pool.device.read_media(start, pool.seg_size).expect("segment in bounds");
+            st.segs[slot].lsn = lsn;
+            st.log.push_back(slot);
+            let mut at = SEG_HDR;
+            while at + REC_HDR <= seg.len() {
+                let hdr = RecHdr::parse(&seg[at..]);
+                let end = at + REC_HDR + hdr.len;
+                // A zero header closes the segment; a length past its end,
+                // a bad checksum or an unknown kind is a torn or foreign
+                // record: the end of the valid prefix either way.
+                if end > seg.len() || hdr.crc != record_crc(lsn, &seg[at + 4..end]) {
+                    break;
+                }
+                match hdr.kind {
+                    KIND_PUT => {
+                        let loc = (start + at, hdr.len);
+                        pending.entry(hdr.txid).or_default().push((hdr.key, Some(loc)));
                     }
+                    KIND_DELETE => pending.entry(hdr.txid).or_default().push((hdr.key, None)),
+                    KIND_COMMIT => {
+                        for (key, loc) in pending.remove(&hdr.txid).unwrap_or_default() {
+                            pool.index_set(&mut st, key, loc);
+                        }
+                        end_of_log = Some((st.log.len(), start + end));
+                    }
+                    _ => break,
                 }
-                KIND_PUT | KIND_DELETE => {
-                    pending
-                        .entry(txid)
-                        .or_default()
-                        .push((kind, key, offset + REC_HDR, len));
-                }
-                _ => break, // unknown record kind: treat as corruption
+                // Rolled-back records count too: their txid is never reused.
+                max_txid = max_txid.max(hdr.txid);
+                at = end;
             }
-            offset += REC_HDR + len;
+            st.segs[slot].used = at - SEG_HDR;
         }
-        // `pending` now holds only uncommitted transactions — rolled back by
-        // simply not applying them. Appends resume past the valid prefix.
-        {
-            let mut st = pool.state.lock();
-            st.index = index;
-            st.tail = offset;
-            st.next_txid = max_txid + 1;
+        // `pending` keeps only uncommitted transactions — rolled back by
+        // never applying them, and by taking the space back: appends resume
+        // at the end of the log, and segments linked in past it are
+        // unlinked again (last first, so a crash here leaves fewer of
+        // them). A rolled-back reclamation step must not cost the reserve
+        // it was using.
+        if st.log.is_empty() {
+            pool.open_segment(&mut st).expect("an empty pool has free segments");
+        } else {
+            let (kept, tail) = end_of_log.unwrap_or((1, pool.seg_start(st.log[0]) + SEG_HDR));
+            while st.log.len() > kept {
+                let slot = st.log.pop_back().expect("longer than kept");
+                pool.write_durably(pool.seg_start(slot), &[0u8; SEG_HDR]).expect("header in bounds");
+                st.segs[slot] = Seg::default();
+                st.next_lsn -= 1;
+            }
+            st.tail = tail;
         }
+        st.next_txid = max_txid + 1;
+        drop(st);
         pool
     }
 
@@ -249,18 +358,17 @@ impl PmPool {
     pub fn begin(&self) -> Tx<'_> {
         Tx {
             pool: self,
-            ops: Vec::new(),
-            staged: HashMap::new(),
+            buf: Vec::new(),
+            oversize: false,
         }
     }
 
-    /// Reads the committed value for `key`.
+    /// Reads the committed value for `key`. The lock is held across the
+    /// device read: a freed segment may be reused at once.
     pub fn get(&self, key: u128) -> Option<Vec<u8>> {
-        let loc = {
-            let st = self.state.lock();
-            st.index.get(&key).copied()
-        };
-        loc.map(|(off, len)| self.device.read(off, len).expect("indexed range valid"))
+        let st = self.state.lock();
+        let &(rec, len) = st.index.get(&key)?;
+        Some(self.device.read(rec + REC_HDR, len).expect("indexed range valid"))
     }
 
     /// True if `key` is present.
@@ -283,10 +391,12 @@ impl PmPool {
         self.state.lock().index.keys().copied().collect()
     }
 
-    /// Bytes used in the active half so far.
+    /// Record bytes in the log, dead ones not yet reclaimed included.
     pub fn used_bytes(&self) -> usize {
         let st = self.state.lock();
-        st.tail - self.half_bounds(st.active).0
+        let filling = st.tail - self.seg_start(st.tail_slot()) - SEG_HDR;
+        let sealed = st.log.iter().rev().skip(1);
+        sealed.map(|&slot| st.segs[slot].used).sum::<usize>() + filling
     }
 
     /// Convenience single-op transactional put.
@@ -303,51 +413,17 @@ impl PmPool {
         tx.commit()
     }
 
-    /// Crash-safe compaction: rewrites the live set into the inactive half,
-    /// persists it, then atomically flips the superblock. A crash anywhere
-    /// in between recovers the previous half untouched.
+    /// Reclaims everything reclaimable now: closes the segment being
+    /// filled and copies the live set of every older one forward, leaving a
+    /// log with no dead record in it. Crash-safe like any reclamation — a
+    /// segment leaves the log only after its survivors are durable again.
     pub fn compact(&self) -> Result<(), PoolError> {
         let mut st = self.state.lock();
-        self.compact_locked(&mut st)
-    }
-
-    fn compact_locked(&self, st: &mut PoolState) -> Result<(), PoolError> {
-        // A full rewrite owns the inactive half: any incremental pass that
-        // was building it is void (and must not outlive the flip, or its
-        // mirror would write into the half that just became active).
-        st.compacting = None;
-        let txid = st.next_txid;
-        st.next_txid += 1;
-        let target: u8 = 1 - st.active;
-        let (start, end) = self.half_bounds(target);
-        let live: Vec<(u128, Vec<u8>)> = st
-            .index
-            .iter()
-            .map(|(&k, &(off, len))| (k, self.device.read(off, len).expect("indexed range valid")))
-            .collect();
-        let mut offset = start;
-        let mut new_index = HashMap::with_capacity(live.len());
-        for (key, value) in &live {
-            let rec = encode_record(txid, KIND_PUT, *key, value);
-            if offset + rec.len() + REC_HDR * 2 > end {
-                return Err(PoolError::PoolFull);
-            }
-            self.device.write(offset, &rec)?;
-            new_index.insert(*key, (offset + REC_HDR, value.len()));
-            offset += rec.len();
+        if st.free() > CLEANER_RESERVE {
+            self.next_segment(&mut st)?;
         }
-        let commit = encode_record(txid, KIND_COMMIT, 0, &[]);
-        self.device.write(offset, &commit)?;
-        offset += commit.len();
-        // Terminator so recovery stops here instead of reading stale records.
-        self.device.write(offset, &[0u8; REC_HDR])?;
-        self.device.persist(start, offset + REC_HDR - start)?;
-        // Atomic flip: 8-byte superblock write + persist.
-        self.device.write(0, &(target as u64).to_le_bytes())?;
-        self.device.persist(0, SUPERBLOCK)?;
-        st.active = target;
-        st.index = new_index;
-        st.tail = offset;
+        let below = st.tail_lsn();
+        while self.reclaim(&mut st, below)? {}
         Ok(())
     }
 
@@ -356,255 +432,256 @@ impl PmPool {
         &self.device
     }
 
-    fn commit_ops(&self, ops: &[StagedOp]) -> Result<(), PoolError> {
-        if ops.is_empty() {
+    /// Commits the records staged in `buf` as one transaction.
+    fn commit_buf(&self, buf: &mut [u8]) -> Result<(), PoolError> {
+        if buf.is_empty() {
             return Ok(());
         }
         let mut st = self.state.lock();
-        let txid = st.next_txid;
-        st.next_txid += 1;
-
-        let needed: usize = ops
-            .iter()
-            .map(|op| match op {
-                StagedOp::Put(_, v) => REC_HDR + v.len(),
-                StagedOp::Delete(_) => REC_HDR,
-            })
-            .sum::<usize>()
-            + REC_HDR * 2; // commit record + terminator
-        if st.tail + needed > self.half_bounds(st.active).1 {
-            // The half filled before an incremental pass could finish (or
-            // none was running): fall back to the synchronous full rewrite.
-            st.compacting = None;
-            self.compact_locked(&mut st)?;
-            if st.tail + needed > self.half_bounds(st.active).1 {
+        // Out of segments: reclaim, oldest first, until the transaction
+        // fits beside the cleaner's reserve — or every segment that was in
+        // the log has had its turn and it still does not.
+        let below = st.tail_lsn();
+        while st.free() < self.segments_needed(&st, buf)? + CLEANER_RESERVE {
+            if !self.reclaim(&mut st, below)? {
                 return Err(PoolError::PoolFull);
             }
         }
-
-        let start = st.tail;
-        let mut offset = start;
-        let mut index_updates: Vec<(u128, Option<(usize, usize)>)> = Vec::with_capacity(ops.len());
-        let mut encoded: Vec<Vec<u8>> = Vec::with_capacity(ops.len());
-        for op in ops {
-            match op {
-                StagedOp::Put(key, value) => {
-                    let rec = encode_record(txid, KIND_PUT, *key, value);
-                    self.device.write(offset, &rec)?;
-                    index_updates.push((*key, Some((offset + REC_HDR, value.len()))));
-                    offset += rec.len();
-                    encoded.push(rec);
-                }
-                StagedOp::Delete(key) => {
-                    let rec = encode_record(txid, KIND_DELETE, *key, &[]);
-                    self.device.write(offset, &rec)?;
-                    index_updates.push((*key, None));
-                    offset += rec.len();
-                    encoded.push(rec);
-                }
-            }
+        self.append_tx(&mut st, buf)?;
+        // The transaction is durable; what follows only makes room, and a
+        // failure there must not fail the commit.
+        let _ = self.release_dead(&mut st);
+        if st.free() < RECLAIM_LOW_WATER {
+            let below = st.tail_lsn();
+            let _ = self.reclaim(&mut st, below);
         }
-        // Persist the operations *before* the commit record becomes durable
-        // (redo-log write ordering).
-        self.device.persist(start, offset - start)?;
-        let commit = encode_record(txid, KIND_COMMIT, 0, &[]);
-        self.device.write(offset, &commit)?;
-        // Terminator: a reused half can hold stale-but-valid records past the
-        // tail; the zero header stops recovery from replaying them.
-        self.device.write(offset + commit.len(), &[0u8; REC_HDR])?;
-        self.device.persist(offset, commit.len() + REC_HDR)?;
-        offset += commit.len();
-
-        for (key, loc) in &index_updates {
-            match loc {
-                Some(l) => {
-                    st.index.insert(*key, *l);
-                }
-                None => {
-                    st.index.remove(key);
-                }
-            }
-        }
-        st.tail = offset;
-
-        // The transaction is durable in the active half; mirror it into an
-        // in-flight compaction pass and advance the pass by one step.
-        self.mirror_into_pass(&mut st, txid, &encoded, &index_updates);
-        self.compact_step_locked(&mut st);
         Ok(())
     }
 
-    /// Appends `recs` plus a commit record at the pass tail. Returns the new
-    /// tail, or `None` if the target half cannot hold them (the pass is then
-    /// abandoned by the caller; the synchronous fallback still works).
-    fn append_to_pass(
-        &self,
-        pass: &mut CompactPass,
-        recs: &[Vec<u8>],
-        txid: u64,
-    ) -> Option<usize> {
-        let (_, end) = self.half_bounds(pass.target);
-        let needed: usize = recs.iter().map(Vec::len).sum::<usize>() + REC_HDR * 2;
-        if pass.tail + needed > end {
-            return None;
+    /// Segments the records in `buf` plus their commit record need beyond
+    /// the one being filled. Exact — it replays the placement `append_tx`
+    /// will make — so a transaction either fits or fails before its first
+    /// byte is written.
+    fn segments_needed(&self, st: &PoolState, buf: &[u8]) -> Result<usize, PoolError> {
+        let mut room = self.tail_end(st) - st.tail;
+        let mut needed = 0;
+        for len in records(buf).map(|(_, hdr)| REC_HDR + hdr.len).chain([REC_HDR]) {
+            if len > self.seg_size - SEG_HDR {
+                return Err(PoolError::PoolFull);
+            }
+            if len > room {
+                needed += 1;
+                room = self.seg_size - SEG_HDR;
+            }
+            room -= len;
         }
-        let start = pass.tail;
-        let mut offset = start;
-        for rec in recs {
-            self.device.write(offset, rec).ok()?;
-            offset += rec.len();
-        }
-        let commit = encode_record(txid, KIND_COMMIT, 0, &[]);
-        self.device.write(offset, &commit).ok()?;
-        self.device.write(offset + commit.len(), &[0u8; REC_HDR]).ok()?;
-        self.device.persist(start, offset + commit.len() + REC_HDR - start).ok()?;
-        Some(offset + commit.len())
+        Ok(needed)
     }
 
-    /// Replays a just-committed transaction into the in-flight pass, so the
-    /// target half stays a superset of every commit since the pass began.
-    /// Mirrored keys are marked handled: the copy must not later write a
-    /// stale snapshot value at a higher log position than the mirror.
-    fn mirror_into_pass(
-        &self,
-        st: &mut PoolState,
-        txid: u64,
-        encoded: &[Vec<u8>],
-        index_updates: &[(u128, Option<(usize, usize)>)],
-    ) {
-        let Some(mut pass) = st.compacting.take() else {
-            return;
-        };
-        let Some(new_tail) = self.append_to_pass(&mut pass, encoded, txid) else {
-            return; // target full: abandon the pass
-        };
-        // Record target-half offsets: each op record's payload starts
-        // REC_HDR past where the record landed.
-        let mut offset = pass.tail;
-        for (rec, (key, loc)) in encoded.iter().zip(index_updates) {
-            match loc {
-                Some((_, len)) => {
-                    pass.index.insert(*key, (offset + REC_HDR, *len));
-                }
-                None => {
-                    pass.index.remove(key);
-                }
-            }
-            pass.handled.insert(*key);
-            offset += rec.len();
-        }
-        pass.tail = new_tail;
-        st.compacting = Some(pass);
-    }
-
-    /// Starts a pass when the active half is filling, or copies the next
-    /// bounded batch of snapshot keys into the target half. Runs after every
-    /// commit; errors only abandon the pass (never the commit).
-    fn compact_step_locked(&self, st: &mut PoolState) {
-        if st.compacting.is_none() {
-            let (start, end) = self.half_bounds(st.active);
-            if (st.tail - start) * COMPACT_START_DEN < (end - start) * COMPACT_START_NUM {
-                return;
-            }
-            let target = 1 - st.active;
-            let target_start = self.half_bounds(target).0;
-            // Terminator at the target start: even a pass that flips with
-            // nothing to copy must not leave recovery reading stale (but
-            // CRC-valid) records from an earlier tenancy of this half.
-            if self.device.write(target_start, &[0u8; REC_HDR]).is_err() {
-                return;
-            }
-            if self.device.persist(target_start, REC_HDR).is_err() {
-                return;
-            }
-            st.compacting = Some(CompactPass {
-                target,
-                snapshot: st.index.keys().copied().collect(),
-                cursor: 0,
-                handled: HashSet::new(),
-                tail: target_start,
-                index: HashMap::new(),
-            });
-        }
-        let Some(mut pass) = st.compacting.take() else {
-            return;
-        };
-        // Size the batch so the pass finishes in at most ~128 commits —
-        // comfortably inside the quarter-half of headroom left when it
-        // started — while each step stays far too small to stall one.
-        let step = COMPACT_STEP_MIN.max(pass.snapshot.len().div_ceil(128));
+    /// Appends the records in `buf` and their commit record at the tail —
+    /// operations durable before the commit record is written (redo-log
+    /// write ordering) — then applies them to the index. The caller made
+    /// sure the segments this takes are free.
+    fn append_tx(&self, st: &mut PoolState, buf: &mut [u8]) -> Result<(), PoolError> {
         let txid = st.next_txid;
         st.next_txid += 1;
-        let mut recs: Vec<Vec<u8>> = Vec::with_capacity(step);
-        let mut locs: Vec<(u128, usize)> = Vec::with_capacity(step);
-        while pass.cursor < pass.snapshot.len() && recs.len() < step {
-            let key = pass.snapshot[pass.cursor];
-            pass.cursor += 1;
-            if pass.handled.contains(&key) {
-                continue; // the mirror already holds its latest state
+        let mut placed = std::mem::take(&mut st.placed);
+        placed.clear();
+        // `buf[run..at]` is sealed but unwritten and belongs at `run_at`:
+        // one device write per stretch of records that share a segment.
+        let (mut run, mut run_at, mut at) = (0, st.tail, 0);
+        while at < buf.len() {
+            let end = at + REC_HDR + RecHdr::parse(&buf[at..]).len;
+            if st.tail + (end - at) > self.tail_end(st) {
+                self.write_durably(run_at, &buf[run..at])?;
+                self.next_segment(st)?;
+                (run, run_at) = (at, st.tail);
             }
-            let Some(&(off, len)) = st.index.get(&key) else {
-                continue;
-            };
-            let Ok(value) = self.device.read(off, len) else {
-                return; // abandon the pass; the active half is untouched
-            };
-            recs.push(encode_record(txid, KIND_PUT, key, &value));
-            locs.push((key, len));
+            seal(&mut buf[at..end], txid, st.tail_lsn());
+            placed.push(st.tail);
+            st.tail += end - at;
+            at = end;
         }
-        if !recs.is_empty() {
-            let Some(new_tail) = self.append_to_pass(&mut pass, &recs, txid) else {
-                return; // target full: abandon the pass
-            };
-            let mut offset = pass.tail;
-            for (rec, (key, len)) in recs.iter().zip(&locs) {
-                pass.index.insert(*key, (offset + REC_HDR, *len));
-                offset += rec.len();
+        self.write_durably(run_at, &buf[run..])?;
+        if st.tail + REC_HDR > self.tail_end(st) {
+            self.next_segment(st)?;
+        }
+        // The commit record and, where the segment has room, the zero
+        // header closing the log behind it: adjacent, so one write.
+        let mut commit = [0u8; 2 * REC_HDR];
+        commit[16] = KIND_COMMIT;
+        seal(&mut commit[..REC_HDR], txid, st.tail_lsn());
+        let len = commit.len().min(self.tail_end(st) - st.tail);
+        self.write_durably(st.tail, &commit[..len])?;
+        st.tail += REC_HDR;
+
+        for ((_, hdr), &at) in records(buf).zip(&placed) {
+            let loc = (hdr.kind == KIND_PUT).then_some((at, hdr.len));
+            self.index_set(st, hdr.key, loc);
+        }
+        st.placed = placed;
+        self.stats.log_bytes.fetch_add((buf.len() + REC_HDR) as u64, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn write_durably(&self, at: usize, bytes: &[u8]) -> Result<(), PoolError> {
+        if !bytes.is_empty() {
+            self.device.write(at, bytes)?;
+            self.device.persist(at, bytes.len())?;
+        }
+        Ok(())
+    }
+
+    /// Points `key` at `loc` (`None` = deleted), keeping the per-segment
+    /// live counts in step.
+    fn index_set(&self, st: &mut PoolState, key: u128, loc: Option<Loc>) {
+        let old = match loc {
+            Some(loc) => st.index.insert(key, loc),
+            None => st.index.remove(&key),
+        };
+        if let Some((off, _)) = old {
+            st.segs[self.slot_of(off)].live -= 1;
+        }
+        if let Some((off, _)) = loc {
+            st.segs[self.slot_of(off)].live += 1;
+        }
+    }
+
+    /// Closes the segment being filled and opens the next one.
+    fn next_segment(&self, st: &mut PoolState) -> Result<(), PoolError> {
+        // A zero header, so that nothing this tenancy left past the tail
+        // before a crash (records of a transaction recovery rolled back)
+        // can ever be read as following what was written since.
+        if self.tail_end(st) - st.tail >= REC_HDR {
+            self.write_durably(st.tail, &[0u8; REC_HDR])?;
+        }
+        let slot = st.tail_slot();
+        st.segs[slot].used = st.tail - self.seg_start(slot) - SEG_HDR;
+        self.open_segment(st)
+    }
+
+    /// Links the lowest free segment in behind the log's last one. Its
+    /// header is durable before anything is written into it.
+    fn open_segment(&self, st: &mut PoolState) -> Result<(), PoolError> {
+        let slot = st.segs.iter().position(|seg| seg.lsn == 0).ok_or(PoolError::PoolFull)?;
+        let start = self.seg_start(slot);
+        self.write_durably(start, &seg_header(st.next_lsn))?;
+        st.segs[slot] = Seg { lsn: st.next_lsn, live: 0, used: 0 };
+        st.log.push_back(slot);
+        st.tail = start + SEG_HDR;
+        st.next_lsn += 1;
+        Ok(())
+    }
+
+    /// Frees every segment at the old end of the log that nothing points
+    /// into (never the one being filled): one superblock write moves the
+    /// head past all of them.
+    fn release_dead(&self, st: &mut PoolState) -> Result<usize, PoolError> {
+        let sealed = st.log.len() - 1;
+        let dead = st.log.iter().take(sealed).take_while(|&&slot| st.segs[slot].live == 0).count();
+        if dead > 0 {
+            let head = st.segs[st.log[dead]].lsn;
+            self.write_durably(0, &head.to_le_bytes())?;
+            for slot in st.log.drain(..dead) {
+                st.segs[slot] = Seg::default();
             }
-            pass.tail = new_tail;
+            self.stats.segments_freed.fetch_add(dead as u64, Ordering::Relaxed);
         }
-        if pass.cursor < pass.snapshot.len() {
-            st.compacting = Some(pass);
-            return;
+        Ok(dead)
+    }
+
+    /// One reclamation step on the oldest segment, if its LSN is below
+    /// `below`: re-appends its next live puts — at most `RECLAIM_STEP` of
+    /// them, read with one device read of at most `RECLAIM_SPAN` bytes — at
+    /// the tail as one transaction (tombstones and dead puts stay behind;
+    /// see the module docs for why that is safe), then frees whatever the
+    /// old end of the log no longer needs. False when there was nothing to
+    /// do.
+    fn reclaim(&self, st: &mut PoolState, below: u64) -> Result<bool, PoolError> {
+        let slot = st.log[0];
+        let Seg { lsn, live, .. } = st.segs[slot];
+        if lsn >= below {
+            return Ok(false);
         }
-        // Every key is in the target half: flip the superblock (8-byte
-        // power-fail-atomic write) and retire the old half.
-        if self.device.write(0, &(pass.target as u64).to_le_bytes()).is_err() {
-            return;
+        if live > 0 && st.victims_of != lsn {
+            let span = self.seg_start(slot)..self.seg_start(slot) + self.seg_size;
+            let in_seg = st.index.iter().filter(|(_, (off, _))| span.contains(off));
+            st.victims = in_seg.map(|(&key, &(off, len))| (off, REC_HDR + len, key)).collect();
+            // Copy in log order: records that were written together, and
+            // will likely die together, stay together.
+            st.victims.sort_unstable_by(|a, b| b.cmp(a));
+            st.victims_of = lsn;
         }
-        if self.device.persist(0, SUPERBLOCK).is_err() {
-            return;
+        // The next victims that are still what the index points at (the
+        // rest were overwritten or deleted since the list was made), as
+        // (record offset, record len).
+        let mut batch: Vec<(usize, usize)> = Vec::new();
+        while live > 0 && batch.len() < RECLAIM_STEP {
+            let Some(&(off, len, key)) = st.victims.last() else { break };
+            let first = batch.first().map_or(off, |&(first, _)| first);
+            if off + len - first > RECLAIM_SPAN.max(len) {
+                break;
+            }
+            if st.index.get(&key) == Some(&(off, len - REC_HDR)) {
+                batch.push((off, len));
+            }
+            st.victims.pop();
         }
-        st.active = pass.target;
-        st.index = pass.index;
-        st.tail = pass.tail;
+        let mut buf = std::mem::take(&mut st.scratch);
+        buf.clear();
+        if let (Some(&(first, _)), Some(&(last, last_len))) = (batch.first(), batch.last()) {
+            // Whole records, headers and all: `append_tx` re-seals them.
+            let span = self.device.read(first, last + last_len - first)?;
+            for &(off, len) in &batch {
+                buf.extend_from_slice(&span[off - first..off - first + len]);
+            }
+        }
+        let appended = match self.segments_needed(st, &buf) {
+            _ if batch.is_empty() => Ok(()),
+            Ok(needed) if needed <= st.free() => self.append_tx(st, &mut buf),
+            _ => Err(PoolError::PoolFull),
+        };
+        st.scratch = buf;
+        if let Err(e) = appended {
+            st.victims_of = 0; // the batch is still where it was: list it again
+            return Err(e);
+        }
+        self.stats.reclaim_copied_records.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        Ok(self.release_dead(st)? > 0 || !batch.is_empty())
     }
 }
 
 impl<'a> Tx<'a> {
     /// Stages a put of `value` under `key`.
     pub fn put(&mut self, key: u128, value: &[u8]) {
-        self.ops.push(StagedOp::Put(key, value.to_vec()));
-        self.staged.insert(key, Some(value.to_vec()));
+        self.oversize |= u32::try_from(value.len()).is_err();
+        if !self.oversize {
+            push_record(&mut self.buf, KIND_PUT, key, value);
+        }
     }
 
     /// Stages a delete of `key`.
     pub fn delete(&mut self, key: u128) {
-        self.ops.push(StagedOp::Delete(key));
-        self.staged.insert(key, None);
+        push_record(&mut self.buf, KIND_DELETE, key, &[]);
     }
 
     /// Reads `key`, seeing this transaction's own staged operations first.
     pub fn get(&self, key: u128) -> Option<Vec<u8>> {
-        match self.staged.get(&key) {
-            Some(v) => v.clone(),
+        match records(&self.buf).filter(|(_, hdr)| hdr.key == key).last() {
+            Some((at, hdr)) if hdr.kind == KIND_PUT => {
+                Some(self.buf[at + REC_HDR..at + REC_HDR + hdr.len].to_vec())
+            }
+            Some(_) => None,
             None => self.pool.get(key),
         }
     }
 
     /// Atomically and durably applies all staged operations.
-    pub fn commit(self) -> Result<(), PoolError> {
-        self.pool.commit_ops(&self.ops)
+    pub fn commit(mut self) -> Result<(), PoolError> {
+        if self.oversize {
+            return Err(PoolError::PoolFull);
+        }
+        self.pool.commit_buf(&mut self.buf)
     }
 
     /// Discards all staged operations (also what dropping does).
@@ -614,309 +691,92 @@ impl<'a> Tx<'a> {
 
     /// Number of staged operations.
     pub fn len(&self) -> usize {
-        self.ops.len()
+        records(&self.buf).count()
     }
 
     /// True if nothing is staged.
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.buf.is_empty()
     }
 }
 
-fn encode_record(txid: u64, kind: u8, key: u128, payload: &[u8]) -> Vec<u8> {
-    let mut rec = Vec::with_capacity(REC_HDR + payload.len());
-    rec.extend_from_slice(&[0u8; 4]); // crc placeholder
-    rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    rec.extend_from_slice(&txid.to_le_bytes());
-    rec.push(kind);
-    rec.extend_from_slice(&key.to_le_bytes());
-    rec.extend_from_slice(payload);
-    let crc = crc32(&rec[4..]);
+/// A decoded record header.
+struct RecHdr {
+    crc: u32,
+    len: usize,
+    txid: u64,
+    kind: u8,
+    key: u128,
+}
+
+impl RecHdr {
+    /// Decodes the header at the start of `bytes` (at least `REC_HDR` long).
+    fn parse(bytes: &[u8]) -> Self {
+        RecHdr {
+            crc: u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")),
+            len: u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")) as usize,
+            txid: u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
+            kind: bytes[16],
+            key: u128::from_le_bytes(bytes[17..33].try_into().expect("16 bytes")),
+        }
+    }
+}
+
+/// Appends a record to `buf`, crc and txid left blank for [`seal`]. The
+/// payload length fits the header's 32 bits ([`Tx::put`] checks).
+fn push_record(buf: &mut Vec<u8>, kind: u8, key: u128, payload: &[u8]) {
+    buf.reserve(REC_HDR + payload.len());
+    buf.extend_from_slice(&[0u8; 4]);
+    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&[0u8; 8]);
+    buf.push(kind);
+    buf.extend_from_slice(&key.to_le_bytes());
+    buf.extend_from_slice(payload);
+}
+
+/// The records laid out back to back in `buf` by [`push_record`]: each
+/// one's offset in `buf` and its header.
+fn records(buf: &[u8]) -> impl Iterator<Item = (usize, RecHdr)> + '_ {
+    let mut next = 0;
+    std::iter::from_fn(move || {
+        let at = next;
+        let hdr = RecHdr::parse(buf.get(at..)?.get(..REC_HDR)?);
+        next = at + REC_HDR + hdr.len;
+        Some((at, hdr))
+    })
+}
+
+/// Stamps a record with its transaction and the checksum that ties it to
+/// the segment tenancy `lsn` it is about to be written into.
+fn seal(rec: &mut [u8], txid: u64, lsn: u64) {
+    rec[8..16].copy_from_slice(&txid.to_le_bytes());
+    let crc = record_crc(lsn, &rec[4..]);
     rec[0..4].copy_from_slice(&crc.to_le_bytes());
-    rec
+}
+
+/// CRC over the segment's LSN and the record past its crc field.
+fn record_crc(lsn: u64, body: &[u8]) -> u32 {
+    !crc32_update(crc32_update(!0, &lsn.to_le_bytes()), body)
+}
+
+fn seg_header(lsn: u64) -> [u8; SEG_HDR] {
+    let mut hdr = [0u8; SEG_HDR];
+    hdr[..8].copy_from_slice(&lsn.to_le_bytes());
+    hdr[8..].copy_from_slice(&seg_check(lsn).to_le_bytes());
+    hdr
+}
+
+/// The LSN a segment header carries, if the header is one (a free
+/// segment's may be zeroes, half-written or anything a test scribbled).
+fn parse_seg_header(hdr: &[u8]) -> Option<u64> {
+    let lsn = u64::from_le_bytes(hdr[..8].try_into().expect("8 bytes"));
+    let check = u64::from_le_bytes(hdr[8..SEG_HDR].try_into().expect("8 bytes"));
+    (lsn != 0 && check == seg_check(lsn)).then_some(lsn)
+}
+
+fn seg_check(lsn: u64) -> u64 {
+    0x5345_474D_0000_0000 | crc32(&lsn.to_le_bytes()) as u64 // "SEGM" ‖ crc
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::PmDeviceConfig;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn pool() -> PmPool {
-        PmPool::create(Arc::new(PmDevice::for_testing()))
-    }
-
-    #[test]
-    fn put_get_roundtrip() {
-        let p = pool();
-        p.put(1, b"one").unwrap();
-        p.put(2, b"two").unwrap();
-        assert_eq!(p.get(1).unwrap(), b"one");
-        assert_eq!(p.get(2).unwrap(), b"two");
-        assert_eq!(p.get(3), None);
-        assert_eq!(p.len(), 2);
-    }
-
-    #[test]
-    fn wide_keys_supported() {
-        let p = pool();
-        let k = (7u128 << 64) | 9;
-        p.put(k, b"wide").unwrap();
-        assert_eq!(p.get(k).unwrap(), b"wide");
-        assert_eq!(p.get(9), None);
-    }
-
-    #[test]
-    fn overwrite_returns_latest() {
-        let p = pool();
-        p.put(1, b"v1").unwrap();
-        p.put(1, b"v2").unwrap();
-        assert_eq!(p.get(1).unwrap(), b"v2");
-        assert_eq!(p.len(), 1);
-    }
-
-    #[test]
-    fn delete_removes_key() {
-        let p = pool();
-        p.put(1, b"x").unwrap();
-        p.delete(1).unwrap();
-        assert_eq!(p.get(1), None);
-        assert!(p.is_empty());
-    }
-
-    #[test]
-    fn tx_reads_its_own_writes() {
-        let p = pool();
-        p.put(1, b"committed").unwrap();
-        let mut tx = p.begin();
-        tx.put(2, b"staged");
-        tx.delete(1);
-        assert_eq!(tx.get(2).unwrap(), b"staged");
-        assert_eq!(tx.get(1), None);
-        // Pool itself still sees the old state.
-        assert_eq!(p.get(1).unwrap(), b"committed");
-        assert_eq!(p.get(2), None);
-        tx.commit().unwrap();
-        assert_eq!(p.get(1), None);
-        assert_eq!(p.get(2).unwrap(), b"staged");
-    }
-
-    #[test]
-    fn rollback_discards_everything() {
-        let p = pool();
-        let mut tx = p.begin();
-        tx.put(9, b"never");
-        tx.rollback();
-        assert_eq!(p.get(9), None);
-    }
-
-    #[test]
-    fn dropped_tx_is_rollback() {
-        let p = pool();
-        {
-            let mut tx = p.begin();
-            tx.put(9, b"never");
-        }
-        assert_eq!(p.get(9), None);
-    }
-
-    #[test]
-    fn committed_data_survives_crash() {
-        let dev = Arc::new(PmDevice::for_testing());
-        let p = PmPool::create(Arc::clone(&dev));
-        p.put(1, b"alpha").unwrap();
-        p.put(2, b"beta").unwrap();
-        dev.crash();
-        let p2 = PmPool::open(dev);
-        assert_eq!(p2.get(1).unwrap(), b"alpha");
-        assert_eq!(p2.get(2).unwrap(), b"beta");
-        assert_eq!(p2.len(), 2);
-    }
-
-    #[test]
-    fn uncommitted_tx_rolled_back_after_crash() {
-        let dev = Arc::new(PmDevice::for_testing());
-        let p = PmPool::create(Arc::clone(&dev));
-        p.put(1, b"keep").unwrap();
-        // Simulate a crash mid-commit: op record persisted, commit record
-        // never written.
-        let rec = encode_record(99, KIND_PUT, 2, b"lost");
-        let (start, _) = p.half_bounds(0);
-        let tail = start + p.used_bytes();
-        dev.write(tail, &rec).unwrap();
-        dev.persist(tail, rec.len()).unwrap();
-        dev.crash();
-        let p2 = PmPool::open(dev);
-        assert_eq!(p2.get(1).unwrap(), b"keep");
-        assert_eq!(p2.get(2), None, "uncommitted put must be rolled back");
-    }
-
-    #[test]
-    fn recovery_continues_appending_safely() {
-        let dev = Arc::new(PmDevice::for_testing());
-        let p = PmPool::create(Arc::clone(&dev));
-        p.put(1, b"a").unwrap();
-        dev.crash();
-        let p2 = PmPool::open(Arc::clone(&dev));
-        p2.put(2, b"b").unwrap();
-        dev.crash();
-        let p3 = PmPool::open(dev);
-        assert_eq!(p3.get(1).unwrap(), b"a");
-        assert_eq!(p3.get(2).unwrap(), b"b");
-    }
-
-    #[test]
-    fn torn_tail_recovers_valid_prefix() {
-        let dev = Arc::new(PmDevice::for_testing());
-        let p = PmPool::create(Arc::clone(&dev));
-        p.put(1, b"base").unwrap();
-        p.put(2, b"maybe").unwrap();
-        // Corrupt the most recent commit record's CRC, then crash with torn
-        // flushes — recovery must keep key 1 and never panic.
-        let (start, _) = p.half_bounds(0);
-        dev.write(start + p.used_bytes() - REC_HDR, &[0xFFu8; 4]).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        dev.crash_torn(&mut rng);
-        let p2 = PmPool::open(dev);
-        assert_eq!(p2.get(1).unwrap(), b"base");
-    }
-
-    #[test]
-    fn multi_op_tx_is_atomic_across_crash() {
-        let dev = Arc::new(PmDevice::for_testing());
-        let p = PmPool::create(Arc::clone(&dev));
-        let mut tx = p.begin();
-        for k in 0..50u128 {
-            tx.put(k, format!("value-{k}").as_bytes());
-        }
-        tx.commit().unwrap();
-        dev.crash();
-        let p2 = PmPool::open(dev);
-        assert_eq!(p2.len(), 50);
-        for k in 0..50u128 {
-            assert_eq!(p2.get(k).unwrap(), format!("value-{k}").as_bytes());
-        }
-    }
-
-    #[test]
-    fn compaction_reclaims_space_and_preserves_data() {
-        let p = pool();
-        for round in 0..20u32 {
-            for k in 0..10u128 {
-                p.put(k, format!("round-{round}-key-{k}").as_bytes()).unwrap();
-            }
-        }
-        let before = p.used_bytes();
-        p.compact().unwrap();
-        let after = p.used_bytes();
-        assert!(after < before, "compaction should shrink the log");
-        for k in 0..10u128 {
-            assert_eq!(p.get(k).unwrap(), format!("round-19-key-{k}").as_bytes());
-        }
-    }
-
-    #[test]
-    fn compacted_pool_recovers() {
-        let dev = Arc::new(PmDevice::for_testing());
-        let p = PmPool::create(Arc::clone(&dev));
-        for k in 0..10u128 {
-            p.put(k, b"v0").unwrap();
-            p.put(k, b"v1").unwrap();
-        }
-        p.compact().unwrap();
-        p.put(100, b"after-compact").unwrap();
-        dev.crash();
-        let p2 = PmPool::open(dev);
-        assert_eq!(p2.len(), 11);
-        assert_eq!(p2.get(3).unwrap(), b"v1");
-        assert_eq!(p2.get(100).unwrap(), b"after-compact");
-    }
-
-    #[test]
-    fn crash_during_compaction_preserves_old_half() {
-        let dev = Arc::new(PmDevice::for_testing());
-        let p = PmPool::create(Arc::clone(&dev));
-        for k in 0..20u128 {
-            p.put(k, format!("value-{k}").as_bytes()).unwrap();
-        }
-        // Hand-simulate a compaction that crashes before the superblock
-        // flip: write garbage into the inactive half and crash.
-        let (b_start, _) = p.half_bounds(1);
-        dev.write(b_start, &[0xEEu8; 4096]).unwrap();
-        dev.persist(b_start, 4096).unwrap();
-        dev.crash();
-        let p2 = PmPool::open(dev);
-        assert_eq!(p2.len(), 20, "active half must be untouched by aborted compaction");
-        assert_eq!(p2.get(7).unwrap(), b"value-7");
-    }
-
-    #[test]
-    fn full_pool_compacts_automatically() {
-        let dev = Arc::new(PmDevice::new(PmDeviceConfig {
-            capacity: 16 * 1024,
-            ..Default::default()
-        }));
-        let p = PmPool::create(dev);
-        // Keep overwriting one key: log grows, but compaction reclaims it.
-        for i in 0..500 {
-            p.put(1, format!("value number {i}").as_bytes()).unwrap();
-        }
-        assert_eq!(p.get(1).unwrap(), b"value number 499");
-    }
-
-    #[test]
-    fn truly_full_pool_errors() {
-        let dev = Arc::new(PmDevice::new(PmDeviceConfig {
-            capacity: 8192,
-            ..Default::default()
-        }));
-        let p = PmPool::create(dev);
-        let big = vec![0xAB; 8192];
-        let mut tx = p.begin();
-        tx.put(1, &big);
-        assert_eq!(tx.commit(), Err(PoolError::PoolFull));
-    }
-
-    #[test]
-    fn empty_tx_commit_is_noop() {
-        let p = pool();
-        let tx = p.begin();
-        assert!(tx.is_empty());
-        tx.commit().unwrap();
-        assert_eq!(p.used_bytes(), 0);
-    }
-
-    #[test]
-    fn many_compactions_many_crashes_fuzz() {
-        // Interleave puts, compactions and clean crashes; the pool must
-        // always recover the full committed state.
-        let dev = Arc::new(PmDevice::new(PmDeviceConfig {
-            capacity: 64 * 1024,
-            ..Default::default()
-        }));
-        let mut expected: std::collections::HashMap<u128, Vec<u8>> = Default::default();
-        let mut p = PmPool::create(Arc::clone(&dev));
-        let mut rng = StdRng::seed_from_u64(99);
-        use rand::Rng;
-        for step in 0..400 {
-            let k = rng.gen_range(0..30u128);
-            let v = format!("step-{step}");
-            p.put(k, v.as_bytes()).unwrap();
-            expected.insert(k, v.into_bytes());
-            if step % 37 == 0 {
-                p.compact().unwrap();
-            }
-            if step % 53 == 0 {
-                dev.crash();
-                p = PmPool::open(Arc::clone(&dev));
-            }
-        }
-        dev.crash();
-        let p = PmPool::open(dev);
-        assert_eq!(p.len(), expected.len());
-        for (k, v) in expected {
-            assert_eq!(p.get(k).as_deref(), Some(v.as_slice()), "key {k}");
-        }
-    }
-}
+mod tests;

@@ -153,7 +153,7 @@ impl SsdDevice {
     /// Flushes the page cache to the device: pays write latency for every
     /// dirty block; on return everything written so far is durable.
     pub fn fsync(&self) {
-        let (flushed, total_ns) = {
+        let total_ns = {
             let mut inner = self.inner.lock();
             let dirty: Vec<(u128, Vec<u8>)> = inner.dirty.drain().collect();
             let deletes = std::mem::take(&mut inner.dirty_deletes);
@@ -166,19 +166,16 @@ impl SsdDevice {
                 bytes += data.len() as u64;
                 inner.durable.insert(id, data);
             }
-            // One batched sequential writeback: the device base cost is
-            // paid once, the per-byte cost for all dirty data.
-            let total_ns = if any {
-                self.latency.write_ns(0) + (self.latency.write_ns(bytes as usize)
-                    - self.latency.write_ns(0))
-            } else {
-                0
-            };
             self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
             self.stats.bytes_synced.fetch_add(bytes, Ordering::Relaxed);
-            (bytes, total_ns)
+            // One batched sequential writeback: the device base cost is
+            // paid once, the per-byte cost for all dirty data.
+            if any {
+                self.latency.write_ns(bytes as usize)
+            } else {
+                0
+            }
         };
-        let _ = flushed;
         self.clock.consume(SYSCALL_NS + total_ns);
     }
 

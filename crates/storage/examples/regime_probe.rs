@@ -1,0 +1,76 @@
+//! What a committed record costs a replica's storage server once live PM
+//! bytes sit at the spill watermark — the regime every `benchmark/`
+//! workload runs in, and one the isolated `storage.stage_commit_us` driver
+//! never reaches (its 4 000 records stay below the watermark).
+//!
+//! Default `StorageConfig` under `ClockMode::Spin`, one color, `stage` ×5 +
+//! `commit_many`, 140 000 records of 256 B; every 20 000 it prints the wall
+//! µs and the PM bytes, device writes and device reads per record over that
+//! stretch. Public API only, so the same file measures any commit:
+//!
+//! ```sh
+//! cargo run --release -p flexlog-storage --example regime_probe
+//! ```
+
+use std::sync::atomic::Ordering;
+use std::time::Instant;
+
+use flexlog_pm::ClockMode;
+use flexlog_storage::{StorageConfig, StorageServer};
+use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, Token};
+
+const RECORDS: u32 = 140_000;
+const REPORT_EVERY: u32 = 20_000;
+const BATCH: u32 = 5;
+
+fn main() {
+    let server = StorageServer::new(StorageConfig {
+        clock: ClockMode::Spin,
+        ..StorageConfig::default()
+    });
+    let pm = server.devices().0;
+    let counts = || {
+        let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+        [
+            load(&pm.stats.bytes_written),
+            load(&pm.stats.writes),
+            load(&pm.stats.reads),
+        ]
+    };
+    let payload = Payload::from(vec![0xA5u8; 256]);
+    let color = ColorId(1);
+
+    println!(
+        "{:>8} {:>10} {:>12} {:>12} {:>11}",
+        "records", "us/rec", "pm B/rec", "writes/rec", "reads/rec"
+    );
+    let (mut since, mut before) = (Instant::now(), counts());
+    for first in (1..=RECORDS).step_by(BATCH as usize) {
+        let items: Vec<(Token, SeqNum)> = (first..first + BATCH)
+            .map(|n| {
+                let token = Token::new(FunctionId(1), n);
+                server
+                    .stage(token, color, std::slice::from_ref(&payload))
+                    .expect("stage");
+                (token, SeqNum::new(Epoch(1), n))
+            })
+            .collect();
+        for result in server.commit_many(&items) {
+            result.expect("commit");
+        }
+        let done = first + BATCH - 1;
+        if done.is_multiple_of(REPORT_EVERY) {
+            let per_rec = |v: f64| v / REPORT_EVERY as f64;
+            let now = counts();
+            println!(
+                "{:>8} {:>10.2} {:>12.0} {:>12.2} {:>11.2}",
+                done,
+                per_rec(since.elapsed().as_secs_f64() * 1e6),
+                per_rec((now[0] - before[0]) as f64),
+                per_rec((now[1] - before[1]) as f64),
+                per_rec((now[2] - before[2]) as f64),
+            );
+            (since, before) = (Instant::now(), now);
+        }
+    }
+}

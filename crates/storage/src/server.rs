@@ -358,6 +358,13 @@ pub struct StorageServer {
     node: AtomicU64,
     /// Wall-clock duration of each `commit_many` PM transaction.
     commit_hist: Histogram,
+    /// Wall-clock duration of each watermark spill round. `commit_ns` stops
+    /// before the spill that the same `commit_many` call goes on to make,
+    /// so a commit's storage time is the sum of the two.
+    spill_hist: Histogram,
+    /// The pool's redo-log cost counters (`PoolStats`), in its field order,
+    /// as `storage.pm_log_bytes` / `pm_reclaim_copied` / `pm_segments_freed`.
+    pool_cost: [Counter; 3],
 }
 
 impl StorageServer {
@@ -433,6 +440,9 @@ impl StorageServer {
             stats: StorageStats::registered(&config.obs),
             node: AtomicU64::new(0),
             commit_hist: config.obs.histogram("storage.commit_ns"),
+            spill_hist: config.obs.histogram("storage.spill_ns"),
+            pool_cost: ["log_bytes", "reclaim_copied", "segments_freed"]
+                .map(|name| config.obs.counter(&format!("storage.pm_{name}"))),
             config,
         };
         for (color, log) in logs {
@@ -1334,9 +1344,11 @@ impl StorageServer {
     /// colors and demotes their oldest PM-resident records, a batch at a
     /// time.
     fn maybe_spill(&self) -> Result<(), StorageError> {
+        self.publish_pool_cost();
         if self.pm_live_bytes() <= self.config.pm_watermark {
             return Ok(());
         }
+        let spill_start = std::time::Instant::now();
         let _gate = self.spill_gate.lock();
         while self.pm_live_bytes() > self.config.pm_watermark {
             // One batch may span colors, so a color with nothing left in PM
@@ -1356,7 +1368,18 @@ impl StorageServer {
             }
             self.spill_victims(&victims)?;
         }
+        self.spill_hist.record_ns(spill_start.elapsed());
         Ok(())
+    }
+
+    /// Copies the pool's cost counters into the registry; runs where every
+    /// commit and import ends (so the registry lags by that call's spill).
+    fn publish_pool_cost(&self) {
+        let stats = &self.pool.stats;
+        let cost = [&stats.log_bytes, &stats.reclaim_copied_records, &stats.segments_freed];
+        for (counter, value) in self.pool_cost.iter().zip(cost) {
+            counter.store(value.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
     }
 
     /// The SSD-copy → fsync → PM-delete two-step moving the given

@@ -1,0 +1,129 @@
+//! Steady-state PM write amplification in the spilling regime, by count
+//! and not by clock: once live PM bytes sit at the watermark every commit
+//! also spills, and the pool under the server has to make room for what
+//! comes in. What that costs is read off the device's own counters, so the
+//! bars hold on any host.
+
+use std::sync::atomic::Ordering;
+
+use flexlog_storage::{StorageConfig, StorageServer};
+use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, Token};
+
+const WARM_UP: u32 = 30_000;
+const MEASURED: u32 = 30_000;
+const BATCH: u32 = 5;
+
+/// Device-operation deltas over the measured records.
+struct Cost {
+    bytes_per_rec: f64,
+    writes_per_rec: f64,
+    reads_per_rec: f64,
+    /// The most device writes any single `stage` / `commit_many` call made.
+    max_writes_per_call: u64,
+    copied: u64,
+}
+
+/// `stage` ×5 + `commit_many`, colors round-robin per batch, on a default
+/// server: 30k records to reach the regime, then 30k measured.
+fn run(colors: u32) -> Cost {
+    let server = StorageServer::new(StorageConfig::default());
+    let pm = server.devices().0;
+    let writes = || pm.stats.writes.load(Ordering::Relaxed);
+    let copied = || server.obs().snapshot().counter("storage.pm_reclaim_copied");
+    let payload = Payload::from(vec![0xA5u8; 256]);
+    let mut max_writes_per_call = 0;
+    let mut at_start = (0, 0, 0, 0);
+    for first in (1..=WARM_UP + MEASURED).step_by(BATCH as usize) {
+        if first == WARM_UP + 1 {
+            let bytes = pm.stats.bytes_written.load(Ordering::Relaxed);
+            at_start = (
+                bytes,
+                pm.stats.reads.load(Ordering::Relaxed),
+                copied(),
+                writes(),
+            );
+            max_writes_per_call = 0;
+        }
+        let color = ColorId(1 + first / BATCH % colors);
+        let mut counted = |call: &mut dyn FnMut()| {
+            let before = writes();
+            call();
+            max_writes_per_call = max_writes_per_call.max(writes() - before);
+        };
+        let items: Vec<(Token, SeqNum)> = (first..first + BATCH)
+            .map(|n| (Token::new(FunctionId(1), n), SeqNum::new(Epoch(1), n)))
+            .collect();
+        for (token, _) in &items {
+            counted(&mut || {
+                assert!(server
+                    .stage(*token, color, std::slice::from_ref(&payload))
+                    .unwrap());
+            });
+        }
+        counted(&mut || {
+            assert!(server
+                .commit_many(&items)
+                .into_iter()
+                .all(|r| r == Ok(true)));
+        });
+    }
+    assert!(
+        server.obs().snapshot().counter("storage.spilled_records") > 20_000,
+        "not in the regime"
+    );
+    let per_rec = |now: u64, then: u64| (now - then) as f64 / MEASURED as f64;
+    Cost {
+        bytes_per_rec: per_rec(pm.stats.bytes_written.load(Ordering::Relaxed), at_start.0),
+        writes_per_rec: per_rec(writes(), at_start.3),
+        reads_per_rec: per_rec(pm.stats.reads.load(Ordering::Relaxed), at_start.1),
+        max_writes_per_call,
+        copied: copied() - at_start.2,
+    }
+}
+
+/// Four colors: the spill drains the lowest-stripe color first, so three
+/// colors' records die young and the fourth's outlive a trip of the log
+/// around the device — the pool has to copy those forward, at a cost set by
+/// pool utilisation (a quarter), not by the size of the live set.
+#[test]
+fn four_colors_amplification_is_bounded_by_utilisation() {
+    let cost = run(4);
+    println!(
+        "4 colors: {:.0} B, {:.2} writes, {:.2} reads per record; {} copied; at most {} writes in one call",
+        cost.bytes_per_rec, cost.writes_per_rec, cost.reads_per_rec, cost.copied, cost.max_writes_per_call
+    );
+    assert!(
+        cost.bytes_per_rec <= 1_100.0,
+        "{:.0} PM bytes per record",
+        cost.bytes_per_rec
+    );
+    assert!(
+        cost.reads_per_rec <= 2.5,
+        "{:.2} PM reads per record",
+        cost.reads_per_rec
+    );
+    // No stop-the-world round: a call pays for its own transaction(s), one
+    // spill batch and one bounded reclamation step per pool commit.
+    assert!(
+        cost.max_writes_per_call <= 24,
+        "{} device writes in one call",
+        cost.max_writes_per_call
+    );
+}
+
+/// One color: records die in exactly the order they were written, so the
+/// oldest segment is always dead by the time its space is wanted.
+#[test]
+fn one_color_log_is_never_copied() {
+    let cost = run(1);
+    println!(
+        "1 color: {:.0} B, {:.2} writes, {:.2} reads per record; {} copied; at most {} writes in one call",
+        cost.bytes_per_rec, cost.writes_per_rec, cost.reads_per_rec, cost.copied, cost.max_writes_per_call
+    );
+    assert_eq!(cost.copied, 0);
+    assert!(
+        cost.bytes_per_rec <= 800.0,
+        "{:.0} PM bytes per record",
+        cost.bytes_per_rec
+    );
+}

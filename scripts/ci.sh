@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # CI gate: release build (workspace + the out-of-workspace benchmark crate,
 # build only), a code-line report (scripts/loc.sh, no gate), full test
-# suite, two bounded nemesis smoke runs (fixed seed, ~5 s of injected
-# faults under load — once on the instant network, once over delayed links
-# with 4 delay-scheduler shards), bench smokes (datapath + elasticity,
+# suite, the PM pool's count-based write-amplification bars and its
+# every-device-operation crash sweep once more in release, two bounded
+# nemesis smoke runs (fixed seed, ~5 s of injected faults under load — once
+# on the instant network, once over delayed links with 4 delay-scheduler
+# shards), bench smokes (datapath + elasticity,
 # --quick, JSON shape + scaling-ratio checks), one migration-crash and one
 # controller-crash nemesis scenario, and a zero-warning clippy pass over the
 # whole workspace.
@@ -26,6 +28,12 @@ scripts/loc.sh
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q
+
+echo "==> PM write amplification in the spilling regime (device-operation counts, release)"
+cargo test --release -q -p flexlog-storage --test write_amplification
+
+echo "==> PM pool crash-point sweep + tombstone resurrection + shrunk-device proptest (release)"
+cargo test --release -q -p flexlog-pm --test crash_consistency
 
 echo "==> nemesis smoke (bounded chaos run, fixed seed)"
 cargo run --release -p flexlog-chaos --example nemesis_smoke
