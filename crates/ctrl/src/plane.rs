@@ -479,14 +479,6 @@ impl<'a> ControlPlane<'a> {
         Ok(())
     }
 
-    /// Creates `color` owned directly by sequencer `role` (locally ordered
-    /// region). Used after a split to place new colors on the new leaf.
-    pub fn create_color_at(&mut self, color: ColorId, role: RoleId) -> Result<(), CtrlError> {
-        self.cluster.colors().add_color_at(color, role)?;
-        self.colors_created.add(1);
-        Ok(())
-    }
-
     /// Destroys `color`: fences every hosting replica (subsequent appends
     /// nack with `Dropped`, a terminal client error), then forgets the
     /// registry and topology mappings.

@@ -317,14 +317,6 @@ impl LocalFs {
     pub fn reset_profile(&self) {
         self.inner.lock().profile = StorageProfile::default();
     }
-
-    /// Drops the simulated page/dentry caches (fresh-start runs).
-    pub fn drop_caches(&self) {
-        let mut inner = self.inner.lock();
-        inner.dentry_cache.clear();
-        inner.page_cache.clear();
-        inner.dirty_units = 0;
-    }
 }
 
 impl Default for LocalFs {

@@ -249,11 +249,6 @@ impl<'c> FaasPlatform<'c> {
     pub fn worker_loads(&self) -> Vec<u64> {
         self.inner.lock().workers.iter().map(|w| w.total_served).collect()
     }
-
-    /// The color storing images.
-    pub fn image_color(&self) -> ColorId {
-        self.images
-    }
 }
 
 #[cfg(test)]

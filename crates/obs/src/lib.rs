@@ -15,9 +15,11 @@
 //! built standalone (unit tests, benches of one component) gets its own
 //! private registry and tracer and pays the same negligible overhead.
 
+mod json;
 mod registry;
 mod trace;
 
+pub use json::Json;
 pub use registry::{
     bucket_bounds, Counter, Gauge, Histogram, HistogramSummary, Registry, Snapshot, NUM_BUCKETS,
 };
@@ -44,14 +46,6 @@ impl std::fmt::Debug for ObsHandle {
 impl ObsHandle {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A handle whose tracer ring holds at most `capacity` events.
-    pub fn with_trace_capacity(capacity: usize) -> Self {
-        ObsHandle {
-            registry: Registry::new(),
-            tracer: Tracer::with_capacity(capacity),
-        }
     }
 
     pub fn registry(&self) -> &Registry {

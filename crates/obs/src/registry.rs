@@ -14,6 +14,8 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::json::Json;
+
 // -------------------------------------------------------------- counter ----
 
 /// A monotonically increasing `u64`. API-compatible with the `AtomicU64`
@@ -430,41 +432,19 @@ impl Snapshot {
         out
     }
 
-    /// Machine-readable JSON report (hand-rendered: no serde in-tree).
+    /// Machine-readable JSON report, metrics in name order.
     pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        let mut first = true;
-        for (k, v) in &self.counters {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    \"{k}\": {v}");
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        first = true;
-        for (k, v) in &self.gauges {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(out, "\n    \"{k}\": {v}");
-        }
-        out.push_str("\n  },\n  \"histograms\": {");
-        first = true;
-        for (k, h) in &self.histograms {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n    \"{k}\": {{\"count\": {}, \"p50_ns\": {}, \"p90_ns\": {}, \"p99_ns\": {}, \"max_ns\": {}, \"sum_ns\": {}}}",
-                h.count, h.p50, h.p90, h.p99, h.max, h.sum
-            );
-        }
-        out.push_str("\n  }\n}\n");
-        out
+        let hist = |h: &HistogramSummary| {
+            let names = ["count", "p50_ns", "p90_ns", "p99_ns", "max_ns", "sum_ns"];
+            let values = [h.count, h.p50, h.p90, h.p99, h.max, h.sum];
+            Json::obj(names.into_iter().zip(values.map(Json::from)))
+        };
+        let report = Json::obj([
+            ("counters", Json::obj(self.counters.iter().map(|(k, &v)| (k.as_str(), v.into())))),
+            ("gauges", Json::obj(self.gauges.iter().map(|(k, &v)| (k.as_str(), v.into())))),
+            ("histograms", Json::obj(self.histograms.iter().map(|(k, h)| (k.as_str(), hist(h))))),
+        ]);
+        report.render() + "\n"
     }
 }
 

@@ -138,11 +138,6 @@ impl RouteTable {
     pub fn set_route(&self, color: flexlog_types::ColorId, role: RoleId) {
         self.map.write().insert(color, role);
     }
-
-    /// Drops an override; OReqs fall back to the shard's leaf role.
-    pub fn clear_route(&self, color: flexlog_types::ColorId) {
-        self.map.write().remove(&color);
-    }
 }
 
 #[cfg(test)]

@@ -250,11 +250,6 @@ impl<W: OrderWire> OrderingHandle<W> {
         self.directory.get(role)
     }
 
-    /// The node that initially led `role`.
-    pub fn initial_leader(&self, role: RoleId) -> NodeId {
-        self.leaders.lock().unwrap()[&role]
-    }
-
     /// The backup nodes of `role`.
     pub fn backup_nodes(&self, role: RoleId) -> Vec<NodeId> {
         self.backups

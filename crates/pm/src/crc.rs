@@ -1,6 +1,6 @@
 //! CRC-32 (IEEE 802.3 polynomial), table-driven.
 //!
-//! Used by [`crate::PmLog`] and [`crate::PmPool`] to validate entries during
+//! Used by [`crate::PmPool`] to validate entries during
 //! post-crash recovery scans: a torn or half-flushed record fails its
 //! checksum and is treated as the end of the valid log prefix.
 

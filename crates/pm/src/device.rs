@@ -278,12 +278,6 @@ impl PmDevice {
         }
         Ok(out)
     }
-
-    /// The device's latency model (used by benchmarks to report modelled
-    /// costs without performing I/O).
-    pub fn latency_model(&self) -> LatencyModel {
-        self.latency
-    }
 }
 
 /// The dirty ranges intersecting `[start, end)`, ascending. Ranges never

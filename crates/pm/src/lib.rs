@@ -15,8 +15,8 @@
 //!    failure PMDK's transactional API exists to survive.
 //! 3. **Crash-consistent abstractions** — [`PmPool`] offers the
 //!    PMDK-libpmemobj-style transactional API (`begin`/`put`/`get`/`commit`/
-//!    `rollback`) used by the paper's storage layer, and [`PmLog`] is the
-//!    crash-consistent append-only record log that backs each replica.
+//!    `rollback`) used by the paper's storage layer; each replica's log is
+//!    records keyed by sequence number in one pool.
 //!
 //! Devices account their modelled latency through a [`DeviceClock`]:
 //! `Spin` busy-waits (latency experiments), `Virtual` accrues nanoseconds on
@@ -27,7 +27,6 @@ mod clock;
 mod crc;
 mod device;
 mod latency;
-mod log;
 mod pool;
 mod ssd;
 
@@ -35,6 +34,5 @@ pub use clock::{virtual_time, ClockMode, DeviceClock};
 pub use crc::crc32;
 pub use device::{DeviceError, PmDevice, PmDeviceConfig};
 pub use latency::LatencyModel;
-pub use log::{LogEntry, PmLog, PmLogConfig, PmLogError};
 pub use pool::{PmPool, PoolError, PoolStats, Tx};
 pub use ssd::{SsdDevice, SsdError};

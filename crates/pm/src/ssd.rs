@@ -218,16 +218,6 @@ impl SsdDevice {
         ids.dedup();
         ids
     }
-
-    /// Number of dirty (unsynced) blocks.
-    pub fn dirty_blocks(&self) -> usize {
-        self.inner.lock().dirty.len()
-    }
-
-    /// The latency model (benchmark reporting).
-    pub fn latency_model(&self) -> LatencyModel {
-        self.latency
-    }
 }
 
 #[cfg(test)]

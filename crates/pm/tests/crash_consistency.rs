@@ -2,9 +2,9 @@
 //! operation sequences with clean and *torn* power failures injected
 //! between operations. Exhaustive: a scripted workload crashed at *every*
 //! device operation, inside commits and reclamation steps included. The
-//! transactional pool and the log must always recover a state that
-//! corresponds to a prefix of the committed history — never a torn,
-//! reordered, or resurrected one.
+//! transactional pool must always recover a state that corresponds to a
+//! prefix of the committed history — never a torn, reordered, or
+//! resurrected one.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,24 +14,16 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use flexlog_pm::{PmDevice, PmDeviceConfig, PmLog, PmLogConfig, PmPool};
-
-fn device_of(capacity: usize) -> Arc<PmDevice> {
-    Arc::new(PmDevice::new(PmDeviceConfig {
-        capacity,
-        ..Default::default()
-    }))
-}
-
-fn device() -> Arc<PmDevice> {
-    device_of(512 * 1024)
-}
+use flexlog_pm::{PmDevice, PmDeviceConfig, PmPool};
 
 /// A pool cut into 120-byte segments: a record or two each, so a few dozen
 /// operations take the log around the device and every multi-op
 /// transaction runs across segments.
 fn small_device() -> Arc<PmDevice> {
-    device_of(4 * 1024 + 8)
+    Arc::new(PmDevice::new(PmDeviceConfig {
+        capacity: 4 * 1024 + 8,
+        ..Default::default()
+    }))
 }
 
 /// Segments freed or records copied forward by `pool` so far.
@@ -150,50 +142,6 @@ proptest! {
             ran < CASES as usize || reclaiming * 2 >= ran,
             "reclamation ran in only {} of {} cases", reclaiming, ran
         );
-    }
-
-    /// The log's (head, tail, contents) survive arbitrary crash points, and
-    /// appends after recovery continue the sequence without reuse or gaps.
-    #[test]
-    fn log_sequence_is_crash_stable(
-        segments in proptest::collection::vec((1usize..12, any::<bool>(), any::<u8>()), 1..10)
-    ) {
-        let dev = device();
-        let mut log = PmLog::create(Arc::clone(&dev), PmLogConfig::default());
-        let mut expected: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut head = 0u64;
-
-        for (count, trim_after, tag) in segments {
-            for i in 0..count {
-                let payload = vec![tag, i as u8];
-                let seq = log.append(&payload).unwrap();
-                prop_assert_eq!(seq, expected.last().map(|(s, _)| s + 1).unwrap_or(0),
-                    "appends must be dense");
-                expected.push((seq, payload));
-            }
-            if trim_after && !expected.is_empty() {
-                let mid = expected[expected.len() / 2].0;
-                log.trim_front(mid).unwrap();
-                head = head.max(mid);
-            }
-            // Crash + recover between segments.
-            dev.crash();
-            log = PmLog::open(Arc::clone(&dev), PmLogConfig::default());
-            prop_assert_eq!(log.head(), head);
-            prop_assert_eq!(
-                log.tail(),
-                expected.last().map(|(s, _)| s + 1).unwrap_or(0)
-            );
-            for (seq, payload) in &expected {
-                if *seq >= head {
-                    let got = log.get(*seq);
-                    prop_assert_eq!(got.as_deref(), Some(payload.as_slice()),
-                        "live entry {} diverged", seq);
-                } else {
-                    prop_assert_eq!(log.get(*seq), None, "trimmed entry {} visible", seq);
-                }
-            }
-        }
     }
 }
 

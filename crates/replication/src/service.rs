@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 
 use flexlog_ordering::{Directory, RoleId};
 use flexlog_simnet::{Network, NodeId};
-use flexlog_storage::{StorageConfig, StorageServer};
+use flexlog_storage::StorageServer;
 use flexlog_types::{ColorId, ShardId};
 
 use crate::msg::{ClusterMsg, DataMsg};
@@ -235,11 +235,6 @@ impl DataLayerHandle {
     /// replica runs the sync-phase before serving (§6.3).
     pub fn restart_replica(&self, net: &Network<ClusterMsg>, directory: &Directory, node: NodeId) {
         self.spawn_replica(net, directory, &mut self.slots.lock(), node, None);
-    }
-
-    /// Default storage configuration helper for specs.
-    pub fn default_storage() -> StorageConfig {
-        StorageConfig::default()
     }
 
     /// Spawns a brand-new shard of `r` replicas attached to `leaf_role`

@@ -1,94 +1,28 @@
 #!/usr/bin/env bash
-# Regenerates the tracked benchmark artifacts (BENCH_datapath.json,
+# Regenerates the tracked feature-bench artifacts (BENCH_datapath.json,
 # BENCH_elasticity.json, BENCH_fanout.json, BENCH_tiering.json) with
-# full-length runs, then
-# sanity-checks the results. Commit the refreshed JSON together with any
-# data-path or control-plane change so the history of the numbers tracks
-# the history of the code.
+# full-length runs and appends one line per metric to BENCH_history.jsonl,
+# so a new number lands beside the previous one instead of replacing it.
+# Each bench prints its summary table and evaluates its own gates on the
+# median; all four run even if one fails a gate (its file then says
+# `"pass": false`), and the script exits non-zero at the end. Commit the
+# refreshed files together with any data-path or control-plane change.
+#
+# Usage: scripts/bench.sh [REV]   (REV labels the rows; default: HEAD's
+# short hash, `+dirty` appended when the working tree differs from it)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release -p flexlog-bench --bin datapath"
-cargo build --release -p flexlog-bench --bin datapath
+rev=${1:-$(git rev-parse --short HEAD)$(git diff --quiet HEAD || echo +dirty)}
 
-echo "==> datapath (full run, writes BENCH_datapath.json)"
-./target/release/datapath --out BENCH_datapath.json
-
-python3 - <<'EOF'
-import json
-d = json.load(open("BENCH_datapath.json"))
-base = d["pre_pr_baseline"]
-rows = {(r["shards"], r["mode"]): r for r in d["results"]}
-print(f"{'shards':>6} {'mode':>10} {'rec/s':>10} {'p50 us':>9} {'p99 us':>9} {'vs baseline':>12}")
-for (shards, mode), r in sorted(rows.items()):
-    b = base[f"shards_{shards}"]
-    print(f"{shards:>6} {mode:>10} {r['records_per_s']:>10.0f} {r['p50_us']:>9.1f} "
-          f"{r['p99_us']:>9.1f} {r['records_per_s'] / b:>11.2f}x")
-speedup = rows[(4, "pipelined")]["records_per_s"] / base["shards_4"]
-if speedup < 2.0:
-    print(f"WARNING: 4-shard pipelined speedup {speedup:.2f}x is below the 2x target "
-          "(noisy host? rerun before committing)")
-EOF
-
-echo "==> cargo build --release -p flexlog-bench --bin elasticity"
-cargo build --release -p flexlog-bench --bin elasticity
-
-echo "==> elasticity (full run, writes BENCH_elasticity.json)"
-./target/release/elasticity --out BENCH_elasticity.json
-
-python3 - <<'EOF'
-import json
-d = json.load(open("BENCH_elasticity.json"))
-p = d["phases"]
-print(f"{'phase':>8} {'records':>9} {'secs':>7} {'rec/s':>10}")
-for name in ("before", "during", "after"):
-    r = p[name]
-    print(f"{name:>8} {r['records']:>9} {r['secs']:>7.3f} {r['records_per_s']:>10.1f}")
-print(f"migration {d['migration_ms']:.1f} ms, cutover stall {d['cutover_stall_ms']:.1f} ms, "
-      f"{d['failed_appends']} failed appends")
-if p["after"]["records_per_s"] < p["before"]["records_per_s"] / 2:
-    print("WARNING: post-migration throughput did not recover to half the warm-up rate "
-          "(noisy host? rerun before committing)")
-EOF
-
-echo "==> cargo build --release -p flexlog-bench --bin fanout"
-cargo build --release -p flexlog-bench --bin fanout
-
-echo "==> fanout (full run, writes BENCH_fanout.json)"
-./target/release/fanout --out BENCH_fanout.json
-
-python3 - <<'EOF2'
-import json
-d = json.load(open("BENCH_fanout.json"))
-print(f"{'mode':>6} {'subs':>5} {'goodput rec·sub/s':>18} {'push p50/p99 us':>16}")
-for r in d["fanout"]:
-    print(f"{r['mode']:>6} {r['subscribers']:>5} {r['goodput_rec_sub_per_s']:>18.0f} "
-          f"{r['push_p50_us']:>7.0f}/{r['push_p99_us']:.0f}")
-ratio = d["goodput_100x_over_poll"]
-print(f"fan-out goodput {ratio:.1f}x over the single-subscriber polling baseline")
-if ratio < 20:
-    print("WARNING: fan-out goodput below the 20x gate (noisy host? rerun before committing)")
-EOF2
-
-echo "==> cargo build --release -p flexlog-bench --bin tiering"
-cargo build --release -p flexlog-bench --bin tiering
-
-echo "==> tiering (full run, writes BENCH_tiering.json)"
-./target/release/tiering --out BENCH_tiering.json
-
-python3 - <<'EOF'
-import json
-d = json.load(open("BENCH_tiering.json"))
-a, r, h = d["archive"], d["reads"], d["hot_append"]
-print(f"archive: {a['records']} records at {a['records_per_s']:.0f} rec/s "
-      f"({a['mib_per_s']:.1f} MiB/s modelled), {a['store_objects']} objects")
-print(f"reads:   cold p50/p99 {r['cold_p50_us']:.0f}/{r['cold_p99_us']:.0f} us, "
-      f"SSD {r['ssd_p50_us']:.1f}/{r['ssd_p99_us']:.1f} us "
-      f"({r['cold_over_ssd_p50']:.0f}x)")
-print(f"hot appends: {h['without_archiver_ops_per_s']:.0f}/s archiver-off, "
-      f"{h['with_archiver_ops_per_s']:.0f}/s archiver-on "
-      f"(ratio {h['hot_append_ratio']:.2f}, {h['archived_during_hot_phase']} archived)")
-if h["hot_append_ratio"] < 0.9:
-    print("WARNING: hot-append ratio below the 0.9 gate "
-          "(noisy host? rerun before committing)")
-EOF
+cargo build --release -p flexlog-bench
+failed=()
+for bench in datapath elasticity fanout tiering; do
+    echo "==> $bench (full run, writes BENCH_$bench.json, rows labelled $rev)"
+    ./target/release/flexlog-bench "$bench" --out "BENCH_$bench.json" \
+        --history BENCH_history.jsonl --commit "$rev" || failed+=("$bench")
+done
+if [ "${#failed[@]}" -gt 0 ]; then
+    echo "GATE FAILED in: ${failed[*]} (files and history rows are written; see the summary tables)"
+    exit 1
+fi

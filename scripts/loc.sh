@@ -3,8 +3,10 @@
 # go down"): non-blank, non-comment lines per crate `src/` (tests.rs
 # submodules and `tests/` directories excluded) and for the files the
 # ROADMAP names, then the settable values per crate — `pub` fields of
-# `pub struct *Config` / `*Spec` items. Report only — nothing here gates;
-# run it on the parent and on the change and compare.
+# `pub struct *Config` / `*Spec` items — and what the measurement harness
+# weighs: binary targets in crates/bench, embedded-Python lines per script,
+# code lines per vendored shim. Report only — nothing here gates; run it on
+# the parent and on the change and compare.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -49,3 +51,18 @@ done
 
 echo
 per_crate "settable values" "fields" settable
+
+echo
+bins=0
+if [ -d crates/bench/src/bin ]; then bins=$(find crates/bench/src/bin -name '*.rs' | wc -l); fi
+if [ -f crates/bench/src/main.rs ]; then bins=$((bins + 1)); fi
+printf '%-28s %8d\n' "crates/bench binary targets" "$bins"
+# Spelled in two halves so that this script does not count itself.
+interp='pyth''on3'
+for f in scripts/*.sh; do
+    printf '%-28s %8d\n' "$interp in $f" "$(grep -c "$interp" "$f" || true)"
+done
+for dir in third_party/*/src; do
+    mapfile -t files < <(find "$dir" -name '*.rs' | sort)
+    printf '%-28s %8d\n' "$dir" "$(count "${files[@]}")"
+done
