@@ -8,25 +8,17 @@
 //! control messages carry the controller generation; replicas and
 //! sequencers nack anything from a superseded (zombie) controller.
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::{Duration, Instant};
 
 use flexlog_core::{ColorError, FlexLogCluster};
 use flexlog_obs::{Counter, Stage, CTRL_TOKEN};
 use flexlog_ordering::{OrderMsg, RoleId};
-use flexlog_replication::{
-    ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, ShardInfo, SubCursor, SyncMsg, TokenRecord,
-};
+use flexlog_replication::{ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, ShardInfo, SyncMsg};
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
-use flexlog_storage::FetchSelect;
-use flexlog_types::{ColorId, Epoch, SeqNum, ShardId};
+use flexlog_types::{ColorId, Epoch, ShardId};
 
 use crate::wal::{CtrlPhase, IntentWal, OpKind};
-
-/// What a replica answered a [`SyncMsg::Fetch`] with: its trim head, the
-/// selected records and its subscription cursors for the color.
-type Fetched = (Option<SeqNum>, Vec<TokenRecord>, Vec<SubCursor>);
 
 /// Errors from control-plane operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -125,11 +117,6 @@ pub struct ControlPlane<'a> {
     /// outrun, the delta never converges and the migration must freeze
     /// with whatever residual remains rather than loop forever.
     pub max_catchup_rounds: u32,
-    /// Records per catch-up export request. The export scan runs inside
-    /// the source replica's event loop, stalling appends for its duration
-    /// — chunking keeps that pause at single-digit milliseconds no matter
-    /// how large the span is.
-    pub catchup_chunk: usize,
     colors_created: Counter,
     colors_destroyed: Counter,
     shards_added: Counter,
@@ -162,7 +149,7 @@ impl<'a> ControlPlane<'a> {
     /// in flight when the predecessor died — forward past the point of no
     /// return (the destination provably holds every committed record),
     /// back otherwise (retry-until-acked unfreeze + discard of the partial
-    /// import). An operation whose resolution round fails stays in the WAL
+    /// copy). An operation whose resolution round fails stays in the WAL
     /// for the *next* recovery.
     pub fn recover(cluster: &'a FlexLogCluster) -> (Self, RecoveryReport) {
         let (wal, generation) = IntentWal::attach(cluster.ctrl_wal());
@@ -184,7 +171,6 @@ impl<'a> ControlPlane<'a> {
             timeout: Duration::from_secs(5),
             catchup_threshold: 64,
             max_catchup_rounds: 16,
-            catchup_chunk: 1024,
             colors_created: obs.counter("ctrl.colors_created"),
             colors_destroyed: obs.counter("ctrl.colors_destroyed"),
             shards_added: obs.counter("ctrl.shards_added"),
@@ -400,7 +386,7 @@ impl<'a> ControlPlane<'a> {
     /// Reverts a migration that died before the point of no return:
     /// unfreezes the sources (always — a failed freeze round may have
     /// frozen a subset even when no `Frozen` record persisted) and
-    /// discards whatever the destination partially imported. The epoch
+    /// discards whatever the destination partially copied. The epoch
     /// bump, if it happened, stays — a bumped epoch only fences harder
     /// and never breaks SN monotonicity.
     fn roll_back_migration(
@@ -516,12 +502,14 @@ impl<'a> ControlPlane<'a> {
 
     // ----- color migration ----------------------------------------------
 
-    /// Migrates `color` onto shard `dest`: chained catch-up rounds (bulk
-    /// copy while the sources keep serving) → freeze → drain-staged →
-    /// epoch bump → final-sliver copy + digest check → adopt → cutover.
+    /// Migrates `color` onto shard `dest`: chained catch-up rounds (the
+    /// destinations pull the bulk while the sources keep serving) → freeze
+    /// → drain-staged → epoch bump → last, exact catch-up round → adopt →
+    /// cutover. No record passes through the controller: it says who
+    /// copies from whom and when, and counts what the destinations report.
     ///
-    /// The freeze window copies only the residual above the catch-up
-    /// watermark (at most [`ControlPlane::catchup_threshold`] records plus
+    /// The freeze window copies only the residual above each destination's
+    /// cursor (at most [`ControlPlane::catchup_threshold`] records plus
     /// whatever committed during the last round), so the append stall is
     /// O(threshold), independent of the span size.
     ///
@@ -533,7 +521,7 @@ impl<'a> ControlPlane<'a> {
     ///
     /// On failure the migration aborts: sources are unfrozen (retried
     /// with acks until every live source confirms) and the old
-    /// configuration stays in force. Records cold-imported by completed
+    /// configuration stays in force. Records cold-copied by completed
     /// catch-up rounds stay at the destination — harmless (it does not
     /// serve the color) and they make a retried migration cheaper.
     pub fn migrate_color(&mut self, color: ColorId, dest: ShardId) -> Result<(), CtrlError> {
@@ -566,17 +554,16 @@ impl<'a> ControlPlane<'a> {
         });
         self.maybe_crash(CtrlPhase::Begun)?;
 
-        // Phase 0: catch-up. Ship the span in rounds while the sources
-        // keep admitting appends — no freeze, no availability cost. Each
-        // round exports the delta above the per-shard watermark (the
-        // highest SN already shipped) and cold-imports it at the
-        // destination; the delta shrinks geometrically as long as the
-        // copy outruns the write rate. Errors here need no unfreeze
-        // (nothing is frozen yet) and leave the old routing untouched.
-        let marks = match self.catch_up(color, &sources, &dest_info) {
-            Ok(m) => m,
-            Err(e) => return Err(self.fail_op(op, e, None)),
-        };
+        // Phase 0: catch-up. The destinations copy the span in rounds while
+        // the sources keep admitting appends — no freeze, no availability
+        // cost. Each round pulls the delta above the destination's cursor
+        // for that source shard, cold; the delta shrinks geometrically as
+        // long as the copy outruns the write rate. Errors here need no
+        // unfreeze (nothing is frozen yet) and leave the old routing
+        // untouched.
+        if let Err(e) = self.catch_up(color, &sources, &dest_info) {
+            return Err(self.fail_op(op, e, None));
+        }
         self.wal_phase(op, CtrlPhase::CatchUp)?;
 
         // Phase 1: freeze. New appends of the color nack with `Frozen`
@@ -592,7 +579,7 @@ impl<'a> ControlPlane<'a> {
         }
         self.wal_phase(op, CtrlPhase::Frozen)?;
 
-        match self.migrate_frozen(op, color, &sources, &src_nodes, &dest_info, &marks) {
+        match self.migrate_frozen(op, color, &sources, &src_nodes, &dest_info) {
             Ok(()) => {
                 self.wal.commit(op);
                 Ok(())
@@ -637,68 +624,75 @@ impl<'a> ControlPlane<'a> {
         )
     }
 
-    /// Phase 0 of a migration: pre-freeze catch-up rounds. Returns the
-    /// per-source-shard watermark (highest SN shipped) that bounds the
-    /// final freeze-window sliver.
+    /// One catch-up round of `color` from source shard `shard`: every
+    /// replica of `dest` pulls for itself and acks once level. They ask the
+    /// shard's live replicas, the one holding most committed records first,
+    /// so a lagging or freshly recovered replica is not the one copied from
+    /// while a better one answers. Returns the records the round shipped —
+    /// counted once, as the most any one destination replica reports new.
+    fn catch_up_round(
+        &mut self,
+        dest: &ShardInfo,
+        color: ColorId,
+        shard: &ShardInfo,
+        last: bool,
+        deadline: Instant,
+    ) -> Result<u64, CtrlError> {
+        let mut ranked: Vec<(u64, NodeId)> = Vec::new();
+        for &node in &shard.replicas {
+            // Short per-node probe so one crashed replica does not burn
+            // the whole migration deadline — catch-up rounds repeat the
+            // probe every round, so it is also capped by the timeout.
+            let probe_window = Duration::from_millis(500).min(self.timeout / 4);
+            let probe = (Instant::now() + probe_window).min(deadline);
+            if let Ok((_, count)) = self.color_status(node, color, probe) {
+                ranked.push((count, node));
+            }
+        }
+        if ranked.is_empty() {
+            return Err(CtrlError::Timeout("copy"));
+        }
+        ranked.sort_by_key(|&(count, _)| std::cmp::Reverse(count));
+        let sources = ranked.into_iter().map(|(_, node)| node).collect();
+        let cmd = CtrlCmd::CatchUp { color, shard: shard.id, sources, last };
+        self.ctrl_round_until(&mut dest.replicas.clone(), cmd, deadline, "copy")
+    }
+
+    /// Phase 0 of a migration: pre-freeze catch-up rounds, until one ships
+    /// no more than the threshold.
     fn catch_up(
         &mut self,
         color: ColorId,
         sources: &[ShardInfo],
         dest: &ShardInfo,
-    ) -> Result<HashMap<ShardId, SeqNum>, CtrlError> {
-        let mut marks: HashMap<ShardId, SeqNum> = HashMap::new();
+    ) -> Result<(), CtrlError> {
         // Overall budget across rounds: with a source replica crashed,
         // every round pays a probe timeout, and unbounded rounds would
         // stall the migration far past the operator's per-phase timeout.
         let budget = Instant::now() + self.timeout * 4;
-        let chunk = self.catchup_chunk.max(1);
         for _round in 0..self.max_catchup_rounds.max(1) {
             let deadline = (Instant::now() + self.timeout).min(budget);
-            let mut shipped = 0usize;
+            let mut shipped = 0;
             for shard in sources {
-                let mut mark = marks.get(&shard.id).copied().unwrap_or(SeqNum::ZERO);
-                // First chunk ranks the shard's replicas and picks the
-                // source; later chunks reuse it (re-ranking per chunk
-                // would crawl through probe timeouts whenever a replica is
-                // down).
-                let (src, (mut head, mut records, _)) =
-                    self.fetch_from_best(shard, color, mark, chunk as u64, deadline)?;
-                loop {
-                    let got = records.len();
-                    shipped += got;
-                    // Records arrive in SN order; the head bounds the span
-                    // from below even when nothing is live (trimmed prefix).
-                    let last = records.last().map_or(mark, |&(_, sn, _)| sn);
-                    mark = mark.max(last).max(head.unwrap_or(SeqNum::ZERO));
-                    // Catch-up rounds never hand cursors over — the source
-                    // keeps pushing until the final freeze-window sliver.
-                    self.import_span(&dest.replicas, color, head, records, true, Vec::new(), deadline)?;
-                    if got < chunk {
-                        break;
-                    }
-                    let select = FetchSelect::Above { sn: mark, limit: chunk as u64 };
-                    (head, records, _) = self.fetch(src, color, select, deadline, "copy")?;
-                }
-                marks.insert(shard.id, mark);
+                shipped += self.catch_up_round(dest, color, shard, false, deadline)?;
             }
             self.catchup_rounds.add(1);
-            self.catchup_records.add(shipped as u64);
+            self.catchup_records.add(shipped);
             self.cluster.obs().trace_event(
                 CTRL_TOKEN,
                 Stage::MigrateCatchup,
                 self.ep.id().0,
                 color.0 as u64,
             );
-            if shipped <= self.catchup_threshold || Instant::now() >= budget {
+            if shipped <= self.catchup_threshold as u64 || Instant::now() >= budget {
                 break;
             }
         }
-        Ok(marks)
+        Ok(())
     }
 
     /// Phases 2-6 of a migration, entered with the sources frozen and the
-    /// bulk of the span already at the destination (`marks` = per-shard
-    /// catch-up watermarks).
+    /// bulk of the span already at the destination.
     fn migrate_frozen(
         &mut self,
         op: u64,
@@ -706,19 +700,14 @@ impl<'a> ControlPlane<'a> {
         sources: &[ShardInfo],
         src_nodes: &[NodeId],
         dest: &ShardInfo,
-        marks: &HashMap<ShardId, SeqNum>,
     ) -> Result<(), CtrlError> {
         // Phase 2: drain. Wait until no source replica holds a staged
         // batch of the color — after this, the set of committed records
         // is stable (nothing in flight can still commit).
         let deadline = Instant::now() + self.timeout;
         for &node in src_nodes {
-            loop {
-                match self.color_status(node, color, deadline) {
-                    Ok((0, _, _, _)) => break,
-                    Ok(_) => std::thread::sleep(Duration::from_micros(500)),
-                    Err(e) => return Err(e),
-                }
+            while self.color_status(node, color, deadline)?.0 > 0 {
+                std::thread::sleep(Duration::from_micros(500));
             }
         }
         self.wal_phase(op, CtrlPhase::Drained)?;
@@ -734,26 +723,22 @@ impl<'a> ControlPlane<'a> {
         self.bump_epoch(owner)?;
         self.wal_phase(op, CtrlPhase::Fenced)?;
 
-        // Phase 4: final sliver. Only the residual above the catch-up
-        // watermark travels inside the freeze window — O(threshold), not
-        // O(span). It imports hot (PM + cache): these are the records a
-        // client is most likely to re-read right after cutover.
+        // Phase 4: final sliver. Only the residual above each destination's
+        // cursor travels inside the freeze window — O(threshold), not
+        // O(span). It lands hot (PM + cache): these are the records a client
+        // is most likely to re-read right after cutover. The round is
+        // exact: a cursor is a max over copied SNs, and the commit order
+        // allows holes below it that fill between rounds (an OResp can
+        // outrun its append broadcast), so every destination replica diffs
+        // the source's SN digest against its own copy and pulls exactly
+        // what it still misses before it acks. The source is ranked as in
+        // every round, so a lagging or freshly recovered replica is not
+        // what the copy is proved against; the delegate adopts its
+        // subscription cursors and resumes pushing where it stopped
+        // (subscribers the source later redirects re-register idempotently).
         for shard in sources {
-            let above = marks.get(&shard.id).copied().unwrap_or(SeqNum::ZERO);
-            let (src, (head, records, cursors)) =
-                self.fetch_from_best(shard, color, above, u64::MAX, deadline)?;
-            self.final_sliver_records.add(records.len() as u64);
-            // The final hot sliver carries the source's subscription
-            // cursors: the destination's delegate replica adopts them and
-            // resumes pushing where the source stopped (subscribers the
-            // source later redirects re-register idempotently).
-            self.import_span(&dest.replicas, color, head, records, false, cursors, deadline)?;
-            // Completeness check: the watermark is a max over shipped
-            // SNs, and the commit order allows holes below it that fill
-            // between rounds (an OResp can outrun its append broadcast).
-            // Diff the SN digests and fetch exactly what the destination
-            // still misses — cheap (SNs only) and exact.
-            self.ship_missing(src, &dest.replicas, color, deadline)?;
+            let sliver = self.catch_up_round(dest, color, shard, true, deadline)?;
+            self.final_sliver_records.add(sliver);
         }
         // The point of no return: the destination provably holds every
         // committed record and the epoch fence is in force. Recovery of a
@@ -938,22 +923,28 @@ impl<'a> ControlPlane<'a> {
         phase: &'static str,
     ) -> Result<(), CtrlError> {
         let deadline = Instant::now() + self.timeout;
-        self.ctrl_round_until(&mut nodes.to_vec(), cmd, deadline, phase)
+        self.ctrl_round_until(&mut nodes.to_vec(), cmd, deadline, phase).map(drop)
     }
 
     /// One fenced round against an explicit deadline: sends `cmd` to every
     /// node in `pending`, which is left naming the nodes that never acked.
+    /// Returns the largest `imported` any ack carried (0 except for a
+    /// catch-up round).
     fn ctrl_round_until(
         &mut self,
         pending: &mut Vec<NodeId>,
         cmd: CtrlCmd,
         deadline: Instant,
         phase: &'static str,
-    ) -> Result<(), CtrlError> {
+    ) -> Result<u64, CtrlError> {
         let (gen, req) = (self.generation, self.next_req());
         let _ = self.ep.broadcast(pending, CtrlMsg::Cmd { gen, req, cmd }.into());
+        let mut most = 0;
         self.await_replies(pending, deadline, phase, |_, m| match m {
-            ClusterMsg::Data(DataMsg::Ctrl(CtrlMsg::Ack { req: r, .. })) if r == req => Ok(true),
+            ClusterMsg::Data(DataMsg::Ctrl(CtrlMsg::Ack { req: r, imported })) if r == req => {
+                most = imported.max(most);
+                Ok(true)
+            }
             // A replica has seen a higher controller generation: we are a
             // zombie. Stop immediately — the successor owns every
             // in-flight operation.
@@ -961,162 +952,28 @@ impl<'a> ControlPlane<'a> {
                 Err(CtrlError::Fenced)
             }
             _ => Ok(false),
-        })
-    }
-
-    /// Sends one unfenced sync-plane query to `node` and returns what
-    /// `reply_of` extracts from its answer (which must echo `req`).
-    fn query<T>(
-        &mut self,
-        node: NodeId,
-        msg_of: impl FnOnce(u64) -> SyncMsg,
-        deadline: Instant,
-        phase: &'static str,
-        reply_of: impl Fn(u64, SyncMsg) -> Option<T>,
-    ) -> Result<T, CtrlError> {
-        let req = self.next_req();
-        let _ = self.ep.send(node, msg_of(req).into());
-        let mut reply = None;
-        self.await_replies(&mut vec![node], deadline, phase, |_, m| {
-            if let ClusterMsg::Data(DataMsg::Sync(m)) = m {
-                reply = reply_of(req, m);
-            }
-            Ok(reply.is_some())
         })?;
-        Ok(reply.expect("await_replies returned Ok only after the reply"))
+        Ok(most)
     }
 
-    /// One replica's view of a color: (staged batches, head, tail, count).
+    /// One replica's view of a color — (staged batches, committed records)
+    /// — by one unfenced sync-plane query.
     fn color_status(
         &mut self,
         node: NodeId,
         color: ColorId,
         deadline: Instant,
-    ) -> Result<(u64, Option<SeqNum>, Option<SeqNum>, u64), CtrlError> {
-        self.query(
-            node,
-            |req| SyncMsg::ColorStatus { color, req },
-            deadline,
-            "drain",
-            |req, m| match m {
-                SyncMsg::ColorInfo { req: r, staged, head, tail, count } if r == req => {
-                    Some((staged, head, tail, count))
-                }
-                _ => None,
-            },
-        )
-    }
-
-    /// One [`SyncMsg::Fetch`] against a specific replica.
-    fn fetch(
-        &mut self,
-        node: NodeId,
-        color: ColorId,
-        select: FetchSelect,
-        deadline: Instant,
-        phase: &'static str,
-    ) -> Result<Fetched, CtrlError> {
-        self.query(
-            node,
-            |req| SyncMsg::Fetch { req, color, select },
-            deadline,
-            phase,
-            |req, m| match m {
-                SyncMsg::Records { req: r, color: c, head, records, cursors, .. }
-                    if r == req && c == color =>
-                {
-                    Some((head, records, cursors))
-                }
-                _ => None,
-            },
-        )
-    }
-
-    /// Fetches the committed span of `color` strictly above `above` (at
-    /// most `limit` records) from the most complete live replica of
-    /// `shard`. Returns the replica used, so chunked catch-up and
-    /// follow-up digest checks ask the same node.
-    fn fetch_from_best(
-        &mut self,
-        shard: &ShardInfo,
-        color: ColorId,
-        above: SeqNum,
-        limit: u64,
-        deadline: Instant,
-    ) -> Result<(NodeId, Fetched), CtrlError> {
-        // Rank replicas by committed-record count so a lagging or freshly
-        // recovered replica is not the one we copy from.
-        let mut ranked: Vec<(u64, NodeId)> = Vec::new();
-        for &node in &shard.replicas {
-            // Short per-node probe so one crashed replica does not burn
-            // the whole migration deadline — catch-up rounds repeat the
-            // probe every round, so it is also capped by the timeout.
-            let probe_window = Duration::from_millis(500).min(self.timeout / 4);
-            let probe = (Instant::now() + probe_window).min(deadline);
-            if let Ok((_, _, _, count)) = self.color_status(node, color, probe) {
-                ranked.push((count, node));
+    ) -> Result<(u64, u64), CtrlError> {
+        let req = self.next_req();
+        let _ = self.ep.send(node, SyncMsg::ColorStatus { color, req }.into());
+        let mut reply = None;
+        self.await_replies(&mut vec![node], deadline, "drain", |_, m| {
+            if let Some(DataMsg::Sync(SyncMsg::ColorInfo { req: r, staged, count })) = m.into_data() {
+                reply = (r == req).then_some((staged, count));
             }
-        }
-        ranked.sort();
-        while let Some((_, node)) = ranked.pop() {
-            let select = FetchSelect::Above { sn: above, limit };
-            match self.fetch(node, color, select, deadline, "copy") {
-                Ok(fetched) => return Ok((node, fetched)),
-                Err(CtrlError::Timeout(_)) if !ranked.is_empty() => {
-                    // Try the next-best replica inside the same deadline.
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(CtrlError::Timeout("copy"))
-    }
-
-    /// The committed SNs of `color` above its head at `node`.
-    fn span_digest(
-        &mut self,
-        node: NodeId,
-        color: ColorId,
-        deadline: Instant,
-    ) -> Result<Vec<SeqNum>, CtrlError> {
-        self.query(
-            node,
-            |req| SyncMsg::SpanDigest { color, req },
-            deadline,
-            "digest",
-            |req, m| match m {
-                SyncMsg::SpanDigestResp { req: r, color: c, sns, .. } if r == req && c == color => {
-                    Some(sns)
-                }
-                _ => None,
-            },
-        )
-    }
-
-    /// Freeze-window completeness check: every committed SN on the chosen
-    /// source replica must be at the destination. Fetches and imports
-    /// exactly the missing records (normally none — the final sliver
-    /// already shipped everything above the watermark; this catches
-    /// commit-order holes the watermark stepped over).
-    fn ship_missing(
-        &mut self,
-        src: NodeId,
-        dest: &[NodeId],
-        color: ColorId,
-        deadline: Instant,
-    ) -> Result<(), CtrlError> {
-        let src_sns = self.span_digest(src, color, deadline)?;
-        // Every destination replica acked the same imports, so any one of
-        // them testifies for all.
-        let have: HashSet<SeqNum> = self.span_digest(dest[0], color, deadline)?.into_iter().collect();
-        let missing: Vec<SeqNum> =
-            src_sns.into_iter().filter(|sn| !have.contains(sn)).collect();
-        if missing.is_empty() {
-            return Ok(());
-        }
-        let (_, records, _) =
-            self.fetch(src, color, FetchSelect::Exact(missing), deadline, "digest")?;
-        self.final_sliver_records.add(records.len() as u64);
-        self.import_span(dest, color, None, records, false, Vec::new(), deadline)
+            Ok(reply.is_some())
+        })?;
+        Ok(reply.expect("await_replies returned Ok only after the reply"))
     }
 
     /// Abort path: restore availability on the source shards. Retried
@@ -1145,26 +1002,8 @@ impl<'a> ControlPlane<'a> {
                 Err(CtrlError::Timeout(_)) => {} // resend to the stragglers
                 // Everyone acked — or we are fenced (the successor
                 // controller unfreezes) or disconnected.
-                Ok(()) | Err(_) => return,
+                Ok(_) | Err(_) => return,
             }
         }
-    }
-
-    /// Installs fetched records on every destination replica. `cold`
-    /// routes the records straight to the destination's SSD tier (bulk
-    /// catch-up history must not evict its PM/cache working set).
-    #[allow(clippy::too_many_arguments)]
-    fn import_span(
-        &mut self,
-        replicas: &[NodeId],
-        color: ColorId,
-        head: Option<SeqNum>,
-        records: Vec<TokenRecord>,
-        cold: bool,
-        cursors: Vec<SubCursor>,
-        deadline: Instant,
-    ) -> Result<(), CtrlError> {
-        let cmd = CtrlCmd::Import { color, head, records, cold, cursors };
-        self.ctrl_round_until(&mut replicas.to_vec(), cmd, deadline, "import")
     }
 }

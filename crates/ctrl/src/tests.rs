@@ -222,6 +222,49 @@ fn migration_is_trim_aware() {
     cluster.shutdown();
 }
 
+/// A color resident on **two** source shards, its SNs interleaved between
+/// them, migrates onto a third. Each destination replica follows each
+/// source shard from a cursor of its own — its tail after copying shard A
+/// is no cursor for shard B — so the catch-up rounds move every record
+/// cold and the freeze window is left nothing to repair.
+#[test]
+fn migration_from_two_source_shards_copies_each_from_its_own_cursor() {
+    let cluster = FlexLogCluster::start(ClusterSpec { shards_per_leaf: 2, ..fast_spec() });
+    let mut plane = ControlPlane::new(&cluster);
+    let red = ColorId(44);
+    plane.create_color(red, ColorId::MASTER).unwrap();
+    let mut h = cluster.handle();
+    let sources = cluster.data().topology.shards_of(red);
+    assert_eq!(sources.len(), 2);
+    let on = |node: NodeId| {
+        cluster.data().storage_of(node).unwrap().committed_sns(red, SeqNum::ZERO)
+    };
+    let mut acked: Vec<SeqNum> =
+        (0..40u32).map(|i| h.append(format!("r{i}").as_bytes(), red).unwrap()).collect();
+    let (a, b) = (on(sources[0].replicas[0]), on(sources[1].replicas[0]));
+    assert!(!a.is_empty() && !b.is_empty(), "appends spread over both shards");
+    assert!(a[0] < *b.last().unwrap() && b[0] < *a.last().unwrap(), "SNs interleave");
+
+    let dest = plane.add_shard(RoleId(0));
+    plane.migrate_color(red, dest.id).unwrap();
+    assert_eq!(cluster.data().topology.shards_of(red), std::slice::from_ref(&dest));
+    for &node in &dest.replicas {
+        assert_eq!(on(node), acked, "{node}: the log is the acked set in SN order");
+    }
+    let snap = cluster.obs().snapshot();
+    assert_eq!(snap.counter("ctrl.catchup_records"), 40, "counted once, not per replica");
+    assert_eq!(snap.counter("ctrl.final_sliver_records"), 0);
+    // Per destination replica and source shard: one fetch in the catch-up
+    // round, one fetch and the digest in the exact round. A replica that
+    // skipped records behind a wrong cursor would have had to ask again.
+    assert_eq!(snap.counter("replica.sync_fetches"), 3 * 2 * 3, "nothing to repair");
+
+    acked.push(h.append(b"post", red).unwrap());
+    let log: Vec<SeqNum> = h.subscribe(red).unwrap().iter().map(|r| r.sn).collect();
+    assert_eq!(log, acked);
+    cluster.shutdown();
+}
+
 #[test]
 fn split_leaf_keeps_per_color_sns_monotonic() {
     let mut spec = ClusterSpec::tree(1, 1);
@@ -616,7 +659,6 @@ fn zombie_controller_commands_are_nacked_end_to_end() {
         .network()
         .register(NodeId::named(0, (u64::MAX >> 4) - 8_192));
     let stale = zombie.generation();
-    let head = h.subscribe(red).unwrap().last().map(|r| r.sn);
     let cmds = [
         CtrlCmd::Hello,
         CtrlCmd::Freeze(red),
@@ -626,8 +668,8 @@ fn zombie_controller_commands_are_nacked_end_to_end() {
         CtrlCmd::Drop(red),
         CtrlCmd::Discard(red),
         CtrlCmd::Archive { color: red, keep_tail: 0, max_records: u64::MAX, demote: true },
-        // Would hide every committed record behind an installed head.
-        CtrlCmd::Import { color: red, head, records: Vec::new(), cold: false, cursors: Vec::new() },
+        // Would start a copy nobody ordered (and owe the zombie an ack).
+        CtrlCmd::CatchUp { color: red, shard: dest.id, sources: dest.replicas.clone(), last: true },
     ];
     for (req, cmd) in (0xA1u64..).zip(cmds) {
         let _ = ep.send(src.replicas[0], CtrlMsg::Cmd { gen: stale, req, cmd }.into());

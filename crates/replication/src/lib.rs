@@ -26,6 +26,7 @@
 //!   arrives — all-or-nothing across colors.
 
 mod client;
+mod follower;
 mod msg;
 mod read_replica;
 mod replica;

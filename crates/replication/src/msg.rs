@@ -3,7 +3,9 @@
 use flexlog_ordering::{OrderMsg, OrderWire};
 use flexlog_simnet::NodeId;
 use flexlog_storage::FetchSelect;
-use flexlog_types::{ColorId, CommittedRecord, Epoch, FunctionId, Payload, SeqNum, Token};
+use flexlog_types::{
+    ColorId, CommittedRecord, Epoch, FunctionId, Payload, SeqNum, ShardId, Token,
+};
 
 /// A committed record with the append token it was staged under — the unit
 /// every state transfer ships, so idempotence survives the copy.
@@ -121,8 +123,9 @@ pub enum SubMsg {
 }
 
 /// Sync plane: state exchange between nodes that hold (or are acquiring) a
-/// copy of a color — the §6.3 sync-phase between shard peers, the read
-/// replica's follow loop, and the control plane's migration copy. Nothing
+/// copy of a color — the §6.3 sync-phase between shard peers, and the
+/// catch-up every copy runs against its source (`follower.rs`: read
+/// replicas, recovering quorum replicas, migration destinations). Nothing
 /// here mutates the serving replica, so nothing is generation-fenced.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SyncMsg {
@@ -148,13 +151,14 @@ pub enum SyncMsg {
     /// Replica → all shard peers: I am synchronized for this round (the
     /// all-to-all barrier of §6.3).
     SyncDone { round: u64 },
-    /// Anyone → one replica: ship me `color`'s committed records picked by
-    /// `select`, with their tokens. The one record-fetch protocol: §6.3
-    /// sync and the read replica follow a cursor with `Above` (`req` is
-    /// their round), migration catch-up chunks with `Above` + `limit`, and
-    /// the freeze-window digest diff names its SNs with `Exact`. The scan
-    /// is trim-aware (never starts below the head) and runs inside the
-    /// replica's event loop, which is why bulk copies chunk.
+    /// Follower → one replica: ship me `color`'s committed records picked by
+    /// `select`, with their tokens. Built by the one catch-up state machine
+    /// (`follower.rs`) only: `Above` its cursor, at most `FOLLOW_CHUNK`
+    /// records, until a reply comes back short; `Exact` for the SNs a
+    /// digest diff found missing. `req` names the question — a re-send to
+    /// the next source carries the same one. The scan is trim-aware (never
+    /// starts below the head) and runs inside the replica's event loop,
+    /// which is why every copy chunks.
     Fetch {
         req: u64,
         color: ColorId,
@@ -169,8 +173,9 @@ pub enum SyncMsg {
         head: Option<SeqNum>,
         /// Live committed records of the color on the serving replica, read
         /// in the same event-loop pass as `records`. A follower that holds
-        /// everything above its cursor yet fewer records than this missed a
-        /// hole that filled late upstream.
+        /// everything above its cursor yet fewer records than this (under
+        /// the same head) missed a hole that filled late upstream: it asks
+        /// for the `SpanDigest` next and pulls exactly what it lacks.
         count: u64,
         records: Vec<TokenRecord>,
         /// Subscription cursors registered on the serving replica for this
@@ -179,29 +184,28 @@ pub enum SyncMsg {
         cursors: Vec<SubCursor>,
     },
     /// Control plane → one replica: report `color`'s local state (drain
-    /// polling, export-source ranking).
+    /// polling, catch-up source ranking).
     ColorStatus { color: ColorId, req: u64 },
     /// Reply to [`SyncMsg::ColorStatus`].
     ColorInfo {
         req: u64,
         /// Batches of the color staged here but not yet committed.
         staged: u64,
-        head: Option<SeqNum>,
-        tail: Option<SeqNum>,
         /// Committed records of the color on this replica.
         count: u64,
     },
-    /// Control plane → one replica: list the SNs of `color`'s committed
-    /// records above the head. Used inside the freeze window to verify the
-    /// destination holds a superset of the source — the catch-up watermark
-    /// can step over a commit-order hole that fills later, so counts alone
-    /// cannot prove completeness.
+    /// Follower → one replica: list the SNs of `color`'s committed records
+    /// above the head — the one hole-repair rule's first half. A cursor can
+    /// step over a commit-order hole that fills later, so the follower
+    /// diffs this against its own SNs and names the missing ones in a
+    /// `Fetch { Exact }`: when `Records.count` says it is behind, and
+    /// always where the copy must be exact (§6.3 sync, a migration's
+    /// freeze-window round).
     SpanDigest { color: ColorId, req: u64 },
     /// Reply to [`SyncMsg::SpanDigest`].
     SpanDigestResp {
         req: u64,
         color: ColorId,
-        head: Option<SeqNum>,
         sns: Vec<SeqNum>,
     },
 }
@@ -217,7 +221,9 @@ pub enum CtrlMsg {
     /// [`CtrlMsg::Ack`].
     Cmd { gen: u64, req: u64, cmd: CtrlCmd },
     /// Replica → controller: command applied. `imported` counts the records
-    /// an [`CtrlCmd::Import`] newly installed (0 for every other command).
+    /// a [`CtrlCmd::CatchUp`] newly installed (0 for every other command).
+    /// `CatchUp`'s is the one deferred ack: it is sent when the copy is
+    /// level, not when the command arrives.
     Ack { req: u64, imported: u64 },
     /// Replica → controller: command refused — the sender's generation is
     /// stale (`gen` is the highest this replica has seen).
@@ -225,7 +231,8 @@ pub enum CtrlMsg {
 }
 
 /// What a [`CtrlMsg::Cmd`] asks a replica to do. Every command is
-/// idempotent: the controller retries rounds until all replicas ack.
+/// idempotent: the controller retries rounds until all replicas ack. No
+/// command carries records — a destination pulls its own copy.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CtrlCmd {
     /// Generation announcement of a new controller: raise the fencing
@@ -248,7 +255,7 @@ pub enum CtrlCmd {
     /// The color was destroyed.
     Drop(ColorId),
     /// Discard every committed record of the color (roll-back of a
-    /// partially imported migration). The trim head is kept — heads only
+    /// partially copied migration). The trim head is kept — heads only
     /// ever advance.
     Discard(ColorId),
     /// Run one tiering round: archive the color's cold prefix (all but the
@@ -262,23 +269,25 @@ pub enum CtrlCmd {
         max_records: u64,
         demote: bool,
     },
-    /// Install fetched records on a migration destination (idempotent per
-    /// (color, sn); tokens feed the idempotence map so post-cutover client
-    /// retries of pre-migration appends re-ack).
-    Import {
+    /// Migration destination: bring your copy of `color` level with source
+    /// shard `shard`, pulling from `sources` (its replicas, best first), and
+    /// ack — with `Ack.imported` — once level. Tokens travel with the
+    /// records, so post-cutover client retries of pre-migration appends
+    /// re-ack. A catch-up round (`last` unset) lands **cold**, straight on
+    /// the SSD tier: bulk history must not evict the destination's PM
+    /// headroom (the hot append path runs there) nor pollute its DRAM
+    /// cache. The `last` round runs inside the freeze window: it lands hot
+    /// (the records a client is about to re-read stay warm), proves the
+    /// copy exact against the source's digest, and the shard's delegate
+    /// adopts the source's subscription cursors, resuming each push from
+    /// the subscriber's acked SN. A repeated command re-targets the pending
+    /// ack; [`CtrlCmd::Adopt`] and [`CtrlCmd::Discard`] cancel it. A crashed
+    /// destination simply never acks.
+    CatchUp {
         color: ColorId,
-        head: Option<SeqNum>,
-        records: Vec<TokenRecord>,
-        /// Cold imports land directly on the SSD tier: bulk catch-up
-        /// history must not evict the destination's PM headroom (the hot
-        /// append path runs there) nor pollute its DRAM cache. The final
-        /// freeze-window sliver ships hot (`false`) so the records a
-        /// client is about to re-read stay warm.
-        cold: bool,
-        /// Subscription cursors handed over from the source (final hot
-        /// sliver only). The delegate destination replica adopts them and
-        /// resumes pushing from each subscriber's acked SN.
-        cursors: Vec<SubCursor>,
+        shard: ShardId,
+        sources: Vec<NodeId>,
+        last: bool,
     },
 }
 

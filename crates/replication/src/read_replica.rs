@@ -2,21 +2,19 @@
 //! joining the write quorum.
 //!
 //! A read replica attaches to one shard and **follows** its quorum
-//! replicas through the §6.3 sync machinery: it periodically issues
-//! [`SyncMsg::Fetch`] for every color resident on the shard (above its
-//! own tail) and imports the [`SyncMsg::Records`] replies — the exact
-//! protocol a recovering quorum replica uses to catch up, run as a
-//! steady-state pull loop. Every reply also carries the source's trim head
-//! (adopted at once — client trims go to the quorum only) and its live
-//! record count (a count above ours after the import means a hole filled
-//! late upstream: the retained span is refetched from that source). It
+//! replicas: at its cadence it starts, for every color resident on the
+//! shard, the catch-up a recovering quorum replica and a migration
+//! destination run too ([`Follower`] — chunked fetches above a cursor, the
+//! source's trim head adopted from every reply since client trims go to the
+//! quorum only, holes that filled late upstream repaired by digest diff).
+//! What stays here is policy: when to pull, and what waits for a pull. It
 //! serves, through the shared [`Serving`] half:
 //!
 //! * `Read` — with the same bounded hold rule as a quorum replica, plus a
-//!   **read-through**: a read above the local tail triggers an immediate
-//!   sync fetch, so the answer is ⊥ only if the record is still absent
-//!   upstream after the hold window (the freshness guarantee: staleness is
-//!   bounded by one sync round-trip, not by the pull cadence).
+//!   **read-through**: a read above the local tail starts a catch-up at
+//!   once, so the answer is ⊥ only if the record is still absent upstream
+//!   after the hold window (the freshness guarantee: staleness is bounded
+//!   by one sync round-trip, not by the pull cadence).
 //! * `Subscribe` (one-shot pull, parked behind a sync round) and
 //!   `SubscribeFrom` (standing push subscriptions).
 //!
@@ -26,15 +24,14 @@
 //! resident on this shard the subscribers are redirected (`ColorMoved`
 //! when the color lives elsewhere, `Dropped` when it is gone).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use flexlog_obs::Counter;
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
-use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
-use flexlog_types::{ColorId, SeqNum, ShardId, Token};
+use flexlog_storage::{StorageConfig, StorageServer};
+use flexlog_types::{ColorId, SeqNum, ShardId};
 
+use crate::follower::{Follower, Mode};
 use crate::msg::{ClusterMsg, DataMsg, ReadMsg, RejectReason, SubMsg, SyncMsg};
 use crate::serving::Serving;
 use crate::TopologyView;
@@ -49,7 +46,7 @@ const IDLE_INTERVAL: Duration = Duration::from_millis(10);
 pub struct ReadReplicaConfig {
     /// The shard this read replica follows.
     pub shard: ShardId,
-    /// The shard's quorum replicas (sync sources, rotated round-robin).
+    /// The shard's quorum replicas (catch-up sources, rotated per round).
     pub quorum: Vec<NodeId>,
     pub storage: StorageConfig,
     /// Bounded hold for reads above the local tail (mirrors the quorum
@@ -77,9 +74,9 @@ struct HeldScan {
     color: ColorId,
     from_sn: SeqNum,
     deadline: Instant,
-    /// Only a sync round numbered at or above this (i.e. *started* after
-    /// the scan arrived) may release it — an already-in-flight fetch could
-    /// predate records the client has seen acked.
+    /// Only a catch-up numbered at or above this (i.e. *started* after the
+    /// scan arrived) may release it — one already in flight could predate
+    /// records the client has seen acked.
     min_round: u64,
 }
 
@@ -89,18 +86,12 @@ pub struct ReadReplicaNode {
     topology: TopologyView,
     /// Storage, push subscriptions, held reads and the busy-time counter.
     serving: Serving,
+    /// How records arrive: one catch-up per resident color.
+    follower: Follower,
     held_scans: Vec<HeldScan>,
-    /// Monotonic fetch round / request id source.
-    round: u64,
-    /// Per-color fetch in flight — (round, sent-at, whether it asks for the
-    /// whole retained span) — avoids duplicate fetches while a reply is
-    /// pending.
-    inflight: HashMap<ColorId, (u64, Instant, bool)>,
-    /// Round-robin index over the quorum sources.
-    rr: usize,
+    /// The clock, read once per loop pass.
+    now: Instant,
     last_sync: Instant,
-    sync_fetches: Counter,
-    imported: Counter,
 }
 
 impl ReadReplicaNode {
@@ -117,20 +108,14 @@ impl ReadReplicaNode {
         topology: TopologyView,
         storage: Arc<StorageServer>,
     ) -> Self {
-        let obs = &config.storage.obs;
-        let sync_fetches = obs.counter("rreplica.sync_fetches");
-        let imported = obs.counter("rreplica.imported_records");
         ReadReplicaNode {
+            follower: Follower::new(Arc::clone(&storage), config.shard, "rreplica"),
             serving: Serving::new(storage, config.read_hold),
             config,
             topology,
             held_scans: Vec::new(),
-            round: 0,
-            inflight: HashMap::new(),
-            rr: 0,
+            now: Instant::now(),
             last_sync: Instant::now(),
-            sync_fetches,
-            imported,
         }
     }
 
@@ -162,6 +147,7 @@ impl ReadReplicaNode {
                 Err(RecvError::Disconnected) => return,
             }
             let n_msgs = burst.len() as u64;
+            self.now = Instant::now();
             for (from, msg) in burst.drain(..) {
                 match msg {
                     ClusterMsg::Data(DataMsg::Shutdown) => return,
@@ -199,13 +185,13 @@ impl ReadReplicaNode {
                     req,
                     color,
                     from_sn,
-                    deadline: Instant::now() + self.config.read_hold,
-                    min_round: self.round + 1,
+                    deadline: self.now + self.config.read_hold,
+                    min_round: self.follower.next_round(),
                 });
                 self.fetch_color(ep, color);
             }
             // The quorum's trim rounds (clients trim the quorum only; the
-            // head reaches a follower with its next fetch), and client-bound
+            // head reaches a follower with its next reply), and client-bound
             // replies.
             ReadMsg::Trim { .. }
             | ReadMsg::TrimPeerAck { .. }
@@ -241,75 +227,25 @@ impl ReadReplicaNode {
     }
 
     /// Of the sync plane a follower hears only the replies to its own
-    /// fetches; the quorum's sync-phase and the controller's queries are
+    /// catch-ups; the quorum's sync-phase and the controller's queries are
     /// not spoken here.
     fn handle_sync_plane(&mut self, ep: &Endpoint<ClusterMsg>, src: NodeId, msg: SyncMsg) {
-        let SyncMsg::Records { req: round, color, head, count, records, .. } = msg else {
-            return;
-        };
-        // The source's trim head rides every reply: hide the trimmed
-        // prefix here too.
-        if let Some(h) = head {
-            let _ = self.serving.storage.install_head(color, h);
-        }
-        let mut fresh: Vec<(ColorId, SeqNum, Token)> = Vec::new();
-        for (token, sn, payload) in records {
-            if self.serving.storage.import(color, sn, token, &payload).unwrap_or(false) {
-                fresh.push((color, sn, token));
-            }
-        }
-        let full = matches!(self.inflight.remove(&color), Some((r, _, true)) if r == round);
-        // Local storage now reflects the quorum as of the fetch.
-        self.answer_scans(ep, |s| s.color == color && round >= s.min_round);
-        if !fresh.is_empty() {
-            self.imported.add(fresh.len() as u64);
-            self.serving.charge_records(fresh.len());
-            self.serving.landed(ep, &fresh, None);
-        }
-        // We now hold everything the source has above our cursor. If it
-        // still holds more records than we do, a hole below the cursor
-        // filled late upstream: refetch the retained span from that source.
-        // Counts compare only under one head, and the reply to such a
-        // refetch never asks again, whatever else made the counts differ.
-        let storage = &self.serving.storage;
-        if !full && head == storage.head(color) && count > storage.record_count(color) as u64 {
-            self.send_fetch(ep, src, color, head.unwrap_or(SeqNum::ZERO), true);
+        let Some(level) = self.follower.on_reply(ep, self.now, src, msg) else { return };
+        // Local storage now reflects the quorum as of the catch-up.
+        self.answer_scans(ep, |s| s.color == level.color && level.round >= s.min_round);
+        if !level.fresh.is_empty() {
+            self.serving.charge_records(level.fresh.len());
+            self.serving.landed(ep, &level.fresh, None);
         }
     }
 
-    /// Sends one fetch for `color`'s records above `above` to `src`; `full`
-    /// marks a refetch of the whole retained span.
-    fn send_fetch(
-        &mut self,
-        ep: &Endpoint<ClusterMsg>,
-        src: NodeId,
-        color: ColorId,
-        above: SeqNum,
-        full: bool,
-    ) {
-        self.round += 1;
-        self.sync_fetches.inc();
-        let select = FetchSelect::Above { sn: above, limit: u64::MAX };
-        let _ = ep.send(src, SyncMsg::Fetch { req: self.round, color, select }.into());
-        self.inflight.insert(color, (self.round, Instant::now(), full));
-    }
-
-    /// Issues a sync fetch above the local tail to the next quorum source,
-    /// unless one is already pending (younger than a redelivery window).
+    /// Starts a catch-up of `color` unless one is in flight. Rounds rotate
+    /// the first source asked, spreading the pulls over the quorum.
     fn fetch_color(&mut self, ep: &Endpoint<ClusterMsg>, color: ColorId) {
-        if self
-            .inflight
-            .get(&color)
-            .is_some_and(|&(_, at, _)| at.elapsed() < self.config.read_hold)
-        {
-            return; // reply still expected
-        }
-        let Some(&src) = self.config.quorum.get(self.rr % self.config.quorum.len().max(1)) else {
-            return;
-        };
-        self.rr += 1;
-        let tail = self.serving.storage.tail(color).unwrap_or(SeqNum::ZERO);
-        self.send_fetch(ep, src, color, tail, false);
+        let mut sources = self.config.quorum.clone();
+        let first = self.follower.next_round() as usize % sources.len().max(1);
+        sources.rotate_left(first);
+        self.follower.start(ep, self.now, (color, self.config.shard), &sources, Mode::Follow);
     }
 
     /// Answers every parked `Subscribe` that `ready` selects from local
@@ -327,7 +263,7 @@ impl ReadReplicaNode {
     }
 
     fn tick(&mut self, ep: &Endpoint<ClusterMsg>) {
-        let now = Instant::now();
+        let now = self.now;
         // Expired scans degrade to a best-effort local answer (quorum
         // unreachable): stale beats unavailable for a follower.
         self.answer_scans(ep, |s| now >= s.deadline);
@@ -341,13 +277,15 @@ impl ReadReplicaNode {
             }
         }
 
-        // The steady-state pull loop.
+        // The steady-state pull loop, and the silence rule for what it
+        // has in flight.
         if now.saturating_duration_since(self.last_sync) >= self.cadence() {
             self.last_sync = now;
             for color in resident {
                 self.fetch_color(ep, color);
             }
         }
+        self.follower.tick(ep, now);
 
         // Held-read expiry, catch-up continuation + heartbeats.
         self.serving.tick(ep, now, None);

@@ -12,10 +12,11 @@
 //!
 //! When it restarts after a crash, or a newly elected sequencer sends
 //! `InitSequencer`, it runs the **sync-phase** (§6.3): pause appends and
-//! sequencer messages, exchange per-color state with all shard peers, fetch
-//! missing records from the most up-to-date replica, and pass an all-to-all
-//! `SyncDone` barrier before resuming. Staged-but-uncommitted tokens
-//! re-issue their order requests afterwards.
+//! sequencer messages, exchange per-color state with all shard peers, run an
+//! exact catch-up ([`Follower`]) against every peer whose state differs, and
+//! pass an all-to-all `SyncDone` barrier before resuming — past it the
+//! replicas whose states differed hold the union. Staged-but-uncommitted
+//! tokens re-issue their order requests afterwards.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -30,6 +31,7 @@ use flexlog_simnet::{Endpoint, NodeId, RecvError};
 use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
 use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, ShardId, Token};
 
+use crate::follower::{self, Follower, Level};
 use crate::msg::{
     AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, ReadMsg, RejectReason, SubMsg, SyncMsg,
 };
@@ -122,11 +124,11 @@ struct SyncRound {
     round: u64,
     /// Who initiated init (to InitAck after the barrier), with the epoch.
     init: Option<(NodeId, Epoch)>,
-    states: HashMap<NodeId, Vec<(ColorId, SeqNum, u64)>>,
-    /// Fetches in flight.
-    fetching: HashSet<ColorId>,
-    /// Fetches already completed this round (never re-issued).
-    fetched: HashSet<ColorId>,
+    /// The peers whose state for this round is in.
+    reported: HashSet<NodeId>,
+    /// Their reported (color, tail, count), still to be compared with ours
+    /// and, where they differ, caught up with — one catch-up at a time.
+    todo: Vec<(NodeId, (ColorId, SeqNum, u64))>,
     done: HashSet<NodeId>,
     self_done: bool,
     started: Instant,
@@ -144,8 +146,18 @@ pub struct ReplicaNode {
     topology: TopologyView,
     /// Storage, push subscriptions, held reads and the busy-time counter.
     serving: Serving,
+    /// Every catch-up this node runs: §6.3 sync against its own shard's
+    /// peers, migration copies against other shards.
+    follower: Follower,
+    /// The deferred ack of each `CtrlCmd::CatchUp` in flight, by (color,
+    /// source shard): where it goes — the controller and its request — and
+    /// whether it is the `last` round.
+    catchups: HashMap<(ColorId, ShardId), ((NodeId, u64), bool)>,
     known_epoch: Epoch,
     mode: Mode,
+    /// What sync catch-ups installed, whichever round ran them; reaches the
+    /// serving half — and, as fills, the subscribers — at the next barrier.
+    sync_fresh: Vec<(ColorId, SeqNum, Token)>,
     /// Clients (and peer replicas acting as clients) awaiting acks per token.
     reply_tos: HashMap<Token, HashSet<NodeId>>,
     /// OResps that arrived before the matching Append, with arrival time —
@@ -215,14 +227,18 @@ impl ReplicaNode {
         start_with_sync: bool,
     ) -> Self {
         let commit_hist = config.storage.obs.histogram("replica.commit_batch_ns");
+        let follower = Follower::new(Arc::clone(&storage), config.shard, "replica");
         let serving = Serving::new(storage, config.read_hold);
         ReplicaNode {
             config,
             directory,
             topology,
             serving,
+            follower,
+            catchups: HashMap::new(),
             known_epoch: Epoch(1),
             mode: Mode::Operational,
+            sync_fresh: Vec::new(),
             reply_tos: HashMap::new(),
             pending_oresp: HashMap::new(),
             oreq_sent: HashMap::new(),
@@ -413,8 +429,12 @@ impl ReplicaNode {
                 // operational): join it. No-op for our own or a stale round.
                 self.join_sync(ep, round, None);
                 if let Some(s) = self.sync_round(round) {
-                    s.states.insert(from, tails);
-                    self.advance_sync(ep);
+                    // A peer reports once per round: a repeat changes
+                    // nothing, and must not step on a catch-up in flight.
+                    if s.reported.insert(from) {
+                        s.todo.extend(tails.into_iter().map(|t| (from, t)));
+                        self.advance_sync(ep);
+                    }
                 }
             }
             SyncMsg::Fetch { req, color, mut select } => {
@@ -434,14 +454,10 @@ impl ReplicaNode {
                     SyncMsg::Records { req, color, head, count, records, cursors }.into(),
                 );
             }
-            SyncMsg::Records { req, color, records, .. } => {
-                if let Some(s) = self.sync_round(req) {
-                    s.fetching.remove(&color);
-                    s.fetched.insert(color);
-                    for (token, sn, payload) in records {
-                        let _ = self.serving.storage.import(color, sn, token, &payload);
-                    }
-                    self.advance_sync(ep);
+            // Answers to this node's own catch-ups, whoever started them.
+            m @ (SyncMsg::Records { .. } | SyncMsg::SpanDigestResp { .. }) => {
+                if let Some(level) = self.follower.on_reply(ep, Instant::now(), from, m) {
+                    self.on_level(ep, level);
                 }
             }
             SyncMsg::SyncDone { round } => {
@@ -457,18 +473,16 @@ impl ReplicaNode {
                     .into_iter()
                     .filter(|&(_, c, _)| c == color)
                     .count() as u64;
-                let (head, tail) = (storage.head(color), storage.tail(color));
                 let count = storage.record_count(color) as u64;
-                let _ = ep.send(from, SyncMsg::ColorInfo { req, staged, head, tail, count }.into());
+                let _ = ep.send(from, SyncMsg::ColorInfo { req, staged, count }.into());
             }
             SyncMsg::SpanDigest { color, req } => {
-                let head = self.serving.storage.head(color);
-                let above = head.unwrap_or(SeqNum::ZERO);
+                let above = self.serving.storage.head(color).unwrap_or(SeqNum::ZERO);
                 let sns = self.serving.storage.committed_sns(color, above);
-                let _ = ep.send(from, SyncMsg::SpanDigestResp { req, color, head, sns }.into());
+                let _ = ep.send(from, SyncMsg::SpanDigestResp { req, color, sns }.into());
             }
-            // Probe replies: bound for the controller or a read replica.
-            SyncMsg::ColorInfo { .. } | SyncMsg::SpanDigestResp { .. } => {}
+            // Controller-bound.
+            SyncMsg::ColorInfo { .. } => {}
         }
     }
 
@@ -491,23 +505,35 @@ impl ReplicaNode {
             }
             CtrlMsg::Cmd { gen, req, cmd } => {
                 self.ctrl_gen = gen;
-                let imported = self.apply_ctrl(ep, cmd);
-                let _ = ep.send(from, CtrlMsg::Ack { req, imported }.into());
+                if self.apply_ctrl(ep, (from, req), cmd) {
+                    let _ = ep.send(from, CtrlMsg::Ack { req, imported: 0 }.into());
+                }
             }
             // Controller-bound replies.
             CtrlMsg::Ack { .. } | CtrlMsg::Nack { .. } => {}
         }
     }
 
-    /// Applies one (already fence-checked) control command; returns the
-    /// records an `Import` newly installed, 0 for everything else.
-    fn apply_ctrl(&mut self, ep: &Endpoint<ClusterMsg>, cmd: CtrlCmd) -> u64 {
+    /// Applies one (already fence-checked) control command whose ack goes
+    /// to `ack` (the controller, its request); returns whether it is done
+    /// and to be acked now. `CatchUp` is the one that is not:
+    /// [`Self::on_level`] acks it.
+    fn apply_ctrl(&mut self, ep: &Endpoint<ClusterMsg>, ack: (NodeId, u64), cmd: CtrlCmd) -> bool {
         let obs = &self.config.storage.obs;
         let trace = |stage: Stage, color: ColorId| {
             obs.trace_event(CTRL_TOKEN, stage, ep.id().0, color.0 as u64);
         };
         match cmd {
             CtrlCmd::Hello => {}
+            CtrlCmd::CatchUp { color, shard, sources, last } => {
+                // A repeated command re-targets the pending ack and starts
+                // over from the cursor already reached.
+                self.follower.cancel(|c, s| (c, s) == (color, shard));
+                self.catchups.insert((color, shard), (ack, last));
+                let copy = if last { follower::Mode::Exact } else { follower::Mode::Cold };
+                self.follower.start(ep, Instant::now(), (color, shard), &sources, copy);
+                return false;
+            }
             CtrlCmd::Freeze(color) => {
                 self.frozen.insert(color);
                 trace(Stage::MigrateFreeze, color);
@@ -516,6 +542,7 @@ impl ReplicaNode {
                 self.frozen.remove(&color);
             }
             CtrlCmd::Adopt(color) => {
+                self.forget_catchups(color);
                 self.frozen.remove(&color);
                 self.moved.remove(&color);
                 self.dropped.remove(&color);
@@ -524,8 +551,8 @@ impl ReplicaNode {
                 self.frozen.remove(&color);
                 self.moved.insert(color);
                 // Never strand a subscriber on the old shard: its cursor
-                // already rode the final import to the destination; the
-                // redirect tells it to re-resolve the topology too.
+                // already rode the last catch-up round to the destination;
+                // the redirect tells it to re-resolve the topology too.
                 self.serving.subs.redirect_color(ep, color, RejectReason::ColorMoved);
                 trace(Stage::MigrateCutover, color);
             }
@@ -537,8 +564,10 @@ impl ReplicaNode {
                 self.serving.subs.redirect_color(ep, color, RejectReason::Dropped);
             }
             CtrlCmd::Discard(color) => {
-                // Roll-back of a partial import: wipe the color's committed
-                // records (idempotent — a repeat discard finds nothing).
+                // Roll-back of a partial copy: stop copying, then wipe the
+                // color's committed records (idempotent — a repeat discard
+                // finds nothing).
+                self.forget_catchups(color);
                 let _ = self.serving.storage.discard_color(color);
                 self.frozen.remove(&color);
                 // Cursors adopted from an aborted migration go back through
@@ -559,30 +588,36 @@ impl ReplicaNode {
                     trace(Stage::Archive, color);
                 }
             }
-            CtrlCmd::Import { color, head, records, cold, cursors } => {
-                let imported = if cold {
-                    self.serving.storage.import_cold(color, &records).unwrap_or(0)
-                } else {
-                    let fresh = |(token, sn, payload): &(Token, SeqNum, Payload)| {
-                        self.serving.storage.import(color, *sn, *token, payload).unwrap_or(false)
-                    };
-                    records.iter().filter(|r| fresh(r)).count() as u64
-                };
-                if let Some(h) = head {
-                    let _ = self.serving.storage.install_head(color, h);
-                }
-                trace(Stage::MigrateCopy, color);
-                // Subscription cursors ride the final hot sliver. Only the
-                // shard's delegate adopts them — every destination replica
-                // receives the import, and N replicas each pushing to the
-                // same subscriber would multiply every record by N.
-                if !cursors.is_empty() && self.is_oreq_delegate(ep) {
-                    self.serving.subs.adopt_cursors(ep, color, &cursors);
-                }
-                return imported;
-            }
         }
-        0
+        true
+    }
+
+    /// `color` is adopted or discarded here: no catch-up of it is wanted
+    /// any more, and no ack of one.
+    fn forget_catchups(&mut self, color: ColorId) {
+        self.follower.forget(color);
+        self.catchups.retain(|&(c, _), _| c != color);
+    }
+
+    /// One of this node's catch-ups is level. What started it says whose it
+    /// is: a `CatchUp` command owes the controller its ack; anything else
+    /// against our own shard belongs to the sync round in progress.
+    fn on_level(&mut self, ep: &Endpoint<ClusterMsg>, level: Level) {
+        if let Some(((ctrl, req), last)) = self.catchups.remove(&(level.color, level.source)) {
+            let obs = &self.config.storage.obs;
+            obs.trace_event(CTRL_TOKEN, Stage::MigrateCopy, ep.id().0, level.color.0 as u64);
+            // Subscription cursors ride the last round. Only the shard's
+            // delegate adopts them — every destination replica pulls the
+            // same copy, and N replicas each pushing to the same subscriber
+            // would multiply every record by N.
+            if last && !level.cursors.is_empty() && self.is_oreq_delegate(ep) {
+                self.serving.subs.adopt_cursors(ep, level.color, &level.cursors);
+            }
+            let _ = ep.send(ctrl, CtrlMsg::Ack { req, imported: level.imported }.into());
+        } else {
+            self.sync_fresh.extend(level.fresh);
+            self.advance_sync(ep);
+        }
     }
 
     fn handle_order(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: OrderMsg) {
@@ -920,19 +955,20 @@ impl ReplicaNode {
             Mode::Syncing(s) => s.init.or(init),
             Mode::Operational => init,
         };
-        let mut states = HashMap::new();
-        states.insert(ep.id(), self.my_tails());
         self.last_round = self.last_round.max(round);
         self.config
             .storage
             .obs
             .trace_event(SYNC_TOKEN, Stage::SyncStart, ep.id().0, round);
+        // A superseded round's catch-ups are abandoned with it; what they
+        // installed is still owed to the serving half.
+        let home = self.config.shard;
+        self.sync_fresh.extend(self.follower.cancel(|_, shard| shard == home));
         self.mode = Mode::Syncing(Box::new(SyncRound {
             round,
             init: carried_init,
-            states,
-            fetching: HashSet::new(),
-            fetched: HashSet::new(),
+            reported: HashSet::new(),
+            todo: Vec::new(),
             done: HashSet::new(),
             self_done: false,
             started: Instant::now(),
@@ -989,71 +1025,33 @@ impl ReplicaNode {
             .collect()
     }
 
-    /// Once states from the whole shard are in, fetch what we miss.
+    /// Once states from the whole shard are in, catch up — exactly — with
+    /// every peer whose reported (tail, count) differs from ours: not only
+    /// the fullest one and not only a longer one, since equal tails can hide
+    /// a hole and a shorter peer can hold what we lack. One catch-up at a
+    /// time — called when the last state comes in and then at every `Level`
+    /// — and a peer we became level with meanwhile is skipped. With none
+    /// left, tell the shard.
     fn advance_sync(&mut self, ep: &Endpoint<ClusterMsg>) {
         let Mode::Syncing(ref mut s) = self.mode else { return };
-        if s.self_done
-            || s.states.len() < self.config.peers.len() + 1 // waiting for more states
-            || !s.fetching.is_empty() // fetches already in flight
-        {
-            return;
+        if s.self_done || s.reported.len() < self.config.peers.len() {
+            return; // done already, or waiting for more states
         }
-        // For every color: find the most up-to-date holder.
-        let mut best: HashMap<ColorId, (SeqNum, u64, NodeId)> = HashMap::new();
-        for (&node, tails) in s.states.iter() {
-            for &(color, tail, count) in tails {
-                let e = best.entry(color).or_insert((tail, count, node));
-                if (tail, count) > (e.0, e.1) {
-                    *e = (tail, count, node);
-                }
+        let storage = &self.serving.storage;
+        while let Some((peer, (color, tail, count))) = s.todo.pop() {
+            if storage.tail(color) != Some(tail) || storage.record_count(color) as u64 != count {
+                let (pair, exact) = ((color, self.config.shard), follower::Mode::Exact);
+                return self.follower.start(ep, Instant::now(), pair, &[peer], exact);
             }
         }
-        for (color, (tail, _count, holder)) in best {
-            if holder == ep.id() || s.fetched.contains(&color) {
-                continue;
-            }
-            let my_tail = self.serving.storage.tail(color).unwrap_or(SeqNum::ZERO);
-            if tail > my_tail {
-                // Fetch everything above our tail from the holder.
-                s.fetching.insert(color);
-                let select = FetchSelect::Above { sn: my_tail, limit: u64::MAX };
-                let _ = ep.send(holder, SyncMsg::Fetch { req: s.round, color, select }.into());
-            }
-        }
-        if s.fetching.is_empty() {
-            self.finish_fetch(ep);
-        }
-    }
-
-    fn finish_fetch(&mut self, ep: &Endpoint<ClusterMsg>) {
-        let round = {
-            let Mode::Syncing(ref mut s) = self.mode else { return };
-            if s.self_done {
-                return;
-            }
-            s.self_done = true;
-            s.round
-        };
-        let _ = ep.broadcast(&self.config.peers, SyncMsg::SyncDone { round }.into());
+        s.self_done = true;
+        let _ = ep.broadcast(&self.config.peers, SyncMsg::SyncDone { round: s.round }.into());
         self.maybe_finish_sync(ep);
     }
 
     fn maybe_finish_sync(&mut self, ep: &Endpoint<ClusterMsg>) {
-        let finished = {
-            let Mode::Syncing(ref s) = self.mode else { return };
-            s.self_done && s.done.len() >= self.config.peers.len()
-        };
-        if !finished {
-            // Re-check: fetches might have just drained.
-            let ready = {
-                let Mode::Syncing(ref s) = self.mode else { return };
-                !s.self_done
-                    && s.states.len() > self.config.peers.len()
-                    && s.fetching.is_empty()
-            };
-            if ready {
-                self.finish_fetch(ep);
-            }
+        let Mode::Syncing(ref s) = self.mode else { return };
+        if !s.self_done || s.done.len() < self.config.peers.len() {
             return;
         }
         let Mode::Syncing(s) = std::mem::replace(&mut self.mode, Mode::Operational) else {
@@ -1080,10 +1078,10 @@ impl ReplicaNode {
                 ClusterMsg::Order(m) => self.handle_order(ep, from, m),
             }
         }
-        // Sync may have installed records (possibly below push frontiers —
-        // those were never pushed from here and re-attachment covers them);
-        // push whatever the frontier can now advance over.
-        self.serving.landed(ep, &[], self.sub_barrier());
+        // What the catch-ups installed: a record below some push frontier
+        // goes out as a fill, then the frontier advances over the rest.
+        let fresh = std::mem::take(&mut self.sync_fresh);
+        self.serving.landed(ep, &fresh, self.sub_barrier());
     }
 
     fn reissue_staged_oreqs(&mut self, ep: &Endpoint<ClusterMsg>) {
@@ -1098,6 +1096,7 @@ impl ReplicaNode {
     fn tick(&mut self, ep: &Endpoint<ClusterMsg>) {
         let now = Instant::now();
         self.serving.tick(ep, now, self.sub_barrier());
+        self.follower.tick(ep, now);
 
         match &self.mode {
             Mode::Operational => {
@@ -1133,7 +1132,6 @@ impl ReplicaNode {
                 if now - s.started > self.config.sync_timeout {
                     // Stalled (peer died mid-sync): restart with a new round.
                     let init = s.init;
-                    self.mode = Mode::Operational;
                     self.begin_sync(ep, init);
                 }
             }

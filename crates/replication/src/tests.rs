@@ -1,12 +1,13 @@
 //! End-to-end tests of the data layer running against a real ordering
 //! layer on the simulated network.
 
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use flexlog_ordering::{Directory, OrderingHandle, OrderingService, RoleId, TreeSpec};
-use flexlog_simnet::{Network, NodeId};
-use flexlog_storage::StorageConfig;
-use flexlog_storage::FetchSelect;
+use flexlog_simnet::{Endpoint, Network, NodeId};
+use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
 use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, ShardId, Token};
 
 use crate::msg::{ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, SubMsg, SyncMsg, TokenRecord};
@@ -732,19 +733,55 @@ fn flush_rebases_deadline_from_flush_entry() {
     c.shutdown();
 }
 
-// ----- read replica against a scripted source ---------------------------------
+// ----- followers against a scripted source ------------------------------------
 
-/// A hole that fills upstream *below* the follower's cursor reaches it
-/// through `Records.count`: the incremental fetch comes back empty but the
-/// source holds more records than the follower, so the follower refetches
-/// `Above head` from that source, imports the late record and pushes it to
-/// its subscriber as a fill. The only message it ever sends its source is
-/// `Fetch`.
-#[test]
-fn late_fill_reaches_the_follower_through_records_count() {
+fn sn(c: u32) -> SeqNum {
+    SeqNum::new(Epoch(1), c)
+}
+
+fn rec(c: u32) -> TokenRecord {
+    (Token::new(FunctionId(9), c), sn(c), p(c.to_le_bytes().to_vec()))
+}
+
+/// Whether `msg` is a fetch of exactly the SNs `want`, by name.
+fn asks_exactly(msg: &SyncMsg, want: &[SeqNum]) -> bool {
+    matches!(msg, SyncMsg::Fetch { select: FetchSelect::Exact(sns), .. } if sns == want)
+}
+
+/// What a replica holding `held` (in SN order, trimmed at `head`) answers
+/// a follower's request with; `None` for anything a follower never sends.
+fn answer(held: &[TokenRecord], head: Option<SeqNum>, msg: &SyncMsg) -> Option<SyncMsg> {
+    let (req, color, records) = match msg {
+        SyncMsg::Fetch { req, color, select: FetchSelect::Above { sn, limit } } => {
+            let above = held.iter().filter(|r| r.1 > *sn).take(*limit as usize);
+            (*req, *color, above.cloned().collect())
+        }
+        SyncMsg::Fetch { req, color, select: FetchSelect::Exact(sns) } => {
+            (*req, *color, held.iter().filter(|r| sns.contains(&r.1)).cloned().collect())
+        }
+        SyncMsg::SpanDigest { color, req } => {
+            let sns = held.iter().map(|r| r.1).collect();
+            return Some(SyncMsg::SpanDigestResp { req: *req, color: *color, sns });
+        }
+        _ => return None,
+    };
+    let count = held.len() as u64;
+    Some(SyncMsg::Records { req, color, head, count, records, cursors: vec![] })
+}
+
+/// A read replica of shard 0 whose whole quorum is one scripted endpoint.
+struct ScriptedFollower {
+    source: Endpoint<ClusterMsg>,
+    follower: NodeId,
+    storage: Arc<StorageServer>,
+    thread: JoinHandle<()>,
+    /// Keeps the simulated network alive.
+    net: Network<ClusterMsg>,
+}
+
+fn scripted_follower() -> ScriptedFollower {
     let net: Network<ClusterMsg> = Network::instant();
     let source = net.register(NodeId::named(NodeId::CLASS_REPLICA, 0));
-    let subscriber = net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
     let follower = NodeId::named(NodeId::CLASS_READ_REPLICA, 0);
     let topology = TopologyView::new();
     topology.add_shard(ShardInfo {
@@ -759,9 +796,42 @@ fn late_fill_reaches_the_follower_through_records_count() {
     let storage = node.storage();
     let ep = net.register(follower);
     let thread = std::thread::spawn(move || node.run(ep));
+    ScriptedFollower { source, follower, storage, thread, net }
+}
 
-    let sn = |c: u32| SeqNum::new(Epoch(1), c);
-    let rec = |c: u32| -> TokenRecord { (Token::new(FunctionId(9), c), sn(c), p(vec![c as u8])) };
+impl ScriptedFollower {
+    /// The follower's next request, if one arrives within `wait`. Anything
+    /// that is not a sync-plane message fails the test: a follower speaks
+    /// nothing else to its source.
+    fn next_request(&self, wait: Duration) -> Option<SyncMsg> {
+        let (_, msg) = self.source.recv_timeout(wait).ok()?;
+        match msg.into_data() {
+            Some(DataMsg::Sync(m)) => Some(m),
+            other => panic!("a follower only ever sends sync requests to its source: {other:?}"),
+        }
+    }
+
+    fn reply(&self, msg: SyncMsg) {
+        self.source.send(self.follower, msg.into()).unwrap();
+    }
+
+    fn shutdown(self) {
+        self.source.send(self.follower, DataMsg::Shutdown.into()).unwrap();
+        self.thread.join().unwrap();
+        drop(self.net);
+    }
+}
+
+/// The one hole-repair rule. A hole that fills upstream *below* the
+/// follower's cursor reaches it through `Records.count`: the fetch above
+/// the cursor comes back empty but the source holds more records than the
+/// follower under the same head, so the follower asks that source for its
+/// `SpanDigest`, then for exactly the SN it lacks, and pushes it to its
+/// subscriber as a fill. It never goes back to refetch the retained span.
+#[test]
+fn late_fill_reaches_the_follower_through_records_count() {
+    let f = scripted_follower();
+    let subscriber = f.net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
     // The source trimmed at 4 and holds {5, 7}; 6 is a hole that fills once
     // the subscriber has been pushed past it.
     let head = Some(sn(4));
@@ -772,30 +842,18 @@ fn late_fill_reaches_the_follower_through_records_count() {
         sub: 1,
         reply_to: subscriber.id(),
     };
-    subscriber.send(follower, register.into()).unwrap();
+    subscriber.send(f.follower, register.into()).unwrap();
 
-    let mut fetched_above: Vec<SeqNum> = Vec::new();
+    let mut asked: Vec<SyncMsg> = Vec::new();
     let mut pushed: Vec<SeqNum> = Vec::new();
     let deadline = Instant::now() + Duration::from_secs(5);
     while pushed != [sn(5), sn(7), sn(6)] {
-        assert!(Instant::now() < deadline, "pushed {pushed:?} after fetches {fetched_above:?}");
-        while let Ok((from, msg)) = source.try_recv() {
-            match msg.into_data() {
-                Some(DataMsg::Sync(SyncMsg::Fetch {
-                    req,
-                    color,
-                    select: FetchSelect::Above { sn: above, .. },
-                })) => {
-                    fetched_above.push(above);
-                    let records = held.iter().filter(|r| r.1 > above).cloned().collect();
-                    let count = held.len() as u64;
-                    let reply = SyncMsg::Records { req, color, head, count, records, cursors: vec![] };
-                    source.send(from, reply.into()).unwrap();
-                }
-                other => panic!("a follower only ever sends `Fetch` to its source: {other:?}"),
-            }
+        assert!(Instant::now() < deadline, "pushed {pushed:?} after requests {asked:?}");
+        if let Some(msg) = f.next_request(Duration::from_millis(2)) {
+            f.reply(answer(&held, head, &msg).expect("a follower's request"));
+            asked.push(msg);
         }
-        if let Ok((_, msg)) = subscriber.recv_timeout(Duration::from_millis(2)) {
+        while let Ok((_, msg)) = subscriber.try_recv() {
             if let Some(DataMsg::Sub(SubMsg::SubPushBatch { records, .. })) = msg.into_data() {
                 pushed.extend(records.iter().map(|r| r.sn));
             }
@@ -804,16 +862,196 @@ fn late_fill_reaches_the_follower_through_records_count() {
             held.insert(1, rec(6));
         }
     }
-    // The incremental fetch above the tail came back empty; the refetch
-    // that found the fill asked `Above head`.
-    let incremental = fetched_above.iter().position(|&a| a == sn(7)).expect("followed the tail");
+    // Every fetch after the first followed the cursor: the retained span
+    // above the head was never asked for again. The repair was a digest,
+    // then the one missing SN by name.
+    for msg in &asked[1..] {
+        if let SyncMsg::Fetch { select: FetchSelect::Above { sn: above, .. }, .. } = msg {
+            assert_eq!(*above, sn(7), "refetched below the cursor: {asked:?}");
+        }
+    }
+    let digest = asked
+        .iter()
+        .position(|m| matches!(m, SyncMsg::SpanDigest { .. }))
+        .expect("the count mismatch is repaired through the digest");
     assert!(
-        fetched_above[incremental..].contains(&sn(4)),
-        "no refetch above the head after the tail fetch: {fetched_above:?}"
+        asks_exactly(&asked[digest + 1], &[sn(6)]),
+        "after the digest: {:?}",
+        &asked[digest + 1..]
     );
-    assert_eq!(storage.get(RED, sn(6)).unwrap(), vec![6u8]);
-    assert_eq!(storage.head(RED), head, "the head rides every reply");
+    assert_eq!(f.storage.get(RED, sn(6)).unwrap(), 6u32.to_le_bytes());
+    assert_eq!(f.storage.head(RED), head, "the head rides every reply");
+    f.shutdown();
+}
 
-    source.send(follower, DataMsg::Shutdown.into()).unwrap();
+/// A follower far behind must not take its source down: it keeps exactly
+/// one request outstanding however slow the answer is — here the first
+/// takes 100 ms, five pull cadences and five of the old re-ask windows —
+/// and never asks for more than `FOLLOW_CHUNK` records at once, so a span
+/// of three chunks and a bit arrives as four fetches, one at a time.
+#[test]
+fn a_follower_far_behind_keeps_one_chunked_request_outstanding() {
+    use crate::follower::FOLLOW_CHUNK;
+    let f = scripted_follower();
+    let held: Vec<TokenRecord> = (1..=3 * FOLLOW_CHUNK as u32 + 5).map(rec).collect();
+    let mut fetches = 0;
+    let mut hold = Duration::from_millis(100);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while f.storage.record_count(RED) < held.len() {
+        assert!(Instant::now() < deadline, "{} records after {fetches} fetches", held.len());
+        let Some(msg) = f.next_request(Duration::from_millis(50)) else { continue };
+        match &msg {
+            SyncMsg::Fetch { select: FetchSelect::Above { limit, .. }, .. } => {
+                assert!(*limit <= FOLLOW_CHUNK, "asked for {limit} records at once");
+                fetches += 1;
+            }
+            other => panic!("no hole to repair here: {other:?}"),
+        }
+        // While this one is unanswered, nothing else may be asked.
+        if let Some(stacked) = f.next_request(hold) {
+            panic!("a second request beside the outstanding one: {stacked:?}");
+        }
+        hold = Duration::from_millis(15);
+        f.reply(answer(&held, None, &msg).unwrap());
+    }
+    assert!(fetches >= 4, "three chunks and a short one, got {fetches} fetches");
+    assert_eq!(f.storage.tail(RED), Some(sn(3 * FOLLOW_CHUNK as u32 + 5)));
+    f.shutdown();
+}
+
+// ----- §6.3 sync against a scripted peer ---------------------------------------
+
+/// A recovered quorum replica of a two-replica shard, holding `own`, whose
+/// only peer is the returned scripted endpoint.
+#[allow(clippy::type_complexity)]
+fn recovered_beside_scripted_peer(
+    own: &[TokenRecord],
+) -> (Network<ClusterMsg>, Endpoint<ClusterMsg>, NodeId, Arc<StorageServer>, JoinHandle<()>) {
+    let net: Network<ClusterMsg> = Network::instant();
+    let node = NodeId::named(NodeId::CLASS_REPLICA, 0);
+    let peer = net.register(NodeId::named(NodeId::CLASS_REPLICA, 1));
+    let topology = TopologyView::new();
+    topology.add_shard(ShardInfo {
+        id: ShardId(0),
+        replicas: vec![node, peer.id()],
+        leaf: RoleId(0),
+        read_replicas: vec![],
+    });
+    topology.set_color_shards(RED, vec![ShardId(0)]);
+    let storage = Arc::new(StorageServer::new(StorageConfig::default()));
+    for (token, sn, payload) in own {
+        assert!(storage.import(RED, *sn, *token, payload).unwrap());
+    }
+    let config = ReplicaConfig { peers: vec![peer.id()], ..Default::default() };
+    let directory = Directory::new();
+    let replica = crate::ReplicaNode::recovered(config, directory, topology, Arc::clone(&storage));
+    let ep = net.register(node);
+    let thread = std::thread::spawn(move || replica.run(ep));
+    (net, peer, node, storage, thread)
+}
+
+/// Plays the peer's half of one sync round — `round` if the peer starts it,
+/// else the one the node announces — reporting and serving `held`. Returns
+/// the requests the node's catch-up sent, having checked with `at_barrier`
+/// the moment the node's `SyncDone` arrived and answered it.
+fn scripted_sync_round(
+    peer: &Endpoint<ClusterMsg>,
+    node: NodeId,
+    round: Option<u64>,
+    held: &[TokenRecord],
+    at_barrier: impl FnOnce(),
+) -> (u64, Vec<SyncMsg>) {
+    let state = |round| SyncMsg::SyncState {
+        round,
+        epoch: Epoch(1),
+        tails: vec![(RED, held.last().unwrap().1, held.len() as u64)],
+        ctrl_gen: 0,
+        frozen: vec![],
+        moved: vec![],
+        dropped: vec![],
+    };
+    if let Some(round) = round {
+        peer.send(node, SyncMsg::SyncRequest { round }.into()).unwrap();
+        peer.send(node, state(round).into()).unwrap();
+    }
+    let mut asked = Vec::new();
+    loop {
+        let (_, msg) =
+            peer.recv_timeout(Duration::from_secs(5)).expect("the node's next sync message");
+        let Some(DataMsg::Sync(msg)) = msg.into_data() else { continue };
+        match msg {
+            SyncMsg::SyncRequest { round: r } if round.is_none() => {
+                peer.send(node, state(r).into()).unwrap();
+            }
+            SyncMsg::SyncDone { round: r } => {
+                at_barrier();
+                peer.send(node, SyncMsg::SyncDone { round: r }.into()).unwrap();
+                return (r, asked);
+            }
+            m => {
+                if let Some(reply) = answer(held, None, &m) {
+                    peer.send(node, reply.into()).unwrap();
+                    asked.push(m);
+                }
+            }
+        }
+    }
+}
+
+/// §6.3 sync repairs a hole *below* the tail: equal tails, but the peer's
+/// count says it holds a record we lack. (The old rule fetched only from a
+/// longer peer and passed the barrier without asking.)
+#[test]
+fn sync_fills_a_hole_below_the_tail_before_the_barrier() {
+    let (_net, peer, node, storage, thread) = recovered_beside_scripted_peer(&[rec(5), rec(7)]);
+    let probe = Arc::clone(&storage);
+    let (_, asked) = scripted_sync_round(&peer, node, None, &[rec(5), rec(6), rec(7)], move || {
+        assert!(probe.get(RED, sn(6)).is_some(), "6 must be here before SyncDone is sent");
+    });
+    assert!(
+        asked.last().is_some_and(|m| asks_exactly(m, &[sn(6)])),
+        "the repair names the missing SN: {asked:?}"
+    );
+    peer.send(node, DataMsg::Shutdown.into()).unwrap();
+    thread.join().unwrap();
+}
+
+/// §6.3 sync ends in the union: a peer with a *lower* tail can hold what we
+/// lack. (The old rule made us the "best holder", who never asks.) Peers
+/// that report our own state cost no request at all, and a record a sync
+/// round installs below a subscriber's push frontier reaches that
+/// subscriber as a fill once the barrier is passed.
+#[test]
+fn sync_takes_what_a_shorter_peer_alone_holds() {
+    let (net, peer, node, storage, thread) = recovered_beside_scripted_peer(&[rec(6), rec(7)]);
+    let (round, asked) = scripted_sync_round(&peer, node, None, &[rec(6), rec(7)], || {});
+    assert_eq!(asked, [], "identical states need no catch-up");
+
+    let subscriber = net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
+    let register =
+        SubMsg::SubscribeFrom { color: RED, from: SeqNum::ZERO, sub: 1, reply_to: subscriber.id() };
+    subscriber.send(node, register.into()).unwrap();
+    let mut pushed: Vec<SeqNum> = Vec::new();
+    let next_push = |pushed: &mut Vec<SeqNum>| {
+        let (_, msg) = subscriber.recv_timeout(Duration::from_secs(5)).expect("a push");
+        if let Some(DataMsg::Sub(SubMsg::SubPushBatch { records, .. })) = msg.into_data() {
+            pushed.extend(records.iter().map(|r| r.sn));
+        }
+    };
+    while pushed.len() < 2 {
+        next_push(&mut pushed);
+    }
+
+    let probe = Arc::clone(&storage);
+    let next = Some(round + (1 << 20));
+    let (_, asked) = scripted_sync_round(&peer, node, next, &[rec(5), rec(6)], move || {
+        assert!(probe.get(RED, sn(5)).is_some(), "5 must be here before SyncDone is sent");
+    });
+    assert!(!asked.is_empty());
+    while pushed.len() < 3 {
+        next_push(&mut pushed);
+    }
+    assert_eq!(pushed, [sn(6), sn(7), sn(5)], "the fill follows the barrier");
+    peer.send(node, DataMsg::Shutdown.into()).unwrap();
     thread.join().unwrap();
 }

@@ -993,11 +993,11 @@ impl StorageServer {
         self.install(color, records, Placement::Ssd)
     }
 
-    /// The SNs of every committed record of `color` above `from`, cheapest
-    /// possible form (no payload reads). Serves the freeze-window digest
-    /// check of a migration: the catch-up watermark can step over a
-    /// commit-order hole that fills later, so the control plane diffs
-    /// source and destination SN sets instead of trusting counts.
+    /// The SNs of every committed record of `color` above `from`, oldest
+    /// first, cheapest possible form (no payload reads). Serves the digest
+    /// diff that repairs a copy: a follower's cursor can step over a
+    /// commit-order hole that fills later, so it diffs the source's SN set
+    /// against its own instead of trusting counts.
     pub fn committed_sns(&self, color: ColorId, from: SeqNum) -> Vec<SeqNum> {
         let placed = self.placed(color, above(from), usize::MAX);
         placed.into_iter().map(|(sn, _)| sn).collect()

@@ -5,11 +5,12 @@
 # every-device-operation crash sweep once more in release, two bounded
 # nemesis smoke runs (fixed seed, ~5 s of injected faults under load — once
 # on the instant network, once over delayed links with 4 delay-scheduler
-# shards), the four feature-bench smokes (`flexlog-bench <name> --quick`,
-# gates evaluated by the binary), the paper reproduction suite in --quick,
-# one tiering, one subscription, one migration-crash and one
-# controller-crash nemesis scenario, and a zero-warning clippy pass over
-# the whole workspace.
+# shards), the follower-join probe (a copy that joins 40 000 records behind
+# must not cost its source shard one append), the four feature-bench smokes
+# (`flexlog-bench <name> --quick`, gates evaluated by the binary), the paper
+# reproduction suite in --quick, one tiering, one subscription, one
+# migration-crash and one controller-crash nemesis scenario, and a
+# zero-warning clippy pass over the whole workspace.
 #
 # Replay a failing smoke run with: FLEXLOG_CHAOS_SEED=<seed> scripts/ci.sh
 set -euo pipefail
@@ -41,6 +42,12 @@ cargo run --release -p flexlog-chaos --example nemesis_smoke
 
 echo "==> nemesis smoke over delayed links (4 delay-scheduler shards)"
 FLEXLOG_NEMESIS_NET=datacenter cargo run --release -p flexlog-chaos --example nemesis_smoke
+
+# One serial writer beside (i) nothing, (ii) a read replica joining 40 000
+# records behind, (iii) a migration of the same span; exits non-zero if any
+# append failed. ~20 s wall: three 40 000-record preloads under ClockMode::Spin.
+echo "==> follower-join probe (no failed append while a copy 40 000 records behind catches up)"
+cargo run --release --example follower_join
 
 # Each feature bench runs its paired trials, evaluates its own gates on the
 # median (bounds: GATES in crates/bench/src/harness.rs) and exits non-zero

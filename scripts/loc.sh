@@ -3,7 +3,8 @@
 # go down"): non-blank, non-comment lines per crate `src/` (tests.rs
 # submodules and `tests/` directories excluded) and for the files the
 # ROADMAP names, then the settable values per crate — `pub` fields of
-# `pub struct *Config` / `*Spec` items — and what the measurement harness
+# `pub struct *Config` / `*Spec` items, and `ControlPlane`'s, which callers
+# set after construction — and what the measurement harness
 # weighs: binary targets in crates/bench, embedded-Python lines per script,
 # code lines per vendored shim. Report only — nothing here gates; run it on
 # the parent and on the change and compare.
@@ -15,10 +16,11 @@ count() {
     if [ "$#" -eq 0 ]; then echo 0; else cat "$@" | grep -cvE '^\s*(//|$)' || true; fi
 }
 
-# `pub` fields between `pub struct <Name>Config|Spec {` and its closing brace.
+# `pub` fields between `pub struct <Name>Config|Spec {` (or the struct named
+# by $STRUCT) and its closing brace.
 settable() {
     if [ "$#" -eq 0 ]; then echo 0; return; fi
-    awk '/^pub struct [A-Za-z]*(Config|Spec)( |<|\{)/ { inside = 1; next }
+    awk -v re="^pub struct ${STRUCT:-[A-Za-z]*(Config|Spec)}( |<|\\{)" '$0 ~ re { inside = 1; next }
          inside && /^}/ { inside = 0 }
          inside && /^    pub [a-z_]+:/ { n++ }
          END { print n + 0 }' "$@"
@@ -44,13 +46,15 @@ echo
 printf '%-44s %8s\n' "ROADMAP-named file" "code"
 for f in crates/replication/src/replica.rs crates/replication/src/client.rs \
          crates/replication/src/read_replica.rs crates/replication/src/subs.rs \
-         crates/replication/src/service.rs \
+         crates/replication/src/follower.rs crates/replication/src/service.rs \
          crates/storage/src/server.rs crates/ctrl/src/plane.rs; do
     if [ -f "$f" ]; then printf '%-44s %8d\n' "$f" "$(count "$f")"; fi
 done
 
 echo
 per_crate "settable values" "fields" settable
+# Not a `*Config`: its `pub` fields are set on the value `new` returns.
+printf '%-28s %8d\n' "ControlPlane pub fields" "$(STRUCT=ControlPlane settable crates/ctrl/src/plane.rs)"
 
 echo
 bins=0
