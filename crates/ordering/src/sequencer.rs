@@ -24,7 +24,13 @@ pub struct SequencerConfig {
     pub parent: Option<RoleId>,
     /// Backup nodes replicating this sequencer's epoch.
     pub backups: Vec<NodeId>,
-    /// OReq aggregation window (paper default: 1 µs).
+    /// OReq aggregation window (paper default: 1 µs): how long a color's
+    /// buffer stays open, counted from its first request, before it is
+    /// assigned or forwarded as one batch. Kept to the microsecond — the run
+    /// loop waits until the oldest buffer's `opened_at + batch_interval`, and
+    /// simnet polls a wait that short instead of parking on it (a timed park
+    /// costs ~74 µs here whatever it is asked for) — so `seq.batch_wait_ns`
+    /// reads ≈ this value when one request is waiting.
     pub batch_interval: Duration,
     /// Heartbeat period towards the backups.
     pub heartbeat_interval: Duration,
@@ -113,7 +119,14 @@ struct ColorBuffer {
     constituents: Vec<Constituent>,
     total: u32,
     opened_at: Instant,
+    /// When the run loop flushes it: `opened_at + batch_interval`, pushed
+    /// out by [`PARENT_RETRY`] while the parent is unknown.
+    due_at: Instant,
 }
+
+/// How long a batch whose parent role has no node (fail-over window) waits
+/// before the directory is asked again.
+const PARENT_RETRY: Duration = Duration::from_millis(1);
 
 struct PendingUp {
     color: ColorId,
@@ -230,21 +243,17 @@ impl SequencerNode {
         let mut burst: Vec<(NodeId, W)> = Vec::new();
 
         loop {
-            // Only poll at the (microsecond-scale) batching interval while
-            // work is actually buffered or in flight; otherwise block for a
-            // coarse tick so an idle sequencer does not busy-spin a core.
-            // (pending_up progress is driven by incoming AggResps, which
-            // wake the recv — no need to poll for it.)
-            let busy = !self.buffers.is_empty();
-            let idle_tick = if self.config.backups.is_empty() {
-                Duration::from_millis(50)
-            } else {
-                self.config.heartbeat_interval / 2
-            };
-            let wait = if busy {
-                self.config.batch_interval.max(Duration::from_micros(1))
-            } else {
-                idle_tick.max(Duration::from_millis(1))
+            // Wait for the oldest open buffer to come due — its age counts, so
+            // a request that arrived mid-burst is not held a whole window
+            // more, and a wait this short is polled by simnet, not slept.
+            // With nothing buffered, block for a coarse tick so an idle
+            // sequencer does not busy-spin a core. (pending_up progress is
+            // driven by incoming AggResps, which wake the recv — no need to
+            // poll for it.)
+            let wait = match self.buffers.values().map(|b| b.due_at).min() {
+                Some(due) => due.saturating_duration_since(Instant::now()),
+                None if self.config.backups.is_empty() => Duration::from_millis(50),
+                None => (self.config.heartbeat_interval / 2).max(Duration::from_millis(1)),
             };
             // Drain a whole burst, handle every message, and only then run
             // the flush: co-arriving OReqs land in the same color buffers
@@ -401,10 +410,15 @@ impl SequencerNode {
 
     fn buffer(&mut self, color: ColorId, c: Constituent) {
         let total = c.total();
-        let buf = self.buffers.entry(color).or_insert_with(|| ColorBuffer {
-            constituents: Vec::new(),
-            total: 0,
-            opened_at: Instant::now(),
+        let batch_interval = self.config.batch_interval;
+        let buf = self.buffers.entry(color).or_insert_with(|| {
+            let opened_at = Instant::now();
+            ColorBuffer {
+                constituents: Vec::new(),
+                total: 0,
+                opened_at,
+                due_at: opened_at + batch_interval,
+            }
         });
         buf.constituents.push(c);
         buf.total += total;
@@ -415,11 +429,11 @@ impl SequencerNode {
         let due: Vec<ColorId> = self
             .buffers
             .iter()
-            .filter(|(_, b)| now - b.opened_at >= self.config.batch_interval)
+            .filter(|(_, b)| now >= b.due_at)
             .map(|(&c, _)| c)
             .collect();
         for color in due {
-            let Some(buf) = self.buffers.remove(&color) else { continue };
+            let Some(mut buf) = self.buffers.remove(&color) else { continue };
             self.stats.batches.fetch_add(1, Ordering::Relaxed);
             self.batch_wait_hist
                 .record_ns(now.saturating_duration_since(buf.opened_at));
@@ -457,6 +471,7 @@ impl SequencerNode {
                 };
                 let Some(parent) = self.directory.get(parent_role) else {
                     // Parent currently unknown (fail-over window): re-buffer.
+                    buf.due_at = now + PARENT_RETRY;
                     self.buffers.insert(color, buf);
                     continue;
                 };

@@ -210,6 +210,38 @@ fn aggregation_merges_same_color_oreqs() {
 }
 
 #[test]
+#[cfg_attr(debug_assertions, ignore = "timing bounds; ci.sh runs it in release")]
+fn lone_oreq_waits_the_window_not_a_timer() {
+    // One request at a time through leaf + root with the default 1 µs
+    // window: each level holds it ≈ the window (polled: p50 1.3 µs here), not
+    // the ~74 µs a 1 µs timed park takes, and the round trip is four thread
+    // hand-offs (p50 ~75 µs), not those plus two parks (~217 µs). Timing
+    // bounds: meaningful in release only.
+    let net: Network<OrderMsg> = Network::instant();
+    let spec = TreeSpec::root_and_leaves(&[RED], &[vec![]]);
+    assert_eq!(spec.batch_interval, Duration::from_micros(1));
+    let h = OrderingService::start(&net, &spec, &HashMap::new());
+    let ep = client(&net, 1);
+
+    let mut rtts: Vec<Duration> = (0..200)
+        .map(|i| {
+            let t = std::time::Instant::now();
+            request_order(&ep, &h.directory, RoleId(1), RED, tok(1, i), 1, RETRY).unwrap();
+            t.elapsed()
+        })
+        .collect();
+    rtts.sort_unstable();
+    let snapshot = spec.obs.snapshot();
+    let batch_wait = snapshot.histogram("seq.batch_wait_ns").expect("registered by both levels");
+    assert_eq!(batch_wait.count, 400, "one flush per request per level");
+    let wait_p50 = Duration::from_nanos(batch_wait.p50);
+    assert!(wait_p50 < Duration::from_micros(20), "seq.batch_wait_ns p50 {wait_p50:?}");
+    let rtt_p50 = rtts[rtts.len() / 2];
+    assert!(rtt_p50 < Duration::from_micros(120), "request_order p50 {rtt_p50:?}");
+    h.shutdown(&net);
+}
+
+#[test]
 fn duplicate_oreq_is_ignored() {
     let net: Network<OrderMsg> = Network::instant();
     let spec = TreeSpec::single(&[RED]);

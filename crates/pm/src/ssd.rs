@@ -7,9 +7,22 @@
 //! durable — exactly the cost structure that makes SSD-backed logs slow in
 //! the paper's Figure 5 analysis ("sync syscalls to synchronize the OS's
 //! write buffer with the SSD").
+//!
+//! The *medium* is a real file: durable blocks live in an anonymous
+//! (created, then unlinked) file under [`std::env::temp_dir`], appended by
+//! `fsync` and read back with one positional read, and only
+//! `id → (offset, len)` stays in memory — a log's spilled tail is the one
+//! thing in this process that grows with every append, and three replicas'
+//! copies of it do not belong in the heap of the process being measured.
+//! What is *modelled* is unchanged: the page cache (dirty blocks, resident
+//! clean blocks), what a crash loses, and every latency. The file only
+//! grows — overwritten and deleted blocks leave dead bytes behind — which is
+//! fine for a device that lives for one run and is gone with its last handle.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
+use std::fs::{File, OpenOptions};
+use std::os::unix::fs::FileExt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
@@ -41,12 +54,22 @@ impl fmt::Display for SsdError {
 
 impl std::error::Error for SsdError {}
 
+/// Where a durable block's bytes are in the medium file.
+#[derive(Clone, Copy)]
+struct Extent {
+    offset: u64,
+    len: u32,
+}
+
 struct SsdInner {
-    /// Durable blocks (survive crash). A BTreeMap so that block-count
+    /// Durable blocks (survive crash): where each one's latest synced
+    /// version is in the medium. A BTreeMap so that block-count
     /// growth never triggers an O(n) table rehash mid-write — spill batches
     /// run on the commit path, where a multi-ms rehash spike of a
     /// hundred-thousand-block device becomes an append stall.
-    durable: BTreeMap<u128, Vec<u8>>,
+    durable: BTreeMap<u128, Extent>,
+    /// Bytes of the medium written so far; the next `fsync` appends here.
+    medium_len: u64,
     /// Dirty blocks in the page cache (lost on crash).
     dirty: HashMap<u128, Vec<u8>>,
     /// Blocks deleted in the cache but not yet synced.
@@ -68,6 +91,11 @@ pub struct SsdStats {
 /// See module docs.
 pub struct SsdDevice {
     inner: Mutex<SsdInner>,
+    /// The medium. Append-only and written under the `inner` lock, so an
+    /// [`Extent`] copied out of `durable` stays readable without it.
+    medium: File,
+    /// Write calls issued on the medium (one per `fsync` with dirty blocks).
+    medium_writes: AtomicU64,
     latency: LatencyModel,
     clock: DeviceClock,
     pub stats: SsdStats,
@@ -78,10 +106,13 @@ impl SsdDevice {
         SsdDevice {
             inner: Mutex::new(SsdInner {
                 durable: BTreeMap::new(),
+                medium_len: 0,
                 dirty: HashMap::new(),
                 dirty_deletes: Vec::new(),
                 read_cache: HashSet::new(),
             }),
+            medium: anonymous_temp_file(),
+            medium_writes: AtomicU64::new(0),
             latency: LatencyModel::ssd(),
             clock,
             stats: SsdStats::default(),
@@ -113,11 +144,14 @@ impl SsdDevice {
             self.clock.consume(SYSCALL_NS);
             return Ok(data);
         }
-        match inner.durable.get(&id) {
-            Some(b) => {
-                let data = b.clone();
+        match inner.durable.get(&id).copied() {
+            Some(extent) => {
                 let cached = inner.read_cache.contains(&id);
                 drop(inner);
+                let mut data = vec![0u8; extent.len as usize];
+                self.medium
+                    .read_exact_at(&mut data, extent.offset)
+                    .expect("read a synced block back from the ssd medium file");
                 if cached {
                     // Page-cache hit: syscall + copy only.
                     self.clock.consume(SYSCALL_NS);
@@ -155,23 +189,33 @@ impl SsdDevice {
     pub fn fsync(&self) {
         let total_ns = {
             let mut inner = self.inner.lock();
-            let dirty: Vec<(u128, Vec<u8>)> = inner.dirty.drain().collect();
-            let deletes = std::mem::take(&mut inner.dirty_deletes);
-            let mut bytes = 0u64;
-            for id in deletes {
+            let inner = &mut *inner;
+            for id in inner.dirty_deletes.drain(..) {
                 inner.durable.remove(&id);
             }
-            let any = !dirty.is_empty();
-            for (id, data) in dirty {
-                bytes += data.len() as u64;
-                inner.durable.insert(id, data);
+            // One sequential writeback: every dirty block goes to the end
+            // of the medium in one write, then the index points at it. The
+            // device base cost is paid once, the per-byte cost for all
+            // dirty data.
+            let any = !inner.dirty.is_empty();
+            let mut batch = Vec::with_capacity(inner.dirty.values().map(Vec::len).sum());
+            for (id, data) in inner.dirty.drain() {
+                let extent = Extent {
+                    offset: inner.medium_len + batch.len() as u64,
+                    len: u32::try_from(data.len()).expect("ssd block under 4 GiB"),
+                };
+                batch.extend_from_slice(&data);
+                inner.durable.insert(id, extent);
             }
             self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
-            self.stats.bytes_synced.fetch_add(bytes, Ordering::Relaxed);
-            // One batched sequential writeback: the device base cost is
-            // paid once, the per-byte cost for all dirty data.
+            self.stats.bytes_synced.fetch_add(batch.len() as u64, Ordering::Relaxed);
             if any {
-                self.latency.write_ns(bytes as usize)
+                self.medium
+                    .write_all_at(&batch, inner.medium_len)
+                    .expect("append the synced blocks to the ssd medium file");
+                self.medium_writes.fetch_add(1, Ordering::Relaxed);
+                inner.medium_len += batch.len() as u64;
+                self.latency.write_ns(batch.len())
             } else {
                 0
             }
@@ -218,6 +262,27 @@ impl SsdDevice {
         ids.dedup();
         ids
     }
+}
+
+/// A file nobody else can name: created under the temp dir and unlinked
+/// at once, so it lives exactly as long as the returned handle and no run —
+/// however it ends — leaves a `flexlog-ssd-*` entry behind.
+fn anonymous_temp_file() -> File {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "flexlog-ssd-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create_new(true)
+        .open(&path)
+        .unwrap_or_else(|e| panic!("create the ssd medium file {}: {e}", path.display()));
+    std::fs::remove_file(&path)
+        .unwrap_or_else(|e| panic!("unlink the ssd medium file {}: {e}", path.display()));
+    file
 }
 
 #[cfg(test)]
@@ -289,6 +354,92 @@ mod tests {
         ssd.write_block(1, b"a2"); // dirty over durable
         ssd.write_block(2, b"b");
         assert_eq!(ssd.block_ids(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn large_and_many_blocks_roundtrip_through_the_medium() {
+        let ssd = SsdDevice::for_testing();
+        let big: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
+        let small = |i: u128| -> Vec<u8> { (0..272).map(|j| (i as usize * 7 + j) as u8).collect() };
+        ssd.write_block(u128::MAX, &big);
+        for i in 0..1_000 {
+            ssd.write_block(i, &small(i));
+        }
+        ssd.fsync();
+        ssd.crash();
+        assert_eq!(ssd.read_block(u128::MAX).unwrap(), big);
+        for i in 0..1_000 {
+            assert_eq!(ssd.read_block(i).unwrap(), small(i), "block {i}");
+        }
+        assert_eq!(ssd.block_ids().len(), 1_001);
+    }
+
+    #[test]
+    fn overwritten_and_deleted_blocks_do_not_resurrect() {
+        // The medium only grows, so the old bytes are still in the file:
+        // the index must never point back at them.
+        let ssd = SsdDevice::for_testing();
+        ssd.write_block(1, b"old one");
+        ssd.write_block(2, b"old two");
+        ssd.fsync();
+        ssd.write_block(1, b"new one, longer");
+        ssd.delete_block(2);
+        ssd.fsync();
+        ssd.crash();
+        assert_eq!(ssd.read_block(1).unwrap(), b"new one, longer");
+        assert_eq!(ssd.read_block(2), Err(SsdError::NotFound(2)));
+        assert_eq!(ssd.block_ids(), vec![1]);
+    }
+
+    #[test]
+    fn fsync_writes_the_medium_once_per_batch() {
+        let ssd = SsdDevice::for_testing();
+        let writes = || ssd.medium_writes.load(Ordering::Relaxed);
+        for i in 0..64 {
+            ssd.write_block(i, &[i as u8; 272]);
+        }
+        assert_eq!(writes(), 0, "buffered writes stay in the page cache");
+        ssd.fsync();
+        assert_eq!(writes(), 1, "64 dirty blocks, one write");
+        ssd.fsync();
+        ssd.delete_block(3);
+        ssd.fsync();
+        assert_eq!(writes(), 1, "nothing dirty, nothing written");
+        assert_eq!(ssd.stats.bytes_synced.load(Ordering::Relaxed), 64 * 272);
+    }
+
+    #[test]
+    fn medium_file_has_no_name() {
+        // Unlinked at creation: neither a live device nor a dropped one shows
+        // up in the temp dir. Another test's device may be between its
+        // create and its unlink at the instant of a listing, so an entry
+        // counts only if it is still there a moment later.
+        let lingering = || -> Vec<std::path::PathBuf> {
+            let ours = format!("flexlog-ssd-{}-", std::process::id());
+            let list = || -> Vec<_> {
+                std::fs::read_dir(std::env::temp_dir())
+                    .unwrap()
+                    .filter_map(|e| Some(e.ok()?.path()))
+                    .filter(|p| p.file_name().unwrap().to_string_lossy().starts_with(&ours))
+                    .collect()
+            };
+            let first = list();
+            if first.is_empty() {
+                return first;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            list().into_iter().filter(|p| first.contains(p)).collect()
+        };
+        let devices: Vec<SsdDevice> = (0..4).map(|_| SsdDevice::for_testing()).collect();
+        for d in &devices {
+            d.write_block(1, b"x");
+            d.fsync();
+        }
+        let named = lingering();
+        assert!(named.is_empty(), "live devices: {named:?}");
+        drop(devices);
+        let left = lingering();
+        assert!(left.is_empty(), "dropped devices: {left:?}");
     }
 
     #[test]

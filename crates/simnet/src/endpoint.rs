@@ -1,10 +1,10 @@
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 
 use crate::network::Inner;
-use crate::{NodeId, RecvError, SendError};
+use crate::{NodeId, RecvError, SendError, SLEEP_FLOOR};
 
 /// A node's attachment to the simulated network: an inbox plus the ability
 /// to send to any registered peer.
@@ -72,10 +72,7 @@ impl<M: Send + 'static> Endpoint<M> {
     /// Blocks until a message arrives or `timeout` elapses. Timeouts are how
     /// nodes detect failures (message delay > Δ, §4).
     pub fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, M), RecvError> {
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => RecvError::Timeout,
-            RecvTimeoutError::Disconnected => RecvError::Disconnected,
-        })
+        wait_inbox(timeout, |t| self.rx.recv_timeout(t))
     }
 
     /// Blocks until at least one message arrives (or `timeout` elapses),
@@ -90,12 +87,7 @@ impl<M: Send + 'static> Endpoint<M> {
         max: usize,
         out: &mut Vec<(NodeId, M)>,
     ) -> Result<usize, RecvError> {
-        self.rx
-            .recv_batch_timeout(timeout, max, out)
-            .map_err(|e| match e {
-                RecvTimeoutError::Timeout => RecvError::Timeout,
-                RecvTimeoutError::Disconnected => RecvError::Disconnected,
-            })
+        wait_inbox(timeout, |t| self.rx.recv_batch_timeout(t, max, out))
     }
 
     /// Non-blocking receive.
@@ -110,4 +102,30 @@ impl<M: Send + 'static> Endpoint<M> {
     pub fn pending(&self) -> usize {
         self.rx.len()
     }
+}
+
+/// Runs one timed inbox receive: parked for `timeout` when the park can keep
+/// it, otherwise polled (zero-timeout receives + `spin_loop`) until the
+/// deadline — see [`SLEEP_FLOOR`].
+fn wait_inbox<T>(
+    timeout: Duration,
+    mut recv: impl FnMut(Duration) -> Result<T, RecvTimeoutError>,
+) -> Result<T, RecvError> {
+    let result = if timeout >= SLEEP_FLOOR {
+        recv(timeout)
+    } else {
+        let deadline = Instant::now() + timeout;
+        loop {
+            match recv(Duration::ZERO) {
+                Err(RecvTimeoutError::Timeout) if Instant::now() < deadline => {
+                    std::hint::spin_loop()
+                }
+                done => break done,
+            }
+        }
+    };
+    result.map_err(|e| match e {
+        RecvTimeoutError::Timeout => RecvError::Timeout,
+        RecvTimeoutError::Disconnected => RecvError::Disconnected,
+    })
 }

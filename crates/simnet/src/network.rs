@@ -188,7 +188,10 @@ impl<M: Send + 'static> Inner<M> {
         if self.crashed.read().contains(&from) {
             return Err(SendError::SelfCrashed);
         }
-        if !self.nodes.read().contains_key(&to) && !self.crashed.read().contains(&to) {
+        // One table at a time: a guard in the condition would live across
+        // the second lookup, in the opposite order to `deliver_batch`.
+        let registered = self.nodes.read().contains_key(&to);
+        if !registered && !self.crashed.read().contains(&to) {
             return Err(SendError::UnknownNode(to));
         }
         self.stats.sent.fetch_add(1, Ordering::Relaxed);
@@ -321,14 +324,15 @@ impl<M: Send + 'static> Network<M> {
     /// already registered and alive.
     pub fn register(&self, id: NodeId) -> Endpoint<M> {
         let (tx, rx) = unbounded();
-        let mut nodes = self.inner.nodes.write();
-        let prev = nodes.insert(id, tx);
+        // Lock order, here as in `deliver_batch`: `crashed` before `nodes`.
+        let mut crashed = self.inner.crashed.write();
+        let prev = self.inner.nodes.write().insert(id, tx);
         assert!(
-            prev.is_none() || self.inner.crashed.read().contains(&id),
+            prev.is_none() || crashed.contains(&id),
             "node {id} registered twice"
         );
-        self.inner.crashed.write().remove(&id);
-        drop(nodes);
+        crashed.remove(&id);
+        drop(crashed);
         Endpoint::new(id, rx, Arc::clone(&self.inner))
     }
 

@@ -187,11 +187,11 @@ impl<T: Send + 'static> DelayQueue<T> {
                     match st.heap.peek() {
                         Some(top) => {
                             let wait = top.deliver_at - now;
-                            if wait < Duration::from_micros(150) {
-                                // Sub-150 µs waits: condvar wake-up slop
-                                // would dominate the modelled link delay —
-                                // yield-spin instead (deliberately trading
-                                // CPU for timing fidelity).
+                            if wait < crate::SLEEP_FLOOR {
+                                // Condvar wake-up slop would dominate the
+                                // modelled link delay — yield-spin instead
+                                // (deliberately trading CPU for timing
+                                // fidelity).
                                 drop(st);
                                 std::thread::yield_now();
                                 st = self.state.lock();

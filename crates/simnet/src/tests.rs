@@ -241,6 +241,113 @@ fn recv_batch_drains_bursts_in_order() {
     );
 }
 
+/// A timeout below the sleep floor is polled, not parked: it costs what it
+/// says (a 1 µs timed park takes ~73 µs on this host), still sees a message
+/// that arrives while it waits, and a long timeout still sleeps its full
+/// length. Bounds are 3x away from both sides' measurements (polled ≈ 1–2 µs).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "timing bounds; ci.sh runs it in release")]
+fn short_timeouts_are_polled_and_long_ones_still_sleep() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+
+    let net: Network<u32> = Network::instant();
+    let (a, b) = two_nodes(&net);
+
+    let mut took: Vec<Duration> = (0..500)
+        .map(|_| {
+            let t = Instant::now();
+            assert_eq!(b.recv_timeout(Duration::from_micros(1)), Err(RecvError::Timeout));
+            t.elapsed()
+        })
+        .collect();
+    took.sort_unstable();
+    let median = took[took.len() / 2];
+    assert!(median < Duration::from_micros(20), "recv_timeout(1 µs) median {median:?}");
+
+    // A message sent ~20 µs into a 90 µs polled wait comes back from that
+    // very call. A round in which either thread was descheduled proves
+    // nothing (on a loaded 2-core host that is most rounds), so rounds
+    // repeat until one does.
+    const ROUNDS: u32 = 2_000;
+    let waiting = Arc::new(AtomicBool::new(false));
+    let done = Arc::new(AtomicBool::new(false));
+    let sender = {
+        let (waiting, done) = (Arc::clone(&waiting), Arc::clone(&done));
+        let to = b.id();
+        std::thread::spawn(move || loop {
+            while !waiting.swap(false, Ordering::AcqRel) {
+                if done.load(Ordering::Acquire) {
+                    return;
+                }
+                std::hint::spin_loop();
+            }
+            let t = Instant::now();
+            while t.elapsed() < Duration::from_micros(20) {
+                std::hint::spin_loop();
+            }
+            a.send(to, 7).unwrap();
+        })
+    };
+    let mut seen_while_polling = false;
+    for _ in 0..ROUNDS {
+        waiting.store(true, Ordering::Release);
+        seen_while_polling = b.recv_timeout(Duration::from_micros(90)).is_ok();
+        if seen_while_polling {
+            break;
+        }
+        b.recv_timeout(Duration::from_secs(5)).expect("the round's message, late");
+    }
+    done.store(true, Ordering::Release);
+    sender.join().unwrap();
+    assert!(seen_while_polling, "no polled wait of {ROUNDS} returned a message sent during it");
+
+    let t = Instant::now();
+    assert_eq!(b.recv_timeout(Duration::from_millis(5)), Err(RecvError::Timeout));
+    assert!(t.elapsed() >= Duration::from_millis(5));
+}
+
+/// Registering a node while a delivery scheduler is handing over a batch:
+/// `register` used to take `nodes` then `crashed`, `deliver_batch` takes
+/// `crashed` then `nodes`, and the two met in the middle for good (every
+/// later send then queued behind them — `flexlog-bench fig11` in full mode
+/// registers client handles under load and never finished).
+#[test]
+fn register_does_not_deadlock_with_batched_delivery() {
+    let net: Network<u32> = Network::new(NetConfig::datacenter());
+    let sink = net.register(NodeId(1));
+    let senders: Vec<_> = (2..4u64).map(|i| net.register(NodeId(i))).collect();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            for ep in &senders {
+                // Bursts, so the scheduler delivers batches (one envelope
+                // takes the unbatched path, which locks one table at a time).
+                s.spawn(|| {
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        for i in 0..64 {
+                            ep.send(NodeId(1), i).unwrap();
+                        }
+                        std::thread::yield_now();
+                    }
+                });
+            }
+            let mut out = Vec::new();
+            for id in 100..2_100u64 {
+                drop(net.register(NodeId(id)));
+                out.clear();
+                let _ = sink.recv_batch(Duration::ZERO, usize::MAX, &mut out);
+            }
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        });
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("2 000 registrations under batched delivery deadlocked");
+}
+
 #[test]
 fn delayed_network_spawns_configured_scheduler_shards() {
     let net: Network<u32> = Network::new(NetConfig {

@@ -2,15 +2,18 @@
 # CI gate: release build (workspace + the out-of-workspace benchmark crate,
 # build only), a code-line report (scripts/loc.sh, no gate), full test
 # suite, the PM pool's count-based write-amplification bars and its
-# every-device-operation crash sweep once more in release, two bounded
+# every-device-operation crash sweep once more in release, the timing and
+# heap bounds of the latency path (polled short waits, the sequencer's batch
+# wait, the file-backed SSD medium) in release, two bounded
 # nemesis smoke runs (fixed seed, ~5 s of injected faults under load — once
 # on the instant network, once over delayed links with 4 delay-scheduler
 # shards), the follower-join probe (a copy that joins 40 000 records behind
 # must not cost its source shard one append), the four feature-bench smokes
 # (`flexlog-bench <name> --quick`, gates evaluated by the binary), the paper
 # reproduction suite in --quick, one tiering, one subscription, one
-# migration-crash and one controller-crash nemesis scenario, and a
-# zero-warning clippy pass over the whole workspace.
+# migration-crash and one controller-crash nemesis scenario, a check that
+# no SSD medium file outlived its process, and a zero-warning clippy pass
+# over the whole workspace.
 #
 # Replay a failing smoke run with: FLEXLOG_CHAOS_SEED=<seed> scripts/ci.sh
 set -euo pipefail
@@ -36,6 +39,15 @@ cargo test --release -q -p flexlog-storage --test write_amplification
 
 echo "==> PM pool crash-point sweep + tombstone resurrection + shrunk-device proptest (release)"
 cargo test --release -q -p flexlog-pm --test crash_consistency
+
+# Timing bounds mean nothing in a debug build: what a 1 µs receive timeout
+# and a lone OReq's aggregation window really cost, and what a spilled
+# record leaves in the heap now that the SSD's medium is a file.
+echo "==> latency-path bounds (release): polled short waits, batch wait, ssd medium"
+cargo test --release -q -p flexlog-simnet short_timeouts_are_polled
+cargo test --release -q -p flexlog-ordering lone_oreq_waits_the_window
+cargo test --release -q -p flexlog-pm --lib ssd::
+cargo test --release -q -p flexlog-storage --test spilled_heap
 
 echo "==> nemesis smoke (bounded chaos run, fixed seed)"
 cargo run --release -p flexlog-chaos --example nemesis_smoke
@@ -72,6 +84,14 @@ cargo test --release -q -p flexlog-chaos --test migration_nemesis source_replica
 
 echo "==> controller-crash nemesis (controller dies mid-catch-up round)"
 cargo test --release -q -p flexlog-chaos --test controller_nemesis controller_crash_mid_catchup_round
+
+# Every SsdDevice unlinks its medium file at creation, so nothing
+# that ran above — tests, nemeses, benches — can have left one.
+echo "==> no ssd medium file outlives its process"
+if ls "${TMPDIR:-/tmp}"/flexlog-ssd-* 2>/dev/null; then
+    echo "leaked ssd medium files (listed above)"
+    exit 1
+fi
 
 echo "==> cargo clippy --workspace (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
