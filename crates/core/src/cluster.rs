@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use flexlog_obs::{ObsHandle, Trace};
 use flexlog_ordering::{
-    ColorRegistry, Directory, OrderingHandle, OrderingService, RoleId, RouteTable, TreeSpec,
+    ColorRegistry, Directory, OrderingHandle, OrderingService, RoleId, TreeSpec,
 };
 use flexlog_replication::{
     ClientConfig, ClusterMsg, DataLayerHandle, DataLayerService, DataLayerSpec, FlexLogClient,
@@ -99,7 +99,6 @@ pub struct FlexLogCluster {
     next_client: AtomicU64,
     obs: ObsHandle,
     registry: ColorRegistry,
-    routes: RouteTable,
     /// The controller's durable PM device, surfaced as a shared pool. It
     /// models hardware that outlives any one controller process: a
     /// controller crash kills the controller's *node* (and its volatile
@@ -123,6 +122,9 @@ impl FlexLogCluster {
         net.attach_obs(&obs);
         let directory = Directory::new();
 
+        // The one ownership table: sequencers order by it, replicas route by it.
+        let registry = ColorRegistry::new();
+
         // --- data layer -------------------------------------------------
         let leaf_roles: Vec<RoleId> = if spec.leaves == 0 {
             vec![RoleId(0)]
@@ -130,7 +132,6 @@ impl FlexLogCluster {
             (1..=spec.leaves as u32).map(RoleId).collect()
         };
         let n_shards = spec.shards_per_leaf * leaf_roles.len();
-        let routes = RouteTable::new();
         let mut data_spec =
             DataLayerSpec::uniform(n_shards, spec.replication_factor, &leaf_roles);
         data_spec.read_replicas_per_shard = spec.read_replicas_per_shard;
@@ -139,7 +140,7 @@ impl FlexLogCluster {
             read_hold: Duration::from_millis(10),
             oreq_resend: spec.delta,
             sync_timeout: spec.delta * 5,
-            routes: routes.clone(),
+            registry: registry.clone(),
             ..Default::default()
         };
         let data = DataLayerService::start(&net, &directory, &data_spec);
@@ -150,6 +151,7 @@ impl FlexLogCluster {
         } else {
             TreeSpec::root_and_leaves(&[], &vec![Vec::new(); spec.leaves])
         };
+        tree.registry = registry.clone();
         tree.obs = obs.clone();
         tree.backups_per_position = spec.backups_per_sequencer;
         tree.batch_interval = spec.batch_interval;
@@ -179,11 +181,10 @@ impl FlexLogCluster {
                 .collect();
             region_shards.insert(*role, shards);
         }
-        let admin = ColorAdmin::new(tree.registry.clone(), data.topology.clone(), region_shards);
+        let admin = ColorAdmin::new(registry.clone(), data.topology.clone(), region_shards);
         // Master region: owned by the root, stored anywhere.
         admin.register_master(RoleId(0), all);
 
-        let registry = tree.registry.clone();
         let ctrl_wal = Arc::new(PmPool::create(Arc::new(PmDevice::new(PmDeviceConfig {
             capacity: 256 * 1024,
             ..Default::default()
@@ -198,7 +199,6 @@ impl FlexLogCluster {
             next_client: AtomicU64::new(1),
             obs,
             registry,
-            routes,
             ctrl_wal,
             ctrl_gen: AtomicU64::new(0),
             ctrl_killed: AtomicU64::new(0),
@@ -283,16 +283,11 @@ impl FlexLogCluster {
         }
     }
 
-    /// The shared color → owning-sequencer registry (consulted by
-    /// sequencers on every flush; rewritten by leaf splits).
+    /// The shared ownership table: who orders each color (asked by
+    /// sequencers on every flush) and where its OReqs enter (asked by
+    /// replicas on every OReq); rewritten by leaf splits.
     pub fn registry(&self) -> &ColorRegistry {
         &self.registry
-    }
-
-    /// The shared per-color OReq route overrides (consulted by replicas;
-    /// rewritten by leaf splits).
-    pub fn routes(&self) -> &RouteTable {
-        &self.routes
     }
 
     /// Elastic scale-out: spawns a brand-new shard of
@@ -318,7 +313,7 @@ impl FlexLogCluster {
 
     /// Spawns a brand-new leaf sequencer under `parent` at `epoch`
     /// (sequencer-tree split). The caller (control plane) is responsible
-    /// for reassigning colors to it via the registry and route table.
+    /// for re-homing colors to it in the registry.
     pub fn spawn_leaf_sequencer(&self, role: RoleId, parent: RoleId, epoch: Epoch) -> NodeId {
         self.ordering.spawn_leaf(&self.net, role, parent, epoch)
     }

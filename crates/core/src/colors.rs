@@ -98,7 +98,7 @@ impl ColorAdmin {
             .filter(|s| !s.is_empty())
             .cloned()
             .ok_or(ColorError::EmptyRegion(owner))?;
-        self.registry.set(color, owner);
+        self.registry.set_like(color, parent);
         self.topology.set_color_shards(color, shards);
         inner.parents.insert(color, Some(parent));
         Ok(())

@@ -194,7 +194,7 @@ impl<'a> Autoscaler<'a> {
             && wait_p99 >= self.config.split_wait_p99_ns
         {
             if let Some(leaf) = self.busiest_splittable_leaf(&rates) {
-                let donor_colors = self.plane.owned_colors(leaf);
+                let donor_colors = self.plane.cluster().registry().owned_by(leaf);
                 let moved = donor_colors[donor_colors.len() / 2..].to_vec();
                 let (new_role, _) = self.plane.split_leaf_moving(leaf, &moved)?;
                 actions.push(ScalingAction::SplitLeaf {
@@ -265,7 +265,7 @@ impl<'a> Autoscaler<'a> {
         let roles = self.plane.cluster().ordering().roles();
         let mut best: Option<(f64, RoleId)> = None;
         for role in roles {
-            let owned = self.plane.owned_colors(role);
+            let owned = self.plane.cluster().registry().owned_by(role);
             if owned.len() < 2 {
                 continue;
             }

@@ -415,7 +415,7 @@ impl<'a> ControlPlane<'a> {
 
     /// Resolves an in-flight leaf split. Forward iff the new leaf is live
     /// in the directory (the spawn is the split's point of no return —
-    /// re-pointing registry and routes is pure idempotent metadata);
+    /// re-homing colors in the registry is pure idempotent metadata);
     /// otherwise nothing observable happened and the intent aborts after
     /// making sure no color points at the ghost role.
     fn recover_split(
@@ -429,8 +429,7 @@ impl<'a> ControlPlane<'a> {
             let region = self.cluster.colors().region_of(donor);
             self.cluster.colors().set_region(new_role, region);
             for &c in moved {
-                self.cluster.registry().set(c, new_role);
-                self.cluster.routes().set_route(c, new_role);
+                self.cluster.registry().rehome(c, new_role);
             }
             self.leaf_splits.add(1);
             self.wal.commit(op);
@@ -438,8 +437,7 @@ impl<'a> ControlPlane<'a> {
         } else {
             for &c in moved {
                 if self.cluster.registry().owner(c) == Some(new_role) {
-                    self.cluster.registry().set(c, donor);
-                    self.cluster.routes().set_route(c, donor);
+                    self.cluster.registry().rehome(c, donor);
                 }
             }
             self.wal.abort(op);
@@ -777,7 +775,7 @@ impl<'a> ControlPlane<'a> {
     /// half of `hot`'s colors (the later half in color order) to it.
     /// Returns the new leaf's role.
     pub fn split_leaf(&mut self, hot: RoleId) -> Result<RoleId, CtrlError> {
-        let colors: Vec<ColorId> = self.owned_colors(hot);
+        let colors = self.cluster.registry().owned_by(hot);
         if colors.len() < 2 {
             return Err(CtrlError::NothingToSplit(hot));
         }
@@ -832,24 +830,13 @@ impl<'a> ControlPlane<'a> {
         let region = self.cluster.colors().region_of(hot);
         self.cluster.colors().set_region(new_role, region);
         for &c in moved {
-            // Registry first (the donor stops assigning: ownership is
-            // registry-authoritative), then the replica-side OReq route.
-            self.cluster.registry().set(c, new_role);
-            self.cluster.routes().set_route(c, new_role);
+            // One write: the donor stops assigning and the replicas send the
+            // color's OReqs to the new leaf from the same moment.
+            self.cluster.registry().rehome(c, new_role);
         }
         self.leaf_splits.add(1);
         self.wal.commit(op);
         Ok((new_role, donor_epoch))
-    }
-
-    /// Colors currently ordered by `role`, sorted.
-    pub fn owned_colors(&self, role: RoleId) -> Vec<ColorId> {
-        self.cluster
-            .colors()
-            .colors()
-            .into_iter()
-            .filter(|&c| self.cluster.registry().owner(c) == Some(role))
-            .collect()
     }
 
     // ----- fenced primitives --------------------------------------------

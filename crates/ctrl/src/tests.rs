@@ -289,8 +289,9 @@ fn split_leaf_keeps_per_color_sns_monotonic() {
     assert_ne!(new_role, leaf);
     assert!(cluster.leaf_roles().contains(&new_role));
     // Half the colors (the later half in color order) moved.
-    assert_eq!(cluster.registry().owner(a), Some(leaf));
-    assert_eq!(cluster.registry().owner(b), Some(new_role));
+    // ... owner and entry role together, in the one table.
+    assert_eq!(cluster.registry().home(a), Some((leaf, None)));
+    assert_eq!(cluster.registry().home(b), Some((new_role, Some(new_role))));
 
     // Appends to both colors keep working and SNs never go backwards,
     // even for the color whose ordering authority moved mid-stream.
@@ -312,7 +313,50 @@ fn split_leaf_keeps_per_color_sns_monotonic() {
         assert!(w[0].sn < w[1].sn);
     }
     assert_eq!(cluster.obs().snapshot().counter("ctrl.leaf_splits"), 1);
+
+    // A color created under the moved one is ordered *and entered* where
+    // its parent is. (With the entry role in a table of its own it went to
+    // the donor, climbed to the root and was dropped as misrouted.)
+    let child = ColorId(52);
+    plane.create_color(child, b).unwrap();
+    assert_eq!(cluster.registry().home(child), cluster.registry().home(b));
+    h.append(b"c0", child).unwrap();
     cluster.shutdown();
+}
+
+/// A controller crash inside a leaf split resolves with the same one-write
+/// re-home as the split itself: rolled forward (the new leaf is live) or
+/// back (it never spawned, even if a color already pointed at it), every
+/// moved color's owner and entry role agree and appends keep committing.
+#[test]
+fn split_recovery_rehomes_owner_and_entry_together() {
+    for (phase, forward) in [(CtrlPhase::Begun, false), (CtrlPhase::Fenced, true)] {
+        let mut spec = ClusterSpec::tree(1, 1);
+        spec.client_retry = Duration::from_millis(5);
+        let cluster = FlexLogCluster::start(spec);
+        let (leaf, ghost) = (RoleId(1), RoleId(2));
+        let b = ColorId(51);
+        cluster.colors().add_color_at(b, leaf).unwrap();
+        let mut h = cluster.handle();
+        let before = h.append(b"before", b).unwrap();
+
+        let mut plane = ControlPlane::new(&cluster);
+        plane.crash_after = Some(phase);
+        assert_eq!(plane.split_leaf_moving(leaf, &[b]), Err(CtrlError::Crashed), "{phase:?}");
+        if !forward {
+            // The worst a dead controller can leave behind a split that
+            // never spawned its leaf: a color pointing at the ghost role.
+            cluster.registry().rehome(b, ghost);
+        }
+        let (_successor, report) = ControlPlane::recover(&cluster);
+        assert_eq!(report.rolled_forward, usize::from(forward), "{phase:?}");
+        assert_eq!(report.rolled_back, usize::from(!forward), "{phase:?}");
+        let home = if forward { ghost } else { leaf };
+        assert_eq!(cluster.registry().home(b), Some((home, Some(home))), "{phase:?}");
+        assert_eq!(cluster.directory().get(ghost).is_some(), forward, "{phase:?}");
+        assert!(h.append(b"after", b).unwrap() > before, "{phase:?}");
+        cluster.shutdown();
+    }
 }
 
 /// The acceptance scenario: a live cluster under hot-color load; the

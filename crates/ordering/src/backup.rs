@@ -23,31 +23,24 @@ use flexlog_simnet::{Endpoint, NodeId, RecvError};
 use flexlog_types::Epoch;
 
 use crate::msg::{OrderMsg, OrderWire};
-use crate::{Directory, SequencerConfig, SequencerNode};
-
-/// Configuration of a backup node.
-#[derive(Clone, Debug)]
-pub struct BackupConfig {
-    /// The sequencer position this backup protects — assumed on promotion.
-    pub sequencer: SequencerConfig,
-    /// The *other* backups of the same position.
-    pub peers: Vec<NodeId>,
-    /// Data-layer replicas that must acknowledge a new sequencer before it
-    /// serves (all replicas of the shards attached to this position).
-    pub replicas_to_init: Vec<NodeId>,
-    /// How long to collect candidacies before deciding.
-    pub election_window: Duration,
-}
+use crate::sequencer::{majority, SequencerNode};
+use crate::{Directory, PositionSpec, TreeSpec};
 
 /// See module docs.
 pub struct BackupNode {
-    config: BackupConfig,
+    /// The sequencer position this backup protects — assumed on promotion —
+    /// and the tree it belongs to.
+    pos: PositionSpec,
+    spec: TreeSpec,
     directory: Directory,
     known_epoch: Epoch,
     /// Live peer backups. A peer that becomes the leader (observed through
     /// its heartbeats / epoch replication) leaves this set — it is no longer
     /// part of the backup group, so later elections do not wait for it.
     peers: Vec<NodeId>,
+    /// Data-layer replicas that must acknowledge a new sequencer before it
+    /// serves (all replicas of the shards attached to this position).
+    replicas_to_init: Vec<NodeId>,
 }
 
 enum Phase {
@@ -56,13 +49,21 @@ enum Phase {
 }
 
 impl BackupNode {
-    pub fn new(config: BackupConfig, directory: Directory) -> Self {
-        let peers = config.peers.clone();
+    /// A backup of position `pos` beside the *other* backups `peers`.
+    pub(crate) fn new(
+        pos: &PositionSpec,
+        peers: Vec<NodeId>,
+        replicas_to_init: Vec<NodeId>,
+        spec: &TreeSpec,
+        directory: Directory,
+    ) -> Self {
         BackupNode {
-            config,
+            pos: pos.clone(),
+            spec: spec.clone(),
             directory,
             known_epoch: Epoch(1),
             peers,
+            replicas_to_init,
         }
     }
 
@@ -70,11 +71,22 @@ impl BackupNode {
         self.peers.retain(|&p| p != leader);
     }
 
+    /// Announces this node's candidacy to its peers and opens the election
+    /// window with its own bid.
+    fn stand<W: OrderWire>(&self, ep: &Endpoint<W>) -> Phase {
+        let (epoch, id) = (self.known_epoch, ep.id());
+        let _ = ep.broadcast(&self.peers, W::from_order(OrderMsg::Candidacy { epoch, id }));
+        Phase::Electing {
+            bids: vec![(epoch, id)],
+            deadline: Instant::now() + self.spec.election_window,
+        }
+    }
+
     /// Runs the backup loop. If this node wins an election it *becomes* the
     /// sequencer on the same endpoint and only returns when that sequencer
     /// stops.
-    pub fn run<W: OrderWire>(mut self, ep: Endpoint<W>) {
-        let delta = self.config.sequencer.delta;
+    pub(crate) fn run<W: OrderWire>(mut self, ep: Endpoint<W>) {
+        let delta = self.spec.delta;
         let mut last_leader_sign = Instant::now();
         let mut phase = Phase::Monitoring;
 
@@ -106,24 +118,13 @@ impl BackupNode {
                             let _ = ep.send(from, W::from_order(OrderMsg::EpochAck { epoch }));
                         }
                         OrderMsg::Candidacy { epoch, id } => {
-                            match &mut phase {
-                                Phase::Electing { bids, .. } => bids.push((epoch, id)),
-                                Phase::Monitoring => {
-                                    // A peer detected the failure first:
-                                    // join the election immediately.
-                                    let deadline =
-                                        Instant::now() + self.config.election_window;
-                                    let mut bids = vec![(self.known_epoch, ep.id()), (epoch, id)];
-                                    let _ = ep.broadcast(
-                                        &self.peers,
-                                        W::from_order(OrderMsg::Candidacy {
-                                            epoch: self.known_epoch,
-                                            id: ep.id(),
-                                        }),
-                                    );
-                                    bids.sort();
-                                    phase = Phase::Electing { bids, deadline };
-                                }
+                            if let Phase::Monitoring = phase {
+                                // A peer detected the failure first: join
+                                // the election immediately.
+                                phase = self.stand(&ep);
+                            }
+                            if let Phase::Electing { bids, .. } = &mut phase {
+                                bids.push((epoch, id));
                             }
                         }
                         _ => {}
@@ -137,33 +138,21 @@ impl BackupNode {
                 Phase::Monitoring => {
                     if Instant::now() - last_leader_sign > delta {
                         // Leader presumed dead: open an election.
-                        let _ = ep.broadcast(
-                            &self.peers,
-                            W::from_order(OrderMsg::Candidacy {
-                                epoch: self.known_epoch,
-                                id: ep.id(),
-                            }),
-                        );
-                        phase = Phase::Electing {
-                            bids: vec![(self.known_epoch, ep.id())],
-                            deadline: Instant::now() + self.config.election_window,
-                        };
+                        phase = self.stand(&ep);
                     }
                 }
                 Phase::Electing { bids, deadline } => {
                     if Instant::now() >= *deadline {
                         // Highest (epoch, node-id) wins (§5.2).
-                        let winner = bids.iter().max().copied().expect("own bid present");
-                        let max_epoch = bids.iter().map(|&(e, _)| e).max().unwrap();
-                        if self.known_epoch < max_epoch {
-                            self.known_epoch = max_epoch;
-                        }
-                        if winner.1 == ep.id() {
+                        let (max_epoch, winner) =
+                            bids.iter().max().copied().expect("own bid present");
+                        self.known_epoch = self.known_epoch.max(max_epoch);
+                        if winner == ep.id() {
                             match self.promote(&ep) {
-                                Promotion::Became(seq) => {
+                                Promotion::Became(mut seq) => {
                                     // Transition in place: same node id, new
                                     // role. Returns when the sequencer stops.
-                                    return (*seq).run(ep);
+                                    return seq.run(ep);
                                 }
                                 Promotion::Aborted => {
                                     // Could not reach a majority: back to
@@ -189,92 +178,76 @@ impl BackupNode {
     /// serve. Returns `Aborted` if a majority of backups is unreachable.
     fn promote<W: OrderWire>(&mut self, ep: &Endpoint<W>) -> Promotion {
         let new_epoch = self.known_epoch.next();
-        let total_backups = self.peers.len() + 1; // peers + self
-        let acks_needed = (total_backups / 2 + 1).saturating_sub(1); // self counts
-
-        // Phase 1: replicate the epoch to a majority of backups.
-        if acks_needed > 0 {
-            let mut acked: HashSet<NodeId> = HashSet::new();
-            let mut attempts = 0;
-            'replicate: loop {
-                attempts += 1;
-                if attempts > 5 {
-                    return Promotion::Aborted;
-                }
-                let _ = ep.broadcast(
-                    &self.peers,
-                    W::from_order(OrderMsg::ReplicateEpoch { epoch: new_epoch }),
-                );
-                let deadline = Instant::now() + self.config.sequencer.delta;
-                while Instant::now() < deadline {
-                    match ep.recv_timeout(self.config.sequencer.delta / 4) {
-                        Ok((from, wire)) => match wire.into_order() {
-                            Some(OrderMsg::EpochAck { epoch }) if epoch == new_epoch => {
-                                acked.insert(from);
-                                if acked.len() >= acks_needed {
-                                    break 'replicate;
-                                }
-                            }
-                            Some(OrderMsg::Candidacy { .. }) => {
-                                // A competing election: our ReplicateEpoch
-                                // broadcast will settle it; ignore.
-                            }
-                            Some(OrderMsg::Shutdown) => return Promotion::Stop,
-                            _ => {}
-                        },
-                        Err(RecvError::Timeout) => {}
-                        Err(RecvError::Disconnected) => return Promotion::Stop,
-                    }
-                }
-            }
+        let delta = self.spec.delta;
+        // Phase 1: replicate the epoch to a majority of the backup group
+        // (the peers and this node, which counts).
+        let replicate = OrderMsg::ReplicateEpoch { epoch: new_epoch };
+        let ack = OrderMsg::EpochAck { epoch: new_epoch };
+        match gather(ep, &self.peers, replicate, ack, majority(self.peers.len()), delta, 5) {
+            Some(true) => self.known_epoch = new_epoch,
+            Some(false) => return Promotion::Aborted,
+            None => return Promotion::Stop,
         }
-        self.known_epoch = new_epoch;
-
         // Phase 2: initialize the data-layer replicas and wait for *all*
         // acks (§6.3 — guarantees a single active sequencer and that the
-        // replicas have completed the previous epoch's messages).
-        if !self.config.replicas_to_init.is_empty() {
-            let mut acked: HashSet<NodeId> = HashSet::new();
-            loop {
-                let _ = ep.broadcast(
-                    &self.config.replicas_to_init,
-                    W::from_order(OrderMsg::InitSequencer {
-                        role: self.config.sequencer.role,
-                        epoch: new_epoch,
-                    }),
-                );
-                let deadline = Instant::now() + self.config.sequencer.delta * 2;
-                while Instant::now() < deadline {
-                    match ep.recv_timeout(self.config.sequencer.delta / 4) {
-                        Ok((from, wire)) => match wire.into_order() {
-                            Some(OrderMsg::InitAck { epoch }) if epoch == new_epoch => {
-                                acked.insert(from);
-                            }
-                            Some(OrderMsg::Shutdown) => return Promotion::Stop,
-                            _ => {}
-                        },
-                        Err(RecvError::Timeout) => {}
-                        Err(RecvError::Disconnected) => return Promotion::Stop,
-                    }
-                    if acked.len() == self.config.replicas_to_init.len() {
-                        break;
-                    }
-                }
-                if acked.len() == self.config.replicas_to_init.len() {
-                    break;
-                }
-                // Replica failures block the new sequencer — availability is
-                // sacrificed for consistency (§4 fault model). Keep retrying.
-            }
+        // replicas have completed the previous epoch's messages). Replica
+        // failures block the new sequencer — availability is sacrificed for
+        // consistency (§4 fault model) — so this retries without bound.
+        let replicas = &self.replicas_to_init;
+        let init = OrderMsg::InitSequencer { role: self.pos.role, epoch: new_epoch };
+        let ack = OrderMsg::InitAck { epoch: new_epoch };
+        if gather(ep, replicas, init, ack, replicas.len(), delta * 2, usize::MAX).is_none() {
+            return Promotion::Stop;
         }
-
         // The promoted node leaves the backup group: the remaining peers are
         // the new backup set it heartbeats.
-        let mut cfg = self.config.sequencer.clone();
-        cfg.backups = self.peers.clone();
-        let seq = SequencerNode::with_epoch(cfg, self.directory.clone(), new_epoch);
-        Promotion::Became(Box::new(seq))
+        Promotion::Became(Box::new(SequencerNode::new(
+            &self.pos,
+            self.peers.clone(),
+            &self.spec,
+            self.directory.clone(),
+            new_epoch,
+        )))
     }
+}
+
+/// The one "broadcast, gather acks until the window closes, retry" loop of a
+/// promotion: `Some(true)` once `want` of `to` have answered `msg` with
+/// `ack`, `Some(false)` after `attempts` windows without that, `None` if this
+/// node was shut down or crashed meanwhile.
+fn gather<W: OrderWire>(
+    ep: &Endpoint<W>,
+    to: &[NodeId],
+    msg: OrderMsg,
+    ack: OrderMsg,
+    want: usize,
+    window: Duration,
+    attempts: usize,
+) -> Option<bool> {
+    let mut acked: HashSet<NodeId> = HashSet::new();
+    for _ in 0..attempts {
+        if acked.len() >= want {
+            break;
+        }
+        let _ = ep.broadcast(to, W::from_order(msg.clone()));
+        let deadline = Instant::now() + window;
+        while acked.len() < want {
+            match ep.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok((from, wire)) => match wire.into_order() {
+                    Some(OrderMsg::Shutdown) => return None,
+                    // Anything else — a competing candidacy, say — is settled
+                    // by the broadcast above; ignore it.
+                    Some(m) if m == ack => {
+                        acked.insert(from);
+                    }
+                    _ => {}
+                },
+                Err(RecvError::Timeout) => break,
+                Err(RecvError::Disconnected) => return None,
+            }
+        }
+    }
+    Some(acked.len() >= want)
 }
 
 enum Promotion {

@@ -16,6 +16,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use flexlog_simnet::NodeId;
+use flexlog_types::ColorId;
 
 /// Logical identity of a sequencer position in the tree (stable across
 /// fail-overs).
@@ -54,21 +55,39 @@ impl Directory {
     pub fn clear(&self, role: RoleId) {
         self.map.write().remove(&role);
     }
+
+    /// Removes `role` only if `node` still holds it — compared and removed
+    /// under one write lock, so a demoting leader can never kick out the
+    /// successor that installed itself in the meantime.
+    pub fn clear_if(&self, role: RoleId, node: NodeId) {
+        let mut map = self.map.write();
+        if map.get(&role) == Some(&node) {
+            map.remove(&role);
+        }
+    }
 }
 
-/// Dynamic color → owning-role registry (shared across the cluster).
+/// The one ownership table of the ordering layer (shared across the
+/// cluster): per color, the role that is its ordering root (`is_root(SID,
+/// c)`, §5.2) and, if a leaf split re-homed it, the role its OReqs enter at.
 ///
-/// The tree spec's static `owned` sets seed it; `AddColor` (Table 2)
-/// extends it at runtime: the new color is ordered by the sequencer that
-/// owns its parent color. Sequencers consult the registry on every flush,
-/// so new colors are orderable immediately.
+/// [`crate::OrderingService`] seeds it from the positions' `owned` lists;
+/// `AddColor` (Table 2) extends it at runtime and the control plane's leaf
+/// split rewrites it. Sequencers ask it on every flush and replicas on
+/// every OReq, so a change is in force the moment it is written — and
+/// because owner and entry live in one entry under one lock, nobody ever
+/// sees one without the other.
 #[derive(Clone, Default)]
 pub struct ColorRegistry {
-    map: Arc<RwLock<HashMap<flexlog_types::ColorId, RoleId>>>,
+    map: Arc<RwLock<HashMap<ColorId, Home>>>,
 }
 
-impl std::fmt::Debug for ColorRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+/// `(owner, entry)` of a color; `entry` is `None` while its OReqs enter at
+/// the leaf its shard hangs under.
+pub type Home = (RoleId, Option<RoleId>);
+
+impl fmt::Debug for ColorRegistry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let map = self.map.read();
         f.debug_map().entries(map.iter()).finish()
     }
@@ -79,23 +98,49 @@ impl ColorRegistry {
         ColorRegistry::default()
     }
 
-    /// The role that is the ordering root for `color`.
-    pub fn owner(&self, color: flexlog_types::ColorId) -> Option<RoleId> {
+    /// Owner and entry role of `color`, read together.
+    pub fn home(&self, color: ColorId) -> Option<Home> {
         self.map.read().get(&color).copied()
     }
 
-    /// Registers (or re-homes) a color.
-    pub fn set(&self, color: flexlog_types::ColorId, role: RoleId) {
-        self.map.write().insert(color, role);
+    /// The role that is the ordering root for `color`.
+    pub fn owner(&self, color: ColorId) -> Option<RoleId> {
+        self.home(color).map(|(owner, _)| owner)
     }
 
-    /// All colors owned by `role`.
-    pub fn owned_by(&self, role: RoleId) -> Vec<flexlog_types::ColorId> {
+    /// The role OReqs for `color` must enter at, if not the shard's own leaf.
+    pub fn entry(&self, color: ColorId) -> Option<RoleId> {
+        self.home(color).and_then(|(_, entry)| entry)
+    }
+
+    /// Registers a color under `role`, entered at its shards' own leaf.
+    pub fn set(&self, color: ColorId, role: RoleId) {
+        self.map.write().insert(color, (role, None));
+    }
+
+    /// Registers `color` where `parent` is ordered and entered (AddColor: a
+    /// sub-region shares its parent's ordering root, Table 2). Nothing is
+    /// registered under an unknown parent.
+    pub fn set_like(&self, color: ColorId, parent: ColorId) {
+        let mut map = self.map.write();
+        if let Some(&home) = map.get(&parent) {
+            map.insert(color, home);
+        }
+    }
+
+    /// Re-homes a color (leaf split, its roll-forward and roll-back): `role`
+    /// orders it *and* its OReqs enter there, in one write.
+    pub fn rehome(&self, color: ColorId, role: RoleId) {
+        self.map.write().insert(color, (role, Some(role)));
+    }
+
+    /// All colors owned by `role`, sorted.
+    pub fn owned_by(&self, role: RoleId) -> Vec<ColorId> {
         let mut v: Vec<_> = self
             .map
             .read()
             .iter()
-            .filter(|&(_, &r)| r == role)
+            .filter(|&(_, &(owner, _))| owner == role)
             .map(|(&c, _)| c)
             .collect();
         v.sort();
@@ -103,47 +148,20 @@ impl ColorRegistry {
     }
 
     /// True if the color is registered anywhere.
-    pub fn contains(&self, color: flexlog_types::ColorId) -> bool {
+    pub fn contains(&self, color: ColorId) -> bool {
         self.map.read().contains_key(&color)
     }
 
     /// Unregisters a color (runtime color destroy). Returns the previous
     /// owner, if any.
-    pub fn remove(&self, color: flexlog_types::ColorId) -> Option<RoleId> {
-        self.map.write().remove(&color)
-    }
-}
-
-/// Per-color OReq routing overrides, layered over the shard's static
-/// `leaf_role`. After a leaf-sequencer split re-homes a color, replicas
-/// must send that color's order requests to the *new* leaf even though
-/// their shard still hangs under the old one; the control plane installs
-/// the override here and every delegate consults it at send time.
-#[derive(Clone, Default)]
-pub struct RouteTable {
-    map: Arc<RwLock<HashMap<flexlog_types::ColorId, RoleId>>>,
-}
-
-impl RouteTable {
-    pub fn new() -> Self {
-        RouteTable::default()
-    }
-
-    /// The role OReqs for `color` should go to, if overridden.
-    pub fn route(&self, color: flexlog_types::ColorId) -> Option<RoleId> {
-        self.map.read().get(&color).copied()
-    }
-
-    /// Installs (or replaces) an override.
-    pub fn set_route(&self, color: flexlog_types::ColorId, role: RoleId) {
-        self.map.write().insert(color, role);
+    pub fn remove(&self, color: ColorId) -> Option<RoleId> {
+        self.map.write().remove(&color).map(|(owner, _)| owner)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flexlog_types::ColorId;
 
     #[test]
     fn registry_owner_lookup() {
@@ -165,6 +183,28 @@ mod tests {
         d.set(RoleId(1), NodeId(43)); // takeover
         assert_eq!(d.get(RoleId(1)), Some(NodeId(43)));
         d.clear(RoleId(1));
+        assert_eq!(d.get(RoleId(1)), None);
+    }
+
+    #[test]
+    fn rehome_moves_owner_and_entry_together() {
+        let r = ColorRegistry::new();
+        r.set(ColorId(1), RoleId(1));
+        assert_eq!(r.home(ColorId(1)), Some((RoleId(1), None)));
+        r.rehome(ColorId(1), RoleId(2));
+        assert_eq!((r.owner(ColorId(1)), r.entry(ColorId(1))), (Some(RoleId(2)), Some(RoleId(2))));
+        assert_eq!(r.remove(ColorId(1)), Some(RoleId(2)));
+        assert_eq!(r.home(ColorId(1)), None);
+    }
+
+    #[test]
+    fn clear_if_spares_a_successor() {
+        let d = Directory::new();
+        d.set(RoleId(1), NodeId(42));
+        d.set(RoleId(1), NodeId(43)); // the successor installed itself
+        d.clear_if(RoleId(1), NodeId(42));
+        assert_eq!(d.get(RoleId(1)), Some(NodeId(43)), "42 no longer holds the role");
+        d.clear_if(RoleId(1), NodeId(43));
         assert_eq!(d.get(RoleId(1)), None);
     }
 

@@ -31,10 +31,9 @@ mod msg;
 mod sequencer;
 mod service;
 
-pub use backup::{BackupConfig, BackupNode};
-pub use directory::{ColorRegistry, Directory, RoleId, RouteTable};
+pub use directory::{ColorRegistry, Directory, Home, RoleId};
 pub use msg::{OrderMsg, OrderWire};
-pub use sequencer::{SequencerConfig, SequencerNode, SequencerStats};
+pub use sequencer::SequencerStats;
 pub use service::{request_order, OrderingHandle, OrderingService, PositionSpec, TreeSpec};
 
 #[cfg(test)]

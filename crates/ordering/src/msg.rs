@@ -29,14 +29,11 @@ pub enum OrderMsg {
     /// range; the child distributes sub-ranges to its constituents.
     AggResp { batch: u64, last_sn: SeqNum },
     /// Ordering response broadcast by the leaf to all replicas of the
-    /// requesting shard: `last_sn` is the SN of the batch's final record.
-    OResp { token: Token, last_sn: SeqNum },
-    /// Batched ordering responses: when one aggregation flush assigns SNs to
-    /// several appends bound for the *same* shard, the leaf broadcasts one
-    /// message carrying all of them (in assignment order) instead of one
-    /// OResp per token — the sequencer batch fast path. Semantically
-    /// equivalent to the unrolled sequence of [`OrderMsg::OResp`]s.
-    ORespBatch { resps: Vec<(Token, SeqNum)> },
+    /// requesting shard: per append, its token and the SN of its final
+    /// record, in assignment order. One aggregation flush answers every
+    /// append bound for the same shard with one message; a lone answer or a
+    /// replay is a batch of one.
+    OResp { resps: Vec<(Token, SeqNum)> },
 
     /// Leader → backups: replicate the epoch before serving (§5.2 Safety).
     ReplicateEpoch { epoch: Epoch },
@@ -98,10 +95,7 @@ mod tests {
 
     #[test]
     fn identity_wire_roundtrips() {
-        let m = OrderMsg::OResp {
-            token: Token(7),
-            last_sn: SeqNum(9),
-        };
+        let m = OrderMsg::OResp { resps: vec![(Token(7), SeqNum(9))] };
         let w = OrderMsg::from_order(m.clone());
         assert_eq!(w.into_order(), Some(m));
     }

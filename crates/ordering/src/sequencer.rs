@@ -1,67 +1,14 @@
 //! The sequencer node: leader logic of one position in the ordering tree.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use flexlog_obs::{Counter, Histogram, ObsHandle, Stage};
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
-use flexlog_types::{ColorId, Epoch, SeqNum, Token};
+use flexlog_types::{BoundedMap, ColorId, Epoch, SeqNum, Token};
 
 use crate::msg::{OrderMsg, OrderWire};
-use crate::{ColorRegistry, Directory, RoleId};
-
-/// Static configuration of a sequencer position (shared with its backups,
-/// which assume it on promotion).
-#[derive(Clone, Debug)]
-pub struct SequencerConfig {
-    /// Logical role in the tree.
-    pub role: RoleId,
-    /// Colors this sequencer is the ordering root for.
-    pub owned: HashSet<ColorId>,
-    /// Parent role (None at the tree root).
-    pub parent: Option<RoleId>,
-    /// Backup nodes replicating this sequencer's epoch.
-    pub backups: Vec<NodeId>,
-    /// OReq aggregation window (paper default: 1 µs): how long a color's
-    /// buffer stays open, counted from its first request, before it is
-    /// assigned or forwarded as one batch. Kept to the microsecond — the run
-    /// loop waits until the oldest buffer's `opened_at + batch_interval`, and
-    /// simnet polls a wait that short instead of parking on it (a timed park
-    /// costs ~74 µs here whatever it is asked for) — so `seq.batch_wait_ns`
-    /// reads ≈ this value when one request is waiting.
-    pub batch_interval: Duration,
-    /// Heartbeat period towards the backups.
-    pub heartbeat_interval: Duration,
-    /// Failure-detection bound Δ.
-    pub delta: Duration,
-    /// Resend window for unanswered upstream requests.
-    pub resend_timeout: Duration,
-    /// Dynamic color ownership (AddColor); consulted in addition to
-    /// `owned`.
-    pub registry: ColorRegistry,
-    /// Shared observability surface (SeqAssign trace events, batch-wait
-    /// histogram).
-    pub obs: ObsHandle,
-}
-
-impl Default for SequencerConfig {
-    fn default() -> Self {
-        SequencerConfig {
-            role: RoleId(0),
-            owned: HashSet::new(),
-            parent: None,
-            backups: Vec::new(),
-            batch_interval: Duration::from_micros(1),
-            heartbeat_interval: Duration::from_millis(20),
-            delta: Duration::from_millis(150),
-            resend_timeout: Duration::from_millis(300),
-            registry: ColorRegistry::new(),
-            obs: ObsHandle::default(),
-        }
-    }
-}
+use crate::{Directory, PositionSpec, RoleId, TreeSpec};
 
 /// Modelled per-message handling costs (ns) on the paper's testbed — a Go
 /// gRPC server spends ~0.5–1.5 µs of CPU per message, plus per-record work
@@ -75,23 +22,38 @@ const HANDLE_AGG_NS: u64 = 1_500;
 /// Max messages drained from the inbox per run-loop pass. A whole burst is
 /// processed before the aggregation buffers are flushed, so OReqs that
 /// arrive together are assigned SNs with one counter bump and answered with
-/// per-shard [`OrderMsg::ORespBatch`]es — the sequencer batch fast path.
+/// one [`OrderMsg::OResp`] per shard — the sequencer batch fast path.
 const RECV_BURST: usize = 128;
 
-/// Counters exposed to benchmarks (shared, updated by the node thread).
-#[derive(Debug, Default)]
+/// Counters exposed to benchmarks: handles into the tree's registry,
+/// updated by the node thread.
+#[derive(Clone, Debug)]
 pub struct SequencerStats {
-    /// Modelled busy time of this node (see the constants above).
-    pub busy_ns: AtomicU64,
+    /// Modelled busy time of this node (see the constants above), registered
+    /// as `node.busy_ns.seq.<role>` so capacity benchmarks read every node's
+    /// modelled load from one snapshot.
+    pub busy_ns: Counter,
     /// Total sequence numbers issued by this node (only counts colors it
-    /// owns).
-    pub sns_issued: AtomicU64,
+    /// is the ordering root for).
+    pub sns_issued: Counter,
     /// OReqs received from replicas/clients.
-    pub oreqs: AtomicU64,
+    pub oreqs: Counter,
     /// Aggregated batches flushed (locally assigned or forwarded).
-    pub batches: AtomicU64,
+    pub batches: Counter,
     /// Requests forwarded to the parent.
-    pub forwarded: AtomicU64,
+    pub forwarded: Counter,
+}
+
+impl SequencerStats {
+    fn new(obs: &ObsHandle, role: RoleId) -> Self {
+        SequencerStats {
+            busy_ns: obs.counter(&format!("node.busy_ns.seq.{}", role.0)),
+            sns_issued: obs.counter("seq.sns_issued"),
+            oreqs: obs.counter("seq.oreqs"),
+            batches: obs.counter("seq.batches"),
+            forwarded: obs.counter("seq.forwarded"),
+        }
+    }
 }
 
 /// A member of a pending batch, in arrival order.
@@ -135,8 +97,13 @@ struct PendingUp {
     sent_at: Instant,
 }
 
-/// Bounded memory for replayed child responses.
-const RESPONDED_CAP: usize = 100_000;
+/// How many tokens, and how many child batches, a sequencer remembers for
+/// idempotence and replay. Beyond it a resend is a fresh request, which the
+/// replicas' `commit_many` dedups by token.
+pub(crate) const RESPONDED_CAP: usize = 100_000;
+
+/// Resend window for unanswered upstream requests.
+const RESEND_TIMEOUT: Duration = Duration::from_millis(300);
 
 /// Run-loop control flow after handling one message.
 enum Flow {
@@ -146,36 +113,35 @@ enum Flow {
 
 /// See module docs.
 pub struct SequencerNode {
-    config: SequencerConfig,
+    role: RoleId,
+    parent: Option<RoleId>,
+    /// Backup nodes replicating this sequencer's epoch.
+    backups: Vec<NodeId>,
+    /// The tree this node is a position of: its timing, registry and obs.
+    spec: TreeSpec,
     directory: Directory,
     epoch: Epoch,
     counters: HashMap<ColorId, u32>,
-    seen_tokens: HashSet<Token>,
-    /// Replay cache: tokens already answered → their SN, so OReq resends
-    /// (e.g. from a replica that was partitioned during the OResp
-    /// broadcast) get the same answer re-broadcast instead of being
-    /// silently dropped.
-    answered_tokens: HashMap<Token, SeqNum>,
-    answered_order: VecDeque<Token>,
+    /// Every token this node knows, and the replay cache: `None` while its
+    /// OReq is buffered or pending upstream (a duplicate is dropped, Alg 1
+    /// line 31), then its SN, so an OReq resend (e.g. from a replica that
+    /// was partitioned during the OResp broadcast) gets the same answer
+    /// re-broadcast instead of a new range.
+    tokens: BoundedMap<Token, Option<SeqNum>>,
     buffers: HashMap<ColorId, ColorBuffer>,
     pending_up: HashMap<u64, PendingUp>,
     next_batch: u64,
     /// Replay cache: child batches already answered → their SN, so child
     /// resends get the same answer instead of a new range.
-    responded: HashMap<(NodeId, u64), SeqNum>,
-    responded_order: VecDeque<(NodeId, u64)>,
-    stats: Arc<SequencerStats>,
+    responded: BoundedMap<(NodeId, u64), SeqNum>,
+    stats: SequencerStats,
     /// Time each color batch spent open in the aggregation window before
     /// it was flushed (assigned or forwarded).
     batch_wait_hist: Histogram,
-    /// OReqs dropped because no one above this node owns the color (stale
+    /// OReqs dropped because no one above this node orders the color (stale
     /// routing during a reconfiguration; the replica's resend tick retries
-    /// against the new route).
+    /// against the new entry role).
     misrouted_dropped: Counter,
-    /// Per-node modelled busy time (`node.busy_ns.seq.<role>`): the obs
-    /// mirror of [`SequencerStats::busy_ns`], so capacity benchmarks can
-    /// read every node's modelled load from one snapshot.
-    busy_counter: Counter,
     /// Per-color SNs issued (`seq.color_sns.<id>`), the autoscaler's
     /// per-color append-rate signal. Cached so a flush does not re-register
     /// the counter.
@@ -189,55 +155,53 @@ pub struct SequencerNode {
 }
 
 impl SequencerNode {
-    /// Creates the initial sequencer of a role at epoch 1.
-    pub fn new(config: SequencerConfig, directory: Directory) -> Self {
-        Self::with_epoch(config, directory, Epoch(1))
-    }
-
-    /// Creates a sequencer resuming at a given epoch (promotion path).
-    pub fn with_epoch(config: SequencerConfig, directory: Directory, epoch: Epoch) -> Self {
-        let batch_wait_hist = config.obs.histogram("seq.batch_wait_ns");
-        let misrouted_dropped = config.obs.counter("seq.misrouted_dropped");
-        let busy_counter = config
-            .obs
-            .counter(&format!("node.busy_ns.seq.{}", config.role.0));
+    /// The sequencer of position `pos` in the tree `spec`, issuing SNs in
+    /// `epoch` (1 at start; a promoted backup or a split-off leaf resumes
+    /// above what its colors were ordered under).
+    pub(crate) fn new(
+        pos: &PositionSpec,
+        backups: Vec<NodeId>,
+        spec: &TreeSpec,
+        directory: Directory,
+        epoch: Epoch,
+    ) -> Self {
         SequencerNode {
-            config,
+            role: pos.role,
+            parent: pos.parent,
+            backups,
+            spec: spec.clone(),
             directory,
             epoch,
             counters: HashMap::new(),
-            seen_tokens: HashSet::new(),
-            answered_tokens: HashMap::new(),
-            answered_order: VecDeque::new(),
+            tokens: BoundedMap::new(RESPONDED_CAP),
             buffers: HashMap::new(),
             pending_up: HashMap::new(),
             next_batch: 1,
-            responded: HashMap::new(),
-            responded_order: VecDeque::new(),
-            stats: Arc::new(SequencerStats::default()),
-            batch_wait_hist,
-            misrouted_dropped,
-            busy_counter,
+            responded: BoundedMap::new(RESPONDED_CAP),
+            stats: SequencerStats::new(&spec.obs, pos.role),
+            batch_wait_hist: spec.obs.histogram("seq.batch_wait_ns"),
+            misrouted_dropped: spec.obs.counter("seq.misrouted_dropped"),
             color_sn_counters: HashMap::new(),
             ctrl_gen: 0,
         }
     }
 
-    /// Shared statistics handle.
-    pub fn stats(&self) -> Arc<SequencerStats> {
-        Arc::clone(&self.stats)
+    /// Shared statistics handles.
+    pub(crate) fn stats(&self) -> SequencerStats {
+        self.stats.clone()
     }
 
-    /// The epoch this node issues SNs in.
-    pub fn epoch(&self) -> Epoch {
-        self.epoch
+    /// Tokens this node would recognise a resend of.
+    #[cfg(test)]
+    pub(crate) fn remembered_tokens(&self) -> usize {
+        self.tokens.len()
     }
 
     /// Runs the sequencer loop until shutdown, crash, or self-demotion.
     /// Installs itself in the directory on entry.
-    pub fn run<W: OrderWire>(mut self, ep: Endpoint<W>) {
-        self.directory.set(self.config.role, ep.id());
-        let mut hb_last_sent = Instant::now() - self.config.heartbeat_interval;
+    pub(crate) fn run<W: OrderWire>(&mut self, ep: Endpoint<W>) {
+        self.directory.set(self.role, ep.id());
+        let mut hb_last_sent = Instant::now() - self.spec.heartbeat_interval;
         let mut hb_acks: HashSet<NodeId> = HashSet::new();
         let mut hb_last_majority = Instant::now();
         let mut burst: Vec<(NodeId, W)> = Vec::new();
@@ -252,8 +216,8 @@ impl SequencerNode {
             // poll for it.)
             let wait = match self.buffers.values().map(|b| b.due_at).min() {
                 Some(due) => due.saturating_duration_since(Instant::now()),
-                None if self.config.backups.is_empty() => Duration::from_millis(50),
-                None => (self.config.heartbeat_interval / 2).max(Duration::from_millis(1)),
+                None if self.backups.is_empty() => Duration::from_millis(50),
+                None => (self.spec.heartbeat_interval / 2).max(Duration::from_millis(1)),
             };
             // Drain a whole burst, handle every message, and only then run
             // the flush: co-arriving OReqs land in the same color buffers
@@ -277,19 +241,19 @@ impl SequencerNode {
             self.resend_stale(&ep);
 
             // Heartbeats + split-brain self-demotion (only with backups).
-            if !self.config.backups.is_empty() {
+            if !self.backups.is_empty() {
                 let now = Instant::now();
-                if now - hb_last_sent >= self.config.heartbeat_interval {
+                if now - hb_last_sent >= self.spec.heartbeat_interval {
                     let _ = ep.broadcast(
-                        &self.config.backups,
+                        &self.backups,
                         W::from_order(OrderMsg::Heartbeat { epoch: self.epoch }),
                     );
                     hb_last_sent = now;
                 }
-                if now - hb_last_majority > self.config.delta * 3 {
+                if now - hb_last_majority > self.spec.delta * 3 {
                     // Lost contact with a majority of backups: shut down so
                     // two sequencers can never both serve (§5.2).
-                    self.directory.clear_if(self.config.role, ep.id());
+                    self.directory.clear_if(self.role, ep.id());
                     return;
                 }
             }
@@ -313,37 +277,34 @@ impl SequencerNode {
                 nrecords,
                 shard,
             } => {
-                self.stats.oreqs.fetch_add(1, Ordering::Relaxed);
-                let cost = HANDLE_OREQ_NS + HANDLE_PER_RECORD_NS * nrecords as u64;
-                self.stats.busy_ns.fetch_add(cost, Ordering::Relaxed);
-                self.busy_counter.add(cost);
-                if !self.seen_tokens.insert(token) {
-                    // Idempotence (Alg 1 line 31) — but if this token was
-                    // already assigned, replay the response so
-                    // late/partitioned replicas can still commit.
-                    if let Some(&sn) = self.answered_tokens.get(&token) {
-                        let _ = ep.broadcast(
-                            &shard,
-                            W::from_order(OrderMsg::OResp {
+                self.stats.oreqs.inc();
+                self.stats
+                    .busy_ns
+                    .add(HANDLE_OREQ_NS + HANDLE_PER_RECORD_NS * nrecords as u64);
+                match self.tokens.get(&token) {
+                    // Idempotence (Alg 1 line 31): its answer is on the way.
+                    Some(None) => {}
+                    // Already assigned: replay the response so late or
+                    // partitioned replicas can still commit.
+                    Some(&Some(sn)) => {
+                        let resps = vec![(token, sn)];
+                        let _ = ep.broadcast(&shard, W::from_order(OrderMsg::OResp { resps }));
+                    }
+                    None => {
+                        self.tokens.insert(token, None);
+                        self.buffer(
+                            color,
+                            Constituent::Origin {
                                 token,
-                                last_sn: sn,
-                            }),
+                                nrecords,
+                                shard,
+                            },
                         );
                     }
-                    return Flow::Continue;
                 }
-                self.buffer(
-                    color,
-                    Constituent::Origin {
-                        token,
-                        nrecords,
-                        shard,
-                    },
-                );
             }
             OrderMsg::AggReq { color, batch, total } => {
-                self.stats.busy_ns.fetch_add(HANDLE_AGG_NS, Ordering::Relaxed);
-                self.busy_counter.add(HANDLE_AGG_NS);
+                self.stats.busy_ns.add(HANDLE_AGG_NS);
                 if let Some(&sn) = self.responded.get(&(from, batch)) {
                     // Child resend of an answered batch.
                     let _ = ep.send(from, W::from_order(OrderMsg::AggResp { batch, last_sn: sn }));
@@ -352,27 +313,26 @@ impl SequencerNode {
                 self.buffer(color, Constituent::Child { from, batch, total });
             }
             OrderMsg::AggResp { batch, last_sn } => {
-                self.stats.busy_ns.fetch_add(HANDLE_AGG_NS, Ordering::Relaxed);
-                self.busy_counter.add(HANDLE_AGG_NS);
+                self.stats.busy_ns.add(HANDLE_AGG_NS);
                 if let Some(p) = self.pending_up.remove(&batch) {
                     self.distribute(ep, p.color, p.constituents, last_sn, p.total);
                 }
             }
             OrderMsg::HeartbeatAck { epoch } if epoch == self.epoch => {
                 hb_acks.insert(from);
-                if hb_acks.len() >= majority(self.config.backups.len()) {
+                if hb_acks.len() >= majority(self.backups.len()) {
                     *hb_last_majority = Instant::now();
                     hb_acks.clear();
                 }
             }
-            OrderMsg::BumpEpoch { role, gen } if role == self.config.role => {
+            OrderMsg::BumpEpoch { role, gen } if role == self.role => {
                 // Zombie-controller fence: refuse bumps from a generation
                 // lower than any we have obeyed.
                 if gen < self.ctrl_gen {
                     let _ = ep.send(
                         from,
                         W::from_order(OrderMsg::BumpFenced {
-                            role: self.config.role,
+                            role: self.role,
                             gen: self.ctrl_gen,
                         }),
                     );
@@ -386,16 +346,16 @@ impl SequencerNode {
                 // promotion resumes past us.
                 self.epoch = self.epoch.next();
                 self.counters.clear();
-                if !self.config.backups.is_empty() {
+                if !self.backups.is_empty() {
                     let _ = ep.broadcast(
-                        &self.config.backups,
+                        &self.backups,
                         W::from_order(OrderMsg::ReplicateEpoch { epoch: self.epoch }),
                     );
                 }
                 let _ = ep.send(
                     from,
                     W::from_order(OrderMsg::EpochIs {
-                        role: self.config.role,
+                        role: self.role,
                         epoch: self.epoch,
                     }),
                 );
@@ -410,7 +370,7 @@ impl SequencerNode {
 
     fn buffer(&mut self, color: ColorId, c: Constituent) {
         let total = c.total();
-        let batch_interval = self.config.batch_interval;
+        let batch_interval = self.spec.batch_interval;
         let buf = self.buffers.entry(color).or_insert_with(|| {
             let opened_at = Instant::now();
             ColorBuffer {
@@ -434,27 +394,19 @@ impl SequencerNode {
             .collect();
         for color in due {
             let Some(mut buf) = self.buffers.remove(&color) else { continue };
-            self.stats.batches.fetch_add(1, Ordering::Relaxed);
+            self.stats.batches.inc();
             self.batch_wait_hist
                 .record_ns(now.saturating_duration_since(buf.opened_at));
-            // The registry is authoritative when it knows the color: after a
-            // leaf split re-homes a color, the old leaf must stop assigning
-            // for it even though its static `owned` set still lists it. The
-            // static set only decides for colors the registry never saw.
-            let owned = match self.config.registry.owner(color) {
-                Some(r) => r == self.config.role,
-                None => self.config.owned.contains(&color),
-            };
-            if owned {
+            // The registry alone says who orders a color: once a leaf split
+            // has re-homed it, the old leaf stops assigning with that write.
+            if self.spec.registry.owner(color) == Some(self.role) {
                 // This node is the ordering root for the color: assign the
                 // whole range with one counter bump.
                 let counter = self.counters.entry(color).or_insert(0);
                 *counter += buf.total;
                 let last_sn = SeqNum::new(self.epoch, *counter);
-                self.stats
-                    .sns_issued
-                    .fetch_add(buf.total as u64, Ordering::Relaxed);
-                let obs = &self.config.obs;
+                self.stats.sns_issued.add(buf.total as u64);
+                let obs = &self.spec.obs;
                 self.color_sn_counters
                     .entry(color)
                     .or_insert_with(|| obs.counter(&format!("seq.color_sns.{}", color.0)))
@@ -462,10 +414,10 @@ impl SequencerNode {
                 self.distribute(ep, color, buf.constituents, last_sn, buf.total);
             } else {
                 // Forward one merged request to the parent.
-                let Some(parent_role) = self.config.parent else {
-                    // Misrouted OReq for a color nobody above owns (stale
+                let Some(parent_role) = self.parent else {
+                    // Misrouted OReq for a color nobody above orders (stale
                     // routing during a reconfiguration): drop; the replica's
-                    // staged-token resend retries against the new route.
+                    // staged-token resend retries against the new entry role.
                     self.misrouted_dropped.add(1);
                     continue;
                 };
@@ -485,7 +437,7 @@ impl SequencerNode {
                         total: buf.total,
                     }),
                 );
-                self.stats.forwarded.fetch_add(1, Ordering::Relaxed);
+                self.stats.forwarded.inc();
                 self.pending_up.insert(
                     batch,
                     PendingUp {
@@ -502,10 +454,10 @@ impl SequencerNode {
     /// Splits an assigned range `[last_sn - total + 1, last_sn]` across the
     /// batch constituents in arrival order.
     ///
-    /// Origin replies bound for the same shard are coalesced into one
-    /// [`OrderMsg::ORespBatch`] broadcast (singletons stay plain OResp), so
-    /// a flush costs one message per destination shard instead of one per
-    /// token — the emission half of the batch fast path.
+    /// Origin replies bound for the same shard travel in one
+    /// [`OrderMsg::OResp`] broadcast, so a flush costs one message per
+    /// destination shard instead of one per token — the emission half of
+    /// the batch fast path.
     fn distribute<W: OrderWire>(
         &mut self,
         ep: &Endpoint<W>,
@@ -536,7 +488,7 @@ impl SequencerNode {
                         Some((_, resps)) => resps.push((token, sub_last)),
                         None => groups.push((shard, vec![(token, sub_last)])),
                     }
-                    self.remember_token(token, sub_last);
+                    self.tokens.insert(token, Some(sub_last));
                     cursor += nrecords;
                 }
                 Constituent::Child { from, batch, total } => {
@@ -548,42 +500,16 @@ impl SequencerNode {
                             last_sn: sub_last,
                         }),
                     );
-                    self.remember_response(from, batch, sub_last);
+                    self.responded.insert((from, batch), sub_last);
                     cursor += total;
                 }
             }
         }
-        self.config.obs.tracer().record_many(&spans);
+        self.spec.obs.tracer().record_many(&spans);
         for (shard, resps) in groups {
-            let msg = if resps.len() == 1 {
-                let (token, last_sn) = resps[0];
-                OrderMsg::OResp { token, last_sn }
-            } else {
-                OrderMsg::ORespBatch { resps }
-            };
-            let _ = ep.broadcast(&shard, W::from_order(msg));
+            let _ = ep.broadcast(&shard, W::from_order(OrderMsg::OResp { resps }));
         }
         debug_assert_eq!(cursor, last_sn.counter() + 1, "range fully distributed");
-    }
-
-    fn remember_token(&mut self, token: Token, sn: SeqNum) {
-        self.answered_tokens.insert(token, sn);
-        self.answered_order.push_back(token);
-        while self.answered_order.len() > RESPONDED_CAP {
-            if let Some(t) = self.answered_order.pop_front() {
-                self.answered_tokens.remove(&t);
-            }
-        }
-    }
-
-    fn remember_response(&mut self, from: NodeId, batch: u64, sn: SeqNum) {
-        self.responded.insert((from, batch), sn);
-        self.responded_order.push_back((from, batch));
-        while self.responded_order.len() > RESPONDED_CAP {
-            if let Some(k) = self.responded_order.pop_front() {
-                self.responded.remove(&k);
-            }
-        }
     }
 
     fn resend_stale<W: OrderWire>(&mut self, ep: &Endpoint<W>) {
@@ -591,10 +517,10 @@ impl SequencerNode {
             return;
         }
         let now = Instant::now();
-        let Some(parent_role) = self.config.parent else { return };
+        let Some(parent_role) = self.parent else { return };
         let Some(parent) = self.directory.get(parent_role) else { return };
         for (&batch, p) in self.pending_up.iter_mut() {
-            if now - p.sent_at >= self.config.resend_timeout {
+            if now - p.sent_at >= RESEND_TIMEOUT {
                 let _ = ep.send(
                     parent,
                     W::from_order(OrderMsg::AggReq {
@@ -609,22 +535,11 @@ impl SequencerNode {
     }
 }
 
-/// Majority of a backup set of size `n` (e.g. 2 backups → 2? no: 2 → 2/2+... ).
-/// We require acknowledgements from ⌈n/2⌉ backups, which together with the
-/// leader itself forms a strict majority of the (leader + backups) group.
-fn majority(n: usize) -> usize {
+/// How many of `n` backups must acknowledge a leader (or a backup promoting
+/// itself among `n` peers): ⌈n/2⌉, which with that node itself is a strict
+/// majority of the group.
+pub(crate) fn majority(n: usize) -> usize {
     n.div_ceil(2)
-}
-
-impl Directory {
-    /// Removes `role` only if `node` still holds it (demotion must not kick
-    /// out a successor that already took over).
-    pub fn clear_if(&self, role: RoleId, node: NodeId) {
-        // Fine-grained compare-and-clear via the underlying map.
-        if self.get(role) == Some(node) {
-            self.clear(role);
-        }
-    }
 }
 
 #[cfg(test)]

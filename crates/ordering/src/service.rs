@@ -3,16 +3,18 @@
 //! handle. Also provides the client-side helper used by benchmarks and the
 //! replication layer to obtain sequence numbers.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::collections::{BTreeMap, HashMap};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use flexlog_simnet::{Endpoint, Network, NodeId, RecvError};
 use flexlog_types::{ColorId, Epoch, SeqNum, Token};
+use parking_lot::Mutex;
 
+use crate::backup::BackupNode;
 use crate::msg::{OrderMsg, OrderWire};
-use crate::{BackupConfig, BackupNode, ColorRegistry, Directory, RoleId, SequencerConfig, SequencerNode, SequencerStats};
+use crate::sequencer::SequencerNode;
+use crate::{ColorRegistry, Directory, RoleId, SequencerStats};
 
 /// One sequencer position in the tree.
 #[derive(Clone, Debug)]
@@ -27,18 +29,18 @@ pub struct PositionSpec {
 #[derive(Clone, Debug)]
 pub struct TreeSpec {
     pub positions: Vec<PositionSpec>,
-    /// Shared dynamic color registry (seeded from the positions' `owned`
-    /// lists at start; extended by AddColor afterwards).
+    /// The shared ownership table: [`OrderingService::start`] seeds it from
+    /// the positions' `owned` lists, AddColor and leaf splits write it
+    /// afterwards, and the sequencers ask nothing else who orders a color.
     pub registry: ColorRegistry,
     /// Backups per sequencer position (the paper's 2f).
     pub backups_per_position: usize,
     pub batch_interval: Duration,
     pub heartbeat_interval: Duration,
     pub delta: Duration,
-    pub resend_timeout: Duration,
     pub election_window: Duration,
     /// Shared observability surface handed to every sequencer (and its
-    /// promoted backups, via the cloned `SequencerConfig`).
+    /// promoted backups).
     pub obs: flexlog_obs::ObsHandle,
 }
 
@@ -51,7 +53,6 @@ impl Default for TreeSpec {
             batch_interval: Duration::from_micros(1),
             heartbeat_interval: Duration::from_millis(20),
             delta: Duration::from_millis(150),
-            resend_timeout: Duration::from_millis(300),
             election_window: Duration::from_millis(60),
             obs: flexlog_obs::ObsHandle::default(),
         }
@@ -120,24 +121,19 @@ impl TreeSpec {
             .max()
             .expect("non-empty tree")
     }
-
-    fn sequencer_config(&self, pos: &PositionSpec, backups: Vec<NodeId>) -> SequencerConfig {
-        SequencerConfig {
-            role: pos.role,
-            owned: pos.owned.iter().copied().collect(),
-            parent: pos.parent,
-            backups,
-            batch_interval: self.batch_interval,
-            heartbeat_interval: self.heartbeat_interval,
-            delta: self.delta,
-            resend_timeout: self.resend_timeout,
-            registry: self.registry.clone(),
-            obs: self.obs.clone(),
-        }
-    }
 }
 
-/// Running ordering layer. Interior mutability on the role maps lets the
+/// One position of a running layer.
+struct Position {
+    /// The node the position started on (a promoted backup may lead it now).
+    leader: NodeId,
+    backups: Vec<NodeId>,
+    /// Counters of the sequencer on `leader`.
+    stats: SequencerStats,
+    threads: Vec<JoinHandle<()>>,
+}
+
+/// Running ordering layer. Interior mutability on the positions lets the
 /// control plane spawn new leaf sequencers into a live tree
 /// ([`OrderingHandle::spawn_leaf`]).
 pub struct OrderingHandle<W: OrderWire> {
@@ -145,11 +141,7 @@ pub struct OrderingHandle<W: OrderWire> {
     /// The spec the layer was started from; dynamic leaves inherit its
     /// timing parameters, registry, and obs surface.
     spec: TreeSpec,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Initial leader node per role.
-    leaders: Mutex<HashMap<RoleId, NodeId>>,
-    backups: Mutex<HashMap<RoleId, Vec<NodeId>>>,
-    stats: Mutex<HashMap<RoleId, Arc<SequencerStats>>>,
+    positions: Mutex<BTreeMap<RoleId, Position>>,
     control: Endpoint<W>,
 }
 
@@ -177,74 +169,57 @@ impl OrderingService {
         replicas_by_role: &HashMap<RoleId, Vec<NodeId>>,
         directory: Directory,
     ) -> OrderingHandle<W> {
-        let mut threads = Vec::new();
-        let mut leaders = HashMap::new();
-        let mut backups_map = HashMap::new();
-        let mut stats = HashMap::new();
-
-        for pos in &spec.positions {
-            let leader_id = NodeId::named(NodeId::CLASS_SEQUENCER, pos.role.0 as u64);
-            let backup_ids: Vec<NodeId> = (0..spec.backups_per_position)
-                .map(|i| {
-                    NodeId::named(
-                        NodeId::CLASS_BACKUP,
-                        (pos.role.0 as u64) * 64 + i as u64,
-                    )
-                })
-                .collect();
-
-            let seq_cfg = spec.sequencer_config(pos, backup_ids.clone());
-            let node = SequencerNode::new(seq_cfg.clone(), directory.clone());
-            stats.insert(pos.role, node.stats());
-            directory.set(pos.role, leader_id);
-            let ep = net.register(leader_id);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("seq-{}", pos.role.0))
-                    .spawn(move || node.run(ep))
-                    .expect("spawn sequencer"),
-            );
-
-            let replicas = replicas_by_role.get(&pos.role).cloned().unwrap_or_default();
-            for (i, &bid) in backup_ids.iter().enumerate() {
-                let peers: Vec<NodeId> = backup_ids
-                    .iter()
-                    .copied()
-                    .filter(|&p| p != bid)
-                    .collect();
-                let cfg = BackupConfig {
-                    sequencer: seq_cfg.clone(),
-                    peers,
-                    replicas_to_init: replicas.clone(),
-                    election_window: spec.election_window,
-                };
-                let node = BackupNode::new(cfg, directory.clone());
-                let ep = net.register(bid);
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("backup-{}-{}", pos.role.0, i))
-                        .spawn(move || node.run(ep))
-                        .expect("spawn backup"),
-                );
-            }
-            leaders.insert(pos.role, leader_id);
-            backups_map.insert(pos.role, backup_ids);
-        }
-
-        let control = net.register(NodeId::named(0, u64::MAX >> 4));
-        OrderingHandle {
+        let handle = OrderingHandle {
             directory,
             spec: spec.clone(),
-            threads: Mutex::new(threads),
-            leaders: Mutex::new(leaders),
-            backups: Mutex::new(backups_map),
-            stats: Mutex::new(stats),
-            control,
+            positions: Mutex::new(BTreeMap::new()),
+            control: net.register(NodeId::named(0, u64::MAX >> 4)),
+        };
+        for pos in &spec.positions {
+            for &color in &pos.owned {
+                spec.registry.set(color, pos.role);
+            }
+            let replicas = replicas_by_role.get(&pos.role).cloned().unwrap_or_default();
+            handle.spawn(net, pos, spec.backups_per_position, replicas, Epoch(1));
         }
+        handle
     }
 }
 
 impl<W: OrderWire> OrderingHandle<W> {
+    /// Spawns the sequencer of `pos` at `epoch` beside `n_backups` backups,
+    /// each on a thread of its own, and records the position.
+    fn spawn(
+        &self,
+        net: &Network<W>,
+        pos: &PositionSpec,
+        n_backups: usize,
+        replicas: Vec<NodeId>,
+        epoch: Epoch,
+    ) -> NodeId {
+        let role = pos.role.0 as u64;
+        let leader = NodeId::named(NodeId::CLASS_SEQUENCER, role);
+        let backups: Vec<NodeId> = (0..n_backups as u64)
+            .map(|i| NodeId::named(NodeId::CLASS_BACKUP, role * 64 + i))
+            .collect();
+        let mut node =
+            SequencerNode::new(pos, backups.clone(), &self.spec, self.directory.clone(), epoch);
+        let stats = node.stats();
+        self.directory.set(pos.role, leader);
+        let ep = net.register(leader);
+        let mut threads = vec![spawn_named(format!("seq-{role}"), move || node.run(ep))];
+        for (i, &bid) in backups.iter().enumerate() {
+            let peers = backups.iter().copied().filter(|&p| p != bid).collect();
+            let node =
+                BackupNode::new(pos, peers, replicas.clone(), &self.spec, self.directory.clone());
+            let ep = net.register(bid);
+            threads.push(spawn_named(format!("backup-{role}-{i}"), move || node.run(ep)));
+        }
+        let position = Position { leader, backups, stats, threads };
+        self.positions.lock().insert(pos.role, position);
+        leader
+    }
+
     /// Current node serving `role` (follows fail-overs).
     pub fn node_for(&self, role: RoleId) -> Option<NodeId> {
         self.directory.get(role)
@@ -252,58 +227,27 @@ impl<W: OrderWire> OrderingHandle<W> {
 
     /// The backup nodes of `role`.
     pub fn backup_nodes(&self, role: RoleId) -> Vec<NodeId> {
-        self.backups
-            .lock()
-            .unwrap()
-            .get(&role)
-            .cloned()
-            .unwrap_or_default()
+        self.positions.lock().get(&role).map(|p| p.backups.clone()).unwrap_or_default()
     }
 
     /// Stats of the *initial* sequencer of `role`.
-    pub fn stats(&self, role: RoleId) -> Arc<SequencerStats> {
-        Arc::clone(&self.stats.lock().unwrap()[&role])
+    pub fn stats(&self, role: RoleId) -> SequencerStats {
+        self.positions.lock()[&role].stats.clone()
     }
 
     /// All roles currently known to the layer, sorted.
     pub fn roles(&self) -> Vec<RoleId> {
-        let mut v: Vec<RoleId> = self.leaders.lock().unwrap().keys().copied().collect();
-        v.sort();
-        v
+        self.positions.lock().keys().copied().collect()
     }
 
     /// Spawns a brand-new leaf sequencer into the live tree (no backups —
     /// a dynamically added leaf can be re-spawned by the control plane).
     /// `epoch` must exceed every epoch its colors were previously ordered
-    /// under, so re-homed colors keep SN monotonicity. The leaf owns
-    /// nothing statically; ownership arrives via the shared registry.
+    /// under, so re-homed colors keep SN monotonicity. The leaf orders
+    /// nothing until the shared registry says so.
     pub fn spawn_leaf(&self, net: &Network<W>, role: RoleId, parent: RoleId, epoch: Epoch) -> NodeId {
-        let node_id = NodeId::named(NodeId::CLASS_SEQUENCER, role.0 as u64);
-        let cfg = SequencerConfig {
-            role,
-            owned: std::collections::HashSet::new(),
-            parent: Some(parent),
-            backups: Vec::new(),
-            batch_interval: self.spec.batch_interval,
-            heartbeat_interval: self.spec.heartbeat_interval,
-            delta: self.spec.delta,
-            resend_timeout: self.spec.resend_timeout,
-            registry: self.spec.registry.clone(),
-            obs: self.spec.obs.clone(),
-        };
-        let node = SequencerNode::with_epoch(cfg, self.directory.clone(), epoch);
-        self.stats.lock().unwrap().insert(role, node.stats());
-        self.directory.set(role, node_id);
-        let ep = net.register(node_id);
-        self.threads.lock().unwrap().push(
-            std::thread::Builder::new()
-                .name(format!("seq-{}", role.0))
-                .spawn(move || node.run(ep))
-                .expect("spawn sequencer"),
-        );
-        self.leaders.lock().unwrap().insert(role, node_id);
-        self.backups.lock().unwrap().insert(role, Vec::new());
-        node_id
+        let pos = PositionSpec { role, owned: Vec::new(), parent: Some(parent) };
+        self.spawn(net, &pos, 0, Vec::new(), epoch)
     }
 
     /// Crashes the node currently serving `role`.
@@ -315,24 +259,24 @@ impl<W: OrderWire> OrderingHandle<W> {
 
     /// Sends shutdown to every ordering node and joins the threads.
     pub fn shutdown(self, net: &Network<W>) {
-        let leaders = self.leaders.into_inner().unwrap();
-        let backups = self.backups.into_inner().unwrap();
-        for (&role, &leader) in &leaders {
+        let positions = self.positions.into_inner();
+        for (&role, p) in &positions {
             // The current leader might be a promoted backup.
-            if let Some(current) = self.directory.get(role) {
-                let _ = self.control.send(current, W::from_order(OrderMsg::Shutdown));
-            }
-            let _ = self.control.send(leader, W::from_order(OrderMsg::Shutdown));
-            for &b in &backups[&role] {
-                let _ = self.control.send(b, W::from_order(OrderMsg::Shutdown));
+            let current = self.directory.get(role);
+            for node in current.into_iter().chain([p.leader]).chain(p.backups.iter().copied()) {
+                let _ = self.control.send(node, W::from_order(OrderMsg::Shutdown));
             }
         }
-        for t in self.threads.into_inner().unwrap() {
+        for t in positions.into_values().flat_map(|p| p.threads) {
             // Crashed nodes' threads exit via Disconnected.
             let _ = t.join();
         }
         let _ = net;
     }
+}
+
+fn spawn_named(name: String, run: impl FnOnce() + Send + 'static) -> JoinHandle<()> {
+    std::thread::Builder::new().name(name).spawn(run).expect("spawn ordering node")
 }
 
 /// Client-side helper: requests `nrecords` SNs in `color` from the leaf
@@ -359,22 +303,17 @@ pub fn request_order<W: OrderWire>(
                 }),
             );
         }
-        let deadline = std::time::Instant::now() + retry;
-        while std::time::Instant::now() < deadline {
-            match ep.recv_timeout(retry) {
-                Ok((_, wire)) => match wire.into_order() {
-                    Some(OrderMsg::OResp { token: t, last_sn }) if t == token => {
-                        return Ok(last_sn);
-                    }
-                    Some(OrderMsg::ORespBatch { resps }) => {
-                        if let Some(&(_, last_sn)) =
-                            resps.iter().find(|&&(t, _)| t == token)
-                        {
+        // Wait for what is left of the window, whatever else arrives in it.
+        let deadline = Instant::now() + retry;
+        loop {
+            match ep.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok((_, wire)) => {
+                    if let Some(OrderMsg::OResp { resps }) = wire.into_order() {
+                        if let Some(&(_, last_sn)) = resps.iter().find(|&&(t, _)| t == token) {
                             return Ok(last_sn);
                         }
                     }
-                    _ => {}
-                },
+                }
                 Err(RecvError::Timeout) => break,
                 Err(e @ RecvError::Disconnected) => return Err(e),
             }

@@ -9,8 +9,9 @@ use flexlog_simnet::{Network, NodeId};
 use flexlog_types::{ColorId, Epoch, FunctionId, SeqNum, Token};
 
 use crate::msg::OrderMsg;
+use crate::sequencer::{SequencerNode, RESPONDED_CAP};
 use crate::service::request_order;
-use crate::{OrderingService, RoleId, TreeSpec};
+use crate::{Directory, OrderingService, RoleId, TreeSpec};
 
 const RED: ColorId = ColorId(1);
 const GREEN: ColorId = ColorId(2);
@@ -265,11 +266,11 @@ fn duplicate_oreq_is_ignored() {
     }
     // First response.
     let first = loop {
-        if let (_, OrderMsg::OResp { token, last_sn }) =
-            ep.recv_timeout(Duration::from_secs(2)).unwrap()
-        {
-            if token == tok(1, 1) {
-                break last_sn;
+        if let (_, OrderMsg::OResp { resps }) = ep.recv_timeout(Duration::from_secs(2)).unwrap() {
+            if let [(token, last_sn)] = resps[..] {
+                if token == tok(1, 1) {
+                    break last_sn;
+                }
             }
         }
     };
@@ -497,14 +498,136 @@ fn oreq_resend_after_answer_replays_same_sn() {
     )
     .unwrap();
     let replay = loop {
-        if let (_, OrderMsg::OResp { token, last_sn }) =
-            ep.recv_timeout(Duration::from_secs(2)).unwrap()
-        {
-            if token == tok(1, 1) {
-                break last_sn;
+        if let (_, OrderMsg::OResp { resps }) = ep.recv_timeout(Duration::from_secs(2)).unwrap() {
+            if let [(token, last_sn)] = resps[..] {
+                if token == tok(1, 1) {
+                    break last_sn;
+                }
             }
         }
     };
     assert_eq!(replay, first, "replayed OResp must carry the original SN");
     h.shutdown(&net);
+}
+
+#[test]
+fn registry_names_static_owners_after_start() {
+    // The positions' `owned` lists are only the seed: once the layer runs,
+    // the shared registry is the one table that says who orders what.
+    let net: Network<OrderMsg> = Network::instant();
+    let spec = TreeSpec::root_and_leaves(&[RED], &[vec![GREEN]]);
+    let h = OrderingService::start(&net, &spec, &HashMap::new());
+    assert_eq!(spec.registry.owner(RED), Some(RoleId(0)));
+    assert_eq!(spec.registry.owned_by(RoleId(1)), vec![GREEN]);
+    assert_eq!(spec.registry.entry(GREEN), None, "entered at its shards' own leaf");
+    h.shutdown(&net);
+}
+
+#[test]
+fn a_rehome_is_one_write() {
+    // Owner and entry role of a color live in one entry under one lock: a
+    // reader that takes both in one call never sees the new owner beside the
+    // old entry (what two tables written one after the other allowed).
+    let registry = crate::ColorRegistry::new();
+    registry.rehome(RED, RoleId(1));
+    let done = std::sync::atomic::AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let reader = s.spawn(|| {
+            let mut seen = 0u64;
+            while !done.load(Ordering::Acquire) {
+                let (owner, entry) = registry.home(RED).expect("never unregistered");
+                assert_eq!(entry, Some(owner), "mixed pair after {seen} reads");
+                seen += 1;
+            }
+            seen
+        });
+        for i in 0..10_000u32 {
+            registry.rehome(RED, RoleId(1 + i % 2));
+        }
+        done.store(true, Ordering::Release);
+        reader.join().unwrap();
+    });
+}
+
+#[test]
+fn a_color_the_registry_forgot_is_no_longer_ordered() {
+    // Nothing but the registry makes a sequencer the root of a color: once
+    // a statically listed color is unregistered, its OReqs are dropped as
+    // misrouted instead of being assigned from a stale static list.
+    let net: Network<OrderMsg> = Network::instant();
+    let spec = TreeSpec::single(&[RED, GREEN]);
+    let h = OrderingService::start(&net, &spec, &HashMap::new());
+    let ep = client(&net, 1);
+    spec.registry.remove(RED);
+    ep.send(
+        h.node_for(RoleId(0)).unwrap(),
+        OrderMsg::OReq { color: RED, token: tok(1, 1), nrecords: 1, shard: vec![ep.id()] },
+    )
+    .unwrap();
+    // GREEN goes through the same inbox afterwards: once it is answered,
+    // RED's request has been through a flush.
+    request_order(&ep, &h.directory, RoleId(0), GREEN, tok(1, 2), 1, RETRY).unwrap();
+    assert_eq!(h.stats(RoleId(0)).sns_issued.load(Ordering::Relaxed), 1, "GREEN's only");
+    assert_eq!(spec.obs.snapshot().counter("seq.misrouted_dropped"), 1);
+    h.shutdown(&net);
+}
+
+#[test]
+fn a_sequencer_remembers_a_bounded_number_of_tokens() {
+    // Every OReq used to leave its token in a set that was never pruned.
+    // Now the one replay cache holds them: the newest RESPONDED_CAP, and a
+    // recent token still replays its SN.
+    const EXTRA: usize = 1_000;
+    let net: Network<OrderMsg> = Network::instant();
+    let spec = TreeSpec::single(&[RED]);
+    spec.registry.set(RED, RoleId(0));
+    let mut node =
+        SequencerNode::new(&spec.positions[0], Vec::new(), &spec, Directory::new(), Epoch(1));
+    let seq = net.register(NodeId::named(NodeId::CLASS_SEQUENCER, 0));
+    let seq_id = seq.id();
+    let ep = client(&net, 1);
+    let oreq = |c: u32| OrderMsg::OReq {
+        color: RED,
+        token: tok(1, c),
+        nrecords: 1,
+        shard: vec![ep.id()],
+    };
+    let total = (RESPONDED_CAP + EXTRA) as u32;
+    let mut answered: HashMap<Token, SeqNum> = HashMap::new();
+    std::thread::scope(|s| {
+        s.spawn(|| node.run(seq));
+        // In slices, so that the inbox never holds the whole run.
+        for start in (0..total).step_by(4096) {
+            let end = (start + 4096).min(total);
+            for c in start..end {
+                ep.send(seq_id, oreq(c)).unwrap();
+            }
+            while answered.len() < end as usize {
+                if let (_, OrderMsg::OResp { resps }) =
+                    ep.recv_timeout(Duration::from_secs(10)).unwrap()
+                {
+                    answered.extend(resps);
+                }
+            }
+        }
+        // A recent token replays the SN it was given; the oldest has left
+        // the window and is a fresh request (the replicas dedup it).
+        for (c, replays) in [(total - 1, true), (0, false)] {
+            ep.send(seq_id, oreq(c)).unwrap();
+            let (_, OrderMsg::OResp { resps }) = ep.recv_timeout(Duration::from_secs(10)).unwrap()
+            else {
+                panic!("only OResps reach this endpoint")
+            };
+            assert_eq!(resps.len(), 1);
+            assert_eq!(resps[0].0, tok(1, c));
+            assert_eq!(resps[0].1 == answered[&tok(1, c)], replays, "token {c}");
+        }
+        ep.send(seq_id, OrderMsg::Shutdown).unwrap();
+    });
+    assert_eq!(answered.len(), total as usize);
+    assert!(
+        node.remembered_tokens() <= RESPONDED_CAP,
+        "remembers {} tokens after {total} OReqs",
+        node.remembered_tokens()
+    );
 }

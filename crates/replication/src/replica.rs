@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use flexlog_obs::{Histogram, Stage, CTRL_TOKEN, SYNC_TOKEN};
-use flexlog_ordering::{Directory, OrderMsg, RoleId, RouteTable};
+use flexlog_ordering::{ColorRegistry, Directory, OrderMsg, RoleId};
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
 use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
 use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, ShardId, Token};
@@ -41,29 +41,17 @@ use crate::TopologyView;
 /// Magic prefix of a multi-color-append set staged in the special color.
 pub(crate) const MULTI_MAGIC: &[u8; 4] = b"MCA1";
 
-/// Folds every consecutive OResp / ORespBatch at the head of `iter` into
-/// `resps`, preserving arrival order, so one [`StorageServer::commit_many`]
+/// Folds every consecutive OResp at the head of `iter` into `resps`,
+/// preserving arrival order, so one [`StorageServer::commit_many`]
 /// transaction covers the whole run.
 fn coalesce_oresps<I: Iterator<Item = (NodeId, ClusterMsg)>>(
     iter: &mut std::iter::Peekable<I>,
     resps: &mut Vec<(Token, SeqNum)>,
 ) {
-    while matches!(
-        iter.peek(),
-        Some((
-            _,
-            ClusterMsg::Order(OrderMsg::OResp { .. } | OrderMsg::ORespBatch { .. })
-        ))
-    ) {
-        match iter.next() {
-            Some((_, ClusterMsg::Order(OrderMsg::OResp { token, last_sn }))) => {
-                resps.push((token, last_sn));
-            }
-            Some((_, ClusterMsg::Order(OrderMsg::ORespBatch { resps: more }))) => {
-                resps.extend(more);
-            }
-            _ => unreachable!("peeked an OResp"),
-        }
+    while let Some((_, ClusterMsg::Order(OrderMsg::OResp { resps: more }))) =
+        iter.next_if(|(_, m)| matches!(m, ClusterMsg::Order(OrderMsg::OResp { .. })))
+    {
+        resps.extend(more);
     }
 }
 
@@ -83,9 +71,10 @@ pub struct ReplicaConfig {
     pub oreq_resend: Duration,
     /// Restart window for a stalled sync-phase.
     pub sync_timeout: Duration,
-    /// Per-color OReq routing overrides (leaf-sequencer splits re-home
-    /// colors away from `leaf_role` without moving the shard).
-    pub routes: RouteTable,
+    /// The ordering layer's ownership table: names the entry role of a
+    /// color that a leaf-sequencer split re-homed away from `leaf_role`
+    /// without moving the shard.
+    pub registry: ColorRegistry,
 }
 
 impl Default for ReplicaConfig {
@@ -98,7 +87,7 @@ impl Default for ReplicaConfig {
             read_hold: Duration::from_millis(20),
             oreq_resend: Duration::from_millis(200),
             sync_timeout: Duration::from_millis(500),
-            routes: RouteTable::new(),
+            registry: ColorRegistry::new(),
         }
     }
 }
@@ -315,20 +304,11 @@ impl ReplicaNode {
                             return;
                         }
                     }
-                    ClusterMsg::Order(OrderMsg::OResp { token, last_sn })
-                        if !self.syncing() =>
-                    {
+                    ClusterMsg::Order(OrderMsg::OResp { mut resps }) if !self.syncing() => {
                         // Coalesce the whole consecutive OResp run into one
                         // batched commit.
-                        let mut resps = vec![(token, last_sn)];
                         coalesce_oresps(&mut iter, &mut resps);
-                        self.apply_oresp_batch(&ep, &resps);
-                    }
-                    ClusterMsg::Order(OrderMsg::ORespBatch { mut resps })
-                        if !self.syncing() =>
-                    {
-                        coalesce_oresps(&mut iter, &mut resps);
-                        self.apply_oresp_batch(&ep, &resps);
+                        self.apply_oresp(&ep, &resps);
                     }
                     ClusterMsg::Order(m) => self.handle_order(&ep, from, m),
                 }
@@ -623,11 +603,10 @@ impl ReplicaNode {
     fn handle_order(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: OrderMsg) {
         match msg {
             // Sequencer messages pause during the sync-phase.
-            m @ (OrderMsg::OResp { .. } | OrderMsg::ORespBatch { .. }) if self.syncing() => {
+            m @ OrderMsg::OResp { .. } if self.syncing() => {
                 self.deferred.push_back((from, ClusterMsg::Order(m)));
             }
-            OrderMsg::OResp { token, last_sn } => self.apply_oresp(ep, token, last_sn),
-            OrderMsg::ORespBatch { resps } => self.apply_oresp_batch(ep, &resps),
+            OrderMsg::OResp { resps } => self.apply_oresp(ep, &resps),
             OrderMsg::InitSequencer { role, epoch } => {
                 if role != self.config.leaf_role {
                     return;
@@ -695,7 +674,7 @@ impl ReplicaNode {
                 .trace_event(token, Stage::ReplicaStaged, ep.id().0, 0);
         }
         if let Some((sn, _)) = self.pending_oresp.remove(&token) {
-            self.apply_oresp(ep, token, sn);
+            self.apply_oresp(ep, &[(token, sn)]);
             return;
         }
         // All replicas of a shard would send byte-identical OReqs and the
@@ -729,9 +708,9 @@ impl ReplicaNode {
     }
 
     fn send_oreq(&mut self, ep: &Endpoint<ClusterMsg>, color: ColorId, token: Token, n: u32) {
-        // A route override (installed by a leaf split) beats the shard's
-        // static leaf role; either way the directory resolves the node.
-        let role = self.config.routes.route(color).unwrap_or(self.config.leaf_role);
+        // An entry role (written by a leaf split) beats the shard's static
+        // leaf role; either way the directory resolves the node.
+        let role = self.config.registry.entry(color).unwrap_or(self.config.leaf_role);
         let Some(leaf) = self.directory.get(role) else {
             return; // sequencer fail-over window; the resend tick retries
         };
@@ -754,16 +733,11 @@ impl ReplicaNode {
         self.oreq_sent.insert(token, Instant::now());
     }
 
-    fn apply_oresp(&mut self, ep: &Endpoint<ClusterMsg>, token: Token, last_sn: SeqNum) {
-        self.apply_oresp_batch(ep, &[(token, last_sn)]);
-    }
-
     /// Commits a burst of OResps through a single PM transaction
     /// ([`StorageServer::commit_many`]) and acks every waiting client.
     /// Unknown tokens (append broadcast still in flight) are remembered
-    /// individually and commit on arrival, exactly as in the one-at-a-time
-    /// path.
-    fn apply_oresp_batch(&mut self, ep: &Endpoint<ClusterMsg>, resps: &[(Token, SeqNum)]) {
+    /// individually and commit on arrival.
+    fn apply_oresp(&mut self, ep: &Endpoint<ClusterMsg>, resps: &[(Token, SeqNum)]) {
         let batch_start = Instant::now();
         self.serving.charge_records(resps.len());
         let results = self.serving.storage.commit_many(resps);

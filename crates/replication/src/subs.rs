@@ -24,14 +24,14 @@
 //!   heartbeats stop (crash) or a [`SubMsg::SubRedirect`] arrives (cutover
 //!   / drop).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flexlog_obs::{Counter, Histogram, Stage, SUB_TOKEN};
 use flexlog_simnet::{Endpoint, NodeId};
 use flexlog_storage::StorageServer;
-use flexlog_types::{ColorId, CommittedRecord, SeqNum, Token};
+use flexlog_types::{BoundedMap, ColorId, CommittedRecord, SeqNum, Token};
 
 use crate::msg::{ClusterMsg, RejectReason, SubCursor, SubMsg};
 
@@ -59,30 +59,6 @@ struct Sub {
     last_sent: Instant,
 }
 
-/// Bounded (color, sn) → token memory for trace attribution of pushes.
-#[derive(Default)]
-struct RecentTokens {
-    map: HashMap<(ColorId, SeqNum), Token>,
-    order: VecDeque<(ColorId, SeqNum)>,
-}
-
-impl RecentTokens {
-    fn insert(&mut self, color: ColorId, sn: SeqNum, token: Token) {
-        if self.map.insert((color, sn), token).is_none() {
-            self.order.push_back((color, sn));
-            while self.order.len() > RECENT_TOKEN_WINDOW {
-                if let Some(k) = self.order.pop_front() {
-                    self.map.remove(&k);
-                }
-            }
-        }
-    }
-
-    fn get(&self, color: ColorId, sn: SeqNum) -> Option<Token> {
-        self.map.get(&(color, sn)).copied()
-    }
-}
-
 /// The subscription table of one serving replica. All methods run inside
 /// the owner's single-threaded event loop.
 pub(crate) struct SubTable {
@@ -90,7 +66,7 @@ pub(crate) struct SubTable {
     subs: HashMap<u64, Sub>,
     by_color: HashMap<ColorId, Vec<u64>>,
     /// Recently landed (color, sn) → token, for `SubPush` tracing.
-    tokens: RecentTokens,
+    tokens: BoundedMap<(ColorId, SeqNum), Token>,
     push_batches: Counter,
     push_records: Counter,
     registered: Counter,
@@ -104,7 +80,7 @@ impl SubTable {
         SubTable {
             subs: HashMap::new(),
             by_color: HashMap::new(),
-            tokens: RecentTokens::default(),
+            tokens: BoundedMap::new(RECENT_TOKEN_WINDOW),
             push_batches: obs.counter("sub.push_batches"),
             push_records: obs.counter("sub.push_records"),
             registered: obs.counter("sub.registered"),
@@ -349,7 +325,7 @@ impl SubTable {
             let mut traced = 0usize;
             spans.clear();
             for r in &slice {
-                if let Some(t) = self.tokens.get(color, r.sn) {
+                if let Some(&t) = self.tokens.get(&(color, r.sn)) {
                     spans.push((t, Stage::SubPush, ep.id().0, color.0 as u64));
                     traced += 1;
                 }
@@ -393,7 +369,7 @@ impl SubTable {
         sn: SeqNum,
         token: Token,
     ) {
-        self.tokens.insert(color, sn, token);
+        self.tokens.insert((color, sn), token);
         let Some(ids) = self.by_color.get(&color) else {
             return;
         };

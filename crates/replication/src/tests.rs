@@ -10,7 +10,9 @@ use flexlog_simnet::{Endpoint, Network, NodeId};
 use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
 use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, ShardId, Token};
 
-use crate::msg::{ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, SubMsg, SyncMsg, TokenRecord};
+use crate::msg::{
+    AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, SubMsg, SyncMsg, TokenRecord,
+};
 use crate::{
     ClientConfig, ClientError, DataLayerHandle, DataLayerService, DataLayerSpec, FlexLogClient,
     ReadReplicaConfig, ReadReplicaNode, ReplicaConfig, ShardInfo, TopologyView,
@@ -1053,5 +1055,78 @@ fn sync_takes_what_a_shorter_peer_alone_holds() {
     }
     assert_eq!(pushed, [sn(6), sn(7), sn(5)], "the fill follows the barrier");
     peer.send(node, DataMsg::Shutdown.into()).unwrap();
+    thread.join().unwrap();
+}
+
+// ----- the order plane against a scripted sequencer ---------------------------
+
+/// One `OResp` carries a whole flush's answers for a shard. The replica
+/// commits the tokens it has staged through one `commit_many`, parks the one
+/// whose `Append` has not landed yet until it does, and acks per token; a
+/// lone answer is the same message with one entry.
+#[test]
+fn one_oresp_commits_the_staged_tokens_and_parks_the_rest() {
+    use flexlog_ordering::OrderMsg;
+    use flexlog_ordering::OrderWire as _;
+
+    let net: Network<ClusterMsg> = Network::instant();
+    let node = NodeId::named(NodeId::CLASS_REPLICA, 0);
+    let sequencer = net.register(NodeId::named(NodeId::CLASS_SEQUENCER, 0));
+    let client = net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
+    let directory = Directory::new();
+    directory.set(RoleId(0), sequencer.id());
+    let config = ReplicaConfig::default();
+    let obs = config.storage.obs.clone();
+    let replica = crate::ReplicaNode::new(config, directory, TopologyView::new());
+    let ep = net.register(node);
+    let thread = std::thread::spawn(move || replica.run(ep));
+
+    let token = |c| Token::new(FunctionId(1), c);
+    let append = |c: u32| {
+        let msg = AppendMsg::Append {
+            color: RED,
+            token: token(c),
+            payloads: vec![p(format!("r{c}").into_bytes())],
+            reply_to: client.id(),
+        };
+        client.send(node, msg.into()).unwrap();
+    };
+    let next_oreq = || loop {
+        let (_, msg) = sequencer.recv_timeout(Duration::from_secs(5)).expect("an OReq");
+        if let Some(OrderMsg::OReq { token, .. }) = msg.into_order() {
+            return token;
+        }
+    };
+    let next_ack = || loop {
+        let (_, msg) = client.recv_timeout(Duration::from_secs(5)).expect("an ack");
+        if let Some(DataMsg::Append(AppendMsg::AppendAck { token, last_sn })) = msg.into_data() {
+            return (token, last_sn);
+        }
+    };
+    let commits = || obs.snapshot().histogram("replica.commit_batch_ns").map_or(0, |h| h.count);
+
+    append(1);
+    append(2);
+    assert_eq!([next_oreq(), next_oreq()], [token(1), token(2)]);
+    // Token 3's append is still on its way when the flush that ordered all
+    // three is answered.
+    let resps = vec![(token(1), sn(1)), (token(2), sn(2)), (token(3), sn(3))];
+    sequencer.send(node, ClusterMsg::from_order(OrderMsg::OResp { resps })).unwrap();
+    assert_eq!([next_ack(), next_ack()], [(token(1), sn(1)), (token(2), sn(2))]);
+    assert_eq!(commits(), 1, "two records, one commit_many");
+
+    append(3);
+    assert_eq!(next_ack(), (token(3), sn(3)), "committed under the parked SN");
+    assert_eq!(commits(), 2);
+
+    // A batch of one: what a lone `OResp { token, last_sn }` used to be.
+    append(4);
+    assert_eq!(next_oreq(), token(4), "token 3 needed no OReq of its own");
+    let resps = vec![(token(4), sn(4))];
+    sequencer.send(node, ClusterMsg::from_order(OrderMsg::OResp { resps })).unwrap();
+    assert_eq!(next_ack(), (token(4), sn(4)));
+    assert_eq!(commits(), 3);
+
+    client.send(node, DataMsg::Shutdown.into()).unwrap();
     thread.join().unwrap();
 }

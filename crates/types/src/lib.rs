@@ -19,7 +19,9 @@
 //! * a [`CommittedRecord`] is a payload together with its assigned SN.
 
 
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -295,6 +297,45 @@ impl CommittedRecord {
             sn,
             payload: payload.into(),
         }
+    }
+}
+
+/// A map that remembers its newest `cap` keys: inserting a new key beyond
+/// that forgets the oldest. The one replay memory of the system — a
+/// sequencer's answered tokens and child batches, a replica's recently
+/// landed tokens.
+pub struct BoundedMap<K, V> {
+    map: HashMap<K, V>,
+    order: VecDeque<K>,
+    cap: usize,
+}
+
+impl<K: Copy + Eq + Hash, V> BoundedMap<K, V> {
+    pub fn new(cap: usize) -> Self {
+        BoundedMap { map: HashMap::new(), order: VecDeque::new(), cap }
+    }
+
+    /// Inserts or overwrites; an overwritten key keeps its age.
+    pub fn insert(&mut self, key: K, value: V) {
+        if self.map.insert(key, value).is_none() {
+            self.order.push_back(key);
+            if self.order.len() > self.cap {
+                let oldest = self.order.pop_front().expect("just pushed");
+                self.map.remove(&oldest);
+            }
+        }
+    }
+
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.map.get(key)
+    }
+
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
     }
 }
 

@@ -2,9 +2,10 @@
 # Code-line report for ROADMAP aim 2 ("the line count and the concept count
 # go down"): non-blank, non-comment lines per crate `src/` (tests.rs
 # submodules and `tests/` directories excluded) and for the files the
-# ROADMAP names, then the settable values per crate — `pub` fields of
-# `pub struct *Config` / `*Spec` items, and `ControlPlane`'s, which callers
-# set after construction — and what the measurement harness
+# ROADMAP names (and the `OrderMsg` variant count), then the settable values
+# per crate — `pub` fields of `pub struct *Config` / `*Spec` items, and
+# `ControlPlane`'s, which callers set after construction — and what the
+# measurement harness
 # weighs: binary targets in crates/bench, embedded-Python lines per script,
 # code lines per vendored shim. Report only — nothing here gates; run it on
 # the parent and on the change and compare.
@@ -47,9 +48,17 @@ printf '%-44s %8s\n' "ROADMAP-named file" "code"
 for f in crates/replication/src/replica.rs crates/replication/src/client.rs \
          crates/replication/src/read_replica.rs crates/replication/src/subs.rs \
          crates/replication/src/follower.rs crates/replication/src/service.rs \
-         crates/storage/src/server.rs crates/ctrl/src/plane.rs; do
+         crates/storage/src/server.rs crates/ctrl/src/plane.rs \
+         crates/ordering/src/sequencer.rs crates/ordering/src/service.rs \
+         crates/ordering/src/backup.rs crates/ordering/src/directory.rs; do
     if [ -f "$f" ]; then printf '%-44s %8d\n' "$f" "$(count "$f")"; fi
 done
+# Variants of the ordering layer's wire enum (a line opening with a
+# capitalised name inside `pub enum OrderMsg`).
+printf '%-44s %8d\n' "OrderMsg variants" "$(awk '/^pub enum OrderMsg/ { inside = 1; next }
+    inside && /^}/ { inside = 0 }
+    inside && /^    [A-Z][A-Za-z]*( \{|,)/ { n++ }
+    END { print n + 0 }' crates/ordering/src/msg.rs)"
 
 echo
 per_crate "settable values" "fields" settable
