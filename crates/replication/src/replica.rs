@@ -184,10 +184,6 @@ pub struct ReplicaNode {
     /// Highest controller generation seen — the zombie fence. Mutating
     /// ctrl messages carrying a lower generation are nacked.
     ctrl_gen: u64,
-    /// Staged token → color (so a commit knows which color's subscribers
-    /// to push to); rebuilt from the storage staged set on the throttled
-    /// resend scan, kept incrementally in between.
-    staged_colors: HashMap<Token, ColorId>,
 }
 
 impl ReplicaNode {
@@ -245,7 +241,6 @@ impl ReplicaNode {
             moved: HashSet::new(),
             dropped: HashSet::new(),
             ctrl_gen: 0,
-            staged_colors: HashMap::new(),
         }
     }
 
@@ -666,7 +661,6 @@ impl ReplicaNode {
             }
         };
         self.reply_tos.entry(token).or_default().insert(reply_to);
-        self.staged_colors.insert(token, color);
         if newly {
             self.config
                 .storage
@@ -746,11 +740,11 @@ impl ReplicaNode {
         let mut fills: Vec<(ColorId, SeqNum, Token)> = Vec::new();
         for (&(token, last_sn), result) in resps.iter().zip(results) {
             match result {
-                Ok(_) => {
+                Ok(newly) => {
                     self.oreq_sent.remove(&token);
                     spans.push((token, Stage::ReplicaCommit, ep.id().0, 0));
                     committed.push((token, last_sn));
-                    if let Some(color) = self.staged_colors.remove(&token) {
+                    if let Some(color) = newly {
                         fills.push((color, last_sn, token));
                     }
                 }
@@ -1060,7 +1054,6 @@ impl ReplicaNode {
 
     fn reissue_staged_oreqs(&mut self, ep: &Endpoint<ClusterMsg>) {
         for (token, color, n) in self.serving.storage.staged_tokens() {
-            self.staged_colors.insert(token, color);
             self.send_oreq(ep, color, token, n as u32);
         }
     }
@@ -1084,12 +1077,10 @@ impl ReplicaNode {
                     >= self.config.oreq_resend / 4
                 {
                     self.last_oreq_scan = now;
-                    let staged = self.serving.storage.staged_tokens();
-                    // The staged set is authoritative for token → color:
-                    // resync the incremental map to it (drops entries whose
-                    // records were discarded, repopulates after recovery).
-                    self.staged_colors = staged.iter().map(|&(t, c, _)| (t, c)).collect();
-                    let stale: Vec<(Token, ColorId, usize)> = staged
+                    let stale: Vec<(Token, ColorId, usize)> = self
+                        .serving
+                        .storage
+                        .staged_tokens()
                         .into_iter()
                         .filter(|(t, _, _)| {
                             self.oreq_sent

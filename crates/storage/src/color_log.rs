@@ -6,7 +6,7 @@
 //! `ColorLog` owns that state and is the only code that touches the index
 //! map. It is pure bookkeeping: the server moves the bytes (PM
 //! transactions, SSD writes) and then records the outcome here, under the
-//! color's stripe lock.
+//! server's one lock.
 
 use std::collections::BTreeMap;
 use std::ops::{Bound, RangeBounds};

@@ -38,38 +38,22 @@
 //!
 //! # Locking
 //!
-//! The server is sharded for concurrency — there is no global mutex:
-//!
-//! * each color's committed log — SN index, trim head, PM/SSD boundary —
-//!   is one `ColorLog` (see `color_log.rs`), and the logs live in
-//!   [`STRIPES`] **color stripes** (`color.0 % STRIPES`), so
-//!   appends/reads/trims on different colors never contend;
-//! * the DRAM cache is striped by a `(color, sn)` hash — a single hot color
-//!   still spreads over all cache stripes and can use the whole DRAM budget;
-//! * the token maps (staged + committed idempotence) are a separate small
-//!   lock touched only at stage/commit boundaries;
-//! * `pm_live_bytes` is a lock-free atomic;
-//! * the `archive_gate` serializes archive rounds against trims (an
-//!   upload-then-drop two-step must never interleave with a concurrent
-//!   trim's drop) and is always the outermost lock — nothing is held when
-//!   it is taken, and the archive manifest/buffer mutex below it is a leaf
-//!   like the cache stripes.
-//!
-//! Invariants that keep this deadlock-free: a thread never holds two stripe
-//! locks at once, never takes a stripe lock while holding the token lock
-//! (token → stripe order is forbidden, stripe → token never happens), and
-//! cache locks are leaves (nothing else is acquired under them). The PM
-//! pool has its own internal lock below all of these.
+//! A server has exactly one mutating thread — its replica's (or read
+//! replica's) run loop — and every other holder of the handle reads a
+//! gauge. So all mutable state is one [`State`] behind one mutex: each
+//! public method locks once at entry and hands `&mut State` to private
+//! helpers, none of which locks. A stage, commit, spill, trim or archive
+//! round is therefore atomic with respect to every other call, and no
+//! lock-order rule exists to break. The PM pool and the SSD have internal
+//! locks of their own, below this one.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::ops::{Bound, RangeBounds};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use flexlog_obs::{Counter, Histogram, ObsHandle, Stage};
 use flexlog_pm::{ClockMode, DeviceClock, LatencyModel, PmDevice, PmDeviceConfig, PmPool, PoolError, SsdDevice};
@@ -82,11 +66,6 @@ use crate::LruCache;
 
 /// DRAM access cost charged on a cache hit, in nanoseconds.
 const DRAM_NS: u64 = 80;
-
-/// Number of color stripes (logs) and cache stripes. A small power of two:
-/// enough to de-contend a many-color workload without fragmenting the DRAM
-/// budget across too many LRU instances.
-pub const STRIPES: usize = 8;
 
 /// Records moved per watermark spill round.
 const SPILL_BATCH: usize = 64;
@@ -140,7 +119,7 @@ pub struct StorageConfig {
     pub pm_capacity: usize,
     /// PM latency model.
     pub pm_latency: LatencyModel,
-    /// DRAM cache budget in bytes (split evenly across cache stripes).
+    /// DRAM cache budget in bytes (one LRU over every color).
     pub cache_capacity: usize,
     /// Live PM bytes beyond which the oldest records spill to SSD.
     pub pm_watermark: usize,
@@ -268,24 +247,72 @@ impl From<PoolError> for StorageError {
     }
 }
 
-/// One color stripe: the logs of the colors mapping here.
-type Stripe = HashMap<ColorId, ColorLog>;
-
-/// Token maps: small, hot at stage/commit boundaries only.
-#[derive(Default)]
-struct TokenIndex {
-    /// Tokens staged but not yet committed.
+/// Everything a server mutates, behind its one lock (see module docs).
+struct State {
+    /// The committed log of each color, in color order: the watermark
+    /// spill visits colors lowest id first.
+    logs: BTreeMap<ColorId, ColorLog>,
+    /// The DRAM tier: one LRU over `(color, SN)` keys.
+    cache: LruCache<(ColorId, SeqNum)>,
+    /// Tokens staged but not yet committed → their color.
     staged: HashMap<Token, ColorId>,
-    /// Tokens whose commit transaction is currently being written. Guards
-    /// the window in which a token is neither `staged` nor committed, so a
-    /// concurrent re-stage or duplicate commit cannot slip in.
-    committing: HashSet<Token>,
     /// Tokens already committed → (color, last SN of their batch). The color
     /// lets `trim` prune entries once the whole batch falls behind the head.
     committed_tokens: HashMap<Token, (ColorId, SeqNum)>,
+    /// Archive manifests, loaded from the store on a color's first archive
+    /// probe.
+    manifests: HashMap<ColorId, Arc<Manifest>>,
+    /// One archived segment per color: the read buffer archive reads stream
+    /// through instead of the DRAM cache, so a cold historical scan admits
+    /// no record into the LRU and the hot working set stays resident.
+    segments: HashMap<ColorId, Segment>,
+    /// Bytes of staged and committed values resident in PM; every change
+    /// goes through [`State::adjust_live`].
+    pm_live_bytes: usize,
+    /// Raw `NodeId` bits of the replica owning this server (0 until the
+    /// replica attaches itself); stamps `StorageCommit` trace events.
+    node: u64,
 }
 
-impl TokenIndex {
+impl State {
+    /// Nothing stored yet; the DRAM cache gets the full budget.
+    fn new(config: &StorageConfig) -> Self {
+        let evictions = config.obs.counter("storage.cache_evictions");
+        State {
+            logs: BTreeMap::new(),
+            cache: LruCache::new(config.cache_capacity, evictions),
+            staged: HashMap::new(),
+            committed_tokens: HashMap::new(),
+            manifests: HashMap::new(),
+            segments: HashMap::new(),
+            pm_live_bytes: 0,
+            node: 0,
+        }
+    }
+
+    /// `color`'s log, created on first use.
+    fn log_mut(&mut self, color: ColorId) -> &mut ColorLog {
+        self.logs.entry(color).or_default()
+    }
+
+    /// The one index walk: `color`'s records inside `range`, oldest first,
+    /// at most `max`, each with its placement.
+    fn placed(
+        &self,
+        color: ColorId,
+        range: impl RangeBounds<SeqNum>,
+        max: usize,
+    ) -> Vec<(SeqNum, Placement)> {
+        self.logs
+            .get(&color)
+            .map(|log| log.range(range).take(max).collect())
+            .unwrap_or_default()
+    }
+
+    fn head(&self, color: ColorId) -> Option<SeqNum> {
+        self.logs.get(&color).and_then(ColorLog::head)
+    }
+
     /// Notes that `token`'s batch holds `sn`. Records of a batch arrive one
     /// by one (recovery scan, peer imports); the map keeps the *last* SN.
     fn note_committed(&mut self, token: Token, color: ColorId, sn: SeqNum) {
@@ -294,22 +321,12 @@ impl TokenIndex {
             *e = (color, sn);
         }
     }
-}
 
-/// One DRAM-cache stripe: an LRU over `(color, SN)` keys.
-type CacheStripe = Mutex<LruCache<(ColorId, SeqNum)>>;
-
-/// Archive-tier state: manifest cache plus the one-segment read buffer.
-///
-/// The buffer is deliberately tiny (one segment per color) and entirely
-/// separate from the DRAM cache stripes: a cold historical scan streams
-/// through it segment by segment without admitting a single record into
-/// the LRU, so the hot working set stays resident (low-priority admission
-/// taken to its limit — no admission at all).
-#[derive(Default)]
-struct ArchiveState {
-    manifests: HashMap<ColorId, Arc<Manifest>>,
-    buffer: HashMap<ColorId, Segment>,
+    /// The one signed adjustment of `pm_live_bytes`. Saturating: a drifted
+    /// counter must not wrap into a permanent spill.
+    fn adjust_live(&mut self, delta: isize) {
+        self.pm_live_bytes = self.pm_live_bytes.saturating_add_signed(delta);
+    }
 }
 
 /// Result of one archive round (see `StorageServer::archive_records`).
@@ -329,33 +346,13 @@ struct ArchiveRound {
 pub struct StorageServer {
     pool: PmPool,
     ssd: Arc<SsdDevice>,
-    caches: Box<[CacheStripe]>,
-    stripes: Box<[Mutex<Stripe>]>,
-    tokens: Mutex<TokenIndex>,
-    /// Bytes of staged and committed values resident in PM; every change
-    /// goes through [`StorageServer::adjust_live`].
-    pm_live_bytes: AtomicUsize,
-    /// Serializes spill rounds (the SSD-copy/PM-delete two-step must not
-    /// interleave with itself); stripe/cache locks are taken inside.
-    spill_gate: Mutex<()>,
-    /// Serializes archive rounds against trims: a trim must never drop
-    /// records an in-flight segment upload has not durably acked. Always
-    /// the outermost lock — nothing else is held when it is taken.
-    archive_gate: Mutex<()>,
-    /// Cached per-color manifests and the single-segment read buffer the
-    /// archive read-through path uses instead of the DRAM cache stripes
-    /// (so replay-from-genesis cannot evict the hot working set). Leaf
-    /// lock: no other lock is acquired while it is held.
-    archive: Mutex<ArchiveState>,
+    state: Mutex<State>,
     clock: DeviceClock,
     config: StorageConfig,
     /// Public only for `bench/src/experiments/fig11.rs`, which models the
     /// busiest *single* replica of a multi-shard cluster — narrower than
     /// the registry's cluster-wide `storage.*` sums every other reader uses.
     pub stats: StorageStats,
-    /// Raw `NodeId` bits of the replica owning this server (0 until the
-    /// replica attaches itself); stamps `StorageCommit` trace events.
-    node: AtomicU64,
     /// Wall-clock duration of each `commit_many` PM transaction.
     commit_hist: Histogram,
     /// Wall-clock duration of each watermark spill round. `commit_ns` stops
@@ -368,87 +365,20 @@ pub struct StorageServer {
 }
 
 impl StorageServer {
-    fn stripe(&self, color: ColorId) -> MutexGuard<'_, Stripe> {
-        self.stripes[color.0 as usize % STRIPES].lock()
-    }
-
-    /// Runs `f` on `color`'s log under its stripe lock; `None` when the
-    /// color has no log here.
-    fn log<R>(&self, color: ColorId, f: impl FnOnce(&ColorLog) -> R) -> Option<R> {
-        self.stripe(color).get(&color).map(f)
-    }
-
-    /// Like [`StorageServer::log`] for updates: the log is created on
-    /// first use.
-    fn log_mut<R>(&self, color: ColorId, f: impl FnOnce(&mut ColorLog) -> R) -> R {
-        f(self.stripe(color).entry(color).or_default())
-    }
-
-    /// The one index walk: `color`'s records inside `range`, oldest first,
-    /// at most `max`, each with its placement.
-    fn placed(
-        &self,
-        color: ColorId,
-        range: impl RangeBounds<SeqNum>,
-        max: usize,
-    ) -> Vec<(SeqNum, Placement)> {
-        self.log(color, |log| log.range(range).take(max).collect())
-            .unwrap_or_default()
-    }
-
-    fn cache_of(&self, color: ColorId, sn: SeqNum) -> &CacheStripe {
-        let mut h = DefaultHasher::new();
-        (color.0, sn.0).hash(&mut h);
-        &self.caches[(h.finish() as usize) % STRIPES]
-    }
-
-    /// The one signed adjustment of `pm_live_bytes`. Saturating: a drifted
-    /// counter must not wrap into a permanent spill.
-    fn adjust_live(&self, delta: isize) {
-        let _ = self
-            .pm_live_bytes
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_add_signed(delta))
-            });
-    }
-
     /// Builds a server over opened devices and the state found on them.
-    fn assemble(
-        pool: PmPool,
-        ssd: Arc<SsdDevice>,
-        config: StorageConfig,
-        logs: HashMap<ColorId, ColorLog>,
-        tokens: TokenIndex,
-        pm_live_bytes: usize,
-    ) -> Self {
-        let evictions = config.obs.counter("storage.cache_evictions");
-        let caches = (0..STRIPES)
-            .map(|_| Mutex::new(LruCache::new(config.cache_capacity / STRIPES, evictions.clone())))
-            .collect();
-        let server = StorageServer {
+    fn assemble(pool: PmPool, ssd: Arc<SsdDevice>, config: StorageConfig, state: State) -> Self {
+        StorageServer {
             pool,
             ssd,
-            caches,
-            stripes: (0..STRIPES).map(|_| Mutex::default()).collect(),
-            tokens: Mutex::new(tokens),
-            pm_live_bytes: AtomicUsize::new(pm_live_bytes),
-            spill_gate: Mutex::new(()),
-            archive_gate: Mutex::new(()),
-            // Manifests (re)load lazily from the store on first archive probe.
-            archive: Mutex::new(ArchiveState::default()),
+            state: Mutex::new(state),
             clock: DeviceClock::new(config.clock),
             stats: StorageStats::registered(&config.obs),
-            node: AtomicU64::new(0),
             commit_hist: config.obs.histogram("storage.commit_ns"),
             spill_hist: config.obs.histogram("storage.spill_ns"),
             pool_cost: ["log_bytes", "reclaim_copied", "segments_freed"]
                 .map(|name| config.obs.counter(&format!("storage.pm_{name}"))),
             config,
-        };
-        for (color, log) in logs {
-            server.stripe(color).insert(color, log);
         }
-        server
     }
 
     /// Creates a fresh server on new devices.
@@ -460,7 +390,8 @@ impl StorageServer {
             clock,
         }));
         let ssd = Arc::new(SsdDevice::new(clock));
-        Self::assemble(PmPool::create(pm), ssd, config, HashMap::new(), TokenIndex::default(), 0)
+        let state = State::new(&config);
+        Self::assemble(PmPool::create(pm), ssd, config, state)
     }
 
     /// Recovers a server from crashed devices: replays the PM pool, rebuilds
@@ -468,27 +399,23 @@ impl StorageServer {
     /// DRAM cache starts cold.
     pub fn recover(pm: Arc<PmDevice>, ssd: Arc<SsdDevice>, config: StorageConfig) -> Self {
         let pool = PmPool::open(pm);
-        let mut logs: HashMap<ColorId, ColorLog> = HashMap::new();
-        let mut tokens = TokenIndex::default();
-        let mut pm_live_bytes = 0usize;
+        let mut st = State::new(&config);
         for key in pool.keys() {
             let value = pool.get(key).expect("indexed key readable");
             match key & codec::TAG_MASK {
                 codec::TAG_COMMITTED => {
                     let (color, sn) = codec::color_sn_of(key);
-                    pm_live_bytes += value.len();
-                    logs.entry(color).or_default().insert(sn, Placement::Pm);
-                    tokens.note_committed(codec::record_token(&value), color, sn);
+                    st.pm_live_bytes += value.len();
+                    st.log_mut(color).insert(sn, Placement::Pm);
+                    st.note_committed(codec::record_token(&value), color, sn);
                 }
                 codec::TAG_STAGED => {
-                    pm_live_bytes += value.len();
-                    tokens
-                        .staged
+                    st.pm_live_bytes += value.len();
+                    st.staged
                         .insert(codec::staged_token_of(key), codec::decode_staged(&value).color);
                 }
-                codec::TAG_HEAD => logs
-                    .entry(codec::head_color_of(key))
-                    .or_default()
+                codec::TAG_HEAD => st
+                    .log_mut(codec::head_color_of(key))
                     .advance_head(codec::decode_head(&value)),
                 _ => {}
             }
@@ -503,7 +430,7 @@ impl StorageServer {
         let mut moved: Vec<(ColorId, SeqNum, usize)> = Vec::new();
         for block in ssd.block_ids() {
             let (color, sn) = codec::color_sn_of(block);
-            let log = logs.entry(color).or_default();
+            let log = st.log_mut(color);
             if log.placement(sn) == Some(Placement::Pm) {
                 let key = codec::committed_key(color, sn);
                 moved.push((color, sn, pool.get(key).map_or(0, |v| v.len())));
@@ -516,11 +443,11 @@ impl StorageServer {
         // the next spill rewrites their blocks.
         if tx.commit().is_ok() {
             for (color, sn, len) in moved {
-                logs.get_mut(&color).expect("indexed above").mark_spilled(sn);
-                pm_live_bytes -= len;
+                st.log_mut(color).mark_spilled(sn);
+                st.pm_live_bytes -= len;
             }
         }
-        Self::assemble(pool, ssd, config, logs, tokens, pm_live_bytes)
+        Self::assemble(pool, ssd, config, st)
     }
 
     /// Durably stages an append batch under its token (Alg 1 line 17).
@@ -532,19 +459,14 @@ impl StorageServer {
         color: ColorId,
         payloads: &[Payload],
     ) -> Result<bool, StorageError> {
-        {
-            let idx = self.tokens.lock();
-            if idx.staged.contains_key(&token)
-                || idx.committing.contains(&token)
-                || idx.committed_tokens.contains_key(&token)
-            {
-                return Ok(false);
-            }
+        let mut st = self.state.lock();
+        if st.staged.contains_key(&token) || st.committed_tokens.contains_key(&token) {
+            return Ok(false);
         }
         let value = codec::encode_staged(color, payloads);
         self.pool.put(codec::staged_key(token), &value)?;
-        self.tokens.lock().staged.insert(token, color);
-        self.adjust_live(value.len() as isize);
+        st.staged.insert(token, color);
+        st.adjust_live(value.len() as isize);
         self.stats.stages.inc();
         self.stats.bytes_appended.add(payloads.iter().map(|p| p.len() as u64).sum());
         Ok(true)
@@ -553,46 +475,44 @@ impl StorageServer {
     /// Commits a staged batch: `sn_last` is the SN of the batch's final
     /// record (the value the sequencer broadcast); earlier records of the
     /// batch get the preceding counters of the same epoch. Atomic and
-    /// durable. Idempotent by token.
+    /// durable. Idempotent by token: `Ok(false)` for a repeat.
     pub fn commit(&self, token: Token, sn_last: SeqNum) -> Result<bool, StorageError> {
-        self.commit_many(&[(token, sn_last)]).pop().expect("one item in, one out")
+        let result = self.commit_many(&[(token, sn_last)]).pop().expect("one item in, one out");
+        result.map(|color| color.is_some())
     }
 
     /// Commits several staged batches through **one** PM transaction — one
     /// redo-log append and one persist for the whole group, instead of one
     /// per batch. This is the data-layer analogue of the sequencer's
     /// aggregation window: a replica draining a burst of OResps pays the PM
-    /// commit cost once. Results are per item, index-aligned with `items`;
-    /// a failing item (unknown token) never blocks its neighbours.
-    pub fn commit_many(&self, items: &[(Token, SeqNum)]) -> Vec<Result<bool, StorageError>> {
+    /// commit cost once. Results are per item, index-aligned with `items`:
+    /// `Ok(Some(color))` for a batch this call committed, `Ok(None)` for a
+    /// token already committed (or repeated within the call); a failing
+    /// item (unknown token) never blocks its neighbours.
+    pub fn commit_many(
+        &self,
+        items: &[(Token, SeqNum)],
+    ) -> Vec<Result<Option<ColorId>, StorageError>> {
         let commit_start = std::time::Instant::now();
-        let mut results: Vec<Result<bool, StorageError>> = Vec::with_capacity(items.len());
-        // Classify under the token lock and claim valid tokens (move them
-        // into `committing` so re-stages and duplicate commits wait out the
-        // transaction window).
+        let mut st = self.state.lock();
+        let mut results = Vec::with_capacity(items.len());
         let mut valid: Vec<(usize, Token, SeqNum)> = Vec::new();
-        {
-            let mut idx = self.tokens.lock();
-            for (i, &(token, sn_last)) in items.iter().enumerate() {
-                if idx.committed_tokens.contains_key(&token) || idx.committing.contains(&token) {
-                    results.push(Ok(false));
-                } else if !idx.staged.contains_key(&token) {
-                    results.push(Err(StorageError::UnknownToken(token)));
-                } else if valid.iter().any(|&(_, t, _)| t == token) {
-                    // Duplicate token inside one call: first occurrence wins.
-                    results.push(Ok(false));
-                } else {
-                    idx.committing.insert(token);
-                    results.push(Ok(true)); // provisional; rolled back on tx error
-                    valid.push((i, token, sn_last));
-                }
+        for (i, &(token, sn_last)) in items.iter().enumerate() {
+            if st.committed_tokens.contains_key(&token) || valid.iter().any(|&(_, t, _)| t == token) {
+                // Committed before, or earlier in this call: first one wins.
+                results.push(Ok(None));
+            } else if let Some(&color) = st.staged.get(&token) {
+                results.push(Ok(Some(color)));
+                valid.push((i, token, sn_last));
+            } else {
+                results.push(Err(StorageError::UnknownToken(token)));
             }
         }
         if valid.is_empty() {
             return results;
         }
 
-        // Build ONE transaction across all claimed batches.
+        // Build ONE transaction across all valid batches.
         type CommittedBatch = (Token, ColorId, SeqNum, Vec<(SeqNum, Payload)>);
         let mut tx = self.pool.begin();
         let mut committed: Vec<CommittedBatch> = Vec::new();
@@ -622,52 +542,38 @@ impl StorageServer {
             committed.push((token, batch.color, sn_last, sns));
         }
         if let Err(e) = tx.commit() {
-            // Roll the claims back; none of the batches committed.
-            let mut idx = self.tokens.lock();
-            for &(i, token, _) in &valid {
-                idx.committing.remove(&token);
+            // None of the batches committed; they stay staged.
+            for &(i, _, _) in &valid {
                 results[i] = Err(e.into());
             }
             return results;
         }
 
         // Publish: token maps, per-color logs, cache fills.
-        {
-            let mut idx = self.tokens.lock();
-            for (token, color, sn_last, _) in &committed {
-                idx.staged.remove(token);
-                idx.committing.remove(token);
-                idx.committed_tokens.insert(*token, (*color, *sn_last));
+        for (token, color, sn_last, sns) in &committed {
+            st.staged.remove(token);
+            st.committed_tokens.insert(*token, (*color, *sn_last));
+            let log = st.log_mut(*color);
+            for (sn, _) in sns {
+                log.insert(*sn, Placement::Pm);
             }
-        }
-        for (_, color, _, sns) in &committed {
-            self.log_mut(*color, |log| {
-                for (sn, _) in sns {
-                    log.insert(*sn, Placement::Pm);
-                }
-            });
             for (sn, payload) in sns {
                 // Zero-copy fill: the cache shares the staged batch's buffer.
-                self.cache_of(*color, *sn)
-                    .lock()
-                    .put((*color, *sn), payload.clone());
+                st.cache.put((*color, *sn), payload.clone());
             }
         }
-        self.adjust_live(live_delta);
+        st.adjust_live(live_delta);
         self.stats.commits.add(committed.len() as u64);
         self.commit_hist.record_ns(commit_start.elapsed());
-        let node = self.node.load(Ordering::Relaxed);
         let span_batch: Vec<_> = committed
             .iter()
-            .map(|(token, color, _, _)| (*token, Stage::StorageCommit, node, color.0 as u64))
+            .map(|(token, color, _, _)| (*token, Stage::StorageCommit, st.node, color.0 as u64))
             .collect();
         self.config.obs.tracer().record_many(&span_batch);
-        if let Err(e) = self.maybe_spill() {
+        if let Err(e) = self.maybe_spill(&mut st) {
             // Spill failure does not undo the durable commits; surface it on
             // the first successful item so callers notice.
-            if let Some(&(i, _, _)) = valid.first() {
-                results[i] = Err(e);
-            }
+            results[valid[0].0] = Err(e);
         }
         results
     }
@@ -679,17 +585,20 @@ impl StorageServer {
 
     /// Like [`StorageServer::get`] but also reports which tier hit.
     pub fn get_traced(&self, color: ColorId, sn: SeqNum) -> Option<(Payload, TierHit)> {
+        self.read(&mut self.state.lock(), color, sn)
+    }
+
+    /// The tier walk behind `get_traced` and every record of a live scan.
+    fn read(&self, st: &mut State, color: ColorId, sn: SeqNum) -> Option<(Payload, TierHit)> {
         self.stats.reads.inc();
         let served = |payload: Payload, hits: &Counter, hit: TierHit| {
             hits.inc();
             self.stats.bytes_read.add(payload.len() as u64);
             Some((payload, hit))
         };
-        let register = || self.config.obs.counter(&format!("storage.color_reads.{}", color.0));
         let live_at = {
-            let mut stripe = self.stripe(color);
-            let log = stripe.get_mut(&color)?;
-            log.count_read(register);
+            let log = st.logs.get_mut(&color)?;
+            log.count_read(|| self.config.obs.counter(&format!("storage.color_reads.{}", color.0)));
             if log.trimmed(sn) {
                 // At or below the trim head: only the archive may serve it
                 // (the head filters live reads even when the bytes still
@@ -700,19 +609,18 @@ impl StorageServer {
             }
         };
         let Some(at) = live_at else {
-            let payload = self.archive_get(color, sn)?;
+            let payload = self.archive_get(st, color, sn)?;
             return served(payload, &self.stats.archive_hits, TierHit::Archive);
         };
         // Tier 1: DRAM cache (a hit returns the shared buffer, no copy).
-        if let Some(v) = self.cache_of(color, sn).lock().get(&(color, sn)) {
+        if let Some(v) = st.cache.get(&(color, sn)) {
             self.clock.consume(DRAM_NS);
             return served(v, &self.stats.cache_hits, TierHit::Cache);
         }
         self.stats.cache_misses.inc();
         // Tiers 2 and 3: PM, SSD.
-        let (raw, at) = self.raw_record(color, sn, at)?;
-        let (_, payload) = codec::decode_record(&raw);
-        self.cache_of(color, sn).lock().put((color, sn), payload.clone());
+        let (_, payload) = codec::decode_record(&self.raw_record(color, sn, at)?);
+        st.cache.put((color, sn), payload.clone());
         match at {
             Placement::Pm => served(payload, &self.stats.pm_hits, TierHit::Pm),
             Placement::Ssd => served(payload, &self.stats.ssd_hits, TierHit::Ssd),
@@ -720,14 +628,14 @@ impl StorageServer {
     }
 
     /// Tier 4: the archive read-through. Serves `(color, sn)` from the
-    /// segment covering it. Never touches the DRAM cache stripes. Returns
-    /// `None` without a cold tier, on a genuine hole (the SN was never
-    /// archived) and on store failure (counted).
-    fn archive_get(&self, color: ColorId, sn: SeqNum) -> Option<Payload> {
+    /// segment covering it. Never touches the DRAM cache. Returns `None`
+    /// without a cold tier, on a genuine hole (the SN was never archived)
+    /// and on store failure (counted).
+    fn archive_get(&self, st: &mut State, color: ColorId, sn: SeqNum) -> Option<Payload> {
         let tier = self.config.tier.as_ref()?;
-        let manifest = self.archive_manifest(tier, color)?;
+        let manifest = self.archive_manifest(st, tier, color)?;
         let meta = manifest.segment_for(sn)?;
-        self.with_segment(tier, color, meta, |seg| {
+        self.with_segment(st, tier, color, meta, |seg| {
             let i = seg.records.binary_search_by_key(&sn, |r| r.sn).ok()?;
             Some(seg.records[i].payload.clone())
         })
@@ -739,46 +647,45 @@ impl StorageServer {
     /// object store (counted) into the buffer first.
     fn with_segment<R>(
         &self,
+        st: &mut State,
         tier: &TierConfig,
         color: ColorId,
         meta: &SegmentMeta,
         f: impl FnOnce(&Segment) -> R,
     ) -> Result<R, StorageError> {
-        let mut archive = self.archive.lock();
-        let buffered = archive
-            .buffer
+        let buffered = st
+            .segments
             .get(&color)
             .is_some_and(|seg| seg.base == meta.base && seg.last == meta.last);
         if !buffered {
-            // Fetch without the lock: the store models a remote service.
-            drop(archive);
             let Ok(Some(seg)) = fetch_segment(tier.store.as_ref(), color, meta) else {
                 self.stats.archive_failures.inc();
                 return Err(StorageError::ArchiveUnavailable);
             };
             self.stats.archive_fetches.inc();
-            archive = self.archive.lock();
-            archive.buffer.insert(color, seg);
+            st.segments.insert(color, seg);
         }
-        Ok(f(&archive.buffer[&color]))
+        Ok(f(&st.segments[&color]))
     }
 
     /// Returns this color's manifest, loading it from the store on first
-    /// use. Each replica archives and trims its own storage under the
-    /// `archive_gate`, so its cached manifest always covers its own trim
+    /// use. Each replica archives and trims its own storage, and only under
+    /// the server's lock, so its cached manifest always covers its own trim
     /// head — no staleness re-check is needed on a miss.
-    fn archive_manifest(&self, tier: &TierConfig, color: ColorId) -> Option<Arc<Manifest>> {
-        let cached = self.archive.lock().manifests.get(&color).cloned();
-        if cached.is_some() {
-            return cached;
+    fn archive_manifest(
+        &self,
+        st: &mut State,
+        tier: &TierConfig,
+        color: ColorId,
+    ) -> Option<Arc<Manifest>> {
+        if let Some(manifest) = st.manifests.get(&color) {
+            return Some(Arc::clone(manifest));
         }
         let Ok(manifest) = Manifest::load(tier.store.as_ref(), color) else {
             self.stats.archive_failures.inc();
             return None;
         };
-        let manifest = Arc::new(manifest);
-        self.archive.lock().manifests.insert(color, Arc::clone(&manifest));
-        Some(manifest)
+        Some(Arc::clone(st.manifests.entry(color).or_insert(Arc::new(manifest))))
     }
 
     /// Archived records of `color` with `from < sn <= head`, oldest first,
@@ -788,13 +695,14 @@ impl StorageServer {
     /// log with a hole where the archived prefix belongs.
     fn archived_scan(
         &self,
+        st: &mut State,
         tier: &TierConfig,
         color: ColorId,
         from: SeqNum,
         head: SeqNum,
         cap: usize,
     ) -> Result<Vec<CommittedRecord>, StorageError> {
-        let Some(manifest) = self.archive_manifest(tier, color) else {
+        let Some(manifest) = self.archive_manifest(st, tier, color) else {
             return Err(StorageError::ArchiveUnavailable);
         };
         let mut out: Vec<CommittedRecord> = Vec::new();
@@ -802,7 +710,7 @@ impl StorageServer {
             if out.len() >= cap {
                 break;
             }
-            self.with_segment(tier, color, meta, |seg| {
+            self.with_segment(st, tier, color, meta, |seg| {
                 let wanted = seg.records.iter().filter(|r| r.sn > from && r.sn <= head);
                 out.extend(wanted.take(cap - out.len()).cloned());
             })?;
@@ -838,18 +746,19 @@ impl StorageServer {
         from: SeqNum,
         cap: usize,
     ) -> Result<Vec<CommittedRecord>, StorageError> {
+        let st = &mut *self.state.lock();
         // The trim head splits the scan the way it splits `get`: at or
         // below it only the archive serves, above it only the live tiers —
         // so the two runs never overlap and simply concatenate.
-        let head = self.head(color).unwrap_or(SeqNum::ZERO);
+        let head = st.head(color).unwrap_or(SeqNum::ZERO);
         let mut out = match &self.config.tier {
-            Some(tier) if from < head => self.archived_scan(tier, color, from, head, cap)?,
+            Some(tier) if from < head => self.archived_scan(st, tier, color, from, head, cap)?,
             _ => Vec::new(),
         };
-        let live = self.placed(color, above(from.max(head)), cap - out.len());
+        let live = st.placed(color, above(from.max(head)), cap - out.len());
         out.extend(live.into_iter().filter_map(|(sn, _)| {
-            self.get(color, sn)
-                .map(|payload| CommittedRecord { sn, payload })
+            let (payload, _) = self.read(st, color, sn)?;
+            Some(CommittedRecord { sn, payload })
         }));
         Ok(out)
     }
@@ -862,12 +771,15 @@ impl StorageServer {
     /// cache. An `Above` scan runs inside the replica's single-threaded
     /// event loop and blocks appends for its duration, hence the `limit`.
     pub fn fetch(&self, color: ColorId, select: &FetchSelect) -> Vec<(Token, SeqNum, Payload)> {
+        let st = self.state.lock();
         let placed = match select {
             FetchSelect::Above { sn, limit } => {
-                self.placed(color, above(*sn), usize::try_from(*limit).unwrap_or(usize::MAX))
+                st.placed(color, above(*sn), usize::try_from(*limit).unwrap_or(usize::MAX))
             }
-            FetchSelect::Exact(sns) => self
-                .log(color, |log| {
+            FetchSelect::Exact(sns) => st
+                .logs
+                .get(&color)
+                .map(|log| {
                     sns.iter()
                         .filter_map(|&sn| Some((sn, log.placement(sn)?)))
                         .collect()
@@ -877,30 +789,18 @@ impl StorageServer {
         placed
             .into_iter()
             .filter_map(|(sn, at)| {
-                let (token, payload) = codec::decode_record(&self.raw_record(color, sn, at)?.0);
+                let (token, payload) = codec::decode_record(&self.raw_record(color, sn, at)?);
                 Some((token, sn, payload))
             })
             .collect()
     }
 
-    /// The stored bytes of a committed record and the tier that served
-    /// them. Probes the tier the index named first but falls back to the
-    /// other: a concurrent spill may move the record between the index
-    /// lookup and this read.
-    fn raw_record(
-        &self,
-        color: ColorId,
-        sn: SeqNum,
-        at: Placement,
-    ) -> Option<(Vec<u8>, Placement)> {
-        let pm = || Some((self.pool.get(codec::committed_key(color, sn))?, Placement::Pm));
-        let ssd = || {
-            let raw = self.ssd.read_block(codec::ssd_block_id(color, sn)).ok()?;
-            Some((raw, Placement::Ssd))
-        };
+    /// The stored bytes of a committed record, from the tier the index
+    /// names.
+    fn raw_record(&self, color: ColorId, sn: SeqNum, at: Placement) -> Option<Vec<u8>> {
         match at {
-            Placement::Pm => pm().or_else(ssd),
-            Placement::Ssd => ssd().or_else(pm),
+            Placement::Pm => self.pool.get(codec::committed_key(color, sn)),
+            Placement::Ssd => self.ssd.read_block(codec::ssd_block_id(color, sn)).ok(),
         }
     }
 
@@ -910,18 +810,16 @@ impl StorageServer {
     /// tokens. Returns how many were newly installed.
     fn install(
         &self,
+        st: &mut State,
         color: ColorId,
         records: &[(Token, SeqNum, Payload)],
         at: Placement,
     ) -> Result<u64, StorageError> {
-        let fresh: Vec<&(Token, SeqNum, Payload)> = {
-            let stripe = self.stripe(color);
-            let log = stripe.get(&color);
-            records
-                .iter()
-                .filter(|(_, sn, _)| log.is_none_or(|log| log.admits(*sn)))
-                .collect()
-        };
+        let log = st.logs.get(&color);
+        let fresh: Vec<&(Token, SeqNum, Payload)> = records
+            .iter()
+            .filter(|(_, sn, _)| log.is_none_or(|log| log.admits(*sn)))
+            .collect();
         if fresh.is_empty() {
             return Ok(0);
         }
@@ -936,9 +834,9 @@ impl StorageServer {
                     tx.put(codec::committed_key(color, *sn), value);
                 }
                 tx.commit()?;
-                self.adjust_live(values.iter().map(|(_, v)| v.len() as isize).sum());
+                st.adjust_live(values.iter().map(|(_, v)| v.len() as isize).sum());
                 for (_, sn, payload) in &fresh {
-                    self.cache_of(color, *sn).lock().put((color, *sn), payload.clone());
+                    st.cache.put((color, *sn), payload.clone());
                 }
             }
             Placement::Ssd => {
@@ -948,14 +846,12 @@ impl StorageServer {
                 self.ssd.fsync();
             }
         }
-        self.log_mut(color, |log| {
-            for (_, sn, _) in &fresh {
-                log.insert(*sn, at);
-            }
-        });
-        let mut idx = self.tokens.lock();
+        let log = st.log_mut(color);
+        for (_, sn, _) in &fresh {
+            log.insert(*sn, at);
+        }
         for (token, sn, _) in &fresh {
-            idx.note_committed(*token, color, *sn);
+            st.note_committed(*token, color, *sn);
         }
         Ok(fresh.len() as u64)
     }
@@ -970,9 +866,10 @@ impl StorageServer {
         token: Token,
         payload: &Payload,
     ) -> Result<bool, StorageError> {
-        let installed = self.install(color, &[(token, sn, payload.clone())], Placement::Pm)?;
+        let mut st = self.state.lock();
+        let installed = self.install(&mut st, color, &[(token, sn, payload.clone())], Placement::Pm)?;
         if installed > 0 {
-            self.maybe_spill()?;
+            self.maybe_spill(&mut st)?;
         }
         Ok(installed > 0)
     }
@@ -990,7 +887,7 @@ impl StorageServer {
         color: ColorId,
         records: &[(Token, SeqNum, Payload)],
     ) -> Result<u64, StorageError> {
-        self.install(color, records, Placement::Ssd)
+        self.install(&mut self.state.lock(), color, records, Placement::Ssd)
     }
 
     /// The SNs of every committed record of `color` above `from`, oldest
@@ -999,7 +896,7 @@ impl StorageServer {
     /// commit-order hole that fills later, so it diffs the source's SN set
     /// against its own instead of trusting counts.
     pub fn committed_sns(&self, color: ColorId, from: SeqNum) -> Vec<SeqNum> {
-        let placed = self.placed(color, above(from), usize::MAX);
+        let placed = self.state.lock().placed(color, above(from), usize::MAX);
         placed.into_iter().map(|(sn, _)| sn).collect()
     }
 
@@ -1012,29 +909,26 @@ impl StorageServer {
     /// segments and uploaded, and only records covered by a durably acked
     /// segment are released from PM/SSD. If an upload fails mid-round the
     /// un-acked suffix stays live (and readable) until a later trim
-    /// retries — history is never lost to a store outage. The round runs
-    /// under the `archive_gate` so concurrent trims and policy-driven
-    /// archive rounds cannot interleave their upload/drop two-steps.
+    /// retries — history is never lost to a store outage. The round holds
+    /// the server's lock throughout, so no other trim or archive round can
+    /// interleave with its upload/drop two-step.
     pub fn trim(
         &self,
         color: ColorId,
         up_to: SeqNum,
     ) -> Result<(Option<SeqNum>, Option<SeqNum>), StorageError> {
+        let st = &mut *self.state.lock();
         // A color never appended to (no committed records, no prior trim)
         // has nothing to trim: do NOT fabricate a head for it, or the
-        // stripe gains a phantom color that shows up in every walk of
+        // server gains a phantom color that shows up in every walk of
         // per-color state forever after.
-        if self
-            .log(color, |log| log.len() == 0 && log.head().is_none())
-            .unwrap_or(true)
-        {
+        if st.logs.get(&color).is_none_or(|log| log.len() == 0 && log.head().is_none()) {
             return Ok((None, None));
         }
-        let Some(tier) = self.config.tier.clone() else {
-            return self.drop_prefix(color, up_to);
+        let Some(tier) = &self.config.tier else {
+            return self.drop_prefix(st, color, up_to);
         };
-        let _gate = self.archive_gate.lock();
-        let round = self.archive_records(&tier, color, Some(up_to), 0, u64::MAX);
+        let round = self.archive_records(st, tier, color, Some(up_to), 0, u64::MAX);
         // When the store stopped acking mid-round, drop only the prefix it
         // durably holds (nothing, if that is unknown). The head then lands
         // below `up_to`; the protocol reply reflects that and a later trim
@@ -1045,8 +939,11 @@ impl StorageServer {
             round.durable.map(|boundary| boundary.min(up_to))
         };
         match cut {
-            Some(cut) => self.drop_prefix(color, cut),
-            None => Ok((self.head(color), self.tail(color))),
+            Some(cut) => self.drop_prefix(st, color, cut),
+            None => {
+                let log = &st.logs[&color];
+                Ok((log.head(), log.tail()))
+            }
         }
     }
 
@@ -1055,11 +952,12 @@ impl StorageServer {
     /// archive-then-drop.
     fn drop_prefix(
         &self,
+        st: &mut State,
         color: ColorId,
         up_to: SeqNum,
     ) -> Result<(Option<SeqNum>, Option<SeqNum>), StorageError> {
-        let victims = self.placed(color, ..=up_to, usize::MAX);
-        self.remove(color, &victims, Some(up_to))
+        let victims = st.placed(color, ..=up_to, usize::MAX);
+        self.remove(st, color, &victims, Some(up_to))
     }
 
     /// Deletes `victims` of `color` from whichever tier holds them and,
@@ -1076,12 +974,13 @@ impl StorageServer {
     /// concerned, and the client's retry must go through the real shard.
     fn remove(
         &self,
+        st: &mut State,
         color: ColorId,
         victims: &[(SeqNum, Placement)],
         new_head: Option<SeqNum>,
     ) -> Result<(Option<SeqNum>, Option<SeqNum>), StorageError> {
         // Heads only ever advance, durably too.
-        let new_head = new_head.map(|h| h.max(self.head(color).unwrap_or(SeqNum::ZERO)));
+        let new_head = new_head.map(|h| h.max(st.head(color).unwrap_or(SeqNum::ZERO)));
         let mut tx = self.pool.begin();
         let mut freed = 0usize;
         for &(sn, at) in victims {
@@ -1100,22 +999,19 @@ impl StorageServer {
         tx.commit()?;
         self.ssd.fsync();
         for &(sn, _) in victims {
-            self.cache_of(color, sn).lock().remove(&(color, sn));
+            st.cache.remove(&(color, sn));
         }
-        let (head, tail) = self.log_mut(color, |log| {
-            for &(sn, _) in victims {
-                log.remove(sn);
-            }
-            if let Some(head) = new_head {
-                log.advance_head(head);
-            }
-            (log.head(), log.tail())
-        });
-        self.tokens
-            .lock()
-            .committed_tokens
+        let log = st.log_mut(color);
+        for &(sn, _) in victims {
+            log.remove(sn);
+        }
+        if let Some(head) = new_head {
+            log.advance_head(head);
+        }
+        let (head, tail) = (log.head(), log.tail());
+        st.committed_tokens
             .retain(|_, &mut (c, sn)| c != color || new_head.is_some_and(|h| sn > h));
-        self.adjust_live(-(freed as isize));
+        st.adjust_live(-(freed as isize));
         Ok((head, tail))
     }
 
@@ -1123,20 +1019,21 @@ impl StorageServer {
     /// manifest's durable boundary (and `<= limit`, when given) into
     /// segments and uploads them. For policy rounds (`limit == None`) the
     /// newest `keep_tail` candidates stay hot and at most `max_records`
-    /// move. The caller holds the `archive_gate`.
+    /// move.
     ///
     /// Idempotent across replicas and crashes: every replica derives the
     /// same chunk boundaries from the same shared manifest state, so
     /// re-uploads write byte-identical objects under the same keys.
     fn archive_records(
         &self,
+        st: &mut State,
         tier: &TierConfig,
         color: ColorId,
         limit: Option<SeqNum>,
         keep_tail: u64,
         max_records: u64,
     ) -> ArchiveRound {
-        let Some(mut manifest) = self.archive_manifest(tier, color) else {
+        let Some(mut manifest) = self.archive_manifest(st, tier, color) else {
             return ArchiveRound { archived: 0, durable: None, complete: false };
         };
         let boundary = manifest.archived_up_to().unwrap_or(SeqNum::ZERO);
@@ -1147,7 +1044,7 @@ impl StorageServer {
             return ArchiveRound { archived: 0, durable: manifest.archived_up_to(), complete: true };
         }
         let upper = limit.map_or(Bound::Unbounded, Bound::Included);
-        let mut candidates = self.placed(color, (Bound::Excluded(boundary), upper), usize::MAX);
+        let mut candidates = st.placed(color, (Bound::Excluded(boundary), upper), usize::MAX);
         if limit.is_none() {
             let keep = keep_tail.min(candidates.len() as u64) as usize;
             candidates.truncate(candidates.len() - keep);
@@ -1159,7 +1056,7 @@ impl StorageServer {
             let records: Vec<CommittedRecord> = group
                 .iter()
                 .filter_map(|&(sn, at)| {
-                    let (raw, _) = self.raw_record(color, sn, at)?;
+                    let raw = self.raw_record(color, sn, at)?;
                     Some(CommittedRecord { sn, payload: codec::decode_record(&raw).1 })
                 })
                 .collect();
@@ -1187,7 +1084,7 @@ impl StorageServer {
             if complete && manifest.store(tier.store.as_ref(), color).is_err() {
                 self.stats.archive_failures.inc();
             }
-            self.archive.lock().manifests.insert(color, manifest);
+            st.manifests.insert(color, manifest);
         }
         ArchiveRound { archived, durable, complete }
     }
@@ -1202,16 +1099,16 @@ impl StorageServer {
         keep_tail: u64,
         max_records: u64,
     ) -> Result<u64, StorageError> {
-        let Some(tier) = self.config.tier.clone() else {
+        let Some(tier) = &self.config.tier else {
             return Ok(0);
         };
-        let _gate = self.archive_gate.lock();
-        let round = self.archive_records(&tier, color, None, keep_tail, max_records);
+        let st = &mut *self.state.lock();
+        let round = self.archive_records(st, tier, color, None, keep_tail, max_records);
         if let Some(boundary) = round.durable {
             // Skip the PM transaction when the head already covers the
             // boundary (steady-state policy ticks with nothing new).
-            if self.head(color).is_none_or(|h| h < boundary) {
-                self.drop_prefix(color, boundary)?;
+            if st.head(color).is_none_or(|h| h < boundary) {
+                self.drop_prefix(st, color, boundary)?;
             }
         }
         Ok(round.archived)
@@ -1224,11 +1121,17 @@ impl StorageServer {
     /// and an orphaned head is harmless). Idempotent: a repeat discard
     /// finds nothing and returns 0. Returns the record count removed.
     pub fn discard_color(&self, color: ColorId) -> Result<u64, StorageError> {
-        let victims = self.placed(color, .., usize::MAX);
+        let st = &mut *self.state.lock();
+        let victims = st.placed(color, .., usize::MAX);
         if !victims.is_empty() {
-            self.remove(color, &victims, None)?;
+            self.remove(st, color, &victims, None)?;
         }
         Ok(victims.len() as u64)
+    }
+
+    /// Runs `f` on `color`'s log; `None` when the color has no log here.
+    fn log<R>(&self, color: ColorId, f: impl FnOnce(&ColorLog) -> R) -> Option<R> {
+        self.state.lock().logs.get(&color).map(f)
     }
 
     /// Highest committed SN of `color` on this replica.
@@ -1245,37 +1148,28 @@ impl StorageServer {
     /// span transfer: the destination must not serve records the source
     /// had already trimmed). Never moves an existing head backwards.
     pub fn install_head(&self, color: ColorId, head: SeqNum) -> Result<(), StorageError> {
-        if self.head(color).is_some_and(|h| head <= h) {
+        let mut st = self.state.lock();
+        if st.head(color).is_some_and(|h| head <= h) {
             return Ok(());
         }
         self.pool.put(codec::head_key(color), &codec::encode_head(head))?;
-        self.log_mut(color, |log| log.advance_head(head));
+        st.log_mut(color).advance_head(head);
         Ok(())
     }
 
     /// Bytes of staged and committed values currently resident in PM (the
     /// autoscaler's per-shard memory-pressure signal).
     pub fn pm_live_bytes(&self) -> usize {
-        self.pm_live_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Highest committed SN across *all* colors (failure-recovery sync
-    /// state, §6.3).
-    pub fn max_committed_sn(&self) -> Option<SeqNum> {
-        self.stripes
-            .iter()
-            .filter_map(|s| s.lock().values().filter_map(ColorLog::tail).max())
-            .max()
+        self.state.lock().pm_live_bytes
     }
 
     /// Tokens staged but not yet committed (re-issued as OReqs after
     /// recovery, §6.3) together with their color and batch size.
     pub fn staged_tokens(&self) -> Vec<(Token, ColorId, usize)> {
-        let staged: Vec<(Token, ColorId)> =
-            self.tokens.lock().staged.iter().map(|(&t, &c)| (t, c)).collect();
-        staged
-            .into_iter()
-            .map(|(t, c)| {
+        let st = self.state.lock();
+        st.staged
+            .iter()
+            .map(|(&t, &c)| {
                 let staged = self.pool.get(codec::staged_key(t));
                 (t, c, staged.map_or(0, |v| codec::decode_staged(&v).payloads.len()))
             })
@@ -1284,19 +1178,18 @@ impl StorageServer {
 
     /// The SN a committed token's batch ended at, if committed.
     pub fn committed_sn(&self, token: Token) -> Option<SeqNum> {
-        self.tokens.lock().committed_tokens.get(&token).map(|&(_, sn)| sn)
+        self.state.lock().committed_tokens.get(&token).map(|&(_, sn)| sn)
     }
 
-    /// True if `token` is staged (or mid-commit) but not yet committed.
+    /// True if `token` is staged but not yet committed.
     pub fn is_staged(&self, token: Token) -> bool {
-        let idx = self.tokens.lock();
-        idx.staged.contains_key(&token) || idx.committing.contains(&token)
+        self.state.lock().staged.contains_key(&token)
     }
 
     /// Number of entries in the token-idempotence map (bounded-memory
     /// check: trims must shrink this).
     pub fn committed_token_count(&self) -> usize {
-        self.tokens.lock().committed_tokens.len()
+        self.state.lock().committed_tokens.len()
     }
 
     /// Number of committed records of `color` on this replica.
@@ -1311,9 +1204,7 @@ impl StorageServer {
 
     /// Drops every DRAM-cache entry (tier tests force cold reads with it).
     pub fn clear_cache(&self) {
-        for c in self.caches.iter() {
-            c.lock().clear();
-        }
+        self.state.lock().cache.clear();
     }
 
     /// The underlying devices (crash injection).
@@ -1329,7 +1220,7 @@ impl StorageServer {
     /// Attaches the owning replica's identity so `StorageCommit` trace
     /// events carry the right node (called once at replica start-up).
     pub fn set_node(&self, node: u64) {
-        self.node.store(node, Ordering::Relaxed);
+        self.state.lock().node = node;
     }
 
     /// The shared observability handle this server reports into.
@@ -1341,32 +1232,29 @@ impl StorageServer {
     /// bytes exceed the watermark ("a contiguous portion from the start of
     /// the log is flushed to SSD and removed from PM", §5.2). The safety
     /// back-stop under the tiering policy's `demote` action: it walks the
-    /// colors and demotes their oldest PM-resident records, a batch at a
-    /// time.
-    fn maybe_spill(&self) -> Result<(), StorageError> {
+    /// colors, lowest id first, and demotes their oldest PM-resident
+    /// records, a batch at a time.
+    fn maybe_spill(&self, st: &mut State) -> Result<(), StorageError> {
         self.publish_pool_cost();
-        if self.pm_live_bytes() <= self.config.pm_watermark {
+        if st.pm_live_bytes <= self.config.pm_watermark {
             return Ok(());
         }
         let spill_start = std::time::Instant::now();
-        let _gate = self.spill_gate.lock();
-        while self.pm_live_bytes() > self.config.pm_watermark {
+        while st.pm_live_bytes > self.config.pm_watermark {
             // One batch may span colors, so a color with nothing left in PM
-            // does not end the round empty. One stripe lock at a time.
+            // does not end the round empty.
             let mut victims = Vec::with_capacity(SPILL_BATCH);
-            'fill: for stripe in self.stripes.iter() {
-                for (&color, log) in stripe.lock().iter() {
-                    let room = SPILL_BATCH - victims.len();
-                    if room == 0 {
-                        break 'fill;
-                    }
-                    victims.extend(log.oldest_pm(room).map(|sn| (color, sn)));
+            for (&color, log) in &st.logs {
+                let room = SPILL_BATCH - victims.len();
+                if room == 0 {
+                    break;
                 }
+                victims.extend(log.oldest_pm(room).map(|sn| (color, sn)));
             }
             if victims.is_empty() {
                 return Ok(());
             }
-            self.spill_victims(&victims)?;
+            self.spill_victims(st, &victims)?;
         }
         self.spill_hist.record_ns(spill_start.elapsed());
         Ok(())
@@ -1383,8 +1271,8 @@ impl StorageServer {
     }
 
     /// The SSD-copy → fsync → PM-delete two-step moving the given
-    /// PM-resident records down a tier. Callers hold the spill gate.
-    fn spill_victims(&self, victims: &[(ColorId, SeqNum)]) -> Result<(), StorageError> {
+    /// PM-resident records down a tier.
+    fn spill_victims(&self, st: &mut State, victims: &[(ColorId, SeqNum)]) -> Result<(), StorageError> {
         // 1. Copy to SSD and fsync...
         let mut freed = 0usize;
         let mut tx = self.pool.begin();
@@ -1402,11 +1290,9 @@ impl StorageServer {
         // never loses them).
         tx.commit()?;
         for &(color, sn) in victims {
-            if let Some(log) = self.stripe(color).get_mut(&color) {
-                log.mark_spilled(sn);
-            }
+            st.log_mut(color).mark_spilled(sn);
         }
-        self.adjust_live(-(freed as isize));
+        st.adjust_live(-(freed as isize));
         self.stats.spilled_records.add(victims.len() as u64);
         Ok(())
     }
@@ -1417,13 +1303,15 @@ impl StorageServer {
     /// replacing per-workload tuning of the spill heuristics. Returns how
     /// many records moved.
     pub fn demote_color(&self, color: ColorId, max_records: u64) -> Result<u64, StorageError> {
-        let _gate = self.spill_gate.lock();
+        let st = &mut *self.state.lock();
         let max = usize::try_from(max_records).unwrap_or(usize::MAX);
-        let victims: Vec<(ColorId, SeqNum)> = self
-            .log(color, |log| log.oldest_pm(max).map(|sn| (color, sn)).collect())
+        let victims: Vec<(ColorId, SeqNum)> = st
+            .logs
+            .get(&color)
+            .map(|log| log.oldest_pm(max).map(|sn| (color, sn)).collect())
             .unwrap_or_default();
         if !victims.is_empty() {
-            self.spill_victims(&victims)?;
+            self.spill_victims(st, &victims)?;
         }
         Ok(victims.len() as u64)
     }

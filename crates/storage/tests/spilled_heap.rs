@@ -66,7 +66,7 @@ fn a_spilled_record_costs_the_heap_under_200_bytes() {
         assert!(server
             .commit_many(&items)
             .into_iter()
-            .all(|r| r == Ok(true)));
+            .all(|r| r == Ok(Some(color))));
     }
     let grew = LIVE.load(Ordering::Relaxed) - at_start.0;
     let spilled = spilled() - at_start.1;

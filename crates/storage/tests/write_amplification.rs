@@ -64,7 +64,7 @@ fn run(colors: u32) -> Cost {
             assert!(server
                 .commit_many(&items)
                 .into_iter()
-                .all(|r| r == Ok(true)));
+                .all(|r| r == Ok(Some(color))));
         });
     }
     assert!(
@@ -81,7 +81,7 @@ fn run(colors: u32) -> Cost {
     }
 }
 
-/// Four colors: the spill drains the lowest-stripe color first, so three
+/// Four colors: the spill drains the lowest color id first, so three
 /// colors' records die young and the fourth's outlive a trip of the log
 /// around the device — the pool has to copy those forward, at a cost set by
 /// pool utilisation (a quarter), not by the size of the live set.

@@ -4,7 +4,9 @@
 # submodules and `tests/` directories excluded) and for the files the
 # ROADMAP names (and the `OrderMsg` variant count), then the settable values
 # per crate — `pub` fields of `pub struct *Config` / `*Spec` items, and
-# `ControlPlane`'s, which callers set after construction — and what the
+# `ControlPlane`'s, which callers set after construction — then the
+# synchronisation each crate declares — `Mutex<` / `RwLock<` and `Atomic*`
+# fields, statics and type aliases in non-test `src/` — and what the
 # measurement harness
 # weighs: binary targets in crates/bench, embedded-Python lines per script,
 # code lines per vendored shim. Report only — nothing here gates; run it on
@@ -41,6 +43,20 @@ per_crate() {
     printf '%-28s %8d\n' "total" "$total"
 }
 
+# A declaration's head: a field or static (`name: ` and no `&` or `=`
+# before the type), or a type alias.
+decl='^\s*(pub(\([a-z]+\))? )?(((static|const) )?[A-Za-z_][A-Za-z0-9_]*: [^&=]*|type [A-Za-z0-9_]+(<[^>]*>)? = .*)'
+
+# Counts non-comment declaration lines whose type matches $1 in the files.
+declared() {
+    local re=$1
+    shift
+    if [ "$#" -eq 0 ]; then echo 0; else cat "$@" | grep -vE '^\s*//' | grep -cE "$decl$re" || true; fi
+}
+locks() { declared '\b(Mutex|RwLock)<' "$@"; }
+# (`AtomicU64::new(..)` in a struct literal is a value, not a declaration.)
+atomics() { declared '\bAtomic[A-Z][A-Za-z0-9]*([^A-Za-z0-9:]|$)' "$@"; }
+
 per_crate "crate src/" "code" count
 
 echo
@@ -64,6 +80,11 @@ echo
 per_crate "settable values" "fields" settable
 # Not a `*Config`: its `pub` fields are set on the value `new` returns.
 printf '%-28s %8d\n' "ControlPlane pub fields" "$(STRUCT=ControlPlane settable crates/ctrl/src/plane.rs)"
+
+echo
+per_crate "Mutex/RwLock declared" "decls" locks
+echo
+per_crate "Atomic* declared" "decls" atomics
 
 echo
 bins=0

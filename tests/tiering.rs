@@ -155,7 +155,7 @@ fn replay_from_genesis_after_full_archive_and_trim() {
 }
 
 /// Archive replay streams through the archive buffer, never the DRAM
-/// cache stripes: a cold replay-from-genesis must not move the cache
+/// cache: a cold replay-from-genesis must not move the cache
 /// counters at all, and a concurrently hot color keeps its hit rate.
 #[test]
 fn archive_replay_leaves_the_hot_cache_alone() {
