@@ -6,11 +6,14 @@
 //! on the seed shard; after a warm-up window the control plane scales out
 //! (adds a shard under the root) and migrates the hot color onto it with
 //! the catch-up → freeze → cutover protocol. Writers never stop —
-//! reconfiguration may *delay* an append (the freeze window nacks with
-//! `Frozen`, the cutover with `ColorMoved`) but must never fail one. The
-//! **cutover stall** is the longest gap between consecutive append
-//! completions across the whole run: a few retry intervals in steady state,
-//! spiking only while the color is frozen. Then a second migration is
+//! reconfiguration may *delay* an append (the source replicas hold a frozen
+//! color's appends and answer them at the cutover with `ColorMoved`) but
+//! must never fail one. The **freeze window** runs from the first source
+//! replica's `MigrateFreeze` trace event to the last one's
+//! `MigrateCutover`; the **cutover stall** is the longest gap between
+//! consecutive append completions that overlaps it — the stall the
+//! migration caused. The run's longest gap anywhere is reported beside it:
+//! it can be a host pause outside the migration. Then a second migration is
 //! started and its controller killed right after the freeze round — the
 //! worst place to die, since the color is unavailable until somebody thaws
 //! it — and the successor's full recovery is timed (durable generation
@@ -20,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use flexlog_core::{ClusterSpec, FlexLogCluster};
+use flexlog_core::{ClusterSpec, FlexLogCluster, Stage, CTRL_TOKEN};
 use flexlog_ctrl::{ControlPlane, CtrlError, CtrlPhase};
 use flexlog_ordering::RoleId;
 use flexlog_replication::{ClientConfig, FlexLogClient};
@@ -51,10 +54,11 @@ fn trial(phase: Duration, report: &mut Report) {
     let mut plane = ControlPlane::new(&cluster);
 
     let t0 = Instant::now();
+    let t0_ns = cluster.obs().tracer().now_ns();
     let stop = AtomicBool::new(false);
     let start = Barrier::new(CLIENTS + 1);
     // Completion timestamps (seconds since t0) and failures, all writers.
-    let (mut times, failed, mig_start, mig_end) = std::thread::scope(|s| {
+    let (mut times, failed, mig_start, mig_end, (freeze, cutover)) = std::thread::scope(|s| {
         let (stop, start, cluster) = (&stop, &start, &cluster);
         let writers: Vec<_> = (0..CLIENTS)
             .map(|_| {
@@ -80,6 +84,8 @@ fn trial(phase: Duration, report: &mut Report) {
         let dest = plane.add_shard(RoleId(0));
         plane.migrate_color(HOT, dest.id).expect("migration");
         let mig_end = t0.elapsed().as_secs_f64();
+        // Now, before the writers' spans wrap the trace ring.
+        let window = freeze_window(cluster, t0_ns);
         std::thread::sleep(phase);
         stop.store(true, Ordering::Relaxed);
 
@@ -89,7 +95,7 @@ fn trial(phase: Duration, report: &mut Report) {
             all.extend(done);
             failed += f;
         }
-        (all, failed, mig_start, mig_end)
+        (all, failed, mig_start, mig_end, window)
     });
     let end = t0.elapsed().as_secs_f64().min(mig_end + phase.as_secs_f64());
 
@@ -135,20 +141,41 @@ fn trial(phase: Duration, report: &mut Report) {
         records as f64 / (hi - lo).max(1e-9)
     };
     let (before, after) = (rate(0.0, mig_start), rate(mig_end, end));
-    let cutover_stall_ms = times.windows(2).map(|w| (w[1] - w[0]) * 1e3).fold(0.0, f64::max);
+    let gap_ms = |w: &[f64]| (w[1] - w[0]) * 1e3;
+    let longest_ack_gap_ms = times.windows(2).map(gap_ms).fold(0.0, f64::max);
+    let overlapping = times.windows(2).filter(|w| w[0] < cutover && w[1] > freeze);
+    let cutover_stall_ms = overlapping.map(gap_ms).fold(0.0, f64::max);
+    let freeze_to_cutover_ms = (cutover - freeze) * 1e3;
     let migration_ms = (mig_end - mig_start) * 1e3;
     eprintln!(
         "elasticity: before {before:.0} rec/s, after {after:.0} rec/s, migration {migration_ms:.1} ms \
-         ({catchup_rounds} catch-up rounds), stall {cutover_stall_ms:.2} ms, \
+         ({catchup_rounds} catch-up rounds), freeze→cutover {freeze_to_cutover_ms:.2} ms, \
+         stall {cutover_stall_ms:.2} ms (longest gap {longest_ack_gap_ms:.2} ms), \
          controller recovery {controller_recovery_ms:.2} ms, {failed} failed appends"
     );
 
     report.record("before_rec_per_s", "rec/s", WALL, before);
     report.record("after_rec_per_s", "rec/s", WALL, after);
     report.record("after_over_before", "x", WALL, after / before);
+    report.record("freeze_to_cutover_ms", "ms", WALL, freeze_to_cutover_ms);
     report.record("cutover_stall_ms", "ms", WALL, cutover_stall_ms);
+    report.record("longest_ack_gap_ms", "ms", WALL, longest_ack_gap_ms);
     report.record("controller_recovery_ms", "ms", WALL, controller_recovery_ms);
     report.record("failed_appends", "count", WALL, failed as f64);
+}
+
+/// The migration's freeze window in seconds since the trial's start (the
+/// tracer read `t0_ns` then): the first source replica's `MigrateFreeze`
+/// to the last one's `MigrateCutover`.
+fn freeze_window(cluster: &FlexLogCluster, t0_ns: u64) -> (f64, f64) {
+    let trace = cluster.obs().trace(CTRL_TOKEN);
+    let freeze = trace.first_ns(Stage::MigrateFreeze);
+    let cutover = trace.last_ns(Stage::MigrateCutover);
+    let at = |ns: Option<u64>| {
+        let ns = ns.expect("the migration's freeze and cutover are still in the trace ring");
+        ns.saturating_sub(t0_ns) as f64 * 1e-9
+    };
+    (at(freeze), at(cutover))
 }
 
 pub fn run(quick: bool) -> Report {

@@ -24,8 +24,9 @@ pub const MODELLED: &str = "modelled";
 pub const GATES: &[(&str, &str, &str, f64, f64)] = &[
     // Modelled pipelined throughput at 4 shards over 1 shard.
     ("datapath", "scaling_4x_over_1x", ">=", 1.5, 2.0),
-    // The stall is the freeze window over the residual sliver — O(catch-up
-    // threshold), never O(span) (~90 ms even in a quick run).
+    // The longest ack gap overlapping the freeze window, which spans the
+    // residual sliver — O(catch-up threshold), never O(span) (~90 ms even
+    // in a quick run).
     ("elasticity", "cutover_stall_ms", "<", 60.0, 10.0),
     // A successor controller fences, scans the WAL and rolls back in a
     // handful of rounds.

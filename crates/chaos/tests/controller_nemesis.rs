@@ -44,10 +44,9 @@ fn workload() -> WorkloadConfig {
 }
 
 /// A bounded raw append against RED's current shard: `Ok` when it
-/// commits, `Err` describing the nack or the timeout. Bypasses the client
-/// library (which holds and retries `Frozen` forever) so a regression
-/// that leaves the color frozen after recovery surfaces as a violation
-/// instead of hanging the test.
+/// commits, `Err` describing the nack or the timeout. A replica left
+/// frozen parks the probe unanswered, so a regression that leaves the
+/// color frozen after recovery surfaces as the timeout, a violation.
 fn probe_append(cluster: &FlexLogCluster) -> Result<(), String> {
     let shards = cluster.data().topology.shards_of(RED);
     let shard = shards.first().ok_or("RED has no shard")?;
@@ -89,7 +88,7 @@ fn probe_append(cluster: &FlexLogCluster) -> Result<(), String> {
 /// right after `phase`'s WAL record persists. The cluster then lives with
 /// the orphaned half-reconfiguration under client load for a while
 /// (a crash at `Frozen` leaves RED frozen with nobody to thaw it — the
-/// workload holds and retries) before a successor attaches to the WAL,
+/// replicas hold the workload's appends) before a successor attaches to the WAL,
 /// fences the dead generation, and rolls the operation forward or back.
 fn crash_at_phase_driver(phase: CtrlPhase) -> ReconfigFn {
     Box::new(move |cluster: &FlexLogCluster| {

@@ -564,8 +564,9 @@ impl<'a> ControlPlane<'a> {
         }
         self.wal_phase(op, CtrlPhase::CatchUp)?;
 
-        // Phase 1: freeze. New appends of the color nack with `Frozen`
-        // (clients hold and retry); already-staged batches keep draining.
+        // Phase 1: freeze. New appends of the color wait at the sources,
+        // unstaged, until the cutover (or the abort's unfreeze) answers
+        // them; already-staged batches keep draining.
         // A failed round may still have frozen a subset of the replicas —
         // the abort must unfreeze them or the color hangs forever.
         if let Err(e) = self.ctrl_round(

@@ -7,7 +7,7 @@ use std::time::{Duration, Instant};
 use flexlog_core::{ClientError, ClusterSpec, FlexLog, FlexLogCluster};
 use flexlog_ordering::RoleId;
 use flexlog_replication::{AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, RejectReason};
-use flexlog_simnet::NodeId;
+use flexlog_simnet::{Endpoint, NodeId};
 use flexlog_types::{ColorId, Payload, SeqNum, Token};
 
 use crate::{Autoscaler, AutoscalerConfig, ControlPlane, CtrlError, CtrlPhase, ScalingAction};
@@ -45,48 +45,48 @@ fn ctrl_blast(cluster: &FlexLogCluster, tag: u64, nodes: &[NodeId], gen: u64, cm
     }
 }
 
-/// Sends a raw `Append` for `color` to `nodes` from a throwaway endpoint
-/// and returns the first reply addressed to its token: the committed SN,
-/// or the fencing nack reason. Bypasses the client library (which holds
-/// and retries on `Frozen` forever) so a test can observe the fencing
+/// A raw `Append` sent once — never retransmitted — from a throwaway
+/// endpoint. Bypasses the client library so a test can observe the fencing
 /// state of specific replicas directly.
+struct Probe {
+    ep: Endpoint<ClusterMsg>,
+    token: Token,
+}
+
+/// Sends a probe append for `color` to `nodes`.
 fn probe_append(
     cluster: &FlexLogCluster,
     tag: u64,
     nodes: &[NodeId],
     color: ColorId,
     body: &[u8],
-) -> Result<SeqNum, RejectReason> {
+) -> Probe {
     let ep = cluster
         .network()
         .register(NodeId::named(0, (u64::MAX >> 4) - 4096 - tag));
     let token = Token((0xBEu64 << 56) | tag);
-    for &n in nodes {
-        let _ = ep.send(
-            n,
-            AppendMsg::Append {
-                color,
-                token,
-                payloads: vec![Payload::from(body)],
-                reply_to: ep.id(),
+    let payloads = vec![Payload::from(body)];
+    let append = AppendMsg::Append { color, token, payloads, reply_to: ep.id() };
+    let _ = ep.broadcast(nodes, append.into());
+    Probe { ep, token }
+}
+
+impl Probe {
+    /// The first reply addressed to the probe within `wait`: the committed
+    /// SN, or the fencing nack reason; `None` if nobody answered.
+    fn answer(&self, wait: Duration) -> Option<Result<SeqNum, RejectReason>> {
+        use AppendMsg::{AppendAck, Rejected};
+        let deadline = Instant::now() + wait;
+        loop {
+            let left = deadline.checked_duration_since(Instant::now())?;
+            let answer = match self.ep.recv_timeout(left).ok()?.1.into_data() {
+                Some(DataMsg::Append(AppendAck { token, last_sn })) => (token, Ok(last_sn)),
+                Some(DataMsg::Append(Rejected { token, reason })) => (token, Err(reason)),
+                _ => continue,
+            };
+            if answer.0 == self.token {
+                return Some(answer.1);
             }
-            .into(),
-        );
-    }
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        let left = deadline
-            .checked_duration_since(Instant::now())
-            .expect("probe append timed out");
-        match ep.recv_timeout(left) {
-            Ok((_, ClusterMsg::Data(DataMsg::Append(AppendMsg::AppendAck { token: t, last_sn })))) if t == token => {
-                return Ok(last_sn);
-            }
-            Ok((_, ClusterMsg::Data(DataMsg::Append(AppendMsg::Rejected { token: t, reason })))) if t == token => {
-                return Err(reason);
-            }
-            Ok(_) => {}
-            Err(e) => panic!("probe append: {e:?}"),
         }
     }
 }
@@ -521,7 +521,7 @@ fn aborted_migration_retries_unfreeze_until_acked() {
     assert_eq!(result, Err(CtrlError::Timeout("freeze")));
 
     // The old routing stays in force and every source replica is thawed:
-    // the append completes instead of dying on the victim's Frozen nacks.
+    // the append completes instead of waiting at a still-frozen victim.
     assert_eq!(cluster.data().topology.shards_of(red)[0].id, src.id);
     let sn = h.append(b"thawed", red).unwrap();
     assert!(h.read(sn, red).unwrap().is_some());
@@ -537,14 +537,14 @@ fn aborted_migration_retries_unfreeze_until_acked() {
     cluster.shutdown();
 }
 
-/// Satellite regression: an op held queued under `Frozen` nacks re-bases
-/// its deadline on every nack (the same rule `flush()` applies at entry),
-/// so a freeze that outlasts the client's configured deadline delays the
-/// append instead of surfacing a spurious Timeout once the color thaws.
-/// One body for both shapes of the one append op: awaited at once, and
-/// pipelined then flushed.
+/// The freeze contract: a frozen color's append waits at the replicas like
+/// one held by a stalled sync round. A freeze shorter than the client's
+/// deadline completes at the thaw; one that outlives it — a controller
+/// that died mid-migration — fails loudly instead of holding the op
+/// forever. One body for both shapes of the one append op: awaited at
+/// once, and pipelined then flushed.
 #[test]
-fn freeze_outlasting_client_deadline_does_not_time_out_appends() {
+fn frozen_appends_complete_at_the_thaw_and_time_out_past_the_deadline() {
     let mut spec = fast_spec();
     spec.client_deadline = Duration::from_millis(250);
     let cluster = FlexLogCluster::start(spec);
@@ -566,23 +566,32 @@ fn freeze_outlasting_client_deadline_does_not_time_out_appends() {
         }),
     ];
     for (i, (shape, held_append)) in shapes.into_iter().enumerate() {
-        // A freeze 2.4x longer than the deadline.
-        let tag = 2 + 2 * i as u64;
+        let tag = 2 + 4 * i as u64;
+        // A freeze of 0.4x the deadline: the append completes at the thaw.
         ctrl_blast(&cluster, tag, &replicas, gen, CtrlCmd::Freeze(red));
         let held = Instant::now();
         let sn = std::thread::scope(|s| {
             s.spawn(|| {
-                std::thread::sleep(Duration::from_millis(600));
+                std::thread::sleep(Duration::from_millis(100));
                 ctrl_blast(&cluster, tag + 1, &replicas, gen, CtrlCmd::Unfreeze(red));
             });
             held_append(&mut h, red)
         })
-        .unwrap_or_else(|e| panic!("{shape} append across a long freeze must succeed, got {e}"));
+        .unwrap_or_else(|e| panic!("{shape} append across a short freeze must succeed, got {e}"));
         assert!(
-            held.elapsed() >= Duration::from_millis(500),
+            held.elapsed() >= Duration::from_millis(100),
             "{shape} append returned before the freeze lifted"
         );
         assert!(h.read(sn, red).unwrap().is_some());
+
+        // A freeze that outlives the deadline: loud, not held forever.
+        ctrl_blast(&cluster, tag + 2, &replicas, gen, CtrlCmd::Freeze(red));
+        let held = Instant::now();
+        let err = held_append(&mut h, red).expect_err("a freeze past the deadline fails the op");
+        assert_eq!(err, ClientError::Timeout, "{shape}");
+        let late = held.elapsed();
+        assert!(late < Duration::from_secs(2), "{shape}: failed {late:?} after the freeze");
+        ctrl_blast(&cluster, tag + 3, &replicas, gen, CtrlCmd::Unfreeze(red));
     }
     cluster.shutdown();
 }
@@ -670,7 +679,8 @@ fn controller_crash_at_every_phase_rolls_forward_or_back() {
 /// announced itself, the predecessor's rounds die with `Fenced`, its raw
 /// commands — every `CtrlCmd` there is — bounce off the replica with `Nack`, and — the part that
 /// matters — they provably have NO effect: an append probed straight at
-/// the nacking replica commits instead of seeing `Frozen`/`ColorMoved`.
+/// the nacking replica commits instead of being parked or nacked
+/// `ColorMoved`.
 #[test]
 fn zombie_controller_commands_are_nacked_end_to_end() {
     let cluster = FlexLogCluster::start(fast_spec());
@@ -726,10 +736,12 @@ fn zombie_controller_commands_are_nacked_end_to_end() {
         }
     }
     // ... and had no effect: the probed append commits at the very
-    // replica that nacked, instead of bouncing Frozen or ColorMoved.
-    match probe_append(&cluster, 1, &src.replicas, red, b"still-serving") {
-        Ok(sn) => acked.push(sn),
-        Err(reason) => panic!("zombie command took effect: append nacked with {reason:?}"),
+    // replica that nacked, instead of waiting out a freeze or bouncing
+    // ColorMoved.
+    let probe = probe_append(&cluster, 1, &src.replicas, red, b"still-serving");
+    match probe.answer(Duration::from_secs(5)) {
+        Some(Ok(sn)) => acked.push(sn),
+        other => panic!("zombie command took effect: the append got {other:?}"),
     }
 
     // The successor still owns the cluster: its migration completes and
@@ -745,7 +757,8 @@ fn zombie_controller_commands_are_nacked_end_to_end() {
 /// replica that power-fails inside the freeze window boots thawed — and
 /// would admit appends into the middle of the migration copy. The §6.3
 /// sync handshake re-asserts the mark from the surviving peers: a raw
-/// append probed at the restarted replica must bounce `Frozen`.
+/// append probed at the restarted replica must wait there, unstaged and
+/// unanswered, until the unfreeze releases it.
 #[test]
 fn frozen_source_replica_restart_reasserts_freeze() {
     let cluster = FlexLogCluster::start(fast_spec());
@@ -767,15 +780,22 @@ fn frozen_source_replica_restart_reasserts_freeze() {
     cluster.data().restart_replica(net, cluster.directory(), victim);
     std::thread::sleep(Duration::from_millis(500)); // sync round settles
 
-    // The restarted replica re-learned the freeze from its peers.
+    // The restarted replica re-learned the freeze from its peers: the
+    // probe is parked, neither answered nor staged.
+    let probe = probe_append(&cluster, 2, &[victim], red, b"inside-freeze");
     assert_eq!(
-        probe_append(&cluster, 2, &[victim], red, b"inside-freeze"),
-        Err(RejectReason::Frozen),
+        probe.answer(Duration::from_millis(200)),
+        None,
         "restart must not forget a freeze its shard is under"
     );
+    let staged = cluster.data().storage_of(victim).unwrap().staged_tokens();
+    assert!(staged.iter().all(|&(t, ..)| t != probe.token), "a parked append is not staged");
 
-    // Thaw everywhere; the color serves again end to end.
+    // Thaw everywhere: the unfreeze releases the parked probe, and the
+    // color serves again end to end.
     ctrl_blast(&cluster, 7, &src.replicas, gen, CtrlCmd::Unfreeze(red));
+    let released = probe.answer(Duration::from_secs(5));
+    assert!(matches!(released, Some(Ok(_))), "the thaw commits the parked append: {released:?}");
     let sn = h.append(b"thawed", red).unwrap();
     assert!(h.read(sn, red).unwrap().is_some());
     cluster.shutdown();

@@ -141,8 +141,12 @@ impl LocalFs {
     /// A filesystem with real (spin-clock) SSD latency — profiles reflect
     /// wall time like the paper's `perf` runs.
     pub fn new() -> Self {
+        Self::with_clock(DeviceClock::spin())
+    }
+
+    fn with_clock(clock: DeviceClock) -> Self {
         LocalFs {
-            ssd: SsdDevice::new(DeviceClock::spin()),
+            ssd: SsdDevice::new(clock),
             inner: Mutex::new(FsInner {
                 files: HashMap::new(),
                 open: HashMap::new(),
@@ -373,15 +377,20 @@ mod tests {
 
     #[test]
     fn cold_open_costs_more_than_cached_open() {
-        let fs = LocalFs::new();
-        let fd = fs.open("/cold");
-        fs.close(fd).unwrap();
-        let cold = fs.profile().of("open");
-        fs.reset_profile();
-        let fd = fs.open("/cold"); // dentry-cached now
-        fs.close(fd).unwrap();
-        let cached = fs.profile().of("open");
-        assert!(cold > cached * 2, "cold {cold:?} vs cached {cached:?}");
+        // Modelled device time on this thread's virtual clock: two wall
+        // readings of a ~75 µs open compare whatever preempted them.
+        use flexlog_pm::virtual_time;
+        let fs = LocalFs::with_clock(DeviceClock::virtual_clock());
+        let open_ns = |fs: &LocalFs| {
+            virtual_time::take();
+            let fd = fs.open("/cold");
+            let ns = virtual_time::take();
+            fs.close(fd).unwrap();
+            ns
+        };
+        let cold = open_ns(&fs);
+        let cached = open_ns(&fs); // dentry-cached now
+        assert!(cold > cached * 2, "cold {cold} ns vs cached {cached} ns");
     }
 
     #[test]

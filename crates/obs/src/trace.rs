@@ -207,8 +207,9 @@ impl Tracer {
         }
     }
 
+    /// The tracer's clock: what [`TraceEvent::at_ns`] would read now.
     #[inline]
-    fn now_ns(&self) -> u64 {
+    pub fn now_ns(&self) -> u64 {
         self.inner.epoch.elapsed().as_nanos() as u64
     }
 

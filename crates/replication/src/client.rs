@@ -647,7 +647,9 @@ impl FlexLogClient {
     }
 
     /// Applies an [`AppendMsg::Rejected`] nack to the matching append
-    /// (reconfiguration fencing: retry, re-route, or fail).
+    /// (reconfiguration fencing: re-route or fail). A frozen color sends
+    /// none: the replicas hold the append and answer it when the freeze
+    /// ends, like a stalled sync round.
     fn note_reject(&mut self, from: NodeId, token: Token, reason: RejectReason) {
         let Some(op) = self.inflight.get_mut(&token) else {
             return;
@@ -659,18 +661,6 @@ impl FlexLogClient {
         // unreachable fail-fast.
         op.silent_rounds = 0;
         match reason {
-            RejectReason::Frozen => {
-                // Pre-cutover freeze window: keep the op queued and keep
-                // retransmitting. Time spent frozen must not surface as
-                // Timeout once the color thaws — re-base the deadline
-                // exactly like `flush()` does for ops queued at its entry
-                // (a freeze can outlast the original per-op deadline) and
-                // reset the backoff, whose exponentially grown gap would
-                // otherwise outlive the re-based deadline and stretch the
-                // cutover stall.
-                op.deadline = op.deadline.max(Instant::now() + self.config.deadline);
-                op.backoff = Backoff::from_config(&self.config);
-            }
             RejectReason::ColorMoved => {
                 // Cutover happened: re-resolve the shard and retransmit
                 // there on the next pump. The token makes the retry
@@ -991,9 +981,9 @@ impl FlexLogClient {
     }
 
     /// Handles a server-initiated redirect: `Dropped` kills the
-    /// subscription terminally; `ColorMoved`/`Frozen` re-resolves the
-    /// topology and re-registers from the acked cursor — unless a new
-    /// server (the migration destination) already took the stream over.
+    /// subscription terminally; `ColorMoved` re-resolves the topology and
+    /// re-registers from the acked cursor — unless a new server (the
+    /// migration destination) already took the stream over.
     fn note_redirect(&mut self, from: NodeId, wire: u64, color: ColorId, reason: RejectReason) {
         let Some(&key) = self.sub_index.get(&wire) else {
             return;

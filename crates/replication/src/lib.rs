@@ -37,8 +37,8 @@ mod topology;
 
 pub use client::{ClientConfig, ClientError, FlexLogClient, Subscription};
 pub use msg::{
-    AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, ReadMsg, RejectReason, SubCursor, SubMsg,
-    SyncMsg, TokenRecord,
+    AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, Fence, ReadMsg, RejectReason, SubCursor,
+    SubMsg, SyncMsg, TokenRecord,
 };
 pub use read_replica::{ReadReplicaConfig, ReadReplicaNode};
 pub use replica::{ReplicaConfig, ReplicaNode};

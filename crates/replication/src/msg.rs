@@ -42,8 +42,9 @@ pub enum AppendMsg {
     /// last record holds `last_sn` (Algorithm 1, line 24).
     AppendAck { token: Token, last_sn: SeqNum },
     /// Replica → client: this replica refuses the append; the reason tells
-    /// the client whether to back off (`Frozen`), re-resolve the shard
-    /// (`ColorMoved`), or fail (`Dropped`).
+    /// the client whether to re-resolve the shard (`ColorMoved`) or fail
+    /// (`Dropped`). A frozen color's append gets no reply until the freeze
+    /// ends ([`Fence::Frozen`]).
     Rejected { token: Token, reason: RejectReason },
     /// Client → all replicas of the special-color shard: end of a
     /// multi-color append (Algorithm 2, line 5).
@@ -133,20 +134,16 @@ pub enum SyncMsg {
     SyncRequest { round: u64 },
     /// Replica → all shard peers: my state for this round — known sequencer
     /// epoch and per-color (tail, record count), plus the reconfiguration
-    /// marks (controller generation and frozen/moved/dropped colors) so a
-    /// restarted peer re-learns a freeze it lost with its volatile state.
+    /// marks (controller generation and every fenced color) so a restarted
+    /// peer re-learns a freeze it lost with its volatile state.
     SyncState {
         round: u64,
         epoch: Epoch,
         tails: Vec<(ColorId, SeqNum, u64)>,
         /// Highest controller generation this peer has obeyed.
         ctrl_gen: u64,
-        /// Colors currently frozen for migration on this peer.
-        frozen: Vec<ColorId>,
-        /// Colors cut over to another shard.
-        moved: Vec<ColorId>,
-        /// Colors destroyed.
-        dropped: Vec<ColorId>,
+        /// This peer's fence on every color it has one on.
+        marks: Vec<(ColorId, Fence)>,
     },
     /// Replica → all shard peers: I am synchronized for this round (the
     /// all-to-all barrier of §6.3).
@@ -240,19 +237,19 @@ pub enum CtrlCmd {
     Hello,
     /// Stop admitting NEW appends of the color. Already-staged records
     /// keep flowing (their OReq resends and OResp commits proceed), which
-    /// is what drains the staged set; fresh appends are nacked with
-    /// [`AppendMsg::Rejected`] and the client retries until cutover
-    /// re-routes it.
+    /// is what drains the staged set; fresh appends are parked unanswered
+    /// at the replica ([`Fence::Frozen`]) until the command that ends the
+    /// freeze re-handles them.
     Freeze(ColorId),
-    /// Migration aborted: admit appends again.
+    /// Migration aborted: admit appends again, the parked ones first.
     Unfreeze(ColorId),
-    /// Begin serving the color (clears any frozen/moved/dropped marks from
-    /// an earlier residency).
+    /// Begin serving the color (clears any fence from an earlier
+    /// residency).
     Adopt(ColorId),
-    /// The color now lives elsewhere: nack its appends with `ColorMoved`
-    /// so clients re-resolve the shard.
+    /// The color now lives elsewhere: nack its appends, parked ones
+    /// included, with `ColorMoved` so clients re-resolve the shard.
     Cutover(ColorId),
-    /// The color was destroyed.
+    /// The color was destroyed: nack its appends with `Dropped`.
     Drop(ColorId),
     /// Discard every committed record of the color (roll-back of a
     /// partially copied migration). The trim head is kept — heads only
@@ -303,14 +300,27 @@ pub struct SubCursor {
 }
 
 /// Why a replica nacked an append (epoch-fencing during reconfiguration).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Declared weakest first: [`Fence`]'s order rests on it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RejectReason {
-    /// Color is frozen for migration; retry shortly (same or new shard).
-    Frozen,
     /// Color was cut over to another shard; re-resolve from the topology.
     ColorMoved,
     /// Color was destroyed; the append can never succeed.
     Dropped,
+}
+
+/// A replica's reconfiguration fence on one color. Ordered by strength,
+/// `Frozen` < `Gone(ColorMoved)` < `Gone(Dropped)`: a mark a sync peer
+/// re-asserts only ever raises a fence.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Fence {
+    /// Frozen for migration: staged appends drain, new ones wait at the
+    /// replica — neither staged nor answered — until the fence changes.
+    /// Reads and subscriptions are served as usual.
+    Frozen,
+    /// The color left this shard: appends and subscriptions are refused
+    /// with the reason.
+    Gone(RejectReason),
 }
 
 /// The cluster-wide message type: everything that can travel on a FlexLog

@@ -33,7 +33,7 @@ use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, ShardId, Token}
 
 use crate::follower::{self, Follower, Level};
 use crate::msg::{
-    AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, ReadMsg, RejectReason, SubMsg, SyncMsg,
+    AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, Fence, ReadMsg, RejectReason, SubMsg, SyncMsg,
 };
 use crate::serving::Serving;
 use crate::TopologyView;
@@ -163,7 +163,8 @@ pub struct ReplicaNode {
     trims: HashMap<u64, TrimPending>,
     multi: Vec<MultiPending>,
     processed_multi: HashSet<Token>,
-    /// Appends, registrations and OResps deferred while syncing.
+    /// Appends, registrations and OResps deferred while syncing, and the
+    /// appends of frozen colors (re-handled by [`Self::release`]).
     deferred: VecDeque<(NodeId, ClusterMsg)>,
     round_counter: u64,
     /// Highest sync round seen (restart rounds must exceed it).
@@ -173,14 +174,8 @@ pub struct ReplicaNode {
     start_with_sync: bool,
     /// Wall time of one batched OResp commit (`replica.commit_batch_ns`).
     commit_hist: Histogram,
-    /// Colors fenced for migration: new appends are nacked `Frozen` while
-    /// already-staged records drain through their OResp commits.
-    frozen: HashSet<ColorId>,
-    /// Colors cut over to another shard: appends are nacked `ColorMoved`
-    /// so the client re-resolves from the topology.
-    moved: HashSet<ColorId>,
-    /// Colors destroyed at runtime: appends are nacked `Dropped`.
-    dropped: HashSet<ColorId>,
+    /// The reconfiguration fence of every fenced color.
+    fences: HashMap<ColorId, Fence>,
     /// Highest controller generation seen — the zombie fence. Mutating
     /// ctrl messages carrying a lower generation are nacked.
     ctrl_gen: u64,
@@ -237,9 +232,7 @@ impl ReplicaNode {
             rng: StdRng::seed_from_u64(0xF1E7),
             start_with_sync,
             commit_hist,
-            frozen: HashSet::new(),
-            moved: HashSet::new(),
-            dropped: HashSet::new(),
+            fences: HashMap::new(),
             ctrl_gen: 0,
         }
     }
@@ -334,10 +327,6 @@ impl ReplicaNode {
 
     fn handle_append_plane(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: AppendMsg) {
         match msg {
-            // Appends pause during the sync-phase.
-            m @ AppendMsg::Append { .. } if self.syncing() => {
-                self.deferred.push_back((from, m.into()));
-            }
             AppendMsg::Append { color, token, payloads, reply_to } => {
                 self.handle_append(ep, color, token, payloads, reply_to);
             }
@@ -388,8 +377,11 @@ impl ReplicaNode {
                 // The log may be mid-fetch; register once it is whole.
                 return self.deferred.push_back((from, msg.into()));
             }
-            // Frozen colors still serve reads and subscriptions.
-            gone = self.fence_reason(color).filter(|&r| r != RejectReason::Frozen);
+            // A frozen color still serves subscriptions; one that left
+            // redirects them.
+            if let Some(&Fence::Gone(reason)) = self.fences.get(&color) {
+                gone = Some(reason);
+            }
         }
         self.serving.sub_plane(ep, msg, gone, self.sub_barrier());
     }
@@ -397,9 +389,9 @@ impl ReplicaNode {
     fn handle_sync_plane(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: SyncMsg) {
         match msg {
             SyncMsg::SyncRequest { round } => self.join_sync(ep, round, None),
-            SyncMsg::SyncState { round, epoch, tails, ctrl_gen, frozen, moved, dropped } => {
+            SyncMsg::SyncState { round, epoch, tails, ctrl_gen, marks } => {
                 self.known_epoch = self.known_epoch.max(epoch);
-                self.merge_ctrl_marks(ctrl_gen, &frozen, &moved, &dropped);
+                self.merge_ctrl_marks(ctrl_gen, &marks);
                 // A peer entered a round we are not in yet (or we are
                 // operational): join it. No-op for our own or a stale round.
                 self.join_sync(ep, round, None);
@@ -494,9 +486,9 @@ impl ReplicaNode {
     /// and to be acked now. `CatchUp` is the one that is not:
     /// [`Self::on_level`] acks it.
     fn apply_ctrl(&mut self, ep: &Endpoint<ClusterMsg>, ack: (NodeId, u64), cmd: CtrlCmd) -> bool {
-        let obs = &self.config.storage.obs;
+        let (obs, node) = (self.config.storage.obs.clone(), ep.id().0);
         let trace = |stage: Stage, color: ColorId| {
-            obs.trace_event(CTRL_TOKEN, stage, ep.id().0, color.0 as u64);
+            obs.trace_event(CTRL_TOKEN, stage, node, color.0 as u64);
         };
         match cmd {
             CtrlCmd::Hello => {}
@@ -510,33 +502,35 @@ impl ReplicaNode {
                 return false;
             }
             CtrlCmd::Freeze(color) => {
-                self.frozen.insert(color);
+                self.raise(color, Fence::Frozen);
                 trace(Stage::MigrateFreeze, color);
             }
+            // Every other command that moves a color's fence re-handles
+            // the appends parked on it.
             CtrlCmd::Unfreeze(color) => {
-                self.frozen.remove(&color);
+                self.thaw(color);
+                self.release(ep, color);
             }
             CtrlCmd::Adopt(color) => {
                 self.forget_catchups(color);
-                self.frozen.remove(&color);
-                self.moved.remove(&color);
-                self.dropped.remove(&color);
+                self.fences.remove(&color);
+                self.release(ep, color);
             }
             CtrlCmd::Cutover(color) => {
-                self.frozen.remove(&color);
-                self.moved.insert(color);
+                self.raise(color, Fence::Gone(RejectReason::ColorMoved));
                 // Never strand a subscriber on the old shard: its cursor
                 // already rode the last catch-up round to the destination;
                 // the redirect tells it to re-resolve the topology too.
                 self.serving.subs.redirect_color(ep, color, RejectReason::ColorMoved);
                 trace(Stage::MigrateCutover, color);
+                self.release(ep, color);
             }
             CtrlCmd::Drop(color) => {
-                self.frozen.remove(&color);
-                self.dropped.insert(color);
+                self.raise(color, Fence::Gone(RejectReason::Dropped));
                 // Terminal for subscribers: the color will never commit
                 // another record anywhere.
                 self.serving.subs.redirect_color(ep, color, RejectReason::Dropped);
+                self.release(ep, color);
             }
             CtrlCmd::Discard(color) => {
                 // Roll-back of a partial copy: stop copying, then wipe the
@@ -544,16 +538,17 @@ impl ReplicaNode {
                 // finds nothing).
                 self.forget_catchups(color);
                 let _ = self.serving.storage.discard_color(color);
-                self.frozen.remove(&color);
+                self.thaw(color);
+                self.release(ep, color);
                 // Cursors adopted from an aborted migration go back through
                 // topology re-resolution (the source was unfrozen).
                 self.serving.subs.redirect_color(ep, color, RejectReason::ColorMoved);
             }
-            // A color mid-migration is off limits: its span is being
-            // exported or discarded and the tiering tick will retry after
-            // cutover. Ack without acting so the round completes.
-            CtrlCmd::Archive { color, .. }
-                if self.frozen.contains(&color) || self.moved.contains(&color) => {}
+            // A fenced color is off limits: mid-migration its span is being
+            // exported or discarded (the tiering tick retries after
+            // cutover), and a color that left is no longer ours to archive.
+            // Ack without acting so the round completes.
+            CtrlCmd::Archive { color, .. } if self.fences.contains_key(&color) => {}
             CtrlCmd::Archive { color, max_records, demote: true, .. } => {
                 let _ = self.serving.storage.demote_color(color, max_records);
             }
@@ -565,6 +560,44 @@ impl ReplicaNode {
             }
         }
         true
+    }
+
+    /// Raises `color`'s fence to at least `fence`: short of a thaw or an
+    /// adopt, a fence only ever strengthens (see [`Fence`]'s order).
+    fn raise(&mut self, color: ColorId, fence: Fence) {
+        let f = self.fences.entry(color).or_insert(fence);
+        *f = (*f).max(fence);
+    }
+
+    /// Lifts a freeze of `color`, and nothing stronger.
+    fn thaw(&mut self, color: ColorId) {
+        self.fences.retain(|&c, &mut f| (c, f) != (color, Fence::Frozen));
+    }
+
+    /// Re-handles the appends parked on `color` through the normal append
+    /// path, in arrival order, after a command moved its fence: a thawed
+    /// color stages them (mid-sync it parks them again, for the barrier),
+    /// a moved or dropped one nacks them.
+    fn release(&mut self, ep: &Endpoint<ClusterMsg>, color: ColorId) {
+        let deferred = std::mem::take(&mut self.deferred);
+        let (parked, rest) = deferred.into_iter().partition(|(_, m)| match m {
+            ClusterMsg::Data(DataMsg::Append(AppendMsg::Append { color: c, .. })) => *c == color,
+            _ => false,
+        });
+        self.deferred = rest;
+        self.redeliver(ep, parked);
+    }
+
+    /// Hands messages taken off `deferred` back to their handlers, in order.
+    fn redeliver(&mut self, ep: &Endpoint<ClusterMsg>, msgs: VecDeque<(NodeId, ClusterMsg)>) {
+        for (from, m) in msgs {
+            match m {
+                ClusterMsg::Data(m) => {
+                    let _ = self.handle_data(ep, from, m);
+                }
+                ClusterMsg::Order(m) => self.handle_order(ep, from, m),
+            }
+        }
     }
 
     /// `color` is adopted or discarded here: no catch-up of it is wanted
@@ -639,16 +672,19 @@ impl ReplicaNode {
             let _ = ep.send(reply_to, AppendMsg::AppendAck { token, last_sn: sn }.into());
             return;
         }
-        if let Some(reason) = self.fence_reason(color) {
-            if reason == RejectReason::Frozen && self.serving.storage.is_staged(token) {
-                // The batch is already in the pre-freeze pipeline: its
-                // OResp is still coming (freeze does not stop the drain),
-                // so register the ack target and stay silent.
-                self.reply_tos.entry(token).or_default().insert(reply_to);
-                return;
-            }
+        let fence = self.fences.get(&color).copied();
+        if let Some(Fence::Gone(reason)) = fence {
             let _ = ep.send(reply_to, AppendMsg::Rejected { token, reason }.into());
             return;
+        }
+        if fence == Some(Fence::Frozen) || self.syncing() {
+            // Parked, neither staged nor answered, until the sync barrier
+            // or the command that moves the fence ([`Self::release`])
+            // re-handles it. A retransmit of a batch staged before the
+            // freeze parks too: its drain commit acks the `reply_to`
+            // registered when it was staged.
+            let m = AppendMsg::Append { color, token, payloads, reply_to };
+            return self.deferred.push_back((reply_to, m.into()));
         }
         let n = payloads.len() as u32;
         let newly = match self.serving.storage.stage(token, color, &payloads) {
@@ -679,20 +715,6 @@ impl ReplicaNode {
         // periodic staged-token resend tick.
         if !newly || self.is_oreq_delegate(ep) {
             self.send_oreq(ep, color, token, n);
-        }
-    }
-
-    /// The reconfiguration fence for `color`, if one is in force. `Dropped`
-    /// wins over `ColorMoved` wins over `Frozen`.
-    fn fence_reason(&self, color: ColorId) -> Option<RejectReason> {
-        if self.dropped.contains(&color) {
-            Some(RejectReason::Dropped)
-        } else if self.moved.contains(&color) {
-            Some(RejectReason::ColorMoved)
-        } else if self.frozen.contains(&color) {
-            Some(RejectReason::Frozen)
-        } else {
-            None
         }
     }
 
@@ -948,9 +970,7 @@ impl ReplicaNode {
                 epoch: self.known_epoch,
                 tails: self.my_tails(),
                 ctrl_gen: self.ctrl_gen,
-                frozen: self.frozen.iter().copied().collect(),
-                moved: self.moved.iter().copied().collect(),
-                dropped: self.dropped.iter().copied().collect(),
+                marks: self.fences.iter().map(|(&c, &f)| (c, f)).collect(),
             }
             .into(),
         );
@@ -961,25 +981,20 @@ impl ReplicaNode {
     /// volatile, so a replica that crashed mid-migration boots with them
     /// cleared and would otherwise accept appends inside the copy window;
     /// peers that stayed up re-assert them through the §6.3 handshake.
-    /// Marks UNION in (a union can only add fencing, never weaken it);
-    /// clears arrive exclusively as acked controller commands, which the
-    /// controller retries until every live replica has applied them. The
+    /// A merge only raises a fence, never weakens it; clears arrive
+    /// exclusively as acked controller commands, which the controller
+    /// retries until every live replica has applied them. Appends parked
+    /// meanwhile are re-handled at the barrier, under the merged fence. The
     /// one unprotected configuration is a single-replica shard (no peer
     /// remembers the mark) — documented in DESIGN.md.
-    fn merge_ctrl_marks(
-        &mut self,
-        ctrl_gen: u64,
-        frozen: &[ColorId],
-        moved: &[ColorId],
-        dropped: &[ColorId],
-    ) {
+    fn merge_ctrl_marks(&mut self, ctrl_gen: u64, marks: &[(ColorId, Fence)]) {
         if ctrl_gen < self.ctrl_gen {
             return; // stale peer: its marks may predate an unfreeze
         }
         self.ctrl_gen = ctrl_gen;
-        self.frozen.extend(frozen.iter().copied());
-        self.moved.extend(moved.iter().copied());
-        self.dropped.extend(dropped.iter().copied());
+        for &(color, fence) in marks {
+            self.raise(color, fence);
+        }
     }
 
     fn my_tails(&self) -> Vec<(ColorId, SeqNum, u64)> {
@@ -1036,16 +1051,10 @@ impl ReplicaNode {
         }
         // Re-issue order requests for staged-but-uncommitted tokens.
         self.reissue_staged_oreqs(ep);
-        // Drain deferred appends/OResps in arrival order.
-        let deferred: Vec<(NodeId, ClusterMsg)> = self.deferred.drain(..).collect();
-        for (from, m) in deferred {
-            match m {
-                ClusterMsg::Data(m) => {
-                    let _ = self.handle_data(ep, from, m);
-                }
-                ClusterMsg::Order(m) => self.handle_order(ep, from, m),
-            }
-        }
+        // Drain deferred appends/OResps in arrival order (a frozen color's
+        // appends park again).
+        let deferred = std::mem::take(&mut self.deferred);
+        self.redeliver(ep, deferred);
         // What the catch-ups installed: a record below some push frontier
         // goes out as a fill, then the frontier advances over the rest.
         let fresh = std::mem::take(&mut self.sync_fresh);

@@ -671,13 +671,13 @@ fn pipelined_and_serial_appends_interleave() {
 fn destroyed_color_fails_its_own_pipelined_op_only() {
     let mut c = cluster(1, 3, 0);
     let mut cl = c.client();
-    // Frozen first, so the pipelined op stays in flight (nacked, retried)
-    // until the color is dropped under it.
+    // Frozen first, so the pipelined op stays in flight (parked at the
+    // replicas) until the color is dropped under it.
     c.ctrl_all(1, CtrlCmd::Freeze(GREEN));
     cl.append_pipelined(GREEN, &[p(b"doomed")]).unwrap();
     c.ctrl_all(2, CtrlCmd::Drop(GREEN));
-    // Past the op's retransmit time: the blocking append's pump resends it
-    // and collects the `Dropped` nacks while waiting for its own acks.
+    // The drop answers the parked append with `Dropped` nacks; the blocking
+    // append's pump collects them while waiting for its own acks.
     std::thread::sleep(Duration::from_millis(150));
     let sn = cl.append(RED, &[p(b"alive")]).expect("the live color's append is unaffected");
     assert_eq!(cl.read(RED, sn).unwrap().unwrap(), b"alive");
@@ -685,6 +685,64 @@ fn destroyed_color_fails_its_own_pipelined_op_only() {
     assert_eq!(cl.pending_appends(), 0);
     assert_eq!(cl.flush().unwrap(), vec![], "the failure is reported once");
     c.shutdown();
+}
+
+/// A frozen color's append waits at the replica like one held by a sync
+/// round: neither staged nor answered, so the freeze runs on no client's
+/// retransmit clock. The command that moves the fence answers it at once —
+/// an unfreeze stages and commits it, a cutover nacks it `ColorMoved`, a
+/// drop nacks it `Dropped`. One raw append per shape, never retransmitted.
+#[test]
+fn a_frozen_append_waits_at_the_replica_until_the_fence_moves() {
+    use crate::RejectReason::{ColorMoved, Dropped};
+    let shapes = [
+        (CtrlCmd::Unfreeze(RED), Ok(())),
+        (CtrlCmd::Cutover(RED), Err(ColorMoved)),
+        (CtrlCmd::Drop(RED), Err(Dropped)),
+    ];
+    for (release, owed) in shapes {
+        let c = cluster(1, 3, 0);
+        let replicas = c.data.shard_replicas(ShardId(0));
+        let client = c.net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
+        c.ctrl_all(1, CtrlCmd::Freeze(RED));
+        let token = Token::new(FunctionId(1), 1);
+        let payloads = vec![p(b"parked")];
+        let append = AppendMsg::Append { color: RED, token, payloads, reply_to: client.id() };
+        client.broadcast(&replicas, append.into()).unwrap();
+        // Each replica handles the append before the status request behind
+        // it, so an answer to the append would arrive first.
+        client.broadcast(&replicas, SyncMsg::ColorStatus { color: RED, req: 1 }.into()).unwrap();
+        for _ in &replicas {
+            match client.recv_timeout(Duration::from_secs(5)).map(|(_, m)| m.into_data()) {
+                Ok(Some(DataMsg::Sync(SyncMsg::ColorInfo { staged, .. }))) => {
+                    assert_eq!(staged, 0, "{release:?}: a parked append is not staged");
+                }
+                other => panic!("{release:?}: the frozen append must wait, got {other:?}"),
+            }
+        }
+
+        c.ctrl_all(2, release.clone());
+        let mut answered = Vec::new();
+        while answered.len() < replicas.len() {
+            let (from, msg) = client.recv_timeout(Duration::from_secs(5)).expect("an answer");
+            let answer = match msg.into_data() {
+                Some(DataMsg::Append(AppendMsg::AppendAck { token: t, .. })) if t == token => {
+                    Ok(())
+                }
+                Some(DataMsg::Append(AppendMsg::Rejected { token: t, reason })) if t == token => {
+                    Err(reason)
+                }
+                other => panic!("{release:?}: only the append's answer is owed, got {other:?}"),
+            };
+            assert_eq!(answer, owed, "{release:?}: answer from {from}");
+            answered.push(from);
+        }
+        let mut replicas = replicas;
+        replicas.sort_unstable();
+        answered.sort_unstable();
+        assert_eq!(answered, replicas, "{release:?}: every replica answers once");
+        c.shutdown();
+    }
 }
 
 /// Regression: `flush()` budgets the configured deadline from *flush
@@ -968,9 +1026,7 @@ fn scripted_sync_round(
         epoch: Epoch(1),
         tails: vec![(RED, held.last().unwrap().1, held.len() as u64)],
         ctrl_gen: 0,
-        frozen: vec![],
-        moved: vec![],
-        dropped: vec![],
+        marks: vec![],
     };
     if let Some(round) = round {
         peer.send(node, SyncMsg::SyncRequest { round }.into()).unwrap();

@@ -1181,11 +1181,6 @@ impl StorageServer {
         self.state.lock().committed_tokens.get(&token).map(|&(_, sn)| sn)
     }
 
-    /// True if `token` is staged but not yet committed.
-    pub fn is_staged(&self, token: Token) -> bool {
-        self.state.lock().staged.contains_key(&token)
-    }
-
     /// Number of entries in the token-idempotence map (bounded-memory
     /// check: trims must shrink this).
     pub fn committed_token_count(&self) -> usize {

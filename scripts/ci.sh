@@ -10,8 +10,10 @@
 # shards), the follower-join probe (a copy that joins 40 000 records behind
 # must not cost its source shard one append), the four feature-bench smokes
 # (`flexlog-bench <name> --quick`, gates evaluated by the binary), the paper
-# reproduction suite in --quick, one tiering, one subscription, one
-# migration-crash and one controller-crash nemesis scenario, a check that
+# reproduction suite in --quick, one tiering, one subscription, two
+# migration-crash and two controller-crash nemesis scenarios (one of each
+# pair crashes inside the freeze window, where appends wait at the source
+# replicas), a check that
 # no SSD medium file outlived its process, and a zero-warning clippy pass
 # over the whole workspace.
 #
@@ -82,8 +84,14 @@ cargo test --release -q -p flexlog-chaos --test subscription_nemesis subscribers
 echo "==> migration-crash nemesis (source replica dies mid-migration)"
 cargo test --release -q -p flexlog-chaos --test migration_nemesis source_replica_crash_mid_migration
 
+echo "==> migration-crash nemesis (sequencer leader dies mid-migration: freeze path)"
+cargo test --release -q -p flexlog-chaos --test migration_nemesis sequencer_crash_mid_migration
+
 echo "==> controller-crash nemesis (controller dies mid-catch-up round)"
 cargo test --release -q -p flexlog-chaos --test controller_nemesis controller_crash_mid_catchup_round
+
+echo "==> controller-crash nemesis (controller dies right after the freeze round)"
+cargo test --release -q -p flexlog-chaos --test controller_nemesis controller_crash_after_freeze
 
 # Every SsdDevice unlinks its medium file at creation, so nothing
 # that ran above — tests, nemeses, benches — can have left one.
