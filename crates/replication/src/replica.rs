@@ -663,7 +663,7 @@ impl ReplicaNode {
         payloads: Vec<Payload>,
         reply_to: NodeId,
     ) {
-        if let Some(sn) = self.serving.storage.committed_sn(token) {
+        if let Some(sn) = self.serving.storage.committed_sn(color, token) {
             // Duplicate of a completed append: re-ack (client retry or the
             // multi-color replay path). This must run BEFORE any
             // reconfiguration fence — a late retransmit of a pre-migration

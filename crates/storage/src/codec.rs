@@ -11,6 +11,8 @@
 //! The key's top byte tags the kind; a committed key is the SSD block id
 //! with the tag on top, so [`color_sn_of`] inverts both.
 
+use std::ops::{Bound, RangeBounds};
+
 use flexlog_types::{ColorId, Payload, SeqNum, Token};
 
 pub(crate) const TAG_MASK: u128 = 0xFF << 120;
@@ -29,6 +31,19 @@ pub(crate) fn committed_key(color: ColorId, sn: SeqNum) -> u128 {
 /// Inverse of [`committed_key`] and [`ssd_block_id`].
 pub(crate) fn color_sn_of(id: u128) -> (ColorId, SeqNum) {
     (ColorId((id >> 64) as u32), SeqNum(id as u64))
+}
+
+/// The SSD block ids of `color`'s records inside `range`: block ids sort
+/// by color, then SN, so this is one contiguous span of the SSD's index.
+pub(crate) fn ssd_block_range(
+    color: ColorId,
+    range: impl RangeBounds<SeqNum>,
+) -> (Bound<u128>, Bound<u128>) {
+    let end = |bound: Bound<&SeqNum>, unbounded: u64| match bound {
+        Bound::Unbounded => Bound::Included(ssd_block_id(color, SeqNum(unbounded))),
+        bound => bound.map(|&sn| ssd_block_id(color, sn)),
+    };
+    (end(range.start_bound(), 0), end(range.end_bound(), u64::MAX))
 }
 
 pub(crate) fn staged_key(token: Token) -> u128 {
@@ -74,14 +89,21 @@ pub(crate) fn decode_head(raw: &[u8]) -> SeqNum {
     SeqNum(u64::from_le_bytes(raw.try_into().expect("8-byte head value")))
 }
 
+/// A batch staged under its token: what [`encode_staged`] stores, and what
+/// the server keeps in DRAM (the payloads shared, not copied) until the
+/// commit writes the records from it.
 pub(crate) struct StagedBatch {
     pub(crate) color: ColorId,
     pub(crate) payloads: Vec<Payload>,
 }
 
+/// Bytes of the value [`encode_staged`] makes of `payloads`.
+pub(crate) fn staged_len(payloads: &[Payload]) -> usize {
+    8 + payloads.iter().map(|p| p.len() + 4).sum::<usize>()
+}
+
 pub(crate) fn encode_staged(color: ColorId, payloads: &[Payload]) -> Vec<u8> {
-    let total: usize = payloads.iter().map(|p| p.len() + 4).sum();
-    let mut v = Vec::with_capacity(8 + total);
+    let mut v = Vec::with_capacity(staged_len(payloads));
     v.extend_from_slice(&color.0.to_le_bytes());
     v.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
     for p in payloads {

@@ -1,18 +1,26 @@
-//! The committed log of one color (§5.2): an SN-ordered index saying which
-//! device tier holds each record, the trim head below which nothing is
-//! served, and the PM/SSD boundary — "a contiguous portion from the start
-//! of the log is flushed to SSD and removed from PM".
+//! The committed log of one color (§5.2), as far as the server keeps it in
+//! memory: the set of PM-resident SNs, how many records sit on the SSD, the
+//! tail, the trim head below which nothing is served, and the tokens of the
+//! committed batches.
 //!
-//! `ColorLog` owns that state and is the only code that touches the index
-//! map. It is pure bookkeeping: the server moves the bytes (PM
+//! The SSD tier has no entries here. An SSD block's id is `(color, SN)` in
+//! key order, so the device's own block index already lists a color's
+//! SSD-resident SNs in order (`SsdDevice::block_ids`), and the server merges
+//! that list with the PM set. A spilled record — the one kind that
+//! accumulates, one per append — thus costs the heap one index entry, not
+//! two. The PM set stays as small as the PM tier, and its first element is
+//! the oldest PM-resident record: "a contiguous portion from the start of
+//! the log is flushed to SSD and removed from PM" starts there.
+//!
+//! `ColorLog` is pure bookkeeping: the server moves the bytes (PM
 //! transactions, SSD writes) and then records the outcome here, under the
 //! server's one lock.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeSet, HashMap};
 use std::ops::{Bound, RangeBounds};
 
 use flexlog_obs::Counter;
-use flexlog_types::SeqNum;
+use flexlog_types::{SeqNum, Token};
 
 /// Which device tier holds a committed record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,14 +36,17 @@ pub(crate) fn above(sn: SeqNum) -> (Bound<SeqNum>, Bound<SeqNum>) {
 
 #[derive(Default)]
 pub(crate) struct ColorLog {
-    index: BTreeMap<SeqNum, Placement>,
+    /// The PM-resident records, oldest first.
+    pm: BTreeSet<SeqNum>,
+    /// How many records are SSD-resident (the SSD's block index names them).
+    ssd_resident: usize,
+    /// Highest SN held in either tier. Exact, because records only ever
+    /// leave as a prefix (trim) or all at once (discard).
+    tail: Option<SeqNum>,
     /// Highest trimmed SN (inclusive); only ever advances.
     head: Option<SeqNum>,
-    /// How many index entries are SSD-resident.
-    ssd_resident: usize,
-    /// Every index entry below this SN is SSD-resident, so the spill victim
-    /// selector starts here instead of re-walking what it already moved.
-    pm_floor: SeqNum,
+    /// The idempotence map: each committed batch's token → its last SN.
+    tokens: HashMap<Token, SeqNum>,
     /// `storage.color_reads.<id>` — the access-recency signal the tiering
     /// policy's `idle_ms` condition observes; registered on the first read.
     reads: Option<Counter>,
@@ -47,11 +58,11 @@ impl ColorLog {
     }
 
     pub(crate) fn tail(&self) -> Option<SeqNum> {
-        self.index.keys().next_back().copied()
+        self.tail
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.index.len()
+        self.pm.len() + self.ssd_resident
     }
 
     pub(crate) fn ssd_resident(&self) -> usize {
@@ -59,31 +70,23 @@ impl ColorLog {
     }
 
     /// True when `sn` is at or below the trim head: live reads refuse it
-    /// even if the bytes are still indexed (the `install_head` contract).
+    /// even if the bytes are still held (the `install_head` contract).
     pub(crate) fn trimmed(&self, sn: SeqNum) -> bool {
         self.head.is_some_and(|h| sn <= h)
     }
 
-    /// Where `sn` lives, if it is indexed.
-    pub(crate) fn placement(&self, sn: SeqNum) -> Option<Placement> {
-        self.index.get(&sn).copied()
+    /// True when `sn` is PM-resident.
+    pub(crate) fn in_pm(&self, sn: SeqNum) -> bool {
+        self.pm.contains(&sn)
     }
 
-    /// The indexed records inside `range`, oldest first.
-    pub(crate) fn range(
+    /// The PM-resident records inside `range`, oldest first; the first ones
+    /// are the spill victims.
+    pub(crate) fn pm_range(
         &self,
         range: impl RangeBounds<SeqNum>,
-    ) -> impl Iterator<Item = (SeqNum, Placement)> + '_ {
-        self.index.range(range).map(|(&sn, &at)| (sn, at))
-    }
-
-    /// The spill victim selector: up to `max` of the oldest PM-resident
-    /// records.
-    pub(crate) fn oldest_pm(&self, max: usize) -> impl Iterator<Item = SeqNum> + '_ {
-        self.range(self.pm_floor..)
-            .filter(|&(_, at)| at == Placement::Pm)
-            .map(|(sn, _)| sn)
-            .take(max)
+    ) -> impl Iterator<Item = SeqNum> + '_ {
+        self.pm.range(range).copied()
     }
 
     /// Counts one read of this color.
@@ -91,46 +94,65 @@ impl ColorLog {
         self.reads.get_or_insert_with(register).inc();
     }
 
-    /// True when a record fetched from a peer at `sn` is news here: not
-    /// trimmed and not already indexed.
-    pub(crate) fn admits(&self, sn: SeqNum) -> bool {
-        !self.trimmed(sn) && !self.index.contains_key(&sn)
-    }
-
-    /// Indexes `sn` at `at`.
+    /// Notes a record newly held at `at` (the caller checked it is not
+    /// held already).
     pub(crate) fn insert(&mut self, sn: SeqNum, at: Placement) {
-        if at == Placement::Pm && (self.index.len() == self.ssd_resident || sn < self.pm_floor) {
-            self.pm_floor = sn;
+        match at {
+            Placement::Pm => {
+                self.pm.insert(sn);
+            }
+            Placement::Ssd => self.ssd_resident += 1,
         }
-        let prev = self.index.insert(sn, at);
-        self.ssd_resident += usize::from(at == Placement::Ssd);
-        self.ssd_resident -= usize::from(prev == Some(Placement::Ssd));
+        self.tail = self.tail.max(Some(sn));
     }
 
-    /// Records that the PM-resident `sn` now lives on the SSD. Spills go
-    /// oldest first, so the floor follows them to the next PM-resident
-    /// record.
+    /// Records that the PM-resident `sn` now lives on the SSD.
     pub(crate) fn mark_spilled(&mut self, sn: SeqNum) {
-        match self.index.get_mut(&sn) {
-            Some(at) if *at == Placement::Pm => *at = Placement::Ssd,
-            _ => return,
-        }
-        self.ssd_resident += 1;
-        if self.range(self.pm_floor..).next().is_some_and(|(first, _)| first == sn) {
-            let next_pm = self.range(above(sn)).find(|&(_, at)| at == Placement::Pm);
-            self.pm_floor = next_pm.map_or(SeqNum(sn.0.saturating_add(1)), |(next, _)| next);
+        if self.pm.remove(&sn) {
+            self.ssd_resident += 1;
         }
     }
 
-    pub(crate) fn remove(&mut self, sn: SeqNum) {
-        if self.index.remove(&sn) == Some(Placement::Ssd) {
-            self.ssd_resident -= 1;
+    /// Forgets every record at or below `through` — every record, with
+    /// `None` — of which `ssd` were SSD-resident; the server has deleted
+    /// them from their tiers.
+    pub(crate) fn drop_records(&mut self, through: Option<SeqNum>, ssd: usize) {
+        let kept = through.and_then(|h| h.0.checked_add(1)).map(SeqNum);
+        self.pm = kept.map_or_else(BTreeSet::new, |from| self.pm.split_off(&from));
+        self.ssd_resident -= ssd;
+        if through.is_none_or(|h| self.tail <= Some(h)) {
+            self.tail = None;
         }
     }
 
     /// Moves the trim head up to `head`; never backwards.
     pub(crate) fn advance_head(&mut self, head: SeqNum) {
         self.head = self.head.max(Some(head));
+    }
+
+    /// The last SN of `token`'s batch, if it committed here.
+    pub(crate) fn committed(&self, token: Token) -> Option<SeqNum> {
+        self.tokens.get(&token).copied()
+    }
+
+    /// Notes that `token`'s batch holds `sn`. Records of a batch may arrive
+    /// one by one (recovery scan, peer imports); the map keeps the *last*.
+    pub(crate) fn note_token(&mut self, token: Token, sn: SeqNum) {
+        let last = self.tokens.entry(token).or_insert(sn);
+        *last = (*last).max(sn);
+    }
+
+    /// Forgets the tokens whose batch ended at or below `through` — every
+    /// token, with `None`.
+    pub(crate) fn drop_tokens(&mut self, through: Option<SeqNum>) {
+        match through {
+            Some(h) => self.tokens.retain(|_, &mut last| last > h),
+            None => self.tokens = HashMap::new(),
+        }
+    }
+
+    pub(crate) fn token_count(&self) -> usize {
+        self.tokens.len()
     }
 }
 

@@ -60,7 +60,7 @@ use flexlog_pm::{ClockMode, DeviceClock, LatencyModel, PmDevice, PmDeviceConfig,
 use flexlog_tier::{fetch_segment, Manifest, ObjectStore, Segment, SegmentMeta};
 use flexlog_types::{ColorId, CommittedRecord, Payload, SeqNum, Token};
 
-use crate::codec;
+use crate::codec::{self, StagedBatch};
 use crate::color_log::{above, ColorLog, Placement};
 use crate::LruCache;
 
@@ -69,6 +69,13 @@ const DRAM_NS: u64 = 80;
 
 /// Records moved per watermark spill round.
 const SPILL_BATCH: usize = 64;
+
+/// The SNs of an `n`-record batch whose last record got `sn_last`: the
+/// preceding counters of the same epoch, oldest first.
+fn batch_sns(sn_last: SeqNum, n: usize) -> impl Iterator<Item = SeqNum> {
+    let n = n as u32;
+    (0..n).map(move |i| SeqNum::new(sn_last.epoch(), sn_last.counter() - (n - 1 - i)))
+}
 
 /// Which committed records of a color [`StorageServer::fetch`] returns.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -250,15 +257,14 @@ impl From<PoolError> for StorageError {
 /// Everything a server mutates, behind its one lock (see module docs).
 struct State {
     /// The committed log of each color, in color order: the watermark
-    /// spill visits colors lowest id first.
+    /// spill visits colors lowest id first. Each also holds its committed
+    /// tokens, so a trim prunes one color's map.
     logs: BTreeMap<ColorId, ColorLog>,
     /// The DRAM tier: one LRU over `(color, SN)` keys.
     cache: LruCache<(ColorId, SeqNum)>,
-    /// Tokens staged but not yet committed → their color.
-    staged: HashMap<Token, ColorId>,
-    /// Tokens already committed → (color, last SN of their batch). The color
-    /// lets `trim` prune entries once the whole batch falls behind the head.
-    committed_tokens: HashMap<Token, (ColorId, SeqNum)>,
+    /// Batches staged but not yet committed, payloads in DRAM beside the
+    /// PM copy, so a commit never reads the staged value back.
+    staged: HashMap<Token, StagedBatch>,
     /// Archive manifests, loaded from the store on a color's first archive
     /// probe.
     manifests: HashMap<ColorId, Arc<Manifest>>,
@@ -282,7 +288,6 @@ impl State {
             logs: BTreeMap::new(),
             cache: LruCache::new(config.cache_capacity, evictions),
             staged: HashMap::new(),
-            committed_tokens: HashMap::new(),
             manifests: HashMap::new(),
             segments: HashMap::new(),
             pm_live_bytes: 0,
@@ -295,30 +300,16 @@ impl State {
         self.logs.entry(color).or_default()
     }
 
-    /// The one index walk: `color`'s records inside `range`, oldest first,
-    /// at most `max`, each with its placement.
-    fn placed(
-        &self,
-        color: ColorId,
-        range: impl RangeBounds<SeqNum>,
-        max: usize,
-    ) -> Vec<(SeqNum, Placement)> {
-        self.logs
-            .get(&color)
-            .map(|log| log.range(range).take(max).collect())
-            .unwrap_or_default()
-    }
-
     fn head(&self, color: ColorId) -> Option<SeqNum> {
         self.logs.get(&color).and_then(ColorLog::head)
     }
 
-    /// Notes that `token`'s batch holds `sn`. Records of a batch arrive one
-    /// by one (recovery scan, peer imports); the map keeps the *last* SN.
-    fn note_committed(&mut self, token: Token, color: ColorId, sn: SeqNum) {
-        let e = self.committed_tokens.entry(token).or_insert((color, sn));
-        if sn > e.1 {
-            *e = (color, sn);
+    /// True when `token`'s batch committed here, in `color` or — without
+    /// one — in any color.
+    fn committed(&self, token: Token, color: Option<ColorId>) -> bool {
+        match color {
+            Some(color) => self.logs.get(&color).is_some_and(|log| log.committed(token).is_some()),
+            None => self.logs.values().any(|log| log.committed(token).is_some()),
         }
     }
 
@@ -395,8 +386,9 @@ impl StorageServer {
     }
 
     /// Recovers a server from crashed devices: replays the PM pool, rebuilds
-    /// all in-memory indexes, and re-discovers SSD-resident records. The
-    /// DRAM cache starts cold.
+    /// the PM set, the staged batches and the tokens of every color, and
+    /// counts the SSD-resident records (the SSD's own block index lists
+    /// them). The DRAM cache starts cold.
     pub fn recover(pm: Arc<PmDevice>, ssd: Arc<SsdDevice>, config: StorageConfig) -> Self {
         let pool = PmPool::open(pm);
         let mut st = State::new(&config);
@@ -406,13 +398,13 @@ impl StorageServer {
                 codec::TAG_COMMITTED => {
                     let (color, sn) = codec::color_sn_of(key);
                     st.pm_live_bytes += value.len();
-                    st.log_mut(color).insert(sn, Placement::Pm);
-                    st.note_committed(codec::record_token(&value), color, sn);
+                    let log = st.log_mut(color);
+                    log.insert(sn, Placement::Pm);
+                    log.note_token(codec::record_token(&value), sn);
                 }
                 codec::TAG_STAGED => {
                     st.pm_live_bytes += value.len();
-                    st.staged
-                        .insert(codec::staged_token_of(key), codec::decode_staged(&value).color);
+                    st.staged.insert(codec::staged_token_of(key), codec::decode_staged(&value));
                 }
                 codec::TAG_HEAD => st
                     .log_mut(codec::head_color_of(key))
@@ -424,14 +416,14 @@ impl StorageServer {
         // PM delete leaves a record in both tiers: finish the move, so each
         // record has one placement and the PM copy is not leaked. A block at
         // or below the head (a crash between a trim's PM commit and its SSD
-        // fsync brings those back) is indexed like any record an installed
+        // fsync brings those back) is held like any record an installed
         // head hides: reads refuse it and the next trim frees it.
         let mut tx = pool.begin();
         let mut moved: Vec<(ColorId, SeqNum, usize)> = Vec::new();
-        for block in ssd.block_ids() {
+        for block in ssd.block_ids(.., usize::MAX) {
             let (color, sn) = codec::color_sn_of(block);
             let log = st.log_mut(color);
-            if log.placement(sn) == Some(Placement::Pm) {
+            if log.in_pm(sn) {
                 let key = codec::committed_key(color, sn);
                 moved.push((color, sn, pool.get(key).map_or(0, |v| v.len())));
                 tx.delete(key);
@@ -439,13 +431,18 @@ impl StorageServer {
                 log.insert(sn, Placement::Ssd);
             }
         }
-        // If PM cannot take the deletes the records just stay PM-resident;
-        // the next spill rewrites their blocks.
         if tx.commit().is_ok() {
             for (color, sn, len) in moved {
                 st.log_mut(color).mark_spilled(sn);
                 st.pm_live_bytes -= len;
             }
+        } else {
+            // PM cannot take the deletes: the records stay PM-resident, and
+            // the SSD copies go, so that each record has one placement.
+            for (color, sn, _) in moved {
+                ssd.delete_block(codec::ssd_block_id(color, sn));
+            }
+            ssd.fsync();
         }
         Self::assemble(pool, ssd, config, st)
     }
@@ -460,12 +457,12 @@ impl StorageServer {
         payloads: &[Payload],
     ) -> Result<bool, StorageError> {
         let mut st = self.state.lock();
-        if st.staged.contains_key(&token) || st.committed_tokens.contains_key(&token) {
+        if st.staged.contains_key(&token) || st.committed(token, Some(color)) {
             return Ok(false);
         }
         let value = codec::encode_staged(color, payloads);
         self.pool.put(codec::staged_key(token), &value)?;
-        st.staged.insert(token, color);
+        st.staged.insert(token, StagedBatch { color, payloads: payloads.to_vec() });
         st.adjust_live(value.len() as isize);
         self.stats.stages.inc();
         self.stats.bytes_appended.add(payloads.iter().map(|p| p.len() as u64).sum());
@@ -494,14 +491,17 @@ impl StorageServer {
         items: &[(Token, SeqNum)],
     ) -> Vec<Result<Option<ColorId>, StorageError>> {
         let commit_start = std::time::Instant::now();
-        let mut st = self.state.lock();
+        let st = &mut *self.state.lock();
         let mut results = Vec::with_capacity(items.len());
         let mut valid: Vec<(usize, Token, SeqNum)> = Vec::new();
         for (i, &(token, sn_last)) in items.iter().enumerate() {
-            if st.committed_tokens.contains_key(&token) || valid.iter().any(|&(_, t, _)| t == token) {
+            // A token not staged here can still be a repeat of one that
+            // committed: its color is unknown, so every color is asked.
+            let color = st.staged.get(&token).map(|batch| batch.color);
+            if st.committed(token, color) || valid.iter().any(|&(_, t, _)| t == token) {
                 // Committed before, or earlier in this call: first one wins.
                 results.push(Ok(None));
-            } else if let Some(&color) = st.staged.get(&token) {
+            } else if let Some(color) = color {
                 results.push(Ok(Some(color)));
                 valid.push((i, token, sn_last));
             } else {
@@ -512,34 +512,24 @@ impl StorageServer {
             return results;
         }
 
-        // Build ONE transaction across all valid batches.
-        type CommittedBatch = (Token, ColorId, SeqNum, Vec<(SeqNum, Payload)>);
+        // Build ONE transaction across all valid batches, from the staged
+        // payloads in DRAM.
         let mut tx = self.pool.begin();
-        let mut committed: Vec<CommittedBatch> = Vec::new();
         let mut live_delta = 0isize;
         for &(_, token, sn_last) in &valid {
-            let staged = self
-                .pool
-                .get(codec::staged_key(token))
-                .expect("staged index implies staged record");
-            let batch = codec::decode_staged(&staged);
-            let n = batch.payloads.len() as u32;
-            debug_assert!(n > 0, "staged batches are non-empty");
+            let batch = &st.staged[&token];
+            debug_assert!(!batch.payloads.is_empty(), "staged batches are non-empty");
             debug_assert!(
-                sn_last.counter() + 1 >= n,
+                sn_last.counter() as usize + 1 >= batch.payloads.len(),
                 "SN range must not underflow the epoch counter"
             );
             tx.delete(codec::staged_key(token));
-            live_delta -= staged.len() as isize;
-            let mut sns = Vec::with_capacity(batch.payloads.len());
-            for (i, payload) in batch.payloads.into_iter().enumerate() {
-                let sn = SeqNum::new(sn_last.epoch(), sn_last.counter() - (n - 1 - i as u32));
-                let value = codec::encode_record(token, &payload);
+            live_delta -= codec::staged_len(&batch.payloads) as isize;
+            for (sn, payload) in batch_sns(sn_last, batch.payloads.len()).zip(&batch.payloads) {
+                let value = codec::encode_record(token, payload);
                 live_delta += value.len() as isize;
                 tx.put(codec::committed_key(batch.color, sn), &value);
-                sns.push((sn, payload));
             }
-            committed.push((token, batch.color, sn_last, sns));
         }
         if let Err(e) = tx.commit() {
             // None of the batches committed; they stay staged.
@@ -549,28 +539,24 @@ impl StorageServer {
             return results;
         }
 
-        // Publish: token maps, per-color logs, cache fills.
-        for (token, color, sn_last, sns) in &committed {
-            st.staged.remove(token);
-            st.committed_tokens.insert(*token, (*color, *sn_last));
-            let log = st.log_mut(*color);
-            for (sn, _) in sns {
-                log.insert(*sn, Placement::Pm);
-            }
-            for (sn, payload) in sns {
+        // Publish: per-color logs and tokens, cache fills.
+        let mut span_batch = Vec::with_capacity(valid.len());
+        for &(_, token, sn_last) in &valid {
+            let StagedBatch { color, payloads } = st.staged.remove(&token).expect("validated above");
+            let log = st.logs.entry(color).or_default();
+            log.note_token(token, sn_last);
+            for (sn, payload) in batch_sns(sn_last, payloads.len()).zip(payloads) {
+                log.insert(sn, Placement::Pm);
                 // Zero-copy fill: the cache shares the staged batch's buffer.
-                st.cache.put((*color, *sn), payload.clone());
+                st.cache.put((color, sn), payload);
             }
+            span_batch.push((token, Stage::StorageCommit, st.node, color.0 as u64));
         }
         st.adjust_live(live_delta);
-        self.stats.commits.add(committed.len() as u64);
+        self.stats.commits.add(valid.len() as u64);
         self.commit_hist.record_ns(commit_start.elapsed());
-        let span_batch: Vec<_> = committed
-            .iter()
-            .map(|(token, color, _, _)| (*token, Stage::StorageCommit, st.node, color.0 as u64))
-            .collect();
         self.config.obs.tracer().record_many(&span_batch);
-        if let Err(e) = self.maybe_spill(&mut st) {
+        if let Err(e) = self.maybe_spill(st) {
             // Spill failure does not undo the durable commits; surface it on
             // the first successful item so callers notice.
             results[valid[0].0] = Err(e);
@@ -605,7 +591,7 @@ impl StorageServer {
                 // sit in PM — the `install_head` migration contract).
                 None
             } else {
-                Some(log.placement(sn)?)
+                Some(self.placement(log, color, sn)?)
             }
         };
         let Some(at) = live_at else {
@@ -755,7 +741,7 @@ impl StorageServer {
             Some(tier) if from < head => self.archived_scan(st, tier, color, from, head, cap)?,
             _ => Vec::new(),
         };
-        let live = st.placed(color, above(from.max(head)), cap - out.len());
+        let live = self.placed(st, color, above(from.max(head)), cap - out.len());
         out.extend(live.into_iter().filter_map(|(sn, _)| {
             let (payload, _) = self.read(st, color, sn)?;
             Some(CommittedRecord { sn, payload })
@@ -774,14 +760,14 @@ impl StorageServer {
         let st = self.state.lock();
         let placed = match select {
             FetchSelect::Above { sn, limit } => {
-                st.placed(color, above(*sn), usize::try_from(*limit).unwrap_or(usize::MAX))
+                self.placed(&st, color, above(*sn), usize::try_from(*limit).unwrap_or(usize::MAX))
             }
             FetchSelect::Exact(sns) => st
                 .logs
                 .get(&color)
                 .map(|log| {
                     sns.iter()
-                        .filter_map(|&sn| Some((sn, log.placement(sn)?)))
+                        .filter_map(|&sn| Some((sn, self.placement(log, color, sn)?)))
                         .collect()
                 })
                 .unwrap_or_default(),
@@ -804,6 +790,50 @@ impl StorageServer {
         }
     }
 
+    /// The one index walk: `color`'s records inside `range`, oldest first,
+    /// at most `max`, each with its placement — the log's PM set merged
+    /// with the SSD's block index over the color's span. (A record in both
+    /// is the PM one; spill and recovery never leave one behind.)
+    fn placed(
+        &self,
+        st: &State,
+        color: ColorId,
+        range: impl RangeBounds<SeqNum>,
+        max: usize,
+    ) -> Vec<(SeqNum, Placement)> {
+        let Some(log) = st.logs.get(&color) else {
+            return Vec::new();
+        };
+        let range = (range.start_bound().cloned(), range.end_bound().cloned());
+        let on_ssd = match log.ssd_resident() {
+            0 => Vec::new(),
+            _ => self.ssd.block_ids(codec::ssd_block_range(color, range), max),
+        };
+        let on_ssd = on_ssd.into_iter().map(|id| (codec::color_sn_of(id).1, Placement::Ssd));
+        let on_pm = log.pm_range(range).take(max).map(|sn| (sn, Placement::Pm));
+        let mut placed: Vec<_> = on_pm.chain(on_ssd).collect();
+        // Two ascending runs, so the stable sort is a merge, and a record in
+        // both keeps its PM entry, the first.
+        placed.sort_by_key(|&(sn, _)| sn);
+        placed.dedup_by_key(|&mut (sn, _)| sn);
+        placed.truncate(max);
+        placed
+    }
+
+    /// Where `color`'s record `sn` is held, if it is.
+    fn placement(&self, log: &ColorLog, color: ColorId, sn: SeqNum) -> Option<Placement> {
+        if log.in_pm(sn) {
+            Some(Placement::Pm)
+        } else if log.ssd_resident() > 0
+            && log.tail().is_some_and(|tail| sn <= tail)
+            && self.ssd.contains(codec::ssd_block_id(color, sn))
+        {
+            Some(Placement::Ssd)
+        } else {
+            None
+        }
+    }
+
     /// Installs committed records fetched from a peer on the tier `at`,
     /// bypassing the staging path: drops the ones already trimmed or held
     /// here, writes the rest durably, then indexes them and notes their
@@ -815,10 +845,13 @@ impl StorageServer {
         records: &[(Token, SeqNum, Payload)],
         at: Placement,
     ) -> Result<u64, StorageError> {
+        // News here: not trimmed and not held in either tier.
         let log = st.logs.get(&color);
         let fresh: Vec<&(Token, SeqNum, Payload)> = records
             .iter()
-            .filter(|(_, sn, _)| log.is_none_or(|log| log.admits(*sn)))
+            .filter(|(_, sn, _)| {
+                log.is_none_or(|log| !log.trimmed(*sn) && self.placement(log, color, *sn).is_none())
+            })
             .collect();
         if fresh.is_empty() {
             return Ok(0);
@@ -840,18 +873,15 @@ impl StorageServer {
                 }
             }
             Placement::Ssd => {
-                for (sn, value) in &values {
-                    self.ssd.write_block(codec::ssd_block_id(color, *sn), value);
-                }
+                let blocks = values.into_iter().map(|(sn, v)| (codec::ssd_block_id(color, sn), v));
+                self.ssd.write_blocks(blocks.collect());
                 self.ssd.fsync();
             }
         }
         let log = st.log_mut(color);
-        for (_, sn, _) in &fresh {
-            log.insert(*sn, at);
-        }
         for (token, sn, _) in &fresh {
-            st.note_committed(*token, color, *sn);
+            log.insert(*sn, at);
+            log.note_token(*token, *sn);
         }
         Ok(fresh.len() as u64)
     }
@@ -896,7 +926,7 @@ impl StorageServer {
     /// commit-order hole that fills later, so it diffs the source's SN set
     /// against its own instead of trusting counts.
     pub fn committed_sns(&self, color: ColorId, from: SeqNum) -> Vec<SeqNum> {
-        let placed = self.state.lock().placed(color, above(from), usize::MAX);
+        let placed = self.placed(&self.state.lock(), color, above(from), usize::MAX);
         placed.into_iter().map(|(sn, _)| sn).collect()
     }
 
@@ -956,36 +986,42 @@ impl StorageServer {
         color: ColorId,
         up_to: SeqNum,
     ) -> Result<(Option<SeqNum>, Option<SeqNum>), StorageError> {
-        let victims = st.placed(color, ..=up_to, usize::MAX);
-        self.remove(st, color, &victims, Some(up_to))
+        self.remove(st, color, Some(up_to))?;
+        let log = &st.logs[&color];
+        Ok((log.head(), log.tail()))
     }
 
-    /// Deletes `victims` of `color` from whichever tier holds them and,
-    /// with `new_head`, durably advances the trim head in the same PM
-    /// transaction. Returns the `[head, tail]` left behind.
+    /// Deletes every record of `color` at or below `through` from whichever
+    /// tier holds it and durably advances the trim head to `through` in the
+    /// same PM transaction — or, with `None`, deletes every record and
+    /// keeps the head (a discard). Returns how many records went.
     ///
-    /// Also prunes the token-idempotence map. After a trim, a token whose
-    /// batch ended at or below the head can never be re-acked with a live
-    /// SN again — a late duplicate of it would target trimmed records,
+    /// Also prunes the color's token-idempotence map. After a trim, a token
+    /// whose batch ended at or below the head can never be re-acked with a
+    /// live SN again — a late duplicate of it would target trimmed records,
     /// which `stage` re-admits harmlessly and `get` filters via the head —
     /// and without the prune the map grows with every append ever made.
-    /// After a discard (`new_head == None`) no token of the color may
-    /// re-ack as committed: the append never happened as far as the log is
-    /// concerned, and the client's retry must go through the real shard.
+    /// After a discard no token of the color may re-ack as committed: the
+    /// append never happened as far as the log is concerned, and the
+    /// client's retry must go through the real shard.
     fn remove(
         &self,
         st: &mut State,
         color: ColorId,
-        victims: &[(SeqNum, Placement)],
-        new_head: Option<SeqNum>,
-    ) -> Result<(Option<SeqNum>, Option<SeqNum>), StorageError> {
+        through: Option<SeqNum>,
+    ) -> Result<usize, StorageError> {
+        let victims = match through {
+            Some(up_to) => self.placed(st, color, ..=up_to, usize::MAX),
+            None => self.placed(st, color, .., usize::MAX),
+        };
         // Heads only ever advance, durably too.
-        let new_head = new_head.map(|h| h.max(st.head(color).unwrap_or(SeqNum::ZERO)));
+        let new_head = through.map(|h| h.max(st.head(color).unwrap_or(SeqNum::ZERO)));
         let mut tx = self.pool.begin();
         let mut freed = 0usize;
-        for &(sn, at) in victims {
+        let mut on_ssd = Vec::new();
+        for &(sn, at) in &victims {
             match at {
-                Placement::Ssd => self.ssd.delete_block(codec::ssd_block_id(color, sn)),
+                Placement::Ssd => on_ssd.push(codec::ssd_block_id(color, sn)),
                 Placement::Pm => {
                     let key = codec::committed_key(color, sn);
                     freed += self.pool.get(key).map_or(0, |v| v.len());
@@ -997,22 +1033,24 @@ impl StorageServer {
             tx.put(codec::head_key(color), &codec::encode_head(head));
         }
         tx.commit()?;
+        // The SSD copies go after the PM commit, so a failed commit leaves
+        // both tiers as they were. A crash before the fsync brings them
+        // back under the durable head (see `recover`).
+        for &id in &on_ssd {
+            self.ssd.delete_block(id);
+        }
         self.ssd.fsync();
-        for &(sn, _) in victims {
+        for &(sn, _) in &victims {
             st.cache.remove(&(color, sn));
         }
         let log = st.log_mut(color);
-        for &(sn, _) in victims {
-            log.remove(sn);
-        }
+        log.drop_records(through, on_ssd.len());
         if let Some(head) = new_head {
             log.advance_head(head);
         }
-        let (head, tail) = (log.head(), log.tail());
-        st.committed_tokens
-            .retain(|_, &mut (c, sn)| c != color || new_head.is_some_and(|h| sn > h));
+        log.drop_tokens(new_head);
         st.adjust_live(-(freed as isize));
-        Ok((head, tail))
+        Ok(victims.len())
     }
 
     /// One archive round: seals committed records of `color` above the
@@ -1044,7 +1082,7 @@ impl StorageServer {
             return ArchiveRound { archived: 0, durable: manifest.archived_up_to(), complete: true };
         }
         let upper = limit.map_or(Bound::Unbounded, Bound::Included);
-        let mut candidates = st.placed(color, (Bound::Excluded(boundary), upper), usize::MAX);
+        let mut candidates = self.placed(st, color, (Bound::Excluded(boundary), upper), usize::MAX);
         if limit.is_none() {
             let keep = keep_tail.min(candidates.len() as u64) as usize;
             candidates.truncate(candidates.len() - keep);
@@ -1122,11 +1160,10 @@ impl StorageServer {
     /// finds nothing and returns 0. Returns the record count removed.
     pub fn discard_color(&self, color: ColorId) -> Result<u64, StorageError> {
         let st = &mut *self.state.lock();
-        let victims = st.placed(color, .., usize::MAX);
-        if !victims.is_empty() {
-            self.remove(st, color, &victims, None)?;
+        if st.logs.get(&color).is_none_or(|log| log.len() == 0) {
+            return Ok(0);
         }
-        Ok(victims.len() as u64)
+        Ok(self.remove(st, color, None)? as u64)
     }
 
     /// Runs `f` on `color`'s log; `None` when the color has no log here.
@@ -1167,24 +1204,18 @@ impl StorageServer {
     /// recovery, §6.3) together with their color and batch size.
     pub fn staged_tokens(&self) -> Vec<(Token, ColorId, usize)> {
         let st = self.state.lock();
-        st.staged
-            .iter()
-            .map(|(&t, &c)| {
-                let staged = self.pool.get(codec::staged_key(t));
-                (t, c, staged.map_or(0, |v| codec::decode_staged(&v).payloads.len()))
-            })
-            .collect()
+        st.staged.iter().map(|(&t, batch)| (t, batch.color, batch.payloads.len())).collect()
     }
 
-    /// The SN a committed token's batch ended at, if committed.
-    pub fn committed_sn(&self, token: Token) -> Option<SeqNum> {
-        self.state.lock().committed_tokens.get(&token).map(|&(_, sn)| sn)
+    /// The SN `token`'s batch of `color` ended at, if committed.
+    pub fn committed_sn(&self, color: ColorId, token: Token) -> Option<SeqNum> {
+        self.log(color, |log| log.committed(token)).flatten()
     }
 
     /// Number of entries in the token-idempotence map (bounded-memory
     /// check: trims must shrink this).
     pub fn committed_token_count(&self) -> usize {
-        self.state.lock().committed_tokens.len()
+        self.state.lock().logs.values().map(ColorLog::token_count).sum()
     }
 
     /// Number of committed records of `color` on this replica.
@@ -1244,7 +1275,7 @@ impl StorageServer {
                 if room == 0 {
                     break;
                 }
-                victims.extend(log.oldest_pm(room).map(|sn| (color, sn)));
+                victims.extend(log.pm_range(..).take(room).map(|sn| (color, sn)));
             }
             if victims.is_empty() {
                 return Ok(());
@@ -1268,22 +1299,31 @@ impl StorageServer {
     /// The SSD-copy → fsync → PM-delete two-step moving the given
     /// PM-resident records down a tier.
     fn spill_victims(&self, st: &mut State, victims: &[(ColorId, SeqNum)]) -> Result<(), StorageError> {
-        // 1. Copy to SSD and fsync...
+        // 1. Copy to SSD in one buffered write, and fsync...
         let mut freed = 0usize;
         let mut tx = self.pool.begin();
+        let mut blocks = Vec::with_capacity(victims.len());
         for &(color, sn) in victims {
             let key = codec::committed_key(color, sn);
             if let Some(v) = self.pool.get(key) {
-                self.ssd.write_block(codec::ssd_block_id(color, sn), &v);
                 freed += v.len();
+                blocks.push((codec::ssd_block_id(color, sn), v));
             }
             tx.delete(key);
         }
+        self.ssd.write_blocks(blocks);
         self.ssd.fsync();
         // 2. ...only then remove from PM (a crash between the two steps
         // duplicates records across tiers, which `recover` resolves; it
         // never loses them).
-        tx.commit()?;
+        if let Err(e) = tx.commit() {
+            // The PM copies stay, so the SSD ones go: one placement each.
+            for &(color, sn) in victims {
+                self.ssd.delete_block(codec::ssd_block_id(color, sn));
+            }
+            self.ssd.fsync();
+            return Err(e.into());
+        }
         for &(color, sn) in victims {
             st.log_mut(color).mark_spilled(sn);
         }
@@ -1303,7 +1343,7 @@ impl StorageServer {
         let victims: Vec<(ColorId, SeqNum)> = st
             .logs
             .get(&color)
-            .map(|log| log.oldest_pm(max).map(|sn| (color, sn)).collect())
+            .map(|log| log.pm_range(..).take(max).map(|sn| (color, sn)).collect())
             .unwrap_or_default();
         if !victims.is_empty() {
             self.spill_victims(st, &victims)?;

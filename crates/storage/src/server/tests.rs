@@ -47,7 +47,7 @@ fn commit_is_idempotent() {
     s.stage(tok(1), RED, &[pl(b"a")]).unwrap();
     assert!(s.commit(tok(1), sn(1)).unwrap());
     assert!(!s.commit(tok(1), sn(1)).unwrap());
-    assert_eq!(s.committed_sn(tok(1)), Some(sn(1)));
+    assert_eq!(s.committed_sn(RED, tok(1)), Some(sn(1)));
 }
 
 #[test]
@@ -71,7 +71,7 @@ fn commit_many_coalesces_batches() {
     assert!(results.iter().all(|r| *r == Ok(Some(RED))));
     for i in 1..=5u32 {
         assert_eq!(s.get(RED, sn(i)).unwrap(), vec![i as u8]);
-        assert_eq!(s.committed_sn(tok(i)), Some(sn(i)));
+        assert_eq!(s.committed_sn(RED, tok(i)), Some(sn(i)));
     }
     assert_eq!(s.stats.commits.load(Ordering::Relaxed), 5);
 }
@@ -217,12 +217,13 @@ fn trim_prunes_committed_token_map() {
     // Tokens 1..=6 fell behind RED's head; GREEN's token is untouched.
     assert_eq!(s.committed_token_count(), 5);
     for i in 1..=6u32 {
-        assert_eq!(s.committed_sn(tok(i)), None, "token {i} must be pruned");
+        assert_eq!(s.committed_sn(RED, tok(i)), None, "token {i} must be pruned");
     }
     for i in 7..=10u32 {
-        assert_eq!(s.committed_sn(tok(i)), Some(sn(i)));
+        assert_eq!(s.committed_sn(RED, tok(i)), Some(sn(i)));
     }
-    assert_eq!(s.committed_sn(tok(100)), Some(sn(2)));
+    assert_eq!(s.committed_sn(GREEN, tok(100)), Some(sn(2)));
+    assert_eq!(s.committed_sn(RED, tok(100)), None, "tokens are per color");
     // Trimming everything empties the map.
     s.trim(RED, sn(10)).unwrap();
     s.trim(GREEN, sn(2)).unwrap();
@@ -237,9 +238,9 @@ fn trim_prunes_only_fully_trimmed_batches() {
     s.stage(tok(1), RED, &[pl(b"a"), pl(b"b"), pl(b"c")]).unwrap();
     s.commit(tok(1), sn(3)).unwrap();
     s.trim(RED, sn(2)).unwrap();
-    assert_eq!(s.committed_sn(tok(1)), Some(sn(3)), "batch tail still live");
+    assert_eq!(s.committed_sn(RED, tok(1)), Some(sn(3)), "batch tail still live");
     s.trim(RED, sn(3)).unwrap();
-    assert_eq!(s.committed_sn(tok(1)), None);
+    assert_eq!(s.committed_sn(RED, tok(1)), None);
 }
 
 #[test]
@@ -367,12 +368,38 @@ fn recovery_preserves_committed_and_staged() {
     drop(s);
     let s2 = StorageServer::recover(pm, ssd, StorageConfig::default());
     assert_eq!(s2.get(RED, sn(1)).unwrap(), b"committed");
-    assert_eq!(s2.committed_sn(tok(1)), Some(sn(1)));
+    assert_eq!(s2.committed_sn(RED, tok(1)), Some(sn(1)));
     let staged = s2.staged_tokens();
     assert_eq!(staged, vec![(tok(2), RED, 1)]);
     // The staged batch can still be committed after recovery.
     s2.commit(tok(2), sn(2)).unwrap();
     assert_eq!(s2.get(RED, sn(2)).unwrap(), b"staged-only");
+}
+
+#[test]
+fn a_recovered_batch_commits_byte_identical_and_without_pm_reads() {
+    // The staged batch's payloads live in DRAM until the commit writes
+    // them; after a crash, recovery rebuilds them from the staged value.
+    let s = server();
+    let batch = vec![pl(b""), pl(b"two"), pl((0..300u32).map(|i| i as u8).collect::<Vec<_>>())];
+    s.stage(tok(1), RED, &batch).unwrap();
+    let (pm, ssd) = s.devices();
+    pm.crash();
+    ssd.crash();
+    drop(s);
+    let s2 = StorageServer::recover(Arc::clone(&pm), ssd, StorageConfig::default());
+    let reads = || pm.stats.reads.load(Ordering::Relaxed);
+    let before = reads();
+    assert_eq!(s2.staged_tokens(), vec![(tok(1), RED, 3)]);
+    assert_eq!(reads(), before, "listing the staged batches reads no PM");
+    assert_eq!(s2.commit_many(&[(tok(1), sn(3))]), vec![Ok(Some(RED))]);
+    assert_eq!(reads(), before, "the commit writes from DRAM, not from a read-back");
+    // What PM now holds, read back from the device, is what was staged.
+    let stored = s2.fetch(RED, &FetchSelect::Above { sn: SeqNum::ZERO, limit: u64::MAX });
+    let want: Vec<_> =
+        (1..).zip(&batch).map(|(i, p)| (tok(1), sn(i), p.clone())).collect();
+    assert_eq!(stored, want);
+    assert!(s2.staged_tokens().is_empty());
 }
 
 #[test]
@@ -440,6 +467,7 @@ fn crash_before_commit_record_loses_nothing_committed() {
 fn multi_record_staged_value_roundtrip() {
     let payloads = vec![pl(b""), pl(b"x"), pl(vec![7u8; 300])];
     let enc = codec::encode_staged(ColorId(9), &payloads);
+    assert_eq!(enc.len(), codec::staged_len(&payloads), "what a commit frees of pm_live_bytes");
     let dec = codec::decode_staged(&enc);
     assert_eq!(dec.color, ColorId(9));
     assert_eq!(dec.payloads, payloads);
@@ -552,7 +580,7 @@ fn import_installs_and_is_idempotent() {
     assert!(s.import(RED, sn(4), tok(9), &pl(b"synced")).unwrap());
     assert!(!s.import(RED, sn(4), tok(9), &pl(b"synced")).unwrap());
     assert_eq!(s.get(RED, sn(4)).unwrap(), b"synced");
-    assert_eq!(s.committed_sn(tok(9)), Some(sn(4)));
+    assert_eq!(s.committed_sn(RED, tok(9)), Some(sn(4)));
     // Imports survive crash.
     let (pm, ssd) = s.devices();
     pm.crash();
@@ -673,10 +701,11 @@ fn crash_mid_spill_leaves_one_placement_and_no_leaked_pm_copy() {
         s.commit(tok(i), sn(i)).unwrap();
     }
     let (pm, ssd) = s.devices();
-    for i in 1..=3u32 {
+    let copies = (1..=3u32).map(|i| {
         let value = codec::encode_record(tok(i), &[i as u8; 100]);
-        ssd.write_block(codec::ssd_block_id(RED, sn(i)), &value);
-    }
+        (codec::ssd_block_id(RED, sn(i)), value)
+    });
+    ssd.write_blocks(copies.collect());
     ssd.fsync();
     pm.crash();
     ssd.crash();

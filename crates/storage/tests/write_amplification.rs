@@ -97,11 +97,7 @@ fn four_colors_amplification_is_bounded_by_utilisation() {
         "{:.0} PM bytes per record",
         cost.bytes_per_rec
     );
-    assert!(
-        cost.reads_per_rec <= 2.5,
-        "{:.2} PM reads per record",
-        cost.reads_per_rec
-    );
+    assert_reads_once(&cost);
     // No stop-the-world round: a call pays for its own transaction(s), one
     // spill batch and one bounded reclamation step per pool commit.
     assert!(
@@ -125,5 +121,18 @@ fn one_color_log_is_never_copied() {
         cost.bytes_per_rec <= 800.0,
         "{:.0} PM bytes per record",
         cost.bytes_per_rec
+    );
+    assert_reads_once(&cost);
+}
+
+/// A record is read from PM once, when it spills: the commit writes it from
+/// the staged payloads in DRAM, not from a read-back of the staged value
+/// (which made it 2.00). What is left above 1.00 is reclamation reading
+/// the survivors it copies forward.
+fn assert_reads_once(cost: &Cost) {
+    assert!(
+        cost.reads_per_rec <= 1.05,
+        "{:.2} PM reads per record",
+        cost.reads_per_rec
     );
 }

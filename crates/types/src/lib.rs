@@ -161,7 +161,9 @@ pub struct ShardId(pub u32);
 pub struct Payload(Arc<[u8]>);
 
 impl Payload {
-    /// Wraps an owned buffer without copying (a `Vec` converts in place).
+    /// Wraps a buffer. An `Arc<[u8]>` is taken as is; a `Vec` is copied
+    /// once into a new allocation that also holds the reference counts
+    /// (`Arc<[u8]>::from(Vec)` cannot reuse the vector's).
     pub fn new(bytes: impl Into<Arc<[u8]>>) -> Self {
         Payload(bytes.into())
     }

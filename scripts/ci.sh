@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI gate: release build (workspace + the out-of-workspace benchmark crate,
 # build only), a code-line report (scripts/loc.sh, no gate), full test
-# suite, the PM pool's count-based write-amplification bars and its
-# every-device-operation crash sweep once more in release, the timing and
+# suite, the PM pool's count-based write-amplification bars, the storage
+# regime probe (report only), the CRC's slicing-by-8 equivalence tests and
+# the pool's every-device-operation crash sweep once more in release, the timing and
 # heap bounds of the latency path (polled short waits, the sequencer's batch
 # wait, the file-backed SSD medium) in release, two bounded
 # nemesis smoke runs (fixed seed, ~5 s of injected faults under load — once
@@ -38,6 +39,15 @@ cargo test --workspace -q
 
 echo "==> PM write amplification in the spilling regime (device-operation counts, release)"
 cargo test --release -q -p flexlog-storage --test write_amplification
+
+# Report only: wall µs and PM device operations per record in the same
+# regime (the table in DESIGN.md "What a record costs storage at the
+# watermark"); compare it parent vs change, it gates nothing.
+echo "==> storage regime probe (wall µs per record at the watermark, report only)"
+cargo run --release -q -p flexlog-storage --example regime_probe
+
+echo "==> CRC-32 slicing-by-8 against the byte-at-a-time reference (release)"
+cargo test --release -q -p flexlog-pm --lib crc
 
 echo "==> PM pool crash-point sweep + tombstone resurrection + shrunk-device proptest (release)"
 cargo test --release -q -p flexlog-pm --test crash_consistency
