@@ -72,7 +72,9 @@ fn probe_append(cluster: &FlexLogCluster) -> Result<(), String> {
             .checked_duration_since(Instant::now())
             .ok_or("probe append timed out (color left frozen?)")?;
         match ep.recv_timeout(left) {
-            Ok((_, ClusterMsg::Data(DataMsg::Append(AppendMsg::AppendAck { token: t, .. })))) if t == token => {
+            Ok((_, ClusterMsg::Data(DataMsg::Append(AppendMsg::AppendAck { acks }))))
+                if acks.iter().any(|&(t, _)| t == token) =>
+            {
                 return Ok(());
             }
             Ok((_, ClusterMsg::Data(DataMsg::Append(AppendMsg::Rejected { token: t, reason })))) if t == token => {

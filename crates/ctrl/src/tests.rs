@@ -80,7 +80,12 @@ impl Probe {
         loop {
             let left = deadline.checked_duration_since(Instant::now())?;
             let answer = match self.ep.recv_timeout(left).ok()?.1.into_data() {
-                Some(DataMsg::Append(AppendAck { token, last_sn })) => (token, Ok(last_sn)),
+                Some(DataMsg::Append(AppendAck { acks })) => {
+                    let Some(&(token, last_sn)) = acks.iter().find(|a| a.0 == self.token) else {
+                        continue;
+                    };
+                    (token, Ok(last_sn))
+                }
                 Some(DataMsg::Append(Rejected { token, reason })) => (token, Err(reason)),
                 _ => continue,
             };

@@ -99,7 +99,7 @@ struct PendingUp {
 
 /// How many tokens, and how many child batches, a sequencer remembers for
 /// idempotence and replay. Beyond it a resend is a fresh request, which the
-/// replicas' `commit_many` dedups by token.
+/// replicas' storage `write` dedups by token.
 pub(crate) const RESPONDED_CAP: usize = 100_000;
 
 /// Resend window for unanswered upstream requests.

@@ -462,7 +462,11 @@ impl FlexLogClient {
     fn note_stray(&mut self, from: NodeId, msg: ClusterMsg) {
         match msg {
             ClusterMsg::Data(DataMsg::Append(m)) => match m {
-                AppendMsg::AppendAck { token, last_sn } => self.note_ack(from, token, last_sn),
+                AppendMsg::AppendAck { acks } => {
+                    for (token, last_sn) in acks {
+                        self.note_ack(from, token, last_sn);
+                    }
+                }
                 AppendMsg::Rejected { token, reason } => self.note_reject(from, token, reason),
                 AppendMsg::MultiAck { .. }
                 | AppendMsg::Append { .. }
@@ -571,8 +575,9 @@ impl FlexLogClient {
             .min()
             .expect("pumped with appends in flight");
         let mut wait = next_due.saturating_duration_since(Instant::now());
-        // Acks arrive in bursts (a replica's batched commit acks every token
-        // of the burst back to back): drain each burst under one inbox lock.
+        // Acks arrive in bursts (each replica of the shard acks a wake's
+        // tokens in one message, and the replicas wake together): drain
+        // each burst under one inbox lock.
         let mut burst = std::mem::take(&mut self.burst);
         loop {
             match self.ep.recv_batch(wait, 256, &mut burst) {
@@ -626,9 +631,9 @@ impl FlexLogClient {
         Ok(())
     }
 
-    /// Credits an [`AppendMsg::AppendAck`] against the matching append,
-    /// completing it when *every* replica has committed (Algorithm 1,
-    /// line 8) — the basis of linearizable local reads.
+    /// Credits one entry of an [`AppendMsg::AppendAck`] against the
+    /// matching append, completing it when *every* replica has committed
+    /// (Algorithm 1, line 8) — the basis of linearizable local reads.
     fn note_ack(&mut self, from: NodeId, token: Token, last_sn: SeqNum) {
         let Some(op) = self.inflight.get_mut(&token) else {
             return; // duplicate ack of an already-completed op

@@ -38,9 +38,12 @@ pub enum AppendMsg {
         payloads: Vec<Payload>,
         reply_to: NodeId,
     },
-    /// Replica → client: the batch identified by `token` is committed, its
-    /// last record holds `last_sn` (Algorithm 1, line 24).
-    AppendAck { token: Token, last_sn: SeqNum },
+    /// Replica → client: these batches are committed, each `(token, last
+    /// SN)` naming a batch and the SN its last record holds (Algorithm 1,
+    /// line 24). A replica sends one per client per wake, with every batch
+    /// of that client the wake committed; a lone ack and a re-ack of a
+    /// retransmitted append are batches of one.
+    AppendAck { acks: Vec<(Token, SeqNum)> },
     /// Replica → client: this replica refuses the append; the reason tells
     /// the client whether to re-resolve the shard (`ColorMoved`) or fail
     /// (`Dropped`). A frozen color's append gets no reply until the freeze

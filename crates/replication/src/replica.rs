@@ -4,7 +4,9 @@
 //! [`StorageServer`]. In normal operation it:
 //!
 //! * stages appends and requests SNs from its leaf sequencer (Algorithm 1);
-//! * commits on OResp and acks every client that asked for the token;
+//! * commits on OResp and acks every client that asked for the token —
+//!   each wake's appends and order responses as one storage transaction,
+//!   and one ack message per client per wake;
 //! * serves linearizable local reads, holding requests above its max-seen
 //!   SN for a bounded time (the hole rule, §6.3);
 //! * answers subscribes/trims, and replays multi-color append sets on the
@@ -41,17 +43,38 @@ use crate::TopologyView;
 /// Magic prefix of a multi-color-append set staged in the special color.
 pub(crate) const MULTI_MAGIC: &[u8; 4] = b"MCA1";
 
-/// Folds every consecutive OResp at the head of `iter` into `resps`,
-/// preserving arrival order, so one [`StorageServer::commit_many`]
-/// transaction covers the whole run.
-fn coalesce_oresps<I: Iterator<Item = (NodeId, ClusterMsg)>>(
-    iter: &mut std::iter::Peekable<I>,
-    resps: &mut Vec<(Token, SeqNum)>,
-) {
-    while let Some((_, ClusterMsg::Order(OrderMsg::OResp { resps: more }))) =
-        iter.next_if(|(_, m)| matches!(m, ClusterMsg::Order(OrderMsg::OResp { .. })))
-    {
-        resps.extend(more);
+/// An `Append` as the write path takes it: color, token, records, and
+/// where its ack goes.
+type Append = (ColorId, Token, Vec<Payload>, NodeId);
+
+/// The appends and order responses of one run of a wake, in arrival order:
+/// one [`StorageServer::write`] call.
+#[derive(Default)]
+struct Writes {
+    appends: Vec<Append>,
+    resps: Vec<(Token, SeqNum)>,
+}
+
+impl Writes {
+    /// Takes `msg` into the run if it is an `Append` or an `OResp`, and
+    /// hands anything else back.
+    fn take(&mut self, msg: ClusterMsg) -> Option<ClusterMsg> {
+        match msg {
+            ClusterMsg::Data(DataMsg::Append(AppendMsg::Append {
+                color,
+                token,
+                payloads,
+                reply_to,
+            })) => {
+                self.appends.push((color, token, payloads, reply_to));
+                None
+            }
+            ClusterMsg::Order(OrderMsg::OResp { resps }) => {
+                self.resps.extend(resps);
+                None
+            }
+            other => Some(other),
+        }
     }
 }
 
@@ -172,8 +195,12 @@ pub struct ReplicaNode {
     rng: StdRng,
     /// If a recovery sync must start immediately on boot.
     start_with_sync: bool,
-    /// Wall time of one batched OResp commit (`replica.commit_batch_ns`).
+    /// Wall time of one wake's storage transaction that committed
+    /// something, stage half included (`replica.commit_batch_ns`).
     commit_hist: Histogram,
+    /// The wake's acks, per client, in the order the clients came up: sent
+    /// as one `AppendAck` each when the wake ends ([`Self::send_acks`]).
+    acks: Vec<(NodeId, Vec<(Token, SeqNum)>)>,
     /// The reconfiguration fence of every fenced color.
     fences: HashMap<ColorId, Fence>,
     /// Highest controller generation seen — the zombie fence. Mutating
@@ -232,6 +259,7 @@ impl ReplicaNode {
             rng: StdRng::seed_from_u64(0xF1E7),
             start_with_sync,
             commit_hist,
+            acks: Vec::new(),
             fences: HashMap::new(),
             ctrl_gen: 0,
         }
@@ -244,13 +272,14 @@ impl ReplicaNode {
 
     /// Runs the replica loop until shutdown or crash.
     ///
-    /// Messages are drained in bounded bursts rather than strictly one at a
-    /// time: a run of consecutive `OResp`s (the common shape under pipelined
-    /// clients — the sequencer answers a burst of order requests back to
-    /// back) commits through **one** PM transaction via
-    /// [`StorageServer::commit_many`], mirroring the sequencer's aggregation
-    /// window at the data layer. Per-message semantics are unchanged — the
-    /// burst is processed in arrival order.
+    /// Messages are drained in bounded bursts, and a wake is one unit of
+    /// work: each run of consecutive `Append`s and `OResp`s in a burst (the
+    /// common shape under pipelined clients) goes to storage as **one** PM
+    /// transaction ([`StorageServer::write`]) that stages the new batches
+    /// and commits the ordered ones — mirroring the sequencer's aggregation
+    /// window at the data layer — and the OReqs for what it staged go out
+    /// after it. Every client gets one `AppendAck` per wake. Per-message
+    /// semantics are unchanged: the burst is processed in arrival order.
     pub fn run(mut self, ep: Endpoint<ClusterMsg>) {
         /// Upper bound of one opportunistic drain (keeps ticks timely).
         const MAX_DRAIN: usize = 128;
@@ -284,23 +313,28 @@ impl ReplicaNode {
                 Err(RecvError::Disconnected) => return,
             }
             let n_msgs = burst.len() as u64;
-            let mut iter = burst.drain(..).peekable();
-            while let Some((from, msg)) = iter.next() {
-                match msg {
-                    ClusterMsg::Data(m) => {
-                        if !self.handle_data(&ep, from, m) {
-                            return;
-                        }
+            let mut writes = Writes::default();
+            for (from, msg) in burst.drain(..) {
+                // While syncing, every message goes to its own handler,
+                // which parks appends and OResps for the barrier.
+                let Some(msg) = (if self.syncing() { Some(msg) } else { writes.take(msg) }) else {
+                    continue;
+                };
+                self.write(&ep, std::mem::take(&mut writes));
+                let open = match msg {
+                    ClusterMsg::Data(m) => self.handle_data(&ep, from, m),
+                    ClusterMsg::Order(m) => {
+                        self.handle_order(&ep, from, m);
+                        true
                     }
-                    ClusterMsg::Order(OrderMsg::OResp { mut resps }) if !self.syncing() => {
-                        // Coalesce the whole consecutive OResp run into one
-                        // batched commit.
-                        coalesce_oresps(&mut iter, &mut resps);
-                        self.apply_oresp(&ep, &resps);
-                    }
-                    ClusterMsg::Order(m) => self.handle_order(&ep, from, m),
+                };
+                if !open {
+                    self.send_acks(&ep);
+                    return;
                 }
             }
+            self.write(&ep, writes);
+            self.send_acks(&ep);
             self.tick(&ep);
             self.serving.charge_pass(n_msgs);
         }
@@ -328,10 +362,15 @@ impl ReplicaNode {
     fn handle_append_plane(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: AppendMsg) {
         match msg {
             AppendMsg::Append { color, token, payloads, reply_to } => {
-                self.handle_append(ep, color, token, payloads, reply_to);
+                let appends = vec![(color, token, payloads, reply_to)];
+                self.write(ep, Writes { appends, ..Writes::default() });
             }
-            // We are a client here: a multi-color sub-append got acked.
-            AppendMsg::AppendAck { token, .. } => self.note_multi_ack(ep, from, token),
+            // We are a client here: multi-color sub-appends got acked.
+            AppendMsg::AppendAck { acks } => {
+                for (token, _) in acks {
+                    self.note_multi_ack(ep, from, token);
+                }
+            }
             AppendMsg::MultiEnd { fid, req, reply_to } => {
                 self.handle_multi_end(ep, fid, req, reply_to);
             }
@@ -634,7 +673,7 @@ impl ReplicaNode {
             m @ OrderMsg::OResp { .. } if self.syncing() => {
                 self.deferred.push_back((from, ClusterMsg::Order(m)));
             }
-            OrderMsg::OResp { resps } => self.apply_oresp(ep, &resps),
+            OrderMsg::OResp { resps } => self.write(ep, Writes { resps, ..Writes::default() }),
             OrderMsg::InitSequencer { role, epoch } => {
                 if role != self.config.leaf_role {
                     return;
@@ -655,27 +694,130 @@ impl ReplicaNode {
         }
     }
 
-    fn handle_append(
+    /// One run of a wake's appends and order responses, as one storage
+    /// transaction ([`StorageServer::write`]): stages the appends this
+    /// replica takes, commits every answered token — an append whose OResp
+    /// is in the same run or came earlier is staged and committed at once —
+    /// and queues the acks. Then, and only then, the OReqs of what stayed
+    /// staged go out. Tokens whose `Append` has not landed yet are parked
+    /// in `pending_oresp` and commit on arrival.
+    fn write(&mut self, ep: &Endpoint<ClusterMsg>, writes: Writes) {
+        let Writes { appends, mut resps } = writes;
+        let mut stage = Vec::with_capacity(appends.len());
+        let mut staging = Vec::with_capacity(appends.len());
+        for (color, token, payloads, reply_to) in appends {
+            if self.admit(ep, color, token, &payloads, reply_to) {
+                if let Some((sn, _)) = self.pending_oresp.remove(&token) {
+                    resps.push((token, sn));
+                }
+                staging.push((token, color, payloads.len() as u32, reply_to));
+                stage.push((token, color, payloads));
+            }
+        }
+        if stage.is_empty() && resps.is_empty() {
+            return;
+        }
+
+        let start = Instant::now();
+        self.serving.charge_records(resps.len());
+        let written = self.serving.storage.write(stage, &resps);
+        let node = ep.id().0;
+        let mut spans: Vec<(Token, Stage, u64, u64)> = Vec::new();
+        let mut oreqs: Vec<(ColorId, Token, u32)> = Vec::new();
+        let delegate = self.is_oreq_delegate(ep);
+        for ((token, color, n, reply_to), result) in staging.into_iter().zip(written.staged) {
+            let newly = match result {
+                Ok(newly) => newly,
+                Err(e) => {
+                    // Storage full: drop; the client will time out. (The
+                    // paper assumes trims keep the log bounded.)
+                    eprintln!("replica {}: stage failed: {e}", ep.id());
+                    continue;
+                }
+            };
+            self.reply_tos.entry(token).or_default().insert(reply_to);
+            if newly {
+                spans.push((token, Stage::ReplicaStaged, node, 0));
+            }
+            // All replicas of a shard would send byte-identical OReqs and
+            // the sequencer discards all but the first, so in steady state
+            // only the delegate (lowest node id of the shard) relays it. If
+            // the delegate is down the append still completes: a client
+            // retransmit re-stages (`!newly`) and then *every* replica sends
+            // the OReq, as does the periodic staged-token resend tick.
+            if !newly || delegate {
+                oreqs.push((color, token, n));
+            }
+        }
+        let mut committed: Vec<(Token, SeqNum)> = Vec::new();
+        let mut fills: Vec<(ColorId, SeqNum, Token)> = Vec::new();
+        for (&(token, last_sn), result) in resps.iter().zip(written.committed) {
+            match result {
+                Ok(newly) => {
+                    self.oreq_sent.remove(&token);
+                    spans.push((token, Stage::ReplicaCommit, node, 0));
+                    committed.push((token, last_sn));
+                    if let Some(color) = newly {
+                        fills.push((color, last_sn, token));
+                    }
+                }
+                Err(_) => {
+                    // Append not here yet (client broadcast still in
+                    // flight): remember the SN.
+                    self.pending_oresp.insert(token, (last_sn, Instant::now()));
+                }
+            }
+        }
+        if !committed.is_empty() {
+            self.commit_hist.record_ns(start.elapsed());
+        }
+        // Record before acking: once an ack reaches the client the append
+        // counts as completed, and its trace must already be whole. Each
+        // token's `ReplicaStaged` precedes its `ReplicaCommit`.
+        self.config.storage.obs.tracer().record_many(&spans);
+        for &(token, last_sn) in &committed {
+            for r in self.reply_tos.remove(&token).into_iter().flatten() {
+                self.ack(r, token, last_sn);
+            }
+        }
+        // The wake's OReqs, none for a token it already committed (which
+        // has no ack target left).
+        for (color, token, n) in oreqs {
+            if self.reply_tos.contains_key(&token) {
+                self.send_oreq(ep, color, token, n);
+            }
+        }
+        if !committed.is_empty() {
+            // A commit below some subscriber's push frontier is a hole that
+            // just filled (its OResp outlived the barrier window).
+            self.serving.landed(ep, &fills, self.sub_barrier());
+        }
+    }
+
+    /// Whether this replica stages the append now. If not, it is answered
+    /// or parked here: a batch committed already is re-acked, a color that
+    /// left is refused, and a frozen color — or any, mid-sync — parks it.
+    fn admit(
         &mut self,
         ep: &Endpoint<ClusterMsg>,
         color: ColorId,
         token: Token,
-        payloads: Vec<Payload>,
+        payloads: &[Payload],
         reply_to: NodeId,
-    ) {
+    ) -> bool {
         if let Some(sn) = self.serving.storage.committed_sn(color, token) {
             // Duplicate of a completed append: re-ack (client retry or the
             // multi-color replay path). This must run BEFORE any
             // reconfiguration fence — a late retransmit of a pre-migration
             // append still deserves its ack (post-cutover, the imported
             // token map answers the same way at the destination).
-            let _ = ep.send(reply_to, AppendMsg::AppendAck { token, last_sn: sn }.into());
-            return;
+            self.ack(reply_to, token, sn);
+            return false;
         }
         let fence = self.fences.get(&color).copied();
         if let Some(Fence::Gone(reason)) = fence {
             let _ = ep.send(reply_to, AppendMsg::Rejected { token, reason }.into());
-            return;
+            return false;
         }
         if fence == Some(Fence::Frozen) || self.syncing() {
             // Parked, neither staged nor answered, until the sync barrier
@@ -683,38 +825,26 @@ impl ReplicaNode {
             // re-handles it. A retransmit of a batch staged before the
             // freeze parks too: its drain commit acks the `reply_to`
             // registered when it was staged.
+            let payloads = payloads.to_vec();
             let m = AppendMsg::Append { color, token, payloads, reply_to };
-            return self.deferred.push_back((reply_to, m.into()));
+            self.deferred.push_back((reply_to, m.into()));
+            return false;
         }
-        let n = payloads.len() as u32;
-        let newly = match self.serving.storage.stage(token, color, &payloads) {
-            Ok(newly) => newly,
-            Err(e) => {
-                // Storage full: drop; the client will time out. (The paper
-                // assumes trims keep the log bounded.)
-                eprintln!("replica {}: stage failed: {e}", ep.id());
-                return;
-            }
-        };
-        self.reply_tos.entry(token).or_default().insert(reply_to);
-        if newly {
-            self.config
-                .storage
-                .obs
-                .trace_event(token, Stage::ReplicaStaged, ep.id().0, 0);
+        true
+    }
+
+    /// Queues an ack of `token`'s batch, ending at `last_sn`, for `to`.
+    fn ack(&mut self, to: NodeId, token: Token, last_sn: SeqNum) {
+        match self.acks.iter_mut().find(|(client, _)| *client == to) {
+            Some((_, acks)) => acks.push((token, last_sn)),
+            None => self.acks.push((to, vec![(token, last_sn)])),
         }
-        if let Some((sn, _)) = self.pending_oresp.remove(&token) {
-            self.apply_oresp(ep, &[(token, sn)]);
-            return;
-        }
-        // All replicas of a shard would send byte-identical OReqs and the
-        // sequencer discards all but the first, so in steady state only the
-        // delegate (lowest node id of the shard) relays it. If the delegate
-        // is down the append still completes: a client retransmit re-stages
-        // (`!newly`) and then *every* replica sends the OReq, as does the
-        // periodic staged-token resend tick.
-        if !newly || self.is_oreq_delegate(ep) {
-            self.send_oreq(ep, color, token, n);
+    }
+
+    /// Sends the wake's acks: one `AppendAck` per client.
+    fn send_acks(&mut self, ep: &Endpoint<ClusterMsg>) {
+        for (to, acks) in self.acks.drain(..) {
+            let _ = ep.send(to, AppendMsg::AppendAck { acks }.into());
         }
     }
 
@@ -747,53 +877,6 @@ impl ReplicaNode {
             .obs
             .trace_event(token, Stage::OReqSent, ep.id().0, 0);
         self.oreq_sent.insert(token, Instant::now());
-    }
-
-    /// Commits a burst of OResps through a single PM transaction
-    /// ([`StorageServer::commit_many`]) and acks every waiting client.
-    /// Unknown tokens (append broadcast still in flight) are remembered
-    /// individually and commit on arrival.
-    fn apply_oresp(&mut self, ep: &Endpoint<ClusterMsg>, resps: &[(Token, SeqNum)]) {
-        let batch_start = Instant::now();
-        self.serving.charge_records(resps.len());
-        let results = self.serving.storage.commit_many(resps);
-        let mut committed: Vec<(Token, SeqNum)> = Vec::new();
-        let mut spans: Vec<(Token, Stage, u64, u64)> = Vec::new();
-        let mut fills: Vec<(ColorId, SeqNum, Token)> = Vec::new();
-        for (&(token, last_sn), result) in resps.iter().zip(results) {
-            match result {
-                Ok(newly) => {
-                    self.oreq_sent.remove(&token);
-                    spans.push((token, Stage::ReplicaCommit, ep.id().0, 0));
-                    committed.push((token, last_sn));
-                    if let Some(color) = newly {
-                        fills.push((color, last_sn, token));
-                    }
-                }
-                Err(_) => {
-                    // Append not here yet (client broadcast still in
-                    // flight): remember the SN.
-                    self.pending_oresp.insert(token, (last_sn, Instant::now()));
-                }
-            }
-        }
-        if committed.is_empty() {
-            return;
-        }
-        self.commit_hist.record_ns(batch_start.elapsed());
-        // Record before acking: once an ack reaches the client the append
-        // counts as completed, and its trace must already be whole.
-        self.config.storage.obs.tracer().record_many(&spans);
-        for (token, last_sn) in committed {
-            if let Some(reply_tos) = self.reply_tos.remove(&token) {
-                for r in reply_tos {
-                    let _ = ep.send(r, AppendMsg::AppendAck { token, last_sn }.into());
-                }
-            }
-        }
-        // A commit below some subscriber's push frontier is a hole that
-        // just filled (its OResp outlived the barrier window).
-        self.serving.landed(ep, &fills, self.sub_barrier());
     }
 
     /// The lowest SN of a commit this replica knows is still in flight (an
@@ -1163,20 +1246,31 @@ mod unit_tests {
     }
 
     #[test]
-    fn failed_stage_registers_no_ack_target() {
+    fn an_append_the_pool_cannot_take_fails_alone() {
         let net: flexlog_simnet::Network<ClusterMsg> = flexlog_simnet::Network::instant();
         let ep = net.register(NodeId::named(NodeId::CLASS_REPLICA, 0));
         let storage = StorageConfig { pm_capacity: 64 << 10, ..StorageConfig::default() };
         let config = ReplicaConfig { storage, ..ReplicaConfig::default() };
         let mut node = ReplicaNode::new(config, Directory::new(), TopologyView::new());
         let client = NodeId::named(NodeId::CLASS_CLIENT, 1);
-        let (small, big) = (Token::new(FunctionId(1), 1), Token::new(FunctionId(1), 2));
-        node.handle_append(&ep, ColorId(1), small, vec![Payload::from(vec![0u8; 16])], client);
-        assert!(node.reply_tos.contains_key(&small));
-        // Larger than the whole PM pool: the stage fails, and nothing may
-        // remember the client for a batch that will never commit here.
-        node.handle_append(&ep, ColorId(1), big, vec![Payload::from(vec![0u8; 1 << 20])], client);
-        assert!(!node.reply_tos.contains_key(&big));
+        let token = |c| Token::new(FunctionId(1), c);
+        let sn = |c| SeqNum::new(Epoch(1), c);
+        let append = |c, bytes| (ColorId(1), token(c), vec![Payload::from(vec![0u8; bytes])], client);
+        node.write(&ep, Writes { appends: vec![append(1, 16)], ..Writes::default() });
+        // One wake commits token 1, stages and commits token 2, and stages
+        // token 3, larger than the whole PM pool. The pool refuses the
+        // wake's transaction; token 3 fails alone, and nothing may remember
+        // the client for a batch that will never commit here.
+        node.write(
+            &ep,
+            Writes {
+                appends: vec![append(2, 16), append(3, 1 << 20)],
+                resps: vec![(token(1), sn(1)), (token(2), sn(2))],
+            },
+        );
+        assert_eq!(node.acks, [(client, vec![(token(1), sn(1)), (token(2), sn(2))])]);
+        assert!(node.reply_tos.is_empty(), "{:?}", node.reply_tos);
+        assert!(node.pending_oresp.is_empty());
     }
 
     #[test]

@@ -5,6 +5,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use flexlog_obs::Stage;
 use flexlog_ordering::{Directory, OrderingHandle, OrderingService, RoleId, TreeSpec};
 use flexlog_simnet::{Endpoint, Network, NodeId};
 use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
@@ -726,7 +727,9 @@ fn a_frozen_append_waits_at_the_replica_until_the_fence_moves() {
         while answered.len() < replicas.len() {
             let (from, msg) = client.recv_timeout(Duration::from_secs(5)).expect("an answer");
             let answer = match msg.into_data() {
-                Some(DataMsg::Append(AppendMsg::AppendAck { token: t, .. })) if t == token => {
+                Some(DataMsg::Append(AppendMsg::AppendAck { acks }))
+                    if acks.len() == 1 && acks[0].0 == token =>
+                {
                     Ok(())
                 }
                 Some(DataMsg::Append(AppendMsg::Rejected { token: t, reason })) if t == token => {
@@ -1116,73 +1119,197 @@ fn sync_takes_what_a_shorter_peer_alone_holds() {
 
 // ----- the order plane against a scripted sequencer ---------------------------
 
-/// One `OResp` carries a whole flush's answers for a shard. The replica
-/// commits the tokens it has staged through one `commit_many`, parks the one
-/// whose `Append` has not landed yet until it does, and acks per token; a
-/// lone answer is the same message with one entry.
-#[test]
-fn one_oresp_commits_the_staged_tokens_and_parks_the_rest() {
-    use flexlog_ordering::OrderMsg;
-    use flexlog_ordering::OrderWire as _;
+/// A lone replica of shard 0 whose leaf sequencer is a scripted endpoint.
+/// The replica's endpoint is registered but its thread not yet started, so
+/// whatever is sent to it before [`ScriptedOrder::start`] arrives as one
+/// burst.
+struct ScriptedOrder {
+    net: Network<ClusterMsg>,
+    node: NodeId,
+    sequencer: Endpoint<ClusterMsg>,
+    obs: flexlog_obs::ObsHandle,
+    replica: Option<(crate::ReplicaNode, Endpoint<ClusterMsg>)>,
+    thread: Option<JoinHandle<()>>,
+}
 
+fn scripted_order() -> ScriptedOrder {
     let net: Network<ClusterMsg> = Network::instant();
     let node = NodeId::named(NodeId::CLASS_REPLICA, 0);
     let sequencer = net.register(NodeId::named(NodeId::CLASS_SEQUENCER, 0));
-    let client = net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
     let directory = Directory::new();
     directory.set(RoleId(0), sequencer.id());
     let config = ReplicaConfig::default();
     let obs = config.storage.obs.clone();
     let replica = crate::ReplicaNode::new(config, directory, TopologyView::new());
     let ep = net.register(node);
-    let thread = std::thread::spawn(move || replica.run(ep));
+    ScriptedOrder { net, node, sequencer, obs, replica: Some((replica, ep)), thread: None }
+}
 
-    let token = |c| Token::new(FunctionId(1), c);
-    let append = |c: u32| {
+impl ScriptedOrder {
+    fn start(&mut self) {
+        let (replica, ep) = self.replica.take().expect("started once");
+        self.thread = Some(std::thread::spawn(move || replica.run(ep)));
+    }
+
+    fn append(&self, client: &Endpoint<ClusterMsg>, c: u32) {
         let msg = AppendMsg::Append {
             color: RED,
-            token: token(c),
+            token: Token::new(FunctionId(1), c),
             payloads: vec![p(format!("r{c}").into_bytes())],
             reply_to: client.id(),
         };
-        client.send(node, msg.into()).unwrap();
-    };
-    let next_oreq = || loop {
-        let (_, msg) = sequencer.recv_timeout(Duration::from_secs(5)).expect("an OReq");
-        if let Some(OrderMsg::OReq { token, .. }) = msg.into_order() {
-            return token;
-        }
-    };
-    let next_ack = || loop {
-        let (_, msg) = client.recv_timeout(Duration::from_secs(5)).expect("an ack");
-        if let Some(DataMsg::Append(AppendMsg::AppendAck { token, last_sn })) = msg.into_data() {
-            return (token, last_sn);
-        }
-    };
-    let commits = || obs.snapshot().histogram("replica.commit_batch_ns").map_or(0, |h| h.count);
+        client.send(self.node, msg.into()).unwrap();
+    }
 
-    append(1);
-    append(2);
-    assert_eq!([next_oreq(), next_oreq()], [token(1), token(2)]);
+    fn oresp(&self, resps: Vec<(Token, SeqNum)>) {
+        use flexlog_ordering::{OrderMsg, OrderWire as _};
+        self.sequencer.send(self.node, ClusterMsg::from_order(OrderMsg::OResp { resps })).unwrap();
+    }
+
+    /// The token of the next OReq within `wait`.
+    fn next_oreq(&self, wait: Duration) -> Option<Token> {
+        use flexlog_ordering::{OrderMsg, OrderWire as _};
+        let deadline = Instant::now() + wait;
+        loop {
+            let left = deadline.checked_duration_since(Instant::now())?;
+            let (_, msg) = self.sequencer.recv_timeout(left).ok()?;
+            if let Some(OrderMsg::OReq { token, .. }) = msg.into_order() {
+                return Some(token);
+            }
+        }
+    }
+
+    /// Wake transactions that committed something so far.
+    fn commit_batches(&self) -> u64 {
+        self.obs.snapshot().histogram("replica.commit_batch_ns").map_or(0, |h| h.count)
+    }
+
+    fn shutdown(mut self) {
+        self.sequencer.send(self.node, DataMsg::Shutdown.into()).unwrap();
+        self.thread.take().expect("started").join().unwrap();
+        drop(self.net);
+    }
+}
+
+/// The acks of the next `AppendAck` `client` receives.
+fn next_acks(client: &Endpoint<ClusterMsg>) -> Vec<(Token, SeqNum)> {
+    loop {
+        let (_, msg) = client.recv_timeout(Duration::from_secs(5)).expect("an ack");
+        if let Some(DataMsg::Append(AppendMsg::AppendAck { acks })) = msg.into_data() {
+            return acks;
+        }
+    }
+}
+
+/// One `OResp` carries a whole flush's answers for a shard. The replica
+/// commits the tokens it has staged in one storage transaction, parks the
+/// one whose `Append` has not landed yet until it does, and acks the wake's
+/// tokens to the client in one message; a lone answer is the same message
+/// with one entry.
+#[test]
+fn one_oresp_commits_the_staged_tokens_and_parks_the_rest() {
+    let mut o = scripted_order();
+    let client = o.net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
+    let token = |c| Token::new(FunctionId(1), c);
+    let oreq = |o: &ScriptedOrder| o.next_oreq(Duration::from_secs(5)).expect("an OReq");
+    o.start();
+
+    o.append(&client, 1);
+    o.append(&client, 2);
+    assert_eq!([oreq(&o), oreq(&o)], [token(1), token(2)]);
     // Token 3's append is still on its way when the flush that ordered all
     // three is answered.
-    let resps = vec![(token(1), sn(1)), (token(2), sn(2)), (token(3), sn(3))];
-    sequencer.send(node, ClusterMsg::from_order(OrderMsg::OResp { resps })).unwrap();
-    assert_eq!([next_ack(), next_ack()], [(token(1), sn(1)), (token(2), sn(2))]);
-    assert_eq!(commits(), 1, "two records, one commit_many");
+    o.oresp(vec![(token(1), sn(1)), (token(2), sn(2)), (token(3), sn(3))]);
+    assert_eq!(next_acks(&client), [(token(1), sn(1)), (token(2), sn(2))]);
+    assert_eq!(o.commit_batches(), 1, "two records, one transaction");
 
-    append(3);
-    assert_eq!(next_ack(), (token(3), sn(3)), "committed under the parked SN");
-    assert_eq!(commits(), 2);
+    o.append(&client, 3);
+    assert_eq!(next_acks(&client), [(token(3), sn(3))], "committed under the parked SN");
+    assert_eq!(o.commit_batches(), 2);
 
     // A batch of one: what a lone `OResp { token, last_sn }` used to be.
-    append(4);
-    assert_eq!(next_oreq(), token(4), "token 3 needed no OReq of its own");
-    let resps = vec![(token(4), sn(4))];
-    sequencer.send(node, ClusterMsg::from_order(OrderMsg::OResp { resps })).unwrap();
-    assert_eq!(next_ack(), (token(4), sn(4)));
-    assert_eq!(commits(), 3);
+    o.append(&client, 4);
+    assert_eq!(oreq(&o), token(4), "token 3 needed no OReq of its own");
+    o.oresp(vec![(token(4), sn(4))]);
+    assert_eq!(next_acks(&client), [(token(4), sn(4))]);
+    assert_eq!(o.commit_batches(), 3);
+    o.shutdown();
+}
 
-    client.send(node, DataMsg::Shutdown.into()).unwrap();
-    thread.join().unwrap();
+/// A wake is one unit of work. Appends 1–3 of one client, append 4 of
+/// another, the `OResp` that orders all four — arriving before append 3 —
+/// and append 5, not yet ordered, land in one burst: one storage
+/// transaction stages and commits 1–4 and stages 5, each client gets one
+/// `AppendAck` with all of its committed tokens, and the only OReq sent is
+/// token 5's.
+#[test]
+fn a_wake_stages_and_commits_in_one_transaction_and_acks_each_client_once() {
+    let mut o = scripted_order();
+    let (a, b) = (
+        o.net.register(NodeId::named(NodeId::CLASS_CLIENT, 1)),
+        o.net.register(NodeId::named(NodeId::CLASS_CLIENT, 2)),
+    );
+    let token = |c| Token::new(FunctionId(1), c);
+    o.append(&a, 1);
+    o.append(&a, 2);
+    o.append(&b, 4);
+    o.oresp((1..=4).map(|c| (token(c), sn(c))).collect());
+    o.append(&a, 3);
+    o.append(&a, 5);
+    o.start();
+
+    assert_eq!(next_acks(&a), [(token(1), sn(1)), (token(2), sn(2)), (token(3), sn(3))]);
+    assert_eq!(next_acks(&b), [(token(4), sn(4))]);
+    assert_eq!(o.next_oreq(Duration::from_secs(5)), Some(token(5)));
+    assert_eq!(o.next_oreq(Duration::from_millis(50)), None, "no OReq for the ordered tokens");
+    assert_eq!(o.commit_batches(), 1);
+    assert!(a.recv_timeout(Duration::from_millis(20)).is_err(), "one ack message for client a");
+    for c in 1..=4 {
+        let trace = o.obs.trace(token(c));
+        let (staged, committed) = (Stage::ReplicaStaged, Stage::ReplicaCommit);
+        let seq = |stage| trace.events.iter().find(|e| e.stage == stage).map(|e| e.seq);
+        let ordered = seq(staged).is_some() && seq(staged) < seq(committed);
+        assert!(ordered, "token {c}: {}", trace.render());
+    }
+    o.shutdown();
+}
+
+/// The client's side of a batched ack: every entry is credited once, and
+/// only from a replica of the op's shard. A batch from a node outside the
+/// shard completes nothing, and a token repeated in a batch counts once.
+#[test]
+fn a_batched_ack_counts_once_per_token_and_only_from_the_shard() {
+    let net: Network<ClusterMsg> = Network::instant();
+    let (r1, r2, outsider) = (
+        net.register(NodeId::named(NodeId::CLASS_REPLICA, 0)),
+        net.register(NodeId::named(NodeId::CLASS_REPLICA, 1)),
+        net.register(NodeId::named(NodeId::CLASS_REPLICA, 2)),
+    );
+    let topology = TopologyView::new();
+    topology.add_shard(ShardInfo {
+        id: ShardId(0),
+        replicas: vec![r1.id(), r2.id()],
+        leaf: RoleId(0),
+        read_replicas: vec![],
+    });
+    topology.set_color_shards(RED, vec![ShardId(0)]);
+    let ep = net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
+    let config = ClientConfig {
+        retry: Duration::from_millis(50),
+        deadline: Duration::from_millis(300),
+        ..Default::default()
+    };
+    let mut client = FlexLogClient::new(ep, topology, config);
+    let t1 = client.append_pipelined(RED, &[p(b"one")]).unwrap();
+    let t2 = client.append_pipelined(RED, &[p(b"two")]).unwrap();
+    let ack = |from: &Endpoint<ClusterMsg>, acks: Vec<(Token, SeqNum)>| {
+        from.send(client.node_id(), AppendMsg::AppendAck { acks }.into()).unwrap();
+    };
+    // With the outsider's batch counted, r1's would complete both.
+    ack(&outsider, vec![(t1, sn(1)), (t2, sn(2))]);
+    ack(&r1, vec![(t1, sn(1)), (t2, sn(2)), (t1, sn(1))]);
+    ack(&r2, vec![(t1, sn(1))]);
+    assert_eq!(client.flush(), Err(ClientError::Timeout), "t2 still lacks r2's ack");
+    assert_eq!(client.take_completed(), [(t1, sn(1))]);
+    assert_eq!(client.pending_appends(), 0);
 }

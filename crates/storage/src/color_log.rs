@@ -1,26 +1,28 @@
 //! The committed log of one color (§5.2), as far as the server keeps it in
 //! memory: the set of PM-resident SNs, how many records sit on the SSD, the
 //! tail, the trim head below which nothing is served, and the tokens of the
-//! committed batches.
+//! committed batches (`tokens.rs`).
 //!
 //! The SSD tier has no entries here. An SSD block's id is `(color, SN)` in
 //! key order, so the device's own block index already lists a color's
 //! SSD-resident SNs in order (`SsdDevice::block_ids`), and the server merges
 //! that list with the PM set. A spilled record — the one kind that
 //! accumulates, one per append — thus costs the heap one index entry, not
-//! two. The PM set stays as small as the PM tier, and its first element is
-//! the oldest PM-resident record: "a contiguous portion from the start of
-//! the log is flushed to SSD and removed from PM" starts there.
+//! two. The PM set stays as small as the PM tier; its first element is the
+//! color's lowest PM-resident SN, where a `demote` starts. (The watermark
+//! spill goes by commit order across colors instead, see `server.rs`.)
 //!
 //! `ColorLog` is pure bookkeeping: the server moves the bytes (PM
 //! transactions, SSD writes) and then records the outcome here, under the
 //! server's one lock.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::ops::{Bound, RangeBounds};
 
 use flexlog_obs::Counter;
 use flexlog_types::{SeqNum, Token};
+
+use crate::tokens::Tokens;
 
 /// Which device tier holds a committed record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,7 +48,7 @@ pub(crate) struct ColorLog {
     /// Highest trimmed SN (inclusive); only ever advances.
     head: Option<SeqNum>,
     /// The idempotence map: each committed batch's token → its last SN.
-    tokens: HashMap<Token, SeqNum>,
+    tokens: Tokens,
     /// `storage.color_reads.<id>` — the access-recency signal the tiering
     /// policy's `idle_ms` condition observes; registered on the first read.
     reads: Option<Counter>,
@@ -80,8 +82,7 @@ impl ColorLog {
         self.pm.contains(&sn)
     }
 
-    /// The PM-resident records inside `range`, oldest first; the first ones
-    /// are the spill victims.
+    /// The PM-resident records inside `range`, lowest SN first.
     pub(crate) fn pm_range(
         &self,
         range: impl RangeBounds<SeqNum>,
@@ -132,22 +133,21 @@ impl ColorLog {
 
     /// The last SN of `token`'s batch, if it committed here.
     pub(crate) fn committed(&self, token: Token) -> Option<SeqNum> {
-        self.tokens.get(&token).copied()
+        self.tokens.get(token)
     }
 
     /// Notes that `token`'s batch holds `sn`. Records of a batch may arrive
     /// one by one (recovery scan, peer imports); the map keeps the *last*.
     pub(crate) fn note_token(&mut self, token: Token, sn: SeqNum) {
-        let last = self.tokens.entry(token).or_insert(sn);
-        *last = (*last).max(sn);
+        self.tokens.note(token, sn);
     }
 
     /// Forgets the tokens whose batch ended at or below `through` — every
     /// token, with `None`.
     pub(crate) fn drop_tokens(&mut self, through: Option<SeqNum>) {
         match through {
-            Some(h) => self.tokens.retain(|_, &mut last| last > h),
-            None => self.tokens = HashMap::new(),
+            Some(h) => self.tokens.drop_through(h),
+            None => self.tokens = Tokens::default(),
         }
     }
 

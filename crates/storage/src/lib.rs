@@ -24,6 +24,7 @@ mod cache;
 mod codec;
 mod color_log;
 mod server;
+mod tokens;
 
 pub use cache::LruCache;
-pub use server::{FetchSelect, StorageConfig, StorageServer, TierConfig, TierHit};
+pub use server::{FetchSelect, StorageConfig, StorageServer, TierConfig, TierHit, Written};

@@ -2,22 +2,26 @@
 //!
 //! Implements §5.2's storage stack plus the staging half of Algorithm 1:
 //!
-//! * [`StorageServer::stage`] durably stores an append batch under its
-//!   client token before any SN exists ("persist(records[], t)");
-//! * [`StorageServer::commit`] moves a staged batch into the committed,
-//!   SN-indexed log once the ordering layer replies — atomically, via a pool
-//!   transaction, so a crash never leaves a batch half-committed;
-//!   [`StorageServer::commit_many`] coalesces several batches into **one**
-//!   PM transaction (a single redo-log append + persist), mirroring the
-//!   sequencer's aggregation window at the data layer;
+//! * [`StorageServer::write`] is a replica wake's one PM transaction: it
+//!   durably stages the wake's new append batches under their client tokens
+//!   before any SN exists ("persist(records[], t)") and moves the batches
+//!   the ordering layer has answered into the committed, SN-indexed log —
+//!   atomically, so a crash never leaves a batch half-committed or a wake
+//!   half-applied. A batch staged and ordered in the same call is written
+//!   once, as its committed records. This mirrors the sequencer's
+//!   aggregation window at the data layer. [`StorageServer::stage`],
+//!   [`StorageServer::commit`] and [`StorageServer::commit_many`] are the
+//!   call with one side empty;
 //! * reads probe **DRAM cache → PM → SSD → archive**; appended records are
 //!   inserted into the cache, archive read-throughs deliberately are NOT
 //!   (a replay-from-genesis scan must not evict the hot working set — the
 //!   archive keeps a one-segment read buffer per color instead);
-//! * when live PM bytes exceed the configured watermark, the oldest
-//!   committed prefix is spilled to the SSD tier (fsync before the PM
-//!   delete, so a crash can duplicate a record across tiers but never lose
-//!   it; recovery finishes the interrupted move);
+//! * when live PM bytes exceed the configured watermark, the PM-resident
+//!   records that landed first — across colors, in the order they were
+//!   committed or imported — are spilled to the SSD tier (fsync before the
+//!   PM delete, so a crash can duplicate a record across tiers but never
+//!   lose it; recovery finishes the interrupted move). That is the order the
+//!   PM pool wrote them in, so its oldest segment dies whole;
 //! * with a [`TierConfig`] attached, [`StorageServer::trim`] becomes
 //!   **archive-then-drop**: the to-be-trimmed span is sealed into immutable
 //!   checksummed segments and uploaded to the shared object store *before*
@@ -47,11 +51,12 @@
 //! lock-order rule exists to break. The PM pool and the SSD have internal
 //! locks of their own, below this one.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::ops::{Bound, RangeBounds};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -70,6 +75,9 @@ const DRAM_NS: u64 = 80;
 /// Records moved per watermark spill round.
 const SPILL_BATCH: usize = 64;
 
+/// Entries the spill order may hold before its first compaction.
+const MIN_COMPACT_AT: usize = 1024;
+
 /// The SNs of an `n`-record batch whose last record got `sn_last`: the
 /// preceding counters of the same epoch, oldest first.
 fn batch_sns(sn_last: SeqNum, n: usize) -> impl Iterator<Item = SeqNum> {
@@ -85,6 +93,22 @@ pub enum FetchSelect {
     Above { sn: SeqNum, limit: u64 },
     /// Exactly these SNs; ones not held here are skipped.
     Exact(Vec<SeqNum>),
+}
+
+/// What one [`StorageServer::write`] did with each of its items,
+/// index-aligned with its two inputs.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Written {
+    /// Per batch to stage: `Ok(true)` if this call staged it (or committed
+    /// it outright), `Ok(false)` if it was staged or committed already or
+    /// repeats an earlier item of the call.
+    pub staged: Vec<Result<bool, StorageError>>,
+    /// Per `(token, last SN)` to commit: `Ok(Some(color))` for a batch this
+    /// call committed, `Ok(None)` for a token already committed (or
+    /// repeated within the call), `Err(UnknownToken)` for one staged
+    /// neither before nor by this call. A failing item never blocks its
+    /// neighbours.
+    pub committed: Vec<Result<Option<ColorId>, StorageError>>,
 }
 
 /// Which tier served a read.
@@ -256,10 +280,17 @@ impl From<PoolError> for StorageError {
 
 /// Everything a server mutates, behind its one lock (see module docs).
 struct State {
-    /// The committed log of each color, in color order: the watermark
-    /// spill visits colors lowest id first. Each also holds its committed
+    /// The committed log of each color. Each also holds its committed
     /// tokens, so a trim prunes one color's map.
     logs: BTreeMap<ColorId, ColorLog>,
+    /// Every record that landed in PM, in the order it landed: the
+    /// watermark spill's victims, oldest first. Entries whose record has
+    /// left PM since (demoted, trimmed, discarded) are skipped when they
+    /// come up, and dropped when the queue outgrows `compact_at`.
+    landed: VecDeque<(ColorId, SeqNum)>,
+    /// Length of `landed` beyond which it is compacted: twice what it held
+    /// after the last compaction, so each entry is looked at O(1) times.
+    compact_at: usize,
     /// The DRAM tier: one LRU over `(color, SN)` keys.
     cache: LruCache<(ColorId, SeqNum)>,
     /// Batches staged but not yet committed, payloads in DRAM beside the
@@ -286,6 +317,8 @@ impl State {
         let evictions = config.obs.counter("storage.cache_evictions");
         State {
             logs: BTreeMap::new(),
+            landed: VecDeque::new(),
+            compact_at: MIN_COMPACT_AT,
             cache: LruCache::new(config.cache_capacity, evictions),
             staged: HashMap::new(),
             manifests: HashMap::new(),
@@ -318,6 +351,22 @@ impl State {
     fn adjust_live(&mut self, delta: isize) {
         self.pm_live_bytes = self.pm_live_bytes.saturating_add_signed(delta);
     }
+
+    fn in_pm(&self, color: ColorId, sn: SeqNum) -> bool {
+        self.logs.get(&color).is_some_and(|log| log.in_pm(sn))
+    }
+
+    /// Notes records that just landed in PM — after the log indexed them —
+    /// at the back of the spill order.
+    fn note_landed(&mut self, records: impl IntoIterator<Item = (ColorId, SeqNum)>) {
+        self.landed.extend(records);
+        if self.landed.len() > self.compact_at {
+            let mut landed = std::mem::take(&mut self.landed);
+            landed.retain(|&(color, sn)| self.in_pm(color, sn));
+            self.compact_at = (2 * landed.len()).max(MIN_COMPACT_AT);
+            self.landed = landed;
+        }
+    }
 }
 
 /// Result of one archive round (see `StorageServer::archive_records`).
@@ -344,11 +393,14 @@ pub struct StorageServer {
     /// busiest *single* replica of a multi-shard cluster — narrower than
     /// the registry's cluster-wide `storage.*` sums every other reader uses.
     pub stats: StorageStats,
-    /// Wall-clock duration of each `commit_many` PM transaction.
+    /// Wall-clock duration of each `write` call that commits a batch, from
+    /// entry to its transaction published — the stage half of the same
+    /// transaction included (a replica wake's one transaction stages and
+    /// commits together). Calls that only stage are not recorded.
     commit_hist: Histogram,
     /// Wall-clock duration of each watermark spill round. `commit_ns` stops
-    /// before the spill that the same `commit_many` call goes on to make,
-    /// so a commit's storage time is the sum of the two.
+    /// before the spill that the same `write` call goes on to make, so a
+    /// commit's storage time is the sum of the two.
     spill_hist: Histogram,
     /// The pool's redo-log cost counters (`PoolStats`), in its field order,
     /// as `storage.pm_log_bytes` / `pm_reclaim_copied` / `pm_segments_freed`.
@@ -388,10 +440,12 @@ impl StorageServer {
     /// Recovers a server from crashed devices: replays the PM pool, rebuilds
     /// the PM set, the staged batches and the tokens of every color, and
     /// counts the SSD-resident records (the SSD's own block index lists
-    /// them). The DRAM cache starts cold.
+    /// them). The DRAM cache starts cold. The order the PM records landed
+    /// in is not on the devices: they queue for the spill in SN order.
     pub fn recover(pm: Arc<PmDevice>, ssd: Arc<SsdDevice>, config: StorageConfig) -> Self {
         let pool = PmPool::open(pm);
         let mut st = State::new(&config);
+        let mut in_pm = Vec::new();
         for key in pool.keys() {
             let value = pool.get(key).expect("indexed key readable");
             match key & codec::TAG_MASK {
@@ -401,6 +455,7 @@ impl StorageServer {
                     let log = st.log_mut(color);
                     log.insert(sn, Placement::Pm);
                     log.note_token(codec::record_token(&value), sn);
+                    in_pm.push((sn, color));
                 }
                 codec::TAG_STAGED => {
                     st.pm_live_bytes += value.len();
@@ -444,6 +499,8 @@ impl StorageServer {
             }
             ssd.fsync();
         }
+        in_pm.sort_unstable();
+        st.note_landed(in_pm.into_iter().map(|(sn, color)| (color, sn)));
         Self::assemble(pool, ssd, config, st)
     }
 
@@ -456,17 +513,8 @@ impl StorageServer {
         color: ColorId,
         payloads: &[Payload],
     ) -> Result<bool, StorageError> {
-        let mut st = self.state.lock();
-        if st.staged.contains_key(&token) || st.committed(token, Some(color)) {
-            return Ok(false);
-        }
-        let value = codec::encode_staged(color, payloads);
-        self.pool.put(codec::staged_key(token), &value)?;
-        st.staged.insert(token, StagedBatch { color, payloads: payloads.to_vec() });
-        st.adjust_live(value.len() as isize);
-        self.stats.stages.inc();
-        self.stats.bytes_appended.add(payloads.iter().map(|p| p.len() as u64).sum());
-        Ok(true)
+        let mut written = self.write(vec![(token, color, payloads.to_vec())], &[]);
+        written.staged.pop().expect("one item in, one out")
     }
 
     /// Commits a staged batch: `sn_last` is the SN of the batch's final
@@ -478,90 +526,208 @@ impl StorageServer {
         result.map(|color| color.is_some())
     }
 
-    /// Commits several staged batches through **one** PM transaction — one
-    /// redo-log append and one persist for the whole group, instead of one
-    /// per batch. This is the data-layer analogue of the sequencer's
-    /// aggregation window: a replica draining a burst of OResps pays the PM
-    /// commit cost once. Results are per item, index-aligned with `items`:
-    /// `Ok(Some(color))` for a batch this call committed, `Ok(None)` for a
-    /// token already committed (or repeated within the call); a failing
-    /// item (unknown token) never blocks its neighbours.
+    /// Commits several staged batches through **one** PM transaction; see
+    /// [`Written::committed`] for the per-item results.
     pub fn commit_many(
         &self,
         items: &[(Token, SeqNum)],
     ) -> Vec<Result<Option<ColorId>, StorageError>> {
-        let commit_start = std::time::Instant::now();
-        let st = &mut *self.state.lock();
-        let mut results = Vec::with_capacity(items.len());
-        let mut valid: Vec<(usize, Token, SeqNum)> = Vec::new();
-        for (i, &(token, sn_last)) in items.iter().enumerate() {
-            // A token not staged here can still be a repeat of one that
-            // committed: its color is unknown, so every color is asked.
-            let color = st.staged.get(&token).map(|batch| batch.color);
-            if st.committed(token, color) || valid.iter().any(|&(_, t, _)| t == token) {
+        self.write(Vec::new(), items).committed
+    }
+
+    /// A replica wake's storage work as **one** PM transaction — one
+    /// redo-log append and one persist for all of it: stages the batches of
+    /// `stage` (token, color, records) and commits the `(token, last SN)`
+    /// pairs of `commit`, whose batches may have been staged by an earlier
+    /// call or by this one. A batch this call stages and commits is written
+    /// once, as committed records, and never as a staged value. Commits
+    /// write from the staged payloads in DRAM.
+    ///
+    /// Either every write of the call is durable or none is. Should the
+    /// pool refuse the transaction — one batch longer than it takes any
+    /// value, or too little room for all of them — the call falls back to
+    /// one transaction per item, stages first, so that each item fails or
+    /// lands on its own; the batches staged before stay staged, and a
+    /// repeat of an item that failed reports the same error.
+    pub fn write(
+        &self,
+        stage: Vec<(Token, ColorId, Vec<Payload>)>,
+        commit: &[(Token, SeqNum)],
+    ) -> Written {
+        let start = Instant::now();
+        self.write_locked(&mut self.state.lock(), start, stage, commit)
+    }
+
+    /// [`StorageServer::write`] with the lock held.
+    fn write_locked(
+        &self,
+        st: &mut State,
+        start: Instant,
+        stage: Vec<(Token, ColorId, Vec<Payload>)>,
+        commit: &[(Token, SeqNum)],
+    ) -> Written {
+        // Admit the new batches beside the staged ones, not yet in PM.
+        let (mut admitted, mut admitted_bytes) = (Vec::new(), 0u64);
+        let mut repeats = Vec::new();
+        let staged = stage
+            .into_iter()
+            .enumerate()
+            .map(|(i, (token, color, payloads))| {
+                if st.staged.contains_key(&token) || st.committed(token, Some(color)) {
+                    if admitted.iter().any(|&(_, t)| t == token) {
+                        repeats.push((i, token));
+                    }
+                    return Ok(false);
+                }
+                debug_assert!(!payloads.is_empty(), "staged batches are non-empty");
+                admitted_bytes += payloads.iter().map(|p| p.len() as u64).sum::<u64>();
+                st.staged.insert(token, StagedBatch { color, payloads });
+                admitted.push((i, token));
+                Ok(true)
+            })
+            .collect();
+        let is_admitted = |token: Token| admitted.iter().any(|&(_, t)| t == token);
+        // Take every batch this call commits out of the staged set.
+        let mut taken: Vec<(usize, Token, SeqNum, StagedBatch)> = Vec::new();
+        let committed = commit
+            .iter()
+            .enumerate()
+            .map(|(i, &(token, sn_last))| match st.staged.remove(&token) {
+                Some(batch) => {
+                    debug_assert!(
+                        sn_last.counter() as usize + 1 >= batch.payloads.len(),
+                        "SN range must not underflow the epoch counter"
+                    );
+                    let color = batch.color;
+                    taken.push((i, token, sn_last, batch));
+                    Ok(Some(color))
+                }
                 // Committed before, or earlier in this call: first one wins.
-                results.push(Ok(None));
-            } else if let Some(color) = color {
-                results.push(Ok(Some(color)));
-                valid.push((i, token, sn_last));
-            } else {
-                results.push(Err(StorageError::UnknownToken(token)));
-            }
-        }
-        if valid.is_empty() {
-            return results;
+                // A token not staged here has no known color, so every color
+                // is asked.
+                None if st.committed(token, None) || taken.iter().any(|t| t.1 == token) => {
+                    Ok(None)
+                }
+                None => Err(StorageError::UnknownToken(token)),
+            })
+            .collect();
+        let mut written = Written { staged, committed };
+        if admitted.is_empty() && taken.is_empty() {
+            return written;
         }
 
-        // Build ONE transaction across all valid batches, from the staged
-        // payloads in DRAM.
         let mut tx = self.pool.begin();
         let mut live_delta = 0isize;
-        for &(_, token, sn_last) in &valid {
-            let batch = &st.staged[&token];
-            debug_assert!(!batch.payloads.is_empty(), "staged batches are non-empty");
-            debug_assert!(
-                sn_last.counter() as usize + 1 >= batch.payloads.len(),
-                "SN range must not underflow the epoch counter"
-            );
-            tx.delete(codec::staged_key(token));
-            live_delta -= codec::staged_len(&batch.payloads) as isize;
-            for (sn, payload) in batch_sns(sn_last, batch.payloads.len()).zip(&batch.payloads) {
-                let value = codec::encode_record(token, payload);
+        for (_, token, sn_last, batch) in &taken {
+            // A batch this call admitted has no staged value in PM.
+            if !is_admitted(*token) {
+                tx.delete(codec::staged_key(*token));
+                live_delta -= codec::staged_len(&batch.payloads) as isize;
+            }
+            for (sn, payload) in batch_sns(*sn_last, batch.payloads.len()).zip(&batch.payloads) {
+                let value = codec::encode_record(*token, payload);
                 live_delta += value.len() as isize;
                 tx.put(codec::committed_key(batch.color, sn), &value);
             }
         }
-        if let Err(e) = tx.commit() {
-            // None of the batches committed; they stay staged.
-            for &(i, _, _) in &valid {
-                results[i] = Err(e.into());
+        // What is admitted and not committed is what stays staged.
+        for (_, token) in &admitted {
+            if let Some(batch) = st.staged.get(token) {
+                let value = codec::encode_staged(batch.color, &batch.payloads);
+                live_delta += value.len() as isize;
+                tx.put(codec::staged_key(*token), &value);
             }
-            return results;
+        }
+        if let Err(e) = tx.commit() {
+            // Nothing of the call is durable: the batches staged before go
+            // back, and the admitted ones come out again, to be retried.
+            let mut retry_commit = Vec::new();
+            for (i, token, sn_last, batch) in taken {
+                st.staged.insert(token, batch);
+                retry_commit.push((i, (token, sn_last)));
+            }
+            let retry_stage: Vec<_> = admitted
+                .iter()
+                .map(|&(i, token)| {
+                    let StagedBatch { color, payloads } = st.staged.remove(&token).expect("admitted");
+                    (i, (token, color, payloads))
+                })
+                .collect();
+            // More than one item: retry each alone, so that one the pool
+            // cannot take fails by itself.
+            let split = retry_stage.len() + retry_commit.len() > 1;
+            let mut failed: Vec<(Token, StorageError)> = Vec::new();
+            for (i, item) in retry_stage {
+                let token = item.0;
+                written.staged[i] = if split {
+                    self.write_locked(st, Instant::now(), vec![item], &[]).staged.remove(0)
+                } else {
+                    Err(e.into())
+                };
+                if let Err(e) = written.staged[i] {
+                    failed.push((token, e));
+                }
+            }
+            for (i, item) in retry_commit {
+                written.committed[i] = match failed.iter().find(|f| f.0 == item.0) {
+                    // Its batch could not be staged: nothing to commit.
+                    Some(&(_, e)) => Err(e),
+                    None if split => {
+                        self.write_locked(st, Instant::now(), Vec::new(), &[item]).committed.remove(0)
+                    }
+                    None => Err(e.into()),
+                };
+                if let Err(e) = written.committed[i] {
+                    failed.push((item.0, e));
+                }
+            }
+            // A repeat within the call reports what its first item got.
+            let failure = |token: Token| failed.iter().find(|f| f.0 == token).map(|f| f.1);
+            for (i, token) in repeats {
+                if let Some(e) = failure(token) {
+                    written.staged[i] = Err(e);
+                }
+            }
+            for (result, &(token, _)) in written.committed.iter_mut().zip(commit) {
+                if let (Ok(None), Some(e)) = (&*result, failure(token)) {
+                    *result = Err(e);
+                }
+            }
+            return written;
         }
 
-        // Publish: per-color logs and tokens, cache fills.
-        let mut span_batch = Vec::with_capacity(valid.len());
-        for &(_, token, sn_last) in &valid {
-            let StagedBatch { color, payloads } = st.staged.remove(&token).expect("validated above");
+        self.stats.stages.add(admitted.len() as u64);
+        self.stats.bytes_appended.add(admitted_bytes);
+        st.adjust_live(live_delta);
+        if taken.is_empty() {
+            return written;
+        }
+
+        // Publish: per-color logs and tokens, cache fills, the spill order.
+        let (first, batches) = (taken[0].0, taken.len());
+        let mut span_batch = Vec::with_capacity(batches);
+        let mut landed = Vec::new();
+        for (_, token, sn_last, StagedBatch { color, payloads }) in taken {
             let log = st.logs.entry(color).or_default();
             log.note_token(token, sn_last);
             for (sn, payload) in batch_sns(sn_last, payloads.len()).zip(payloads) {
                 log.insert(sn, Placement::Pm);
                 // Zero-copy fill: the cache shares the staged batch's buffer.
                 st.cache.put((color, sn), payload);
+                landed.push((color, sn));
             }
             span_batch.push((token, Stage::StorageCommit, st.node, color.0 as u64));
         }
-        st.adjust_live(live_delta);
-        self.stats.commits.add(valid.len() as u64);
-        self.commit_hist.record_ns(commit_start.elapsed());
+        st.note_landed(landed);
+        self.stats.commits.add(batches as u64);
+        self.commit_hist.record_ns(start.elapsed());
         self.config.obs.tracer().record_many(&span_batch);
         if let Err(e) = self.maybe_spill(st) {
             // Spill failure does not undo the durable commits; surface it on
             // the first successful item so callers notice.
-            results[valid[0].0] = Err(e);
+            written.committed[first] = Err(e);
         }
-        results
+        written
     }
 
     /// Reads the record `(color, sn)` through the tier hierarchy.
@@ -882,6 +1048,9 @@ impl StorageServer {
         for (token, sn, _) in &fresh {
             log.insert(*sn, at);
             log.note_token(*token, *sn);
+        }
+        if at == Placement::Pm {
+            st.note_landed(fresh.iter().map(|(_, sn, _)| (color, *sn)));
         }
         Ok(fresh.len() as u64)
     }
@@ -1254,33 +1423,39 @@ impl StorageServer {
         &self.config.obs
     }
 
-    /// Spills the oldest committed PM-resident records to SSD when live PM
+    /// Spills the PM-resident records that landed first to SSD when live PM
     /// bytes exceed the watermark ("a contiguous portion from the start of
-    /// the log is flushed to SSD and removed from PM", §5.2). The safety
-    /// back-stop under the tiering policy's `demote` action: it walks the
-    /// colors, lowest id first, and demotes their oldest PM-resident
-    /// records, a batch at a time.
+    /// the log is flushed to SSD and removed from PM", §5.2), a batch at a
+    /// time. The safety back-stop under the tiering policy's `demote`
+    /// action. It goes by landing order across colors, not color by color:
+    /// that is the order the PM pool's redo log holds the records in, so
+    /// the log's oldest segment empties whole and nothing has to be copied
+    /// forward to free it.
     fn maybe_spill(&self, st: &mut State) -> Result<(), StorageError> {
         self.publish_pool_cost();
         if st.pm_live_bytes <= self.config.pm_watermark {
             return Ok(());
         }
-        let spill_start = std::time::Instant::now();
+        let spill_start = Instant::now();
         while st.pm_live_bytes > self.config.pm_watermark {
-            // One batch may span colors, so a color with nothing left in PM
-            // does not end the round empty.
             let mut victims = Vec::with_capacity(SPILL_BATCH);
-            for (&color, log) in &st.logs {
-                let room = SPILL_BATCH - victims.len();
-                if room == 0 {
-                    break;
+            while victims.len() < SPILL_BATCH {
+                let Some(record) = st.landed.pop_front() else { break };
+                // A record imported again after it left PM is queued twice.
+                if st.in_pm(record.0, record.1) && !victims.contains(&record) {
+                    victims.push(record);
                 }
-                victims.extend(log.pm_range(..).take(room).map(|sn| (color, sn)));
             }
             if victims.is_empty() {
                 return Ok(());
             }
-            self.spill_victims(st, &victims)?;
+            if let Err(e) = self.spill_victims(st, &victims) {
+                // Still in PM: still first in line.
+                for &record in victims.iter().rev() {
+                    st.landed.push_front(record);
+                }
+                return Err(e);
+            }
         }
         self.spill_hist.record_ns(spill_start.elapsed());
         Ok(())

@@ -816,28 +816,194 @@ fn pm_live_bytes_is_exact_under_concurrent_stage_and_commit() {
 }
 
 #[test]
-fn watermark_spill_takes_the_lowest_color_first() {
-    // Colors 8 and 1 both hold more than one spill batch in PM when the
-    // watermark trips; the round that brings the counter back under it
-    // drains color 1 alone — the order does not depend on insertion order
-    // or on hashing.
+fn watermark_spill_takes_the_oldest_commit_first() {
+    // Colors 8 and 1 commit in turn, a record each; the watermark trips on
+    // the 186th commit. The round that brings the counter back under it
+    // takes the 64 oldest commits of both colors — 32 each, their lowest
+    // SNs — which is the order the PM pool wrote them in.
     const PAYLOAD: usize = 100;
-    const PER_COLOR: u32 = 100;
     let s = StorageServer::new(StorageConfig {
-        // Trips on color 1's 86th commit: 100 + 86 records in PM.
         pm_watermark: 185 * (8 + PAYLOAD),
         ..Default::default()
     });
-    for color in [ColorId(8), ColorId(1)] {
-        for i in 1..=PER_COLOR {
+    for i in 1..=100 {
+        for color in [ColorId(8), ColorId(1)] {
             let token = Token::new(FunctionId(color.0), i);
             s.stage(token, color, &[pl(vec![0; PAYLOAD])]).unwrap();
             s.commit(token, sn(i)).unwrap();
         }
     }
     assert_eq!(s.stats.spilled_records.get(), SPILL_BATCH as u64, "one round");
-    assert_eq!(s.ssd_resident(ColorId(1)), SPILL_BATCH);
-    assert_eq!(s.ssd_resident(ColorId(8)), 0);
+    assert_eq!(s.ssd_resident(ColorId(8)), SPILL_BATCH / 2);
+    assert_eq!(s.ssd_resident(ColorId(1)), SPILL_BATCH / 2);
+    s.clear_cache();
+    for color in [ColorId(8), ColorId(1)] {
+        for i in 1..=100 {
+            let (_, hit) = s.get_traced(color, sn(i)).unwrap();
+            let want = if i <= 32 { TierHit::Ssd } else { TierHit::Pm };
+            assert_eq!(hit, want, "{color:?} {i}");
+        }
+    }
+}
+
+#[test]
+fn a_late_fill_spills_in_its_turn_and_reads_in_sn_order() {
+    // SN 5 commits after SNs 10..=60 (its OResp outlived its neighbours').
+    // It spills after them, in landing order, and on whichever tier holds
+    // it every reader still sees it in SN order.
+    let s = StorageServer::new(StorageConfig {
+        pm_watermark: 40 * (8 + 100),
+        ..Default::default()
+    });
+    let commit = |i: u32| {
+        s.stage(tok(i), RED, &[pl(vec![i as u8; 100])]).unwrap();
+        s.commit(tok(i), sn(i)).unwrap();
+    };
+    (10..=60).for_each(commit);
+    commit(5);
+    let sns = |from: u32, n: usize| -> Vec<u32> {
+        s.committed_sns(RED, sn(from)).iter().take(n).map(|sn| sn.counter()).collect()
+    };
+    let tier = |i: u32| {
+        s.clear_cache();
+        s.get_traced(RED, sn(i)).map(|(v, hit)| (v[0] as u32, hit))
+    };
+    // The watermark tripped on SN 50's commit, and that round moved every
+    // record then in PM, 10..=50; 5 landed later.
+    assert_eq!(tier(5), Some((5, TierHit::Pm)));
+    assert_eq!(tier(10), Some((10, TierHit::Ssd)));
+    assert_eq!(sns(0, 3), [5, 10, 11]);
+    (61..=200).for_each(commit);
+    assert_eq!(tier(5), Some((5, TierHit::Ssd)), "spilled in its turn");
+    assert_eq!(sns(0, 3), [5, 10, 11]);
+    let scanned = s.scan(RED, SeqNum::ZERO).unwrap();
+    let scanned: Vec<u32> = scanned.iter().map(|r| r.sn.counter()).collect();
+    let want: Vec<u32> = [5].into_iter().chain(10..=200).collect();
+    assert_eq!(scanned, want);
+    let fetched = s.fetch(RED, &FetchSelect::Above { sn: SeqNum::ZERO, limit: 2 });
+    assert_eq!(fetched, [(tok(5), sn(5), pl(vec![5; 100])), (tok(10), sn(10), pl(vec![10; 100]))]);
+    assert_eq!((s.record_count(RED), s.tail(RED)), (192, Some(sn(200))));
+}
+
+#[test]
+fn a_batch_staged_and_committed_in_one_call_writes_no_staged_record() {
+    let s = StorageServer::new(StorageConfig::tiny());
+    let written = s.write(
+        vec![(tok(1), RED, vec![pl(b"at once")]), (tok(2), RED, vec![pl(b"later")])],
+        &[(tok(1), sn(1))],
+    );
+    let want = Written { staged: vec![Ok(true), Ok(true)], committed: vec![Ok(Some(RED))] };
+    assert_eq!(written, want);
+    let (pm, _) = s.devices();
+    let image = pm.read(0, pm.capacity()).unwrap();
+    let on_pm = |key: u128| image.windows(16).any(|w| w == key.to_le_bytes());
+    assert!(!on_pm(codec::staged_key(tok(1))), "committed in the same call: never staged in PM");
+    assert!(on_pm(codec::committed_key(RED, sn(1))));
+    assert!(on_pm(codec::staged_key(tok(2))));
+    assert_eq!(s.pm_live_bytes(), 8 + 7 + codec::staged_len(&[pl(b"later")]));
+    assert_eq!(s.get(RED, sn(1)).unwrap(), b"at once");
+    assert_eq!(s.staged_tokens(), [(tok(2), RED, 1)]);
+    assert_eq!(s.stats.stages.get(), 2);
+    assert_eq!(s.stats.bytes_appended.get(), 12);
+}
+
+#[test]
+fn a_write_call_repeats_and_unknowns_report_per_item() {
+    let s = server();
+    s.stage(tok(1), RED, &[pl(b"a")]).unwrap();
+    s.commit(tok(1), sn(1)).unwrap();
+    let written = s.write(
+        vec![
+            (tok(1), RED, vec![pl(b"a")]), // committed before
+            (tok(2), RED, vec![pl(b"b")]),
+            (tok(2), RED, vec![pl(b"b")]), // repeats the one before
+        ],
+        &[(tok(2), sn(2)), (tok(2), sn(2)), (tok(9), sn(3)), (tok(1), sn(1))],
+    );
+    let want = Written {
+        staged: vec![Ok(false), Ok(true), Ok(false)],
+        committed: vec![Ok(Some(RED)), Ok(None), Err(StorageError::UnknownToken(tok(9))), Ok(None)],
+    };
+    assert_eq!(written, want);
+    assert_eq!(s.committed_sn(RED, tok(2)), Some(sn(2)));
+    assert!(s.staged_tokens().is_empty());
+}
+
+#[test]
+fn a_write_the_pool_refuses_retries_each_item_alone() {
+    // Token 3's batch is larger than the whole pool, so the call's one
+    // transaction is refused. Alone, every other item lands; token 3's
+    // stage, its commit and their repeats in the call all report the error.
+    let s = StorageServer::new(StorageConfig::tiny());
+    s.stage(tok(1), RED, &[pl(b"one")]).unwrap();
+    let huge = || vec![pl(vec![0; 1 << 20])];
+    let written = s.write(
+        vec![(tok(2), RED, vec![pl(b"two")]), (tok(3), RED, huge()), (tok(3), RED, huge())],
+        &[(tok(1), sn(1)), (tok(2), sn(2)), (tok(3), sn(3)), (tok(3), sn(3)), (tok(2), sn(2))],
+    );
+    let full = StorageError::Pool(PoolError::PoolFull);
+    let want = Written {
+        staged: vec![Ok(true), Err(full), Err(full)],
+        committed: vec![Ok(Some(RED)), Ok(Some(RED)), Err(full), Err(full), Ok(None)],
+    };
+    assert_eq!(written, want);
+    assert_eq!((s.get(RED, sn(1)).unwrap(), s.get(RED, sn(2)).unwrap()), (pl(b"one"), pl(b"two")));
+    assert!(s.staged_tokens().is_empty());
+    assert_eq!(s.pm_live_bytes(), 2 * 8 + 6);
+    // One item alone is not retried; its repeat reports its error too.
+    let written = s.write(vec![(tok(4), RED, huge()), (tok(4), RED, huge())], &[]);
+    assert_eq!(written, Written { staged: vec![Err(full), Err(full)], committed: vec![] });
+}
+
+#[test]
+fn a_write_call_recovers_whole_or_not_at_all() {
+    // Before the call token 1 is staged. The call stages 2 (which stays
+    // staged) and 3, and commits 1 and 3. A power failure at any device
+    // operation of the call recovers all of it or none of it.
+    let setup = || {
+        let s = server();
+        s.stage(tok(1), RED, &[pl(b"one")]).unwrap();
+        s
+    };
+    let call = |s: &StorageServer| {
+        s.write(
+            vec![(tok(2), RED, vec![pl(b"two")]), (tok(3), GREEN, vec![pl(b"three")])],
+            &[(tok(1), sn(1)), (tok(3), sn(1))],
+        )
+    };
+    let ops = |pm: &PmDevice| {
+        pm.stats.writes.load(Ordering::Relaxed) + pm.stats.persists.load(Ordering::Relaxed)
+    };
+    let s = setup();
+    let pm = s.devices().0;
+    let before = ops(&pm);
+    assert!(call(&s).committed.iter().all(Result::is_ok));
+    let total = ops(&pm) - before;
+    assert!(total >= 4, "{total} device operations");
+    let mut outcomes = Vec::new();
+    for fail_at in 0..=total {
+        let s = setup();
+        let (pm, ssd) = s.devices();
+        pm.fail_after(fail_at);
+        call(&s);
+        pm.crash();
+        ssd.crash();
+        drop(s);
+        let r = StorageServer::recover(pm, ssd, StorageConfig::default());
+        let read = |color, i| r.get(color, sn(i)).map(|v| v.to_vec());
+        let state = (r.staged_tokens(), read(RED, 1), read(GREEN, 1));
+        let whole = (vec![(tok(2), RED, 1)], Some(b"one".to_vec()), Some(b"three".to_vec()));
+        let none = (vec![(tok(1), RED, 1)], None, None);
+        assert!(state == whole || state == none, "power failed at operation {fail_at}: {state:?}");
+        if state == whole {
+            assert_eq!(r.committed_sn(GREEN, tok(3)), Some(sn(1)));
+            assert_eq!(r.pm_live_bytes(), 8 + 3 + 8 + 5 + codec::staged_len(&[pl(b"two")]));
+        }
+        outcomes.push(state == whole);
+    }
+    // Nothing before the commit record, everything from it on.
+    assert!(!outcomes[0] && outcomes[total as usize], "{outcomes:?}");
+    assert!(outcomes.windows(2).all(|w| w[0] <= w[1]), "{outcomes:?}");
 }
 
 mod cold_tier {

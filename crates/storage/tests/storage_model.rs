@@ -1,6 +1,7 @@
 //! Model-based property tests of the tiered storage server: random
-//! stage / commit / import / get / scan / fetch / trim / install-head /
-//! demote / discard sequences with power failures, against a simple
+//! stage / commit / write (both at once) / import / get / scan / fetch /
+//! trim / install-head / demote / discard sequences with power failures,
+//! against a simple
 //! in-memory model of one color's log — with and without a cold tier. Uses
 //! a tiny configuration so the SSD spill path is constantly exercised.
 
@@ -22,6 +23,11 @@ enum Op {
     Stage { color: u8, n: u8 },
     /// Commit the oldest staged token at the next counters of its color.
     CommitOldest,
+    /// One `write` call, as a replica wake makes it: stage a batch of `n`
+    /// records of color c per `stage` entry, commit the `commit` oldest
+    /// staged tokens, and — with `both` — stage a batch and commit it in
+    /// the same call.
+    Write { stage: Vec<(u8, u8)>, commit: u8, both: Option<(u8, u8)> },
     /// Install `n` foreign records at the next counters: one by one on PM
     /// (`import`) or in bulk on the SSD (`import_cold`).
     Import { color: u8, n: u8, cold: bool },
@@ -42,6 +48,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => (0u8..2, 1u8..4).prop_map(|(color, n)| Op::Stage { color, n }),
         4 => Just(Op::CommitOldest),
+        3 => (
+            proptest::collection::vec((0u8..2, 1u8..4), 0..3),
+            0u8..3,
+            (any::<bool>(), 0u8..2, 1u8..4),
+        )
+            .prop_map(|(stage, commit, (b, c, n))| {
+                Op::Write { stage, commit, both: b.then_some((c, n)) }
+            }),
         2 => (0u8..2, 1u8..4, any::<bool>()).prop_map(|(color, n, cold)| Op::Import { color, n, cold }),
         3 => (0u8..2, any::<u16>()).prop_map(|(color, counter)| Op::Get { color, counter }),
         1 => (0u8..2, any::<u16>()).prop_map(|(color, from)| Op::Scan { color, from }),
@@ -73,6 +87,10 @@ fn payload_of(tok: Token, i: u8) -> Vec<u8> {
     format!("{:x}-{i}", tok.0).into_bytes()
 }
 
+fn payloads_of(tok: Token, n: u8) -> Vec<Payload> {
+    (0..n).map(|i| Payload::from(payload_of(tok, i))).collect()
+}
+
 /// One color's log as the server must present it.
 #[derive(Default)]
 struct ColorModel {
@@ -86,6 +104,17 @@ struct ColorModel {
 }
 
 impl ColorModel {
+    /// Assigns the next `n` counters to `tok`'s batch and returns its last
+    /// SN. They may sit under an installed head: indexed, but not visible.
+    fn commit(&mut self, tok: Token, n: u8) -> SeqNum {
+        self.next_counter += n as u32;
+        for i in 0..n {
+            let counter = self.next_counter - (n - 1 - i) as u32;
+            self.indexed.insert(counter, (tok, payload_of(tok, i)));
+        }
+        sn(self.next_counter)
+    }
+
     fn head_or_zero(&self) -> u32 {
         self.head.unwrap_or(0)
     }
@@ -150,9 +179,7 @@ proptest! {
                 Op::Stage { color, n } => {
                     token_counter += 1;
                     let tok = Token::new(FunctionId(1), token_counter);
-                    let payloads: Vec<Payload> =
-                        (0..n).map(|i| Payload::from(payload_of(tok, i))).collect();
-                    assert!(server.stage(tok, COLORS[color as usize], &payloads).unwrap());
+                    assert!(server.stage(tok, COLORS[color as usize], &payloads_of(tok, n)).unwrap());
                     staged.push((tok, color as usize, n));
                 }
                 Op::CommitOldest => {
@@ -160,15 +187,27 @@ proptest! {
                         continue;
                     }
                     let (tok, c, n) = staged.remove(0);
-                    // Assign the next n counters of the color. They may sit
-                    // under an installed head: indexed, but not visible.
-                    let m = &mut model[c];
-                    m.next_counter += n as u32;
-                    server.commit(tok, sn(m.next_counter)).unwrap();
-                    for i in 0..n {
-                        let counter = m.next_counter - (n - 1 - i) as u32;
-                        m.indexed.insert(counter, (tok, payload_of(tok, i)));
-                    }
+                    server.commit(tok, model[c].commit(tok, n)).unwrap();
+                }
+                Op::Write { stage, commit, both } => {
+                    let mut fresh = |color: u8, n: u8| {
+                        token_counter += 1;
+                        let tok = Token::new(FunctionId(1), token_counter);
+                        (tok, color as usize, n)
+                    };
+                    let admitted: Vec<_> = stage.into_iter().map(|(c, n)| fresh(c, n)).collect();
+                    let both = both.map(|(c, n)| fresh(c, n));
+                    let ordered: Vec<_> =
+                        staged.drain(..(commit as usize).min(staged.len())).chain(both).collect();
+                    let items = admitted.iter().chain(&both);
+                    let items = items.map(|&(tok, c, n)| (tok, COLORS[c], payloads_of(tok, n))).collect();
+                    let commits: Vec<(Token, SeqNum)> =
+                        ordered.iter().map(|&(tok, c, n)| (tok, model[c].commit(tok, n))).collect();
+                    let written = server.write(items, &commits);
+                    prop_assert!(written.staged.iter().all(|r| *r == Ok(true)), "{:?}", written);
+                    let colors: Vec<_> = ordered.iter().map(|&(_, c, _)| Ok(Some(COLORS[c]))).collect();
+                    prop_assert_eq!(written.committed, colors);
+                    staged.extend(admitted);
                 }
                 Op::Import { color, n, cold } => {
                     let c = color as usize;

@@ -2,10 +2,12 @@
 # CI gate: release build (workspace + the out-of-workspace benchmark crate,
 # build only), a code-line report (scripts/loc.sh, no gate), full test
 # suite, the PM pool's count-based write-amplification bars, the storage
-# regime probe (report only), the CRC's slicing-by-8 equivalence tests and
+# regime probe (report only; one color, then a 4-color line that shows the
+# spill order), the CRC's slicing-by-8 equivalence tests and
 # the pool's every-device-operation crash sweep once more in release, the timing and
 # heap bounds of the latency path (polled short waits, the sequencer's batch
-# wait, the file-backed SSD medium) in release, two bounded
+# wait, the file-backed SSD medium, the heap a spilled record and a committed
+# token cost) in release, two bounded
 # nemesis smoke runs (fixed seed, ~5 s of injected faults under load — once
 # on the instant network, once over delayed links with 4 delay-scheduler
 # shards), the follower-join probe (a copy that joins 40 000 records behind
@@ -42,7 +44,8 @@ cargo test --release -q -p flexlog-storage --test write_amplification
 
 # Report only: wall µs and PM device operations per record in the same
 # regime (the table in DESIGN.md "What a record costs storage at the
-# watermark"); compare it parent vs change, it gates nothing.
+# watermark"), with one color and then four; compare it parent vs change,
+# it gates nothing.
 echo "==> storage regime probe (wall µs per record at the watermark, report only)"
 cargo run --release -q -p flexlog-storage --example regime_probe
 
@@ -53,13 +56,15 @@ echo "==> PM pool crash-point sweep + tombstone resurrection + shrunk-device pro
 cargo test --release -q -p flexlog-pm --test crash_consistency
 
 # Timing bounds mean nothing in a debug build: what a 1 µs receive timeout
-# and a lone OReq's aggregation window really cost, and what a spilled
-# record leaves in the heap now that the SSD's medium is a file.
-echo "==> latency-path bounds (release): polled short waits, batch wait, ssd medium"
+# and a lone OReq's aggregation window really cost, what a spilled record
+# leaves in the heap now that the SSD's medium is a file, and what a
+# committed token leaves in its color's idempotence map.
+echo "==> latency-path bounds (release): polled short waits, batch wait, ssd medium, heap per record and per token"
 cargo test --release -q -p flexlog-simnet short_timeouts_are_polled
 cargo test --release -q -p flexlog-ordering lone_oreq_waits_the_window
 cargo test --release -q -p flexlog-pm --lib ssd::
 cargo test --release -q -p flexlog-storage --test spilled_heap
+cargo test --release -q -p flexlog-storage --test committed_token_heap
 
 echo "==> nemesis smoke (bounded chaos run, fixed seed)"
 cargo run --release -p flexlog-chaos --example nemesis_smoke
