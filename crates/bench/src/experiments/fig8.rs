@@ -37,7 +37,6 @@ fn measure(r: usize, ops: usize) -> Fig8Row {
                 serialize: Duration::from_micros(25),
             },
             seed: Some(8),
-            ..NetConfig::default()
         },
         ..ClusterSpec::single_shard()
     };

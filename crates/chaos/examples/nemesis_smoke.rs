@@ -8,8 +8,8 @@
 //!
 //! By default the cluster runs on an instant network. Export
 //! `FLEXLOG_NEMESIS_NET=datacenter` to run the same schedule over delayed,
-//! jittered links with all four delay-scheduler shards active — CI runs
-//! both, so faults are injected while the sharded data plane is live.
+//! jittered links, through the delay scheduler — CI runs both, so faults
+//! are injected while messages are in flight.
 
 use std::time::Duration;
 
@@ -21,7 +21,7 @@ use flexlog_types::ColorId;
 fn main() {
     let seed = seed_from_env(0x000C_15A0);
     let net = match std::env::var("FLEXLOG_NEMESIS_NET").as_deref() {
-        Ok("datacenter") => NetConfig::datacenter().with_scheduler_shards(4),
+        Ok("datacenter") => NetConfig::datacenter(),
         _ => NetConfig::instant(),
     };
     let mut options = ChaosOptions::new(seed);
@@ -54,7 +54,7 @@ fn main() {
 
     println!(
         "nemesis smoke: seed {seed:#x}, net {}",
-        if options.spec.net.link.delay.is_zero() { "instant" } else { "datacenter(4 scheduler shards)" }
+        if options.spec.net.link.delay.is_zero() { "instant" } else { "datacenter" }
     );
     let report = run_chaos(options);
     println!("{}", report.plan);

@@ -178,10 +178,11 @@ pub struct ReplicaNode {
     pending_oresp: HashMap<Token, (SeqNum, Instant)>,
     /// Last OReq send time per staged token (resend on silence).
     oreq_sent: HashMap<Token, Instant>,
-    /// Last staged-token resend scan (see [`Replica::tick`]): the scan
-    /// decodes every staged record from the pool, so running it every loop
-    /// pass makes busy replicas pay O(staged) per burst for a path that
-    /// only matters on sequencer fail-over. Rate-limited instead.
+    /// Last staged-token resend scan (see [`Self::tick`]): the scan
+    /// copies every entry of the storage server's staged map out under its
+    /// lock, so running it every wake would make a busy replica (~50 k
+    /// appends/s) pay one pass over the staged map per burst for a path
+    /// that only matters on sequencer fail-over. Rate-limited instead.
     last_oreq_scan: Instant,
     trims: HashMap<u64, TrimPending>,
     multi: Vec<MultiPending>,
@@ -1160,7 +1161,7 @@ impl ReplicaNode {
         match &self.mode {
             Mode::Operational => {
                 // Resend unanswered OReqs (covers sequencer fail-over). The
-                // scan decodes every staged record, so throttle it to a
+                // scan walks the whole staged map, so throttle it to a
                 // quarter of the resend window — a resend fires at most
                 // 1.25 × `oreq_resend` after the OReq was lost, and the
                 // normal path (OResp arrives well within the window) never

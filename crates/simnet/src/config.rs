@@ -62,10 +62,6 @@ impl Default for LinkConfig {
     }
 }
 
-/// Default scheduler shard count for delayed links (see
-/// [`NetConfig::scheduler_shards`]).
-pub(crate) const DEFAULT_SCHEDULER_SHARDS: usize = 4;
-
 /// Whole-network configuration.
 #[derive(Clone, Debug, Default)]
 pub struct NetConfig {
@@ -73,11 +69,6 @@ pub struct NetConfig {
     pub link: LinkConfig,
     /// Seed for the jitter RNG; `None` seeds from entropy.
     pub seed: Option<u64>,
-    /// Number of delay-scheduler shards: each (src, dst) link hashes to one
-    /// shard, which owns the link's heap position, FIFO clamp and jitter
-    /// RNG. `0` means "auto" (currently 4). Ignored on instant links,
-    /// which bypass the scheduler entirely.
-    pub scheduler_shards: usize,
 }
 
 impl NetConfig {
@@ -86,7 +77,6 @@ impl NetConfig {
         NetConfig {
             link: LinkConfig::instant(),
             seed: Some(0),
-            scheduler_shards: 0,
         }
     }
 
@@ -95,23 +85,6 @@ impl NetConfig {
         NetConfig {
             link: LinkConfig::datacenter(),
             seed: Some(0x0F1E_7106),
-            scheduler_shards: 0,
-        }
-    }
-
-    /// Overrides the scheduler shard count (builder style).
-    pub fn with_scheduler_shards(mut self, shards: usize) -> Self {
-        self.scheduler_shards = shards;
-        self
-    }
-
-    /// The effective scheduler shard count (resolves the `0` = auto
-    /// default).
-    pub(crate) fn shards(&self) -> usize {
-        if self.scheduler_shards == 0 {
-            DEFAULT_SCHEDULER_SHARDS
-        } else {
-            self.scheduler_shards
         }
     }
 }

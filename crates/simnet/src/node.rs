@@ -41,22 +41,6 @@ impl NodeId {
     }
 }
 
-/// Maps a (src, dst) link to one of `shards` scheduler shards.
-///
-/// Deterministic (a pure function of the two ids, so same-seed runs home
-/// every link on the same shard) and mixed through a Fibonacci-style hash
-/// so consecutively numbered nodes — the common cluster layout — spread
-/// evenly instead of striding.
-pub(crate) fn link_shard(from: NodeId, to: NodeId, shards: usize) -> usize {
-    debug_assert!(shards > 0);
-    let h = from
-        .0
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(to.0)
-        .wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-    ((h >> 32) as usize) % shards
-}
-
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let idx = self.index();

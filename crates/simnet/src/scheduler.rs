@@ -42,13 +42,11 @@ struct State<T> {
     heap: BinaryHeap<Scheduled<T>>,
     next_seq: u64,
     shutdown: bool,
-    /// Last scheduled delivery instant per (src, dst) link homed on this
-    /// shard, keeping links FIFO despite jitter. A link always hashes to
-    /// exactly one shard, so shard-local clamps are equivalent to the old
-    /// global map.
+    /// Last scheduled delivery instant per (src, dst) link, keeping links
+    /// FIFO despite jitter.
     clamp: HashMap<(NodeId, NodeId), Instant>,
-    /// Jitter RNG for links homed on this shard (drawn under the same lock
-    /// acquisition that pushes the envelope).
+    /// Jitter RNG (drawn under the same lock acquisition that pushes the
+    /// envelope, so draws follow send order).
     rng: StdRng,
     /// Last clamp-prune pass (see [`DelayQueue::run`]).
     last_prune: Instant,
@@ -60,16 +58,15 @@ struct State<T> {
 /// churned node ids do not leak map entries forever.
 const CLAMP_PRUNE_INTERVAL: Duration = Duration::from_millis(100);
 
-/// One shard of the delay scheduler: a time-ordered delivery queue serviced
-/// by a dedicated thread.
+/// The delay scheduler: a time-ordered delivery queue serviced by one
+/// dedicated thread.
 ///
-/// The network hashes each (src, dst) link to one shard; a shard owns the
-/// heap, the per-link FIFO clamps, and the jitter RNG for its links, all
-/// behind a single mutex, so scheduling a message is exactly one lock
-/// acquisition. The service thread drains **all** due items per pass under
-/// one lock acquisition and hands them to the delivery callback as a batch.
-/// Equal instants are delivered in push order, which (together with the
-/// clamped per-link delivery times) guarantees per-link FIFO.
+/// The heap, the per-link FIFO clamps and the jitter RNG sit behind a
+/// single mutex, so scheduling a message is exactly one lock acquisition.
+/// The service thread drains **all** due items per pass under one lock
+/// acquisition and hands them to the delivery callback as a batch. Equal
+/// instants are delivered in push order, which (together with the clamped
+/// per-link delivery times) guarantees per-link FIFO.
 pub(crate) struct DelayQueue<T> {
     state: Mutex<State<T>>,
     cond: Condvar,
@@ -81,8 +78,7 @@ impl<T: Send + 'static> DelayQueue<T> {
         Self::with_seed(0)
     }
 
-    /// Creates a shard whose jitter RNG is seeded with `seed` (each shard
-    /// of a network gets a distinct, deterministic seed).
+    /// Creates a queue whose jitter RNG is seeded with `seed`.
     pub fn with_seed(seed: u64) -> Arc<Self> {
         Arc::new(DelayQueue {
             state: Mutex::new(State {

@@ -3,6 +3,8 @@
 
 use std::time::{Duration, Instant};
 
+use flexlog_obs::ObsHandle;
+
 use crate::{LinkConfig, NetConfig, Network, NodeId, RecvError, SendError};
 
 fn two_nodes<M: Send + 'static>(net: &Network<M>) -> (crate::Endpoint<M>, crate::Endpoint<M>) {
@@ -41,7 +43,6 @@ fn per_link_fifo_with_jitter() {
             serialize: Duration::ZERO,
         },
         seed: Some(42),
-        ..NetConfig::default()
     });
     let (a, b) = two_nodes(&net);
     for i in 0..500 {
@@ -57,7 +58,6 @@ fn delay_is_applied() {
     let net: Network<()> = Network::new(NetConfig {
         link: LinkConfig::slow(Duration::from_millis(20)),
         seed: Some(0),
-        ..NetConfig::default()
     });
     let (a, b) = two_nodes(&net);
     let start = Instant::now();
@@ -80,13 +80,16 @@ fn unknown_destination_errors() {
 #[test]
 fn crashed_node_drops_messages_and_recv_disconnects() {
     let net: Network<u32> = Network::instant();
+    let obs = ObsHandle::new();
+    net.attach_obs(&obs);
     let (a, b) = two_nodes(&net);
     net.crash(b.id());
     // Sends to a crashed node succeed at the API level but are dropped.
     a.send(b.id(), 7).unwrap();
     assert_eq!(b.recv(), Err(RecvError::Disconnected));
-    let (_, _, dropped_crashed, _) = net.stats();
-    assert!(dropped_crashed >= 1);
+    let snap = obs.snapshot();
+    assert_eq!(snap.counter("net.sent"), 1);
+    assert_eq!(snap.counter("net.dropped"), 1);
 }
 
 #[test]
@@ -146,7 +149,6 @@ fn partition_applies_to_in_flight_messages() {
     let net: Network<u32> = Network::new(NetConfig {
         link: LinkConfig::slow(Duration::from_millis(50)),
         seed: Some(0),
-        ..NetConfig::default()
     });
     let (a, b) = two_nodes(&net);
     a.send(b.id(), 1).unwrap();
@@ -206,6 +208,8 @@ fn many_senders_one_receiver() {
 #[test]
 fn stats_count_sent_and_delivered() {
     let net: Network<u32> = Network::instant();
+    let obs = ObsHandle::new();
+    net.attach_obs(&obs);
     let (a, b) = two_nodes(&net);
     for i in 0..10 {
         a.send(b.id(), i).unwrap();
@@ -213,9 +217,47 @@ fn stats_count_sent_and_delivered() {
     for _ in 0..10 {
         b.recv_timeout(Duration::from_secs(1)).unwrap();
     }
-    let (sent, delivered, _, _) = net.stats();
-    assert_eq!(sent, 10);
-    assert_eq!(delivered, 10);
+    let snap = obs.snapshot();
+    assert_eq!(snap.counter("net.sent"), 10);
+    assert_eq!(snap.counter("net.delivered"), 10);
+    assert_eq!(snap.counter("net.dropped"), 0);
+}
+
+/// Every accepted send is counted delivered or dropped, including the
+/// messages a delayed link drops at delivery time: one whose destination
+/// crashed while it was in flight, and one whose link a partition cut after
+/// the send.
+#[test]
+fn every_send_is_counted_delivered_or_dropped() {
+    let net: Network<u32> = Network::new(NetConfig {
+        link: LinkConfig::slow(Duration::from_millis(30)),
+        seed: Some(5),
+    });
+    let obs = ObsHandle::new();
+    net.attach_obs(&obs);
+    let a = net.register(NodeId(1));
+    let b = net.register(NodeId(2));
+    let c = net.register(NodeId(3));
+    a.send(b.id(), 1).unwrap();
+    a.send(c.id(), 2).unwrap();
+    c.send(a.id(), 3).unwrap();
+    net.crash(b.id());
+    net.partition(&[&[NodeId(1)], &[NodeId(3)]]);
+    assert_eq!(b.recv(), Err(RecvError::Disconnected));
+    assert_eq!(c.recv_timeout(Duration::from_millis(200)), Err(RecvError::Timeout));
+    assert_eq!(a.recv_timeout(Duration::from_millis(50)), Err(RecvError::Timeout));
+    net.heal();
+    a.send(c.id(), 4).unwrap();
+    assert_eq!(c.recv_timeout(Duration::from_secs(1)).unwrap(), (a.id(), 4));
+
+    let snap = obs.snapshot();
+    let (sent, delivered, dropped) = (
+        snap.counter("net.sent"),
+        snap.counter("net.delivered"),
+        snap.counter("net.dropped"),
+    );
+    assert_eq!((sent, delivered, dropped), (4, 1, 3));
+    assert_eq!(sent, delivered + dropped);
 }
 
 #[test]
@@ -307,11 +349,11 @@ fn short_timeouts_are_polled_and_long_ones_still_sleep() {
     assert!(t.elapsed() >= Duration::from_millis(5));
 }
 
-/// Registering a node while a delivery scheduler is handing over a batch:
-/// `register` used to take `nodes` then `crashed`, `deliver_batch` takes
-/// `crashed` then `nodes`, and the two met in the middle for good (every
-/// later send then queued behind them — `flexlog-bench fig11` in full mode
-/// registers client handles under load and never finished).
+/// Registering nodes while the delay scheduler hands over batches must not
+/// deadlock: `register` writes the routing tables that every delivery pass
+/// reads (when the two took the tables' locks in opposite orders, they met
+/// in the middle for good and `flexlog-bench fig11` in full mode, which
+/// registers client handles under load, never finished).
 #[test]
 fn register_does_not_deadlock_with_batched_delivery() {
     let net: Network<u32> = Network::new(NetConfig::datacenter());
@@ -322,8 +364,8 @@ fn register_does_not_deadlock_with_batched_delivery() {
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
             for ep in &senders {
-                // Bursts, so the scheduler delivers batches (one envelope
-                // takes the unbatched path, which locks one table at a time).
+                // Bursts, so the scheduler delivers batches of many
+                // envelopes, not one at a time.
                 s.spawn(|| {
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         for i in 0..64 {
@@ -348,26 +390,6 @@ fn register_does_not_deadlock_with_batched_delivery() {
         .expect("2 000 registrations under batched delivery deadlocked");
 }
 
-#[test]
-fn delayed_network_spawns_configured_scheduler_shards() {
-    let net: Network<u32> = Network::new(NetConfig {
-        link: LinkConfig::slow(Duration::from_micros(100)),
-        seed: Some(3),
-        scheduler_shards: 3,
-    });
-    assert_eq!(net.scheduler_shards(), 3);
-    // Instant networks bypass the scheduler entirely.
-    let inst: Network<u32> = Network::instant();
-    assert_eq!(inst.scheduler_shards(), 0);
-    // 0 = auto default.
-    let auto: Network<u32> = Network::new(NetConfig {
-        link: LinkConfig::slow(Duration::from_micros(100)),
-        seed: Some(3),
-        scheduler_shards: 0,
-    });
-    assert_eq!(auto.scheduler_shards(), 4);
-}
-
 mod properties {
     use super::*;
     use proptest::prelude::*;
@@ -375,15 +397,14 @@ mod properties {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 16, .. ProptestConfig::default() })]
 
-        /// FIFO per link holds for any mix of link delays, jitter,
-        /// scheduler shard counts, receive batch sizes and message bursts:
-        /// receivers always observe each sender's messages in send order,
-        /// whether they drain one message per wake-up or whole batches.
+        /// FIFO per link holds for any mix of link delays, jitter, receive
+        /// batch sizes and message bursts: receivers always observe each
+        /// sender's messages in send order, whether they drain one message
+        /// per wake-up or whole batches.
         #[test]
-        fn fifo_holds_for_any_delay_shards_and_batch(
+        fn fifo_holds_for_any_delay_and_batch(
             delay_us in 0u64..200,
             jitter_us in 0u64..300,
-            shards in 1usize..6,
             recv_batch_max in 1usize..40,
             bursts in proptest::collection::vec(1usize..30, 1..6),
         ) {
@@ -394,7 +415,6 @@ mod properties {
                     serialize: Duration::ZERO,
                 },
                 seed: Some(7),
-                scheduler_shards: shards,
             });
             let a = net.register(NodeId(1));
             let b = net.register(NodeId(2));
@@ -403,7 +423,7 @@ mod properties {
             for (burst_no, n) in bursts.iter().enumerate() {
                 for i in 0..*n {
                     // Two independent links into b: each must stay FIFO on
-                    // its own, whatever shard each hashes to.
+                    // its own while the scheduler interleaves them.
                     a.send(b.id(), (burst_no, i)).unwrap();
                     c.send(b.id(), (burst_no, i)).unwrap();
                     sent += 2;

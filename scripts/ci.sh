@@ -9,8 +9,8 @@
 # wait, the file-backed SSD medium, the heap a spilled record and a committed
 # token cost) in release, two bounded
 # nemesis smoke runs (fixed seed, ~5 s of injected faults under load — once
-# on the instant network, once over delayed links with 4 delay-scheduler
-# shards), the follower-join probe (a copy that joins 40 000 records behind
+# on the instant network, once over delayed links through the delay
+# scheduler), the follower-join probe (a copy that joins 40 000 records behind
 # must not cost its source shard one append), the four feature-bench smokes
 # (`flexlog-bench <name> --quick`, gates evaluated by the binary), the paper
 # reproduction suite in --quick, one tiering, one subscription, two
@@ -69,7 +69,7 @@ cargo test --release -q -p flexlog-storage --test committed_token_heap
 echo "==> nemesis smoke (bounded chaos run, fixed seed)"
 cargo run --release -p flexlog-chaos --example nemesis_smoke
 
-echo "==> nemesis smoke over delayed links (4 delay-scheduler shards)"
+echo "==> nemesis smoke over delayed links (datacenter link model)"
 FLEXLOG_NEMESIS_NET=datacenter cargo run --release -p flexlog-chaos --example nemesis_smoke
 
 # One serial writer beside (i) nothing, (ii) a read replica joining 40 000

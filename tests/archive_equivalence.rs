@@ -1,7 +1,7 @@
 //! Property: archiving is invisible to readers. A log whose prefix has
 //! been sealed into object-store segments and dropped from the live tiers
 //! must read and scan byte-identically to a log that never archived —
-//! across 1–4 delay-scheduler shards, mixed colors, and policy rounds
+//! over seeded, jittered datacenter links, mixed colors, and policy rounds
 //! fired at arbitrary points in the append stream.
 
 use std::sync::Arc;
@@ -16,12 +16,11 @@ use proptest::prelude::*;
 
 const COLORS: [ColorId; 2] = [ColorId(1), ColorId(2)];
 
-fn spec(scheduler_shards: usize, seed: u64) -> ClusterSpec {
+fn spec(seed: u64) -> ClusterSpec {
     ClusterSpec {
         net: NetConfig {
             seed: Some(seed),
-            scheduler_shards,
-            ..NetConfig::default()
+            ..NetConfig::datacenter()
         },
         ..ClusterSpec::single_shard()
     }
@@ -35,18 +34,17 @@ proptest! {
 
     #[test]
     fn archived_log_reads_like_an_unarchived_one(
-        scheduler_shards in 1usize..=4,
         seed in 0u64..1024,
         ops in proptest::collection::vec((0usize..2, any::<u8>()), 8..40),
         archive_every in 4usize..10,
     ) {
         let store = Arc::new(SimObjectStore::new(DeviceClock::new(ClockMode::Off)));
-        let mut tiered_spec = spec(scheduler_shards, seed);
+        let mut tiered_spec = spec(seed);
         let mut tier = TierConfig::new(store);
         tier.segment_records = 3; // several segments per round
         tiered_spec.storage.tier = Some(tier);
 
-        let plain = FlexLogCluster::start(spec(scheduler_shards, seed));
+        let plain = FlexLogCluster::start(spec(seed));
         let tiered = FlexLogCluster::start(tiered_spec);
         for color in COLORS {
             plain.add_color(color).unwrap();

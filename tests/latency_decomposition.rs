@@ -83,7 +83,6 @@ fn stage_latencies_respect_the_link_delay() {
         net: NetConfig {
             link: LinkConfig::slow(DELAY),
             seed: Some(7),
-            ..NetConfig::default()
         },
         // Keep retransmits out of the run: the round trip is < 1 ms.
         client_retry: Duration::from_millis(500),
@@ -156,7 +155,6 @@ fn canonical_run(seed: u64) -> Vec<u8> {
         net: NetConfig {
             link: LinkConfig::instant(),
             seed: Some(seed),
-            ..NetConfig::default()
         },
         ..ClusterSpec::tree(2, 2)
     };
@@ -187,11 +185,11 @@ fn canonical_run(seed: u64) -> Vec<u8> {
     out
 }
 
-/// Like [`canonical_run`], but over delayed, jittered links with all four
-/// delay-scheduler shards active — the sharded data plane must not leak
-/// physical scheduling (which shard thread fired first, jitter draws, batch
-/// boundaries) into the logical trace.
-fn canonical_run_sharded(seed: u64) -> Vec<u8> {
+/// Like [`canonical_run`], but over delayed, jittered links, so every
+/// message goes through the delay scheduler — physical scheduling (jitter
+/// draws, batch boundaries, which node thread ran first) must not leak into
+/// the logical trace.
+fn canonical_run_delayed(seed: u64) -> Vec<u8> {
     let spec = ClusterSpec {
         net: NetConfig {
             link: LinkConfig {
@@ -200,7 +198,6 @@ fn canonical_run_sharded(seed: u64) -> Vec<u8> {
                 serialize: Duration::from_micros(2),
             },
             seed: Some(seed),
-            scheduler_shards: 4,
         },
         // Keep retransmits out of the run: hops are sub-millisecond.
         client_retry: Duration::from_millis(500),
@@ -288,7 +285,6 @@ fn canonical_run_with_subscribers(seed: u64) -> Vec<u8> {
         net: NetConfig {
             link: LinkConfig::instant(),
             seed: Some(seed),
-            ..NetConfig::default()
         },
         ..ClusterSpec::tree(2, 2)
     };
@@ -378,22 +374,22 @@ fn same_seed_runs_produce_byte_identical_traces() {
 
 #[test]
 fn same_seed_sharded_scheduler_runs_are_byte_identical() {
-    let a = canonical_run_sharded(42);
-    let b = canonical_run_sharded(42);
+    let a = canonical_run_delayed(42);
+    let b = canonical_run_delayed(42);
     assert!(!a.is_empty());
     if a != b {
         let (sa, sb) = (String::from_utf8_lossy(&a), String::from_utf8_lossy(&b));
         for (la, lb) in sa.lines().zip(sb.lines()) {
             assert_eq!(
                 la, lb,
-                "canonical trace line differs across same-seed sharded runs"
+                "canonical trace line differs across same-seed delayed-link runs"
             );
         }
         panic!("canonical traces differ in line count");
     }
     // And a different seed must actually reach the jitter RNGs — otherwise
     // this test would pass vacuously with the scheduler dark.
-    let c = canonical_run_sharded(43);
+    let c = canonical_run_delayed(43);
     assert!(!c.is_empty());
     let text = String::from_utf8(a).unwrap();
     assert_eq!(text.lines().count(), 16);

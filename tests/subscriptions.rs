@@ -300,13 +300,12 @@ proptest! {
     })]
 
     /// The delivery-equivalence property of the push path: for every
-    /// subscriber — no matter when it attached or how the delay scheduler
-    /// is sharded — the concatenation of its pushed batches after
-    /// quiescence equals one `subscribe_from(color, ZERO)` pull: same
-    /// records, same order, no duplicates, no gaps.
+    /// subscriber — no matter when it attached or how the seeded link
+    /// jitter interleaves deliveries — the concatenation of its pushed
+    /// batches after quiescence equals one `subscribe_from(color, ZERO)`
+    /// pull: same records, same order, no duplicates, no gaps.
     #[test]
     fn pushed_batches_concatenate_to_the_pull_snapshot(
-        scheduler_shards in 1usize..=4,
         seed in 0u64..1024,
         batches in proptest::collection::vec((0usize..2, 1usize..6), 2..8),
         subscribers in 1usize..4,
@@ -315,8 +314,7 @@ proptest! {
         let spec = ClusterSpec {
             net: NetConfig {
                 seed: Some(seed),
-                scheduler_shards,
-                ..NetConfig::default()
+                ..NetConfig::datacenter()
             },
             ..ClusterSpec::single_shard()
         };
