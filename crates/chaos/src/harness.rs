@@ -219,10 +219,10 @@ pub fn run_chaos(options: ChaosOptions) -> ChaosReport {
                         let _ = ControlPlane::recover(cluster);
                     }
                     FaultKind::CrashReadReplica { node } => {
-                        cluster.data().crash_read_replica(net, *node);
+                        cluster.data().crash_replica(net, *node);
                     }
                     FaultKind::RestartReadReplica { node } => {
-                        cluster.data().restart_read_replica(net, *node);
+                        cluster.data().restart_replica(net, cluster.directory(), *node);
                     }
                     FaultKind::ObjectStoreOutage => {
                         if let Some(store) = object_store {

@@ -139,12 +139,12 @@ fn subscribers_survive_read_replica_crash_mid_push() {
         }
         // Power-fail the read replica while its pushes are in flight.
         let rr = c.data().read_replicas()[0];
-        c.data().crash_read_replica(c.network(), rr);
+        c.data().crash_replica(c.network(), rr);
         for i in 0..PHASE {
             writer.append(format!("b{i}").as_bytes(), RED).unwrap();
         }
         // Restart: it refills via the sync pull and rejoins the read path.
-        c.data().restart_read_replica(c.network(), rr);
+        c.data().restart_replica(c.network(), c.directory(), rr);
         for i in 0..PHASE {
             writer.append(format!("c{i}").as_bytes(), RED).unwrap();
         }

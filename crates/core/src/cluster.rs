@@ -10,8 +10,8 @@ use flexlog_ordering::{
     ColorRegistry, Directory, OrderingHandle, OrderingService, RoleId, TreeSpec,
 };
 use flexlog_replication::{
-    ClientConfig, ClusterMsg, DataLayerHandle, DataLayerService, DataLayerSpec, FlexLogClient,
-    ReplicaConfig, ShardInfo,
+    ClientConfig, ClusterMsg, DataLayerHandle, DataLayerService, FlexLogClient, ReplicaConfig,
+    ShardInfo, TopologyView,
 };
 use flexlog_pm::{PmDevice, PmDeviceConfig, PmPool};
 use flexlog_simnet::{NetConfig, Network, NodeId};
@@ -43,7 +43,9 @@ pub struct ClusterSpec {
     pub storage: StorageConfig,
     /// Sequencer batching interval (paper default 1 µs).
     pub batch_interval: Duration,
-    /// Failure-detection bound Δ.
+    /// Failure-detection bound Δ: the sequencers' heartbeat and election
+    /// timers and every data-layer timer derive from it
+    /// (`ReplicaConfig::delta`).
     pub delta: Duration,
     /// Client initial retransmit backoff / backoff cap / overall deadline.
     pub client_retry: Duration,
@@ -131,19 +133,18 @@ impl FlexLogCluster {
         } else {
             (1..=spec.leaves as u32).map(RoleId).collect()
         };
-        let n_shards = spec.shards_per_leaf * leaf_roles.len();
-        let mut data_spec =
-            DataLayerSpec::uniform(n_shards, spec.replication_factor, &leaf_roles);
-        data_spec.read_replicas_per_shard = spec.read_replicas_per_shard;
-        data_spec.replica = ReplicaConfig {
+        let topology = TopologyView::uniform(
+            spec.shards_per_leaf * leaf_roles.len(),
+            spec.replication_factor,
+            spec.read_replicas_per_shard,
+            &leaf_roles,
+        );
+        let replica = ReplicaConfig {
             storage: spec.storage.clone(),
-            read_hold: Duration::from_millis(10),
-            oreq_resend: spec.delta,
-            sync_timeout: spec.delta * 5,
+            delta: spec.delta,
             registry: registry.clone(),
-            ..Default::default()
         };
-        let data = DataLayerService::start(&net, &directory, &data_spec);
+        let data = DataLayerService::start(&net, &directory, topology, replica);
 
         // --- ordering layer ----------------------------------------------
         let mut tree = if spec.leaves == 0 {
@@ -308,7 +309,7 @@ impl FlexLogCluster {
     /// Attaches one more read-only replica to `shard` at runtime and
     /// registers it as a read target.
     pub fn add_read_replica(&self, shard: ShardId) -> NodeId {
-        self.data.add_read_replica(&self.net, shard)
+        self.data.add_read_replica(&self.net, &self.directory, shard)
     }
 
     /// Spawns a brand-new leaf sequencer under `parent` at `epoch`

@@ -40,9 +40,9 @@ pub use msg::{
     AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, Fence, ReadMsg, RejectReason, SubCursor,
     SubMsg, SyncMsg, TokenRecord,
 };
-pub use read_replica::{ReadReplicaConfig, ReadReplicaNode};
+pub use read_replica::ReadReplicaNode;
 pub use replica::{ReplicaConfig, ReplicaNode};
-pub use service::{DataLayerHandle, DataLayerService, DataLayerSpec};
+pub use service::{DataLayerHandle, DataLayerService};
 pub use topology::{ShardInfo, TopologyView};
 
 #[cfg(test)]

@@ -28,42 +28,18 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
-use flexlog_storage::{StorageConfig, StorageServer};
+use flexlog_storage::StorageServer;
 use flexlog_types::{ColorId, SeqNum, ShardId};
 
 use crate::follower::{Follower, Mode};
 use crate::msg::{ClusterMsg, DataMsg, ReadMsg, RejectReason, SubMsg, SyncMsg};
 use crate::serving::Serving;
-use crate::TopologyView;
+use crate::{ReplicaConfig, TopologyView};
 
 /// Sync-pull cadence while readers or subscribers are active.
 const SYNC_INTERVAL: Duration = Duration::from_millis(1);
 /// Sync-pull cadence when idle.
 const IDLE_INTERVAL: Duration = Duration::from_millis(10);
-
-/// Configuration of one read-only replica.
-#[derive(Clone)]
-pub struct ReadReplicaConfig {
-    /// The shard this read replica follows.
-    pub shard: ShardId,
-    /// The shard's quorum replicas (catch-up sources, rotated per round).
-    pub quorum: Vec<NodeId>,
-    pub storage: StorageConfig,
-    /// Bounded hold for reads above the local tail (mirrors the quorum
-    /// replicas' hole rule).
-    pub read_hold: Duration,
-}
-
-impl Default for ReadReplicaConfig {
-    fn default() -> Self {
-        ReadReplicaConfig {
-            shard: ShardId(0),
-            quorum: Vec::new(),
-            storage: StorageConfig::default(),
-            read_hold: Duration::from_millis(20),
-        }
-    }
-}
 
 /// A one-shot pull (`Subscribe`) parked behind a sync round: serving it
 /// straight from local storage could miss records the quorum already
@@ -82,7 +58,10 @@ struct HeldScan {
 
 /// See module docs.
 pub struct ReadReplicaNode {
-    config: ReadReplicaConfig,
+    /// The shard this node follows, as the topology lists it.
+    shard: ShardId,
+    /// The shard's quorum replicas (catch-up sources, rotated per round).
+    quorum: Vec<NodeId>,
     topology: TopologyView,
     /// Storage, push subscriptions, held reads and the busy-time counter.
     serving: Serving,
@@ -95,23 +74,28 @@ pub struct ReadReplicaNode {
 }
 
 impl ReadReplicaNode {
-    pub fn new(config: ReadReplicaConfig, topology: TopologyView) -> Self {
+    /// Read replica `node` of the shard the topology lists it in, fresh
+    /// with empty storage.
+    pub fn new(node: NodeId, config: &ReplicaConfig, topology: TopologyView) -> Self {
         let storage = Arc::new(StorageServer::new(config.storage.clone()));
-        Self::recovered(config, topology, storage)
+        Self::recovered(node, config, topology, storage)
     }
 
     /// A read replica recovering its storage from crashed devices. No sync
     /// barrier is needed — it was never part of the write quorum; the
     /// steady-state pull loop refills whatever was lost.
     pub fn recovered(
-        config: ReadReplicaConfig,
+        node: NodeId,
+        config: &ReplicaConfig,
         topology: TopologyView,
         storage: Arc<StorageServer>,
     ) -> Self {
+        let shard = topology.shard_of(node).expect("a read replica the topology lists");
         ReadReplicaNode {
-            follower: Follower::new(Arc::clone(&storage), config.shard, "rreplica"),
-            serving: Serving::new(storage, config.read_hold),
-            config,
+            follower: Follower::new(Arc::clone(&storage), shard.id, "rreplica"),
+            serving: Serving::new(storage, config.hold()),
+            shard: shard.id,
+            quorum: shard.replicas,
             topology,
             held_scans: Vec::new(),
             now: Instant::now(),
@@ -185,7 +169,7 @@ impl ReadReplicaNode {
                     req,
                     color,
                     from_sn,
-                    deadline: self.now + self.config.read_hold,
+                    deadline: self.now + self.serving.hold,
                     min_round: self.follower.next_round(),
                 });
                 self.fetch_color(ep, color);
@@ -204,7 +188,7 @@ impl ReadReplicaNode {
     fn handle_sub_plane(&mut self, ep: &Endpoint<ClusterMsg>, msg: SubMsg) {
         let mut gone = None;
         if let SubMsg::SubscribeFrom { color, .. } = msg {
-            gone = self.departed(&self.topology.colors_on(self.config.shard), color);
+            gone = self.departed(&self.topology.colors_on(self.shard), color);
             if gone.is_none() {
                 // Pull the color promptly so the backlog starts flowing.
                 self.fetch_color(ep, color);
@@ -242,10 +226,10 @@ impl ReadReplicaNode {
     /// Starts a catch-up of `color` unless one is in flight. Rounds rotate
     /// the first source asked, spreading the pulls over the quorum.
     fn fetch_color(&mut self, ep: &Endpoint<ClusterMsg>, color: ColorId) {
-        let mut sources = self.config.quorum.clone();
+        let mut sources = self.quorum.clone();
         let first = self.follower.next_round() as usize % sources.len().max(1);
         sources.rotate_left(first);
-        self.follower.start(ep, self.now, (color, self.config.shard), &sources, Mode::Follow);
+        self.follower.start(ep, self.now, (color, self.shard), &sources, Mode::Follow);
     }
 
     /// Answers every parked `Subscribe` that `ready` selects from local
@@ -270,7 +254,7 @@ impl ReadReplicaNode {
 
         // Redirect subscriptions of colors that left this shard (cutover
         // or drop observed through the shared topology).
-        let resident = self.topology.colors_on(self.config.shard);
+        let resident = self.topology.colors_on(self.shard);
         for color in self.serving.subs.colors() {
             if let Some(reason) = self.departed(&resident, color) {
                 self.serving.subs.redirect_color(ep, color, reason);

@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use flexlog_obs::{Histogram, Stage, CTRL_TOKEN, SYNC_TOKEN};
-use flexlog_ordering::{ColorRegistry, Directory, OrderMsg, RoleId};
+use flexlog_ordering::{ColorRegistry, Directory, OrderMsg};
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
 use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
 use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, ShardId, Token};
@@ -38,7 +38,7 @@ use crate::msg::{
     AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, Fence, ReadMsg, RejectReason, SubMsg, SyncMsg,
 };
 use crate::serving::Serving;
-use crate::TopologyView;
+use crate::{ShardInfo, TopologyView};
 
 /// Magic prefix of a multi-color-append set staged in the special color.
 pub(crate) const MULTI_MAGIC: &[u8; 4] = b"MCA1";
@@ -78,40 +78,39 @@ impl Writes {
     }
 }
 
-/// Configuration of one replica.
+/// Configuration of every data-layer node, quorum and read replica alike.
+/// Which shard a node serves, its peers and its leaf sequencer are not
+/// configured: the node reads them from the topology.
 #[derive(Clone)]
 pub struct ReplicaConfig {
-    pub shard: ShardId,
-    /// The other replicas of this shard.
-    pub peers: Vec<NodeId>,
-    /// The leaf sequencer role this shard is attached to.
-    pub leaf_role: RoleId,
     pub storage: StorageConfig,
-    /// How long to hold a read above the max-seen SN before answering ⊥
-    /// (the paper suggests 1 ms, §6.3).
-    pub read_hold: Duration,
-    /// Resend window for unanswered order requests.
-    pub oreq_resend: Duration,
-    /// Restart window for a stalled sync-phase.
-    pub sync_timeout: Duration,
+    /// The failure-detection bound Δ (§4), the one clock every timer of
+    /// the layer derives from: a read above the max-seen SN is held Δ/10
+    /// before ⊥ (§6.3; [`ReplicaConfig::hold`]), an unanswered OReq is resent
+    /// after Δ, and a stalled sync-phase restarts after 5Δ.
+    pub delta: Duration,
     /// The ordering layer's ownership table: names the entry role of a
-    /// color that a leaf-sequencer split re-homed away from `leaf_role`
-    /// without moving the shard.
+    /// color that a leaf-sequencer split re-homed away from the shard's
+    /// leaf without moving the shard.
     pub registry: ColorRegistry,
 }
 
 impl Default for ReplicaConfig {
     fn default() -> Self {
         ReplicaConfig {
-            shard: ShardId(0),
-            peers: Vec::new(),
-            leaf_role: RoleId(0),
             storage: StorageConfig::default(),
-            read_hold: Duration::from_millis(20),
-            oreq_resend: Duration::from_millis(200),
-            sync_timeout: Duration::from_millis(500),
+            delta: Duration::from_millis(100),
             registry: ColorRegistry::new(),
         }
+    }
+}
+
+impl ReplicaConfig {
+    /// How long a read above the max-seen SN waits before ⊥ (the hole
+    /// rule, §6.3), and how young an early OResp must be to hold pushes
+    /// back: Δ/10.
+    pub(crate) fn hold(&self) -> Duration {
+        self.delta / 10
     }
 }
 
@@ -154,6 +153,13 @@ enum Mode {
 /// See module docs.
 pub struct ReplicaNode {
     config: ReplicaConfig,
+    /// This node's shard as the topology listed it at start: its id, its
+    /// replicas — sorted, as an OReq names them — and its leaf, none of
+    /// which changes for the shard's life. (Its read replicas can; a quorum
+    /// replica never reads them.)
+    shard: ShardInfo,
+    /// The shard's other replicas.
+    peers: Vec<NodeId>,
     directory: Directory,
     topology: TopologyView,
     /// Storage, push subscriptions, held reads and the busy-time counter.
@@ -210,35 +216,48 @@ pub struct ReplicaNode {
 }
 
 impl ReplicaNode {
-    /// A fresh replica with empty storage.
-    pub fn new(config: ReplicaConfig, directory: Directory, topology: TopologyView) -> Self {
+    /// Replica `node` of the shard the topology lists it in, fresh with
+    /// empty storage.
+    pub fn new(
+        node: NodeId,
+        config: ReplicaConfig,
+        directory: Directory,
+        topology: TopologyView,
+    ) -> Self {
         let storage = Arc::new(StorageServer::new(config.storage.clone()));
-        Self::with_storage(config, directory, topology, storage, false)
+        Self::with_storage(node, config, directory, topology, storage, false)
     }
 
     /// A replica recovering from crashed devices: replays storage and runs
     /// the sync-phase before serving (§6.3 "Recovery").
     pub fn recovered(
+        node: NodeId,
         config: ReplicaConfig,
         directory: Directory,
         topology: TopologyView,
         storage: Arc<StorageServer>,
     ) -> Self {
-        Self::with_storage(config, directory, topology, storage, true)
+        Self::with_storage(node, config, directory, topology, storage, true)
     }
 
     fn with_storage(
+        node: NodeId,
         config: ReplicaConfig,
         directory: Directory,
         topology: TopologyView,
         storage: Arc<StorageServer>,
         start_with_sync: bool,
     ) -> Self {
+        let mut shard = topology.shard_of(node).expect("a replica the topology lists");
+        shard.replicas.sort_unstable();
+        let peers = shard.replicas.iter().copied().filter(|&p| p != node).collect();
         let commit_hist = config.storage.obs.histogram("replica.commit_batch_ns");
-        let follower = Follower::new(Arc::clone(&storage), config.shard, "replica");
-        let serving = Serving::new(storage, config.read_hold);
+        let follower = Follower::new(Arc::clone(&storage), shard.id, "replica");
+        let serving = Serving::new(storage, config.hold());
         ReplicaNode {
             config,
+            shard,
+            peers,
             directory,
             topology,
             serving,
@@ -286,7 +305,7 @@ impl ReplicaNode {
         const MAX_DRAIN: usize = 128;
 
         self.serving.enter(&ep, "replica");
-        if self.start_with_sync && !self.config.peers.is_empty() {
+        if self.start_with_sync && !self.peers.is_empty() {
             self.begin_sync(&ep, None);
         } else if self.start_with_sync {
             // Single-replica shard: nothing to sync with; just re-issue
@@ -300,12 +319,9 @@ impl ReplicaNode {
             // deadline-sensitive below the resend scan granularity, so
             // sleep longer and cut idle wakeups.
             let tick = if self.serving.idle() && !self.syncing() {
-                self.config.oreq_resend / 8
+                self.config.delta / 8
             } else {
-                self.config
-                    .read_hold
-                    .min(Duration::from_millis(5))
-                    .max(Duration::from_millis(1))
+                self.config.hold().clamp(Duration::from_millis(1), Duration::from_millis(5))
             };
             burst.clear();
             match ep.recv_batch(tick, MAX_DRAIN, &mut burst) {
@@ -393,10 +409,8 @@ impl ReplicaNode {
                 let _ = self.serving.storage.trim(color, up_to);
                 // Second round: tell every peer we applied it; collect
                 // theirs before answering the caller (§6.2).
-                let _ = ep.broadcast(
-                    &self.config.peers,
-                    ReadMsg::TrimPeerAck { color, up_to, req }.into(),
-                );
+                let ack = ReadMsg::TrimPeerAck { color, up_to, req };
+                let _ = ep.broadcast(&self.peers, ack.into());
                 self.trims.entry(req).or_default().local = Some((color, from));
                 self.maybe_finish_trim(ep, req);
             }
@@ -676,7 +690,7 @@ impl ReplicaNode {
             }
             OrderMsg::OResp { resps } => self.write(ep, Writes { resps, ..Writes::default() }),
             OrderMsg::InitSequencer { role, epoch } => {
-                if role != self.config.leaf_role {
+                if role != self.shard.leaf {
                     return;
                 }
                 if epoch > self.known_epoch {
@@ -684,7 +698,7 @@ impl ReplicaNode {
                 }
                 // The new sequencer waits for *all* replicas to sync and
                 // ack before serving (§6.3).
-                if self.config.peers.is_empty() {
+                if self.peers.is_empty() {
                     let _ = ep.send(from, ClusterMsg::Order(OrderMsg::InitAck { epoch }));
                     self.reissue_staged_oreqs(ep);
                 } else {
@@ -851,28 +865,19 @@ impl ReplicaNode {
 
     /// Whether this replica is its shard's designated eager-OReq sender.
     fn is_oreq_delegate(&self, ep: &Endpoint<ClusterMsg>) -> bool {
-        self.config.peers.iter().all(|&p| ep.id() < p)
+        self.shard.replicas.first() == Some(&ep.id())
     }
 
     fn send_oreq(&mut self, ep: &Endpoint<ClusterMsg>, color: ColorId, token: Token, n: u32) {
         // An entry role (written by a leaf split) beats the shard's static
         // leaf role; either way the directory resolves the node.
-        let role = self.config.registry.entry(color).unwrap_or(self.config.leaf_role);
+        let role = self.config.registry.entry(color).unwrap_or(self.shard.leaf);
         let Some(leaf) = self.directory.get(role) else {
             return; // sequencer fail-over window; the resend tick retries
         };
-        let mut shard: Vec<NodeId> = self.config.peers.clone();
-        shard.push(ep.id());
-        shard.sort_unstable();
-        let _ = ep.send(
-            leaf,
-            ClusterMsg::Order(OrderMsg::OReq {
-                color,
-                token,
-                nrecords: n,
-                shard,
-            }),
-        );
+        let shard = self.shard.replicas.clone();
+        let oreq = OrderMsg::OReq { color, token, nrecords: n, shard };
+        let _ = ep.send(leaf, ClusterMsg::Order(oreq));
         self.config
             .storage
             .obs
@@ -895,10 +900,10 @@ impl ReplicaNode {
         if self.pending_oresp.is_empty() {
             return None;
         }
-        let now = Instant::now();
+        let (now, hold) = (Instant::now(), self.config.hold());
         self.pending_oresp
             .values()
-            .filter(|&&(_, at)| now.saturating_duration_since(at) < self.config.read_hold)
+            .filter(|&&(_, at)| now.saturating_duration_since(at) < hold)
             .map(|&(sn, _)| sn)
             .min()
     }
@@ -908,7 +913,7 @@ impl ReplicaNode {
     fn maybe_finish_trim(&mut self, ep: &Endpoint<ClusterMsg>, req: u64) {
         let Some(t) = self.trims.get(&req) else { return };
         let Some((color, caller)) = t.local else { return };
-        if t.peer_acks.len() >= self.config.peers.len() {
+        if t.peer_acks.len() >= self.peers.len() {
             self.trims.remove(&req);
             let storage = &self.serving.storage;
             let (head, tail) = (storage.head(color), storage.tail(color));
@@ -1015,7 +1020,7 @@ impl ReplicaNode {
             Mode::Syncing(s) => s.round.max(self.new_round(ep)),
             Mode::Operational => self.new_round(ep),
         };
-        let _ = ep.broadcast(&self.config.peers, SyncMsg::SyncRequest { round }.into());
+        let _ = ep.broadcast(&self.peers, SyncMsg::SyncRequest { round }.into());
         self.join_sync(ep, round, init);
     }
 
@@ -1036,7 +1041,7 @@ impl ReplicaNode {
             .trace_event(SYNC_TOKEN, Stage::SyncStart, ep.id().0, round);
         // A superseded round's catch-ups are abandoned with it; what they
         // installed is still owed to the serving half.
-        let home = self.config.shard;
+        let home = self.shard.id;
         self.sync_fresh.extend(self.follower.cancel(|_, shard| shard == home));
         self.mode = Mode::Syncing(Box::new(SyncRound {
             round,
@@ -1048,7 +1053,7 @@ impl ReplicaNode {
             started: Instant::now(),
         }));
         let _ = ep.broadcast(
-            &self.config.peers,
+            &self.peers,
             SyncMsg::SyncState {
                 round,
                 epoch: self.known_epoch,
@@ -1101,24 +1106,24 @@ impl ReplicaNode {
     /// left, tell the shard.
     fn advance_sync(&mut self, ep: &Endpoint<ClusterMsg>) {
         let Mode::Syncing(ref mut s) = self.mode else { return };
-        if s.self_done || s.reported.len() < self.config.peers.len() {
+        if s.self_done || s.reported.len() < self.peers.len() {
             return; // done already, or waiting for more states
         }
         let storage = &self.serving.storage;
         while let Some((peer, (color, tail, count))) = s.todo.pop() {
             if storage.tail(color) != Some(tail) || storage.record_count(color) as u64 != count {
-                let (pair, exact) = ((color, self.config.shard), follower::Mode::Exact);
+                let (pair, exact) = ((color, self.shard.id), follower::Mode::Exact);
                 return self.follower.start(ep, Instant::now(), pair, &[peer], exact);
             }
         }
         s.self_done = true;
-        let _ = ep.broadcast(&self.config.peers, SyncMsg::SyncDone { round: s.round }.into());
+        let _ = ep.broadcast(&self.peers, SyncMsg::SyncDone { round: s.round }.into());
         self.maybe_finish_sync(ep);
     }
 
     fn maybe_finish_sync(&mut self, ep: &Endpoint<ClusterMsg>) {
         let Mode::Syncing(ref s) = self.mode else { return };
-        if !s.self_done || s.done.len() < self.config.peers.len() {
+        if !s.self_done || s.done.len() < self.peers.len() {
             return;
         }
         let Mode::Syncing(s) = std::mem::replace(&mut self.mode, Mode::Operational) else {
@@ -1160,15 +1165,13 @@ impl ReplicaNode {
 
         match &self.mode {
             Mode::Operational => {
-                // Resend unanswered OReqs (covers sequencer fail-over). The
-                // scan walks the whole staged map, so throttle it to a
-                // quarter of the resend window — a resend fires at most
-                // 1.25 × `oreq_resend` after the OReq was lost, and the
-                // normal path (OResp arrives well within the window) never
-                // pays the scan at all.
-                if now.saturating_duration_since(self.last_oreq_scan)
-                    >= self.config.oreq_resend / 4
-                {
+                // Resend OReqs unanswered for Δ (covers sequencer
+                // fail-over). The scan walks the whole staged map, so
+                // throttle it to Δ/4 — a resend fires at most 1.25Δ after
+                // the OReq was lost, and the normal path (OResp arrives well
+                // within Δ) never pays the scan at all.
+                let delta = self.config.delta;
+                if now.saturating_duration_since(self.last_oreq_scan) >= delta / 4 {
                     self.last_oreq_scan = now;
                     let stale: Vec<(Token, ColorId, usize)> = self
                         .serving
@@ -1176,9 +1179,7 @@ impl ReplicaNode {
                         .staged_tokens()
                         .into_iter()
                         .filter(|(t, _, _)| {
-                            self.oreq_sent
-                                .get(t)
-                                .is_none_or(|&at| now - at >= self.config.oreq_resend)
+                            self.oreq_sent.get(t).is_none_or(|&at| now - at >= delta)
                         })
                         .collect();
                     for (token, color, n) in stale {
@@ -1187,7 +1188,7 @@ impl ReplicaNode {
                 }
             }
             Mode::Syncing(s) => {
-                if now - s.started > self.config.sync_timeout {
+                if now - s.started > 5 * self.config.delta {
                     // Stalled (peer died mid-sync): restart with a new round.
                     let init = s.init;
                     self.begin_sync(ep, init);
@@ -1249,10 +1250,11 @@ mod unit_tests {
     #[test]
     fn an_append_the_pool_cannot_take_fails_alone() {
         let net: flexlog_simnet::Network<ClusterMsg> = flexlog_simnet::Network::instant();
+        let topology = TopologyView::uniform(1, 1, 0, &[flexlog_ordering::RoleId(0)]);
         let ep = net.register(NodeId::named(NodeId::CLASS_REPLICA, 0));
         let storage = StorageConfig { pm_capacity: 64 << 10, ..StorageConfig::default() };
         let config = ReplicaConfig { storage, ..ReplicaConfig::default() };
-        let mut node = ReplicaNode::new(config, Directory::new(), TopologyView::new());
+        let mut node = ReplicaNode::new(ep.id(), config, Directory::new(), topology);
         let client = NodeId::named(NodeId::CLASS_CLIENT, 1);
         let token = |c| Token::new(FunctionId(1), c);
         let sn = |c| SeqNum::new(Epoch(1), c);

@@ -50,16 +50,17 @@ pub(crate) struct Serving {
     /// waits — for the record, for a larger SN proving a hole, or for the
     /// hold deadline (⊥).
     held_reads: Vec<HeldRead>,
-    read_hold: Duration,
+    /// How long a read parked here waits ([`crate::ReplicaConfig::hold`]).
+    pub(crate) hold: Duration,
     /// Per-node modelled busy time; registered on loop entry, when the
     /// node id is known.
     busy_ns: Option<Counter>,
 }
 
 impl Serving {
-    pub(crate) fn new(storage: Arc<StorageServer>, read_hold: Duration) -> Self {
+    pub(crate) fn new(storage: Arc<StorageServer>, hold: Duration) -> Self {
         let subs = SubTable::new(Arc::clone(&storage));
-        Serving { storage, subs, held_reads: Vec::new(), read_hold, busy_ns: None }
+        Serving { storage, subs, held_reads: Vec::new(), hold, busy_ns: None }
     }
 
     /// Loop entry: storage work runs inside this node's process, so its
@@ -116,7 +117,7 @@ impl Serving {
         let value = self.storage.get(color, sn);
         let parked = value.is_none() && sn > self.storage.tail(color).unwrap_or(SeqNum::ZERO);
         if parked {
-            let deadline = Instant::now() + self.read_hold;
+            let deadline = Instant::now() + self.hold;
             self.held_reads.push(HeldRead { from, req, color, sn, deadline });
         } else {
             // The record, or ⊥ at once: a hole, trimmed, or not on this shard.

@@ -12,11 +12,11 @@ use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
 use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, ShardId, Token};
 
 use crate::msg::{
-    AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, SubMsg, SyncMsg, TokenRecord,
+    AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, ReadMsg, SubMsg, SyncMsg, TokenRecord,
 };
 use crate::{
-    ClientConfig, ClientError, DataLayerHandle, DataLayerService, DataLayerSpec, FlexLogClient,
-    ReadReplicaConfig, ReadReplicaNode, ReplicaConfig, ShardInfo, TopologyView,
+    ClientConfig, ClientError, DataLayerHandle, DataLayerService, FlexLogClient, ReadReplicaNode,
+    ReplicaConfig, ShardInfo, TopologyView,
 };
 
 /// Shorthand: build a [`Payload`] from anything byte-like.
@@ -41,21 +41,12 @@ fn cluster(n_shards: usize, r: usize, backups: usize) -> Cluster {
     let net: Network<ClusterMsg> = Network::instant();
     let directory = Directory::new();
 
-    let mut data_spec = DataLayerSpec::uniform(n_shards, r, &[RoleId(0)]);
-    data_spec.replica = ReplicaConfig {
-        storage: StorageConfig::default(),
-        read_hold: Duration::from_millis(10),
-        oreq_resend: Duration::from_millis(100),
-        sync_timeout: Duration::from_millis(400),
-        ..Default::default()
-    };
+    let topology = TopologyView::uniform(n_shards, r, 0, &[RoleId(0)]);
     let all_shards: Vec<ShardId> = (0..n_shards as u32).map(ShardId).collect();
-    data_spec.colors = vec![
-        (ColorId::MASTER, all_shards.clone()),
-        (RED, all_shards.clone()),
-        (GREEN, all_shards),
-    ];
-    let data = DataLayerService::start(&net, &directory, &data_spec);
+    for color in [ColorId::MASTER, RED, GREEN] {
+        topology.set_color_shards(color, all_shards.clone());
+    }
+    let data = DataLayerService::start(&net, &directory, topology, ReplicaConfig::default());
 
     let mut tree = TreeSpec::single(&[ColorId::MASTER, RED, GREEN]);
     tree.backups_per_position = backups;
@@ -854,8 +845,7 @@ fn scripted_follower() -> ScriptedFollower {
         read_replicas: vec![follower],
     });
     topology.set_color_shards(RED, vec![ShardId(0)]);
-    let config = ReadReplicaConfig { quorum: vec![source.id()], ..Default::default() };
-    let node = ReadReplicaNode::new(config, topology);
+    let node = ReadReplicaNode::new(follower, &ReplicaConfig::default(), topology);
     let storage = node.storage();
     let ep = net.register(follower);
     let thread = std::thread::spawn(move || node.run(ep));
@@ -1005,9 +995,9 @@ fn recovered_beside_scripted_peer(
     for (token, sn, payload) in own {
         assert!(storage.import(RED, *sn, *token, payload).unwrap());
     }
-    let config = ReplicaConfig { peers: vec![peer.id()], ..Default::default() };
-    let directory = Directory::new();
-    let replica = crate::ReplicaNode::recovered(config, directory, topology, Arc::clone(&storage));
+    let (config, directory) = (ReplicaConfig::default(), Directory::new());
+    let replica =
+        crate::ReplicaNode::recovered(node, config, directory, topology, Arc::clone(&storage));
     let ep = net.register(node);
     let thread = std::thread::spawn(move || replica.run(ep));
     (net, peer, node, storage, thread)
@@ -1119,10 +1109,10 @@ fn sync_takes_what_a_shorter_peer_alone_holds() {
 
 // ----- the order plane against a scripted sequencer ---------------------------
 
-/// A lone replica of shard 0 whose leaf sequencer is a scripted endpoint.
-/// The replica's endpoint is registered but its thread not yet started, so
-/// whatever is sent to it before [`ScriptedOrder::start`] arrives as one
-/// burst.
+/// A replica whose leaf sequencer is a scripted endpoint — by default the
+/// lone replica of shard 0, under role 0. The replica's endpoint is
+/// registered but its thread not yet started, so whatever is sent to it
+/// before [`ScriptedOrder::start`] arrives as one burst.
 struct ScriptedOrder {
     net: Network<ClusterMsg>,
     node: NodeId,
@@ -1133,14 +1123,24 @@ struct ScriptedOrder {
 }
 
 fn scripted_order() -> ScriptedOrder {
-    let net: Network<ClusterMsg> = Network::instant();
+    let topology = TopologyView::uniform(1, 1, 0, &[RoleId(0)]);
     let node = NodeId::named(NodeId::CLASS_REPLICA, 0);
+    scripted_order_at(topology, node, RoleId(0), ReplicaConfig::default())
+}
+
+/// Replica `node` of `topology`, whose `leaf` is the scripted sequencer.
+fn scripted_order_at(
+    topology: TopologyView,
+    node: NodeId,
+    leaf: RoleId,
+    config: ReplicaConfig,
+) -> ScriptedOrder {
+    let net: Network<ClusterMsg> = Network::instant();
     let sequencer = net.register(NodeId::named(NodeId::CLASS_SEQUENCER, 0));
     let directory = Directory::new();
-    directory.set(RoleId(0), sequencer.id());
-    let config = ReplicaConfig::default();
+    directory.set(leaf, sequencer.id());
     let obs = config.storage.obs.clone();
-    let replica = crate::ReplicaNode::new(config, directory, TopologyView::new());
+    let replica = crate::ReplicaNode::new(node, config, directory, topology);
     let ep = net.register(node);
     ScriptedOrder { net, node, sequencer, obs, replica: Some((replica, ep)), thread: None }
 }
@@ -1168,13 +1168,18 @@ impl ScriptedOrder {
 
     /// The token of the next OReq within `wait`.
     fn next_oreq(&self, wait: Duration) -> Option<Token> {
+        self.next_oreq_from(wait).map(|(token, _)| token)
+    }
+
+    /// The token of the next OReq within `wait`, and the shard it names.
+    fn next_oreq_from(&self, wait: Duration) -> Option<(Token, Vec<NodeId>)> {
         use flexlog_ordering::{OrderMsg, OrderWire as _};
         let deadline = Instant::now() + wait;
         loop {
             let left = deadline.checked_duration_since(Instant::now())?;
             let (_, msg) = self.sequencer.recv_timeout(left).ok()?;
-            if let Some(OrderMsg::OReq { token, .. }) = msg.into_order() {
-                return Some(token);
+            if let Some(OrderMsg::OReq { token, shard, .. }) = msg.into_order() {
+                return Some((token, shard));
             }
         }
     }
@@ -1271,6 +1276,67 @@ fn a_wake_stages_and_commits_in_one_transaction_and_acks_each_client_once() {
         let ordered = seq(staged).is_some() && seq(staged) < seq(committed);
         assert!(ordered, "token {c}: {}", trace.render());
     }
+    o.shutdown();
+}
+
+/// A replica is configured with nothing but storage, Δ and the registry: its
+/// shard, its peers and its leaf come from the topology. Replica 2 of a
+/// layout whose second shard (replicas 2 and 3) hangs under role 3 sends its
+/// OReq to role 3's node, naming that shard; it answers `InitSequencer` for
+/// role 3 only, and syncs with replica 3 alone.
+#[test]
+fn a_replica_reads_its_shard_peers_and_leaf_from_the_topology() {
+    let topology = TopologyView::uniform(2, 2, 0, &[RoleId(0), RoleId(3)]);
+    let replica = |i| NodeId::named(NodeId::CLASS_REPLICA, i);
+    let mut o = scripted_order_at(topology, replica(2), RoleId(3), ReplicaConfig::default());
+    let peer = o.net.register(replica(3));
+    let (others, client) =
+        (o.net.register(replica(1)), o.net.register(NodeId::named(NodeId::CLASS_CLIENT, 1)));
+    o.start();
+
+    o.append(&client, 1);
+    let oreq = o.next_oreq_from(Duration::from_secs(5));
+    assert_eq!(oreq, Some((Token::new(FunctionId(1), 1), vec![replica(2), replica(3)])));
+
+    use flexlog_ordering::{OrderMsg, OrderWire as _};
+    let init = |role| ClusterMsg::from_order(OrderMsg::InitSequencer { role, epoch: Epoch(2) });
+    o.sequencer.send(o.node, init(RoleId(0))).unwrap();
+    assert!(peer.recv_timeout(Duration::from_millis(50)).is_err(), "role 0 is not its leaf");
+    o.sequencer.send(o.node, init(RoleId(3))).unwrap();
+    let (_, msg) = peer.recv_timeout(Duration::from_secs(5)).expect("a sync request");
+    assert!(matches!(msg.into_data(), Some(DataMsg::Sync(SyncMsg::SyncRequest { .. }))));
+    assert!(others.recv_timeout(Duration::from_millis(50)).is_err(), "shard 0 is not a peer");
+    o.shutdown();
+}
+
+/// One Δ times the layer: with Δ = 60 ms a read above the tail is held
+/// Δ/10 before ⊥, and an unanswered OReq is resent once Δ has passed — not
+/// before.
+#[test]
+fn one_delta_times_the_hold_and_the_oreq_resend() {
+    let delta = Duration::from_millis(60);
+    let topology = TopologyView::uniform(1, 1, 0, &[RoleId(0)]);
+    let node = NodeId::named(NodeId::CLASS_REPLICA, 0);
+    let config = ReplicaConfig { delta, ..ReplicaConfig::default() };
+    let mut o = scripted_order_at(topology, node, RoleId(0), config);
+    let client = o.net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
+    o.start();
+
+    let asked = Instant::now();
+    client.send(node, ReadMsg::Read { color: RED, sn: sn(5), req: 7 }.into()).unwrap();
+    let (_, msg) = client.recv_timeout(Duration::from_secs(5)).expect("a read response");
+    let held = asked.elapsed();
+    let bottom = ReadMsg::ReadResp { req: 7, value: None };
+    assert_eq!(msg.into_data(), Some(DataMsg::Read(bottom)));
+    assert!(held >= delta / 10, "answered ⊥ after {held:?}, inside the hold");
+
+    o.append(&client, 1);
+    let token = Token::new(FunctionId(1), 1);
+    assert_eq!(o.next_oreq(Duration::from_secs(5)), Some(token));
+    let sent = Instant::now();
+    assert_eq!(o.next_oreq(Duration::from_secs(5)), Some(token), "resent");
+    let silence = sent.elapsed();
+    assert!(silence >= delta, "resent after {silence:?}, inside Δ");
     o.shutdown();
 }
 

@@ -1,10 +1,12 @@
 //! Shared topology view: shards, their replicas and leaf sequencers, and
-//! the color → shards mapping.
+//! the color → shards mapping — the one description of the data layer.
 //!
 //! Clients need to know which shards serve a color (appends pick a random
 //! one, reads contact one replica of each, §5.1); replicas executing
 //! multi-color appends act as clients themselves (Algorithm 2). Both resolve
-//! through this shared view. `AddColor` updates it at runtime.
+//! through this shared view. A node reads its own shard, its peers and its
+//! leaf from it ([`TopologyView::shard_of`]); the data layer spawns every
+//! node it lists. `AddColor` and scale-out update it at runtime.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -67,9 +69,45 @@ impl TopologyView {
         TopologyView::default()
     }
 
+    /// `n_shards` shards of `r` replicas and `read_replicas` read-only
+    /// replicas each, attached to `leaves` round-robin. Serves no color yet.
+    pub fn uniform(n_shards: usize, r: usize, read_replicas: usize, leaves: &[RoleId]) -> Self {
+        let t = TopologyView::new();
+        let mut next = 0..;
+        for i in 0..n_shards {
+            let shard = t.new_shard(r, leaves[i % leaves.len()]).id;
+            for index in next.by_ref().take(read_replicas) {
+                t.add_read_replica(shard, NodeId::named(NodeId::CLASS_READ_REPLICA, index));
+            }
+        }
+        t
+    }
+
     /// Registers a shard.
     pub fn add_shard(&self, info: ShardInfo) {
         self.inner.write().shards.insert(info.id, info);
+    }
+
+    /// Registers a new shard of `r` replicas under `leaf`, with the next
+    /// free shard id and the next free replica node ids, and returns it.
+    pub fn new_shard(&self, r: usize, leaf: RoleId) -> ShardInfo {
+        let mut inner = self.inner.write();
+        let shards = inner.shards.values();
+        let id = ShardId(shards.clone().map(|s| s.id.0 + 1).max().unwrap_or(0));
+        let next = shards.flat_map(|s| &s.replicas).map(|n| n.index() + 1).max().unwrap_or(0);
+        let replicas = (next..next + r as u64)
+            .map(|i| NodeId::named(NodeId::CLASS_REPLICA, i))
+            .collect();
+        let info = ShardInfo { id, replicas, leaf, read_replicas: Vec::new() };
+        inner.shards.insert(id, info.clone());
+        info
+    }
+
+    /// The shard `node` is a replica or a read replica of.
+    pub fn shard_of(&self, node: NodeId) -> Option<ShardInfo> {
+        let inner = self.inner.read();
+        let mut shards = inner.shards.values();
+        shards.find(|s| s.replicas.contains(&node) || s.read_replicas.contains(&node)).cloned()
     }
 
     /// Attaches a read-only replica to an existing shard.
@@ -190,6 +228,27 @@ mod tests {
         t.remove_read_replica(ShardId(1), NodeId(900));
         let s = t.shard(ShardId(1)).unwrap();
         assert_eq!(s.read_targets(), &s.replicas[..]);
+    }
+
+    /// Shards and their nodes take consecutive ids, whether laid out at
+    /// start or added at runtime, and every node finds its shard.
+    #[test]
+    fn a_layout_numbers_its_nodes_and_each_node_finds_its_shard() {
+        let t = TopologyView::uniform(2, 3, 1, &[RoleId(1), RoleId(2)]);
+        let added = t.new_shard(2, RoleId(1));
+        let replica = |i| NodeId::named(NodeId::CLASS_REPLICA, i);
+        let read_replica = |i| NodeId::named(NodeId::CLASS_READ_REPLICA, i);
+        let shards = t.all_shards();
+        assert_eq!(shards.len(), 3);
+        assert_eq!(shards[1].replicas, [replica(3), replica(4), replica(5)]);
+        assert_eq!(shards[1].leaf, RoleId(2));
+        assert_eq!(shards[1].read_replicas, [read_replica(1)]);
+        assert_eq!(added, shards[2]);
+        assert_eq!(added.id, ShardId(2));
+        assert_eq!(added.replicas, [replica(6), replica(7)]);
+        assert_eq!(t.shard_of(replica(4)).map(|s| s.id), Some(ShardId(1)));
+        assert_eq!(t.shard_of(read_replica(0)).map(|s| s.id), Some(ShardId(0)));
+        assert_eq!(t.shard_of(replica(8)), None);
     }
 
     #[test]

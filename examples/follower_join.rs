@@ -107,7 +107,7 @@ fn run(scenario: Scenario) -> Outcome {
             Scenario::ReadReplicaJoin => {
                 let shard = cluster.data().topology.shards_of(COLOR)[0].id;
                 let node = cluster.add_read_replica(shard);
-                let storage = cluster.data().read_storage_of(node).expect("the new follower");
+                let storage = cluster.data().storage_of(node).expect("the new follower");
                 while storage.record_count(COLOR) < PRELOAD && started.elapsed() < LEVEL_CAP {
                     std::thread::sleep(Duration::from_millis(2));
                 }

@@ -199,7 +199,7 @@ fn read_replica_adopts_trim_on_every_followed_color() {
     }
 
     let rr = c.data().read_replicas()[0];
-    let storage = c.data().read_storage_of(rr).unwrap();
+    let storage = c.data().storage_of(rr).unwrap();
     let t0 = std::time::Instant::now();
     while cuts.iter().any(|&(color, cut)| storage.head(color) != Some(cut)) {
         assert!(
@@ -237,7 +237,7 @@ fn read_replica_survives_crash_and_subscribers_reattach() {
     // Kill the read replica mid-stream. The client's silence detector must
     // re-attach the stream to the quorum and deliver the rest exactly once.
     let rr = c.data().read_replicas()[0];
-    c.data().crash_read_replica(c.network(), rr);
+    c.data().crash_replica(c.network(), rr);
     for i in 0..10 {
         writer.append(format!("post{i}").as_bytes(), RED).unwrap();
     }
@@ -247,7 +247,7 @@ fn read_replica_survives_crash_and_subscribers_reattach() {
     assert_matches_pull(&mut writer, RED, &all);
 
     // And a restarted read replica resumes pulling + serving.
-    c.data().restart_read_replica(c.network(), rr);
+    c.data().restart_replica(c.network(), c.directory(), rr);
     for i in 10..15 {
         writer.append(format!("post{i}").as_bytes(), RED).unwrap();
     }
