@@ -1,17 +1,16 @@
 //! Whole-deployment assembly and fault injection.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use flexlog_obs::{ObsHandle, Trace};
 use flexlog_ordering::{
-    ColorRegistry, Directory, OrderingHandle, OrderingService, RoleId, TreeSpec,
+    Catalog, Change, Directory, OrderingHandle, OrderingService, RoleId, TreeSpec,
 };
 use flexlog_replication::{
     ClientConfig, ClusterMsg, DataLayerHandle, DataLayerService, FlexLogClient, ReplicaConfig,
-    ShardInfo, TopologyView,
+    ShardInfo,
 };
 use flexlog_pm::{PmDevice, PmDeviceConfig, PmPool};
 use flexlog_simnet::{NetConfig, Network, NodeId};
@@ -100,7 +99,6 @@ pub struct FlexLogCluster {
     spec: ClusterSpec,
     next_client: AtomicU64,
     obs: ObsHandle,
-    registry: ColorRegistry,
     /// The controller's durable PM device, surfaced as a shared pool. It
     /// models hardware that outlives any one controller process: a
     /// controller crash kills the controller's *node* (and its volatile
@@ -124,27 +122,28 @@ impl FlexLogCluster {
         net.attach_obs(&obs);
         let directory = Directory::new();
 
-        // The one ownership table: sequencers order by it, replicas route by it.
-        let registry = ColorRegistry::new();
-
-        // --- data layer -------------------------------------------------
+        // --- catalog ------------------------------------------------------
+        // The one description of the deployment: sequencers order by it,
+        // replicas find their shard and route OReqs by it, clients route
+        // by it. A leaf's region is its own shards, the root's every shard;
+        // the master region is owned by the root and stored anywhere.
         let leaf_roles: Vec<RoleId> = if spec.leaves == 0 {
             vec![RoleId(0)]
         } else {
             (1..=spec.leaves as u32).map(RoleId).collect()
         };
-        let topology = TopologyView::uniform(
+        let catalog = Catalog::uniform(
             spec.shards_per_leaf * leaf_roles.len(),
             spec.replication_factor,
             spec.read_replicas_per_shard,
             &leaf_roles,
         );
-        let replica = ReplicaConfig {
-            storage: spec.storage.clone(),
-            delta: spec.delta,
-            registry: registry.clone(),
-        };
-        let data = DataLayerService::start(&net, &directory, topology, replica);
+        let master = Change::PlaceColor { color: ColorId::MASTER, role: RoleId(0) };
+        catalog.apply(master).expect("the master region of a fresh catalog");
+
+        // --- data layer -------------------------------------------------
+        let replica = ReplicaConfig { storage: spec.storage.clone(), delta: spec.delta };
+        let data = DataLayerService::start(&net, &directory, catalog.clone(), replica);
 
         // --- ordering layer ----------------------------------------------
         let mut tree = if spec.leaves == 0 {
@@ -152,7 +151,7 @@ impl FlexLogCluster {
         } else {
             TreeSpec::root_and_leaves(&[], &vec![Vec::new(); spec.leaves])
         };
-        tree.registry = registry.clone();
+        tree.catalog = catalog.clone();
         tree.obs = obs.clone();
         tree.backups_per_position = spec.backups_per_sequencer;
         tree.batch_interval = spec.batch_interval;
@@ -166,26 +165,6 @@ impl FlexLogCluster {
             directory.clone(),
         );
 
-        // --- colors -------------------------------------------------------
-        // Region shards: a leaf's region = its own shards; the root's
-        // region = every shard.
-        let mut region_shards: HashMap<RoleId, Vec<ShardId>> = HashMap::new();
-        let all: Vec<ShardId> = data.topology.all_shards().iter().map(|s| s.id).collect();
-        region_shards.insert(RoleId(0), all.clone());
-        for role in &leaf_roles {
-            let shards: Vec<ShardId> = data
-                .topology
-                .all_shards()
-                .iter()
-                .filter(|s| s.leaf == *role)
-                .map(|s| s.id)
-                .collect();
-            region_shards.insert(*role, shards);
-        }
-        let admin = ColorAdmin::new(registry.clone(), data.topology.clone(), region_shards);
-        // Master region: owned by the root, stored anywhere.
-        admin.register_master(RoleId(0), all);
-
         let ctrl_wal = Arc::new(PmPool::create(Arc::new(PmDevice::new(PmDeviceConfig {
             capacity: 256 * 1024,
             ..Default::default()
@@ -193,13 +172,12 @@ impl FlexLogCluster {
         FlexLogCluster {
             net,
             directory,
-            admin,
+            admin: ColorAdmin::new(catalog),
             data,
             ordering,
             spec,
             next_client: AtomicU64::new(1),
             obs,
-            registry,
             ctrl_wal,
             ctrl_gen: AtomicU64::new(0),
             ctrl_killed: AtomicU64::new(0),
@@ -284,26 +262,19 @@ impl FlexLogCluster {
         }
     }
 
-    /// The shared ownership table: who orders each color (asked by
-    /// sequencers on every flush) and where its OReqs enter (asked by
-    /// replicas on every OReq); rewritten by leaf splits.
-    pub fn registry(&self) -> &ColorRegistry {
-        &self.registry
+    /// The cluster's catalog: every color's parent, owner, entry role and
+    /// shards, and every shard's nodes. [`Catalog::apply`] is its one
+    /// writer.
+    pub fn catalog(&self) -> &Catalog {
+        &self.data.topology
     }
 
     /// Elastic scale-out: spawns a brand-new shard of
-    /// `replication_factor` replicas attached to `leaf`, records it in the
-    /// leaf's (and the root's) region, and returns it. The shard serves no
+    /// `replication_factor` replicas attached to `leaf` (it joins the
+    /// leaf's and the root's region) and returns it. The shard serves no
     /// colors until one is created there or migrated in.
     pub fn add_shard(&self, leaf: RoleId) -> ShardInfo {
-        let info = self
-            .data
-            .add_shard(&self.net, &self.directory, leaf, self.spec.replication_factor);
-        self.admin.add_region_shard(leaf, info.id);
-        if leaf != RoleId(0) {
-            self.admin.add_region_shard(RoleId(0), info.id);
-        }
-        info
+        self.data.add_shard(&self.net, &self.directory, leaf, self.spec.replication_factor)
     }
 
     /// Attaches one more read-only replica to `shard` at runtime and
@@ -314,7 +285,7 @@ impl FlexLogCluster {
 
     /// Spawns a brand-new leaf sequencer under `parent` at `epoch`
     /// (sequencer-tree split). The caller (control plane) is responsible
-    /// for re-homing colors to it in the registry.
+    /// for re-homing colors to it in the catalog.
     pub fn spawn_leaf_sequencer(&self, role: RoleId, parent: RoleId, epoch: Epoch) -> NodeId {
         self.ordering.spawn_leaf(&self.net, role, parent, epoch)
     }

@@ -8,9 +8,10 @@
 //! * [`FlexLog`] is the per-function client handle implementing the
 //!   FlexLog-API of Table 2: `Append`, `Read`, `Subscribe`, `Trim`,
 //!   `AddColor`, plus the atomic [`FlexLog::multi_append`] of §6.4.
-//! * [`ColorAdmin`] maintains the color hierarchy (region tree): a new
-//!   color is ordered by the sequencer owning its parent and stored on the
-//!   shards of that region.
+//! * [`ColorAdmin`] is Table 2's `AddColor` over the cluster's [`Catalog`],
+//!   which holds the color hierarchy (region tree): a new color is ordered
+//!   by the sequencer owning its parent and stored on the shards of that
+//!   region.
 //! * [`MessageQueue`] is the paper's Listing-1 example — a durable queue
 //!   between serverless functions built from one color.
 //! * [`Barrier`] and [`DistributedLock`] are the §5.1 coordination recipes
@@ -33,7 +34,7 @@ mod primitives;
 mod queue;
 
 pub use cluster::{ClusterSpec, FlexLogCluster};
-pub use colors::{ColorAdmin, ColorError};
+pub use colors::ColorAdmin;
 pub use durable::DurableMap;
 pub use handle::FlexLog;
 pub use primitives::{Barrier, DistributedLock, LockError};
@@ -44,6 +45,7 @@ pub use flexlog_obs::{
     HistogramSummary, ObsHandle, Snapshot, Stage, Trace, TraceEvent, CTRL_TOKEN, SUB_TOKEN,
     SYNC_TOKEN,
 };
+pub use flexlog_ordering::{Catalog, ColorError};
 pub use flexlog_replication::{ClientError, ClusterMsg, Subscription};
 pub use flexlog_types::{ColorId, CommittedRecord, Epoch, FunctionId, SeqNum, Token};
 

@@ -194,7 +194,7 @@ impl<'a> Autoscaler<'a> {
             && wait_p99 >= self.config.split_wait_p99_ns
         {
             if let Some(leaf) = self.busiest_splittable_leaf(&rates) {
-                let donor_colors = self.plane.cluster().registry().owned_by(leaf);
+                let donor_colors = self.plane.cluster().catalog().owned_by(leaf);
                 let moved = donor_colors[donor_colors.len() / 2..].to_vec();
                 let (new_role, _) = self.plane.split_leaf_moving(leaf, &moved)?;
                 actions.push(ScalingAction::SplitLeaf {
@@ -213,7 +213,7 @@ impl<'a> Autoscaler<'a> {
     fn pressured_shard(&mut self) -> Option<flexlog_replication::ShardInfo> {
         let cluster = self.plane.cluster();
         let data = cluster.data();
-        for shard in data.topology.all_shards() {
+        for shard in cluster.catalog().all_shards() {
             let worst = shard
                 .replicas
                 .iter()
@@ -230,29 +230,21 @@ impl<'a> Autoscaler<'a> {
 
     /// The highest-rate color currently mapped to `shard`.
     fn hottest_color_on(&mut self, shard: ShardId, rates: &HashMap<ColorId, f64>) -> Option<ColorId> {
-        let topology = &self.plane.cluster().data().topology;
-        topology
-            .colors()
-            .into_iter()
-            .filter(|&c| topology.shards_of(c).iter().any(|s| s.id == shard))
-            .max_by(|&a, &b| {
-                let ra = rates.get(&a).copied().unwrap_or(0.0);
-                let rb = rates.get(&b).copied().unwrap_or(0.0);
-                ra.total_cmp(&rb)
-            })
+        let colors = self.plane.cluster().catalog().colors_on(shard);
+        colors.into_iter().max_by(|&a, &b| {
+            let ra = rates.get(&a).copied().unwrap_or(0.0);
+            let rb = rates.get(&b).copied().unwrap_or(0.0);
+            ra.total_cmp(&rb)
+        })
     }
 
     /// If `color` shares every one of its shards with at least
     /// `min_cohabitants` other colors, returns one such (shard, leaf).
     fn crowded_shard_of(&mut self, color: ColorId) -> Option<(ShardId, RoleId)> {
-        let topology = &self.plane.cluster().data().topology;
-        let all_colors = topology.colors();
-        for shard in topology.shards_of(color) {
-            let cohabitants = all_colors
-                .iter()
-                .filter(|&&c| c != color)
-                .filter(|&&c| topology.shards_of(c).iter().any(|s| s.id == shard.id))
-                .count();
+        let catalog = self.plane.cluster().catalog();
+        for shard in catalog.shards_of(color) {
+            // `colors_on` lists `color` itself too.
+            let cohabitants = catalog.colors_on(shard.id).len().saturating_sub(1);
             if cohabitants >= self.config.min_cohabitants {
                 return Some((shard.id, shard.leaf));
             }
@@ -265,7 +257,7 @@ impl<'a> Autoscaler<'a> {
         let roles = self.plane.cluster().ordering().roles();
         let mut best: Option<(f64, RoleId)> = None;
         for role in roles {
-            let owned = self.plane.cluster().registry().owned_by(role);
+            let owned = self.plane.cluster().catalog().owned_by(role);
             if owned.len() < 2 {
                 continue;
             }

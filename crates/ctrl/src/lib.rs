@@ -9,10 +9,11 @@
 //! configuration are rejected and retried against the new one):
 //!
 //! * **Runtime color create / destroy** — [`ControlPlane::create_color`]
-//!   and [`ControlPlane::destroy_color`]. Creation is a metadata operation
-//!   (registry + topology); destruction fences every hosting replica with
-//!   a `Drop` command before the mappings are forgotten, so a client holding a
-//!   stale route gets a terminal `Dropped` nack instead of silence.
+//!   and [`ControlPlane::destroy_color`]. Creation is one catalog change;
+//!   destruction drops the color from the catalog — its sequencer stops
+//!   ordering it and clients stop routing to it in that one write — then
+//!   fences every replica that hosted it with a `Drop` command, so a client
+//!   holding a stale route gets a terminal `Dropped` nack instead of silence.
 //! * **Shard scale-out with color migration** —
 //!   [`ControlPlane::add_shard`] plus [`ControlPlane::migrate_color`]:
 //!   freeze → drain-staged → epoch bump → copy (trim-aware span transfer

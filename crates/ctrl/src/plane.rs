@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use flexlog_core::{ColorError, FlexLogCluster};
 use flexlog_obs::{Counter, Stage, CTRL_TOKEN};
-use flexlog_ordering::{OrderMsg, RoleId};
+use flexlog_ordering::{Change, OrderMsg, RoleId};
 use flexlog_replication::{ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, ShardInfo, SyncMsg};
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
 use flexlog_types::{ColorId, Epoch, ShardId};
@@ -256,8 +256,7 @@ impl<'a> ControlPlane<'a> {
     fn hello(&mut self) {
         let mut nodes: Vec<NodeId> = self
             .cluster
-            .data()
-            .topology
+            .catalog()
             .all_shards()
             .iter()
             .flat_map(|s| s.replicas.clone())
@@ -342,8 +341,8 @@ impl<'a> ControlPlane<'a> {
     /// Finishes a migration whose predecessor died past the point of no
     /// return: re-issues adopt and cutover (idempotent on the replicas)
     /// and publishes the route. The WAL's `Begin` record supplies the
-    /// source list — the crashed controller may already have rewritten
-    /// the topology.
+    /// source list — the crashed controller may already have moved the
+    /// color in the catalog.
     fn roll_forward_migration(
         &mut self,
         op: u64,
@@ -353,8 +352,7 @@ impl<'a> ControlPlane<'a> {
     ) -> Result<Recovered, CtrlError> {
         let dest_info = self
             .cluster
-            .data()
-            .topology
+            .catalog()
             .shard(dest)
             .ok_or(CtrlError::UnknownShard(dest))?;
         self.ctrl_round(
@@ -362,13 +360,10 @@ impl<'a> ControlPlane<'a> {
             CtrlCmd::Adopt(color),
             "recover-adopt",
         )?;
-        self.cluster
-            .data()
-            .topology
-            .set_color_shards(color, vec![dest]);
+        self.cluster.catalog().apply(Change::MoveColor { color, dest })?;
         let src_nodes: Vec<NodeId> = sources
             .iter()
-            .filter_map(|&s| self.cluster.data().topology.shard(s))
+            .filter_map(|&s| self.cluster.catalog().shard(s))
             .flat_map(|s| s.replicas)
             .collect();
         if !src_nodes.is_empty() {
@@ -398,11 +393,11 @@ impl<'a> ControlPlane<'a> {
     ) -> Result<Recovered, CtrlError> {
         let src_nodes: Vec<NodeId> = sources
             .iter()
-            .filter_map(|&s| self.cluster.data().topology.shard(s))
+            .filter_map(|&s| self.cluster.catalog().shard(s))
             .flat_map(|s| s.replicas)
             .collect();
         self.abort_unfreeze(&src_nodes, color);
-        if let Some(dest_info) = self.cluster.data().topology.shard(dest) {
+        if let Some(dest_info) = self.cluster.catalog().shard(dest) {
             self.ctrl_round(
                 &dest_info.replicas,
                 CtrlCmd::Discard(color),
@@ -414,10 +409,10 @@ impl<'a> ControlPlane<'a> {
     }
 
     /// Resolves an in-flight leaf split. Forward iff the new leaf is live
-    /// in the directory (the spawn is the split's point of no return —
-    /// re-homing colors in the registry is pure idempotent metadata);
-    /// otherwise nothing observable happened and the intent aborts after
-    /// making sure no color points at the ghost role.
+    /// in the directory (the spawn is the split's point of no return — the
+    /// catalog's `Split` is idempotent metadata); otherwise nothing
+    /// observable happened and the intent aborts after the swapped `Split`
+    /// makes sure no color points at the ghost role.
     fn recover_split(
         &mut self,
         op: u64,
@@ -425,21 +420,15 @@ impl<'a> ControlPlane<'a> {
         new_role: RoleId,
         moved: &[ColorId],
     ) -> Result<Recovered, CtrlError> {
+        let moved = moved.to_vec();
         if self.cluster.directory().get(new_role).is_some() {
-            let region = self.cluster.colors().region_of(donor);
-            self.cluster.colors().set_region(new_role, region);
-            for &c in moved {
-                self.cluster.registry().rehome(c, new_role);
-            }
+            self.cluster.catalog().apply(Change::Split { donor, new_role, moved })?;
             self.leaf_splits.add(1);
             self.wal.commit(op);
             Ok(Recovered::Forward)
         } else {
-            for &c in moved {
-                if self.cluster.registry().owner(c) == Some(new_role) {
-                    self.cluster.registry().rehome(c, donor);
-                }
-            }
+            let back = Change::Split { donor: new_role, new_role: donor, moved };
+            self.cluster.catalog().apply(back)?;
             self.wal.abort(op);
             Ok(Recovered::Back)
         }
@@ -454,30 +443,26 @@ impl<'a> ControlPlane<'a> {
     // ----- color create / destroy ---------------------------------------
 
     /// Creates `color` as a sub-region of `parent` at runtime. Purely a
-    /// metadata operation: sequencers consult the shared registry on every
-    /// flush and clients re-resolve routes from the shared topology, so
-    /// the color is appendable the moment this returns.
+    /// metadata operation: sequencers consult the catalog on every flush
+    /// and clients re-resolve routes from it, so the color is appendable
+    /// the moment this returns.
     pub fn create_color(&mut self, color: ColorId, parent: ColorId) -> Result<(), CtrlError> {
         self.cluster.colors().add_color(color, parent)?;
         self.colors_created.add(1);
         Ok(())
     }
 
-    /// Destroys `color`: fences every hosting replica (subsequent appends
-    /// nack with `Dropped`, a terminal client error), then forgets the
-    /// registry and topology mappings.
+    /// Destroys `color`: drops it from the catalog — in that one write its
+    /// sequencer stops ordering it and clients stop routing to it — then
+    /// fences every replica that hosted it (appends still in flight there
+    /// nack with `Dropped`, a terminal client error).
     pub fn destroy_color(&mut self, color: ColorId) -> Result<(), CtrlError> {
-        let shards = self.cluster.data().topology.shards_of(color);
-        // Registry first: the owning sequencer stops issuing SNs for it.
-        self.cluster.colors().remove_color(color)?;
+        let shards = self.cluster.catalog().shards_of(color);
+        self.cluster.catalog().apply(Change::DropColor { color })?;
         let nodes: Vec<NodeId> = shards.iter().flat_map(|s| s.replicas.clone()).collect();
         if !nodes.is_empty() {
             self.ctrl_round(&nodes, CtrlCmd::Drop(color), "drop")?;
         }
-        self.cluster
-            .data()
-            .topology
-            .set_color_shards(color, Vec::new());
         self.colors_destroyed.add(1);
         Ok(())
     }
@@ -529,16 +514,15 @@ impl<'a> ControlPlane<'a> {
         if !self.cluster.colors().exists(color) {
             return Err(CtrlError::UnknownColor(color));
         }
-        let topology = &self.cluster.data().topology;
-        let dest_info = topology.shard(dest).ok_or(CtrlError::UnknownShard(dest))?;
-        let sources: Vec<ShardInfo> = topology
+        let catalog = self.cluster.catalog();
+        let dest_info = catalog.shard(dest).ok_or(CtrlError::UnknownShard(dest))?;
+        let sources: Vec<ShardInfo> = catalog
             .shards_of(color)
             .into_iter()
             .filter(|s| s.id != dest)
             .collect();
         if sources.is_empty() {
             // Already exactly where it should be.
-            topology.set_color_shards(color, vec![dest]);
             return Ok(());
         }
         let src_nodes: Vec<NodeId> = sources.iter().flat_map(|s| s.replicas.clone()).collect();
@@ -610,8 +594,7 @@ impl<'a> ControlPlane<'a> {
         }
         let nodes: Vec<NodeId> = self
             .cluster
-            .data()
-            .topology
+            .catalog()
             .shards_of(color)
             .into_iter()
             .flat_map(|s| s.replicas)
@@ -716,7 +699,7 @@ impl<'a> ControlPlane<'a> {
         // larger than every pre-migration SN (SN = epoch ‖ counter).
         let owner = self
             .cluster
-            .registry()
+            .catalog()
             .owner(color)
             .ok_or(CtrlError::UnknownColor(color))?;
         self.bump_epoch(owner)?;
@@ -753,13 +736,11 @@ impl<'a> ControlPlane<'a> {
         )?;
         self.wal_phase(op, CtrlPhase::Adopted)?;
 
-        // Phase 6: cutover. Publish the new route first, then tell the
-        // sources to nack with `ColorMoved` — a client bounced by a source
-        // re-resolves and finds the destination already serving.
-        self.cluster
-            .data()
-            .topology
-            .set_color_shards(color, vec![dest.id]);
+        // Phase 6: cutover. Publish the new route first — one catalog
+        // write — then tell the sources to nack with `ColorMoved`: a client
+        // bounced by a source re-resolves and finds the destination
+        // already serving.
+        self.cluster.catalog().apply(Change::MoveColor { color, dest: dest.id })?;
         self.ctrl_round(
             src_nodes,
             CtrlCmd::Cutover(color),
@@ -776,7 +757,7 @@ impl<'a> ControlPlane<'a> {
     /// half of `hot`'s colors (the later half in color order) to it.
     /// Returns the new leaf's role.
     pub fn split_leaf(&mut self, hot: RoleId) -> Result<RoleId, CtrlError> {
-        let colors = self.cluster.registry().owned_by(hot);
+        let colors = self.cluster.catalog().owned_by(hot);
         if colors.len() < 2 {
             return Err(CtrlError::NothingToSplit(hot));
         }
@@ -825,16 +806,13 @@ impl<'a> ControlPlane<'a> {
             .spawn_leaf_sequencer(new_role, RoleId(0), donor_epoch.next());
         // The spawn is the split's point of no return: a crash after this
         // record rolls forward (the leaf is live in the directory and the
-        // remaining steps are idempotent metadata).
+        // remaining step is idempotent metadata).
         self.wal_phase(op, CtrlPhase::Fenced)?;
-        // The new leaf orders over the same shards the donor did.
-        let region = self.cluster.colors().region_of(hot);
-        self.cluster.colors().set_region(new_role, region);
-        for &c in moved {
-            // One write: the donor stops assigning and the replicas send the
-            // color's OReqs to the new leaf from the same moment.
-            self.cluster.registry().rehome(c, new_role);
-        }
+        // One catalog write: the new leaf orders over the donor's region,
+        // the donor stops assigning the moved colors and the replicas send
+        // their OReqs to the new leaf, all from the same moment.
+        let split = Change::Split { donor: hot, new_role, moved: moved.to_vec() };
+        self.cluster.catalog().apply(split)?;
         self.leaf_splits.add(1);
         self.wal.commit(op);
         Ok((new_role, donor_epoch))

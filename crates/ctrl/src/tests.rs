@@ -5,12 +5,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use flexlog_core::{ClientError, ClusterSpec, FlexLog, FlexLogCluster};
-use flexlog_ordering::RoleId;
+use flexlog_ordering::{Change, RoleId};
 use flexlog_replication::{AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, RejectReason};
 use flexlog_simnet::{Endpoint, NodeId};
 use flexlog_types::{ColorId, Payload, SeqNum, Token};
 
-use crate::{Autoscaler, AutoscalerConfig, ControlPlane, CtrlError, CtrlPhase, ScalingAction};
+use crate::{
+    Autoscaler, AutoscalerConfig, ControlPlane, CtrlError, CtrlPhase, ScalingAction, TieringConfig,
+    TieringEngine,
+};
 
 fn fast_spec() -> ClusterSpec {
     ClusterSpec {
@@ -124,6 +127,30 @@ fn runtime_color_create_and_destroy() {
     let snap = cluster.obs().snapshot();
     assert_eq!(snap.counter("ctrl.colors_created"), 1);
     assert_eq!(snap.counter("ctrl.colors_destroyed"), 1);
+    cluster.shutdown();
+}
+
+/// A destroyed color leaves every view at once — the color list, its
+/// shard's residents, the tiering engine's observations — rather than
+/// staying listed with no shards.
+#[test]
+fn a_destroyed_color_is_gone_from_every_view() {
+    let cluster = FlexLogCluster::start(fast_spec());
+    let red = ColorId(30);
+    let mut engine = TieringEngine::new(ControlPlane::new(&cluster), TieringConfig::default());
+    engine.plane().create_color(red, ColorId::MASTER).unwrap();
+    cluster.handle().append(b"alive", red).unwrap();
+    let topology = &cluster.data().topology;
+    let shard = topology.shards_of(red)[0].id;
+    assert!(engine.observe().iter().any(|o| o.color == red));
+
+    engine.plane().destroy_color(red).unwrap();
+    assert!(!cluster.colors().exists(red));
+    assert!(!cluster.colors().colors().contains(&red));
+    assert!(!topology.colors().contains(&red), "still listed, with no shards");
+    assert!(!topology.colors_on(shard).contains(&red));
+    assert!(topology.shards_of(red).is_empty());
+    assert!(engine.observe().iter().all(|o| o.color != red), "still observed");
     cluster.shutdown();
 }
 
@@ -295,8 +322,8 @@ fn split_leaf_keeps_per_color_sns_monotonic() {
     assert!(cluster.leaf_roles().contains(&new_role));
     // Half the colors (the later half in color order) moved.
     // ... owner and entry role together, in the one table.
-    assert_eq!(cluster.registry().home(a), Some((leaf, None)));
-    assert_eq!(cluster.registry().home(b), Some((new_role, Some(new_role))));
+    assert_eq!(cluster.catalog().home(a), Some((leaf, None)));
+    assert_eq!(cluster.catalog().home(b), Some((new_role, Some(new_role))));
 
     // Appends to both colors keep working and SNs never go backwards,
     // even for the color whose ordering authority moved mid-stream.
@@ -324,7 +351,7 @@ fn split_leaf_keeps_per_color_sns_monotonic() {
     // the donor, climbed to the root and was dropped as misrouted.)
     let child = ColorId(52);
     plane.create_color(child, b).unwrap();
-    assert_eq!(cluster.registry().home(child), cluster.registry().home(b));
+    assert_eq!(cluster.catalog().home(child), cluster.catalog().home(b));
     h.append(b"c0", child).unwrap();
     cluster.shutdown();
 }
@@ -351,13 +378,14 @@ fn split_recovery_rehomes_owner_and_entry_together() {
         if !forward {
             // The worst a dead controller can leave behind a split that
             // never spawned its leaf: a color pointing at the ghost role.
-            cluster.registry().rehome(b, ghost);
+            let ghost_split = Change::Split { donor: leaf, new_role: ghost, moved: vec![b] };
+            cluster.catalog().apply(ghost_split).unwrap();
         }
         let (_successor, report) = ControlPlane::recover(&cluster);
         assert_eq!(report.rolled_forward, usize::from(forward), "{phase:?}");
         assert_eq!(report.rolled_back, usize::from(!forward), "{phase:?}");
         let home = if forward { ghost } else { leaf };
-        assert_eq!(cluster.registry().home(b), Some((home, Some(home))), "{phase:?}");
+        assert_eq!(cluster.catalog().home(b), Some((home, Some(home))), "{phase:?}");
         assert_eq!(cluster.directory().get(ghost).is_some(), forward, "{phase:?}");
         assert!(h.append(b"after", b).unwrap() > before, "{phase:?}");
         cluster.shutdown();

@@ -120,11 +120,11 @@ impl<'a> TieringEngine<'a> {
         let cluster = self.plane.cluster();
         let data = cluster.data();
         let mut out = Vec::new();
-        for color in data.topology.colors() {
+        for color in cluster.catalog().colors() {
             let mut live_records = 0u64;
             let mut ssd_resident = 0u64;
             let mut pm_pressure = 0.0f64;
-            for shard in data.topology.shards_of(color) {
+            for shard in cluster.catalog().shards_of(color) {
                 for &node in &shard.replicas {
                     let Some(s) = data.storage_of(node) else {
                         continue;

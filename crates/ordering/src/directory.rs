@@ -16,7 +16,6 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use flexlog_simnet::NodeId;
-use flexlog_types::ColorId;
 
 /// Logical identity of a sequencer position in the tree (stable across
 /// fail-overs).
@@ -67,112 +66,9 @@ impl Directory {
     }
 }
 
-/// The one ownership table of the ordering layer (shared across the
-/// cluster): per color, the role that is its ordering root (`is_root(SID,
-/// c)`, §5.2) and, if a leaf split re-homed it, the role its OReqs enter at.
-///
-/// [`crate::OrderingService`] seeds it from the positions' `owned` lists;
-/// `AddColor` (Table 2) extends it at runtime and the control plane's leaf
-/// split rewrites it. Sequencers ask it on every flush and replicas on
-/// every OReq, so a change is in force the moment it is written — and
-/// because owner and entry live in one entry under one lock, nobody ever
-/// sees one without the other.
-#[derive(Clone, Default)]
-pub struct ColorRegistry {
-    map: Arc<RwLock<HashMap<ColorId, Home>>>,
-}
-
-/// `(owner, entry)` of a color; `entry` is `None` while its OReqs enter at
-/// the leaf its shard hangs under.
-pub type Home = (RoleId, Option<RoleId>);
-
-impl fmt::Debug for ColorRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let map = self.map.read();
-        f.debug_map().entries(map.iter()).finish()
-    }
-}
-
-impl ColorRegistry {
-    pub fn new() -> Self {
-        ColorRegistry::default()
-    }
-
-    /// Owner and entry role of `color`, read together.
-    pub fn home(&self, color: ColorId) -> Option<Home> {
-        self.map.read().get(&color).copied()
-    }
-
-    /// The role that is the ordering root for `color`.
-    pub fn owner(&self, color: ColorId) -> Option<RoleId> {
-        self.home(color).map(|(owner, _)| owner)
-    }
-
-    /// The role OReqs for `color` must enter at, if not the shard's own leaf.
-    pub fn entry(&self, color: ColorId) -> Option<RoleId> {
-        self.home(color).and_then(|(_, entry)| entry)
-    }
-
-    /// Registers a color under `role`, entered at its shards' own leaf.
-    pub fn set(&self, color: ColorId, role: RoleId) {
-        self.map.write().insert(color, (role, None));
-    }
-
-    /// Registers `color` where `parent` is ordered and entered (AddColor: a
-    /// sub-region shares its parent's ordering root, Table 2). Nothing is
-    /// registered under an unknown parent.
-    pub fn set_like(&self, color: ColorId, parent: ColorId) {
-        let mut map = self.map.write();
-        if let Some(&home) = map.get(&parent) {
-            map.insert(color, home);
-        }
-    }
-
-    /// Re-homes a color (leaf split, its roll-forward and roll-back): `role`
-    /// orders it *and* its OReqs enter there, in one write.
-    pub fn rehome(&self, color: ColorId, role: RoleId) {
-        self.map.write().insert(color, (role, Some(role)));
-    }
-
-    /// All colors owned by `role`, sorted.
-    pub fn owned_by(&self, role: RoleId) -> Vec<ColorId> {
-        let mut v: Vec<_> = self
-            .map
-            .read()
-            .iter()
-            .filter(|&(_, &(owner, _))| owner == role)
-            .map(|(&c, _)| c)
-            .collect();
-        v.sort();
-        v
-    }
-
-    /// True if the color is registered anywhere.
-    pub fn contains(&self, color: ColorId) -> bool {
-        self.map.read().contains_key(&color)
-    }
-
-    /// Unregisters a color (runtime color destroy). Returns the previous
-    /// owner, if any.
-    pub fn remove(&self, color: ColorId) -> Option<RoleId> {
-        self.map.write().remove(&color).map(|(owner, _)| owner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_owner_lookup() {
-        let r = ColorRegistry::new();
-        assert_eq!(r.owner(ColorId(1)), None);
-        r.set(ColorId(1), RoleId(2));
-        assert_eq!(r.owner(ColorId(1)), Some(RoleId(2)));
-        r.set(ColorId(3), RoleId(2));
-        assert_eq!(r.owned_by(RoleId(2)), vec![ColorId(1), ColorId(3)]);
-        assert!(r.contains(ColorId(3)));
-    }
 
     #[test]
     fn set_get_clear() {
@@ -184,17 +80,6 @@ mod tests {
         assert_eq!(d.get(RoleId(1)), Some(NodeId(43)));
         d.clear(RoleId(1));
         assert_eq!(d.get(RoleId(1)), None);
-    }
-
-    #[test]
-    fn rehome_moves_owner_and_entry_together() {
-        let r = ColorRegistry::new();
-        r.set(ColorId(1), RoleId(1));
-        assert_eq!(r.home(ColorId(1)), Some((RoleId(1), None)));
-        r.rehome(ColorId(1), RoleId(2));
-        assert_eq!((r.owner(ColorId(1)), r.entry(ColorId(1))), (Some(RoleId(2)), Some(RoleId(2))));
-        assert_eq!(r.remove(ColorId(1)), Some(RoleId(2)));
-        assert_eq!(r.home(ColorId(1)), None);
     }
 
     #[test]

@@ -26,12 +26,14 @@
 //! the replication layer can carry these messages inside its own envelope.
 
 mod backup;
+mod catalog;
 mod directory;
 mod msg;
 mod sequencer;
 mod service;
 
-pub use directory::{ColorRegistry, Directory, Home, RoleId};
+pub use catalog::{Catalog, Change, ColorError, Home, ShardInfo, Version};
+pub use directory::{Directory, RoleId};
 pub use msg::{OrderMsg, OrderWire};
 pub use sequencer::SequencerStats;
 pub use service::{request_order, OrderingHandle, OrderingService, PositionSpec, TreeSpec};

@@ -117,7 +117,7 @@ pub struct SequencerNode {
     parent: Option<RoleId>,
     /// Backup nodes replicating this sequencer's epoch.
     backups: Vec<NodeId>,
-    /// The tree this node is a position of: its timing, registry and obs.
+    /// The tree this node is a position of: its timing, catalog and obs.
     spec: TreeSpec,
     directory: Directory,
     epoch: Epoch,
@@ -397,9 +397,9 @@ impl SequencerNode {
             self.stats.batches.inc();
             self.batch_wait_hist
                 .record_ns(now.saturating_duration_since(buf.opened_at));
-            // The registry alone says who orders a color: once a leaf split
+            // The catalog alone says who orders a color: once a leaf split
             // has re-homed it, the old leaf stops assigning with that write.
-            if self.spec.registry.owner(color) == Some(self.role) {
+            if self.spec.catalog.owner(color) == Some(self.role) {
                 // This node is the ordering root for the color: assign the
                 // whole range with one counter bump.
                 let counter = self.counters.entry(color).or_insert(0);

@@ -14,7 +14,7 @@ use parking_lot::Mutex;
 use crate::backup::BackupNode;
 use crate::msg::{OrderMsg, OrderWire};
 use crate::sequencer::SequencerNode;
-use crate::{ColorRegistry, Directory, RoleId, SequencerStats};
+use crate::{Catalog, Change, Directory, RoleId, SequencerStats};
 
 /// One sequencer position in the tree.
 #[derive(Clone, Debug)]
@@ -29,10 +29,10 @@ pub struct PositionSpec {
 #[derive(Clone, Debug)]
 pub struct TreeSpec {
     pub positions: Vec<PositionSpec>,
-    /// The shared ownership table: [`OrderingService::start`] seeds it from
-    /// the positions' `owned` lists, AddColor and leaf splits write it
+    /// The cluster's catalog: [`OrderingService::start`] places the
+    /// positions' `owned` colors in it, AddColor and leaf splits change it
     /// afterwards, and the sequencers ask nothing else who orders a color.
-    pub registry: ColorRegistry,
+    pub catalog: Catalog,
     /// Backups per sequencer position (the paper's 2f).
     pub backups_per_position: usize,
     pub batch_interval: Duration,
@@ -48,7 +48,7 @@ impl Default for TreeSpec {
     fn default() -> Self {
         TreeSpec {
             positions: Vec::new(),
-            registry: ColorRegistry::new(),
+            catalog: Catalog::new(),
             backups_per_position: 0,
             batch_interval: Duration::from_micros(1),
             heartbeat_interval: Duration::from_millis(20),
@@ -139,7 +139,7 @@ struct Position {
 pub struct OrderingHandle<W: OrderWire> {
     pub directory: Directory,
     /// The spec the layer was started from; dynamic leaves inherit its
-    /// timing parameters, registry, and obs surface.
+    /// timing parameters, catalog, and obs surface.
     spec: TreeSpec,
     positions: Mutex<BTreeMap<RoleId, Position>>,
     control: Endpoint<W>,
@@ -177,7 +177,8 @@ impl OrderingService {
         };
         for pos in &spec.positions {
             for &color in &pos.owned {
-                spec.registry.set(color, pos.role);
+                // A spec started twice is placed once.
+                let _ = spec.catalog.apply(Change::PlaceColor { color, role: pos.role });
             }
             let replicas = replicas_by_role.get(&pos.role).cloned().unwrap_or_default();
             handle.spawn(net, pos, spec.backups_per_position, replicas, Epoch(1));
@@ -244,7 +245,7 @@ impl<W: OrderWire> OrderingHandle<W> {
     /// a dynamically added leaf can be re-spawned by the control plane).
     /// `epoch` must exceed every epoch its colors were previously ordered
     /// under, so re-homed colors keep SN monotonicity. The leaf orders
-    /// nothing until the shared registry says so.
+    /// nothing until the catalog says so.
     pub fn spawn_leaf(&self, net: &Network<W>, role: RoleId, parent: RoleId, epoch: Epoch) -> NodeId {
         let pos = PositionSpec { role, owned: Vec::new(), parent: Some(parent) };
         self.spawn(net, &pos, 0, Vec::new(), epoch)

@@ -6,12 +6,12 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use flexlog_simnet::{Network, NodeId};
-use flexlog_types::{ColorId, Epoch, FunctionId, SeqNum, Token};
+use flexlog_types::{ColorId, Epoch, FunctionId, SeqNum, ShardId, Token};
 
 use crate::msg::OrderMsg;
 use crate::sequencer::{SequencerNode, RESPONDED_CAP};
 use crate::service::request_order;
-use crate::{Directory, OrderingService, RoleId, TreeSpec};
+use crate::{Catalog, Change, Directory, OrderingService, RoleId, TreeSpec, Version};
 
 const RED: ColorId = ColorId(1);
 const GREEN: ColorId = ColorId(2);
@@ -441,9 +441,9 @@ fn stats_track_oreqs_and_batches() {
 
 #[test]
 fn dynamically_registered_color_is_ordered_by_its_owner() {
-    // AddColor's ordering-layer half: a color registered in the shared
-    // ColorRegistry after start-up is immediately orderable, by exactly
-    // the sequencer the registry names.
+    // AddColor's ordering-layer half: a color placed in the shared catalog
+    // after start-up is immediately orderable, by exactly the sequencer the
+    // catalog names.
     let net: Network<OrderMsg> = Network::instant();
     let spec = TreeSpec::root_and_leaves(&[RED], &[vec![]]);
     let h = OrderingService::start(&net, &spec, &HashMap::new());
@@ -452,7 +452,8 @@ fn dynamically_registered_color_is_ordered_by_its_owner() {
     let dynamic = ColorId(42);
     // Not registered yet: an OReq for it entering the leaf climbs to the
     // root, which does not own it either → dropped; the client would spin.
-    spec.registry.set(dynamic, RoleId(1)); // leaf-owned (FlexLog-P style)
+    // Leaf-owned (FlexLog-P style).
+    spec.catalog.apply(Change::PlaceColor { color: dynamic, role: RoleId(1) }).unwrap();
     let sn = request_order(&ep, &h.directory, RoleId(1), dynamic, tok(1, 1), 1, RETRY).unwrap();
     assert_eq!(sn.counter(), 1);
     // The leaf (not the root) issued it.
@@ -466,7 +467,7 @@ fn dynamically_registered_color_is_ordered_by_its_owner() {
     // per-(sequencer,color): the root starts its own counter for the color
     // in the same epoch — still unique because tokens dedup and the paper
     // only re-homes colors under a new epoch in practice.
-    spec.registry.set(ColorId(43), RoleId(0));
+    spec.catalog.apply(Change::PlaceColor { color: ColorId(43), role: RoleId(0) }).unwrap();
     let sn2 = request_order(&ep, &h.directory, RoleId(1), ColorId(43), tok(1, 2), 1, RETRY)
         .unwrap();
     assert_eq!(sn2.counter(), 1);
@@ -511,54 +512,85 @@ fn oreq_resend_after_answer_replays_same_sn() {
 }
 
 #[test]
-fn registry_names_static_owners_after_start() {
+fn catalog_names_static_owners_after_start() {
     // The positions' `owned` lists are only the seed: once the layer runs,
-    // the shared registry is the one table that says who orders what.
+    // the shared catalog is the one table that says who orders what.
     let net: Network<OrderMsg> = Network::instant();
     let spec = TreeSpec::root_and_leaves(&[RED], &[vec![GREEN]]);
     let h = OrderingService::start(&net, &spec, &HashMap::new());
-    assert_eq!(spec.registry.owner(RED), Some(RoleId(0)));
-    assert_eq!(spec.registry.owned_by(RoleId(1)), vec![GREEN]);
-    assert_eq!(spec.registry.entry(GREEN), None, "entered at its shards' own leaf");
+    assert_eq!(spec.catalog.owner(RED), Some(RoleId(0)));
+    assert_eq!(spec.catalog.owned_by(RoleId(1)), vec![GREEN]);
+    assert_eq!(spec.catalog.entry(GREEN), None, "entered at its shards' own leaf");
     h.shutdown(&net);
 }
 
+/// One change is one write: a reader that finds the version unchanged
+/// around its reads has seen one state of the catalog, and every state
+/// the writer leaves has each moved color wholly on one side of the split
+/// (owner and entry together) and every color on some shard.
 #[test]
-fn a_rehome_is_one_write() {
-    // Owner and entry role of a color live in one entry under one lock: a
-    // reader that takes both in one call never sees the new owner beside the
-    // old entry (what two tables written one after the other allowed).
-    let registry = crate::ColorRegistry::new();
-    registry.rehome(RED, RoleId(1));
+fn a_split_or_a_cutover_is_one_catalog_write() {
+    let (a, b) = (ColorId(10), ColorId(11));
+    let catalog = Catalog::uniform(2, 1, 0, &[RoleId(1)]);
+    for color in [a, b] {
+        catalog.apply(Change::PlaceColor { color, role: RoleId(1) }).unwrap();
+    }
+    let moved = vec![a, b];
+    let split = |donor, new_role| Change::Split { donor, new_role, moved: moved.clone() };
+    catalog.apply(split(RoleId(1), RoleId(2))).unwrap();
     let done = std::sync::atomic::AtomicBool::new(false);
     std::thread::scope(|s| {
         let reader = s.spawn(|| {
-            let mut seen = 0u64;
+            let mut consistent = 0u64;
             while !done.load(Ordering::Acquire) {
-                let (owner, entry) = registry.home(RED).expect("never unregistered");
-                assert_eq!(entry, Some(owner), "mixed pair after {seen} reads");
-                seen += 1;
+                let before = catalog.version();
+                let (owner_a, entry_a) = catalog.home(a).expect("never dropped");
+                let (owner_b, entry_b) = catalog.home(b).expect("never dropped");
+                let shards = catalog.shards_of(a);
+                if catalog.version() != before {
+                    continue;
+                }
+                assert_eq!(owner_a, owner_b, "one color moved without the other");
+                assert_eq!((entry_a, entry_b), (Some(owner_a), Some(owner_b)));
+                assert!(!shards.is_empty(), "an owned color on no shard");
+                consistent += 1;
             }
-            seen
+            consistent
         });
+        // Checked once the reader has stopped, so a failure cannot leave it
+        // spinning.
+        let mut steps = Vec::new();
+        let mut owner = RoleId(2);
         for i in 0..10_000u32 {
-            registry.rehome(RED, RoleId(1 + i % 2));
+            let change = if i % 3 == 2 {
+                Change::MoveColor { color: a, dest: ShardId(i % 2) }
+            } else {
+                let donor = owner;
+                owner = RoleId(3 - donor.0);
+                split(donor, owner)
+            };
+            let before = catalog.version();
+            steps.push((before, catalog.apply(change)));
         }
         done.store(true, Ordering::Release);
-        reader.join().unwrap();
+        let consistent = reader.join().expect("the reader saw a state no change leaves");
+        assert!(consistent > 0, "the reader saw no stable state");
+        for (before, applied) in steps {
+            assert_eq!(applied, Ok(Version(before.0 + 1)), "one version per change");
+        }
     });
 }
 
 #[test]
-fn a_color_the_registry_forgot_is_no_longer_ordered() {
-    // Nothing but the registry makes a sequencer the root of a color: once
+fn a_color_the_catalog_dropped_is_no_longer_ordered() {
+    // Nothing but the catalog makes a sequencer the root of a color: once
     // a statically listed color is unregistered, its OReqs are dropped as
     // misrouted instead of being assigned from a stale static list.
     let net: Network<OrderMsg> = Network::instant();
     let spec = TreeSpec::single(&[RED, GREEN]);
     let h = OrderingService::start(&net, &spec, &HashMap::new());
     let ep = client(&net, 1);
-    spec.registry.remove(RED);
+    spec.catalog.apply(Change::DropColor { color: RED }).unwrap();
     ep.send(
         h.node_for(RoleId(0)).unwrap(),
         OrderMsg::OReq { color: RED, token: tok(1, 1), nrecords: 1, shard: vec![ep.id()] },
@@ -580,7 +612,7 @@ fn a_sequencer_remembers_a_bounded_number_of_tokens() {
     const EXTRA: usize = 1_000;
     let net: Network<OrderMsg> = Network::instant();
     let spec = TreeSpec::single(&[RED]);
-    spec.registry.set(RED, RoleId(0));
+    spec.catalog.apply(Change::PlaceColor { color: RED, role: RoleId(0) }).unwrap();
     let mut node =
         SequencerNode::new(&spec.positions[0], Vec::new(), &spec, Directory::new(), Epoch(1));
     let seq = net.register(NodeId::named(NodeId::CLASS_SEQUENCER, 0));

@@ -26,15 +26,15 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use flexlog_obs::{Histogram, ObsHandle, Stage};
+use flexlog_ordering::{Catalog, ShardInfo};
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
 use flexlog_types::{ColorId, CommittedRecord, FunctionId, Payload, SeqNum, ShardId, Token};
 
 use crate::msg::{AppendMsg, ClusterMsg, DataMsg, ReadMsg, RejectReason, SubMsg};
 use crate::replica::encode_multi_set;
-use crate::{ShardInfo, TopologyView};
 
 /// Jitter fraction applied to every backoff interval: the actual wait is
 /// uniform in `[interval, interval * (1 + jitter)]`. Desynchronizes
@@ -157,7 +157,6 @@ impl Backoff {
         if self.jitter <= 0.0 {
             return base;
         }
-        use rand::Rng;
         base.mul_f64(1.0 + rng.gen_range(0.0..self.jitter))
     }
 }
@@ -239,7 +238,7 @@ struct InflightAppend {
 /// See module docs.
 pub struct FlexLogClient {
     ep: Endpoint<ClusterMsg>,
-    topology: TopologyView,
+    topology: Catalog,
     config: ClientConfig,
     token_counter: u32,
     req_counter: u64,
@@ -265,7 +264,7 @@ pub struct FlexLogClient {
 }
 
 impl FlexLogClient {
-    pub fn new(ep: Endpoint<ClusterMsg>, topology: TopologyView, config: ClientConfig) -> Self {
+    pub fn new(ep: Endpoint<ClusterMsg>, topology: Catalog, config: ClientConfig) -> Self {
         let seed = ep.id().0 ^ 0x5EED;
         let append_hist = config.obs.histogram("client.append_ns");
         FlexLogClient {
@@ -316,7 +315,7 @@ impl FlexLogClient {
     pub fn append(&mut self, color: ColorId, payloads: &[Payload]) -> Result<SeqNum, ClientError> {
         let shard = self
             .topology
-            .random_shard_of(color, &mut self.rng)
+            .random_shard_of(color, |n| self.rng.gen_range(0..n))
             .ok_or(ClientError::UnknownColor(color))?;
         let token = self.start_append(color, shard, payloads);
         self.await_append(token)
@@ -513,7 +512,7 @@ impl FlexLogClient {
         }
         let shard = self
             .topology
-            .random_shard_of(color, &mut self.rng)
+            .random_shard_of(color, |n| self.rng.gen_range(0..n))
             .ok_or(ClientError::UnknownColor(color))?;
         Ok(self.start_append(color, shard, payloads))
     }
@@ -670,7 +669,8 @@ impl FlexLogClient {
                 // Cutover happened: re-resolve the shard and retransmit
                 // there on the next pump. The token makes the retry
                 // idempotent even if some old replica already committed.
-                if let Some(s) = self.topology.random_shard_of(op.color, &mut self.rng) {
+                let draw = |n| self.rng.gen_range(0..n);
+                if let Some(s) = self.topology.random_shard_of(op.color, draw) {
                     if s.id != op.shard {
                         op.shard = s.id;
                         op.replicas = s.replicas;
@@ -699,9 +699,8 @@ impl FlexLogClient {
             .iter()
             .map(|s| {
                 if attempt == 0 {
-                    s.random_read_target(&mut self.rng)
+                    s.random_read_target(|n| self.rng.gen_range(0..n))
                 } else {
-                    use rand::Rng;
                     s.replicas[self.rng.gen_range(0..s.replicas.len())]
                 }
             })
@@ -913,7 +912,7 @@ impl FlexLogClient {
         };
         let stream = state.streams.get_mut(&wire).expect("looked up above");
         stream.shard = info.id;
-        stream.target = info.random_read_target(&mut self.rng);
+        stream.target = info.random_read_target(|n| self.rng.gen_range(0..n));
         stream.last_heard = Instant::now(); // backs off one silence window
         let register = SubMsg::SubscribeFrom {
             color: state.color,
@@ -1055,7 +1054,7 @@ impl FlexLogClient {
         }
         let broker = self
             .topology
-            .random_shard_of(ColorId::MASTER, &mut self.rng)
+            .random_shard_of(ColorId::MASTER, |n| self.rng.gen_range(0..n))
             .ok_or(ClientError::UnknownColor(ColorId::MASTER))?;
         // Phase 1: stage every set in the special color on ONE shard
         // (Algorithm 2, lines 3–4). These are ordinary appends carrying the
@@ -1078,8 +1077,8 @@ impl FlexLogClient {
         })
     }
 
-    /// The topology view (for `AddColor` flows owned by the core crate).
-    pub fn topology(&self) -> &TopologyView {
+    /// The catalog this client routes by.
+    pub fn topology(&self) -> &Catalog {
         &self.topology
     }
 }

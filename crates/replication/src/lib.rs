@@ -33,7 +33,6 @@ mod replica;
 mod service;
 mod serving;
 mod subs;
-mod topology;
 
 pub use client::{ClientConfig, ClientError, FlexLogClient, Subscription};
 pub use msg::{
@@ -43,7 +42,7 @@ pub use msg::{
 pub use read_replica::ReadReplicaNode;
 pub use replica::{ReplicaConfig, ReplicaNode};
 pub use service::{DataLayerHandle, DataLayerService};
-pub use topology::{ShardInfo, TopologyView};
+pub use flexlog_ordering::ShardInfo;
 
 #[cfg(test)]
 mod tests;

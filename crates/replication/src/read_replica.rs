@@ -20,13 +20,14 @@
 //!
 //! It never sees appends, order requests, or OResps; the write quorum
 //! stays exactly the paper's write-all set. Reconfiguration is observed
-//! through the shared topology: when a subscribed color stops being
+//! through the shared catalog: when a subscribed color stops being
 //! resident on this shard the subscribers are redirected (`ColorMoved`
 //! when the color lives elsewhere, `Dropped` when it is gone).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use flexlog_ordering::Catalog;
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
 use flexlog_storage::StorageServer;
 use flexlog_types::{ColorId, SeqNum, ShardId};
@@ -34,7 +35,7 @@ use flexlog_types::{ColorId, SeqNum, ShardId};
 use crate::follower::{Follower, Mode};
 use crate::msg::{ClusterMsg, DataMsg, ReadMsg, RejectReason, SubMsg, SyncMsg};
 use crate::serving::Serving;
-use crate::{ReplicaConfig, TopologyView};
+use crate::ReplicaConfig;
 
 /// Sync-pull cadence while readers or subscribers are active.
 const SYNC_INTERVAL: Duration = Duration::from_millis(1);
@@ -62,7 +63,7 @@ pub struct ReadReplicaNode {
     shard: ShardId,
     /// The shard's quorum replicas (catch-up sources, rotated per round).
     quorum: Vec<NodeId>,
-    topology: TopologyView,
+    topology: Catalog,
     /// Storage, push subscriptions, held reads and the busy-time counter.
     serving: Serving,
     /// How records arrive: one catch-up per resident color.
@@ -76,7 +77,7 @@ pub struct ReadReplicaNode {
 impl ReadReplicaNode {
     /// Read replica `node` of the shard the topology lists it in, fresh
     /// with empty storage.
-    pub fn new(node: NodeId, config: &ReplicaConfig, topology: TopologyView) -> Self {
+    pub fn new(node: NodeId, config: &ReplicaConfig, topology: Catalog) -> Self {
         let storage = Arc::new(StorageServer::new(config.storage.clone()));
         Self::recovered(node, config, topology, storage)
     }
@@ -87,7 +88,7 @@ impl ReadReplicaNode {
     pub fn recovered(
         node: NodeId,
         config: &ReplicaConfig,
-        topology: TopologyView,
+        topology: Catalog,
         storage: Arc<StorageServer>,
     ) -> Self {
         let shard = topology.shard_of(node).expect("a read replica the topology lists");

@@ -25,10 +25,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use flexlog_obs::{Histogram, Stage, CTRL_TOKEN, SYNC_TOKEN};
-use flexlog_ordering::{ColorRegistry, Directory, OrderMsg};
+use flexlog_ordering::{Catalog, Directory, OrderMsg};
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
 use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
 use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, ShardId, Token};
@@ -38,7 +38,7 @@ use crate::msg::{
     AppendMsg, ClusterMsg, CtrlCmd, CtrlMsg, DataMsg, Fence, ReadMsg, RejectReason, SubMsg, SyncMsg,
 };
 use crate::serving::Serving;
-use crate::{ShardInfo, TopologyView};
+use crate::ShardInfo;
 
 /// Magic prefix of a multi-color-append set staged in the special color.
 pub(crate) const MULTI_MAGIC: &[u8; 4] = b"MCA1";
@@ -89,10 +89,6 @@ pub struct ReplicaConfig {
     /// before ⊥ (§6.3; [`ReplicaConfig::hold`]), an unanswered OReq is resent
     /// after Δ, and a stalled sync-phase restarts after 5Δ.
     pub delta: Duration,
-    /// The ordering layer's ownership table: names the entry role of a
-    /// color that a leaf-sequencer split re-homed away from the shard's
-    /// leaf without moving the shard.
-    pub registry: ColorRegistry,
 }
 
 impl Default for ReplicaConfig {
@@ -100,7 +96,6 @@ impl Default for ReplicaConfig {
         ReplicaConfig {
             storage: StorageConfig::default(),
             delta: Duration::from_millis(100),
-            registry: ColorRegistry::new(),
         }
     }
 }
@@ -161,7 +156,7 @@ pub struct ReplicaNode {
     /// The shard's other replicas.
     peers: Vec<NodeId>,
     directory: Directory,
-    topology: TopologyView,
+    topology: Catalog,
     /// Storage, push subscriptions, held reads and the busy-time counter.
     serving: Serving,
     /// Every catch-up this node runs: §6.3 sync against its own shard's
@@ -222,7 +217,7 @@ impl ReplicaNode {
         node: NodeId,
         config: ReplicaConfig,
         directory: Directory,
-        topology: TopologyView,
+        topology: Catalog,
     ) -> Self {
         let storage = Arc::new(StorageServer::new(config.storage.clone()));
         Self::with_storage(node, config, directory, topology, storage, false)
@@ -234,7 +229,7 @@ impl ReplicaNode {
         node: NodeId,
         config: ReplicaConfig,
         directory: Directory,
-        topology: TopologyView,
+        topology: Catalog,
         storage: Arc<StorageServer>,
     ) -> Self {
         Self::with_storage(node, config, directory, topology, storage, true)
@@ -244,7 +239,7 @@ impl ReplicaNode {
         node: NodeId,
         config: ReplicaConfig,
         directory: Directory,
-        topology: TopologyView,
+        topology: Catalog,
         storage: Arc<StorageServer>,
         start_with_sync: bool,
     ) -> Self {
@@ -871,7 +866,7 @@ impl ReplicaNode {
     fn send_oreq(&mut self, ep: &Endpoint<ClusterMsg>, color: ColorId, token: Token, n: u32) {
         // An entry role (written by a leaf split) beats the shard's static
         // leaf role; either way the directory resolves the node.
-        let role = self.config.registry.entry(color).unwrap_or(self.shard.leaf);
+        let role = self.topology.entry(color).unwrap_or(self.shard.leaf);
         let Some(leaf) = self.directory.get(role) else {
             return; // sequencer fail-over window; the resend tick retries
         };
@@ -959,7 +954,8 @@ impl ReplicaNode {
             // flipped top bit keeps it disjoint from client tokens while
             // staying deterministic across replicas (idempotence).
             let sub_token = Token(token.0 ^ (1 << 63));
-            let Some(shard) = self.topology.random_shard_of(target_color, &mut self.rng) else {
+            let draw = |n| self.rng.gen_range(0..n);
+            let Some(shard) = self.topology.random_shard_of(target_color, draw) else {
                 continue;
             };
             let _ = ep.broadcast(
@@ -1250,7 +1246,7 @@ mod unit_tests {
     #[test]
     fn an_append_the_pool_cannot_take_fails_alone() {
         let net: flexlog_simnet::Network<ClusterMsg> = flexlog_simnet::Network::instant();
-        let topology = TopologyView::uniform(1, 1, 0, &[flexlog_ordering::RoleId(0)]);
+        let topology = Catalog::uniform(1, 1, 0, &[flexlog_ordering::RoleId(0)]);
         let ep = net.register(NodeId::named(NodeId::CLASS_REPLICA, 0));
         let storage = StorageConfig { pm_capacity: 64 << 10, ..StorageConfig::default() };
         let config = ReplicaConfig { storage, ..ReplicaConfig::default() };

@@ -1,4 +1,4 @@
-//! Assembly of the data layer: spawns every node a topology lists, and
+//! Assembly of the data layer: spawns every node the catalog lists, and
 //! exposes crash / recover fault injection.
 
 use std::collections::HashMap;
@@ -7,13 +7,13 @@ use std::thread::JoinHandle;
 
 use parking_lot::Mutex;
 
-use flexlog_ordering::{Directory, RoleId};
+use flexlog_ordering::{Catalog, Change, Directory, RoleId};
 use flexlog_simnet::{Network, NodeId};
 use flexlog_storage::StorageServer;
 use flexlog_types::ShardId;
 
 use crate::msg::{ClusterMsg, DataMsg};
-use crate::{ReadReplicaNode, ReplicaConfig, ReplicaNode, ShardInfo, TopologyView};
+use crate::{ReadReplicaNode, ReplicaConfig, ReplicaNode, ShardInfo};
 
 /// What a restart needs of one spawned node: its shard and its current
 /// storage (whose devices outlive a crash).
@@ -36,7 +36,9 @@ impl Slot {
 
 /// Running data layer.
 pub struct DataLayerHandle {
-    pub topology: TopologyView,
+    /// The cluster's catalog: the nodes read their shard from it and the
+    /// handle lists the nodes it adds or crashes there.
+    pub topology: Catalog,
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// Every node ever spawned, quorum and read replicas alike (a node's
     /// id class says which).
@@ -50,15 +52,14 @@ pub struct DataLayerHandle {
 pub struct DataLayerService;
 
 impl DataLayerService {
-    /// Spawns every replica and read replica `topology` lists on `net`, each
-    /// configured by `template`. The topology — shards, their leaves, the
-    /// colors they serve — is the layer's one description: it stays shared
-    /// with the nodes (which read their shard, peers and leaf from it) and
-    /// with clients, and the returned handle keeps it current.
+    /// Spawns every replica and read replica the catalog `topology` lists on
+    /// `net`, each configured by `template`. The catalog stays shared with
+    /// the nodes (which read their shard, peers and leaf from it) and with
+    /// clients, and the returned handle lists the nodes it adds there.
     pub fn start(
         net: &Network<ClusterMsg>,
         directory: &Directory,
-        topology: TopologyView,
+        topology: Catalog,
         template: ReplicaConfig,
     ) -> DataLayerHandle {
         let handle = DataLayerHandle {
@@ -135,7 +136,8 @@ impl DataLayerHandle {
         let ep = net.register(node);
         let (storage, run): (_, Box<dyn FnOnce() + Send>) =
             if node.class() == NodeId::CLASS_READ_REPLICA {
-                self.topology.add_read_replica(shard, node);
+                let listed = self.topology.apply(Change::AddReadReplica { shard, node });
+                listed.expect("a read replica of a listed shard");
                 let rr = match recovered {
                     Some(storage) => ReadReplicaNode::recovered(node, &config, topology, storage),
                     None => ReadReplicaNode::new(node, &config, topology),
@@ -164,7 +166,7 @@ impl DataLayerHandle {
         let shard = self.slots.lock().get(&node).map(|s| s.shard);
         net.crash(node);
         if let Some(shard) = shard.filter(|_| node.class() == NodeId::CLASS_READ_REPLICA) {
-            self.topology.remove_read_replica(shard, node);
+            let _ = self.topology.apply(Change::RemoveReadReplica { shard, node });
         }
     }
 
@@ -189,7 +191,7 @@ impl DataLayerHandle {
         r: usize,
     ) -> ShardInfo {
         let mut slots = self.slots.lock();
-        let info = self.topology.new_shard(r, leaf_role);
+        let info = self.topology.add_shard(r, leaf_role);
         for &node in &info.replicas {
             self.spawn(net, directory, &mut slots, node, info.id, false);
         }

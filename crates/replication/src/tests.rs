@@ -6,7 +6,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use flexlog_obs::Stage;
-use flexlog_ordering::{Directory, OrderingHandle, OrderingService, RoleId, TreeSpec};
+use flexlog_ordering::{Catalog, Change, Directory, OrderingHandle, OrderingService, RoleId, TreeSpec};
 use flexlog_simnet::{Endpoint, Network, NodeId};
 use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
 use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, ShardId, Token};
@@ -16,7 +16,7 @@ use crate::msg::{
 };
 use crate::{
     ClientConfig, ClientError, DataLayerHandle, DataLayerService, FlexLogClient, ReadReplicaNode,
-    ReplicaConfig, ShardInfo, TopologyView,
+    ReplicaConfig,
 };
 
 /// Shorthand: build a [`Payload`] from anything byte-like.
@@ -41,14 +41,13 @@ fn cluster(n_shards: usize, r: usize, backups: usize) -> Cluster {
     let net: Network<ClusterMsg> = Network::instant();
     let directory = Directory::new();
 
-    let topology = TopologyView::uniform(n_shards, r, 0, &[RoleId(0)]);
-    let all_shards: Vec<ShardId> = (0..n_shards as u32).map(ShardId).collect();
-    for color in [ColorId::MASTER, RED, GREEN] {
-        topology.set_color_shards(color, all_shards.clone());
-    }
-    let data = DataLayerService::start(&net, &directory, topology, ReplicaConfig::default());
+    let topology = Catalog::uniform(n_shards, r, 0, &[RoleId(0)]);
+    let data =
+        DataLayerService::start(&net, &directory, topology.clone(), ReplicaConfig::default());
 
+    // The root's region is every shard, so its colors are stored on all.
     let mut tree = TreeSpec::single(&[ColorId::MASTER, RED, GREEN]);
+    tree.catalog = topology;
     tree.backups_per_position = backups;
     tree.heartbeat_interval = Duration::from_millis(10);
     tree.delta = Duration::from_millis(80);
@@ -837,14 +836,8 @@ fn scripted_follower() -> ScriptedFollower {
     let net: Network<ClusterMsg> = Network::instant();
     let source = net.register(NodeId::named(NodeId::CLASS_REPLICA, 0));
     let follower = NodeId::named(NodeId::CLASS_READ_REPLICA, 0);
-    let topology = TopologyView::new();
-    topology.add_shard(ShardInfo {
-        id: ShardId(0),
-        replicas: vec![source.id()],
-        leaf: RoleId(0),
-        read_replicas: vec![follower],
-    });
-    topology.set_color_shards(RED, vec![ShardId(0)]);
+    let topology = Catalog::uniform(1, 1, 1, &[RoleId(0)]);
+    topology.apply(Change::PlaceColor { color: RED, role: RoleId(0) }).unwrap();
     let node = ReadReplicaNode::new(follower, &ReplicaConfig::default(), topology);
     let storage = node.storage();
     let ep = net.register(follower);
@@ -983,14 +976,8 @@ fn recovered_beside_scripted_peer(
     let net: Network<ClusterMsg> = Network::instant();
     let node = NodeId::named(NodeId::CLASS_REPLICA, 0);
     let peer = net.register(NodeId::named(NodeId::CLASS_REPLICA, 1));
-    let topology = TopologyView::new();
-    topology.add_shard(ShardInfo {
-        id: ShardId(0),
-        replicas: vec![node, peer.id()],
-        leaf: RoleId(0),
-        read_replicas: vec![],
-    });
-    topology.set_color_shards(RED, vec![ShardId(0)]);
+    let topology = Catalog::uniform(1, 2, 0, &[RoleId(0)]);
+    topology.apply(Change::PlaceColor { color: RED, role: RoleId(0) }).unwrap();
     let storage = Arc::new(StorageServer::new(StorageConfig::default()));
     for (token, sn, payload) in own {
         assert!(storage.import(RED, *sn, *token, payload).unwrap());
@@ -1123,14 +1110,14 @@ struct ScriptedOrder {
 }
 
 fn scripted_order() -> ScriptedOrder {
-    let topology = TopologyView::uniform(1, 1, 0, &[RoleId(0)]);
+    let topology = Catalog::uniform(1, 1, 0, &[RoleId(0)]);
     let node = NodeId::named(NodeId::CLASS_REPLICA, 0);
     scripted_order_at(topology, node, RoleId(0), ReplicaConfig::default())
 }
 
 /// Replica `node` of `topology`, whose `leaf` is the scripted sequencer.
 fn scripted_order_at(
-    topology: TopologyView,
+    topology: Catalog,
     node: NodeId,
     leaf: RoleId,
     config: ReplicaConfig,
@@ -1279,14 +1266,14 @@ fn a_wake_stages_and_commits_in_one_transaction_and_acks_each_client_once() {
     o.shutdown();
 }
 
-/// A replica is configured with nothing but storage, Δ and the registry: its
-/// shard, its peers and its leaf come from the topology. Replica 2 of a
+/// A replica is configured with nothing but storage and Δ: its shard, its
+/// peers and its leaf come from the catalog. Replica 2 of a
 /// layout whose second shard (replicas 2 and 3) hangs under role 3 sends its
 /// OReq to role 3's node, naming that shard; it answers `InitSequencer` for
 /// role 3 only, and syncs with replica 3 alone.
 #[test]
 fn a_replica_reads_its_shard_peers_and_leaf_from_the_topology() {
-    let topology = TopologyView::uniform(2, 2, 0, &[RoleId(0), RoleId(3)]);
+    let topology = Catalog::uniform(2, 2, 0, &[RoleId(0), RoleId(3)]);
     let replica = |i| NodeId::named(NodeId::CLASS_REPLICA, i);
     let mut o = scripted_order_at(topology, replica(2), RoleId(3), ReplicaConfig::default());
     let peer = o.net.register(replica(3));
@@ -1315,7 +1302,7 @@ fn a_replica_reads_its_shard_peers_and_leaf_from_the_topology() {
 #[test]
 fn one_delta_times_the_hold_and_the_oreq_resend() {
     let delta = Duration::from_millis(60);
-    let topology = TopologyView::uniform(1, 1, 0, &[RoleId(0)]);
+    let topology = Catalog::uniform(1, 1, 0, &[RoleId(0)]);
     let node = NodeId::named(NodeId::CLASS_REPLICA, 0);
     let config = ReplicaConfig { delta, ..ReplicaConfig::default() };
     let mut o = scripted_order_at(topology, node, RoleId(0), config);
@@ -1351,14 +1338,8 @@ fn a_batched_ack_counts_once_per_token_and_only_from_the_shard() {
         net.register(NodeId::named(NodeId::CLASS_REPLICA, 1)),
         net.register(NodeId::named(NodeId::CLASS_REPLICA, 2)),
     );
-    let topology = TopologyView::new();
-    topology.add_shard(ShardInfo {
-        id: ShardId(0),
-        replicas: vec![r1.id(), r2.id()],
-        leaf: RoleId(0),
-        read_replicas: vec![],
-    });
-    topology.set_color_shards(RED, vec![ShardId(0)]);
+    let topology = Catalog::uniform(1, 2, 0, &[RoleId(0)]);
+    topology.apply(Change::PlaceColor { color: RED, role: RoleId(0) }).unwrap();
     let ep = net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
     let config = ClientConfig {
         retry: Duration::from_millis(50),

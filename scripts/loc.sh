@@ -66,7 +66,8 @@ for f in crates/replication/src/replica.rs crates/replication/src/client.rs \
          crates/replication/src/follower.rs crates/replication/src/service.rs \
          crates/storage/src/server.rs crates/ctrl/src/plane.rs \
          crates/ordering/src/sequencer.rs crates/ordering/src/service.rs \
-         crates/ordering/src/backup.rs crates/ordering/src/directory.rs; do
+         crates/ordering/src/backup.rs crates/ordering/src/directory.rs \
+         crates/ordering/src/catalog.rs; do
     if [ -f "$f" ]; then printf '%-44s %8d\n' "$f" "$(count "$f")"; fi
 done
 # Variants of the ordering layer's wire enum (a line opening with a
