@@ -148,7 +148,7 @@ pub fn run_chaos(options: ChaosOptions) -> ChaosReport {
             .topology
             .all_shards()
             .into_iter()
-            .map(|s| (s.id, s.replicas))
+            .map(|s| (s.id, s.replicas.to_vec()))
             .collect(),
         leaf_roles: cluster.leaf_roles(),
     };

@@ -54,13 +54,13 @@ fn probe_append(cluster: &FlexLogCluster) -> Result<(), String> {
         .network()
         .register(NodeId::named(0, (u64::MAX >> 4) - 7_777));
     let token = Token(u64::MAX - 0xBEEF);
-    for &r in &shard.replicas {
+    for &r in shard.replicas.iter() {
         let _ = ep.send(
             r,
             AppendMsg::Append {
                 color: RED,
                 token,
-                payloads: vec![Payload::from(&b"post-recovery-probe"[..])],
+                payloads: [Payload::from(&b"post-recovery-probe"[..])].into(),
                 reply_to: ep.id(),
             }
             .into(),

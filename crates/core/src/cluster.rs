@@ -110,9 +110,37 @@ pub struct FlexLogCluster {
     ctrl_killed: AtomicU64,
 }
 
+/// Puts every thread of the process on one malloc arena (glibc), once.
+///
+/// A deployment here is one process: every node is a thread, and a record
+/// crosses threads at every hop — a client builds a batch, three replicas
+/// free it, a scan's payloads are freed by whoever reads them. glibc gives
+/// each thread an arena of its own (up to 8 per core) and a freed block
+/// goes back to the arena that made it, so memory one node let go of
+/// cannot serve another: at the end of a 10 s `append-pipelined` run a
+/// third of the peak RSS was free blocks stranded that way. One arena
+/// serves them all; the per-thread caches in front of it still take most
+/// allocations without its lock.
+fn share_one_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn mallopt(param: std::ffi::c_int, value: std::ffi::c_int) -> std::ffi::c_int;
+        }
+        const M_ARENA_MAX: std::ffi::c_int = -8;
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        // SAFETY: `mallopt` only sets an allocator parameter; glibc takes
+        // its own lock to do so.
+        ONCE.call_once(|| unsafe {
+            mallopt(M_ARENA_MAX, 1);
+        });
+    }
+}
+
 impl FlexLogCluster {
     /// Builds and starts every component of `spec`.
     pub fn start(spec: ClusterSpec) -> Self {
+        share_one_heap();
         // One observability surface for the whole deployment: every layer
         // (clients, sequencers, replicas, storage, network) reports into it.
         let obs = ObsHandle::new();

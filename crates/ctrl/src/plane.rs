@@ -259,7 +259,7 @@ impl<'a> ControlPlane<'a> {
             .catalog()
             .all_shards()
             .iter()
-            .flat_map(|s| s.replicas.clone())
+            .flat_map(|s| s.replicas.iter().copied())
             .collect();
         let deadline = Instant::now() + self.timeout.min(Duration::from_millis(250));
         let _ = self.ctrl_round_until(&mut nodes, CtrlCmd::Hello, deadline, "hello");
@@ -364,7 +364,7 @@ impl<'a> ControlPlane<'a> {
         let src_nodes: Vec<NodeId> = sources
             .iter()
             .filter_map(|&s| self.cluster.catalog().shard(s))
-            .flat_map(|s| s.replicas)
+            .flat_map(|s| s.replicas.to_vec())
             .collect();
         if !src_nodes.is_empty() {
             self.ctrl_round(
@@ -394,7 +394,7 @@ impl<'a> ControlPlane<'a> {
         let src_nodes: Vec<NodeId> = sources
             .iter()
             .filter_map(|&s| self.cluster.catalog().shard(s))
-            .flat_map(|s| s.replicas)
+            .flat_map(|s| s.replicas.to_vec())
             .collect();
         self.abort_unfreeze(&src_nodes, color);
         if let Some(dest_info) = self.cluster.catalog().shard(dest) {
@@ -459,7 +459,7 @@ impl<'a> ControlPlane<'a> {
     pub fn destroy_color(&mut self, color: ColorId) -> Result<(), CtrlError> {
         let shards = self.cluster.catalog().shards_of(color);
         self.cluster.catalog().apply(Change::DropColor { color })?;
-        let nodes: Vec<NodeId> = shards.iter().flat_map(|s| s.replicas.clone()).collect();
+        let nodes: Vec<NodeId> = shards.iter().flat_map(|s| s.replicas.iter().copied()).collect();
         if !nodes.is_empty() {
             self.ctrl_round(&nodes, CtrlCmd::Drop(color), "drop")?;
         }
@@ -525,7 +525,7 @@ impl<'a> ControlPlane<'a> {
             // Already exactly where it should be.
             return Ok(());
         }
-        let src_nodes: Vec<NodeId> = sources.iter().flat_map(|s| s.replicas.clone()).collect();
+        let src_nodes: Vec<NodeId> = sources.iter().flat_map(|s| s.replicas.iter().copied()).collect();
 
         // Durable intent first: from here a controller crash leaves a WAL
         // trail recovery can classify.
@@ -597,7 +597,7 @@ impl<'a> ControlPlane<'a> {
             .catalog()
             .shards_of(color)
             .into_iter()
-            .flat_map(|s| s.replicas)
+            .flat_map(|s| s.replicas.to_vec())
             .collect();
         self.ctrl_round(
             &nodes,
@@ -621,7 +621,7 @@ impl<'a> ControlPlane<'a> {
         deadline: Instant,
     ) -> Result<u64, CtrlError> {
         let mut ranked: Vec<(u64, NodeId)> = Vec::new();
-        for &node in &shard.replicas {
+        for &node in shard.replicas.iter() {
             // Short per-node probe so one crashed replica does not burn
             // the whole migration deadline — catch-up rounds repeat the
             // probe every round, so it is also capped by the timeout.
@@ -637,7 +637,7 @@ impl<'a> ControlPlane<'a> {
         ranked.sort_by_key(|&(count, _)| std::cmp::Reverse(count));
         let sources = ranked.into_iter().map(|(_, node)| node).collect();
         let cmd = CtrlCmd::CatchUp { color, shard: shard.id, sources, last };
-        self.ctrl_round_until(&mut dest.replicas.clone(), cmd, deadline, "copy")
+        self.ctrl_round_until(&mut dest.replicas.to_vec(), cmd, deadline, "copy")
     }
 
     /// Phase 0 of a migration: pre-freeze catch-up rounds, until one ships

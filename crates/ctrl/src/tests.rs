@@ -69,7 +69,7 @@ fn probe_append(
         .register(NodeId::named(0, (u64::MAX >> 4) - 4096 - tag));
     let token = Token((0xBEu64 << 56) | tag);
     let payloads = vec![Payload::from(body)];
-    let append = AppendMsg::Append { color, token, payloads, reply_to: ep.id() };
+    let append = AppendMsg::Append { color, token, payloads: payloads.into(), reply_to: ep.id() };
     let _ = ep.broadcast(nodes, append.into());
     Probe { ep, token }
 }
@@ -280,7 +280,7 @@ fn migration_from_two_source_shards_copies_each_from_its_own_cursor() {
     let dest = plane.add_shard(RoleId(0));
     plane.migrate_color(red, dest.id).unwrap();
     assert_eq!(cluster.data().topology.shards_of(red), std::slice::from_ref(&dest));
-    for &node in &dest.replicas {
+    for &node in dest.replicas.iter() {
         assert_eq!(on(node), acked, "{node}: the log is the acked set in SN order");
     }
     let snap = cluster.obs().snapshot();
@@ -756,7 +756,7 @@ fn zombie_controller_commands_are_nacked_end_to_end() {
         CtrlCmd::Discard(red),
         CtrlCmd::Archive { color: red, keep_tail: 0, max_records: u64::MAX, demote: true },
         // Would start a copy nobody ordered (and owe the zombie an ack).
-        CtrlCmd::CatchUp { color: red, shard: dest.id, sources: dest.replicas.clone(), last: true },
+        CtrlCmd::CatchUp { color: red, shard: dest.id, sources: dest.replicas.to_vec(), last: true },
     ];
     for (req, cmd) in (0xA1u64..).zip(cmds) {
         let _ = ep.send(src.replicas[0], CtrlMsg::Cmd { gen: stale, req, cmd }.into());

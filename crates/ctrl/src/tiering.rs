@@ -125,7 +125,7 @@ impl<'a> TieringEngine<'a> {
             let mut ssd_resident = 0u64;
             let mut pm_pressure = 0.0f64;
             for shard in cluster.catalog().shards_of(color) {
-                for &node in &shard.replicas {
+                for &node in shard.replicas.iter() {
                     let Some(s) = data.storage_of(node) else {
                         continue;
                     };

@@ -18,14 +18,14 @@
 //! entries and the region in one write, a cutover re-routes a color in one,
 //! and a destroy stops its ordering and its routing in one.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use flexlog_simnet::NodeId;
-use flexlog_types::{ColorId, ShardId};
+use flexlog_types::{ColorId, FastMap, ShardId};
 
 use crate::RoleId;
 
@@ -41,8 +41,10 @@ pub struct Version(pub u64);
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardInfo {
     pub id: ShardId,
-    /// All replicas (write-all set).
-    pub replicas: Vec<NodeId>,
+    /// All replicas (write-all set), in node-id order. Shared: every copy
+    /// of the shard's description — a client's append target, an OReq's
+    /// reply list — is a reference-count bump.
+    pub replicas: Arc<[NodeId]>,
     /// The leaf sequencer role this shard is attached to.
     pub leaf: RoleId,
     /// Read-only replicas attached to this shard: they follow the quorum
@@ -151,8 +153,8 @@ struct Table {
     version: Version,
     shards: BTreeMap<ShardId, ShardInfo>,
     /// The shards a color placed at each role is stored on.
-    regions: HashMap<RoleId, Vec<ShardId>>,
-    colors: HashMap<ColorId, Row>,
+    regions: FastMap<RoleId, Vec<ShardId>>,
+    colors: FastMap<ColorId, Row>,
 }
 
 /// The shared catalog. Cheap to clone (Arc inside).
@@ -340,7 +342,7 @@ impl Table {
             }
             Change::AddShard { r, leaf } => {
                 let id = ShardId(self.shards.keys().next_back().map_or(0, |s| s.0 + 1));
-                let all = self.shards.values().flat_map(|s| &s.replicas);
+                let all = self.shards.values().flat_map(|s| s.replicas.iter());
                 let next = all.map(|n| n.index() + 1).max().unwrap_or(0);
                 let replicas = (next..next + r as u64)
                     .map(|i| NodeId::named(NodeId::CLASS_REPLICA, i))

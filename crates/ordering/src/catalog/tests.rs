@@ -41,12 +41,12 @@ fn a_layout_numbers_its_nodes_and_each_node_finds_its_shard() {
     let read_replica = |i| NodeId::named(NodeId::CLASS_READ_REPLICA, i);
     let shards = c.all_shards();
     assert_eq!(shards.len(), 3);
-    assert_eq!(shards[1].replicas, [replica(3), replica(4), replica(5)]);
+    assert_eq!(shards[1].replicas[..], [replica(3), replica(4), replica(5)]);
     assert_eq!(shards[1].leaf, RoleId(2));
     assert_eq!(shards[1].read_replicas, [read_replica(1)]);
     assert_eq!(added, shards[2]);
     assert_eq!(added.id, ShardId(2));
-    assert_eq!(added.replicas, [replica(6), replica(7)]);
+    assert_eq!(added.replicas[..], [replica(6), replica(7)]);
     assert_eq!(c.shard_of(replica(4)).map(|s| s.id), Some(ShardId(1)));
     assert_eq!(c.shard_of(read_replica(0)).map(|s| s.id), Some(ShardId(0)));
     assert_eq!(c.shard_of(replica(8)), None);

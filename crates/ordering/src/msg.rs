@@ -1,5 +1,7 @@
 //! Ordering-layer messages and the wire-embedding trait.
 
+use std::sync::Arc;
+
 use flexlog_simnet::NodeId;
 use flexlog_types::{ColorId, Epoch, SeqNum, Token};
 
@@ -11,12 +13,13 @@ pub enum OrderMsg {
     /// Order request from a replica (or measuring client) to a leaf
     /// sequencer: assign `nrecords` consecutive SNs in `color` for the
     /// append identified by `token`; broadcast the reply to `shard`
-    /// (Algorithm 1, line 19).
+    /// (Algorithm 1, line 19). A replica names its shard with one shared
+    /// list for all its OReqs.
     OReq {
         color: ColorId,
         token: Token,
         nrecords: u32,
-        shard: Vec<NodeId>,
+        shard: Arc<[NodeId]>,
     },
     /// Aggregated request a sequencer forwards to its parent: `total` SNs
     /// for `color`, identified by the child's `batch` id (§5.2).
@@ -32,8 +35,9 @@ pub enum OrderMsg {
     /// requesting shard: per append, its token and the SN of its final
     /// record, in assignment order. One aggregation flush answers every
     /// append bound for the same shard with one message; a lone answer or a
-    /// replay is a batch of one.
-    OResp { resps: Vec<(Token, SeqNum)> },
+    /// replay is a batch of one. Shared by every replica the broadcast
+    /// reaches.
+    OResp { resps: Arc<[(Token, SeqNum)]> },
 
     /// Leader → backups: replicate the epoch before serving (§5.2 Safety).
     ReplicateEpoch { epoch: Epoch },
@@ -95,7 +99,7 @@ mod tests {
 
     #[test]
     fn identity_wire_roundtrips() {
-        let m = OrderMsg::OResp { resps: vec![(Token(7), SeqNum(9))] };
+        let m = OrderMsg::OResp { resps: Arc::from([(Token(7), SeqNum(9))]) };
         let w = OrderMsg::from_order(m.clone());
         assert_eq!(w.into_order(), Some(m));
     }

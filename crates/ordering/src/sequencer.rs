@@ -1,11 +1,12 @@
 //! The sequencer node: leader logic of one position in the ordering tree.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flexlog_obs::{Counter, Histogram, ObsHandle, Stage};
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
-use flexlog_types::{BoundedMap, ColorId, Epoch, SeqNum, Token};
+use flexlog_types::{BoundedMap, ColorId, Epoch, FastMap, SeqNum, Token};
 
 use crate::msg::{OrderMsg, OrderWire};
 use crate::{Directory, PositionSpec, RoleId, TreeSpec};
@@ -62,7 +63,7 @@ enum Constituent {
     Origin {
         token: Token,
         nrecords: u32,
-        shard: Vec<NodeId>,
+        shard: Arc<[NodeId]>,
     },
     /// A child sequencer's aggregated request.
     Child { from: NodeId, batch: u64, total: u32 },
@@ -102,6 +103,13 @@ struct PendingUp {
 /// replicas' storage `write` dedups by token.
 pub(crate) const RESPONDED_CAP: usize = 100_000;
 
+/// One flush's answers bound for one shard: the shard, then per append its
+/// token and last SN.
+type ShardGroup = (Arc<[NodeId]>, Vec<(Token, SeqNum)>);
+
+/// Shards a sequencer keeps an answer list for across flushes.
+const MAX_KEPT_GROUPS: usize = 64;
+
 /// Resend window for unanswered upstream requests.
 const RESEND_TIMEOUT: Duration = Duration::from_millis(300);
 
@@ -121,15 +129,15 @@ pub struct SequencerNode {
     spec: TreeSpec,
     directory: Directory,
     epoch: Epoch,
-    counters: HashMap<ColorId, u32>,
+    counters: FastMap<ColorId, u32>,
     /// Every token this node knows, and the replay cache: `None` while its
     /// OReq is buffered or pending upstream (a duplicate is dropped, Alg 1
     /// line 31), then its SN, so an OReq resend (e.g. from a replica that
     /// was partitioned during the OResp broadcast) gets the same answer
     /// re-broadcast instead of a new range.
     tokens: BoundedMap<Token, Option<SeqNum>>,
-    buffers: HashMap<ColorId, ColorBuffer>,
-    pending_up: HashMap<u64, PendingUp>,
+    buffers: FastMap<ColorId, ColorBuffer>,
+    pending_up: FastMap<u64, PendingUp>,
     next_batch: u64,
     /// Replay cache: child batches already answered → their SN, so child
     /// resends get the same answer instead of a new range.
@@ -145,7 +153,13 @@ pub struct SequencerNode {
     /// Per-color SNs issued (`seq.color_sns.<id>`), the autoscaler's
     /// per-color append-rate signal. Cached so a flush does not re-register
     /// the counter.
-    color_sn_counters: HashMap<ColorId, Counter>,
+    color_sn_counters: FastMap<ColorId, Counter>,
+    /// What one flush builds, kept for the next: a drained constituent
+    /// list for the next color buffer to open, the per-shard answer groups
+    /// (shard, answers) and the trace spans.
+    spare: Vec<Constituent>,
+    groups: Vec<ShardGroup>,
+    spans: Vec<(Token, Stage, u64, u64)>,
     /// Highest controller generation seen on a `BumpEpoch` — the zombie
     /// fence. Volatile (NOT replicated to backups): a promoted backup
     /// starts at 0, so a zombie could in principle bump a freshly promoted
@@ -172,16 +186,19 @@ impl SequencerNode {
             spec: spec.clone(),
             directory,
             epoch,
-            counters: HashMap::new(),
+            counters: FastMap::default(),
             tokens: BoundedMap::new(RESPONDED_CAP),
-            buffers: HashMap::new(),
-            pending_up: HashMap::new(),
+            buffers: FastMap::default(),
+            pending_up: FastMap::default(),
             next_batch: 1,
             responded: BoundedMap::new(RESPONDED_CAP),
             stats: SequencerStats::new(&spec.obs, pos.role),
             batch_wait_hist: spec.obs.histogram("seq.batch_wait_ns"),
             misrouted_dropped: spec.obs.counter("seq.misrouted_dropped"),
-            color_sn_counters: HashMap::new(),
+            color_sn_counters: FastMap::default(),
+            spare: Vec::new(),
+            groups: Vec::new(),
+            spans: Vec::new(),
             ctrl_gen: 0,
         }
     }
@@ -287,7 +304,7 @@ impl SequencerNode {
                     // Already assigned: replay the response so late or
                     // partitioned replicas can still commit.
                     Some(&Some(sn)) => {
-                        let resps = vec![(token, sn)];
+                        let resps = Arc::from([(token, sn)]);
                         let _ = ep.broadcast(&shard, W::from_order(OrderMsg::OResp { resps }));
                     }
                     None => {
@@ -371,10 +388,11 @@ impl SequencerNode {
     fn buffer(&mut self, color: ColorId, c: Constituent) {
         let total = c.total();
         let batch_interval = self.spec.batch_interval;
+        let spare = &mut self.spare;
         let buf = self.buffers.entry(color).or_insert_with(|| {
             let opened_at = Instant::now();
             ColorBuffer {
-                constituents: Vec::new(),
+                constituents: std::mem::take(spare),
                 total: 0,
                 opened_at,
                 due_at: opened_at + batch_interval,
@@ -386,13 +404,13 @@ impl SequencerNode {
 
     fn flush_due<W: OrderWire>(&mut self, ep: &Endpoint<W>) {
         let now = Instant::now();
-        let due: Vec<ColorId> = self
-            .buffers
-            .iter()
-            .filter(|(_, b)| now >= b.due_at)
-            .map(|(&c, _)| c)
-            .collect();
-        for color in due {
+        // Oldest first: a batch that waited longer is answered first. A
+        // color re-buffered below is due again only after `now`.
+        let next_due = |buffers: &FastMap<ColorId, ColorBuffer>| {
+            let due = buffers.iter().filter(|(_, b)| now >= b.due_at);
+            due.min_by_key(|(_, b)| b.due_at).map(|(&c, _)| c)
+        };
+        while let Some(color) = next_due(&self.buffers) {
             let Some(mut buf) = self.buffers.remove(&color) else { continue };
             self.stats.batches.inc();
             self.batch_wait_hist
@@ -462,18 +480,17 @@ impl SequencerNode {
         &mut self,
         ep: &Endpoint<W>,
         color: ColorId,
-        constituents: Vec<Constituent>,
+        mut constituents: Vec<Constituent>,
         last_sn: SeqNum,
         total: u32,
     ) {
         // Order-preserving per-shard groups (shard sets are tiny and few per
-        // flush; linear search beats hashing a Vec<NodeId> key).
-        type ShardGroup = (Vec<NodeId>, Vec<(Token, SeqNum)>);
+        // flush; linear search beats hashing a shard list key). The groups
+        // and their lists are the last flush's, emptied.
         let epoch = last_sn.epoch();
         let mut cursor = last_sn.counter() - total + 1;
-        let mut groups: Vec<ShardGroup> = Vec::new();
-        let mut spans: Vec<(Token, Stage, u64, u64)> = Vec::new();
-        for c in constituents {
+        let (mut groups, mut spans) = (std::mem::take(&mut self.groups), std::mem::take(&mut self.spans));
+        for c in constituents.drain(..) {
             match c {
                 Constituent::Origin {
                     token,
@@ -506,10 +523,23 @@ impl SequencerNode {
             }
         }
         self.spec.obs.tracer().record_many(&spans);
-        for (shard, resps) in groups {
-            let _ = ep.broadcast(&shard, W::from_order(OrderMsg::OResp { resps }));
+        for (shard, resps) in &mut groups {
+            if !resps.is_empty() {
+                let answers = Arc::from(&resps[..]);
+                resps.clear();
+                let _ = ep.broadcast(shard, W::from_order(OrderMsg::OResp { resps: answers }));
+            }
         }
         debug_assert_eq!(cursor, last_sn.counter() + 1, "range fully distributed");
+        // Keep the lists for the next flush, unless shards came and went.
+        if groups.len() > MAX_KEPT_GROUPS {
+            groups.clear();
+        }
+        spans.clear();
+        (self.groups, self.spans) = (groups, spans);
+        if self.spare.capacity() < constituents.capacity() {
+            self.spare = constituents;
+        }
     }
 
     fn resend_stale<W: OrderWire>(&mut self, ep: &Endpoint<W>) {

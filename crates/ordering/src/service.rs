@@ -4,6 +4,7 @@
 //! replication layer to obtain sequence numbers.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -300,7 +301,7 @@ pub fn request_order<W: OrderWire>(
                     color,
                     token,
                     nrecords,
-                    shard: vec![ep.id()],
+                    shard: Arc::from([ep.id()]),
                 }),
             );
         }

@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Duration;
 
 use flexlog_simnet::{Network, NodeId};
@@ -259,7 +260,7 @@ fn duplicate_oreq_is_ignored() {
                 color: RED,
                 token: tok(1, 1),
                 nrecords: 1,
-                shard: vec![ep.id()],
+                shard: Arc::from([ep.id()]),
             },
         )
         .unwrap();
@@ -494,7 +495,7 @@ fn oreq_resend_after_answer_replays_same_sn() {
             color: RED,
             token: tok(1, 1),
             nrecords: 2,
-            shard: vec![ep.id()],
+            shard: Arc::from([ep.id()]),
         },
     )
     .unwrap();
@@ -593,7 +594,7 @@ fn a_color_the_catalog_dropped_is_no_longer_ordered() {
     spec.catalog.apply(Change::DropColor { color: RED }).unwrap();
     ep.send(
         h.node_for(RoleId(0)).unwrap(),
-        OrderMsg::OReq { color: RED, token: tok(1, 1), nrecords: 1, shard: vec![ep.id()] },
+        OrderMsg::OReq { color: RED, token: tok(1, 1), nrecords: 1, shard: Arc::from([ep.id()]) },
     )
     .unwrap();
     // GREEN goes through the same inbox afterwards: once it is answered,
@@ -622,7 +623,7 @@ fn a_sequencer_remembers_a_bounded_number_of_tokens() {
         color: RED,
         token: tok(1, c),
         nrecords: 1,
-        shard: vec![ep.id()],
+        shard: Arc::from([ep.id()]),
     };
     let total = (RESPONDED_CAP + EXTRA) as u32;
     let mut answered: HashMap<Token, SeqNum> = HashMap::new();
@@ -638,7 +639,7 @@ fn a_sequencer_remembers_a_bounded_number_of_tokens() {
                 if let (_, OrderMsg::OResp { resps }) =
                     ep.recv_timeout(Duration::from_secs(10)).unwrap()
                 {
-                    answered.extend(resps);
+                    answered.extend(resps.iter().copied());
                 }
             }
         }

@@ -174,12 +174,20 @@ impl PmDevice {
     /// Reads `len` bytes starting at `offset` (sees unpersisted writes, like
     /// a CPU load through the cache).
     pub fn read(&self, offset: usize, len: usize) -> Result<Vec<u8>, DeviceError> {
+        let mut bytes = Vec::with_capacity(len);
+        self.read_into(offset, len, &mut bytes)?;
+        Ok(bytes)
+    }
+
+    /// [`PmDevice::read`] appending the bytes to `out`.
+    pub fn read_into(&self, offset: usize, len: usize, out: &mut Vec<u8>) -> Result<(), DeviceError> {
         self.check(offset, len)?;
         self.clock.consume(self.latency.read_ns(len));
         let inner = self.inner.lock();
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_read.fetch_add(len as u64, Ordering::Relaxed);
-        Ok(inner.working[offset..offset + len].to_vec())
+        out.extend_from_slice(&inner.working[offset..offset + len]);
+        Ok(())
     }
 
     /// Flushes `[offset, offset+len)` to the media and drains (CLWB+SFENCE):

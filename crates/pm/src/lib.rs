@@ -26,6 +26,7 @@
 mod clock;
 mod crc;
 mod device;
+mod hash;
 mod latency;
 mod pool;
 mod ssd;

@@ -76,6 +76,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::crc::crc32_update;
+use crate::hash::FastMap;
 use crate::{crc32, DeviceError, PmDevice};
 
 /// Bytes of a record header: crc(4) + len(4) + txid(8) + kind(1) + key(16).
@@ -106,6 +107,9 @@ const RECLAIM_SPAN: usize = 64 << 10;
 const KIND_PUT: u8 = 1;
 const KIND_DELETE: u8 = 2;
 const KIND_COMMIT: u8 = 3;
+/// A transaction's buffer goes back to the pool for the next one unless it
+/// grew past this (one huge transaction must not pin its buffer forever).
+const SPARE_TX_BUF: usize = 1 << 20;
 
 /// Errors from pool operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -162,7 +166,7 @@ struct Seg {
 }
 
 struct PoolState {
-    index: HashMap<u128, Loc>,
+    index: FastMap<u128, Loc>,
     /// Every segment slot, by position on the device.
     segs: Vec<Seg>,
     /// The slots making up the log, oldest first; the last is being filled.
@@ -180,6 +184,9 @@ struct PoolState {
     /// the transaction being appended landed.
     scratch: Vec<u8>,
     placed: Vec<usize>,
+    /// The buffer of the last transaction, cleared, for the next one: a
+    /// replica commits one per wake, and each would otherwise grow its own.
+    spare: Vec<u8>,
 }
 
 impl PoolState {
@@ -210,7 +217,8 @@ pub struct PmPool {
 pub struct Tx<'a> {
     pool: &'a PmPool,
     /// The staged operations, already laid out as log records back to back
-    /// (crc and txid are filled in at commit).
+    /// (crc and txid are filled in at commit). Taken from the pool's
+    /// `spare` and handed back when the transaction ends.
     buf: Vec<u8>,
     /// A staged value was too long for any record: the commit must fail.
     oversize: bool,
@@ -230,7 +238,7 @@ impl PmPool {
             device,
             seg_size,
             state: Mutex::new(PoolState {
-                index: HashMap::new(),
+                index: FastMap::default(),
                 segs: vec![Seg::default(); segments],
                 log: VecDeque::with_capacity(segments),
                 tail: 0,
@@ -240,6 +248,7 @@ impl PmPool {
                 victims_of: 0,
                 scratch: Vec::new(),
                 placed: Vec::new(),
+                spare: Vec::new(),
             }),
             stats: PoolStats::default(),
         }
@@ -358,7 +367,7 @@ impl PmPool {
     pub fn begin(&self) -> Tx<'_> {
         Tx {
             pool: self,
-            buf: Vec::new(),
+            buf: std::mem::take(&mut self.state.lock().spare),
             oversize: false,
         }
     }
@@ -366,9 +375,18 @@ impl PmPool {
     /// Reads the committed value for `key`. The lock is held across the
     /// device read: a freed segment may be reused at once.
     pub fn get(&self, key: u128) -> Option<Vec<u8>> {
+        let mut value = Vec::new();
+        self.read_into(key, &mut value)?;
+        Some(value)
+    }
+
+    /// [`PmPool::get`] appending the value to `out` instead: returns its
+    /// length, or `None` (and `out` untouched) if `key` is not present.
+    pub fn read_into(&self, key: u128, out: &mut Vec<u8>) -> Option<usize> {
         let st = self.state.lock();
         let &(rec, len) = st.index.get(&key)?;
-        Some(self.device.read(rec + REC_HDR, len).expect("indexed range valid"))
+        self.device.read_into(rec + REC_HDR, len, out).expect("indexed range valid");
+        Some(len)
     }
 
     /// True if `key` is present.
@@ -654,16 +672,42 @@ impl PmPool {
 impl<'a> Tx<'a> {
     /// Stages a put of `value` under `key`.
     pub fn put(&mut self, key: u128, value: &[u8]) {
-        self.oversize |= u32::try_from(value.len()).is_err();
-        if !self.oversize {
-            push_record(&mut self.buf, KIND_PUT, key, value);
+        self.put_with(key, |buf| buf.extend_from_slice(value));
+    }
+
+    /// Stages a put under `key` of the value `write` appends to the
+    /// buffer it is handed — a value made of parts goes into the
+    /// transaction in place, with no temporary of its own.
+    pub fn put_with(&mut self, key: u128, write: impl FnOnce(&mut Vec<u8>)) {
+        if self.oversize {
+            return;
+        }
+        let at = self.buf.len();
+        push_header(&mut self.buf, KIND_PUT, key);
+        write(&mut self.buf);
+        match u32::try_from(self.buf.len() - at - REC_HDR) {
+            Ok(len) => self.buf[at + 4..at + 8].copy_from_slice(&len.to_le_bytes()),
+            Err(_) => {
+                self.buf.truncate(at);
+                self.oversize = true;
+            }
         }
     }
 
     /// Stages a delete of `key`.
     pub fn delete(&mut self, key: u128) {
-        push_record(&mut self.buf, KIND_DELETE, key, &[]);
+        push_header(&mut self.buf, KIND_DELETE, key);
     }
+
+    /// Makes room for `bytes` more of staged values in one step; a put
+    /// also takes [`Tx::RECORD_OVERHEAD`] bytes beside its value, a delete
+    /// that alone.
+    pub fn reserve(&mut self, bytes: usize) {
+        self.buf.reserve(bytes);
+    }
+
+    /// Bytes a put or a delete takes in the transaction beside its value.
+    pub const RECORD_OVERHEAD: usize = REC_HDR;
 
     /// Reads `key`, seeing this transaction's own staged operations first.
     pub fn get(&self, key: u128) -> Option<Vec<u8>> {
@@ -681,7 +725,8 @@ impl<'a> Tx<'a> {
         if self.oversize {
             return Err(PoolError::PoolFull);
         }
-        self.pool.commit_buf(&mut self.buf)
+        let pool = self.pool;
+        pool.commit_buf(&mut self.buf)
     }
 
     /// Discards all staged operations (also what dropping does).
@@ -697,6 +742,16 @@ impl<'a> Tx<'a> {
     /// True if nothing is staged.
     pub fn is_empty(&self) -> bool {
         self.buf.is_empty()
+    }
+}
+
+impl Drop for Tx<'_> {
+    /// Hands the buffer back for the next transaction.
+    fn drop(&mut self) {
+        if self.buf.capacity() <= SPARE_TX_BUF {
+            self.buf.clear();
+            self.pool.state.lock().spare = std::mem::take(&mut self.buf);
+        }
     }
 }
 
@@ -722,19 +777,17 @@ impl RecHdr {
     }
 }
 
-/// Appends a record to `buf`, crc and txid left blank for [`seal`]. The
-/// payload length fits the header's 32 bits ([`Tx::put`] checks).
-fn push_record(buf: &mut Vec<u8>, kind: u8, key: u128, payload: &[u8]) {
-    buf.reserve(REC_HDR + payload.len());
-    buf.extend_from_slice(&[0u8; 4]);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&[0u8; 8]);
-    buf.push(kind);
-    buf.extend_from_slice(&key.to_le_bytes());
-    buf.extend_from_slice(payload);
+/// Appends a record header with an empty payload to `buf`, crc and txid
+/// left blank for [`seal`]; a put writes its value behind it and then its
+/// length ([`Tx::put_with`]).
+fn push_header(buf: &mut Vec<u8>, kind: u8, key: u128) {
+    let mut hdr = [0u8; REC_HDR];
+    hdr[16] = kind;
+    hdr[17..].copy_from_slice(&key.to_le_bytes());
+    buf.extend_from_slice(&hdr);
 }
 
-/// The records laid out back to back in `buf` by [`push_record`]: each
+/// The records laid out back to back in `buf` by [`Tx`]'s puts and deletes: each
 /// one's offset in `buf` and its header.
 fn records(buf: &[u8]) -> impl Iterator<Item = (usize, RecHdr)> + '_ {
     let mut next = 0;

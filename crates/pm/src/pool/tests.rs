@@ -395,3 +395,12 @@ fn many_compactions_many_crashes_fuzz() {
         assert_eq!(p.get(k).as_deref(), Some(v.as_slice()), "key {k}");
     }
 }
+
+/// A whole record as a transaction lays it out, for tests that write one
+/// by hand.
+fn push_record(buf: &mut Vec<u8>, kind: u8, key: u128, payload: &[u8]) {
+    let at = buf.len();
+    push_header(buf, kind, key);
+    buf.extend_from_slice(payload);
+    buf[at + 4..at + 8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+}

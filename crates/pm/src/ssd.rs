@@ -24,7 +24,7 @@
 //! color and SN) asks [`SsdDevice::block_ids`] for a key range instead of
 //! keeping a copy.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::ops::{Bound, RangeBounds};
@@ -33,6 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
 
+use crate::hash::{FastMap, FastState};
 use crate::{DeviceClock, LatencyModel};
 
 /// Cost of a buffered write/read syscall (kernel crossing + copy), charged
@@ -42,6 +43,10 @@ const SYSCALL_NS: u64 = 1_500;
 /// Page-cache capacity in blocks (~64 MiB of 4 KiB blocks, the OS share a
 /// storage server would typically get).
 const READ_CACHE_BLOCKS: usize = 16_384;
+
+/// The page cache's dirty buffer is kept across `fsync`s for the next
+/// writes unless it grew past this.
+const SPARE_DIRTY_BYTES: usize = 1 << 20;
 
 /// Errors from SSD operations.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,17 +93,17 @@ impl Extent {
 
 /// The durable blocks' extents by id, in two levels: the id's high half,
 /// then its low half. Ids that share a high half — one color's records, for
-/// the storage server — are the bulk of a device's blocks, and a B-tree
-/// keyed on 8 bytes has nodes a third smaller than one keyed on a
-/// 16-byte-aligned `u128` (31 B of heap an entry instead of 45, measured
-/// by the storage crate's `spilled_heap` test).
+/// the storage server — are the bulk of a device's blocks, and each of
+/// those is one 16-byte (low half, extent) pair in a dense sorted chunk
+/// ([`Blocks`]).
 ///
-/// B-trees so that block-count growth never triggers an O(n) table rehash
-/// mid-write — spill batches run on the commit path, where a multi-ms
-/// rehash spike of a hundred-thousand-block device becomes an append stall
-/// — and so that [`SsdDevice::block_ids`] walks a key range in order.
+/// Sorted chunks under a B-tree, not a hash table, so that block-count
+/// growth never triggers an O(n) table rehash mid-write — spill batches run
+/// on the commit path, where a multi-ms rehash spike of a
+/// hundred-thousand-block device becomes an append stall — and so that
+/// [`SsdDevice::block_ids`] walks a key range in order.
 #[derive(Default)]
-struct BlockIndex(BTreeMap<u64, BTreeMap<u64, Extent>>);
+struct BlockIndex(BTreeMap<u64, Blocks>);
 
 fn halves(id: u128) -> (u64, u64) {
     ((id >> 64) as u64, id as u64)
@@ -107,7 +112,7 @@ fn halves(id: u128) -> (u64, u64) {
 impl BlockIndex {
     fn get(&self, id: u128) -> Option<Extent> {
         let (high, low) = halves(id);
-        self.0.get(&high)?.get(&low).copied()
+        self.0.get(&high)?.get(low)
     }
 
     fn insert(&mut self, id: u128, extent: Extent) {
@@ -118,8 +123,8 @@ impl BlockIndex {
     fn remove(&mut self, id: u128) {
         let (high, low) = halves(id);
         if let Some(blocks) = self.0.get_mut(&high) {
-            blocks.remove(&low);
-            if blocks.is_empty() {
+            blocks.remove(low);
+            if blocks.0.is_empty() {
                 self.0.remove(&high);
             }
         }
@@ -140,8 +145,110 @@ impl BlockIndex {
         let highs = high_of(range.0, 0)..=high_of(range.1, u64::MAX);
         self.0.range(highs).flat_map(move |(&high, blocks)| {
             let lows = (low_of(range.0, high), low_of(range.1, high));
-            blocks.range(lows).map(move |(&low, _)| (high as u128) << 64 | low as u128)
+            blocks.lows(lows).map(move |low| (high as u128) << 64 | low as u128)
         })
+    }
+}
+
+/// Entries of one [`Blocks`] chunk: 2 KiB of pairs.
+const CHUNK: usize = 128;
+
+/// The (low half, extent) pairs of one high half, sorted, in chunks of at
+/// most [`CHUNK`] allocated whole, each under a key no greater than its
+/// first entry and above every entry of the chunk before. Blocks named in
+/// key order — a spill's — append to the last chunk and fill it, so a
+/// block costs its 16 bytes and little more, where B-tree leaves filled in
+/// key order end about half full. A chunk that takes an entry in its
+/// middle while full splits in two.
+#[derive(Default)]
+struct Blocks(BTreeMap<u64, Vec<(u64, Extent)>>);
+
+impl Blocks {
+    /// The chunk `low` belongs in: the last one keyed at or below it.
+    fn chunk(&self, low: u64) -> Option<(u64, &Vec<(u64, Extent)>)> {
+        self.0.range(..=low).next_back().map(|(&key, chunk)| (key, chunk))
+    }
+
+    fn get(&self, low: u64) -> Option<Extent> {
+        let (_, chunk) = self.chunk(low)?;
+        let i = chunk.binary_search_by_key(&low, |&(l, _)| l).ok()?;
+        Some(chunk[i].1)
+    }
+
+    fn insert(&mut self, low: u64, extent: Extent) {
+        // Below every chunk: the first one takes it, re-keyed.
+        let key = match self.chunk(low) {
+            Some((key, _)) => key,
+            None => match self.0.pop_first() {
+                Some((_, chunk)) if chunk.len() < CHUNK => {
+                    self.0.insert(low, chunk);
+                    low
+                }
+                first => {
+                    self.0.extend(first);
+                    return self.start_chunk(low, extent);
+                }
+            },
+        };
+        let chunk = self.0.get_mut(&key).expect("found above");
+        let i = match chunk.binary_search_by_key(&low, |&(l, _)| l) {
+            Ok(i) => return chunk[i].1 = extent,
+            Err(i) => i,
+        };
+        if chunk.len() < CHUNK {
+            return chunk.insert(i, (low, extent));
+        }
+        if i == CHUNK {
+            return self.start_chunk(low, extent);
+        }
+        let mut upper = Vec::with_capacity(CHUNK);
+        upper.extend(chunk.drain(CHUNK / 2..));
+        match i.checked_sub(CHUNK / 2) {
+            None => chunk.insert(i, (low, extent)),
+            Some(j) => upper.insert(j, (low, extent)),
+        }
+        self.0.insert(upper[0].0, upper);
+    }
+
+    fn start_chunk(&mut self, low: u64, extent: Extent) {
+        let mut chunk = Vec::with_capacity(CHUNK);
+        chunk.push((low, extent));
+        self.0.insert(low, chunk);
+    }
+
+    /// A removal keeps the chunk's key: a bound below its entries is all
+    /// the key promises.
+    fn remove(&mut self, low: u64) {
+        let Some((key, chunk)) = self.chunk(low) else { return };
+        let Ok(i) = chunk.binary_search_by_key(&low, |&(l, _)| l) else { return };
+        let chunk = self.0.get_mut(&key).expect("found above");
+        chunk.remove(i);
+        if chunk.is_empty() {
+            self.0.remove(&key);
+        }
+    }
+
+    /// The low halves inside `range`, ascending.
+    fn lows(&self, range: (Bound<u64>, Bound<u64>)) -> impl Iterator<Item = u64> + '_ {
+        let first = match range.0 {
+            Bound::Included(low) | Bound::Excluded(low) => self.chunk(low).map_or(0, |(key, _)| key),
+            Bound::Unbounded => 0,
+        };
+        let after_start = move |low: &u64| match range.0 {
+            Bound::Included(start) => *low >= start,
+            Bound::Excluded(start) => *low > start,
+            Bound::Unbounded => true,
+        };
+        let before_end = move |low: &u64| match range.1 {
+            Bound::Included(end) => *low <= end,
+            Bound::Excluded(end) => *low < end,
+            Bound::Unbounded => true,
+        };
+        self.0
+            .range(first..)
+            .flat_map(|(_, chunk)| chunk.iter().map(|&(low, _)| low))
+            .skip_while(move |low| !after_start(low))
+            .take_while(before_end)
     }
 }
 
@@ -151,13 +258,22 @@ struct SsdInner {
     durable: BlockIndex,
     /// Bytes of the medium written so far; the next `fsync` appends here.
     medium_len: u64,
-    /// Dirty blocks in the page cache (lost on crash).
-    dirty: HashMap<u128, Vec<u8>>,
+    /// Dirty blocks in the page cache (lost on crash): where each one's
+    /// bytes are in `dirty_bytes`, as (offset, len).
+    dirty: FastMap<u128, (usize, usize)>,
+    /// The page cache's dirty bytes, blocks back to back as they were
+    /// written; an overwritten or deleted dirty block leaves its bytes
+    /// behind until the next `fsync`.
+    dirty_bytes: Vec<u8>,
+    /// The dirty blocks' ids in the order they were written (a rewritten
+    /// one twice): the order `fsync` indexes them in, which keeps a
+    /// spill's blocks in key order.
+    dirty_order: Vec<u128>,
     /// Blocks deleted in the cache but not yet synced.
     dirty_deletes: Vec<u128>,
     /// Clean blocks resident in the OS page cache (reads hit memory). Like
     /// a real page cache this is volatile and bounded.
-    read_cache: HashSet<u128>,
+    read_cache: HashSet<u128, FastState>,
 }
 
 /// Counters for tests/benches.
@@ -188,9 +304,11 @@ impl SsdDevice {
             inner: Mutex::new(SsdInner {
                 durable: BlockIndex::default(),
                 medium_len: 0,
-                dirty: HashMap::new(),
+                dirty: FastMap::default(),
+                dirty_bytes: Vec::new(),
+                dirty_order: Vec::new(),
                 dirty_deletes: Vec::new(),
-                read_cache: HashSet::new(),
+                read_cache: HashSet::default(),
             }),
             medium: anonymous_temp_file(),
             medium_writes: AtomicU64::new(0),
@@ -207,26 +325,35 @@ impl SsdDevice {
 
     /// Buffered write of one block: [`SsdDevice::write_blocks`] of one.
     pub fn write_block(&self, id: u128, data: &[u8]) {
-        self.write_blocks(vec![(id, data.to_vec())]);
+        self.write_blocks(data, &[(id, data.len())]);
     }
 
-    /// Buffered vectored write: the blocks land in the page cache, taken
-    /// as they are (no copy), at the cost of one syscall however many there
-    /// are; durable only after [`SsdDevice::fsync`].
-    pub fn write_blocks(&self, blocks: Vec<(u128, Vec<u8>)>) {
+    /// Buffered vectored write: `blocks` names the `(id, len)` of each
+    /// block laid end to end in `data`. They land in the page cache — one
+    /// copy into its buffer — at the cost of one syscall however many
+    /// there are; durable only after [`SsdDevice::fsync`].
+    pub fn write_blocks(&self, data: &[u8], blocks: &[(u128, usize)]) {
+        assert_eq!(blocks.iter().map(|&(_, len)| len).sum::<usize>(), data.len(), "extents cover data");
         self.clock.consume(SYSCALL_NS);
         let mut inner = self.inner.lock();
+        let inner = &mut *inner;
         self.stats.writes.fetch_add(blocks.len() as u64, Ordering::Relaxed);
-        inner.dirty.extend(blocks);
+        let mut offset = inner.dirty_bytes.len();
+        inner.dirty_bytes.extend_from_slice(data);
+        for &(id, len) in blocks {
+            inner.dirty.insert(id, (offset, len));
+            inner.dirty_order.push(id);
+            offset += len;
+        }
     }
 
     /// Reads a block, hitting the page cache first, the device otherwise.
     pub fn read_block(&self, id: u128) -> Result<Vec<u8>, SsdError> {
         let inner = self.inner.lock();
         self.stats.reads.fetch_add(1, Ordering::Relaxed);
-        if let Some(b) = inner.dirty.get(&id) {
+        if let Some(&(offset, len)) = inner.dirty.get(&id) {
             // Page-cache hit: syscall cost only.
-            let data = b.clone();
+            let data = inner.dirty_bytes[offset..offset + len].to_vec();
             drop(inner);
             self.clock.consume(SYSCALL_NS);
             return Ok(data);
@@ -283,26 +410,41 @@ impl SsdDevice {
             // One sequential writeback: every dirty block goes to the end
             // of the medium in one write, then the index points at it. The
             // device base cost is paid once, the per-byte cost for all
-            // dirty data.
-            let any = !inner.dirty.is_empty();
-            let mut batch = Vec::with_capacity(inner.dirty.values().map(Vec::len).sum());
-            for (id, data) in inner.dirty.drain() {
-                let extent = Extent::new(inner.medium_len + batch.len() as u64, data.len());
-                batch.extend_from_slice(&data);
-                inner.durable.insert(id, extent);
+            // dirty data. The page cache's buffer is that write unless a
+            // block was overwritten or deleted in it; then the live blocks
+            // are gathered first.
+            let SsdInner { durable, dirty, dirty_bytes, dirty_order, medium_len, .. } = inner;
+            let live: usize = dirty.values().map(|&(_, len)| len).sum();
+            let gather = live < dirty_bytes.len();
+            let mut gathered = Vec::with_capacity(if gather { live } else { 0 });
+            for id in dirty_order.drain(..) {
+                let Some((offset, len)) = dirty.remove(&id) else { continue };
+                let at = if gather {
+                    gathered.extend_from_slice(&dirty_bytes[offset..offset + len]);
+                    gathered.len() - len
+                } else {
+                    offset
+                };
+                durable.insert(id, Extent::new(*medium_len + at as u64, len));
             }
+            let batch = if gather { &gathered } else { &*dirty_bytes };
             self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
             self.stats.bytes_synced.fetch_add(batch.len() as u64, Ordering::Relaxed);
-            if any {
+            let written = if batch.is_empty() {
+                0
+            } else {
                 self.medium
-                    .write_all_at(&batch, inner.medium_len)
+                    .write_all_at(batch, *medium_len)
                     .expect("append the synced blocks to the ssd medium file");
                 self.medium_writes.fetch_add(1, Ordering::Relaxed);
-                inner.medium_len += batch.len() as u64;
+                *medium_len += batch.len() as u64;
                 self.latency.write_ns(batch.len())
-            } else {
-                0
+            };
+            dirty_bytes.clear();
+            if dirty_bytes.capacity() > SPARE_DIRTY_BYTES {
+                *dirty_bytes = Vec::new();
             }
+            written
         };
         self.clock.consume(SYSCALL_NS + total_ns);
     }
@@ -328,6 +470,8 @@ impl SsdDevice {
     pub fn crash(&self) {
         let mut inner = self.inner.lock();
         inner.dirty.clear();
+        inner.dirty_bytes.clear();
+        inner.dirty_order.clear();
         inner.dirty_deletes.clear();
         inner.read_cache.clear();
     }
@@ -374,6 +518,16 @@ fn anonymous_temp_file() -> File {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Writes `blocks` as one vectored write.
+    fn write_all(ssd: &SsdDevice, blocks: impl IntoIterator<Item = (u128, Vec<u8>)>) {
+        let (mut data, mut extents) = (Vec::new(), Vec::new());
+        for (id, bytes) in blocks {
+            extents.push((id, bytes.len()));
+            data.extend(bytes);
+        }
+        ssd.write_blocks(&data, &extents);
+    }
 
     #[test]
     fn write_read_roundtrip() {
@@ -445,7 +599,7 @@ mod tests {
     #[test]
     fn block_ids_walks_a_key_range_in_order() {
         let ssd = SsdDevice::for_testing();
-        ssd.write_blocks((0..40u128).rev().map(|id| (id, vec![id as u8])).collect());
+        write_all(&ssd, (0..40u128).rev().map(|id| (id, vec![id as u8])));
         ssd.fsync();
         assert_eq!(ssd.block_ids(10..20, usize::MAX), (10..20).collect::<Vec<_>>());
         assert_eq!(ssd.block_ids(10.., 3), vec![10, 11, 12], "at most max, lowest first");
@@ -469,7 +623,7 @@ mod tests {
             .flat_map(|high| [0, 7, 8, u64::MAX as u128].map(|low| id(high, low)))
             .collect();
         let ssd = SsdDevice::for_testing();
-        ssd.write_blocks(all.iter().map(|&i| (i, vec![1])).collect());
+        write_all(&ssd, all.iter().map(|&i| (i, vec![1])));
         ssd.fsync();
         let want = |r: (Bound<u128>, Bound<u128>)| -> Vec<u128> {
             all.iter().copied().filter(|i| r.contains(i)).collect()
@@ -502,7 +656,7 @@ mod tests {
         use crate::virtual_time;
         let ssd = SsdDevice::new(DeviceClock::virtual_clock());
         virtual_time::take();
-        ssd.write_blocks((0..64).map(|id| (id, vec![0u8; 272])).collect());
+        write_all(&ssd, (0..64).map(|id| (id, vec![0u8; 272])));
         assert_eq!(virtual_time::take(), SYSCALL_NS, "64 blocks, one kernel crossing");
         ssd.write_block(64, &[0u8; 272]);
         assert_eq!(virtual_time::take(), SYSCALL_NS);
@@ -515,16 +669,87 @@ mod tests {
         let batch = |tag: u8| -> Vec<(u128, Vec<u8>)> {
             (0..16).map(|id| (id, vec![tag; 100])).collect()
         };
-        ssd.write_blocks(batch(1));
+        write_all(&ssd, batch(1));
         ssd.crash();
         assert!(ssd.block_ids(.., usize::MAX).is_empty(), "a crash before fsync loses all of it");
-        ssd.write_blocks(batch(2));
+        write_all(&ssd, batch(2));
         ssd.fsync();
         ssd.crash();
         assert_eq!(ssd.block_ids(.., usize::MAX), (0..16).collect::<Vec<_>>());
         for id in 0..16 {
             assert_eq!(ssd.read_block(id).unwrap(), vec![2u8; 100]);
         }
+    }
+
+    #[test]
+    fn overwritten_and_deleted_dirty_blocks_are_not_synced() {
+        let ssd = SsdDevice::for_testing();
+        write_all(&ssd, [(1, vec![1u8; 10]), (2, vec![2u8; 20]), (3, vec![3u8; 30])]);
+        ssd.write_block(1, &[9u8; 5]);
+        ssd.delete_block(2);
+        ssd.fsync();
+        assert_eq!(ssd.stats.bytes_synced.load(Ordering::Relaxed), 35, "only the live bytes");
+        ssd.crash();
+        assert_eq!(ssd.read_block(1).unwrap(), vec![9u8; 5]);
+        assert_eq!(ssd.read_block(2), Err(SsdError::NotFound(2)));
+        assert_eq!(ssd.read_block(3).unwrap(), vec![3u8; 30]);
+    }
+
+    #[test]
+    fn dense_chunks_match_a_sorted_map() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut index = BlockIndex::default();
+        let mut model = BTreeMap::new();
+        // Runs in key order (a spill's), then scattered inserts that split
+        // full chunks, removals, and re-inserts below every chunk.
+        let mut next = [1_000u64; 3];
+        for step in 0..20_000u64 {
+            let high = rng.gen_range(0..3u64);
+            let low = match rng.gen_range(0..10) {
+                0..=5 => {
+                    next[high as usize] += 1;
+                    next[high as usize]
+                }
+                6 | 7 => rng.gen_range(0..next[high as usize] + 10),
+                _ => {
+                    let low = rng.gen_range(0..next[high as usize]);
+                    index.remove((high as u128) << 64 | low as u128);
+                    model.remove(&((high as u128) << 64 | low as u128));
+                    continue;
+                }
+            };
+            let id = (high as u128) << 64 | low as u128;
+            index.insert(id, Extent::new(step, 1));
+            model.insert(id, step);
+        }
+        for (&id, &offset) in &model {
+            assert_eq!(index.get(id).map(Extent::offset), Some(offset), "{id:x}");
+        }
+        assert!(index.get(5 << 64).is_none());
+        let all: Vec<u128> = model.keys().copied().collect();
+        assert_eq!(index.ids((Bound::Unbounded, Bound::Unbounded)).collect::<Vec<_>>(), all);
+        for _ in 0..200 {
+            let (a, b) = (all[rng.gen_range(0..all.len())], all[rng.gen_range(0..all.len())]);
+            let r = (Bound::Excluded(a.min(b)), Bound::Included(a.max(b) + 1));
+            let want: Vec<u128> = model.range(r).map(|(&id, _)| id).collect();
+            assert_eq!(index.ids(r).collect::<Vec<_>>(), want, "{r:?}");
+        }
+        for id in all {
+            index.remove(id);
+        }
+        assert!(index.0.is_empty(), "emptied chunks and high halves leave nothing");
+    }
+
+    #[test]
+    fn blocks_named_in_order_fill_their_chunks() {
+        let mut index = BlockIndex::default();
+        for low in 0..10 * CHUNK as u128 {
+            index.insert(7 << 64 | low, Extent::new(low as u64, 272));
+        }
+        let chunks = &index.0[&7].0;
+        assert_eq!(chunks.len(), 10);
+        assert!(chunks.values().all(|c| c.len() == CHUNK && c.capacity() == CHUNK));
     }
 
     #[test]

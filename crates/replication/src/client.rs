@@ -23,6 +23,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
@@ -31,7 +32,9 @@ use rand::{Rng, SeedableRng};
 use flexlog_obs::{Histogram, ObsHandle, Stage};
 use flexlog_ordering::{Catalog, ShardInfo};
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
-use flexlog_types::{ColorId, CommittedRecord, FunctionId, Payload, SeqNum, ShardId, Token};
+use flexlog_types::{
+    Batch, ColorId, CommittedRecord, FastMap, FunctionId, Payload, SeqNum, ShardId, Token,
+};
 
 use crate::msg::{AppendMsg, ClusterMsg, DataMsg, ReadMsg, RejectReason, SubMsg};
 use crate::replica::encode_multi_set;
@@ -222,11 +225,12 @@ struct SubState {
 struct InflightAppend {
     color: ColorId,
     shard: ShardId,
-    replicas: Vec<NodeId>,
-    /// The retransmittable message (payloads inside are refcounted — a
-    /// retransmit clones pointers, not bytes).
+    replicas: Arc<[NodeId]>,
+    /// The retransmittable message (its batch is shared — a retransmit
+    /// clones a reference count, not a list or a byte).
     msg: ClusterMsg,
-    acked: HashSet<NodeId>,
+    /// Bit `i` set: `replicas[i]` acked.
+    acked: u64,
     backoff: Backoff,
     retry_at: Instant,
     silent_rounds: u32,
@@ -244,7 +248,7 @@ pub struct FlexLogClient {
     req_counter: u64,
     rng: StdRng,
     /// Appends awaiting their full replica ack set, by token.
-    inflight: HashMap<Token, InflightAppend>,
+    inflight: FastMap<Token, InflightAppend>,
     /// Appends that completed but were not yet handed out.
     completed: Vec<(Token, SeqNum)>,
     /// Appends that failed, each with its own error: a blocking `append`
@@ -274,7 +278,7 @@ impl FlexLogClient {
             token_counter: 0,
             req_counter: 0,
             rng: StdRng::seed_from_u64(seed),
-            inflight: HashMap::new(),
+            inflight: FastMap::default(),
             completed: Vec::new(),
             failed: Vec::new(),
             burst: Vec::new(),
@@ -329,10 +333,11 @@ impl FlexLogClient {
         let msg: ClusterMsg = AppendMsg::Append {
             color,
             token,
-            payloads: payloads.to_vec(), // refcount bumps, not byte copies
+            payloads: Batch::from(payloads), // refcount bumps, not byte copies
             reply_to: self.ep.id(),
         }
         .into();
+        assert!(shard.replicas.len() <= 64, "one ack bit per replica");
         self.config
             .obs
             .trace_event(token, Stage::ClientSend, self.ep.id().0, 0);
@@ -346,7 +351,7 @@ impl FlexLogClient {
                 shard: shard.id,
                 replicas: shard.replicas,
                 msg,
-                acked: HashSet::new(),
+                acked: 0,
                 backoff,
                 retry_at,
                 silent_rounds: 0,
@@ -605,7 +610,7 @@ impl FlexLogClient {
             .collect();
         for token in overdue {
             let op = self.inflight.get_mut(&token).expect("collected above");
-            if op.acked.is_empty() {
+            if op.acked == 0 {
                 // Not a single replica has ever acked: the whole shard looks
                 // crashed or partitioned away. Fail fast instead of burning
                 // the full deadline (recovery of a *partially* acked append
@@ -641,11 +646,11 @@ impl FlexLogClient {
         // ack from a node outside the replica set (misrouted or stale
         // topology) must not let the append return before all true
         // replicas committed.
-        if !op.replicas.contains(&from) {
+        let Some(i) = op.replicas.iter().position(|&r| r == from) else {
             return;
-        }
-        op.acked.insert(from);
-        if op.acked.len() == op.replicas.len() {
+        };
+        op.acked |= 1 << i;
+        if op.acked.count_ones() as usize == op.replicas.len() {
             self.finish_append(token, Ok(last_sn));
         }
     }
@@ -674,7 +679,7 @@ impl FlexLogClient {
                     if s.id != op.shard {
                         op.shard = s.id;
                         op.replicas = s.replicas;
-                        op.acked.clear();
+                        op.acked = 0;
                     }
                 }
                 op.retry_at = Instant::now();

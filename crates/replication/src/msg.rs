@@ -4,7 +4,7 @@ use flexlog_ordering::{OrderMsg, OrderWire};
 use flexlog_simnet::NodeId;
 use flexlog_storage::FetchSelect;
 use flexlog_types::{
-    ColorId, CommittedRecord, Epoch, FunctionId, Payload, SeqNum, ShardId, Token,
+    Batch, ColorId, CommittedRecord, Epoch, FunctionId, Payload, SeqNum, ShardId, Token,
 };
 
 /// A committed record with the append token it was staged under — the unit
@@ -30,12 +30,12 @@ pub enum DataMsg {
 pub enum AppendMsg {
     /// Client → every replica of one shard: append `payloads` to `color`
     /// under `token` (Algorithm 1, line 7). Acks go to `reply_to`.
-    /// Payloads are zero-copy [`Payload`]s: a shard-wide broadcast clones
-    /// refcounts, never record bytes.
+    /// The records are one shared [`Batch`]: a shard-wide broadcast and a
+    /// retransmit clone one reference count, never a list or a byte.
     Append {
         color: ColorId,
         token: Token,
-        payloads: Vec<Payload>,
+        payloads: Batch,
         reply_to: NodeId,
     },
     /// Replica → client: these batches are committed, each `(token, last

@@ -96,7 +96,7 @@ impl ReadReplicaNode {
             follower: Follower::new(Arc::clone(&storage), shard.id, "rreplica"),
             serving: Serving::new(storage, config.hold()),
             shard: shard.id,
-            quorum: shard.replicas,
+            quorum: shard.replicas.to_vec(),
             topology,
             held_scans: Vec::new(),
             now: Instant::now(),

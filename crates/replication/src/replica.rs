@@ -31,7 +31,7 @@ use flexlog_obs::{Histogram, Stage, CTRL_TOKEN, SYNC_TOKEN};
 use flexlog_ordering::{Catalog, Directory, OrderMsg};
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
 use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
-use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, ShardId, Token};
+use flexlog_types::{Batch, ColorId, Epoch, FastMap, FunctionId, Payload, SeqNum, ShardId, Token};
 
 use crate::follower::{self, Follower, Level};
 use crate::msg::{
@@ -45,10 +45,11 @@ pub(crate) const MULTI_MAGIC: &[u8; 4] = b"MCA1";
 
 /// An `Append` as the write path takes it: color, token, records, and
 /// where its ack goes.
-type Append = (ColorId, Token, Vec<Payload>, NodeId);
+type Append = (ColorId, Token, Batch, NodeId);
 
 /// The appends and order responses of one run of a wake, in arrival order:
-/// one [`StorageServer::write`] call.
+/// one [`StorageServer::write`] call. Emptied by the call and kept for the
+/// next run, like every list below.
 #[derive(Default)]
 struct Writes {
     appends: Vec<Append>,
@@ -70,11 +71,61 @@ impl Writes {
                 None
             }
             ClusterMsg::Order(OrderMsg::OResp { resps }) => {
-                self.resps.extend(resps);
+                self.resps.extend_from_slice(&resps);
                 None
             }
             other => Some(other),
         }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.appends.is_empty() && self.resps.is_empty()
+    }
+}
+
+/// What one run of a wake lists on its way through [`ReplicaNode::write`],
+/// kept empty between runs so a wake allocates none of it.
+#[derive(Default)]
+struct WriteLists {
+    /// The batches the run stages, as [`StorageServer::write`] takes them.
+    stage: Vec<(Token, ColorId, Batch)>,
+    /// Beside each: its record count and where its ack goes.
+    staging: Vec<(u32, NodeId)>,
+    spans: Vec<(Token, Stage, u64, u64)>,
+    oreqs: Vec<(ColorId, Token, u32)>,
+    committed: Vec<(Token, SeqNum)>,
+    fills: Vec<(ColorId, SeqNum, Token)>,
+}
+
+impl WriteLists {
+    fn clear(&mut self) {
+        self.stage.clear();
+        self.staging.clear();
+        self.spans.clear();
+        self.oreqs.clear();
+        self.committed.clear();
+        self.fills.clear();
+    }
+}
+
+/// Who awaits the ack of one staged token: the client that sent it, and in
+/// the rare case — a retransmit from another node, a multi-color replay —
+/// more, each once.
+#[derive(Debug)]
+struct ReplyTo {
+    first: NodeId,
+    more: Vec<NodeId>,
+}
+
+impl ReplyTo {
+    fn add(&mut self, node: NodeId) {
+        if node != self.first && !self.more.contains(&node) {
+            self.more.push(node);
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::once(self.first).chain(self.more.iter().copied())
     }
 }
 
@@ -149,8 +200,8 @@ enum Mode {
 pub struct ReplicaNode {
     config: ReplicaConfig,
     /// This node's shard as the topology listed it at start: its id, its
-    /// replicas — sorted, as an OReq names them — and its leaf, none of
-    /// which changes for the shard's life. (Its read replicas can; a quorum
+    /// replicas — sorted, the list every OReq shares — and its leaf, none
+    /// of which changes for the shard's life. (Its read replicas can; a quorum
     /// replica never reads them.)
     shard: ShardInfo,
     /// The shard's other replicas.
@@ -172,13 +223,17 @@ pub struct ReplicaNode {
     /// serving half — and, as fills, the subscribers — at the next barrier.
     sync_fresh: Vec<(ColorId, SeqNum, Token)>,
     /// Clients (and peer replicas acting as clients) awaiting acks per token.
-    reply_tos: HashMap<Token, HashSet<NodeId>>,
+    reply_tos: FastMap<Token, ReplyTo>,
     /// OResps that arrived before the matching Append, with arrival time —
     /// young entries act as a push barrier so subscription pushes never
     /// skip past a commit-order hole the replica knows will fill.
-    pending_oresp: HashMap<Token, (SeqNum, Instant)>,
+    pending_oresp: FastMap<Token, (SeqNum, Instant)>,
     /// Last OReq send time per staged token (resend on silence).
-    oreq_sent: HashMap<Token, Instant>,
+    oreq_sent: FastMap<Token, Instant>,
+    /// The current run of a wake's appends and OResps, and the lists
+    /// [`Self::write`] fills for it.
+    writes: Writes,
+    lists: WriteLists,
     /// Last staged-token resend scan (see [`Self::tick`]): the scan
     /// copies every entry of the storage server's staged map out under its
     /// lock, so running it every wake would make a busy replica (~50 k
@@ -187,6 +242,9 @@ pub struct ReplicaNode {
     last_oreq_scan: Instant,
     trims: HashMap<u64, TrimPending>,
     multi: Vec<MultiPending>,
+    /// The staged multi-color sets already replayed, so a repeated
+    /// `MultiEnd` replays none twice. A trim of the special color forgets
+    /// the sets it removed.
     processed_multi: HashSet<Token>,
     /// Appends, registrations and OResps deferred while syncing, and the
     /// appends of frozen colors (re-handled by [`Self::release`]).
@@ -244,7 +302,9 @@ impl ReplicaNode {
         start_with_sync: bool,
     ) -> Self {
         let mut shard = topology.shard_of(node).expect("a replica the topology lists");
-        shard.replicas.sort_unstable();
+        let mut replicas = shard.replicas.to_vec();
+        replicas.sort_unstable();
+        shard.replicas = replicas.into();
         let peers = shard.replicas.iter().copied().filter(|&p| p != node).collect();
         let commit_hist = config.storage.obs.histogram("replica.commit_batch_ns");
         let follower = Follower::new(Arc::clone(&storage), shard.id, "replica");
@@ -261,9 +321,11 @@ impl ReplicaNode {
             known_epoch: Epoch(1),
             mode: Mode::Operational,
             sync_fresh: Vec::new(),
-            reply_tos: HashMap::new(),
-            pending_oresp: HashMap::new(),
-            oreq_sent: HashMap::new(),
+            reply_tos: FastMap::default(),
+            pending_oresp: FastMap::default(),
+            oreq_sent: FastMap::default(),
+            writes: Writes::default(),
+            lists: WriteLists::default(),
             last_oreq_scan: Instant::now(),
             trims: HashMap::new(),
             multi: Vec::new(),
@@ -278,6 +340,12 @@ impl ReplicaNode {
             fences: HashMap::new(),
             ctrl_gen: 0,
         }
+    }
+
+    /// Multi-color sets remembered as replayed.
+    #[cfg(test)]
+    pub(crate) fn replayed_sets(&self) -> usize {
+        self.processed_multi.len()
     }
 
     /// Shared storage handle (benchmarks read tier stats through it).
@@ -324,32 +392,42 @@ impl ReplicaNode {
                 Err(RecvError::Timeout) => {}
                 Err(RecvError::Disconnected) => return,
             }
-            let n_msgs = burst.len() as u64;
-            let mut writes = Writes::default();
-            for (from, msg) in burst.drain(..) {
-                // While syncing, every message goes to its own handler,
-                // which parks appends and OResps for the barrier.
-                let Some(msg) = (if self.syncing() { Some(msg) } else { writes.take(msg) }) else {
-                    continue;
-                };
-                self.write(&ep, std::mem::take(&mut writes));
-                let open = match msg {
-                    ClusterMsg::Data(m) => self.handle_data(&ep, from, m),
-                    ClusterMsg::Order(m) => {
-                        self.handle_order(&ep, from, m);
-                        true
-                    }
-                };
-                if !open {
-                    self.send_acks(&ep);
-                    return;
-                }
+            if !self.wake(&ep, &mut burst) {
+                return;
             }
-            self.write(&ep, writes);
-            self.send_acks(&ep);
-            self.tick(&ep);
-            self.serving.charge_pass(n_msgs);
         }
+    }
+
+    /// One wake over `burst`, in arrival order; false on shutdown. Each run
+    /// of consecutive `Append`s and `OResp`s is one [`Self::write`], every
+    /// other message goes to its handler, and the wake ends with its acks
+    /// and a tick.
+    pub(crate) fn wake(&mut self, ep: &Endpoint<ClusterMsg>, burst: &mut Vec<(NodeId, ClusterMsg)>) -> bool {
+        let n_msgs = burst.len() as u64;
+        for (from, msg) in burst.drain(..) {
+            // While syncing, every message goes to its own handler,
+            // which parks appends and OResps for the barrier.
+            let Some(msg) = (if self.syncing() { Some(msg) } else { self.writes.take(msg) }) else {
+                continue;
+            };
+            self.write(ep);
+            let open = match msg {
+                ClusterMsg::Data(m) => self.handle_data(ep, from, m),
+                ClusterMsg::Order(m) => {
+                    self.handle_order(ep, from, m);
+                    true
+                }
+            };
+            if !open {
+                self.send_acks(ep);
+                return false;
+            }
+        }
+        self.write(ep);
+        self.send_acks(ep);
+        self.tick(ep);
+        self.serving.charge_pass(n_msgs);
+        true
     }
 
     // ----- normal-path handlers ------------------------------------------
@@ -374,8 +452,8 @@ impl ReplicaNode {
     fn handle_append_plane(&mut self, ep: &Endpoint<ClusterMsg>, from: NodeId, msg: AppendMsg) {
         match msg {
             AppendMsg::Append { color, token, payloads, reply_to } => {
-                let appends = vec![(color, token, payloads, reply_to)];
-                self.write(ep, Writes { appends, ..Writes::default() });
+                self.writes.appends.push((color, token, payloads, reply_to));
+                self.write(ep);
             }
             // We are a client here: multi-color sub-appends got acked.
             AppendMsg::AppendAck { acks } => {
@@ -401,7 +479,13 @@ impl ReplicaNode {
                 self.serving.scan(ep, from, color, from_sn, req);
             }
             ReadMsg::Trim { color, up_to, req } => {
-                let _ = self.serving.storage.trim(color, up_to);
+                let storage = &self.serving.storage;
+                let _ = storage.trim(color, up_to);
+                if color == ColorId::MASTER {
+                    // The sets the trim removed can never be replayed again.
+                    let staged_here = |t: &Token| storage.committed_sn(ColorId::MASTER, *t).is_some();
+                    self.processed_multi.retain(staged_here);
+                }
                 // Second round: tell every peer we applied it; collect
                 // theirs before answering the caller (§6.2).
                 let ack = ReadMsg::TrimPeerAck { color, up_to, req };
@@ -683,7 +767,10 @@ impl ReplicaNode {
             m @ OrderMsg::OResp { .. } if self.syncing() => {
                 self.deferred.push_back((from, ClusterMsg::Order(m)));
             }
-            OrderMsg::OResp { resps } => self.write(ep, Writes { resps, ..Writes::default() }),
+            OrderMsg::OResp { resps } => {
+                self.writes.resps.extend_from_slice(&resps);
+                self.write(ep);
+            }
             OrderMsg::InitSequencer { role, epoch } => {
                 if role != self.shard.leaf {
                     return;
@@ -704,23 +791,33 @@ impl ReplicaNode {
         }
     }
 
-    /// One run of a wake's appends and order responses, as one storage
-    /// transaction ([`StorageServer::write`]): stages the appends this
-    /// replica takes, commits every answered token — an append whose OResp
-    /// is in the same run or came earlier is staged and committed at once —
-    /// and queues the acks. Then, and only then, the OReqs of what stayed
-    /// staged go out. Tokens whose `Append` has not landed yet are parked
-    /// in `pending_oresp` and commit on arrival.
-    fn write(&mut self, ep: &Endpoint<ClusterMsg>, writes: Writes) {
-        let Writes { appends, mut resps } = writes;
-        let mut stage = Vec::with_capacity(appends.len());
-        let mut staging = Vec::with_capacity(appends.len());
-        for (color, token, payloads, reply_to) in appends {
+    /// One run of a wake's appends and order responses (`self.writes`), as
+    /// one storage transaction ([`StorageServer::write`]): stages the
+    /// appends this replica takes, commits every answered token — an append
+    /// whose OResp is in the same run or came earlier is staged and
+    /// committed at once — and queues the acks. Then, and only then, the
+    /// OReqs of what stayed staged go out. Tokens whose `Append` has not
+    /// landed yet are parked in `pending_oresp` and commit on arrival.
+    fn write(&mut self, ep: &Endpoint<ClusterMsg>) {
+        if self.writes.is_empty() {
+            return;
+        }
+        let (mut writes, mut lists) = (std::mem::take(&mut self.writes), std::mem::take(&mut self.lists));
+        self.write_run(ep, &mut writes, &mut lists);
+        writes.resps.clear();
+        lists.clear();
+        (self.writes, self.lists) = (writes, lists);
+    }
+
+    fn write_run(&mut self, ep: &Endpoint<ClusterMsg>, writes: &mut Writes, lists: &mut WriteLists) {
+        let Writes { appends, resps } = writes;
+        let WriteLists { stage, staging, spans, oreqs, committed, fills } = lists;
+        for (color, token, payloads, reply_to) in appends.drain(..) {
             if self.admit(ep, color, token, &payloads, reply_to) {
                 if let Some((sn, _)) = self.pending_oresp.remove(&token) {
                     resps.push((token, sn));
                 }
-                staging.push((token, color, payloads.len() as u32, reply_to));
+                staging.push((payloads.len() as u32, reply_to));
                 stage.push((token, color, payloads));
             }
         }
@@ -730,12 +827,10 @@ impl ReplicaNode {
 
         let start = Instant::now();
         self.serving.charge_records(resps.len());
-        let written = self.serving.storage.write(stage, &resps);
+        let written = self.serving.storage.write(stage, resps);
         let node = ep.id().0;
-        let mut spans: Vec<(Token, Stage, u64, u64)> = Vec::new();
-        let mut oreqs: Vec<(ColorId, Token, u32)> = Vec::new();
         let delegate = self.is_oreq_delegate(ep);
-        for ((token, color, n, reply_to), result) in staging.into_iter().zip(written.staged) {
+        for ((&(token, color, _), &(n, reply_to)), result) in stage.iter().zip(&*staging).zip(written.staged) {
             let newly = match result {
                 Ok(newly) => newly,
                 Err(e) => {
@@ -745,7 +840,10 @@ impl ReplicaNode {
                     continue;
                 }
             };
-            self.reply_tos.entry(token).or_default().insert(reply_to);
+            self.reply_tos
+                .entry(token)
+                .and_modify(|r| r.add(reply_to))
+                .or_insert(ReplyTo { first: reply_to, more: Vec::new() });
             if newly {
                 spans.push((token, Stage::ReplicaStaged, node, 0));
             }
@@ -759,8 +857,6 @@ impl ReplicaNode {
                 oreqs.push((color, token, n));
             }
         }
-        let mut committed: Vec<(Token, SeqNum)> = Vec::new();
-        let mut fills: Vec<(ColorId, SeqNum, Token)> = Vec::new();
         for (&(token, last_sn), result) in resps.iter().zip(written.committed) {
             match result {
                 Ok(newly) => {
@@ -784,15 +880,17 @@ impl ReplicaNode {
         // Record before acking: once an ack reaches the client the append
         // counts as completed, and its trace must already be whole. Each
         // token's `ReplicaStaged` precedes its `ReplicaCommit`.
-        self.config.storage.obs.tracer().record_many(&spans);
-        for &(token, last_sn) in &committed {
-            for r in self.reply_tos.remove(&token).into_iter().flatten() {
-                self.ack(r, token, last_sn);
+        self.config.storage.obs.tracer().record_many(spans);
+        for &(token, last_sn) in committed.iter() {
+            if let Some(reply) = self.reply_tos.remove(&token) {
+                for r in reply.iter() {
+                    self.ack(r, token, last_sn, committed.len());
+                }
             }
         }
         // The wake's OReqs, none for a token it already committed (which
         // has no ack target left).
-        for (color, token, n) in oreqs {
+        for &(color, token, n) in oreqs.iter() {
             if self.reply_tos.contains_key(&token) {
                 self.send_oreq(ep, color, token, n);
             }
@@ -800,7 +898,7 @@ impl ReplicaNode {
         if !committed.is_empty() {
             // A commit below some subscriber's push frontier is a hole that
             // just filled (its OResp outlived the barrier window).
-            self.serving.landed(ep, &fills, self.sub_barrier());
+            self.serving.landed(ep, fills, self.sub_barrier());
         }
     }
 
@@ -812,7 +910,7 @@ impl ReplicaNode {
         ep: &Endpoint<ClusterMsg>,
         color: ColorId,
         token: Token,
-        payloads: &[Payload],
+        payloads: &Batch,
         reply_to: NodeId,
     ) -> bool {
         if let Some(sn) = self.serving.storage.committed_sn(color, token) {
@@ -821,7 +919,7 @@ impl ReplicaNode {
             // reconfiguration fence — a late retransmit of a pre-migration
             // append still deserves its ack (post-cutover, the imported
             // token map answers the same way at the destination).
-            self.ack(reply_to, token, sn);
+            self.ack(reply_to, token, sn, 1);
             return false;
         }
         let fence = self.fences.get(&color).copied();
@@ -835,7 +933,7 @@ impl ReplicaNode {
             // re-handles it. A retransmit of a batch staged before the
             // freeze parks too: its drain commit acks the `reply_to`
             // registered when it was staged.
-            let payloads = payloads.to_vec();
+            let payloads = Arc::clone(payloads);
             let m = AppendMsg::Append { color, token, payloads, reply_to };
             self.deferred.push_back((reply_to, m.into()));
             return false;
@@ -843,11 +941,16 @@ impl ReplicaNode {
         true
     }
 
-    /// Queues an ack of `token`'s batch, ending at `last_sn`, for `to`.
-    fn ack(&mut self, to: NodeId, token: Token, last_sn: SeqNum) {
+    /// Queues an ack of `token`'s batch, ending at `last_sn`, for `to`; a
+    /// client's first ack of the wake sizes its message for `expect`.
+    fn ack(&mut self, to: NodeId, token: Token, last_sn: SeqNum, expect: usize) {
         match self.acks.iter_mut().find(|(client, _)| *client == to) {
             Some((_, acks)) => acks.push((token, last_sn)),
-            None => self.acks.push((to, vec![(token, last_sn)])),
+            None => {
+                let mut acks = Vec::with_capacity(expect);
+                acks.push((token, last_sn));
+                self.acks.push((to, acks));
+            }
         }
     }
 
@@ -870,7 +973,7 @@ impl ReplicaNode {
         let Some(leaf) = self.directory.get(role) else {
             return; // sequencer fail-over window; the resend tick retries
         };
-        let shard = self.shard.replicas.clone();
+        let shard = Arc::clone(&self.shard.replicas);
         let oreq = OrderMsg::OReq { color, token, nrecords: n, shard };
         let _ = ep.send(leaf, ClusterMsg::Order(oreq));
         self.config
@@ -963,7 +1066,7 @@ impl ReplicaNode {
                 AppendMsg::Append {
                     color: target_color,
                     token: sub_token,
-                    payloads,
+                    payloads: payloads.into(),
                     reply_to: ep.id(),
                 }
                 .into(),
@@ -1254,19 +1357,16 @@ mod unit_tests {
         let client = NodeId::named(NodeId::CLASS_CLIENT, 1);
         let token = |c| Token::new(FunctionId(1), c);
         let sn = |c| SeqNum::new(Epoch(1), c);
-        let append = |c, bytes| (ColorId(1), token(c), vec![Payload::from(vec![0u8; bytes])], client);
-        node.write(&ep, Writes { appends: vec![append(1, 16)], ..Writes::default() });
+        let append = |c, bytes| (ColorId(1), token(c), Batch::from([Payload::from(vec![0u8; bytes])]), client);
+        node.writes.appends.push(append(1, 16));
+        node.write(&ep);
         // One wake commits token 1, stages and commits token 2, and stages
         // token 3, larger than the whole PM pool. The pool refuses the
         // wake's transaction; token 3 fails alone, and nothing may remember
         // the client for a batch that will never commit here.
-        node.write(
-            &ep,
-            Writes {
-                appends: vec![append(2, 16), append(3, 1 << 20)],
-                resps: vec![(token(1), sn(1)), (token(2), sn(2))],
-            },
-        );
+        node.writes.appends.extend([append(2, 16), append(3, 1 << 20)]);
+        node.writes.resps.extend([(token(1), sn(1)), (token(2), sn(2))]);
+        node.write(&ep);
         assert_eq!(node.acks, [(client, vec![(token(1), sn(1)), (token(2), sn(2))])]);
         assert!(node.reply_tos.is_empty(), "{:?}", node.reply_tos);
         assert!(node.pending_oresp.is_empty());

@@ -85,7 +85,7 @@ impl DataLayerHandle {
     pub fn shard_replicas(&self, shard: ShardId) -> Vec<NodeId> {
         self.topology
             .shard(shard)
-            .map(|s| s.replicas)
+            .map(|s| s.replicas.to_vec())
             .unwrap_or_default()
     }
 
@@ -94,7 +94,7 @@ impl DataLayerHandle {
         self.topology
             .all_shards()
             .into_iter()
-            .flat_map(|s| s.replicas)
+            .flat_map(|s| s.replicas.to_vec())
             .collect()
     }
 
@@ -103,7 +103,7 @@ impl DataLayerHandle {
     pub fn replicas_by_leaf_role(&self) -> HashMap<RoleId, Vec<NodeId>> {
         let mut m: HashMap<RoleId, Vec<NodeId>> = HashMap::new();
         for s in self.topology.all_shards() {
-            m.entry(s.leaf).or_default().extend(s.replicas);
+            m.entry(s.leaf).or_default().extend(s.replicas.iter());
         }
         m
     }
@@ -192,7 +192,7 @@ impl DataLayerHandle {
     ) -> ShardInfo {
         let mut slots = self.slots.lock();
         let info = self.topology.add_shard(r, leaf_role);
-        for &node in &info.replicas {
+        for &node in info.replicas.iter() {
             self.spawn(net, directory, &mut slots, node, info.id, false);
         }
         info

@@ -24,14 +24,13 @@
 //!   heartbeats stop (crash) or a [`SubMsg::SubRedirect`] arrives (cutover
 //!   / drop).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flexlog_obs::{Counter, Histogram, Stage, SUB_TOKEN};
 use flexlog_simnet::{Endpoint, NodeId};
 use flexlog_storage::StorageServer;
-use flexlog_types::{BoundedMap, ColorId, CommittedRecord, SeqNum, Token};
+use flexlog_types::{BoundedMap, ColorId, CommittedRecord, FastMap, SeqNum, Token};
 
 use crate::msg::{ClusterMsg, RejectReason, SubCursor, SubMsg};
 
@@ -63,8 +62,8 @@ struct Sub {
 /// the owner's single-threaded event loop.
 pub(crate) struct SubTable {
     storage: Arc<StorageServer>,
-    subs: HashMap<u64, Sub>,
-    by_color: HashMap<ColorId, Vec<u64>>,
+    subs: FastMap<u64, Sub>,
+    by_color: FastMap<ColorId, Vec<u64>>,
     /// Recently landed (color, sn) → token, for `SubPush` tracing.
     tokens: BoundedMap<(ColorId, SeqNum), Token>,
     push_batches: Counter,
@@ -78,8 +77,8 @@ impl SubTable {
     pub(crate) fn new(storage: Arc<StorageServer>) -> Self {
         let obs = &storage.config().obs;
         SubTable {
-            subs: HashMap::new(),
-            by_color: HashMap::new(),
+            subs: FastMap::default(),
+            by_color: FastMap::default(),
             tokens: BoundedMap::new(RECENT_TOKEN_WINDOW),
             push_batches: obs.counter("sub.push_batches"),
             push_records: obs.counter("sub.push_records"),

@@ -698,7 +698,7 @@ fn a_frozen_append_waits_at_the_replica_until_the_fence_moves() {
         c.ctrl_all(1, CtrlCmd::Freeze(RED));
         let token = Token::new(FunctionId(1), 1);
         let payloads = vec![p(b"parked")];
-        let append = AppendMsg::Append { color: RED, token, payloads, reply_to: client.id() };
+        let append = AppendMsg::Append { color: RED, token, payloads: payloads.into(), reply_to: client.id() };
         client.broadcast(&replicas, append.into()).unwrap();
         // Each replica handles the append before the status request behind
         // it, so an answer to the append would arrive first.
@@ -1142,7 +1142,7 @@ impl ScriptedOrder {
         let msg = AppendMsg::Append {
             color: RED,
             token: Token::new(FunctionId(1), c),
-            payloads: vec![p(format!("r{c}").into_bytes())],
+            payloads: [p(format!("r{c}").into_bytes())].into(),
             reply_to: client.id(),
         };
         client.send(self.node, msg.into()).unwrap();
@@ -1150,7 +1150,7 @@ impl ScriptedOrder {
 
     fn oresp(&self, resps: Vec<(Token, SeqNum)>) {
         use flexlog_ordering::{OrderMsg, OrderWire as _};
-        self.sequencer.send(self.node, ClusterMsg::from_order(OrderMsg::OResp { resps })).unwrap();
+        self.sequencer.send(self.node, ClusterMsg::from_order(OrderMsg::OResp { resps: resps.into() })).unwrap();
     }
 
     /// The token of the next OReq within `wait`.
@@ -1166,7 +1166,7 @@ impl ScriptedOrder {
             let left = deadline.checked_duration_since(Instant::now())?;
             let (_, msg) = self.sequencer.recv_timeout(left).ok()?;
             if let Some(OrderMsg::OReq { token, shard, .. }) = msg.into_order() {
-                return Some((token, shard));
+                return Some((token, shard.to_vec()));
             }
         }
     }
@@ -1360,3 +1360,91 @@ fn a_batched_ack_counts_once_per_token_and_only_from_the_shard() {
     assert_eq!(client.take_completed(), [(t1, sn(1))]);
     assert_eq!(client.pending_appends(), 0);
 }
+
+/// A replica remembers each multi-color set it replayed, so that a repeated
+/// `MultiEnd` replays none twice — until a trim of the special color
+/// removes the sets: then it forgets them too (they can never be replayed
+/// again), and a repeated `MultiEnd` is still answered.
+#[test]
+fn a_trim_of_the_special_color_forgets_the_replayed_sets() {
+    use flexlog_ordering::{OrderMsg, OrderWire as _};
+    use std::collections::HashMap;
+    const SETS: u32 = 8;
+    let topology = Catalog::uniform(1, 1, 0, &[RoleId(0)]);
+    for color in [ColorId::MASTER, RED] {
+        topology.apply(Change::PlaceColor { color, role: RoleId(0) }).unwrap();
+    }
+    let node_id = NodeId::named(NodeId::CLASS_REPLICA, 0);
+    let mut o = scripted_order_at(topology, node_id, RoleId(0), ReplicaConfig::default());
+    let (mut node, ep) = o.replica.take().expect("not started");
+    let client = o.net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
+    let fid = FunctionId(5);
+    // The test thread is the replica's run loop and its sequencer: a round
+    // hands the replica's whole inbox to one wake, and once it is empty the
+    // OReqs sent meanwhile are answered, each token once.
+    let mut assigned: HashMap<Token, SeqNum> = HashMap::new();
+    let mut tails: HashMap<ColorId, u32> = HashMap::new();
+    let mut settle = |node: &mut crate::ReplicaNode| loop {
+        let mut burst = Vec::new();
+        let _ = ep.recv_batch(Duration::from_millis(5), 128, &mut burst);
+        if !burst.is_empty() {
+            assert!(node.wake(&ep, &mut burst));
+            continue;
+        }
+        let mut resps = Vec::new();
+        while let Ok((_, msg)) = o.sequencer.try_recv() {
+            if let Some(OrderMsg::OReq { color, token, nrecords, .. }) = msg.into_order() {
+                let sn = *assigned.entry(token).or_insert_with(|| {
+                    let tail = tails.entry(color).or_insert(0);
+                    *tail += nrecords;
+                    SeqNum::new(Epoch(1), *tail)
+                });
+                resps.push((token, sn));
+            }
+        }
+        if resps.is_empty() {
+            return;
+        }
+        o.sequencer.send(node_id, ClusterMsg::from_order(OrderMsg::OResp { resps: resps.into() })).unwrap();
+    };
+    let multi_acks = || -> Vec<u64> {
+        let mut reqs = Vec::new();
+        while let Ok((_, msg)) = client.try_recv() {
+            if let Some(DataMsg::Append(AppendMsg::MultiAck { req })) = msg.into_data() {
+                reqs.push(req);
+            }
+        }
+        reqs
+    };
+    let multi_end = |req| AppendMsg::MultiEnd { fid, req, reply_to: client.id() };
+
+    for i in 1..=SETS {
+        let set = crate::replica::encode_multi_set(RED, &[p(format!("set {i}").into_bytes())]);
+        let token = Token::new(fid, i);
+        let append = AppendMsg::Append {
+            color: ColorId::MASTER,
+            token,
+            payloads: [p(set)].into(),
+            reply_to: client.id(),
+        };
+        client.send(node_id, append.into()).unwrap();
+        settle(&mut node);
+        client.send(node_id, multi_end(i as u64).into()).unwrap();
+        settle(&mut node);
+        assert_eq!(multi_acks(), [i as u64], "set {i} replayed and committed in its color");
+    }
+    assert_eq!(node.replayed_sets(), SETS as usize);
+    assert_eq!(node.storage().record_count(RED), SETS as usize);
+
+    let up_to = node.storage().tail(ColorId::MASTER).expect("the sets");
+    client.send(node_id, ReadMsg::Trim { color: ColorId::MASTER, up_to, req: 99 }.into()).unwrap();
+    settle(&mut node);
+    assert_eq!(node.replayed_sets(), 0, "the trim took every set with it");
+    // A late repeat of the first end marker: nothing is left to replay, and
+    // the client still gets its answer.
+    client.send(node_id, multi_end(1).into()).unwrap();
+    settle(&mut node);
+    assert_eq!(multi_acks(), [1]);
+    assert_eq!(node.storage().record_count(RED), SETS as usize, "nothing replayed twice");
+}
+

@@ -12,18 +12,18 @@
 //! the DRAM tier never duplicates record bytes (the byte budget counts the
 //! shared buffer once per entry).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::hash::Hash;
 
 use flexlog_obs::Counter;
-use flexlog_types::Payload;
+use flexlog_types::{FastMap, Payload};
 
 /// A strict-LRU cache bounded by total value bytes.
 pub struct LruCache<K> {
     capacity_bytes: usize,
     used_bytes: usize,
     /// key → (value, lru stamp)
-    map: HashMap<K, (Payload, u64)>,
+    map: FastMap<K, (Payload, u64)>,
     /// lru stamp → key (oldest first)
     order: BTreeMap<u64, K>,
     next_stamp: u64,
@@ -39,7 +39,7 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
         LruCache {
             capacity_bytes,
             used_bytes: 0,
-            map: HashMap::new(),
+            map: FastMap::default(),
             order: BTreeMap::new(),
             next_stamp: 0,
             evictions,

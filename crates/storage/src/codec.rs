@@ -13,7 +13,7 @@
 
 use std::ops::{Bound, RangeBounds};
 
-use flexlog_types::{ColorId, Payload, SeqNum, Token};
+use flexlog_types::{Batch, ColorId, Payload, SeqNum, Token};
 
 pub(crate) const TAG_MASK: u128 = 0xFF << 120;
 pub(crate) const TAG_COMMITTED: u128 = 1 << 120;
@@ -64,11 +64,16 @@ pub(crate) fn head_color_of(key: u128) -> ColorId {
     ColorId(key as u32)
 }
 
-pub(crate) fn encode_record(token: Token, payload: &[u8]) -> Vec<u8> {
-    let mut value = Vec::with_capacity(8 + payload.len());
-    value.extend_from_slice(&token.0.to_le_bytes());
-    value.extend_from_slice(payload);
-    value
+/// Bytes of the value [`write_record`] makes of `payload`.
+pub(crate) fn record_len(payload: &[u8]) -> usize {
+    8 + payload.len()
+}
+
+/// Appends a committed record's stored value to `out` — a PM transaction's
+/// buffer or an SSD write's, so no value is a buffer of its own.
+pub(crate) fn write_record(out: &mut Vec<u8>, token: Token, payload: &[u8]) {
+    out.extend_from_slice(&token.0.to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// The append token of a stored committed record, without copying its
@@ -89,41 +94,40 @@ pub(crate) fn decode_head(raw: &[u8]) -> SeqNum {
     SeqNum(u64::from_le_bytes(raw.try_into().expect("8-byte head value")))
 }
 
-/// A batch staged under its token: what [`encode_staged`] stores, and what
-/// the server keeps in DRAM (the payloads shared, not copied) until the
-/// commit writes the records from it.
+/// A batch staged under its token: what [`write_staged`] stores, and what
+/// the server keeps in DRAM (the client's batch as it arrived, shared, not
+/// copied) until the commit writes the records from it.
 pub(crate) struct StagedBatch {
     pub(crate) color: ColorId,
-    pub(crate) payloads: Vec<Payload>,
+    pub(crate) payloads: Batch,
 }
 
-/// Bytes of the value [`encode_staged`] makes of `payloads`.
+/// Bytes of the value [`write_staged`] makes of `payloads`.
 pub(crate) fn staged_len(payloads: &[Payload]) -> usize {
     8 + payloads.iter().map(|p| p.len() + 4).sum::<usize>()
 }
 
-pub(crate) fn encode_staged(color: ColorId, payloads: &[Payload]) -> Vec<u8> {
-    let mut v = Vec::with_capacity(staged_len(payloads));
-    v.extend_from_slice(&color.0.to_le_bytes());
-    v.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
+/// Appends a staged batch's stored value to `out`.
+pub(crate) fn write_staged(out: &mut Vec<u8>, color: ColorId, payloads: &[Payload]) {
+    out.extend_from_slice(&color.0.to_le_bytes());
+    out.extend_from_slice(&(payloads.len() as u32).to_le_bytes());
     for p in payloads {
-        v.extend_from_slice(&(p.len() as u32).to_le_bytes());
-        v.extend_from_slice(p);
+        out.extend_from_slice(&(p.len() as u32).to_le_bytes());
+        out.extend_from_slice(p);
     }
-    v
 }
 
 pub(crate) fn decode_staged(v: &[u8]) -> StagedBatch {
     let u32_at = |off: usize| u32::from_le_bytes(v[off..off + 4].try_into().expect("4 bytes"));
     let color = ColorId(u32_at(0));
     let count = u32_at(4) as usize;
-    let mut payloads = Vec::with_capacity(count);
     let mut off = 8;
-    for _ in 0..count {
-        let len = u32_at(off) as usize;
-        off += 4;
-        payloads.push(Payload::from(&v[off..off + len]));
-        off += len;
-    }
+    let payloads = (0..count)
+        .map(|_| {
+            let len = u32_at(off) as usize;
+            off += 4 + len;
+            Payload::from(&v[off - len..off])
+        })
+        .collect();
     StagedBatch { color, payloads }
 }

@@ -61,9 +61,9 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use flexlog_obs::{Counter, Histogram, ObsHandle, Stage};
-use flexlog_pm::{ClockMode, DeviceClock, LatencyModel, PmDevice, PmDeviceConfig, PmPool, PoolError, SsdDevice};
+use flexlog_pm::{ClockMode, DeviceClock, LatencyModel, PmDevice, PmDeviceConfig, PmPool, PoolError, SsdDevice, Tx};
 use flexlog_tier::{fetch_segment, Manifest, ObjectStore, Segment, SegmentMeta};
-use flexlog_types::{ColorId, CommittedRecord, Payload, SeqNum, Token};
+use flexlog_types::{Batch, ColorId, CommittedRecord, FastMap, Payload, SeqNum, Token};
 
 use crate::codec::{self, StagedBatch};
 use crate::color_log::{above, ColorLog, Placement};
@@ -295,7 +295,12 @@ struct State {
     cache: LruCache<(ColorId, SeqNum)>,
     /// Batches staged but not yet committed, payloads in DRAM beside the
     /// PM copy, so a commit never reads the staged value back.
-    staged: HashMap<Token, StagedBatch>,
+    staged: FastMap<Token, StagedBatch>,
+    /// The lists one `write` call fills, kept for the next.
+    scratch: WriteScratch,
+    /// The spill's read buffer and its blocks' extents, kept for the next
+    /// round.
+    spill_buf: (Vec<u8>, Vec<(u128, usize)>),
     /// Archive manifests, loaded from the store on a color's first archive
     /// probe.
     manifests: HashMap<ColorId, Arc<Manifest>>,
@@ -320,7 +325,9 @@ impl State {
             landed: VecDeque::new(),
             compact_at: MIN_COMPACT_AT,
             cache: LruCache::new(config.cache_capacity, evictions),
-            staged: HashMap::new(),
+            staged: FastMap::default(),
+            scratch: WriteScratch::default(),
+            spill_buf: (Vec::new(), Vec::new()),
             manifests: HashMap::new(),
             segments: HashMap::new(),
             pm_live_bytes: 0,
@@ -366,6 +373,31 @@ impl State {
             self.compact_at = (2 * landed.len()).max(MIN_COMPACT_AT);
             self.landed = landed;
         }
+    }
+}
+
+/// What one `write` call lists as it goes, index-aligned with its inputs
+/// where an index is named; empty between calls.
+#[derive(Default)]
+struct WriteScratch {
+    /// Batches of the call admitted to the staged set: (stage index, token).
+    admitted: Vec<(usize, Token)>,
+    /// Stage items repeating an earlier admitted one.
+    repeats: Vec<(usize, Token)>,
+    /// Batches the call commits: (commit index, token, last SN, batch).
+    taken: Vec<(usize, Token, SeqNum, StagedBatch)>,
+    /// Records the call committed, for the spill order.
+    landed: Vec<(ColorId, SeqNum)>,
+    spans: Vec<(Token, Stage, u64, u64)>,
+}
+
+impl WriteScratch {
+    fn clear(&mut self) {
+        self.admitted.clear();
+        self.repeats.clear();
+        self.taken.clear();
+        self.landed.clear();
+        self.spans.clear();
     }
 }
 
@@ -513,7 +545,7 @@ impl StorageServer {
         color: ColorId,
         payloads: &[Payload],
     ) -> Result<bool, StorageError> {
-        let mut written = self.write(vec![(token, color, payloads.to_vec())], &[]);
+        let mut written = self.write(&[(token, color, Batch::from(payloads))], &[]);
         written.staged.pop().expect("one item in, one out")
     }
 
@@ -532,7 +564,7 @@ impl StorageServer {
         &self,
         items: &[(Token, SeqNum)],
     ) -> Vec<Result<Option<ColorId>, StorageError>> {
-        self.write(Vec::new(), items).committed
+        self.write(&[], items).committed
     }
 
     /// A replica wake's storage work as **one** PM transaction — one
@@ -541,7 +573,8 @@ impl StorageServer {
     /// pairs of `commit`, whose batches may have been staged by an earlier
     /// call or by this one. A batch this call stages and commits is written
     /// once, as committed records, and never as a staged value. Commits
-    /// write from the staged payloads in DRAM.
+    /// write from the staged payloads in DRAM, which are the batches of
+    /// `stage` themselves, shared.
     ///
     /// Either every write of the call is durable or none is. Should the
     /// pool refuse the transaction — one batch longer than it takes any
@@ -549,30 +582,33 @@ impl StorageServer {
     /// one transaction per item, stages first, so that each item fails or
     /// lands on its own; the batches staged before stay staged, and a
     /// repeat of an item that failed reports the same error.
-    pub fn write(
-        &self,
-        stage: Vec<(Token, ColorId, Vec<Payload>)>,
-        commit: &[(Token, SeqNum)],
-    ) -> Written {
+    pub fn write(&self, stage: &[(Token, ColorId, Batch)], commit: &[(Token, SeqNum)]) -> Written {
         let start = Instant::now();
-        self.write_locked(&mut self.state.lock(), start, stage, commit)
+        let st = &mut *self.state.lock();
+        let mut scratch = std::mem::take(&mut st.scratch);
+        let written = self.write_locked(st, &mut scratch, start, stage, commit);
+        scratch.clear();
+        st.scratch = scratch;
+        written
     }
 
-    /// [`StorageServer::write`] with the lock held.
+    /// [`StorageServer::write`] with the lock held, its lists in `scratch`.
     fn write_locked(
         &self,
         st: &mut State,
+        scratch: &mut WriteScratch,
         start: Instant,
-        stage: Vec<(Token, ColorId, Vec<Payload>)>,
+        stage: &[(Token, ColorId, Batch)],
         commit: &[(Token, SeqNum)],
     ) -> Written {
+        let WriteScratch { admitted, repeats, taken, landed, spans } = scratch;
         // Admit the new batches beside the staged ones, not yet in PM.
-        let (mut admitted, mut admitted_bytes) = (Vec::new(), 0u64);
-        let mut repeats = Vec::new();
+        let mut admitted_bytes = 0u64;
         let staged = stage
-            .into_iter()
+            .iter()
             .enumerate()
             .map(|(i, (token, color, payloads))| {
+                let (token, color) = (*token, *color);
                 if st.staged.contains_key(&token) || st.committed(token, Some(color)) {
                     if admitted.iter().any(|&(_, t)| t == token) {
                         repeats.push((i, token));
@@ -581,14 +617,12 @@ impl StorageServer {
                 }
                 debug_assert!(!payloads.is_empty(), "staged batches are non-empty");
                 admitted_bytes += payloads.iter().map(|p| p.len() as u64).sum::<u64>();
-                st.staged.insert(token, StagedBatch { color, payloads });
+                st.staged.insert(token, StagedBatch { color, payloads: Arc::clone(payloads) });
                 admitted.push((i, token));
                 Ok(true)
             })
             .collect();
-        let is_admitted = |token: Token| admitted.iter().any(|&(_, t)| t == token);
         // Take every batch this call commits out of the staged set.
-        let mut taken: Vec<(usize, Token, SeqNum, StagedBatch)> = Vec::new();
         let committed = commit
             .iter()
             .enumerate()
@@ -616,33 +650,46 @@ impl StorageServer {
             return written;
         }
 
+        // Every value goes into the transaction's buffer in place, and the
+        // buffer is sized for all of them first.
+        let is_admitted = |token: Token| admitted.iter().any(|&(_, t)| t == token);
+        let record = Tx::RECORD_OVERHEAD;
         let mut tx = self.pool.begin();
+        let mut bytes = 0;
+        for (_, token, _, batch) in taken.iter() {
+            bytes += if is_admitted(*token) { 0 } else { record };
+            bytes += batch.payloads.iter().map(|p| record + codec::record_len(p)).sum::<usize>();
+        }
+        for (_, token) in admitted.iter() {
+            bytes += st.staged.get(token).map_or(0, |b| record + codec::staged_len(&b.payloads));
+        }
+        tx.reserve(bytes);
         let mut live_delta = 0isize;
-        for (_, token, sn_last, batch) in &taken {
+        for (_, token, sn_last, batch) in taken.iter() {
             // A batch this call admitted has no staged value in PM.
             if !is_admitted(*token) {
                 tx.delete(codec::staged_key(*token));
                 live_delta -= codec::staged_len(&batch.payloads) as isize;
             }
-            for (sn, payload) in batch_sns(*sn_last, batch.payloads.len()).zip(&batch.payloads) {
-                let value = codec::encode_record(*token, payload);
-                live_delta += value.len() as isize;
-                tx.put(codec::committed_key(batch.color, sn), &value);
+            for (sn, payload) in batch_sns(*sn_last, batch.payloads.len()).zip(&batch.payloads[..]) {
+                live_delta += codec::record_len(payload) as isize;
+                let key = codec::committed_key(batch.color, sn);
+                tx.put_with(key, |buf| codec::write_record(buf, *token, payload));
             }
         }
         // What is admitted and not committed is what stays staged.
-        for (_, token) in &admitted {
+        for (_, token) in admitted.iter() {
             if let Some(batch) = st.staged.get(token) {
-                let value = codec::encode_staged(batch.color, &batch.payloads);
-                live_delta += value.len() as isize;
-                tx.put(codec::staged_key(*token), &value);
+                live_delta += codec::staged_len(&batch.payloads) as isize;
+                let key = codec::staged_key(*token);
+                tx.put_with(key, |buf| codec::write_staged(buf, batch.color, &batch.payloads));
             }
         }
         if let Err(e) = tx.commit() {
             // Nothing of the call is durable: the batches staged before go
             // back, and the admitted ones come out again, to be retried.
             let mut retry_commit = Vec::new();
-            for (i, token, sn_last, batch) in taken {
+            for (i, token, sn_last, batch) in taken.drain(..) {
                 st.staged.insert(token, batch);
                 retry_commit.push((i, (token, sn_last)));
             }
@@ -656,11 +703,15 @@ impl StorageServer {
             // More than one item: retry each alone, so that one the pool
             // cannot take fails by itself.
             let split = retry_stage.len() + retry_commit.len() > 1;
+            let alone = |st: &mut State, stage: &[(Token, ColorId, Batch)], commit: &[(Token, SeqNum)]| {
+                let mut scratch = WriteScratch::default();
+                self.write_locked(st, &mut scratch, Instant::now(), stage, commit)
+            };
             let mut failed: Vec<(Token, StorageError)> = Vec::new();
             for (i, item) in retry_stage {
                 let token = item.0;
                 written.staged[i] = if split {
-                    self.write_locked(st, Instant::now(), vec![item], &[]).staged.remove(0)
+                    alone(st, &[item], &[]).staged.remove(0)
                 } else {
                     Err(e.into())
                 };
@@ -672,9 +723,7 @@ impl StorageServer {
                 written.committed[i] = match failed.iter().find(|f| f.0 == item.0) {
                     // Its batch could not be staged: nothing to commit.
                     Some(&(_, e)) => Err(e),
-                    None if split => {
-                        self.write_locked(st, Instant::now(), Vec::new(), &[item]).committed.remove(0)
-                    }
+                    None if split => alone(st, &[], &[item]).committed.remove(0),
                     None => Err(e.into()),
                 };
                 if let Err(e) = written.committed[i] {
@@ -683,7 +732,7 @@ impl StorageServer {
             }
             // A repeat within the call reports what its first item got.
             let failure = |token: Token| failed.iter().find(|f| f.0 == token).map(|f| f.1);
-            for (i, token) in repeats {
+            for &(i, token) in repeats.iter() {
                 if let Some(e) = failure(token) {
                     written.staged[i] = Err(e);
                 }
@@ -705,23 +754,21 @@ impl StorageServer {
 
         // Publish: per-color logs and tokens, cache fills, the spill order.
         let (first, batches) = (taken[0].0, taken.len());
-        let mut span_batch = Vec::with_capacity(batches);
-        let mut landed = Vec::new();
-        for (_, token, sn_last, StagedBatch { color, payloads }) in taken {
+        for (_, token, sn_last, StagedBatch { color, payloads }) in taken.drain(..) {
             let log = st.logs.entry(color).or_default();
             log.note_token(token, sn_last);
-            for (sn, payload) in batch_sns(sn_last, payloads.len()).zip(payloads) {
+            for (sn, payload) in batch_sns(sn_last, payloads.len()).zip(&payloads[..]) {
                 log.insert(sn, Placement::Pm);
                 // Zero-copy fill: the cache shares the staged batch's buffer.
-                st.cache.put((color, sn), payload);
+                st.cache.put((color, sn), payload.clone());
                 landed.push((color, sn));
             }
-            span_batch.push((token, Stage::StorageCommit, st.node, color.0 as u64));
+            spans.push((token, Stage::StorageCommit, st.node, color.0 as u64));
         }
-        st.note_landed(landed);
+        st.note_landed(landed.drain(..));
         self.stats.commits.add(batches as u64);
         self.commit_hist.record_ns(start.elapsed());
-        self.config.obs.tracer().record_many(&span_batch);
+        self.config.obs.tracer().record_many(spans);
         if let Err(e) = self.maybe_spill(st) {
             // Spill failure does not undo the durable commits; surface it on
             // the first successful item so callers notice.
@@ -1022,25 +1069,28 @@ impl StorageServer {
         if fresh.is_empty() {
             return Ok(0);
         }
-        let values: Vec<(SeqNum, Vec<u8>)> = fresh
-            .iter()
-            .map(|(token, sn, payload)| (*sn, codec::encode_record(*token, payload)))
-            .collect();
+        let bytes: usize = fresh.iter().map(|(_, _, payload)| codec::record_len(payload)).sum();
         match at {
             Placement::Pm => {
                 let mut tx = self.pool.begin();
-                for (sn, value) in &values {
-                    tx.put(codec::committed_key(color, *sn), value);
+                tx.reserve(bytes + fresh.len() * Tx::RECORD_OVERHEAD);
+                for (token, sn, payload) in &fresh {
+                    let key = codec::committed_key(color, *sn);
+                    tx.put_with(key, |buf| codec::write_record(buf, *token, payload));
                 }
                 tx.commit()?;
-                st.adjust_live(values.iter().map(|(_, v)| v.len() as isize).sum());
+                st.adjust_live(bytes as isize);
                 for (_, sn, payload) in &fresh {
                     st.cache.put((color, *sn), payload.clone());
                 }
             }
             Placement::Ssd => {
-                let blocks = values.into_iter().map(|(sn, v)| (codec::ssd_block_id(color, sn), v));
-                self.ssd.write_blocks(blocks.collect());
+                let (mut data, mut blocks) = (Vec::with_capacity(bytes), Vec::new());
+                for (token, sn, payload) in &fresh {
+                    codec::write_record(&mut data, *token, payload);
+                    blocks.push((codec::ssd_block_id(color, *sn), codec::record_len(payload)));
+                }
+                self.ssd.write_blocks(&data, &blocks);
                 self.ssd.fsync();
             }
         }
@@ -1475,18 +1525,21 @@ impl StorageServer {
     /// PM-resident records down a tier.
     fn spill_victims(&self, st: &mut State, victims: &[(ColorId, SeqNum)]) -> Result<(), StorageError> {
         // 1. Copy to SSD in one buffered write, and fsync...
-        let mut freed = 0usize;
+        let (mut data, mut blocks) = std::mem::take(&mut st.spill_buf);
         let mut tx = self.pool.begin();
-        let mut blocks = Vec::with_capacity(victims.len());
+        tx.reserve(victims.len() * Tx::RECORD_OVERHEAD);
         for &(color, sn) in victims {
             let key = codec::committed_key(color, sn);
-            if let Some(v) = self.pool.get(key) {
-                freed += v.len();
-                blocks.push((codec::ssd_block_id(color, sn), v));
+            if let Some(len) = self.pool.read_into(key, &mut data) {
+                blocks.push((codec::ssd_block_id(color, sn), len));
             }
             tx.delete(key);
         }
-        self.ssd.write_blocks(blocks);
+        let freed = data.len();
+        self.ssd.write_blocks(&data, &blocks);
+        data.clear();
+        blocks.clear();
+        st.spill_buf = (data, blocks);
         self.ssd.fsync();
         // 2. ...only then remove from PM (a crash between the two steps
         // duplicates records across tiers, which `recover` resolves; it

@@ -10,6 +10,11 @@ fn tok(c: u32) -> Token {
 }
 
 /// Shorthand: build a [`Payload`] from anything byte-like.
+/// A batch of one record.
+fn batch(bytes: &[u8]) -> Batch {
+    Batch::from([pl(bytes)])
+}
+
 fn pl(bytes: impl Into<Payload>) -> Payload {
     bytes.into()
 }
@@ -466,11 +471,12 @@ fn crash_before_commit_record_loses_nothing_committed() {
 #[test]
 fn multi_record_staged_value_roundtrip() {
     let payloads = vec![pl(b""), pl(b"x"), pl(vec![7u8; 300])];
-    let enc = codec::encode_staged(ColorId(9), &payloads);
+    let mut enc = Vec::new();
+    codec::write_staged(&mut enc, ColorId(9), &payloads);
     assert_eq!(enc.len(), codec::staged_len(&payloads), "what a commit frees of pm_live_bytes");
     let dec = codec::decode_staged(&enc);
     assert_eq!(dec.color, ColorId(9));
-    assert_eq!(dec.payloads, payloads);
+    assert_eq!(&dec.payloads[..], &payloads[..]);
 }
 
 #[test]
@@ -701,11 +707,12 @@ fn crash_mid_spill_leaves_one_placement_and_no_leaked_pm_copy() {
         s.commit(tok(i), sn(i)).unwrap();
     }
     let (pm, ssd) = s.devices();
-    let copies = (1..=3u32).map(|i| {
-        let value = codec::encode_record(tok(i), &[i as u8; 100]);
-        (codec::ssd_block_id(RED, sn(i)), value)
-    });
-    ssd.write_blocks(copies.collect());
+    let (mut copies, mut blocks) = (Vec::new(), Vec::new());
+    for i in 1..=3u32 {
+        codec::write_record(&mut copies, tok(i), &[i as u8; 100]);
+        blocks.push((codec::ssd_block_id(RED, sn(i)), codec::record_len(&[i as u8; 100])));
+    }
+    ssd.write_blocks(&copies, &blocks);
     ssd.fsync();
     pm.crash();
     ssd.crash();
@@ -889,7 +896,7 @@ fn a_late_fill_spills_in_its_turn_and_reads_in_sn_order() {
 fn a_batch_staged_and_committed_in_one_call_writes_no_staged_record() {
     let s = StorageServer::new(StorageConfig::tiny());
     let written = s.write(
-        vec![(tok(1), RED, vec![pl(b"at once")]), (tok(2), RED, vec![pl(b"later")])],
+        &[(tok(1), RED, batch(b"at once")), (tok(2), RED, batch(b"later"))],
         &[(tok(1), sn(1))],
     );
     let want = Written { staged: vec![Ok(true), Ok(true)], committed: vec![Ok(Some(RED))] };
@@ -913,10 +920,10 @@ fn a_write_call_repeats_and_unknowns_report_per_item() {
     s.stage(tok(1), RED, &[pl(b"a")]).unwrap();
     s.commit(tok(1), sn(1)).unwrap();
     let written = s.write(
-        vec![
-            (tok(1), RED, vec![pl(b"a")]), // committed before
-            (tok(2), RED, vec![pl(b"b")]),
-            (tok(2), RED, vec![pl(b"b")]), // repeats the one before
+        &[
+            (tok(1), RED, batch(b"a")), // committed before
+            (tok(2), RED, batch(b"b")),
+            (tok(2), RED, batch(b"b")), // repeats the one before
         ],
         &[(tok(2), sn(2)), (tok(2), sn(2)), (tok(9), sn(3)), (tok(1), sn(1))],
     );
@@ -936,9 +943,9 @@ fn a_write_the_pool_refuses_retries_each_item_alone() {
     // stage, its commit and their repeats in the call all report the error.
     let s = StorageServer::new(StorageConfig::tiny());
     s.stage(tok(1), RED, &[pl(b"one")]).unwrap();
-    let huge = || vec![pl(vec![0; 1 << 20])];
+    let huge = || Batch::from(vec![pl(vec![0; 1 << 20])]);
     let written = s.write(
-        vec![(tok(2), RED, vec![pl(b"two")]), (tok(3), RED, huge()), (tok(3), RED, huge())],
+        &[(tok(2), RED, batch(b"two")), (tok(3), RED, huge()), (tok(3), RED, huge())],
         &[(tok(1), sn(1)), (tok(2), sn(2)), (tok(3), sn(3)), (tok(3), sn(3)), (tok(2), sn(2))],
     );
     let full = StorageError::Pool(PoolError::PoolFull);
@@ -951,7 +958,7 @@ fn a_write_the_pool_refuses_retries_each_item_alone() {
     assert!(s.staged_tokens().is_empty());
     assert_eq!(s.pm_live_bytes(), 2 * 8 + 6);
     // One item alone is not retried; its repeat reports its error too.
-    let written = s.write(vec![(tok(4), RED, huge()), (tok(4), RED, huge())], &[]);
+    let written = s.write(&[(tok(4), RED, huge()), (tok(4), RED, huge())], &[]);
     assert_eq!(written, Written { staged: vec![Err(full), Err(full)], committed: vec![] });
 }
 
@@ -967,7 +974,7 @@ fn a_write_call_recovers_whole_or_not_at_all() {
     };
     let call = |s: &StorageServer| {
         s.write(
-            vec![(tok(2), RED, vec![pl(b"two")]), (tok(3), GREEN, vec![pl(b"three")])],
+            &[(tok(2), RED, batch(b"two")), (tok(3), GREEN, batch(b"three"))],
             &[(tok(1), sn(1)), (tok(3), sn(1))],
         )
     };

@@ -200,10 +200,11 @@ proptest! {
                     let ordered: Vec<_> =
                         staged.drain(..(commit as usize).min(staged.len())).chain(both).collect();
                     let items = admitted.iter().chain(&both);
-                    let items = items.map(|&(tok, c, n)| (tok, COLORS[c], payloads_of(tok, n))).collect();
+                    let items: Vec<_> =
+                        items.map(|&(tok, c, n)| (tok, COLORS[c], payloads_of(tok, n).into())).collect();
                     let commits: Vec<(Token, SeqNum)> =
                         ordered.iter().map(|&(tok, c, n)| (tok, model[c].commit(tok, n))).collect();
-                    let written = server.write(items, &commits);
+                    let written = server.write(&items, &commits);
                     prop_assert!(written.staged.iter().all(|r| *r == Ok(true)), "{:?}", written);
                     let colors: Vec<_> = ordered.iter().map(|&(_, c, _)| Ok(Some(COLORS[c]))).collect();
                     prop_assert_eq!(written.committed, colors);

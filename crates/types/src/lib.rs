@@ -16,14 +16,18 @@
 //!   path: `Arc<[u8]>`-backed, so broadcasting an append to every replica of
 //!   a shard, retransmitting it, and inserting it into the DRAM cache are
 //!   all reference-count bumps instead of byte copies;
-//! * a [`CommittedRecord`] is a payload together with its assigned SN.
+//! * a [`Batch`] is the records of one append, shared the same way: the
+//!   client builds it once and every replica's message, retransmit and
+//!   staging area holds the same slice;
+//! * a [`CommittedRecord`] is a payload together with its assigned SN;
+//! * [`FastState`] is the hasher of every map an append touches.
 
-
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a color (log region). Color 0 is the master region — the
 /// root of the color tree, also used as the *special color* brokering
@@ -286,6 +290,11 @@ impl fmt::Debug for Payload {
     }
 }
 
+/// The records of one append, in order: built once by the client and shared
+/// by the in-flight entry, the shard-wide broadcast, every retransmit and
+/// each replica's staging area — cloning one is a reference-count bump.
+pub type Batch = Arc<[Payload]>;
+
 /// A record that has been assigned its place in a colored log.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CommittedRecord {
@@ -302,19 +311,121 @@ impl CommittedRecord {
     }
 }
 
+/// The hasher of the maps on the append path: one folded multiply per
+/// 8-byte word, where SipHash-1-3 runs its rounds per word and again to
+/// finish. The keys there are tokens, SNs and node ids — a word or two —
+/// and a client chooses its tokens, so the function is seeded: once per
+/// process, from [`RandomState`], so no fixed set of keys collides in
+/// every run.
+#[derive(Clone, Copy, Debug)]
+pub struct FastState {
+    seed: u64,
+}
+
+impl FastState {
+    /// The process's seeded state.
+    pub fn new() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        let seed = *SEED.get_or_init(|| RandomState::new().hash_one(0x5EED_u64));
+        FastState { seed }
+    }
+}
+
+impl Default for FastState {
+    fn default() -> Self {
+        FastState::new()
+    }
+}
+
+impl BuildHasher for FastState {
+    type Hasher = FastHasher;
+
+    fn build_hasher(&self) -> FastHasher {
+        FastHasher(self.seed)
+    }
+}
+
+/// The hasher [`FastState`] builds.
+#[derive(Clone, Copy, Debug)]
+pub struct FastHasher(u64);
+
+/// The 128-bit product of `a` and `b`, folded to 64 bits: the low half
+/// XOR the high half turned by 32. The low half's low bits are a bijection
+/// of the input's low bits, so keys that count up fill a table's buckets
+/// one by one; the high half's top bits depend on every input bit and land
+/// on the output's low ones, so keys that differ only high up still part.
+#[inline]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let full = a as u128 * b as u128;
+    full as u64 ^ ((full >> 64) as u64).rotate_left(32)
+}
+
+/// 2⁶⁴/φ, odd.
+const MULTIPLIER: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for FastHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.0 = folded_multiply(self.0 ^ word, MULTIPLIER);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+        self.write_u64(bytes.len() as u64);
+    }
+
+    #[inline]
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(v as u64)
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
+        self.write_u64(v as u64)
+    }
+
+    #[inline]
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(v as u64)
+    }
+
+    #[inline]
+    fn write_u128(&mut self, v: u128) {
+        self.write_u64(v as u64);
+        self.write_u64((v >> 64) as u64);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64)
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` under [`FastState`].
+pub type FastMap<K, V> = HashMap<K, V, FastState>;
+
 /// A map that remembers its newest `cap` keys: inserting a new key beyond
 /// that forgets the oldest. The one replay memory of the system — a
 /// sequencer's answered tokens and child batches, a replica's recently
 /// landed tokens.
 pub struct BoundedMap<K, V> {
-    map: HashMap<K, V>,
+    map: FastMap<K, V>,
     order: VecDeque<K>,
     cap: usize,
 }
 
 impl<K: Copy + Eq + Hash, V> BoundedMap<K, V> {
     pub fn new(cap: usize) -> Self {
-        BoundedMap { map: HashMap::new(), order: VecDeque::new(), cap }
+        BoundedMap { map: FastMap::default(), order: VecDeque::new(), cap }
     }
 
     /// Inserts or overwrites; an overwritten key keeps its age.
