@@ -25,7 +25,7 @@ settable() {
     if [ "$#" -eq 0 ]; then echo 0; return; fi
     awk -v re="^pub struct ${STRUCT:-[A-Za-z]*(Config|Spec)}( |<|\\{)" '$0 ~ re { inside = 1; next }
          inside && /^}/ { inside = 0 }
-         inside && /^    pub [a-z_]+:/ { n++ }
+         inside && /^    pub [a-z_][a-z0-9_]*:/ { n++ }
          END { print n + 0 }' "$@"
 }
 
