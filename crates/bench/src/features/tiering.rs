@@ -8,9 +8,9 @@
 //!    the latency model says and nothing else: each is **one modelled
 //!    constant**, measured once, not a distribution with percentiles.
 //! 2. **Hot-append interference** — wall-clock append throughput on a hot
-//!    color through the full cluster with the tick-paced [`TieringEngine`]
+//!    color through the full cluster with the tick-paced [`ControlLoop`]
 //!    archiving (a trickle keeps feeding a cold color beside the hot one),
-//!    against the same workload with the engine idle. A trial is one
+//!    against the same workload with the loop idle. A trial is one
 //!    cluster in which the two sides interleave in short slices (see
 //!    [`hot_append_pair`]) and `hot_append_ratio` is the **median** of the
 //!    per-trial on ÷ off ratios — real interference degrades every trial,
@@ -25,10 +25,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use flexlog_core::{ClusterSpec, FlexLogCluster};
-use flexlog_ctrl::{ControlPlane, TieringConfig, TieringEngine};
+use flexlog_ctrl::{ControlConfig, ControlLoop, ControlPlane, Policy};
 use flexlog_pm::{virtual_time, ClockMode, DeviceClock, LatencyModel};
 use flexlog_storage::{StorageConfig, StorageServer, TierConfig};
-use flexlog_tier::{SimObjectStore, StoreLatencyModel, TieringPolicy};
+use flexlog_tier::{SimObjectStore, StoreLatencyModel};
 use flexlog_types::{ColorId, Epoch, FunctionId, Payload, SeqNum, Token};
 
 use crate::harness::{Report, MODELLED, WALL};
@@ -122,14 +122,14 @@ fn ssd_get_us(records: usize, reads: usize) -> f64 {
 
 /// One paired trial of wall-clock hot-append throughput through the full
 /// cluster: a hot appender beside a cold-color trickle that keeps the
-/// archiver's backlog growing, with the tick-paced engine toggled between
-/// `slices` slices of [`SLICE_APPENDS`] appends in an off-on-on-off pattern
-/// (`on_first` flips it). Both sides share one cluster and interleave
+/// archiver's backlog growing, with the tick-paced control loop toggled
+/// between `slices` slices of [`SLICE_APPENDS`] appends in an off-on-on-off
+/// pattern (`on_first` flips it). Both sides share one cluster and interleave
 /// within it, so a slow stretch of the host lands on both and the ratio
-/// isolates what *archiving* costs the hot path. The engine archives in
+/// isolates what *archiving* costs the hot path. The loop archives in
 /// half the run what was appended in all of it, so an on slice carries
 /// twice the steady-state archiving load: the ratio is a lower bound.
-/// Returns (appends/s engine off, appends/s engine on, records archived
+/// Returns (appends/s loop off, appends/s loop on, records archived
 /// per replica).
 fn hot_append_pair(slices: usize, prefill: usize, on_first: bool) -> (f64, f64, u64) {
     let store = Arc::new(SimObjectStore::new(DeviceClock::new(ClockMode::Off)));
@@ -149,7 +149,7 @@ fn hot_append_pair(slices: usize, prefill: usize, on_first: bool) -> (f64, f64, 
     }
 
     let stop = AtomicBool::new(false);
-    // Whether the engine runs; it holds the lock for the length of a tick,
+    // Whether the loop runs; it holds the lock for the length of a tick,
     // so flipping the switch waits out a round in flight — it finishes
     // outside the slice it would taint.
     let archiving = Mutex::new(false);
@@ -168,19 +168,19 @@ fn hot_append_pair(slices: usize, prefill: usize, on_first: bool) -> (f64, f64, 
             }
         });
         s.spawn(move || {
-            // The real tick-paced engine, not a busy loop: each tick
+            // The real tick-paced control loop, not a busy loop: each tick
             // observes spans and actuates at most one bounded round.
             let policy = format!("when span >= {SEGMENT_RECORDS} then archive keep=0 max=1024");
-            let config = TieringConfig {
-                policy: TieringPolicy::parse(&policy).expect("valid policy"),
+            let config = ControlConfig {
+                policy: Policy::parse(&policy).expect("valid policy"),
                 min_observation: Duration::from_millis(2),
-                max_moves_per_tick: 1,
+                max_actions_per_tick: 1,
             };
-            let mut engine = TieringEngine::new(ControlPlane::new(cluster), config);
+            let mut control = ControlLoop::new(ControlPlane::new(cluster), config, Instant::now());
             while !stop.load(Ordering::Relaxed) {
                 let on = archiving.lock().unwrap();
                 if *on {
-                    let _ = engine.tick();
+                    let _ = control.tick(Instant::now());
                 }
                 drop(on);
                 std::thread::sleep(Duration::from_millis(2));

@@ -1,22 +1,22 @@
 //! Cold-tier nemesis scenarios: archive rounds (client trims plus a
-//! policy-driven [`TieringEngine`]) run while the nemesis power-fails a
+//! policy-driven [`ControlLoop`]) run while the nemesis power-fails a
 //! storage replica mid-round or takes the object store down entirely.
 //! The §7 invariant suite (via the history checker inside `run_chaos`)
 //! must hold regardless: no acked record lost, none served twice, and a
 //! store outage only pauses archiving — it never drops live history.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use flexlog_chaos::{
     run_chaos, seed_from_env, ChaosOptions, FaultEvent, FaultKind, FaultPlan, PostCheckFn,
     ReconfigFn, WorkloadConfig,
 };
 use flexlog_core::{ClusterSpec, FlexLogCluster};
-use flexlog_ctrl::{ControlPlane, TieringConfig, TieringEngine};
+use flexlog_ctrl::{ControlConfig, ControlLoop, ControlPlane, Policy};
 use flexlog_pm::{ClockMode, DeviceClock};
 use flexlog_storage::TierConfig;
-use flexlog_tier::{SimObjectStore, TieringPolicy};
+use flexlog_tier::SimObjectStore;
 use flexlog_types::{ColorId, ShardId};
 
 const RED: ColorId = ColorId(1);
@@ -59,15 +59,15 @@ fn tiering_driver() -> ReconfigFn {
     Box::new(|cluster: &FlexLogCluster| {
         let mut plane = ControlPlane::new(cluster);
         plane.timeout = Duration::from_millis(400);
-        let config = TieringConfig {
-            policy: TieringPolicy::parse("when span >= 16 then archive keep=8 max=4096")
+        let config = ControlConfig {
+            policy: Policy::parse("when span >= 16 then archive keep=8 max=4096")
                 .expect("valid policy"),
             min_observation: Duration::from_millis(5),
-            max_moves_per_tick: 2,
+            max_actions_per_tick: 2,
         };
-        let mut engine = TieringEngine::new(plane, config);
+        let mut control = ControlLoop::new(plane, config, Instant::now());
         for _ in 0..40 {
-            let _ = engine.tick();
+            let _ = control.tick(Instant::now());
             std::thread::sleep(Duration::from_millis(20));
         }
     })

@@ -25,14 +25,13 @@
 //!   epoch, and half the donor's colors are re-routed to it, so per-color
 //!   SNs stay strictly monotonic across the move.
 //!
-//! [`Autoscaler`] is the policy loop on top: it reads per-color append
-//! rates (`seq.color_sns.*`), sequencer batching pressure
-//! (`seq.batch_wait_ns` p99) and per-shard PM residency, and triggers
-//! scale-out/migration/splits through the [`ControlPlane`].
-//! [`TieringEngine`] is its cold-tier sibling: it evaluates a declarative
-//! `flexlog-tier` policy against per-color span size, PM pressure, and
-//! access recency, and actuates archive/demote rounds via
-//! [`ControlPlane::archive_color`].
+//! [`ControlLoop`] closes the loop on top: each tick it observes every
+//! color (append rate from `seq.color_sns.*`, read and append recency,
+//! span and SSD residency, PM pressure, the sequencers' `seq.batch_wait_ns`
+//! p99), evaluates one declarative [`Policy`] (`when … then` rules, see
+//! the grammar in [`Policy::parse`]) and actuates its matches — shard
+//! scale-out, leaf splits, archive and demote rounds — through the
+//! [`ControlPlane`], logging each as a [`Decision`].
 //!
 //! Every reconfiguration is **crash-recoverable**: the plane logs its
 //! intent and per-phase progress into a durable [`IntentWal`] (a
@@ -43,14 +42,14 @@
 //! every mutating ctrl message carries the generation, and replicas and
 //! sequencers nack anything stale.
 
-mod autoscaler;
+mod control;
 mod plane;
-mod tiering;
+mod policy;
 mod wal;
 
-pub use autoscaler::{Autoscaler, AutoscalerConfig, ScalingAction};
+pub use control::{ControlConfig, ControlLoop, Decision, Outcome};
 pub use plane::{ControlPlane, CtrlError, RecoveryReport};
-pub use tiering::{TieringConfig, TieringEngine};
+pub use policy::{Action, Condition, Observation, Policy, PolicyParseError, Rule};
 pub use wal::{CtrlPhase, InFlightOp, IntentRecord, IntentWal, OpKind};
 
 #[cfg(test)]

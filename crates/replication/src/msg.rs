@@ -220,11 +220,12 @@ pub enum CtrlMsg {
     /// raises its floor to `gen`, applies the command and answers
     /// [`CtrlMsg::Ack`].
     Cmd { gen: u64, req: u64, cmd: CtrlCmd },
-    /// Replica → controller: command applied. `imported` counts the records
-    /// a [`CtrlCmd::CatchUp`] newly installed (0 for every other command).
+    /// Replica → controller: command applied. `moved` counts the records
+    /// a [`CtrlCmd::CatchUp`] newly installed or a [`CtrlCmd::Archive`]
+    /// archived or demoted (0 for every other command).
     /// `CatchUp`'s is the one deferred ack: it is sent when the copy is
     /// level, not when the command arrives.
-    Ack { req: u64, imported: u64 },
+    Ack { req: u64, moved: u64 },
     /// Replica → controller: command refused — the sender's generation is
     /// stale (`gen` is the highest this replica has seen).
     Nack { req: u64, gen: u64 },
@@ -271,7 +272,7 @@ pub enum CtrlCmd {
     },
     /// Migration destination: bring your copy of `color` level with source
     /// shard `shard`, pulling from `sources` (its replicas, best first), and
-    /// ack — with `Ack.imported` — once level. Tokens travel with the
+    /// ack — with `Ack.moved` — once level. Tokens travel with the
     /// records, so post-cutover client retries of pre-migration appends
     /// re-ack. A catch-up round (`last` unset) lands **cold**, straight on
     /// the SSD tier: bulk history must not evict the destination's PM

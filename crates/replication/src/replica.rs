@@ -605,8 +605,8 @@ impl ReplicaNode {
             }
             CtrlMsg::Cmd { gen, req, cmd } => {
                 self.ctrl_gen = gen;
-                if self.apply_ctrl(ep, (from, req), cmd) {
-                    let _ = ep.send(from, CtrlMsg::Ack { req, imported: 0 }.into());
+                if let Some(moved) = self.apply_ctrl(ep, (from, req), cmd) {
+                    let _ = ep.send(from, CtrlMsg::Ack { req, moved }.into());
                 }
             }
             // Controller-bound replies.
@@ -615,10 +615,15 @@ impl ReplicaNode {
     }
 
     /// Applies one (already fence-checked) control command whose ack goes
-    /// to `ack` (the controller, its request); returns whether it is done
-    /// and to be acked now. `CatchUp` is the one that is not:
+    /// to `ack` (the controller, its request); returns the records it moved
+    /// if it is done and to be acked now. `CatchUp` is the one that is not:
     /// [`Self::on_level`] acks it.
-    fn apply_ctrl(&mut self, ep: &Endpoint<ClusterMsg>, ack: (NodeId, u64), cmd: CtrlCmd) -> bool {
+    fn apply_ctrl(
+        &mut self,
+        ep: &Endpoint<ClusterMsg>,
+        ack: (NodeId, u64),
+        cmd: CtrlCmd,
+    ) -> Option<u64> {
         let (obs, node) = (self.config.storage.obs.clone(), ep.id().0);
         let trace = |stage: Stage, color: ColorId| {
             obs.trace_event(CTRL_TOKEN, stage, node, color.0 as u64);
@@ -632,7 +637,7 @@ impl ReplicaNode {
                 self.catchups.insert((color, shard), (ack, last));
                 let copy = if last { follower::Mode::Exact } else { follower::Mode::Cold };
                 self.follower.start(ep, Instant::now(), (color, shard), &sources, copy);
-                return false;
+                return None;
             }
             CtrlCmd::Freeze(color) => {
                 self.raise(color, Fence::Frozen);
@@ -683,16 +688,18 @@ impl ReplicaNode {
             // Ack without acting so the round completes.
             CtrlCmd::Archive { color, .. } if self.fences.contains_key(&color) => {}
             CtrlCmd::Archive { color, max_records, demote: true, .. } => {
-                let _ = self.serving.storage.demote_color(color, max_records);
+                return Some(self.serving.storage.demote_color(color, max_records).unwrap_or(0));
             }
             CtrlCmd::Archive { color, keep_tail, max_records, demote: false } => {
                 let archived = self.serving.storage.archive_prefix(color, keep_tail, max_records);
-                if archived.unwrap_or(0) > 0 {
+                let archived = archived.unwrap_or(0);
+                if archived > 0 {
                     trace(Stage::Archive, color);
                 }
+                return Some(archived);
             }
         }
-        true
+        Some(0)
     }
 
     /// Raises `color`'s fence to at least `fence`: short of a thaw or an
@@ -754,7 +761,7 @@ impl ReplicaNode {
             if last && !level.cursors.is_empty() && self.is_oreq_delegate(ep) {
                 self.serving.subs.adopt_cursors(ep, level.color, &level.cursors);
             }
-            let _ = ep.send(ctrl, CtrlMsg::Ack { req, imported: level.imported }.into());
+            let _ = ep.send(ctrl, CtrlMsg::Ack { req, moved: level.imported }.into());
         } else {
             self.sync_fresh.extend(level.fresh);
             self.advance_sync(ep);

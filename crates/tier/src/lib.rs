@@ -1,8 +1,8 @@
 //! # flexlog-tier
 //!
 //! The cold storage tier below the SSD: a simulated **object store** holding
-//! immutable, checksummed archive segments, plus the **declarative tiering
-//! policy** that decides what moves down and when.
+//! immutable, checksummed archive segments. What moves down, and when, is
+//! the control loop's policy in `flexlog-ctrl`.
 //!
 //! The storage hierarchy this completes (coldest last):
 //!
@@ -10,7 +10,7 @@
 //! DRAM cache  →  PM log  →  SSD spill  →  object store (this crate)
 //! ```
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`ObjectStore`] — put/get/list/delete of immutable blobs, modelled on a
 //!   cloud object store: durable on `put` return, no partial writes, no
@@ -22,24 +22,14 @@
 //!   (`seg/<color>/<base>-<last>`, hex-padded so lexicographic order is SN
 //!   order), so the per-color [`Manifest`] can always be rebuilt from
 //!   `list()` alone; the persisted manifest object is just a fast path.
-//! * [`TieringPolicy`] — composable conditions (PM pressure, span length,
-//!   idle time, SSD residency) compiled into [`TierMove`] plans. The control
-//!   plane evaluates it against per-color observations and actuates the
-//!   moves through the archiver on each replica; see the policy grammar in
-//!   [`TieringPolicy::parse`].
 //!
 //! The archiver itself (sealing spans into segments, the read-through probe)
-//! lives in `flexlog-storage`: it owns the bytes. This crate owns the store,
-//! the wire format, and the policy.
+//! lives in `flexlog-storage`: it owns the bytes. This crate owns the store
+//! and the wire format.
 
-mod policy;
 mod segment;
 mod store;
 
-pub use policy::{
-    ColorObservation, PolicyParseError, TierAction, TierCondition, TierMove, TierRule,
-    TieringPolicy,
-};
 pub use segment::{
     color_prefix, fetch_segment, manifest_key, parse_segment_key, segment_key, Manifest,
     Segment, SegmentMeta,
