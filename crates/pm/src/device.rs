@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 use rand::Rng;
 
+use crate::image::{self, Image};
 use crate::{DeviceClock, LatencyModel};
 
 /// Power-fail atomicity unit of PM hardware (8 bytes, like real Optane).
@@ -75,7 +76,7 @@ impl std::error::Error for DeviceError {}
 
 struct Inner {
     /// Current state as seen by the CPU: durable bytes + unflushed writes.
-    working: Box<[u8]>,
+    working: Image,
     /// Unflushed ranges, kept merged and non-overlapping: start → the bytes
     /// the media holds there (what a crash restores).
     dirty: BTreeMap<usize, Vec<u8>>,
@@ -122,7 +123,7 @@ impl PmDevice {
     pub fn new(config: PmDeviceConfig) -> Self {
         PmDevice {
             inner: Mutex::new(Inner {
-                working: vec![0u8; config.capacity].into_boxed_slice(),
+                working: image::zeroed(config.capacity),
                 dirty: BTreeMap::new(),
                 power_budget: None,
             }),

@@ -27,6 +27,7 @@ mod clock;
 mod crc;
 mod device;
 mod hash;
+mod image;
 mod latency;
 mod pool;
 mod ssd;

@@ -1,10 +1,10 @@
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{Receiver, RecvTimeoutError, TryRecvError};
 
 use crate::network::Inner;
-use crate::{NodeId, RecvError, SendError, SLEEP_FLOOR};
+use crate::{NodeId, RecvError, SendError};
 
 /// A node's attachment to the simulated network: an inbox plus the ability
 /// to send to any registered peer.
@@ -64,7 +64,9 @@ impl<M: Send + 'static> Endpoint<M> {
         }
     }
 
-    /// Blocks until a message arrives.
+    /// Blocks until a message arrives. Every receive waits the channel's
+    /// one way: it polls the inbox for up to 80 µs, or to a deadline nearer
+    /// than the sleep floor, then parks (see [`crate::SLEEP_FLOOR`]).
     pub fn recv(&self) -> Result<(NodeId, M), RecvError> {
         self.rx.recv().map_err(|_| RecvError::Disconnected)
     }
@@ -72,7 +74,7 @@ impl<M: Send + 'static> Endpoint<M> {
     /// Blocks until a message arrives or `timeout` elapses. Timeouts are how
     /// nodes detect failures (message delay > Δ, §4).
     pub fn recv_timeout(&self, timeout: Duration) -> Result<(NodeId, M), RecvError> {
-        wait_inbox(timeout, |t| self.rx.recv_timeout(t))
+        self.rx.recv_timeout(timeout).map_err(recv_error)
     }
 
     /// Blocks until at least one message arrives (or `timeout` elapses),
@@ -87,7 +89,7 @@ impl<M: Send + 'static> Endpoint<M> {
         max: usize,
         out: &mut Vec<(NodeId, M)>,
     ) -> Result<usize, RecvError> {
-        wait_inbox(timeout, |t| self.rx.recv_batch_timeout(t, max, out))
+        self.rx.recv_batch_timeout(timeout, max, out).map_err(recv_error)
     }
 
     /// Non-blocking receive.
@@ -104,28 +106,9 @@ impl<M: Send + 'static> Endpoint<M> {
     }
 }
 
-/// Runs one timed inbox receive: parked for `timeout` when the park can keep
-/// it, otherwise polled (zero-timeout receives + `spin_loop`) until the
-/// deadline — see [`SLEEP_FLOOR`].
-fn wait_inbox<T>(
-    timeout: Duration,
-    mut recv: impl FnMut(Duration) -> Result<T, RecvTimeoutError>,
-) -> Result<T, RecvError> {
-    let result = if timeout >= SLEEP_FLOOR {
-        recv(timeout)
-    } else {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match recv(Duration::ZERO) {
-                Err(RecvTimeoutError::Timeout) if Instant::now() < deadline => {
-                    std::hint::spin_loop()
-                }
-                done => break done,
-            }
-        }
-    };
-    result.map_err(|e| match e {
+fn recv_error(e: RecvTimeoutError) -> RecvError {
+    match e {
         RecvTimeoutError::Timeout => RecvError::Timeout,
         RecvTimeoutError::Disconnected => RecvError::Disconnected,
-    })
+    }
 }

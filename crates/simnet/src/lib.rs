@@ -37,21 +37,14 @@ pub use error::{RecvError, SendError};
 pub use network::Network;
 pub use node::NodeId;
 
-/// The *sleep floor*: a wait shorter than this is kept by polling until the
-/// deadline instead of parking the thread — an endpoint's receive timeout
-/// (`endpoint.rs`) and the delivery scheduler's wait for the next link delay
-/// to elapse (`scheduler.rs`) alike.
-///
-/// A timed park cannot keep a short deadline. On the host this repo is
-/// measured on (`/proc/self/timerslack_ns` = 50 000) a standalone
-/// `Condvar::wait_timeout` returns after p10 67.5 / p50 73.1 / p90 83.9 µs
-/// when asked for 1 µs, 78.5 µs for 10 µs, 189 µs for 100 µs and 301 µs for
-/// 200 µs: every timed park overshoots by 70–90 µs, so below ~100 µs the
-/// overshoot *is* the wait. A sequencer's 1 µs aggregation window paid
-/// 74 µs per tree level that way (`seq.batch_wait_ns`). The crate the
-/// channel shim stands in for spins before it parks for the same reason.
-/// At and above the floor the thread parks, so idle nodes still sleep.
-pub(crate) const SLEEP_FLOOR: std::time::Duration = std::time::Duration::from_micros(100);
+/// The *sleep floor* (defined beside the channel's poll window, whose
+/// wait it bounds): a wait shorter than this is kept by polling until the
+/// deadline instead of parking the thread — an endpoint's receive (in the
+/// channel shim every inbox is) and the delivery scheduler's wait for the
+/// next link delay to elapse (`scheduler.rs`) alike. At and above it a
+/// receive polls only for the channel's short poll window, then parks, so
+/// idle nodes still sleep.
+pub(crate) use crossbeam::channel::SLEEP_FLOOR;
 
 #[cfg(test)]
 mod tests;

@@ -5,11 +5,12 @@
 # regime probe (report only; one color, then a 4-color line that shows the
 # spill order), the CRC's slicing-by-8 equivalence tests and
 # the pool's every-device-operation crash sweep once more in release, the timing and
-# heap bounds of the latency path (polled short waits, the sequencer's batch
+# heap bounds of the latency path (polled short waits, the vendored channel's
+# one wait — a message taken while the receiver polls, an idle wait that
+# sleeps, a parked receiver woken once and never lost — the sequencer's batch
 # wait, the file-backed SSD medium, the heap a spilled record and a committed
 # token cost, the heap allocations a pipelined append costs the process) in
-# release, the vendored channel's tests (a receiver woken only when parked),
-# two bounded
+# release, two bounded
 # nemesis smoke runs (fixed seed, ~5 s of injected faults under load — once
 # on the instant network, once over delayed links through the delay
 # scheduler), the follower-join probe (a copy that joins 40 000 records behind
@@ -61,18 +62,16 @@ cargo test --release -q -p flexlog-pm --test crash_consistency
 # and a lone OReq's aggregation window really cost, what a spilled record
 # leaves in the heap now that the SSD's medium is a file, and what a
 # committed token leaves in its color's idempotence map.
-echo "==> latency-path bounds (release): polled short waits, batch wait, ssd medium, heap per record and per token, allocations per append"
+# The vendored shims are not workspace members, so the suite above skips
+# their tests; the channel's wait and wake-up rule are on every message's path.
+echo "==> latency-path bounds (release): polled short waits, the channel's wait and wake-up, batch wait, ssd medium, heap per record and per token, allocations per append"
 cargo test --release -q -p flexlog-simnet short_timeouts_are_polled
+cargo test --release -q -p crossbeam
 cargo test --release -q -p flexlog-ordering lone_oreq_waits_the_window
 cargo test --release -q -p flexlog-pm --lib ssd::
 cargo test --release -q -p flexlog-storage --test spilled_heap
 cargo test --release -q -p flexlog-storage --test committed_token_heap
 cargo test --release -q -p flexlog-core --test alloc_per_append
-
-# The vendored shims are not workspace members, so the suite above skips
-# their tests; the channel's wake-up rule is on every message's path.
-echo "==> vendored channel: wakes only a parked receiver, loses no wake-up (release)"
-cargo test --release -q -p crossbeam
 
 echo "==> nemesis smoke (bounded chaos run, fixed seed)"
 cargo run --release -p flexlog-chaos --example nemesis_smoke

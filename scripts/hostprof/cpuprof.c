@@ -1,7 +1,7 @@
 // cpuprof: a cpu-clock sampler of one program over a time window, on
 // perf_event_open with no perf tool installed.
 //
-//   cpuprof [-d DELAY_S] [-s SECONDS] [-f HZ] [-t TOP] -- PROGRAM [ARGS...]
+//   cpuprof [-g] [-d DELAY_S] [-s SECONDS] [-f HZ] [-t TOP] -- PROGRAM [ARGS...]
 //
 // Starts PROGRAM held at a pipe, opens one sampling cpu-clock event per CPU
 // on it with `inherit` — so every thread it starts later is sampled — and
@@ -16,6 +16,14 @@
 // without symbols (libc here) names a static function by the exported one
 // before it: glibc's malloc internals show up as `__nss_database_lookup`
 // or `__default_morecore`.
+//
+// With -g each sample also carries its user call chain
+// (PERF_SAMPLE_CALLCHAIN, walked by frame pointers, so build PROGRAM with
+// `-C force-frame-pointers=yes`), and the report adds the inclusive share
+// of every `flexlog_*` function: the samples with that function anywhere on
+// the stack, inlined frames included, each sample counted once per
+// function. A kernel sample's chain is its thread's user stack at the
+// syscall, so a futex wake counts for the Rust code that made it.
 //
 // Build: gcc -O2 -o cpuprof cpuprof.c
 #define _GNU_SOURCE
@@ -39,6 +47,8 @@ struct sample {
     uint64_t ip;
     uint32_t tid;
     int kernel;
+    uint64_t *chain; /* -g: the user frames, innermost first */
+    uint32_t nchain;
 };
 
 static struct sample *samples;
@@ -57,7 +67,7 @@ static void drain(struct perf_event_mmap_page *meta, size_t page) {
     uint64_t size = (uint64_t)RING_PAGES * page;
     uint64_t head = __atomic_load_n(&meta->data_head, __ATOMIC_ACQUIRE);
     uint64_t tail = meta->data_tail;
-    char rec[512];
+    static char rec[1 << 16];
     while (tail < head) {
         struct perf_event_header hdr;
         for (size_t i = 0; i < sizeof hdr; i++) ((char *)&hdr)[i] = data[(tail + i) % size];
@@ -72,6 +82,28 @@ static void drain(struct perf_event_mmap_page *meta, size_t page) {
             memcpy(&s->ip, rec + sizeof hdr, 8);
             memcpy(&s->tid, rec + sizeof hdr + 12, 4);
             s->kernel = (hdr.misc & PERF_RECORD_MISC_CPUMODE_MASK) == PERF_RECORD_MISC_KERNEL;
+            s->chain = NULL;
+            s->nchain = 0;
+            if (hdr.size >= sizeof hdr + 24) {
+                /* PERF_SAMPLE_CALLCHAIN: nr, then nr IPs with context
+                 * markers (>= PERF_CONTEXT_MAX) between the parts. The
+                 * first user frame is the sampled IP or the syscall's
+                 * return address, the rest return addresses: one byte back
+                 * puts those inside their call instruction. */
+                uint64_t nr;
+                memcpy(&nr, rec + sizeof hdr + 16, 8);
+                if (sizeof hdr + 24 + nr * 8 <= hdr.size) {
+                    s->chain = malloc(nr * sizeof *s->chain + 1);
+                    int first = 1;
+                    for (uint64_t i = 0; i < nr; i++) {
+                        uint64_t ip;
+                        memcpy(&ip, rec + sizeof hdr + 24 + i * 8, 8);
+                        if (ip >= (uint64_t)PERF_CONTEXT_MAX) continue;
+                        s->chain[s->nchain++] = first ? ip : ip - 1;
+                        first = 0;
+                    }
+                }
+            }
         } else if (hdr.type == PERF_RECORD_LOST) {
             uint64_t n;
             memcpy(&n, rec + sizeof hdr + 8, 8);
@@ -89,6 +121,9 @@ struct sym {
     int kernel;
     char *func;   /* the symbol holding the IP */
     char *inner;  /* the innermost inlined frame at it */
+    char *all;    /* every frame at it, innermost first, one per line */
+    char **flex;  /* -g: the `flexlog_*` ones among them */
+    int nflex;
 };
 
 struct ksym {
@@ -231,6 +266,9 @@ static void addr2line(struct sym *syms, size_t n, struct map *m) {
                 if (!at->inner) at->inner = strdup(line);
                 free(at->func);
                 at->func = strdup(line);
+                size_t had = at->all ? strlen(at->all) : 0;
+                at->all = realloc(at->all, had + strlen(line) + 2);
+                sprintf(at->all + had, "%s\n", line);
             }
             fn_line = !fn_line;
         }
@@ -248,6 +286,7 @@ static void addr2line(struct sym *syms, size_t n, struct map *m) {
                 snprintf(name, sizeof name, "%s", m->path[0] ? m->path : "[anon]");
             syms[i].func = strdup(name);
             syms[i].inner = strdup(name);
+            syms[i].all = strdup(name);
         }
     unlink(in);
     unlink(out);
@@ -288,12 +327,73 @@ static void print_top(const char *title, const char **names, size_t n, size_t to
     free(sorted);
 }
 
-static int by_ip(const void *a, const void *b) {
-    uint64_t x = ((const struct sample *)a)->ip, y = ((const struct sample *)b)->ip;
+static int by_u64(const void *a, const void *b) {
+    uint64_t x = *(const uint64_t *)a, y = *(const uint64_t *)b;
     return (x > y) - (x < y);
 }
 
-static void report(pid_t pid, double seconds, int kernel_sampled, size_t top) {
+static struct sym *sym_of(struct sym *syms, size_t n, uint64_t ip) {
+    size_t lo = 0, hi = n;
+    while (lo < hi) {
+        size_t mid = (lo + hi) / 2;
+        if (syms[mid].ip < ip) lo = mid + 1;
+        else hi = mid;
+    }
+    return &syms[lo];
+}
+
+/* The `flexlog_*` frames among `sym`'s, split out of `all` once. */
+static void split_flexlog(struct sym *sym) {
+    for (const char *at = sym->all; at && *at;) {
+        const char *end = strchr(at, '\n');
+        if (!end) end = at + strlen(at);
+        const char *hit = strstr(at, "flexlog_");
+        if (hit && hit < end) {
+            sym->flex = realloc(sym->flex, (sym->nflex + 1) * sizeof *sym->flex);
+            sym->flex[sym->nflex++] = strndup(at, end - at);
+        }
+        at = *end ? end + 1 : end;
+    }
+}
+
+/* -g: the share of all samples with each `flexlog_*` function on the stack. */
+static void print_inclusive(struct sym *syms, size_t nsyms, size_t top) {
+    for (size_t i = 0; i < nsyms; i++) split_flexlog(&syms[i]);
+    const char **names = NULL, **mine = NULL;
+    size_t n = 0, cap = 0, capmine = 0;
+    for (size_t i = 0; i < nsamples; i++) {
+        size_t nmine = 0;
+        for (uint32_t f = 0; f <= samples[i].nchain; f++) {
+            struct sym *at = sym_of(syms, nsyms, f == 0 ? samples[i].ip : samples[i].chain[f - 1]);
+            for (int k = 0; k < at->nflex; k++) {
+                if (nmine == capmine) mine = realloc(mine, (capmine = capmine ? 2 * capmine : 64) * sizeof *mine);
+                mine[nmine++] = at->flex[k];
+            }
+        }
+        qsort(mine, nmine, sizeof *mine, by_name);
+        for (size_t k = 0; k < nmine; k++) {
+            if (k && strcmp(mine[k], mine[k - 1]) == 0) continue;
+            if (n == cap) names = realloc(names, (cap = cap ? 2 * cap : 65536) * sizeof *names);
+            names[n++] = mine[k];
+        }
+    }
+    qsort(names, n, sizeof *names, by_name);
+    struct tally *t = calloc(n + 1, sizeof *t);
+    size_t nt = 0;
+    for (size_t i = 0; i < n; i++) {
+        if (nt && strcmp(t[nt - 1].name, names[i]) == 0) t[nt - 1].n++;
+        else t[nt++] = (struct tally){names[i], 1};
+    }
+    qsort(t, nt, sizeof *t, by_count);
+    fprintf(stderr, "\nflexlog functions on the stack (inclusive, share of all samples):\n");
+    for (size_t i = 0; i < nt && i < top; i++)
+        fprintf(stderr, "  %6.2f%%  %s\n", 100.0 * t[i].n / nsamples, t[i].name);
+    free(t);
+    free(names);
+    free(mine);
+}
+
+static void report(pid_t pid, double seconds, int kernel_sampled, int callers, size_t top) {
     load_maps(pid);
     load_kallsyms();
     /* Thread names while the threads still run. */
@@ -310,23 +410,34 @@ static void report(pid_t pid, double seconds, int kernel_sampled, size_t top) {
         comm[len ? len : strlen(comm)] = 0;
         threads[i] = strdup(comm);
     }
-    qsort(samples, nsamples, sizeof *samples, by_ip);
-    struct sym *syms = calloc(nsamples + 1, sizeof *syms);
+    /* Every distinct address once: the sampled IPs and the chains' frames
+     * (user addresses, never equal to a kernel one). */
+    size_t naddrs = 0;
+    for (size_t i = 0; i < nsamples; i++) naddrs += 1 + samples[i].nchain;
+    uint64_t *addrs = malloc((naddrs + 1) * sizeof *addrs);
+    naddrs = 0;
+    for (size_t i = 0; i < nsamples; i++) {
+        addrs[naddrs++] = samples[i].ip;
+        for (uint32_t f = 0; f < samples[i].nchain; f++) addrs[naddrs++] = samples[i].chain[f];
+    }
+    qsort(addrs, naddrs, sizeof *addrs, by_u64);
+    struct sym *syms = calloc(naddrs + 1, sizeof *syms);
     size_t nsyms = 0;
-    for (size_t i = 0; i < nsamples; i++)
-        if (!nsyms || syms[nsyms - 1].ip != samples[i].ip)
-            syms[nsyms++] = (struct sym){.ip = samples[i].ip, .kernel = samples[i].kernel};
+    for (size_t i = 0; i < naddrs; i++)
+        if (!nsyms || syms[nsyms - 1].ip != addrs[i]) syms[nsyms++] = (struct sym){.ip = addrs[i]};
+    free(addrs);
+    for (size_t i = 0; i < nsamples; i++) sym_of(syms, nsyms, samples[i].ip)->kernel = samples[i].kernel;
     for (size_t i = 0; i < nsyms; i++) {
-        if (syms[i].kernel) syms[i].func = syms[i].inner = strdup(kernel_name(syms[i].ip));
-        else if (!map_of(syms[i].ip)) syms[i].func = syms[i].inner = strdup("[unknown]");
+        if (syms[i].kernel) syms[i].func = syms[i].inner = syms[i].all = strdup(kernel_name(syms[i].ip));
+        else if (!map_of(syms[i].ip)) syms[i].func = syms[i].inner = syms[i].all = strdup("[unknown]");
     }
     for (size_t i = 0; i < nmaps; i++) addr2line(syms, nsyms, &maps[i]);
     const char **funcs = malloc((nsamples + 1) * sizeof *funcs);
     const char **inners = malloc((nsamples + 1) * sizeof *inners);
-    for (size_t i = 0, s = 0; i < nsamples; i++) {
-        while (syms[s].ip != samples[i].ip) s++;
-        funcs[i] = syms[s].func;
-        inners[i] = syms[s].inner;
+    for (size_t i = 0; i < nsamples; i++) {
+        struct sym *at = sym_of(syms, nsyms, samples[i].ip);
+        funcs[i] = at->func;
+        inners[i] = at->inner;
     }
     fprintf(stderr, "cpuprof: %zu samples in %.1f s (%llu lost)%s\n", nsamples, seconds,
             (unsigned long long)lost, kernel_sampled ? "" : "; user IPs only (kernel not permitted)");
@@ -334,20 +445,22 @@ static void report(pid_t pid, double seconds, int kernel_sampled, size_t top) {
     print_top("by thread:", threads, nsamples, top);
     print_top("by function (self):", funcs, nsamples, top);
     print_top("by innermost inlined frame (self):", inners, nsamples, top);
+    if (callers) print_inclusive(syms, nsyms, top);
 }
 
 int main(int argc, char **argv) {
     double delay = 0, seconds = 5, hz = 7000;
     size_t top = 40;
-    int opt;
-    while ((opt = getopt(argc, argv, "+d:s:f:t:")) != -1) {
+    int opt, callers = 0;
+    while ((opt = getopt(argc, argv, "+gd:s:f:t:")) != -1) {
         switch (opt) {
+        case 'g': callers = 1; break;
         case 'd': delay = atof(optarg); break;
         case 's': seconds = atof(optarg); break;
         case 'f': hz = atof(optarg); break;
         case 't': top = (size_t)atol(optarg); break;
         default:
-            fprintf(stderr, "usage: %s [-d delay_s] [-s seconds] [-f hz] [-t top] -- prog args...\n", argv[0]);
+            fprintf(stderr, "usage: %s [-g] [-d delay_s] [-s seconds] [-f hz] [-t top] -- prog args...\n", argv[0]);
             return 2;
         }
     }
@@ -379,7 +492,8 @@ int main(int argc, char **argv) {
         attr.type = PERF_TYPE_SOFTWARE;
         attr.config = PERF_COUNT_SW_CPU_CLOCK;
         attr.sample_period = (uint64_t)(1e9 / hz);
-        attr.sample_type = PERF_SAMPLE_IP | PERF_SAMPLE_TID;
+        attr.sample_type = PERF_SAMPLE_IP | PERF_SAMPLE_TID | (callers ? PERF_SAMPLE_CALLCHAIN : 0);
+        attr.exclude_callchain_kernel = 1;
         attr.disabled = 1;
         attr.inherit = 1;
         attr.exclude_hv = 1;
@@ -417,7 +531,7 @@ int main(int argc, char **argv) {
         ioctl(fds[cpu], PERF_EVENT_IOC_DISABLE, 0);
         drain(rings[cpu], page);
     }
-    report(child, now_s() - opened, kernel_sampled, top);
+    report(child, now_s() - opened, kernel_sampled, callers, top);
     int status = 0;
     waitpid(child, &status, 0);
     return WIFEXITED(status) ? WEXITSTATUS(status) : 1;
