@@ -202,7 +202,16 @@ fn hot_append_pair(slices: usize, prefill: usize, on_first: bool) -> (f64, f64, 
 
     // `storage.archived_records` is cluster-wide: every replica counts its
     // own copy of each archived record.
-    let archived = c.obs().snapshot().counter("storage.archived_records") / replicas;
+    let snapshot = c.obs().snapshot();
+    let archived = snapshot.counter("storage.archived_records") / replicas;
+    // Report only: how long a write (a replica wake, its spill included)
+    // and a policy archive round keep the server's lock, over the whole
+    // trial (ROADMAP item 12 measures before it changes anything).
+    let held = |holder: &str| {
+        let h = snapshot.histogram(&format!("storage.lock_hold_ns.{holder}")).cloned().unwrap_or_default();
+        format!("{holder} p50 {:.1} / p99 {:.1} us ({} holds)", h.p50 as f64 / 1e3, h.p99 as f64 / 1e3, h.count)
+    };
+    eprintln!("tiering: storage lock held: {}; {}", held("write"), held("archive"));
     c.shutdown();
     let appends = (slices / 2 * SLICE_APPENDS) as f64;
     (appends / secs[0], appends / secs[1], archived)

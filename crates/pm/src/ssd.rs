@@ -347,6 +347,61 @@ impl SsdDevice {
         }
     }
 
+    /// [`SsdDevice::write_blocks`] then [`SsdDevice::fsync`], as one call
+    /// with the same charges, counts and outcome. When nothing else is
+    /// dirty and `blocks` names each id once (a spill's and an import's
+    /// do), the blocks go straight to the medium and the index, in the
+    /// order named, with no trip through the page cache's dirty map;
+    /// otherwise this is the two calls.
+    pub fn write_synced(&self, data: &[u8], blocks: &[(u128, usize)]) {
+        assert_eq!(blocks.iter().map(|&(_, len)| len).sum::<usize>(), data.len(), "extents cover data");
+        let distinct = blocks.windows(2).all(|pair| pair[0].0 < pair[1].0) || {
+            let mut ids: Vec<u128> = blocks.iter().map(|&(id, _)| id).collect();
+            ids.sort_unstable();
+            ids.windows(2).all(|pair| pair[0] < pair[1])
+        };
+        let mut inner = self.inner.lock();
+        if !distinct || !inner.dirty.is_empty() {
+            drop(inner);
+            self.write_blocks(data, blocks);
+            return self.fsync();
+        }
+        let written = {
+            let inner = &mut *inner;
+            for id in inner.dirty_deletes.drain(..) {
+                inner.durable.remove(id);
+            }
+            // Whatever the page cache still holds is deleted blocks' bytes.
+            inner.dirty_order.clear();
+            inner.dirty_bytes.clear();
+            if inner.dirty_bytes.capacity() > SPARE_DIRTY_BYTES {
+                inner.dirty_bytes = Vec::new();
+            }
+            let mut at = inner.medium_len;
+            for &(id, len) in blocks {
+                inner.durable.insert(id, Extent::new(at, len));
+                at += len as u64;
+            }
+            self.stats.writes.fetch_add(blocks.len() as u64, Ordering::Relaxed);
+            self.stats.fsyncs.fetch_add(1, Ordering::Relaxed);
+            self.stats.bytes_synced.fetch_add(data.len() as u64, Ordering::Relaxed);
+            if data.is_empty() {
+                0
+            } else {
+                self.medium
+                    .write_all_at(data, inner.medium_len)
+                    .expect("append the synced blocks to the ssd medium file");
+                self.medium_writes.fetch_add(1, Ordering::Relaxed);
+                inner.medium_len = at;
+                self.latency.write_ns(data.len())
+            }
+        };
+        drop(inner);
+        // The two calls' charges: the buffered write, then the sync.
+        self.clock.consume(SYSCALL_NS);
+        self.clock.consume(SYSCALL_NS + written);
+    }
+
     /// Reads a block, hitting the page cache first, the device otherwise.
     pub fn read_block(&self, id: u128) -> Result<Vec<u8>, SsdError> {
         let inner = self.inner.lock();
@@ -845,6 +900,74 @@ mod tests {
         drop(devices);
         let left = lingering();
         assert!(left.is_empty(), "dropped devices: {left:?}");
+    }
+
+    /// Every block a device holds with its bytes, the medium's bytes, and
+    /// the device's counters.
+    type State = (Vec<(u128, Vec<u8>)>, Vec<u8>, [u64; 5]);
+
+    fn state(ssd: &SsdDevice) -> State {
+        let blocks = ssd.block_ids(.., usize::MAX).into_iter().map(|id| (id, ssd.read_block(id).unwrap())).collect();
+        let mut medium = vec![0u8; ssd.inner.lock().medium_len as usize];
+        ssd.medium.read_exact_at(&mut medium, 0).unwrap();
+        let s = &ssd.stats;
+        let counts = [&s.writes, &s.reads, &s.fsyncs, &s.bytes_synced, &ssd.medium_writes];
+        (blocks, medium, counts.map(|c| c.load(Ordering::Relaxed)))
+    }
+
+    #[test]
+    fn a_synced_write_is_write_blocks_then_fsync() {
+        use crate::virtual_time;
+        // Before the call, per case: blocks written and synced, then
+        // deleted, then left dirty. Then the call's blocks.
+        type Case = (Vec<u128>, Vec<u128>, Vec<u128>, Vec<u128>);
+        let cases: [Case; 7] = [
+            (vec![], vec![], vec![], vec![10, 11, 12]),
+            (vec![], vec![], vec![], vec![]),
+            (vec![1, 2, 3], vec![2], vec![], vec![4, 5]),
+            (vec![1, 2, 3], vec![], vec![], vec![2, 3, 4]),
+            (vec![1], vec![1], vec![], vec![9, 8, 2]),
+            // The fallbacks: a dirty block, a repeated id.
+            (vec![1], vec![], vec![7], vec![8, 9]),
+            (vec![], vec![], vec![], vec![5, 5]),
+        ];
+        for (synced, deleted, dirty, call) in cases {
+            let devices = [SsdDevice::new(DeviceClock::virtual_clock()), SsdDevice::new(DeviceClock::virtual_clock())];
+            let mut charged = [0u64; 2];
+            for (k, ssd) in devices.iter().enumerate() {
+                let bytes = |id: u128, v: u8| vec![id as u8 ^ v; 40 + id as usize];
+                write_all(ssd, synced.iter().map(|&id| (id, bytes(id, 0))));
+                ssd.fsync();
+                for &id in &deleted {
+                    ssd.delete_block(id);
+                }
+                write_all(ssd, dirty.iter().map(|&id| (id, bytes(id, 1))));
+                let (mut data, mut extents) = (Vec::new(), Vec::new());
+                for (n, &id) in call.iter().enumerate() {
+                    let block = bytes(id, 2 + n as u8);
+                    extents.push((id, block.len()));
+                    data.extend(block);
+                }
+                virtual_time::take();
+                if k == 0 {
+                    ssd.write_blocks(&data, &extents);
+                    ssd.fsync();
+                } else {
+                    ssd.write_synced(&data, &extents);
+                }
+                charged[k] = virtual_time::take();
+                // Not synced: lost on the crash below, on either device.
+                write_all(ssd, [(30, vec![3; 8])]);
+                ssd.delete_block(call.first().copied().unwrap_or(1));
+            }
+            let case = (&synced, &deleted, &dirty, &call);
+            assert_eq!(charged[0], charged[1], "{case:?}: virtual-clock charge");
+            assert_eq!(state(&devices[0]), state(&devices[1]), "{case:?}: before the crash");
+            for ssd in &devices {
+                ssd.crash();
+            }
+            assert_eq!(state(&devices[0]), state(&devices[1]), "{case:?}: after the crash");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 use flexlog_obs::{Histogram, Stage, CTRL_TOKEN, SYNC_TOKEN};
 use flexlog_ordering::{Catalog, Directory, OrderMsg};
 use flexlog_simnet::{Endpoint, NodeId, RecvError};
-use flexlog_storage::{FetchSelect, StorageConfig, StorageServer};
+use flexlog_storage::{FetchSelect, StorageConfig, StorageServer, Written};
 use flexlog_types::{Batch, ColorId, Epoch, FastMap, FunctionId, Payload, SeqNum, ShardId, Token};
 
 use crate::follower::{self, Follower, Level};
@@ -822,6 +822,11 @@ impl ReplicaNode {
         for (color, token, payloads, reply_to) in appends.drain(..) {
             if self.admit(ep, color, token, &payloads, reply_to) {
                 if let Some((sn, _)) = self.pending_oresp.remove(&token) {
+                    // Its OResp came first, unless the batch committed
+                    // here since (a sync installed it).
+                    if self.re_ack(color, token, reply_to) {
+                        continue;
+                    }
                     resps.push((token, sn));
                 }
                 staging.push((payloads.len() as u32, reply_to));
@@ -834,10 +839,10 @@ impl ReplicaNode {
 
         let start = Instant::now();
         self.serving.charge_records(resps.len());
-        let written = self.serving.storage.write(stage, resps);
+        let Written { staged, committed: commits } = self.serving.storage.write(stage, resps);
         let node = ep.id().0;
         let delegate = self.is_oreq_delegate(ep);
-        for ((&(token, color, _), &(n, reply_to)), result) in stage.iter().zip(&*staging).zip(written.staged) {
+        for ((&(token, color, _), &(n, reply_to)), result) in stage.iter().zip(&*staging).zip(staged) {
             let newly = match result {
                 Ok(newly) => newly,
                 Err(e) => {
@@ -847,6 +852,13 @@ impl ReplicaNode {
                     continue;
                 }
             };
+            // Not new: a retransmit. If its batch committed before this
+            // call, it is a duplicate of a completed append (one that
+            // commits in this call is acked with it below).
+            let commits_now = || resps.iter().zip(&commits).any(|(r, c)| r.0 == token && matches!(c, Ok(Some(_))));
+            if !newly && !commits_now() && self.re_ack(color, token, reply_to) {
+                continue;
+            }
             self.reply_tos
                 .entry(token)
                 .and_modify(|r| r.add(reply_to))
@@ -864,7 +876,7 @@ impl ReplicaNode {
                 oreqs.push((color, token, n));
             }
         }
-        for (&(token, last_sn), result) in resps.iter().zip(written.committed) {
+        for (&(token, last_sn), result) in resps.iter().zip(commits) {
             match result {
                 Ok(newly) => {
                     self.oreq_sent.remove(&token);
@@ -910,8 +922,12 @@ impl ReplicaNode {
     }
 
     /// Whether this replica stages the append now. If not, it is answered
-    /// or parked here: a batch committed already is re-acked, a color that
-    /// left is refused, and a frozen color — or any, mid-sync — parks it.
+    /// or parked here: a color that left is refused, and a frozen color —
+    /// or any, mid-sync — parks it. A batch committed already is re-acked:
+    /// here when a fence or the sync-phase stands, else in `write_run` once
+    /// the storage write has reported it not new (or before that, when an
+    /// OResp waits for it), so that a fresh append costs one look-up of its
+    /// token.
     fn admit(
         &mut self,
         ep: &Endpoint<ClusterMsg>,
@@ -920,16 +936,17 @@ impl ReplicaNode {
         payloads: &Batch,
         reply_to: NodeId,
     ) -> bool {
-        if let Some(sn) = self.serving.storage.committed_sn(color, token) {
+        let fence = self.fences.get(&color).copied();
+        if fence.is_some() || self.syncing() {
             // Duplicate of a completed append: re-ack (client retry or the
             // multi-color replay path). This must run BEFORE any
             // reconfiguration fence — a late retransmit of a pre-migration
             // append still deserves its ack (post-cutover, the imported
             // token map answers the same way at the destination).
-            self.ack(reply_to, token, sn, 1);
-            return false;
+            if self.re_ack(color, token, reply_to) {
+                return false;
+            }
         }
-        let fence = self.fences.get(&color).copied();
         if let Some(Fence::Gone(reason)) = fence {
             let _ = ep.send(reply_to, AppendMsg::Rejected { token, reason }.into());
             return false;
@@ -945,6 +962,15 @@ impl ReplicaNode {
             self.deferred.push_back((reply_to, m.into()));
             return false;
         }
+        true
+    }
+
+    /// Re-acks `token` to `reply_to` if its batch committed here already.
+    fn re_ack(&mut self, color: ColorId, token: Token, reply_to: NodeId) -> bool {
+        let Some(sn) = self.serving.storage.committed_sn(color, token) else {
+            return false;
+        };
+        self.ack(reply_to, token, sn, 1);
         true
     }
 

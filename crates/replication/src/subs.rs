@@ -64,7 +64,8 @@ pub(crate) struct SubTable {
     storage: Arc<StorageServer>,
     subs: FastMap<u64, Sub>,
     by_color: FastMap<ColorId, Vec<u64>>,
-    /// Recently landed (color, sn) → token, for `SubPush` tracing.
+    /// Recently landed (color, sn) → token of the colors with a
+    /// subscriber, for `SubPush` tracing.
     tokens: BoundedMap<(ColorId, SeqNum), Token>,
     push_batches: Counter,
     push_records: Counter,
@@ -356,7 +357,8 @@ impl SubTable {
     }
 
     /// Notes one record that just landed here (commit or import) for push
-    /// tracing, and delivers it as a late fill if it landed below some push
+    /// tracing — if its color has a subscriber, as only a push reads the
+    /// note — and delivers it as a late fill if it landed below some push
     /// frontier (e.g. an OResp that outran its append past the barrier
     /// window, or a hole the quorum filled after the follower moved on):
     /// pushed out of band to every subscriber whose frontier already moved
@@ -368,10 +370,10 @@ impl SubTable {
         sn: SeqNum,
         token: Token,
     ) {
-        self.tokens.insert((color, sn), token);
         let Some(ids) = self.by_color.get(&color) else {
             return;
         };
+        self.tokens.insert((color, sn), token);
         let targets: Vec<u64> = ids
             .iter()
             .filter(|id| {

@@ -1228,6 +1228,55 @@ fn one_oresp_commits_the_staged_tokens_and_parks_the_rest() {
     o.shutdown();
 }
 
+/// A retransmit of a committed append — from its client or from another
+/// node replaying it — is re-acked with the batch's SN and orders nothing
+/// again, whether it arrives alone or in a wake beside a fresh append.
+#[test]
+fn a_committed_append_sent_again_is_re_acked_and_not_ordered() {
+    let mut o = scripted_order();
+    let (a, b) = (
+        o.net.register(NodeId::named(NodeId::CLASS_CLIENT, 1)),
+        o.net.register(NodeId::named(NodeId::CLASS_CLIENT, 2)),
+    );
+    let token = |c| Token::new(FunctionId(1), c);
+    o.start();
+    o.append(&a, 1);
+    assert_eq!(o.next_oreq(Duration::from_secs(5)), Some(token(1)));
+    o.oresp(vec![(token(1), sn(1))]);
+    assert_eq!(next_acks(&a), [(token(1), sn(1))]);
+
+    o.append(&a, 1);
+    assert_eq!(next_acks(&a), [(token(1), sn(1))]);
+    o.append(&b, 1);
+    o.append(&b, 2);
+    assert_eq!(next_acks(&b), [(token(1), sn(1))]);
+    assert_eq!(o.next_oreq(Duration::from_secs(5)), Some(token(2)), "only the fresh append is ordered");
+    assert_eq!(o.next_oreq(Duration::from_millis(50)), None);
+    assert_eq!(o.commit_batches(), 1);
+    o.shutdown();
+}
+
+/// A batch staged here and then installed by a sync (as §6.3 copies a
+/// peer's records) keeps its client's entry; a retransmit of it is still a
+/// duplicate of a completed append: re-acked with the installed SN and
+/// never ordered again, which could give it a second SN.
+#[test]
+fn a_retransmit_of_a_batch_a_sync_installed_is_re_acked() {
+    let mut o = scripted_order();
+    let storage = o.replica.as_ref().expect("not started").0.storage();
+    let client = o.net.register(NodeId::named(NodeId::CLASS_CLIENT, 1));
+    let token = Token::new(FunctionId(1), 1);
+    o.start();
+    o.append(&client, 1);
+    assert_eq!(o.next_oreq(Duration::from_secs(5)), Some(token));
+    assert_eq!(storage.import(RED, sn(1), token, &p(b"r1".to_vec())), Ok(true));
+
+    o.append(&client, 1);
+    assert_eq!(next_acks(&client), [(token, sn(1))]);
+    assert_eq!(o.next_oreq(Duration::from_millis(50)), None, "ordered once");
+    o.shutdown();
+}
+
 /// A wake is one unit of work. Appends 1–3 of one client, append 4 of
 /// another, the `OResp` that orders all four — arriving before append 3 —
 /// and append 5, not yet ordered, land in one burst: one storage

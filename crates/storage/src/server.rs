@@ -51,19 +51,19 @@
 //! lock-order rule exists to break. The PM pool and the SSD have internal
 //! locks of their own, below this one.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::ops::{Bound, RangeBounds};
+use std::ops::{Bound, Deref, DerefMut, RangeBounds};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use flexlog_obs::{Counter, Histogram, ObsHandle, Stage};
 use flexlog_pm::{ClockMode, DeviceClock, LatencyModel, PmDevice, PmDeviceConfig, PmPool, PoolError, SsdDevice, Tx};
 use flexlog_tier::{fetch_segment, Manifest, ObjectStore, Segment, SegmentMeta};
-use flexlog_types::{Batch, ColorId, CommittedRecord, FastMap, Payload, SeqNum, Token};
+use flexlog_types::{Batch, ColorId, CommittedRecord, FastMap, FastState, Payload, SeqNum, Token};
 
 use crate::codec::{self, StagedBatch};
 use crate::color_log::{above, ColorLog, Placement};
@@ -301,6 +301,9 @@ struct State {
     /// The spill's read buffer and its blocks' extents, kept for the next
     /// round.
     spill_buf: (Vec<u8>, Vec<(u128, usize)>),
+    /// The records of the spill batch being gathered, so that one queued
+    /// twice is taken once; empty between batches.
+    spill_taken: HashSet<(ColorId, SeqNum), FastState>,
     /// Archive manifests, loaded from the store on a color's first archive
     /// probe.
     manifests: HashMap<ColorId, Arc<Manifest>>,
@@ -328,6 +331,7 @@ impl State {
             staged: FastMap::default(),
             scratch: WriteScratch::default(),
             spill_buf: (Vec::new(), Vec::new()),
+            spill_taken: HashSet::default(),
             manifests: HashMap::new(),
             segments: HashMap::new(),
             pm_live_bytes: 0,
@@ -414,6 +418,53 @@ struct ArchiveRound {
     complete: bool,
 }
 
+/// Who holds a server's lock, for the `storage.lock_hold_ns.<holder>`
+/// histograms: how long each kind of call keeps the replica's appends out.
+#[derive(Clone, Copy)]
+enum Holder {
+    /// `write` (a replica wake), its spill included.
+    Write,
+    /// `archive_prefix`: one policy archive round.
+    Archive,
+    Trim,
+    /// `scan` and `fetch`.
+    Scan,
+    /// `demote_color`.
+    Demote,
+}
+
+impl Holder {
+    const NAMES: [&'static str; 5] = ["write", "archive", "trim", "scan", "demote"];
+}
+
+/// The server's state, locked by a [`Holder`] whose hold time is recorded
+/// when it lets go.
+struct Held<'a> {
+    state: MutexGuard<'a, State>,
+    since: Instant,
+    hold_ns: &'a Histogram,
+}
+
+impl Deref for Held<'_> {
+    type Target = State;
+
+    fn deref(&self) -> &State {
+        &self.state
+    }
+}
+
+impl DerefMut for Held<'_> {
+    fn deref_mut(&mut self) -> &mut State {
+        &mut self.state
+    }
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        self.hold_ns.record_ns(self.since.elapsed());
+    }
+}
+
 /// See module docs.
 pub struct StorageServer {
     pool: PmPool,
@@ -437,6 +488,8 @@ pub struct StorageServer {
     /// The pool's redo-log cost counters (`PoolStats`), in its field order,
     /// as `storage.pm_log_bytes` / `pm_reclaim_copied` / `pm_segments_freed`.
     pool_cost: [Counter; 3],
+    /// Wall-clock time each [`Holder`] kept the lock, indexed by it.
+    lock_hold: [Histogram; 5],
 }
 
 impl StorageServer {
@@ -452,6 +505,7 @@ impl StorageServer {
             spill_hist: config.obs.histogram("storage.spill_ns"),
             pool_cost: ["log_bytes", "reclaim_copied", "segments_freed"]
                 .map(|name| config.obs.counter(&format!("storage.pm_{name}"))),
+            lock_hold: Holder::NAMES.map(|name| config.obs.histogram(&format!("storage.lock_hold_ns.{name}"))),
             config,
         }
     }
@@ -467,6 +521,12 @@ impl StorageServer {
         let ssd = Arc::new(SsdDevice::new(clock));
         let state = State::new(&config);
         Self::assemble(PmPool::create(pm), ssd, config, state)
+    }
+
+    /// Locks the state for `holder`.
+    fn hold(&self, holder: Holder) -> Held<'_> {
+        let state = self.state.lock();
+        Held { state, since: Instant::now(), hold_ns: &self.lock_hold[holder as usize] }
     }
 
     /// Recovers a server from crashed devices: replays the PM pool, rebuilds
@@ -584,7 +644,7 @@ impl StorageServer {
     /// repeat of an item that failed reports the same error.
     pub fn write(&self, stage: &[(Token, ColorId, Batch)], commit: &[(Token, SeqNum)]) -> Written {
         let start = Instant::now();
-        let st = &mut *self.state.lock();
+        let st = &mut *self.hold(Holder::Write);
         let mut scratch = std::mem::take(&mut st.scratch);
         let written = self.write_locked(st, &mut scratch, start, stage, commit);
         scratch.clear();
@@ -945,7 +1005,7 @@ impl StorageServer {
         from: SeqNum,
         cap: usize,
     ) -> Result<Vec<CommittedRecord>, StorageError> {
-        let st = &mut *self.state.lock();
+        let st = &mut *self.hold(Holder::Scan);
         // The trim head splits the scan the way it splits `get`: at or
         // below it only the archive serves, above it only the live tiers —
         // so the two runs never overlap and simply concatenate.
@@ -970,7 +1030,7 @@ impl StorageServer {
     /// cache. An `Above` scan runs inside the replica's single-threaded
     /// event loop and blocks appends for its duration, hence the `limit`.
     pub fn fetch(&self, color: ColorId, select: &FetchSelect) -> Vec<(Token, SeqNum, Payload)> {
-        let st = self.state.lock();
+        let st = self.hold(Holder::Scan);
         let placed = match select {
             FetchSelect::Above { sn, limit } => {
                 self.placed(&st, color, above(*sn), usize::try_from(*limit).unwrap_or(usize::MAX))
@@ -1090,8 +1150,7 @@ impl StorageServer {
                     codec::write_record(&mut data, *token, payload);
                     blocks.push((codec::ssd_block_id(color, *sn), codec::record_len(payload)));
                 }
-                self.ssd.write_blocks(&data, &blocks);
-                self.ssd.fsync();
+                self.ssd.write_synced(&data, &blocks);
             }
         }
         let log = st.log_mut(color);
@@ -1166,7 +1225,7 @@ impl StorageServer {
         color: ColorId,
         up_to: SeqNum,
     ) -> Result<(Option<SeqNum>, Option<SeqNum>), StorageError> {
-        let st = &mut *self.state.lock();
+        let st = &mut *self.hold(Holder::Trim);
         // A color never appended to (no committed records, no prior trim)
         // has nothing to trim: do NOT fabricate a head for it, or the
         // server gains a phantom color that shows up in every walk of
@@ -1359,7 +1418,7 @@ impl StorageServer {
         let Some(tier) = &self.config.tier else {
             return Ok(0);
         };
-        let st = &mut *self.state.lock();
+        let st = &mut *self.hold(Holder::Archive);
         let round = self.archive_records(st, tier, color, None, keep_tail, max_records);
         if let Some(boundary) = round.durable {
             // Skip the PM transaction when the head already covers the
@@ -1486,16 +1545,25 @@ impl StorageServer {
         if st.pm_live_bytes <= self.config.pm_watermark {
             return Ok(());
         }
-        let spill_start = Instant::now();
+        let start = Instant::now();
+        let spilled = self.spill_to_watermark(st);
+        self.spill_hist.record_ns(start.elapsed());
+        spilled
+    }
+
+    /// The batches of a spill round, until PM is back under the watermark
+    /// or nothing is left to spill.
+    fn spill_to_watermark(&self, st: &mut State) -> Result<(), StorageError> {
         while st.pm_live_bytes > self.config.pm_watermark {
             let mut victims = Vec::with_capacity(SPILL_BATCH);
             while victims.len() < SPILL_BATCH {
                 let Some(record) = st.landed.pop_front() else { break };
                 // A record imported again after it left PM is queued twice.
-                if st.in_pm(record.0, record.1) && !victims.contains(&record) {
+                if st.in_pm(record.0, record.1) && st.spill_taken.insert(record) {
                     victims.push(record);
                 }
             }
+            st.spill_taken.clear();
             if victims.is_empty() {
                 return Ok(());
             }
@@ -1507,7 +1575,6 @@ impl StorageServer {
                 return Err(e);
             }
         }
-        self.spill_hist.record_ns(spill_start.elapsed());
         Ok(())
     }
 
@@ -1524,7 +1591,7 @@ impl StorageServer {
     /// The SSD-copy → fsync → PM-delete two-step moving the given
     /// PM-resident records down a tier.
     fn spill_victims(&self, st: &mut State, victims: &[(ColorId, SeqNum)]) -> Result<(), StorageError> {
-        // 1. Copy to SSD in one buffered write, and fsync...
+        // 1. Copy to SSD in one synced write...
         let (mut data, mut blocks) = std::mem::take(&mut st.spill_buf);
         let mut tx = self.pool.begin();
         tx.reserve(victims.len() * Tx::RECORD_OVERHEAD);
@@ -1536,11 +1603,10 @@ impl StorageServer {
             tx.delete(key);
         }
         let freed = data.len();
-        self.ssd.write_blocks(&data, &blocks);
+        self.ssd.write_synced(&data, &blocks);
         data.clear();
         blocks.clear();
         st.spill_buf = (data, blocks);
-        self.ssd.fsync();
         // 2. ...only then remove from PM (a crash between the two steps
         // duplicates records across tiers, which `recover` resolves; it
         // never loses them).
@@ -1566,7 +1632,7 @@ impl StorageServer {
     /// replacing per-workload tuning of the spill heuristics. Returns how
     /// many records moved.
     pub fn demote_color(&self, color: ColorId, max_records: u64) -> Result<u64, StorageError> {
-        let st = &mut *self.state.lock();
+        let st = &mut *self.hold(Holder::Demote);
         let max = usize::try_from(max_records).unwrap_or(usize::MAX);
         let victims: Vec<(ColorId, SeqNum)> = st
             .logs

@@ -526,6 +526,29 @@ fn stats_feed_the_shared_registry() {
 }
 
 #[test]
+fn every_spill_round_is_timed_and_every_holder_of_the_lock_too() {
+    // Staged batches count toward the watermark but cannot spill: the one
+    // committed record spills and the round runs out of records with PM
+    // still above the mark. That round is timed like any other.
+    let s = StorageServer::new(StorageConfig { pm_watermark: 1 << 10, ..Default::default() });
+    for t in 1..=8 {
+        s.stage(tok(t), RED, &[pl(vec![7u8; 256])]).unwrap();
+    }
+    s.commit(tok(1), sn(1)).unwrap();
+    assert_eq!(s.ssd_resident(RED), 1);
+    assert!(s.pm_live_bytes() > 1 << 10, "still above the watermark");
+    s.scan(RED, SeqNum::ZERO).unwrap();
+    s.demote_color(RED, 1).unwrap();
+    s.trim(RED, sn(1)).unwrap();
+    let snap = s.obs().snapshot();
+    let count = |name: &str| snap.histogram(name).map_or(0, |h| h.count);
+    assert_eq!(count("storage.spill_ns"), 1);
+    for (holder, calls) in [("write", 9), ("scan", 1), ("demote", 1), ("trim", 1), ("archive", 0)] {
+        assert_eq!(count(&format!("storage.lock_hold_ns.{holder}")), calls, "{holder}");
+    }
+}
+
+#[test]
 fn commit_records_storage_commit_trace_events() {
     let s = server();
     s.set_node(0x1234);

@@ -81,9 +81,15 @@ impl Slot {
 }
 
 /// A `u64 → u32` map in one `Vec<Slot>`, found by linear probing from the
-/// key's Fibonacci hash scaled to the table's length. It holds at most 7/8
-/// of its slots, as a `HashMap` does, but grows by half rather than
-/// doubling; a retain rebuilds it at the size its survivors need.
+/// key's home slot (`Table::home`), in Robin Hood order: an insert takes
+/// the slot of any entry nearer its home than the new one would be, and
+/// moves that entry on. Each run of occupied slots therefore lists its
+/// entries by home, so a lookup stops at the first entry whose home lies
+/// past the key's — a miss costs about what a hit does, instead of a walk
+/// to the end of the run (5 to 38 slots at 7/8 full, by token shape). It
+/// holds at most 7/8 of its slots, as a `HashMap` does, but grows by half
+/// rather than doubling; a retain rebuilds it at the size its survivors
+/// need.
 #[derive(Default)]
 struct Table {
     /// Empty, or at least `MIN_SLOTS` long.
@@ -109,38 +115,60 @@ impl Table {
         self.len + usize::from(self.top.is_some())
     }
 
-    /// Where `token`'s probe starts: the top bits of its product with
-    /// 2⁶⁴/φ, which spread a function's consecutive counters evenly,
-    /// scaled to the table's length.
+    /// Where `token`'s probe starts: the top bits of its counter times
+    /// 2⁶⁴/φ plus its function id times 2⁶⁴/ρ (ρ the plastic number, whose
+    /// multiples stay clear of φ's), scaled to the table's length. A
+    /// function counting up, many functions appending once and many
+    /// functions counting up in turn all spread evenly. (One product of
+    /// the whole token, by 2⁶⁴/φ, steps a function id by 0.497 of the
+    /// table, and a miss among many one-append functions probed 10 slots
+    /// even in Robin Hood order.)
     fn home(&self, token: u64) -> usize {
-        let hash = token.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let (function, counter) = (token >> 32, token & u64::from(u32::MAX));
+        let hash = counter
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(function.wrapping_mul(0xC13F_A9A9_02A6_328F));
         ((hash as u128 * self.slots.len() as u128) >> 64) as usize
     }
 
-    /// The slot holding `token`, or the empty slot its probe ends at.
-    fn probe(&self, token: u64) -> usize {
+    /// How many slots past its home the entry `slot` at `i` sits.
+    fn distance(&self, slot: Slot, i: usize) -> usize {
+        let home = self.home(slot.token());
+        if i >= home {
+            i - home
+        } else {
+            i + self.slots.len() - home
+        }
+    }
+
+    /// The slot holding `token`, or else how many slots the probe looked
+    /// at before it knew `token` is absent.
+    fn seek(&self, token: u64) -> Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(0);
+        }
         let mut i = self.home(token);
-        loop {
+        for probed in 0.. {
             let slot = self.slots[i];
-            if slot.token() == token || !slot.occupied() {
-                return i;
+            if !slot.occupied() || self.distance(slot, i) < probed {
+                return Err(probed + 1);
+            }
+            if slot.token() == token {
+                return Ok(i);
             }
             i += 1;
             if i == self.slots.len() {
                 i = 0;
             }
         }
+        unreachable!("a table below 7/8 full has an empty slot")
     }
 
     fn get(&self, token: u64) -> Option<u32> {
         if token == u64::MAX {
             return self.top;
         }
-        if self.slots.is_empty() {
-            return None;
-        }
-        let slot = self.slots[self.probe(token)];
-        (slot.token() == token).then_some(slot.last())
+        self.seek(token).ok().map(|i| self.slots[i].last())
     }
 
     /// Sets `token` to `last`, or keeps the larger of the two if `token`
@@ -150,18 +178,17 @@ impl Table {
             self.top = self.top.max(Some(last));
             return;
         }
+        if let Ok(i) = self.seek(token) {
+            if self.slots[i].last() < last {
+                self.slots[i] = Slot::new(token, last);
+            }
+            return;
+        }
         if (self.len + 1) * 8 > self.slots.len() * 7 {
             let old = std::mem::take(&mut self.slots);
             self.refill(slots_for(self.len + 1), old.into_iter().filter(Slot::occupied));
         }
-        let i = self.probe(token);
-        let old = self.slots[i];
-        if !old.occupied() {
-            self.len += 1;
-        }
-        if !old.occupied() || old.last() < last {
-            self.slots[i] = Slot::new(token, last);
-        }
+        self.place(Slot::new(token, last));
     }
 
     /// Keeps the entries whose value passes `keep`.
@@ -181,9 +208,32 @@ impl Table {
         self.slots = vec![Slot::EMPTY; slots];
         self.len = 0;
         for entry in entries {
-            let i = self.probe(entry.token());
-            self.slots[i] = entry;
-            self.len += 1;
+            self.place(entry);
+        }
+    }
+
+    /// Inserts `entry`, whose token is not in the table, which has room.
+    fn place(&mut self, mut entry: Slot) {
+        let mut i = self.home(entry.token());
+        let mut distance = 0;
+        loop {
+            let slot = self.slots[i];
+            if !slot.occupied() {
+                self.slots[i] = entry;
+                self.len += 1;
+                return;
+            }
+            let theirs = self.distance(slot, i);
+            if theirs < distance {
+                // Robin Hood: the entry nearer its home moves on.
+                self.slots[i] = entry;
+                (entry, distance) = (slot, theirs);
+            }
+            distance += 1;
+            i += 1;
+            if i == self.slots.len() {
+                i = 0;
+            }
         }
     }
 }

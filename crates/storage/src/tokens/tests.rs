@@ -149,3 +149,47 @@ fn the_table_fills_to_seven_eighths_and_grows_by_half() {
         assert_eq!(t as usize - 1, before * 7 / 8, "it grew at the first entry past 7/8");
     }
 }
+
+/// Mean slots a lookup of each missing token looks at, over every epoch
+/// table.
+fn mean_miss_probe(tokens: &Tokens, missing: impl Iterator<Item = Token>) -> f64 {
+    let (mut probed, mut n) = (0, 0);
+    for token in missing {
+        assert_eq!(tokens.get(token), None);
+        for (_, table) in &tokens.epochs {
+            probed += table.seek(token.0).expect_err("missing");
+            n += 1;
+        }
+    }
+    probed as f64 / n as f64
+}
+
+#[test]
+fn a_missing_token_is_answered_without_a_long_probe() {
+    // The tokens fresh appends bring: the next counter of one function
+    // counting up, the first of many one-append functions, and 64
+    // functions counting up in turn. Checked at the load each table size
+    // fills to before it grows (7/8, where plain linear probing walks ~32
+    // slots on a miss), then after trims rebuild the table smaller.
+    let shapes: [fn(u32) -> Token; 3] = [|i| tok(1, i), |i| tok(i, 1), |i| tok(i % 64, i / 64)];
+    for (shape, token) in shapes.into_iter().enumerate() {
+        let mut tokens = Tokens::default();
+        let mut worst = 0f64;
+        for i in 1..=50_000u32 {
+            tokens.note(token(i), sn(1, i));
+            let slots = tokens.epochs[0].1.slots.len();
+            if (i as usize + 1) * 8 > slots * 7 {
+                worst = worst.max(mean_miss_probe(&tokens, (i + 1..i + 2_001).map(token)));
+            }
+        }
+        assert!(worst <= 4.0, "shape {shape}: a miss probes {worst:.1} slots on average at 7/8");
+        for through in [10_000, 30_000, 49_000] {
+            tokens.drop_through(sn(1, through));
+            let mean = mean_miss_probe(&tokens, (50_001..52_001).map(token));
+            assert!(mean <= 4.0, "shape {shape}: {mean:.1} slots after a trim through {through}");
+            for i in [through + 1, 50_000] {
+                assert_eq!(tokens.get(token(i)), Some(sn(1, i)));
+            }
+        }
+    }
+}

@@ -1,7 +1,7 @@
 // cpuprof: a cpu-clock sampler of one program over a time window, on
 // perf_event_open with no perf tool installed.
 //
-//   cpuprof [-g] [-d DELAY_S] [-s SECONDS] [-f HZ] [-t TOP] -- PROGRAM [ARGS...]
+//   cpuprof [-g] [-T NAME] [-d DELAY_S] [-s SECONDS] [-f HZ] [-t TOP] -- PROGRAM [ARGS...]
 //
 // Starts PROGRAM held at a pipe, opens one sampling cpu-clock event per CPU
 // on it with `inherit` — so every thread it starts later is sampled — and
@@ -24,6 +24,10 @@
 // the stack, inlined frames included, each sample counted once per
 // function. A kernel sample's chain is its thread's user stack at the
 // syscall, so a futex wake counts for the Rust code that made it.
+//
+// With -T NAME only the samples of threads whose name starts with NAME
+// count (e.g. `-T replica` for the `replica#N` node threads): every share
+// is then of those samples, so one kind of thread's profile reads alone.
 //
 // Build: gcc -O2 -o cpuprof cpuprof.c
 #define _GNU_SOURCE
@@ -393,7 +397,7 @@ static void print_inclusive(struct sym *syms, size_t nsyms, size_t top) {
     free(mine);
 }
 
-static void report(pid_t pid, double seconds, int kernel_sampled, int callers, size_t top) {
+static void report(pid_t pid, double seconds, int kernel_sampled, int callers, size_t top, const char *only) {
     load_maps(pid);
     load_kallsyms();
     /* Thread names while the threads still run. */
@@ -409,6 +413,16 @@ static void report(pid_t pid, double seconds, int kernel_sampled, int callers, s
         while (len && ((comm[len - 1] >= '0' && comm[len - 1] <= '9') || strchr("-#.", comm[len - 1]))) len--;
         comm[len ? len : strlen(comm)] = 0;
         threads[i] = strdup(comm);
+    }
+    if (only) {
+        size_t kept = 0;
+        for (size_t i = 0; i < nsamples; i++) {
+            if (strncmp(threads[i], only, strlen(only)) != 0) continue;
+            threads[kept] = threads[i];
+            samples[kept++] = samples[i];
+        }
+        fprintf(stderr, "cpuprof: %zu of %zu samples on threads named %s*\n", kept, nsamples, only);
+        nsamples = kept;
     }
     /* Every distinct address once: the sampled IPs and the chains' frames
      * (user addresses, never equal to a kernel one). */
@@ -451,16 +465,18 @@ static void report(pid_t pid, double seconds, int kernel_sampled, int callers, s
 int main(int argc, char **argv) {
     double delay = 0, seconds = 5, hz = 7000;
     size_t top = 40;
+    const char *only = NULL;
     int opt, callers = 0;
-    while ((opt = getopt(argc, argv, "+gd:s:f:t:")) != -1) {
+    while ((opt = getopt(argc, argv, "+gT:d:s:f:t:")) != -1) {
         switch (opt) {
         case 'g': callers = 1; break;
+        case 'T': only = optarg; break;
         case 'd': delay = atof(optarg); break;
         case 's': seconds = atof(optarg); break;
         case 'f': hz = atof(optarg); break;
         case 't': top = (size_t)atol(optarg); break;
         default:
-            fprintf(stderr, "usage: %s [-g] [-d delay_s] [-s seconds] [-f hz] [-t top] -- prog args...\n", argv[0]);
+            fprintf(stderr, "usage: %s [-g] [-T name] [-d delay_s] [-s seconds] [-f hz] [-t top] -- prog args...\n", argv[0]);
             return 2;
         }
     }
@@ -531,7 +547,7 @@ int main(int argc, char **argv) {
         ioctl(fds[cpu], PERF_EVENT_IOC_DISABLE, 0);
         drain(rings[cpu], page);
     }
-    report(child, now_s() - opened, kernel_sampled, callers, top);
+    report(child, now_s() - opened, kernel_sampled, callers, top, only);
     int status = 0;
     waitpid(child, &status, 0);
     return WIFEXITED(status) ? WEXITSTATUS(status) : 1;

@@ -2,7 +2,10 @@
 # Where one program's CPU goes over a time window (see cpuprof.c). Builds
 # the sampler with the system gcc on first use, into target/hostprof/.
 #
-#   scripts/hostprof/cpuprof.sh [-g] [-d DELAY_S] [-s SECONDS] [-f HZ] [-t TOP] -- PROGRAM [ARGS...]
+#   scripts/hostprof/cpuprof.sh [-g] [-T NAME] [-d DELAY_S] [-s SECONDS] [-f HZ] [-t TOP] -- PROGRAM [ARGS...]
+#
+# -T NAME keeps only the samples of threads whose name starts with NAME
+# (e.g. -T replica for the replica node threads, `replica#N`).
 #
 # Example, 10 s inside the benchmark's timed window:
 #   scripts/hostprof/cpuprof.sh -d 12 -s 10 -- benchmark/target/release/flexlog-benchmark \
